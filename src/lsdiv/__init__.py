@@ -9,7 +9,6 @@ from .divergence import (
     DiscreteDensity,
     DivergenceInfiniteError,
     Psi,
-    SpecialKind,
     SupportAlignmentError,
     TiltParams,
     derive_exponents,
@@ -18,7 +17,6 @@ from .divergence import (
     ldpd,
     lpd,
     lsd,
-    named_special,
 )
 from .families import ParametricFamily, PoissonFamily, density_vector, moments_c_d
 from .estimation import (

@@ -19,7 +19,7 @@ from .divergence import (
     DivergenceInfiniteError,
     TiltParams,
 )
-from .families import ParametricFamily, density_vector, moments_c_d
+from .families import ParametricFamily, moments_c_d
 
 __all__ = [
     "SingularityError",
@@ -76,15 +76,6 @@ def _summary(j: float, k: float, xi: float) -> AsymptoticSummary:
     )
 
 
-def _model_arrays(family: ParametricFamily, theta: float, beta: float, eps_tail: float):
-    offset, length = family.support_window(theta, eps_tail)
-    x = offset + np.arange(length)
-    f = density_vector(family, theta, eps_tail).mass
-    u = family.score(theta, x)
-    du = family.score_derivative(theta, x)
-    return x, f, u, du
-
-
 def model_jkxi(
     family: ParametricFamily,
     theta: float,
@@ -93,20 +84,17 @@ def model_jkxi(
 ) -> AsymptoticSummary:
     """J, K, xi at the model; all depend on beta only (gamma drops out).
 
-    With w = Bf*u - Af, Af = sum f^(1+beta) u, Bf = sum f^(1+beta):
-    J = sum w u f^(1+beta), K = sum w^2 f^(1+2beta) - xi^2,
-    xi = sum w f^(1+beta).  At beta = 0 the sandwich is the inverse Fisher
-    information.
+    With w = Bf*u - Af, Af = sum f^(1+beta) u = c1, Bf = sum f^(1+beta) = c0
+    and c_i the tilted score moments of :func:`moments_c_d`:
+    J = sum w u f^(1+beta) = c0 c2 - c1^2, xi = sum w f^(1+beta) = 0 and
+    K = sum w^2 f^(1+2beta) - xi^2 = c0^2 c2' - 2 c0 c1 c1' + c1^2 c0', where
+    c' are the moments at 2*beta.  At beta = 0 the sandwich is the inverse
+    Fisher information.
     """
-    _, f, u, _ = _model_arrays(family, theta, beta, eps_tail)
-    fb = f ** (1.0 + beta)
-    af = float(np.dot(fb, u))
-    bf = float(fb.sum())
-    w = bf * u - af
-    j = float(np.dot(w * u, fb))
-    xi = float(np.dot(w, fb))
-    k = float(np.dot(w**2, f ** (1.0 + 2.0 * beta))) - xi**2
-    return _summary(j, k, xi)
+    c0, c1, c2 = moments_c_d(family, theta, beta, 2, eps_tail)[0]
+    c0p, c1p, c2p = moments_c_d(family, theta, 2.0 * beta, 2, eps_tail)[0]
+    k = c0**2 * c2p - 2.0 * c0 * c1 * c1p + c1**2 * c0p
+    return _summary(c0 * c2 - c1**2, k, 0.0)
 
 
 def _general_arrays(
@@ -139,10 +127,15 @@ def general_jk(
     so that at g = f_theta they reduce exactly to the model-level J and K;
     the sandwich J^-1 K J^-1 is unaffected by this normalization.
     """
+    return _general_jk(_general_arrays(g, family, theta, eps_tail), p)
+
+
+def _general_jk(arrays, p: TiltParams) -> AsymptoticSummary:
+    """:func:`general_jk` on the vectors of :func:`_general_arrays`."""
     a, b = p.exp_a, p.exp_b
     if a <= 0:
         raise DivergenceInfiniteError("general J/K require exponent A > 0")
-    _, f, gv, u, du = _general_arrays(g, family, theta, eps_tail)
+    _, f, gv, u, du = arrays
     beta = p.beta
     fb = f ** (1.0 + beta)
     af = float(np.dot(fb, u))
@@ -188,21 +181,18 @@ def if_first_order(
     best-fitting parameter for ``g``.
     """
     if g is None:
-        _, f, u, _ = _model_arrays(family, theta, p.beta, eps_tail)
-        fb = f ** (1.0 + p.beta)
-        af = float(np.dot(fb, u))
-        bf = float(fb.sum())
-        j0 = float(np.dot(fb, u**2)) * bf - af**2
+        c0, c1, c2 = moments_c_d(family, theta, p.beta, 2, eps_tail)[0]
+        j0 = c0 * c2 - c1**2
         if abs(j0) <= 1e-12:
             raise SingularityError("model information J0 is singular")
         fy = float(family.density(theta, np.array([y]))[0])
         uy = float(family.score(theta, np.array([y]))[0])
-        return fy**p.beta * (uy * bf - af) / j0
+        return float(fy**p.beta * (uy * c0 - c1) / j0)
 
     a, b = p.exp_a, p.exp_b
-    _, f, gv, u, _ = _general_arrays(g, family, theta, eps_tail)
-    x0 = min(family.support_window(theta, eps_tail)[0], g.offset)
-    idx = y - x0
+    arrays = _general_arrays(g, family, theta, eps_tail)
+    x, f, gv, u, _ = arrays
+    idx = y - int(x[0])
     if idx < 0 or idx >= gv.size or gv[idx] <= 0:
         raise DivergenceInfiniteError(
             "influence at a point with zero true density is infinite for A < 1"
@@ -217,8 +207,7 @@ def if_first_order(
     t = f[idx] ** b * gv[idx] ** (a - 1.0)
     uy = u[idx]
     bvec = (af * s_fg - t * af) - (bf * s_fgu - t * uy * bf)
-    j = general_jk(g, family, theta, p, eps_tail).j_scalar
-    return bvec / j
+    return bvec / _general_jk(arrays, p).j_scalar
 
 
 def if_second_order(

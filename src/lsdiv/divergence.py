@@ -32,7 +32,6 @@ __all__ = [
     "lpd",
     "ldpd",
     "ld",
-    "named_special",
 ]
 
 # Below this magnitude an exponent is treated as exactly zero and the
@@ -139,35 +138,52 @@ def align(g: DiscreteDensity, f: DiscreteDensity) -> tuple[np.ndarray, np.ndarra
     return gv, fv
 
 
-def _log_terms(gv: np.ndarray, fv: np.ndarray, p: TiltParams):
-    """Log-space building blocks shared by the evaluators.
-
-    Returns ``(log_sf, log_sg, log_sfg)`` where ``sf = sum f^(1+beta)``,
-    ``sg = sum g^(1+beta)`` and ``sfg = sum f^B g^A`` (the latter only when
-    both exponents are away from zero; otherwise None).
-    """
+def _log_inputs(gv: np.ndarray, fv: np.ndarray, p: TiltParams):
+    """Validate an aligned pair and return ``(log f, pos, log g[pos])``,
+    where ``pos`` marks the occupied data cells."""
     if np.any(fv <= 0):
         raise SupportAlignmentError(
             "model density must be strictly positive on the union window"
         )
-    one_beta = 1.0 + p.beta
-    logf = np.log(fv)
     pos = gv > 0
     if not np.any(pos):
         raise ValueError("data density has no positive mass on the window")
-    logg = np.log(gv[pos])
+    if p.exp_a < EXPONENT_BOUNDARY and not np.all(pos):
+        raise DivergenceInfiniteError(
+            "empty data cell with exponent A <= 0 makes the divergence infinite"
+        )
+    return np.log(fv), pos, np.log(gv[pos])
 
-    log_sf = logsumexp(one_beta * logf)
-    log_sg = logsumexp(one_beta * logg)
 
-    log_sfg = None
-    if abs(p.exp_a) >= EXPONENT_BOUNDARY and abs(p.exp_b) >= EXPONENT_BOUNDARY:
-        if p.exp_a < 0 and not np.all(pos):
-            raise DivergenceInfiniteError(
-                "empty data cell with negative exponent A makes the divergence infinite"
-            )
-        log_sfg = logsumexp(p.exp_b * logf[pos] + p.exp_a * logg)
-    return log_sf, log_sg, log_sfg, logf, pos, logg
+def _lse(a: np.ndarray) -> float:
+    # Plain numpy log-sum-exp: several times cheaper per call than
+    # scipy.special.logsumexp on the short vectors a fit evaluates.
+    m = np.max(a)
+    return float(m + np.log(np.sum(np.exp(a - m))))
+
+
+def _lsd_kernel(
+    logf: np.ndarray, pos: np.ndarray, logg: np.ndarray, log_sg: float, p: TiltParams
+) -> float:
+    """LSD from log f on the window, log g on its occupied cells ``pos`` and
+    ``log_sg = log sum g^(1+beta)``.
+
+    Covers the general formula and the B -> 0 continuity limit; the A -> 0
+    limit, which needs g on every cell, stays with :func:`lsd`.
+    """
+    one_beta = 1.0 + p.beta
+    log_sf = _lse(one_beta * logf)
+    if abs(p.exp_b) < EXPONENT_BOUNDARY:
+        # B -> 0 limit: (1/(1+b)) log(sf/sg) - sum g^(1+b) log(f/g) / sg
+        w = np.exp(one_beta * logg - log_sg)
+        corr = float(np.dot(w, logf[pos] - logg))
+        return (log_sf - log_sg) / one_beta - corr
+    log_sfg = _lse(p.exp_b * logf[pos] + p.exp_a * logg)
+    return (
+        log_sf / p.exp_a
+        - one_beta / (p.exp_a * p.exp_b) * log_sfg
+        + log_sg / p.exp_b
+    )
 
 
 def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
@@ -179,30 +195,17 @@ def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
     the likelihood-disparity member beta = gamma = 0.
     """
     gv, fv = align(g, f)
-    log_sf, log_sg, log_sfg, logf, pos, logg = _log_terms(gv, fv, p)
+    logf, pos, logg = _log_inputs(gv, fv, p)
     one_beta = 1.0 + p.beta
-
-    if abs(p.exp_b) < EXPONENT_BOUNDARY:
-        # B -> 0 limit: (1/(1+b)) log(sf/sg) - sum g^(1+b) log(f/g) / sg
-        w = np.exp(one_beta * logg - log_sg)
-        corr = float(np.dot(w, logf[pos] - logg))
-        return (log_sf - log_sg) / one_beta - corr
+    log_sg = _lse(one_beta * logg)
     if abs(p.exp_a) < EXPONENT_BOUNDARY:
-        # A -> 0 limit, roles of f and g exchanged in the correction term.
-        if not np.all(pos):
-            raise DivergenceInfiniteError(
-                "empty data cell at the A=0 boundary makes the divergence infinite"
-            )
-        full_logg = np.log(gv)
+        # A -> 0 limit, roles of f and g exchanged in the correction term
+        # (every cell is occupied here).
+        log_sf = _lse(one_beta * logf)
         w = np.exp(one_beta * logf - log_sf)
-        corr = float(np.dot(w, full_logg - logf))
+        corr = float(np.dot(w, logg - logf))
         return (log_sg - log_sf) / one_beta - corr
-
-    return (
-        log_sf / p.exp_a
-        - one_beta / (p.exp_a * p.exp_b) * log_sfg
-        + log_sg / p.exp_b
-    )
+    return _lsd_kernel(logf, pos, logg, log_sg, p)
 
 
 def gsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
@@ -215,17 +218,16 @@ def gsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
     if p.psi is Psi.LOG:
         return lsd(g, f, p)
     gv, fv = align(g, f)
-    log_sf, log_sg, log_sfg, _, _, _ = _log_terms(gv, fv, p)
-    if log_sfg is None:
+    logf, pos, logg = _log_inputs(gv, fv, p)
+    if abs(p.exp_a) < EXPONENT_BOUNDARY or abs(p.exp_b) < EXPONENT_BOUNDARY:
         raise ValueError(
             "identity-link divergence is undefined at the exponent boundary A=0 or B=0"
         )
     one_beta = 1.0 + p.beta
-    return (
-        np.exp(log_sf) / p.exp_a
-        - one_beta / (p.exp_a * p.exp_b) * np.exp(log_sfg)
-        + np.exp(log_sg) / p.exp_b
-    )
+    sf = np.exp(_lse(one_beta * logf))
+    sg = np.exp(_lse(one_beta * logg))
+    sfg = np.exp(_lse(p.exp_b * logf[pos] + p.exp_a * logg))
+    return sf / p.exp_a - one_beta / (p.exp_a * p.exp_b) * sfg + sg / p.exp_b
 
 
 def lpd(g: DiscreteDensity, f: DiscreteDensity, gamma: float) -> float:
@@ -271,28 +273,3 @@ def ld(g: DiscreteDensity, f: DiscreteDensity) -> float:
         raise SupportAlignmentError("model density must be positive on the window")
     pos = gv > 0
     return float(np.dot(gv[pos], np.log(gv[pos] / fv[pos])))
-
-
-class SpecialKind(enum.Enum):
-    LPD = "lpd"
-    LDPD = "ldpd"
-    LD = "ld"
-
-
-def named_special(
-    g: DiscreteDensity,
-    f: DiscreteDensity,
-    kind: SpecialKind,
-    param: float | None = None,
-) -> float:
-    """Evaluate one of the named special cases by its closed form.
-
-    ``param`` carries gamma for LPD and beta for LDPD; it is ignored for LD.
-    """
-    if kind is SpecialKind.LD:
-        return ld(g, f)
-    if param is None:
-        raise ValueError(f"{kind.value} requires its index parameter")
-    if kind is SpecialKind.LPD:
-        return lpd(g, f, param)
-    return ldpd(g, f, param)

@@ -20,6 +20,8 @@ from .divergence import (
     DiscreteDensity,
     DivergenceInfiniteError,
     TiltParams,
+    _lse,
+    _lsd_kernel,
     lsd,
 )
 from .families import ParametricFamily, density_vector
@@ -73,29 +75,6 @@ def empirical_frequencies(sample) -> DiscreteDensity:
     return DiscreteDensity(offset=0, mass=counts / sample.size, tail_bound=0.0)
 
 
-def _model_covering(
-    family: ParametricFamily, theta: float, g: DiscreteDensity, eps_tail: float
-) -> DiscreteDensity:
-    """Model density on a window covering both its own tail bound and g."""
-    fm = density_vector(family, theta, eps_tail)
-    need = g.offset + g.mass.size
-    have = fm.offset + fm.mass.size
-    if need > have:
-        x = np.arange(fm.offset, need)
-        fm = DiscreteDensity(offset=fm.offset, mass=family.density(theta, x), tail_bound=eps_tail)
-    return fm
-
-
-def _objective(
-    theta: float,
-    g: DiscreteDensity,
-    family: ParametricFamily,
-    p: TiltParams,
-    eps_tail: float,
-) -> float:
-    return lsd(g, _model_covering(family, theta, g, eps_tail), p)
-
-
 def estimating_equation_residual(
     theta: float,
     r_n: DiscreteDensity,
@@ -103,45 +82,31 @@ def estimating_equation_residual(
     p: TiltParams,
     eps_tail: float = DEFAULT_EPS_TAIL,
 ) -> float:
-    """Imbalance sum (delta^A - 1) f^(1+beta) w of the estimating equation.
+    """Imbalance Bf * sum e u - Af * sum e of the estimating equation.
 
-    Here delta = r_n / f_theta and w = Bf*u - Af with Af = sum f^(1+beta) u
-    and Bf = sum f^(1+beta).  Zero at an interior optimum; its sign is
-    opposite to the sign of the objective derivative (positive below the
-    minimizer for A > 0).
+    Here e = r_n^A f_theta^B on the occupied data cells, Af = sum f^(1+beta) u
+    and Bf = sum f^(1+beta); since sum f^(1+beta) (Bf u - Af) = 0 this equals
+    sum (delta^A - 1) f^(1+beta) (Bf u - Af) with delta = r_n / f_theta.  Zero
+    at an interior optimum; its sign is opposite to the sign of the objective
+    derivative (positive below the minimizer for A > 0).
     """
     if p.exp_a <= EXPONENT_BOUNDARY:
         raise DivergenceInfiniteError(
             "estimating equation degenerates for exponent A <= 0"
         )
-    fm = _model_covering(family, theta, r_n, eps_tail)
-    x = fm.support
-    f = fm.mass
-    u = family.score(theta, x)
-    g = np.zeros(x.size)
-    g[r_n.offset - fm.offset : r_n.offset - fm.offset + r_n.mass.size] = r_n.mass
-
-    fb = f ** (1.0 + p.beta)
-    af = float(np.dot(fb, u))
-    bf = float(fb.sum())
-    w = bf * u - af
-    delta = g / f
-    return float(np.dot((delta**p.exp_a - 1.0) * fb, w))
-
-
-def _lse(a: np.ndarray) -> float:
-    m = np.max(a)
-    return float(m + np.log(np.sum(np.exp(a - m))))
+    return _FitContext(r_n, family, p, eps_tail, (theta,)).residual(theta)
 
 
 class _FitContext:
     """Precomputed log-space objective and residual for one minimization.
 
-    The window is fixed once (covering the data and the model tail over the
-    whole bracket), the data-side terms are computed once, and each
-    evaluation reduces to one log-density computation plus two weighted
-    reductions.  The public :func:`lsd` evaluator stays independent and
-    serves as the oracle for this path.
+    The window is fixed once (covering the data and the model tail at every
+    theta in ``thetas``, for a fit the bracket ends and midpoint), the
+    data-side terms are computed once, and each evaluation reduces to one
+    log-density computation plus two weighted reductions.  The objective is
+    the kernel behind :func:`lsd`; the independent oracles for this path are
+    the closed forms :func:`lpd`, :func:`ldpd`, :func:`ld` and
+    :func:`oracle_grid_minimize`.
     """
 
     def __init__(
@@ -150,43 +115,26 @@ class _FitContext:
         family: ParametricFamily,
         p: TiltParams,
         eps_tail: float,
-        lo: float,
-        hi: float,
+        thetas: tuple[float, ...],
     ):
         self.family = family
         self.p = p
         length = g.offset + g.mass.size
-        for theta in (lo, 0.5 * (lo + hi), hi):
+        for theta in thetas:
             off, ln = family.support_window(theta, eps_tail)
             length = max(length, off + ln)
         self.x = np.arange(0, length)
-        one_beta = 1.0 + p.beta
         gv = np.zeros(length)
         gv[g.offset : g.offset + g.mass.size] = g.mass
         self.pos = gv > 0
         self.logg_pos = np.log(gv[self.pos])
-        self.log_sg = _lse(one_beta * self.logg_pos)
-        if abs(p.exp_b) < EXPONENT_BOUNDARY:
-            # fixed weights of the B -> 0 continuity limit
-            self.w_g = np.exp(one_beta * self.logg_pos - self.log_sg)
+        self.log_sg = _lse((1.0 + p.beta) * self.logg_pos)
 
     def logf(self, theta: float) -> np.ndarray:
         return self.family.log_density(theta, self.x)
 
     def objective(self, theta: float) -> float:
-        p = self.p
-        one_beta = 1.0 + p.beta
-        logf = self.logf(theta)
-        log_sf = _lse(one_beta * logf)
-        if abs(p.exp_b) < EXPONENT_BOUNDARY:
-            corr = float(np.dot(self.w_g, logf[self.pos] - self.logg_pos))
-            return (log_sf - self.log_sg) / one_beta - corr
-        log_sfg = _lse(p.exp_b * logf[self.pos] + p.exp_a * self.logg_pos)
-        return (
-            log_sf / p.exp_a
-            - one_beta / (p.exp_a * p.exp_b) * log_sfg
-            + self.log_sg / p.exp_b
-        )
+        return _lsd_kernel(self.logf(theta), self.pos, self.logg_pos, self.log_sg, self.p)
 
     def residual(self, theta: float) -> float:
         p = self.p
@@ -241,7 +189,7 @@ def minimize_lsd(
     else:
         lo, hi = max(1e-3, mean / 5.0), 5.0 * mean + 5.0
 
-    ctx = _FitContext(r_n, family, p, search.eps_tail, lo, hi)
+    ctx = _FitContext(r_n, family, p, search.eps_tail, (lo, 0.5 * (lo + hi), hi))
     fun = ctx.objective
 
     # Coarse scan: pick the best cell of a uniform grid (first index on ties).
@@ -302,5 +250,12 @@ def oracle_grid_minimize(
     if not (lo < hi and pitch > 0):
         raise ValueError("need lo < hi and pitch > 0")
     grid = np.arange(lo, hi + pitch / 2.0, pitch)
-    values = [_objective(t, r_n, family, p, eps_tail) for t in grid]
+    values = []
+    for theta in grid:
+        # model density on a window covering both its own tail bound and r_n
+        fm = density_vector(family, theta, eps_tail)
+        if r_n.offset + r_n.mass.size > fm.offset + fm.mass.size:
+            x = np.arange(fm.offset, r_n.offset + r_n.mass.size)
+            fm = DiscreteDensity(offset=fm.offset, mass=family.density(theta, x))
+        values.append(lsd(r_n, fm, p))
     return float(grid[int(np.argmin(values))])

@@ -44,6 +44,12 @@ class ParametricFamily(ABC):
     ) -> tuple[int, int]:
         """Smallest window (offset, length) capturing mass >= 1 - eps_tail."""
 
+    def _window_mass(self, theta: float, eps_tail: float):
+        """(offset, masses) on the support window; a family overrides this
+        when it has a more accurate way to compute its masses there."""
+        offset, length = self.support_window(theta, eps_tail)
+        return offset, self.density(theta, offset + np.arange(length))
+
 
 @dataclass(frozen=True)
 class PoissonFamily(ParametricFamily):
@@ -72,43 +78,36 @@ class PoissonFamily(ParametricFamily):
     def support_window(
         self, theta: float, eps_tail: float = DEFAULT_EPS_TAIL
     ) -> tuple[int, int]:
+        return 0, len(self._window_mass(theta, eps_tail)[1])
+
+    def _window_mass(self, theta: float, eps_tail: float) -> tuple[int, list[float]]:
         self._check(theta)
         if not 0 < eps_tail < 1:
             raise ValueError("eps_tail must lie in (0, 1)")
-        # Scan the cumulative mass with the stable ratio recurrence
-        # f(x+1) = f(x) * theta / (x+1); stop at the first L with
-        # tail mass < eps_tail.
-        fx = np.exp(-theta)
+        # Ratio recurrence f(x+1) = f(x) * theta / (x+1), stable on the window
+        # and exact at the mode tie of integer theta; stop at the first length
+        # whose excluded tail mass is < eps_tail.
+        fx = float(np.exp(-theta))
+        mass = [fx]
         cum = fx
-        length = 1
-        while 1.0 - cum >= eps_tail:
-            fx *= theta / length
+        for x in range(1, 100_000):
+            if 1.0 - cum < eps_tail:
+                return 0, mass
+            if fx == 0.0:
+                break  # underflowed (from the start for theta >~ 745): the sum is final
+            fx *= theta / x
             cum += fx
-            length += 1
-            if length > 100_000:  # pragma: no cover - safety stop
-                raise RuntimeError("support window scan did not terminate")
-        return 0, length
+            mass.append(fx)
+        raise FloatingPointError(
+            f"support window scan at theta={theta} cannot reach mass 1 - {eps_tail}"
+        )
 
 
 def density_vector(
     family: ParametricFamily, theta: float, eps_tail: float = DEFAULT_EPS_TAIL
 ) -> DiscreteDensity:
-    """Model density truncated to its eps_tail support window.
-
-    Poisson masses use the ratio recurrence f(x) = f(x-1) * theta / x, which
-    is stable on the window and reproduces the mode tie at integer theta
-    exactly; other families fall back to pointwise density evaluation.
-    """
-    offset, length = family.support_window(theta, eps_tail)
-    if isinstance(family, PoissonFamily) and offset == 0:
-        ratios = np.empty(length)
-        ratios[0] = np.exp(-theta)
-        if length > 1:
-            ratios[1:] = theta / np.arange(1, length)
-        mass = np.cumprod(ratios)
-    else:
-        x = offset + np.arange(length)
-        mass = family.density(theta, x)
+    """Model density truncated to its eps_tail support window."""
+    offset, mass = family._window_mass(theta, eps_tail)
     return DiscreteDensity(offset=offset, mass=mass, tail_bound=eps_tail)
 
 

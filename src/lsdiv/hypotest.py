@@ -18,7 +18,7 @@ from scipy.stats import chi2
 
 from .divergence import DEFAULT_EPS_TAIL, DiscreteDensity, TiltParams, lsd
 from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
-from .families import ParametricFamily
+from .families import ParametricFamily, moments_c_d
 from .asymptotics import SingularityError, model_jkxi
 
 __all__ = [
@@ -117,22 +117,13 @@ def curvature_a_beta(
 ) -> float:
     """Second derivative of theta -> LSD(f_theta, f_theta0) at theta0.
 
-    Richardson-extrapolated central differences; the map is nonnegative and
-    vanishes at theta0, so the curvature must be >= 0 (values below -1e-6
-    raise).
+    In the tilted score moments c_i of :func:`moments_c_d` this is
+    (1+beta) * (c2/c0 - (c1/c0)^2): the variance of the score under the
+    escort density f^(1+beta)/c0, scaled by 1+beta.  It does not depend on
+    gamma and is >= 0 by Cauchy-Schwarz.
     """
-    h = 1e-4 * max(1.0, abs(theta0))
-
-    def second_diff(step: float) -> float:
-        lp = divergence_between_fits(family, theta0 + step, theta0, p, eps_tail)
-        lm = divergence_between_fits(family, theta0 - step, theta0, p, eps_tail)
-        l0 = divergence_between_fits(family, theta0, theta0, p, eps_tail)
-        return (lp - 2.0 * l0 + lm) / step**2
-
-    value = (4.0 * second_diff(h / 2.0) - second_diff(h)) / 3.0
-    if value < -1e-6:
-        raise SingularityError(f"negative curvature {value} at the null parameter")
-    return max(value, 0.0)
+    c0, c1, c2 = moments_c_d(family, theta0, p.beta, 2, eps_tail)[0]
+    return float((1.0 + p.beta) * (c2 / c0 - (c1 / c0) ** 2))
 
 
 def null_law(

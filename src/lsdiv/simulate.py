@@ -19,7 +19,7 @@ from scipy.stats import chi2
 
 from .divergence import EXPONENT_BOUNDARY, TiltParams, derive_exponents
 from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
-from .families import PoissonFamily
+from .families import PoissonFamily, density_vector
 from .hypotest import divergence_between_fits, null_law
 
 __all__ = [
@@ -49,8 +49,6 @@ class SimKind(enum.Enum):
     ESTIMATION_BIAS = "estimation_bias"
     TESTING_LEVEL = "testing_level"
     TESTING_POWER = "testing_power"
-    IF_CURVE = "if_curve"
-    BIAS_APPROX = "bias_approx"
 
 
 class ContaminationScheme(enum.Enum):
@@ -206,17 +204,8 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _poisson_cdf(theta: float, tail: float = 1e-13) -> np.ndarray:
-    fx = np.exp(-theta)
-    values = [fx]
-    cum = fx
-    k = 1
-    while 1.0 - cum >= tail:
-        fx *= theta / k
-        cum += fx
-        values.append(fx)
-        k += 1
-    return np.cumsum(values)
+def _poisson_cdf(theta: float) -> np.ndarray:
+    return np.cumsum(density_vector(PoissonFamily(), theta, 1e-13).mass)
 
 
 def sample_poisson(theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -389,9 +378,7 @@ def run_testing_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationRepo
 def run_simulation(config: SimulationConfig, n_jobs: int = 1) -> SimulationReport:
     if config.kind is SimKind.ESTIMATION_BIAS:
         return run_estimation_sim(config, n_jobs)
-    if config.kind in (SimKind.TESTING_LEVEL, SimKind.TESTING_POWER):
-        return run_testing_sim(config, n_jobs)
-    raise ValueError(f"kind {config.kind.value} is handled by the CLI curve emitters")
+    return run_testing_sim(config, n_jobs)
 
 
 # ---------------------------------------------------------------------------

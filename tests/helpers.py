@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 from scipy.optimize import brentq
 
-from lsdiv import DiscreteDensity, PoissonFamily, TiltParams, density_vector
+from lsdiv import DiscreteDensity, PoissonFamily, TiltParams, density_vector, lsd
 from lsdiv.asymptotics import point_contaminated
 from lsdiv.estimation import estimating_equation_residual
 
@@ -40,6 +40,29 @@ def poisson_pair(theta_g: float, theta_f: float, eps_tail: float = 1e-12):
     g = DiscreteDensity(offset=0, mass=fam.density(theta_g, x), tail_bound=eps_tail)
     f = DiscreteDensity(offset=0, mass=fam.density(theta_f, x), tail_bound=eps_tail)
     return g, f
+
+
+def curvature_fd_oracle(theta0: float, p: TiltParams, rel_step: float = 0.02) -> float:
+    """Second derivative of theta -> LSD(f_theta, f_theta0) at theta0 by
+    finite differences of :func:`lsd`.
+
+    Central second differences at steps h, h/2, h/4 with h = rel_step *
+    theta0, combined by two levels of Richardson extrapolation (error
+    O(h^6)); independent of every moment formula in the library.
+    """
+
+    def divergence_at(theta: float) -> float:
+        g, f = poisson_pair(theta, theta0)
+        return lsd(g, f, p)
+
+    h = rel_step * theta0
+    at_null = divergence_at(theta0)
+    d = [
+        (divergence_at(theta0 + s) - 2.0 * at_null + divergence_at(theta0 - s)) / s**2
+        for s in (h, h / 2.0, h / 4.0)
+    ]
+    r = [(4.0 * d[1] - d[0]) / 3.0, (4.0 * d[2] - d[1]) / 3.0]
+    return (16.0 * r[1] - r[0]) / 15.0
 
 
 def solve_contaminated_theta(

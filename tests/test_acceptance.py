@@ -73,6 +73,7 @@ def contaminated_estimation():
     return run_cells(config)
 
 
+@pytest.mark.slow
 def test_criterion_1_uncontaminated_estimation(uncontaminated_estimation):
     cells, elapsed = uncontaminated_estimation
     assert abs(cells[(0.0, 0.0)]["bias"]) <= 0.03
@@ -92,6 +93,7 @@ def test_criterion_1_uncontaminated_estimation(uncontaminated_estimation):
     assert elapsed < 240.0  # two cells; target is under two minutes per row
 
 
+@pytest.mark.slow
 def test_criterion_2_contaminated_estimation(contaminated_estimation):
     cells = contaminated_estimation
     assert 0.72 <= cells[(0.0, 0.0)]["bias"] <= 0.88
@@ -102,6 +104,7 @@ def test_criterion_2_contaminated_estimation(contaminated_estimation):
         assert later <= earlier + 0.05  # non-increasing in beta up to MC noise
 
 
+@pytest.mark.slow
 def test_criterion_3_testing_level_clean():
     config = SimulationConfig(
         kind=SimKind.TESTING_LEVEL, n=50, theta_true=2.0, theta_null=2.0,
@@ -112,6 +115,7 @@ def test_criterion_3_testing_level_clean():
     assert 0.055 <= cells[(0.7, 0.0)]["level"] <= 0.10
 
 
+@pytest.mark.slow
 def test_criterion_4_testing_power_clean():
     config = SimulationConfig(
         kind=SimKind.TESTING_POWER, n=100, theta_true=2.0, theta_null=3.0,
@@ -122,6 +126,7 @@ def test_criterion_4_testing_power_clean():
     assert 0.96 <= cells[(0.0, 2.0)]["power"] <= 1.0
 
 
+@pytest.mark.slow
 def test_criterion_5_testing_level_contaminated():
     config = SimulationConfig(
         kind=SimKind.TESTING_LEVEL, n=100, theta_true=2.0, theta_null=2.0,
@@ -202,6 +207,7 @@ def test_criterion_8_second_order_influence(family):
     assert abs(if_second_order(12, family, 4.0, TiltParams(0.0, 0.0))) <= 1e-6
 
 
+@pytest.mark.slow
 def test_criterion_9_oracle_equivalence_and_determinism(family):
     rng = np.random.default_rng(SEED + 1)
     for _ in range(25):

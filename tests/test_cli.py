@@ -58,6 +58,15 @@ class TestEstimateCommand:
         assert payload["theta_hat"] == pytest.approx(4.0, abs=1e-6)
         assert payload["converged"] is True
 
+    def test_underflowing_bracket_error(self, runner):
+        # the bracket reaches theta ~ 1e4, where the Poisson masses underflow
+        # and the support window scan stops with a typed error
+        result = runner.invoke(
+            main, ["estimate", "--beta", "0.5", "--gamma", "0", "--data", "2000,2010,1990"]
+        )
+        assert result.exit_code == 1
+        assert "error" in json.loads(result.output.strip().splitlines()[-1])
+
     def test_data_file(self, runner, tmp_path):
         path = tmp_path / "sample.txt"
         path.write_text("2 2 2 2\n")

@@ -9,7 +9,6 @@ from lsdiv import (
     DiscreteDensity,
     DivergenceInfiniteError,
     Psi,
-    SpecialKind,
     TiltParams,
     derive_exponents,
     gsd,
@@ -17,7 +16,6 @@ from lsdiv import (
     ldpd,
     lpd,
     lsd,
-    named_special,
 )
 from helpers import poisson_pair, random_density, random_density_with_zeros
 
@@ -202,16 +200,6 @@ class TestNamedSpecials:
         g, f = poisson_pair(2.0, 3.0)
         with pytest.raises(ValueError):
             lpd(g, f, gamma)
-
-    def test_named_special_dispatch(self):
-        g, f = poisson_pair(2.0, 3.0)
-        assert named_special(g, f, SpecialKind.LD) == pytest.approx(ld(g, f), abs=1e-14)
-        assert named_special(g, f, SpecialKind.LPD, 0.5) == pytest.approx(
-            lpd(g, f, 0.5), abs=1e-14
-        )
-        assert named_special(g, f, SpecialKind.LDPD, 0.5) == pytest.approx(
-            ldpd(g, f, 0.5), abs=1e-14
-        )
 
     def test_coherence_on_poisson_grid(self):
         thetas = (1.0, 2.0, 3.0, 5.0, 8.0)

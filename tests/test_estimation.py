@@ -162,6 +162,7 @@ class TestOracleEquivalence:
         assert errs[2] <= errs[0]
         assert all(e <= pitch_bound for e, pitch_bound in zip(errs, (4e-3, 2e-3, 1e-3)))
 
+    @pytest.mark.slow
     def test_agreement_on_randomized_cases(self, family):
         rng = np.random.default_rng(2024)
         for _ in range(25):

@@ -20,6 +20,7 @@ from lsdiv import (
 )
 from lsdiv.asymptotics import SingularityError
 from lsdiv.hypotest import divergence_between_fits
+from helpers import curvature_fd_oracle
 
 
 class TestOneSampleStatistic:
@@ -67,6 +68,34 @@ class TestCurvature:
             curvature_a_beta(family, 2.0, TiltParams(1.0, gm)) for gm in (-1.0, 0.0, 2.0)
         ]
         assert max(values) - min(values) <= 1e-8
+
+    @pytest.mark.parametrize("theta0", [0.5, 2.0, 4.0, 10.0])
+    @pytest.mark.parametrize(
+        "beta,gamma",
+        [
+            (0.0, 0.0),  # B = 0
+            (0.5, 1.0),  # B = 0 at beta > 0
+            (0.5, -2.0),  # A = 0
+            (0.2, 1.0),  # B < 0
+            (0.2, -2.0),  # A < 0
+            (0.4, 0.5),
+            (0.8, -0.5),
+            (1.0, 0.0),
+        ],
+    )
+    def test_matches_finite_difference_oracle(self, family, theta0, beta, gamma):
+        p = TiltParams(beta, gamma)
+        assert curvature_a_beta(family, theta0, p) == pytest.approx(
+            curvature_fd_oracle(theta0, p), rel=1e-8
+        )
+
+    def test_closed_form_makes_no_divergence_call(self, family, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("curvature_a_beta evaluated lsd")
+
+        monkeypatch.setattr("lsdiv.divergence.lsd", refuse)
+        monkeypatch.setattr("lsdiv.hypotest.lsd", refuse)
+        assert curvature_a_beta(family, 4.0, TiltParams(0.5, 0.3)) > 0.0
 
 
 class TestNullLaw:

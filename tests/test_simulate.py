@@ -1,9 +1,11 @@
 """Monte-Carlo harness: sampling, configs, table runners, report emission."""
 
 import json
+import time
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 
 from lsdiv import (
     Contamination,
@@ -15,6 +17,7 @@ from lsdiv import (
     emit_report,
     sample_poisson,
 )
+from lsdiv.cli import main
 from lsdiv.simulate import (
     ESTIMATION_BETA_GRID,
     GAMMA_GRID,
@@ -70,6 +73,14 @@ class TestSamplePoisson:
     def test_invalid_theta(self):
         with pytest.raises(ValueError):
             sample_poisson(0.0, 10, replication_rng(0, 0))
+
+    def test_underflowing_theta_raises_promptly(self):
+        # the first Poisson mass underflows to 0 at theta = 800, so the CDF
+        # can never reach 1; the window scan must end with a typed error
+        start = time.perf_counter()
+        with pytest.raises(FloatingPointError):
+            sample_poisson(800.0, 10, replication_rng(0, 0))
+        assert time.perf_counter() - start < 5.0
 
 
 class TestContaminatedSample:
@@ -152,11 +163,18 @@ class TestRunners:
         (cell,) = report.cells
         assert 0.0 <= cell.metrics["level"] <= 0.3
 
-    def test_kind_dispatch_rejects_curve_kinds(self):
-        config = small_estimation_config()
-        object.__setattr__(config, "kind", SimKind.IF_CURVE)
+    @pytest.mark.parametrize("kind", ["if_curve", "bias_approx"])
+    def test_curve_kinds_rejected(self, kind, tmp_path):
+        raw = dict(kind=kind, n=20, theta_true=4.0, replications=2)
         with pytest.raises(ValueError):
-            run_simulation(config)
+            SimulationConfig.from_dict(raw)
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(
+            main, ["simulate", "--config", str(path), "--out", str(tmp_path / "x.csv")]
+        )
+        assert result.exit_code == 1
+        assert "error" in json.loads(result.output.strip().splitlines()[-1])
 
     def test_wrong_kind_rejected_by_runners(self):
         config = small_estimation_config()
