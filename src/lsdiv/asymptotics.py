@@ -91,10 +91,32 @@ def model_jkxi(
     c' are the moments at 2*beta.  At beta = 0 the sandwich is the inverse
     Fisher information.
     """
-    c0, c1, c2 = moments_c_d(family, theta, beta, 2, eps_tail)[0]
-    c0p, c1p, c2p = moments_c_d(family, theta, 2.0 * beta, 2, eps_tail)[0]
+    return _model_summary(
+        moments_c_d(family, theta, beta, 2, eps_tail)[0],
+        moments_c_d(family, theta, 2.0 * beta, 2, eps_tail)[0],
+    )
+
+
+def _model_summary(c: np.ndarray, c_2beta: np.ndarray) -> AsymptoticSummary:
+    """:func:`model_jkxi` from the moments c_i at beta and at 2*beta."""
+    c0, c1, c2 = c[:3]
+    c0p, c1p, c2p = c_2beta[:3]
     k = c0**2 * c2p - 2.0 * c0 * c1 * c1p + c1**2 * c0p
     return _summary(c0 * c2 - c1**2, k, 0.0)
+
+
+def _model_if1(
+    c: np.ndarray, family: ParametricFamily, theta: float, y: int, beta: float
+) -> float:
+    """Model-case first-order influence f_y^beta (u_y c0 - c1) / (c0 c2 - c1^2)
+    from the moments c_i at beta."""
+    c0, c1, c2 = c[:3]
+    j0 = c0 * c2 - c1**2
+    if abs(j0) <= 1e-12:
+        raise SingularityError("model information J0 is singular")
+    fy = float(family.density(theta, np.array([y]))[0])
+    uy = float(family.score(theta, np.array([y]))[0])
+    return float(fy**beta * (uy * c0 - c1) / j0)
 
 
 def _general_arrays(
@@ -181,13 +203,8 @@ def if_first_order(
     best-fitting parameter for ``g``.
     """
     if g is None:
-        c0, c1, c2 = moments_c_d(family, theta, p.beta, 2, eps_tail)[0]
-        j0 = c0 * c2 - c1**2
-        if abs(j0) <= 1e-12:
-            raise SingularityError("model information J0 is singular")
-        fy = float(family.density(theta, np.array([y]))[0])
-        uy = float(family.score(theta, np.array([y]))[0])
-        return float(fy**p.beta * (uy * c0 - c1) / j0)
+        c = moments_c_d(family, theta, p.beta, 2, eps_tail)[0]
+        return _model_if1(c, family, theta, y, p.beta)
 
     a, b = p.exp_a, p.exp_b
     arrays = _general_arrays(g, family, theta, eps_tail)
@@ -242,7 +259,7 @@ def if_second_order(
     duy = float(family.score_derivative(theta, np.array([y]))[0])
     fby = fy**beta
     fbm1y = fy ** (beta - 1.0)
-    tp = if_first_order(y, None, family, theta, p, eps_tail)
+    tp = _model_if1(c, family, theta, y, beta)
 
     den = c2 * c0 - c1**2
     if abs(den) <= 1e-300:

@@ -155,30 +155,45 @@ def _log_inputs(gv: np.ndarray, fv: np.ndarray, p: TiltParams):
     return np.log(fv), pos, np.log(gv[pos])
 
 
-def _lse(a: np.ndarray) -> float:
-    # Plain numpy log-sum-exp: several times cheaper per call than
-    # scipy.special.logsumexp on the short vectors a fit evaluates.
-    m = np.max(a)
-    return float(m + np.log(np.sum(np.exp(a - m))))
+def _lse(a: np.ndarray) -> np.ndarray:
+    """log sum exp(a) over the last axis: a float for an (L,) vector, a
+    (k,) array for a (k, L) stack of rows.
+
+    Plain numpy: several times cheaper per call than
+    scipy.special.logsumexp on the short vectors a fit evaluates.
+    """
+    m = a.max(axis=-1, keepdims=True)
+    e = np.subtract(a, m, order="C")  # rows contiguous whatever a's layout
+    np.exp(e, out=e)
+    return m[..., 0] + np.log(e.sum(axis=-1))
 
 
 def _lsd_kernel(
     logf: np.ndarray, pos: np.ndarray, logg: np.ndarray, log_sg: float, p: TiltParams
-) -> float:
+) -> np.ndarray:
     """LSD from log f on the window, log g on its occupied cells ``pos`` and
     ``log_sg = log sum g^(1+beta)``.
 
-    Covers the general formula and the B -> 0 continuity limit; the A -> 0
-    limit, which needs g on every cell, stays with :func:`lsd`.
+    ``logf`` has shape ``(..., L)`` on a window of L cells: an (L,) vector
+    gives one divergence, a (k, L) stack (one row per model) gives k of them,
+    each equal to what its row alone gives.  ``pos`` (L,) and ``logg`` are
+    shared by every row.  Covers the general formula and the B -> 0
+    continuity limit; the A -> 0 limit, which needs g on every cell, stays
+    with :func:`lsd`.
     """
     one_beta = 1.0 + p.beta
     log_sf = _lse(one_beta * logf)
+    # compress keeps a stack's rows C-ordered (a boolean index would lay it
+    # out column-major), so each row reduces in the order a lone vector does.
+    logf_pos = logf.compress(pos, axis=-1)
     if abs(p.exp_b) < EXPONENT_BOUNDARY:
         # B -> 0 limit: (1/(1+b)) log(sf/sg) - sum g^(1+b) log(f/g) / sg
         w = np.exp(one_beta * logg - log_sg)
-        corr = float(np.dot(w, logf[pos] - logg))
+        # vecdot takes each row's dot product as np.dot takes a lone vector's
+        # (a stack's matmul would go through a matrix-vector BLAS call).
+        corr = np.vecdot(logf_pos - logg, w)
         return (log_sf - log_sg) / one_beta - corr
-    log_sfg = _lse(p.exp_b * logf[pos] + p.exp_a * logg)
+    log_sfg = _lse(p.exp_b * logf_pos + p.exp_a * logg)
     return (
         log_sf / p.exp_a
         - one_beta / (p.exp_a * p.exp_b) * log_sfg
@@ -204,8 +219,8 @@ def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
         log_sf = _lse(one_beta * logf)
         w = np.exp(one_beta * logf - log_sf)
         corr = float(np.dot(w, logg - logf))
-        return (log_sg - log_sf) / one_beta - corr
-    return _lsd_kernel(logf, pos, logg, log_sg, p)
+        return float((log_sg - log_sf) / one_beta - corr)
+    return float(_lsd_kernel(logf, pos, logg, log_sg, p))
 
 
 def gsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
@@ -227,7 +242,7 @@ def gsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
     sf = np.exp(_lse(one_beta * logf))
     sg = np.exp(_lse(one_beta * logg))
     sfg = np.exp(_lse(p.exp_b * logf[pos] + p.exp_a * logg))
-    return sf / p.exp_a - one_beta / (p.exp_a * p.exp_b) * sfg + sg / p.exp_b
+    return float(sf / p.exp_a - one_beta / (p.exp_a * p.exp_b) * sfg + sg / p.exp_b)
 
 
 def lpd(g: DiscreteDensity, f: DiscreteDensity, gamma: float) -> float:

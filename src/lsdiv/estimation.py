@@ -107,6 +107,11 @@ class _FitContext:
     the kernel behind :func:`lsd`; the independent oracles for this path are
     the closed forms :func:`lpd`, :func:`ldpd`, :func:`ld` and
     :func:`oracle_grid_minimize`.
+
+    On the L-cell window, ``logf`` and ``objective`` take a float theta,
+    giving an (L,) vector and a scalar, or a (k, 1) column of thetas, giving
+    a (k, L) matrix and k objectives in one array pass (the coarse scan);
+    ``residual`` takes a float.
     """
 
     def __init__(
@@ -130,10 +135,10 @@ class _FitContext:
         self.logg_pos = np.log(gv[self.pos])
         self.log_sg = _lse((1.0 + p.beta) * self.logg_pos)
 
-    def logf(self, theta: float) -> np.ndarray:
+    def logf(self, theta) -> np.ndarray:
         return self.family.log_density(theta, self.x)
 
-    def objective(self, theta: float) -> float:
+    def objective(self, theta):
         return _lsd_kernel(self.logf(theta), self.pos, self.logg_pos, self.log_sg, self.p)
 
     def residual(self, theta: float) -> float:
@@ -192,9 +197,10 @@ def minimize_lsd(
     ctx = _FitContext(r_n, family, p, search.eps_tail, (lo, 0.5 * (lo + hi), hi))
     fun = ctx.objective
 
-    # Coarse scan: pick the best cell of a uniform grid (first index on ties).
+    # Coarse scan: pick the best cell of a uniform grid (first index on ties),
+    # evaluated as one (grid x window) array pass.
     grid = np.linspace(lo, hi, search.n_scan)
-    values = np.array([fun(t) for t in grid])
+    values = fun(grid[:, None])
     i_best = int(np.argmin(values))
     boundary_hit = i_best in (0, search.n_scan - 1)
     g_lo = grid[max(i_best - 1, 0)]
@@ -226,7 +232,7 @@ def minimize_lsd(
     )
     return EstimatorResult(
         theta_hat=float(theta_hat),
-        objective=fun(theta_hat),
+        objective=float(fun(theta_hat)),
         residual=float(res),
         iterations=iterations,
         converged=bool(converged),

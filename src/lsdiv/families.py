@@ -18,6 +18,8 @@ from .divergence import DEFAULT_EPS_TAIL, DiscreteDensity
 
 __all__ = ["ParametricFamily", "PoissonFamily", "density_vector", "moments_c_d"]
 
+_TINY = np.finfo(float).tiny  # smallest normal double
+
 
 class ParametricFamily(ABC):
     """Scalar-parameter discrete model on a subset of {0, 1, 2, ...}."""
@@ -55,14 +57,17 @@ class ParametricFamily(ABC):
 class PoissonFamily(ParametricFamily):
     """Poisson(theta) on {0, 1, 2, ...}; u = x/theta - 1, u' = -x/theta^2."""
 
-    def _check(self, theta: float) -> None:
-        if theta <= 0:
+    def _check(self, theta) -> None:
+        # A plain comparison for a scalar theta keeps the per-call cost of
+        # density and score low; an array of thetas is checked at its minimum.
+        if (np.min(theta) if isinstance(theta, np.ndarray) else theta) <= 0:
             raise ValueError(f"Poisson parameter must be positive, got {theta}")
 
     def density(self, theta: float, x) -> np.ndarray:
         return np.exp(self.log_density(theta, x))
 
-    def log_density(self, theta: float, x) -> np.ndarray:
+    def log_density(self, theta, x) -> np.ndarray:
+        """log f_theta(x); a (k, 1) column of thetas gives a (k, len(x)) matrix."""
         self._check(theta)
         x = np.asarray(x, dtype=float)
         return x * np.log(theta) - theta - gammaln(x + 1.0)
@@ -88,13 +93,20 @@ class PoissonFamily(ParametricFamily):
         # and exact at the mode tie of integer theta; stop at the first length
         # whose excluded tail mass is < eps_tail.
         fx = float(np.exp(-theta))
+        if fx < _TINY:
+            # A subnormal (theta >~ 708.4) or zero first mass loses precision
+            # down the recurrence: the window would come out silently short.
+            raise FloatingPointError(
+                f"first Poisson mass exp(-{theta}) underflows; the support window "
+                "cannot be computed"
+            )
         mass = [fx]
         cum = fx
         for x in range(1, 100_000):
             if 1.0 - cum < eps_tail:
                 return 0, mass
             if fx == 0.0:
-                break  # underflowed (from the start for theta >~ 745): the sum is final
+                break  # the masses underflowed before the tail bound: the sum is final
             fx *= theta / x
             cum += fx
             mass.append(fx)

@@ -19,7 +19,7 @@ from scipy.stats import chi2
 from .divergence import DEFAULT_EPS_TAIL, DiscreteDensity, TiltParams, lsd
 from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
 from .families import ParametricFamily, moments_c_d
-from .asymptotics import SingularityError, model_jkxi
+from .asymptotics import SingularityError, _model_if1, _model_summary
 
 __all__ = [
     "CalibrationMethod",
@@ -122,8 +122,13 @@ def curvature_a_beta(
     escort density f^(1+beta)/c0, scaled by 1+beta.  It does not depend on
     gamma and is >= 0 by Cauchy-Schwarz.
     """
-    c0, c1, c2 = moments_c_d(family, theta0, p.beta, 2, eps_tail)[0]
-    return float((1.0 + p.beta) * (c2 / c0 - (c1 / c0) ** 2))
+    return _curvature(moments_c_d(family, theta0, p.beta, 2, eps_tail)[0], p.beta)
+
+
+def _curvature(c: np.ndarray, beta: float) -> float:
+    """:func:`curvature_a_beta` from the moments c_i at beta."""
+    c0, c1, c2 = c[:3]
+    return float((1.0 + beta) * (c2 / c0 - (c1 / c0) ** 2))
 
 
 def null_law(
@@ -137,8 +142,9 @@ def null_law(
     Scalar case: the single weight is A_beta * K / J^2 with the model-level
     J and K at theta0.
     """
-    summary = model_jkxi(family, theta0, p.beta, eps_tail)
-    a_beta = curvature_a_beta(family, theta0, p, eps_tail)
+    c = moments_c_d(family, theta0, p.beta, 2, eps_tail)[0]
+    summary = _model_summary(c, moments_c_d(family, theta0, 2.0 * p.beta, 2, eps_tail)[0])
+    a_beta = _curvature(c, p.beta)
     zeta = a_beta * summary.k_scalar / summary.j_scalar**2
     if zeta > 1e-12:
         return np.array([zeta]), 1
@@ -261,7 +267,5 @@ def second_order_test_influence(
 ) -> float:
     """Second-order influence of the test functional at the null:
     A_beta * IF1(y)^2 (the first-order influence is identically zero)."""
-    from .asymptotics import if_first_order
-
-    if1 = if_first_order(y, None, family, theta0, p, eps_tail)
-    return curvature_a_beta(family, theta0, p, eps_tail) * if1**2
+    c = moments_c_d(family, theta0, p.beta, 2, eps_tail)[0]
+    return _curvature(c, p.beta) * _model_if1(c, family, theta0, y, p.beta) ** 2

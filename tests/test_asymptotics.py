@@ -14,6 +14,7 @@ from lsdiv import (
     if_second_order,
     minimize_lsd,
     model_jkxi,
+    moments_c_d,
     point_contaminated,
 )
 from lsdiv.estimation import estimating_equation_residual
@@ -188,6 +189,20 @@ class TestSecondOrderInfluence:
         base = if_second_order(12, family, 4.0, TiltParams(0.0, 0.0))
         moved = if_second_order(12, family, 4.0, TiltParams(0.0, 0.5))
         assert abs(moved - base) > 10.0 * 1e-3
+
+    def test_one_moment_evaluation(self, family, monkeypatch):
+        # T' comes from the moments the second order already holds
+        import lsdiv.asymptotics
+
+        betas = []
+
+        def counted(family, theta, beta, *args):
+            betas.append(beta)
+            return moments_c_d(family, theta, beta, *args)
+
+        monkeypatch.setattr(lsdiv.asymptotics, "moments_c_d", counted)
+        if_second_order(12, family, 4.0, TiltParams(0.5, 0.3))
+        assert betas == [0.5]
 
 
 class TestBiasCurves:

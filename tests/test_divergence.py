@@ -17,6 +17,7 @@ from lsdiv import (
     lpd,
     lsd,
 )
+from lsdiv.divergence import _lse
 from helpers import poisson_pair, random_density, random_density_with_zeros
 
 
@@ -160,6 +161,38 @@ class TestLsd:
         f = DiscreteDensity(0, np.array([1.0, 0.0]), 0.0)
         with pytest.raises(ValueError):
             lsd(g, f, TiltParams(0.5, 0.0))
+
+
+class TestLogSumExp:
+    @pytest.mark.parametrize("length", [1, 7, 9, 75, 680])
+    def test_stack_rows_match_vectors_bit_for_bit(self, length):
+        rng = np.random.default_rng(length)
+        stack = rng.normal(scale=30.0, size=(256, length))
+        rows = np.array([_lse(row) for row in stack])
+        np.testing.assert_array_equal(_lse(stack), rows)
+
+    def test_column_major_stack(self):
+        # a boolean column index lays a stack out column-major; the rows must
+        # still reduce as lone vectors do
+        rng = np.random.default_rng(3)
+        stack = rng.normal(size=(256, 40))[:, rng.random(40) > 0.5]
+        rows = np.array([_lse(row) for row in stack])
+        np.testing.assert_array_equal(_lse(stack), rows)
+
+
+class TestReturnTypes:
+    @pytest.mark.parametrize(
+        "beta,gamma",
+        [(0.5, 0.3), (0.0, 0.0), (0.5, -2.0)],  # general, B = 0, A = 0
+    )
+    def test_lsd_returns_python_float(self, beta, gamma):
+        g, f = poisson_pair(2.0, 3.0)
+        assert type(lsd(g, f, TiltParams(beta, gamma))) is float
+
+    @pytest.mark.parametrize("psi", [Psi.LOG, Psi.IDENTITY])
+    def test_gsd_returns_python_float(self, psi):
+        g, f = poisson_pair(2.0, 3.0)
+        assert type(gsd(g, f, TiltParams(0.5, 0.3, psi))) is float
 
 
 class TestGsd:

@@ -16,6 +16,7 @@ from lsdiv import (
     minimize_lsd,
     oracle_grid_minimize,
 )
+from lsdiv.estimation import _FitContext
 from lsdiv.simulate import ESTIMATION_BETA_GRID, GAMMA_GRID
 
 
@@ -100,6 +101,39 @@ class TestMinimizeLsd:
 
         assert result.objective <= objective(lo) + 1e-12
         assert result.objective <= objective(hi) + 1e-12
+
+    def test_result_fields_are_python_scalars(self, family):
+        sample = np.random.default_rng(9).poisson(4.0, 60)
+        result = minimize_lsd(empirical_frequencies(sample), family, TiltParams(0.3, 0.5))
+        assert type(result.theta_hat) is float
+        assert type(result.objective) is float
+        assert type(result.residual) is float
+
+
+class TestBatchedScan:
+    """The coarse scan evaluates its whole grid as one array pass; every
+    value must equal the one-theta evaluation bit for bit."""
+
+    @pytest.mark.parametrize(
+        "theta,n,n_contam",
+        [(4.0, 50, 5), (100.0, 200, 0)],  # the estimation table's and a wide window
+    )
+    @pytest.mark.parametrize(
+        "beta,gamma",
+        [(0.0, 0.0), (0.0, 0.5), (0.2, 1.0), (0.5, 0.0), (0.2, -0.5), (1.0, 0.0)],
+    )
+    def test_grid_pass_matches_pointwise(self, family, theta, n, n_contam, beta, gamma):
+        rng = np.random.default_rng(17)
+        sample = rng.poisson(theta, n)
+        sample[:n_contam] = 12
+        r_n = empirical_frequencies(sample)
+        lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
+        p = TiltParams(beta, gamma)
+        ctx = _FitContext(r_n, family, p, 1e-12, (lo, 0.5 * (lo + hi), hi))
+        grid = np.linspace(lo, hi, SearchConfig().n_scan)
+        values = ctx.objective(grid[:, None])
+        assert values.shape == grid.shape
+        np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
 
 
 class TestEstimatingEquationResidual:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from scipy.special import gammaln
+from scipy.stats import poisson
 
 from lsdiv import PoissonFamily, density_vector, moments_c_d
 
@@ -46,6 +47,16 @@ class TestContractConformance:
         with pytest.raises(ValueError):
             family.support_window(-1.0)
 
+    def test_theta_column_gives_matrix(self, family):
+        x = np.arange(0, 30)
+        thetas = np.array([[0.5], [4.0], [10.0]])
+        rows = [family.log_density(t, x) for t in thetas[:, 0]]
+        np.testing.assert_array_equal(family.log_density(thetas, x), rows)
+
+    def test_invalid_theta_in_column_rejected(self, family):
+        with pytest.raises(ValueError):
+            family.log_density(np.array([[1.0], [-1.0]]), np.arange(3))
+
 
 class TestSupportWindow:
     def test_minimality_at_theta_four(self, family):
@@ -64,6 +75,18 @@ class TestSupportWindow:
             family.support_window(4.0, 0.0)
         with pytest.raises(ValueError):
             family.support_window(4.0, 1.5)
+
+    def test_last_normal_first_mass_keeps_tail_bound(self, family):
+        # exp(-708) is still a normal double: the window must be full length
+        _, length = family.support_window(708.0, 1e-12)
+        assert poisson.sf(length - 1, 708.0) < 1e-12
+
+    @pytest.mark.parametrize("theta", [730.0, 740.0])
+    def test_subnormal_first_mass_raises(self, family, theta):
+        # exp(-theta) is subnormal here; the recurrence used to return a
+        # window missing 1.8e-7 (theta=730) and 2.5e-3 (theta=740) of the mass
+        with pytest.raises(FloatingPointError):
+            family.support_window(theta, 1e-12)
 
 
 class TestDensityVector:
@@ -88,6 +111,11 @@ class TestDensityVector:
         x = d.support.astype(float)
         direct = np.exp(x * np.log(theta) - theta - gammaln(x + 1.0))
         np.testing.assert_allclose(d.mass, direct, rtol=1e-12)
+
+    @pytest.mark.parametrize("theta", [730.0, 740.0])
+    def test_subnormal_first_mass_raises(self, family, theta):
+        with pytest.raises(FloatingPointError):
+            density_vector(family, theta, 1e-12)
 
 
 class TestMomentsCD:

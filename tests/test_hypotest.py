@@ -11,6 +11,9 @@ from lsdiv import (
     TiltParams,
     curvature_a_beta,
     density_vector,
+    if_first_order,
+    model_jkxi,
+    moments_c_d,
     null_law,
     one_sample_statistic,
     one_sample_test,
@@ -110,6 +113,27 @@ class TestNullLaw:
             null_law(family, 2.0, TiltParams(1.0, gm))[0][0] for gm in (-1.0, 0.0, 2.0)
         ]
         assert max(values) - min(values) <= 1e-8
+
+    @pytest.mark.parametrize("theta0", [0.5, 4.0])
+    @pytest.mark.parametrize("beta,gamma", [(0.0, 0.0), (0.5, 0.3), (1.0, -1.0)])
+    def test_weight_is_curvature_times_sandwich(self, family, theta0, beta, gamma):
+        p = TiltParams(beta, gamma)
+        summary = model_jkxi(family, theta0, beta)
+        zeta = curvature_a_beta(family, theta0, p) * summary.k_scalar / summary.j_scalar**2
+        assert null_law(family, theta0, p)[0][0] == zeta
+
+    def test_moments_at_beta_and_two_beta_only(self, family, monkeypatch):
+        import lsdiv.hypotest
+
+        betas = []
+
+        def counted(family, theta, beta, *args):
+            betas.append(beta)
+            return moments_c_d(family, theta, beta, *args)
+
+        monkeypatch.setattr(lsdiv.hypotest, "moments_c_d", counted)
+        null_law(family, 4.0, TiltParams(0.4, 0.5))
+        assert betas == [0.4, 0.8]
 
 
 class TestWeightedChisqPvalue:
@@ -225,6 +249,12 @@ class TestSecondOrderTestInfluence:
     def test_known_value_at_likelihood_disparity(self, family):
         value = second_order_test_influence(5, family, 2.0, TiltParams(0.0, 0.0))
         assert value == pytest.approx(4.5, abs=1e-4)
+
+    @pytest.mark.parametrize("y", [0, 4, 12])
+    def test_is_curvature_times_squared_first_order(self, family, y):
+        p = TiltParams(0.5, 0.3)
+        expected = curvature_a_beta(family, 4.0, p) * if_first_order(y, None, family, 4.0, p) ** 2
+        assert second_order_test_influence(y, family, 4.0, p) == expected
 
     def test_nonnegative_everywhere(self, family):
         p = TiltParams(0.5, 0.3)

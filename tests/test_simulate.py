@@ -82,6 +82,12 @@ class TestSamplePoisson:
             sample_poisson(800.0, 10, replication_rng(0, 0))
         assert time.perf_counter() - start < 5.0
 
+    @pytest.mark.parametrize("theta", [730.0, 740.0])
+    def test_subnormal_first_mass_raises(self, theta):
+        # a CDF built from a subnormal first mass would be short of 1
+        with pytest.raises(FloatingPointError):
+            sample_poisson(theta, 10, replication_rng(0, 0))
+
 
 class TestContaminatedSample:
     def test_no_contamination_passthrough(self):
