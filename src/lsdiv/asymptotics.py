@@ -250,6 +250,13 @@ def if_second_order(
     extrapolated second difference of theta(eps) solved by root finding,
     which the closed form matches to ~1e-6 relative error.
     """
+    return _if_first_second(y, family, theta, p, eps_tail)[1]
+
+
+def _if_first_second(
+    y: int, family: ParametricFamily, theta: float, p: TiltParams, eps_tail: float
+) -> tuple[float, float]:
+    """(T', T'') of :func:`if_second_order` from one moment evaluation."""
     a, b, beta = p.exp_a, p.exp_b, p.beta
     c, d = moments_c_d(family, theta, beta, 3, eps_tail)
     c0, c1, c2, c3 = c
@@ -276,7 +283,7 @@ def if_second_order(
     )
     # L_tt / A: curvature in theta at the model.
     l_tt = (a + 2.0 * b) * (c1 * c2 - c0 * c3) + 3.0 * (c1 * d0 - c0 * d1)
-    return float((l_ee + 2.0 * tp * l_te + tp**2 * l_tt) / den)
+    return tp, float((l_ee + 2.0 * tp * l_te + tp**2 * l_tt) / den)
 
 
 @dataclass(frozen=True)
@@ -300,8 +307,7 @@ def bias_curves(
     """Predicted estimator bias eps*T' and eps*T' + eps^2/2 * T'' at the model,
     with the quadratic/linear adequacy ratio 1 + (T''/T') * eps/2."""
     eps = np.asarray(eps_grid, dtype=float)
-    tp = if_first_order(y, None, family, theta, p, eps_tail)
-    tpp = if_second_order(y, family, theta, p, eps_tail)
+    tp, tpp = _if_first_second(y, family, theta, p, eps_tail)
     first = eps * tp
     second = first + 0.5 * eps**2 * tpp
     with np.errstate(divide="ignore", invalid="ignore"):

@@ -2,9 +2,14 @@
 
 The estimate minimizes theta -> LSD(r_n, f_theta) over a bracket around the
 sample mean.  A coarse scan guards against the multimodality that appears
-for large gamma under contamination, golden-section search narrows the
-bracket, and a final root refinement on the estimating-equation residual
-restores full precision when the residual changes sign nearby.
+for large gamma under contamination and picks the best grid cell.  Since
+the estimating-equation residual has the sign opposite to the objective's
+derivative (for A > 0), the minimizer in that cell is the root of the
+residual, found by brentq whenever the residual falls from positive to
+negative across the cell.  Otherwise (the scan's best cell at a bracket
+edge, or a degenerate sample) golden-section search narrows the cell and a
+residual root refinement restores full precision when the residual changes
+sign nearby.
 """
 
 from __future__ import annotations
@@ -52,6 +57,15 @@ class SearchConfig:
 
 @dataclass(frozen=True)
 class EstimatorResult:
+    """A fit's estimate and diagnostics.
+
+    ``iterations`` counts brentq's steps on the residual, or golden-section
+    steps where that safeguard ran.  ``bracket`` is the tightest interval
+    around ``theta_hat`` whose ends were evaluated with residual > 0 (low
+    end) and < 0 (high end), ``(theta_hat, theta_hat)`` on an exact zero, or
+    the golden-section interval where the safeguard ran.
+    """
+
     theta_hat: float
     objective: float
     residual: float
@@ -153,7 +167,11 @@ class _FitContext:
 
 
 def _golden_section(fun, lo: float, hi: float, tol: float, max_iter: int):
-    """Golden-section minimization; returns (argmin, bracket, evaluations)."""
+    """Golden-section minimization; returns (argmin, bracket, evaluations).
+
+    The safeguard of :func:`minimize_lsd` for a scan cell across which the
+    residual does not fall from positive to negative.
+    """
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = fun(x1), fun(x2)
@@ -169,6 +187,32 @@ def _golden_section(fun, lo: float, hi: float, tol: float, max_iter: int):
             f2 = fun(x2)
         it += 1
     return (lo if f1 <= f2 else x2, (lo, hi), it)
+
+
+def _residual_root(res_fun, lo: float, v_lo: float, hi: float, v_hi: float, max_iter: int):
+    """Root of the residual on [lo, hi], whose end values v_lo and v_hi differ
+    in sign, by brentq; returns (root, residual at root, bracket, iterations).
+
+    The bracket is the tightest interval around the root whose ends were
+    evaluated with the sign of v_lo (low end) and of v_hi (high end); it is
+    (root, root) on an exact zero.
+    """
+    seen = {lo: v_lo, hi: v_hi}
+
+    def fun(theta):
+        if theta not in seen:
+            seen[theta] = res_fun(theta)
+        return seen[theta]
+
+    root, info = brentq(
+        fun, lo, hi, xtol=1e-12, maxiter=max_iter, full_output=True, disp=False
+    )
+    res = fun(root)
+    if res == 0.0:
+        return root, res, (root, root), info.iterations
+    below = max(t for t, v in seen.items() if t <= root and v * v_lo > 0)
+    above = min(t for t, v in seen.items() if t >= root and v * v_hi > 0)
+    return root, res, (below, above), info.iterations
 
 
 def minimize_lsd(
@@ -206,24 +250,30 @@ def minimize_lsd(
     g_lo = grid[max(i_best - 1, 0)]
     g_hi = grid[min(i_best + 1, search.n_scan - 1)]
 
-    theta_hat, bracket, iterations = _golden_section(
-        fun, g_lo, g_hi, search.tol_theta, search.max_iterations
-    )
-
-    # Residual-based refinement when the root is bracketed locally.
-    res = ctx.residual(theta_hat)
-    half = max(10.0 * search.tol_theta, 1e-5)
-    r_lo, r_hi = max(lo, theta_hat - half), min(hi, theta_hat + half)
     res_fun = ctx.residual
+    v_lo, v_hi = res_fun(g_lo), res_fun(g_hi)
+    if v_lo > 0 > v_hi:
+        theta_hat, res, bracket, iterations = _residual_root(
+            res_fun, g_lo, v_lo, g_hi, v_hi, search.max_iterations
+        )
+    else:
+        theta_hat, bracket, iterations = _golden_section(
+            fun, g_lo, g_hi, search.tol_theta, search.max_iterations
+        )
 
-    try:
-        v_lo, v_hi = res_fun(r_lo), res_fun(r_hi)
-        if v_lo * v_hi < 0:
-            theta_hat = brentq(res_fun, r_lo, r_hi, xtol=1e-12)
-            res = res_fun(theta_hat)
-            bracket = (r_lo, r_hi) if r_hi - r_lo < bracket[1] - bracket[0] else bracket
-    except (ValueError, DivergenceInfiniteError):  # pragma: no cover - keep golden result
-        pass
+        # Residual-based refinement when the root is bracketed locally.
+        res = res_fun(theta_hat)
+        half = max(10.0 * search.tol_theta, 1e-5)
+        r_lo, r_hi = max(lo, theta_hat - half), min(hi, theta_hat + half)
+        try:
+            v_lo, v_hi = res_fun(r_lo), res_fun(r_hi)
+            if v_lo * v_hi < 0:
+                theta_hat, res, _, _ = _residual_root(
+                    res_fun, r_lo, v_lo, r_hi, v_hi, search.max_iterations
+                )
+                bracket = (r_lo, r_hi) if r_hi - r_lo < bracket[1] - bracket[0] else bracket
+        except (ValueError, DivergenceInfiniteError):  # pragma: no cover - keep golden result
+            pass
 
     converged = (
         not boundary_hit

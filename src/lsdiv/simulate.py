@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -159,7 +160,7 @@ class CellResult:
 class SimulationReport:
     cells: list[CellResult]
     metadata: dict
-    wall_time: float = 0.0  # informational only; never serialized
+    wall_time: float = 0.0  # seconds the runner took; informational only, never serialized
 
     def to_dict(self) -> dict:
         return {
@@ -299,6 +300,7 @@ def _metadata(config: SimulationConfig) -> dict:
 
 def run_estimation_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationReport:
     """Empirical bias and MSE of the minimum-divergence estimate per grid cell."""
+    start = time.perf_counter()
     if config.kind is not SimKind.ESTIMATION_BIAS:
         raise ValueError("config.kind must be ESTIMATION_BIAS")
     target = config.target()
@@ -328,11 +330,14 @@ def run_estimation_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationR
                     "mse": float(np.mean((ok - target) ** 2)),
                 }
             cells.append(CellResult(beta, gamma, metrics, config.replications, failures))
-    return SimulationReport(cells=cells, metadata=_metadata(config))
+    return SimulationReport(
+        cells=cells, metadata=_metadata(config), wall_time=time.perf_counter() - start
+    )
 
 
 def run_testing_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationReport:
     """Empirical level or power of the one-sample test per grid cell."""
+    start = time.perf_counter()
     if config.kind not in (SimKind.TESTING_LEVEL, SimKind.TESTING_POWER):
         raise ValueError("config.kind must be TESTING_LEVEL or TESTING_POWER")
     if config.theta_null is None:
@@ -372,7 +377,9 @@ def run_testing_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationRepo
             else:
                 metrics = {metric_name: float(np.mean(ok))}
             cells.append(CellResult(beta, gamma, metrics, config.replications, failures))
-    return SimulationReport(cells=cells, metadata=_metadata(config))
+    return SimulationReport(
+        cells=cells, metadata=_metadata(config), wall_time=time.perf_counter() - start
+    )
 
 
 def run_simulation(config: SimulationConfig, n_jobs: int = 1) -> SimulationReport:

@@ -236,6 +236,20 @@ class TestBiasCurves:
         err_second = abs(curve.second_order[0] - true_bias)
         assert err_second < err_first
 
+    def test_one_moment_evaluation(self, family, monkeypatch):
+        # T' and T'' come from one set of moments at beta
+        import lsdiv.asymptotics
+
+        betas = []
+
+        def counted(family, theta, beta, *args):
+            betas.append(beta)
+            return moments_c_d(family, theta, beta, *args)
+
+        monkeypatch.setattr(lsdiv.asymptotics, "moments_c_d", counted)
+        bias_curves(12, family, 4.0, TiltParams(0.5, 0.3), [0.0, 0.05, 0.1])
+        assert betas == [0.5]
+
     def test_linear_at_likelihood_disparity(self, family):
         curve = bias_curves(12, family, 4.0, TiltParams(0.0, 0.0), np.linspace(0, 0.1, 6))
         assert np.max(np.abs(curve.second_order - curve.first_order)) <= 1e-6

@@ -2,12 +2,17 @@
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from lsdiv import (
+    Contamination,
+    ContaminationScheme,
     DiscreteDensity,
     DivergenceInfiniteError,
+    PoissonFamily,
     SearchConfig,
     TiltParams,
+    contaminated_sample,
     density_vector,
     derive_exponents,
     empirical_frequencies,
@@ -16,8 +21,8 @@ from lsdiv import (
     minimize_lsd,
     oracle_grid_minimize,
 )
-from lsdiv.estimation import _FitContext
-from lsdiv.simulate import ESTIMATION_BETA_GRID, GAMMA_GRID
+from lsdiv.estimation import _FitContext, _golden_section
+from lsdiv.simulate import ESTIMATION_BETA_GRID, GAMMA_GRID, replication_rng
 
 
 def refined_grid_argmin(r_n, family, p, lo, hi):
@@ -134,6 +139,116 @@ class TestBatchedScan:
         values = ctx.objective(grid[:, None])
         assert values.shape == grid.shape
         np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
+
+
+def table_shaped_samples():
+    """Seeded samples shaped like the estimation table's (n=50, theta=4, 10%
+    replaced by Poisson(12) draws) and the wide table's (n=200, theta=100)."""
+    contam = Contamination(0.1, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+    for rep in range(3):
+        yield contaminated_sample(50, 4.0, contam, replication_rng(5, rep))
+        yield contaminated_sample(200, 100.0, None, replication_rng(5, rep))
+
+
+# B = 0, B < 0 (twice, up to gamma = 2), B > 0 (three times)
+SOLVER_TILTS = [(0.0, 0.0), (0.0, 0.5), (0.4, 2.0), (0.5, 0.0), (0.2, -0.5), (1.0, 1.0)]
+
+
+def scan_cell(r_n, p):
+    """The fit's context and the scan cell [g_lo, g_hi] around its best grid point."""
+    lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
+    ctx = _FitContext(r_n, PoissonFamily(), p, 1e-12, (lo, 0.5 * (lo + hi), hi))
+    grid = np.linspace(lo, hi, SearchConfig().n_scan)
+    i_best = int(np.argmin(ctx.objective(grid[:, None])))
+    return ctx, grid[i_best - 1], grid[i_best + 1]
+
+
+class TestResidualRoot:
+    """The fit solves the residual's root on the scan cell; golden section is
+    only the safeguard for a cell without a sign change."""
+
+    @pytest.mark.parametrize("beta,gamma", SOLVER_TILTS)
+    def test_matches_golden_section_then_refinement(self, family, beta, gamma):
+        # Golden section alone resolves theta only to ~1e-8 * theta (the
+        # objective is flat to double precision there), so it is refined on
+        # the residual within +-1e-5, as the two-stage search did.
+        p = TiltParams(beta, gamma)
+        for sample in table_shaped_samples():
+            r_n = empirical_frequencies(sample)
+            fit = minimize_lsd(r_n, family, p)
+            ctx, g_lo, g_hi = scan_cell(r_n, p)
+            theta, _, _ = _golden_section(ctx.objective, g_lo, g_hi, 1e-8, 200)
+            ref = brentq(ctx.residual, theta - 1e-5, theta + 1e-5, xtol=1e-12)
+            assert fit.converged
+            assert abs(fit.theta_hat - ref) <= 1e-10
+
+    @pytest.mark.parametrize("beta,gamma", SOLVER_TILTS)
+    def test_bracket_holds_a_sign_change(self, family, beta, gamma):
+        p = TiltParams(beta, gamma)
+        for sample in table_shaped_samples():
+            r_n = empirical_frequencies(sample)
+            fit = minimize_lsd(r_n, family, p)
+            ctx = scan_cell(r_n, p)[0]
+            lo, hi = fit.bracket
+            assert fit.converged
+            assert lo <= fit.theta_hat <= hi
+            assert ctx.residual(lo) >= 0.0 >= ctx.residual(hi)
+
+    def test_evaluation_budget(self, family, monkeypatch):
+        calls = {"scan": 0, "objective": 0, "residual": 0}
+        objective, residual = _FitContext.objective, _FitContext.residual
+
+        def counted_objective(self, theta):
+            calls["scan" if np.ndim(theta) else "objective"] += 1
+            return objective(self, theta)
+
+        def counted_residual(self, theta):
+            calls["residual"] += 1
+            return residual(self, theta)
+
+        monkeypatch.setattr(_FitContext, "objective", counted_objective)
+        monkeypatch.setattr(_FitContext, "residual", counted_residual)
+        contam = Contamination(0.1, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+        for rep in range(5):
+            r_n = empirical_frequencies(
+                contaminated_sample(50, 4.0, contam, replication_rng(11, rep))
+            )
+            for beta, gamma in SOLVER_TILTS:
+                calls.update(scan=0, objective=0, residual=0)
+                fit = minimize_lsd(r_n, family, TiltParams(beta, gamma))
+                assert fit.converged
+                assert calls["scan"] == 1
+                assert calls["objective"] <= 2
+                assert calls["residual"] <= 20
+                assert fit.iterations <= calls["residual"]
+
+    # The two-stage search's results on the samples whose scan cell has no
+    # sign change; the safeguard must reproduce them exactly.
+    FALLBACK = {
+        ("zeros", 0.0, -0.5): (0.001, False),
+        ("zeros", 0.0, 0.0): (0.001, False),
+        ("zeros", 0.0, 1.0): (0.001, False),
+        ("zeros", 0.5, -0.5): (0.001, False),
+        ("zeros", 0.5, 0.0): (0.001, False),
+        ("zeros", 0.5, 1.0): (0.001, False),
+        ("zeros", 1.0, -0.5): (0.001, False),
+        ("zeros", 1.0, 0.0): (0.001, False),
+        ("zeros", 1.0, 1.0): (0.001, False),
+        ("outlier", 0.0, -0.5): (0.12, False),
+        ("outlier", 0.0, 1.0): (7.9999999975767055, False),
+        ("outlier", 0.5, -0.5): (0.12, False),
+        ("outlier", 0.5, 0.0): (0.12, False),
+        ("outlier", 1.0, -0.5): (0.12, False),
+        ("outlier", 1.0, 0.0): (0.12, False),
+        ("outlier", 1.0, 1.0): (0.12, False),
+    }
+
+    @pytest.mark.parametrize("key", sorted(FALLBACK))
+    def test_edge_cells_fall_back_unchanged(self, family, key):
+        name, beta, gamma = key
+        sample = [0] * 50 if name == "zeros" else [0] * 49 + [30]
+        fit = minimize_lsd(empirical_frequencies(np.array(sample)), family, TiltParams(beta, gamma))
+        assert (fit.theta_hat, fit.converged) == self.FALLBACK[key]
 
 
 class TestEstimatingEquationResidual:

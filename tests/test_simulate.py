@@ -168,6 +168,7 @@ class TestRunners:
         report = run_simulation(config)
         (cell,) = report.cells
         assert 0.0 <= cell.metrics["level"] <= 0.3
+        assert report.wall_time > 0.0
 
     @pytest.mark.parametrize("kind", ["if_curve", "bias_approx"])
     def test_curve_kinds_rejected(self, kind, tmp_path):
@@ -201,6 +202,13 @@ class TestDeterminismAndReports:
         emit_report(run_estimation_sim(config), "csv", p1)
         emit_report(run_estimation_sim(config), "csv", p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_wall_time_stays_out_of_report_bytes(self):
+        config = small_estimation_config(replications=4, grid_gamma=(0.0,))
+        first, second = run_estimation_sim(config), run_estimation_sim(config)
+        assert first.wall_time > 0.0 and second.wall_time > 0.0
+        assert report_to_csv(first) == report_to_csv(second)
+        assert report_to_json(first) == report_to_json(second)
 
     def test_csv_shape(self):
         report = run_estimation_sim(small_estimation_config(replications=4))
