@@ -29,8 +29,11 @@ def _fail(message: str) -> None:
 
 def _emit(payload: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(payload)
+        try:
+            with open(out, "w", encoding="utf-8", newline="") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            _fail(str(exc))
     else:
         click.echo(payload, nl=not payload.endswith("\n"))
 
@@ -39,8 +42,11 @@ def _parse_sample(text: str | None, path: str | None) -> np.ndarray:
     if (text is None) == (path is None):
         _fail("provide exactly one of --data or --data-file")
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
+        try:
+            with open(path, encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            _fail(f"cannot read {path}: {exc}")
     tokens = text.replace(",", " ").split()
     try:
         return np.array([int(t) for t in tokens])

@@ -169,23 +169,23 @@ def _lse(a: np.ndarray) -> np.ndarray:
 
 
 def _lsd_kernel(
-    logf: np.ndarray, pos: np.ndarray, logg: np.ndarray, log_sg: float, p: TiltParams
+    log_sf, logf_pos: np.ndarray, logg: np.ndarray, log_sg: float, p: TiltParams
 ) -> np.ndarray:
-    """LSD from log f on the window, log g on its occupied cells ``pos`` and
-    ``log_sg = log sum g^(1+beta)``.
+    """LSD from its model term and its data term's inputs.
 
-    ``logf`` has shape ``(..., L)`` on a window of L cells: an (L,) vector
-    gives one divergence, a (k, L) stack (one row per model) gives k of them,
-    each equal to what its row alone gives.  ``pos`` (L,) and ``logg`` are
-    shared by every row.  Covers the general formula and the B -> 0
-    continuity limit; the A -> 0 limit, which needs g on every cell, stays
-    with :func:`lsd`.
+    The model term ``log_sf = log sum f^(1+beta)`` runs over the model's
+    whole window and does not depend on the data; the data term needs log f
+    only on the occupied data cells (``logf_pos``), where ``logg`` is log g,
+    and ``log_sg = log sum g^(1+beta)``.
+
+    ``log_sf`` has shape ``(...)`` and ``logf_pos`` shape ``(..., m)`` on m
+    occupied cells: a scalar and an (m,) vector give one divergence, a (k,)
+    vector and a (k, m) stack (one row per model) give k of them, each equal
+    to what its row alone gives.  ``logg`` is shared by every row.  Covers
+    the general formula and the B -> 0 continuity limit; the A -> 0 limit,
+    which needs g on every cell, stays with :func:`lsd`.
     """
     one_beta = 1.0 + p.beta
-    log_sf = _lse(one_beta * logf)
-    # compress keeps a stack's rows C-ordered (a boolean index would lay it
-    # out column-major), so each row reduces in the order a lone vector does.
-    logf_pos = logf.compress(pos, axis=-1)
     if abs(p.exp_b) < EXPONENT_BOUNDARY:
         # B -> 0 limit: (1/(1+b)) log(sf/sg) - sum g^(1+b) log(f/g) / sg
         w = np.exp(one_beta * logg - log_sg)
@@ -213,14 +213,14 @@ def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
     logf, pos, logg = _log_inputs(gv, fv, p)
     one_beta = 1.0 + p.beta
     log_sg = _lse(one_beta * logg)
+    log_sf = _lse(one_beta * logf)
     if abs(p.exp_a) < EXPONENT_BOUNDARY:
         # A -> 0 limit, roles of f and g exchanged in the correction term
         # (every cell is occupied here).
-        log_sf = _lse(one_beta * logf)
         w = np.exp(one_beta * logf - log_sf)
         corr = float(np.dot(w, logg - logf))
         return float((log_sg - log_sf) / one_beta - corr)
-    return float(_lsd_kernel(logf, pos, logg, log_sg, p))
+    return float(_lsd_kernel(log_sf, logf[pos], logg, log_sg, p))
 
 
 def gsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:

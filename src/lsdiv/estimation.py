@@ -14,6 +14,7 @@ sign nearby.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,6 +42,12 @@ __all__ = [
 ]
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
+
+# Entries per memo.  A scan entry (256 model terms at the default n_scan)
+# takes about 2 KB.  An estimation table's 1000 replications have about 80
+# distinct sample sums but about 200 distinct means (a sum's mean differs in
+# its last bits between samples), and 2048 entries hold them for 8 betas.
+_MEMO_SIZE = 2048
 
 
 @dataclass(frozen=True)
@@ -111,21 +118,48 @@ def estimating_equation_residual(
     return _FitContext(r_n, family, p, eps_tail, (theta,)).residual(theta)
 
 
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _model_window_end(family: ParametricFamily, thetas: tuple, eps_tail: float) -> int:
+    """End of the window from 0 that covers the support window of every
+    theta in ``thetas``."""
+    windows = [family.support_window(t, eps_tail) for t in thetas]
+    return max(off + ln for off, ln in windows)
+
+
+@functools.lru_cache(maxsize=_MEMO_SIZE)
+def _scan_model_terms(
+    family: ParametricFamily, lo: float, hi: float, n_scan: int, one_beta: float, length: int
+) -> np.ndarray:
+    """The model term log sum f_theta^(1+beta) over the window [0, length) at
+    each theta of the coarse grid ``np.linspace(lo, hi, n_scan)``, as a
+    read-only array.
+
+    The bracket depends on the sample only through its mean, so fits of
+    samples with the same mean (and window) at the same beta share an entry.
+    """
+    grid = np.linspace(lo, hi, n_scan)
+    log_sf = _lse(one_beta * family.log_density(grid[:, None], np.arange(length)))
+    log_sf.flags.writeable = False
+    return log_sf
+
+
 class _FitContext:
     """Precomputed log-space objective and residual for one minimization.
 
-    The window is fixed once (covering the data and the model tail at every
-    theta in ``thetas``, for a fit the bracket ends and midpoint), the
-    data-side terms are computed once, and each evaluation reduces to one
-    log-density computation plus two weighted reductions.  The objective is
-    the kernel behind :func:`lsd`; the independent oracles for this path are
-    the closed forms :func:`lpd`, :func:`ldpd`, :func:`ld` and
+    The window [0, L) is fixed once: it covers the data and the model tail at
+    every theta in ``thetas`` (for a fit the bracket ends and midpoint),
+    whose window end comes from a process-wide memo.  The data-side terms
+    are computed once.  The objective is the kernel behind :func:`lsd`: a
+    model term log sum f^(1+beta) over the whole window plus a data term on
+    the occupied cells only.  The independent oracles for this path are the
+    closed forms :func:`lpd`, :func:`ldpd`, :func:`ld` and
     :func:`oracle_grid_minimize`.
 
-    On the L-cell window, ``logf`` and ``objective`` take a float theta,
-    giving an (L,) vector and a scalar, or a (k, 1) column of thetas, giving
-    a (k, L) matrix and k objectives in one array pass (the coarse scan);
-    ``residual`` takes a float.
+    ``logf`` and ``objective`` take a float theta, giving an (L,) vector and
+    a scalar, or a (k, 1) column of thetas, giving a (k, L) matrix and k
+    objectives.  ``scan`` gives the objective on the coarse grid in one
+    (grid x occupied cells) array pass, with the model terms from a
+    process-wide memo.  ``residual`` takes a float.
     """
 
     def __init__(
@@ -138,14 +172,12 @@ class _FitContext:
     ):
         self.family = family
         self.p = p
-        length = g.offset + g.mass.size
-        for theta in thetas:
-            off, ln = family.support_window(theta, eps_tail)
-            length = max(length, off + ln)
+        length = max(g.offset + g.mass.size, _model_window_end(family, thetas, eps_tail))
         self.x = np.arange(0, length)
         gv = np.zeros(length)
         gv[g.offset : g.offset + g.mass.size] = g.mass
         self.pos = gv > 0
+        self.x_pos = self.x[self.pos]
         self.logg_pos = np.log(gv[self.pos])
         self.log_sg = _lse((1.0 + p.beta) * self.logg_pos)
 
@@ -153,7 +185,20 @@ class _FitContext:
         return self.family.log_density(theta, self.x)
 
     def objective(self, theta):
-        return _lsd_kernel(self.logf(theta), self.pos, self.logg_pos, self.log_sg, self.p)
+        logf = self.logf(theta)
+        log_sf = _lse((1.0 + self.p.beta) * logf)
+        # compress keeps a stack's rows C-ordered (a boolean index would lay
+        # it out column-major), so each row reduces as a lone vector does.
+        logf_pos = logf.compress(self.pos, axis=-1)
+        return _lsd_kernel(log_sf, logf_pos, self.logg_pos, self.log_sg, self.p)
+
+    def scan(self, lo: float, hi: float, n_scan: int) -> tuple[np.ndarray, np.ndarray]:
+        """The grid of ``n_scan`` thetas on [lo, hi] and the objective at each,
+        equal bit for bit to ``objective`` at each grid theta."""
+        grid = np.linspace(lo, hi, n_scan)
+        log_sf = _scan_model_terms(self.family, lo, hi, n_scan, 1.0 + self.p.beta, self.x.size)
+        logf_pos = self.family.log_density(grid[:, None], self.x_pos)
+        return grid, _lsd_kernel(log_sf, logf_pos, self.logg_pos, self.log_sg, self.p)
 
     def residual(self, theta: float) -> float:
         p = self.p
@@ -241,10 +286,8 @@ def minimize_lsd(
     ctx = _FitContext(r_n, family, p, search.eps_tail, (lo, 0.5 * (lo + hi), hi))
     fun = ctx.objective
 
-    # Coarse scan: pick the best cell of a uniform grid (first index on ties),
-    # evaluated as one (grid x window) array pass.
-    grid = np.linspace(lo, hi, search.n_scan)
-    values = fun(grid[:, None])
+    # Coarse scan: pick the best cell of a uniform grid (first index on ties).
+    grid, values = ctx.scan(lo, hi, search.n_scan)
     i_best = int(np.argmin(values))
     boundary_hit = i_best in (0, search.n_scan - 1)
     g_lo = grid[max(i_best - 1, 0)]

@@ -22,7 +22,11 @@ _TINY = np.finfo(float).tiny  # smallest normal double
 
 
 class ParametricFamily(ABC):
-    """Scalar-parameter discrete model on a subset of {0, 1, 2, ...}."""
+    """Scalar-parameter discrete model on a subset of {0, 1, 2, ...}.
+
+    A family is an immutable, hashable value: the fit memoises windows and
+    model terms per process, keyed by the family among other inputs.
+    """
 
     @abstractmethod
     def density(self, theta: float, x: np.ndarray) -> np.ndarray:

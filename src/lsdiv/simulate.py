@@ -10,6 +10,7 @@ estimated and are emitted with the "--" sentinel.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -205,8 +206,13 @@ def replication_rng(seed: int, replication: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+@functools.lru_cache(maxsize=64)
 def _poisson_cdf(theta: float) -> np.ndarray:
-    return np.cumsum(density_vector(PoissonFamily(), theta, 1e-13).mass)
+    """Read-only Poisson(theta) CDF on its 1e-13 window, memoised: a table
+    draws every replication from the same one or two thetas."""
+    cdf = np.cumsum(density_vector(PoissonFamily(), theta, 1e-13).mass)
+    cdf.flags.writeable = False
+    return cdf
 
 
 def sample_poisson(theta: float, n: int, rng: np.random.Generator) -> np.ndarray:

@@ -192,3 +192,45 @@ class TestSimulateCommand:
         )
         assert result.exit_code == 1
         assert "error" in json.loads(result.output.strip().splitlines()[-1])
+
+
+class TestFileErrors:
+    """Unwritable --out and unreadable --data-file keep the error contract."""
+
+    EMITTERS = {
+        "divergence": ["divergence", "--beta", "0.5", "--gamma", "0.3",
+                       "--theta-g", "3", "--theta-f", "4"],
+        "estimate": ["estimate", "--beta", "0.2", "--gamma", "0", "--data", "1,2,3"],
+        "influence": ["influence", "--beta", "0.5", "--gamma", "0",
+                      "--theta", "4", "--y-max", "2"],
+        "bias-approx": ["bias-approx", "--beta", "0.5", "--gamma", "0",
+                        "--theta", "4", "--y", "10", "--steps", "3"],
+        "test": ["test", "--beta", "0.2", "--gamma", "0", "--data", "1,2,3,2",
+                 "--theta0", "2"],
+    }
+
+    @staticmethod
+    def assert_json_error(result):
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error" in json.loads(result.output.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("command", sorted(EMITTERS))
+    def test_out_in_missing_directory(self, runner, tmp_path, command):
+        out = tmp_path / "no" / "such" / "dir" / "x.json"
+        result = runner.invoke(main, self.EMITTERS[command] + ["--out", str(out)])
+        self.assert_json_error(result)
+
+    def test_data_file_is_directory(self, runner, tmp_path):
+        result = runner.invoke(
+            main, ["estimate", "--beta", "0.2", "--gamma", "0", "--data-file", str(tmp_path)]
+        )
+        self.assert_json_error(result)
+
+    def test_data_file_not_utf8(self, runner, tmp_path):
+        path = tmp_path / "sample.txt"
+        path.write_bytes(b"\xff\xfe1,2,3")
+        result = runner.invoke(
+            main, ["estimate", "--beta", "0.2", "--gamma", "0", "--data-file", str(path)]
+        )
+        self.assert_json_error(result)

@@ -21,7 +21,12 @@ from lsdiv import (
     minimize_lsd,
     oracle_grid_minimize,
 )
-from lsdiv.estimation import _FitContext, _golden_section
+from lsdiv.estimation import (
+    _FitContext,
+    _golden_section,
+    _model_window_end,
+    _scan_model_terms,
+)
 from lsdiv.simulate import ESTIMATION_BETA_GRID, GAMMA_GRID, replication_rng
 
 
@@ -140,6 +145,75 @@ class TestBatchedScan:
         assert values.shape == grid.shape
         np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
 
+    @pytest.mark.parametrize(
+        "theta,n,n_contam",
+        [(4.0, 50, 5), (100.0, 200, 0)],
+    )
+    @pytest.mark.parametrize(
+        "beta,gamma",
+        [(0.0, 0.0), (0.0, 0.5), (0.2, 1.0), (0.5, 0.0), (0.2, -0.5), (1.0, 0.0)],
+    )
+    def test_split_scan_matches_objective(self, family, theta, n, n_contam, beta, gamma):
+        # memoised model terms plus data terms on the occupied cells only
+        rng = np.random.default_rng(17)
+        sample = rng.poisson(theta, n)
+        sample[:n_contam] = 12
+        r_n = empirical_frequencies(sample)
+        lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
+        ctx = _FitContext(r_n, family, TiltParams(beta, gamma), 1e-12, (lo, 0.5 * (lo + hi), hi))
+        n_scan = SearchConfig().n_scan
+        _scan_model_terms.cache_clear()
+        for _ in ("cold", "warm"):
+            grid, values = ctx.scan(lo, hi, n_scan)
+            np.testing.assert_array_equal(grid, np.linspace(lo, hi, n_scan))
+            np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
+        assert _scan_model_terms.cache_info().hits == 1
+
+
+class TestScanMemo:
+    """The scan's model terms and the fit's window end are memoised per
+    process; an entry may be shared only by fits whose values it equals."""
+
+    @staticmethod
+    def fit(sample, beta=0.5, gamma=0.0, **search):
+        return minimize_lsd(
+            empirical_frequencies(np.array(sample)), PoissonFamily(),
+            TiltParams(beta, gamma), SearchConfig(**search),
+        )
+
+    def test_same_mean_other_data_end_gets_own_entry(self, family):
+        # both means are 4 (bracket [0.8, 25]), but the outlier 102 lies
+        # beyond the model window at the bracket top (69 cells)
+        p = TiltParams(0.5, 0.0)
+        _scan_model_terms.cache_clear()
+        for sample, length in (([4] * 50, 69), ([2] * 49 + [102], 103)):
+            r_n = empirical_frequencies(np.array(sample))
+            ctx = _FitContext(r_n, family, p, 1e-12, (0.8, 12.9, 25.0))
+            assert ctx.x.size == length
+            grid, values = ctx.scan(0.8, 25.0, 256)
+            np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
+        assert _scan_model_terms.cache_info().currsize == 2
+
+    def test_inputs_of_the_key_get_own_entries(self):
+        sample = [3, 4, 5, 4, 4, 6, 2, 4]
+        _scan_model_terms.cache_clear()
+        _model_window_end.cache_clear()
+        self.fit(sample)
+        self.fit(sample, gamma=0.5)  # same beta: shares the entry
+        assert _scan_model_terms.cache_info().currsize == 1
+        self.fit(sample, beta=0.2)
+        self.fit(sample, n_scan=128)
+        self.fit(sample, bracket=(1.0, 20.0))
+        self.fit(sample, eps_tail=1e-6)  # a shorter model window
+        assert _scan_model_terms.cache_info().currsize == 5
+        # the window end depends on the bracket and eps_tail only
+        assert _model_window_end.cache_info().currsize == 3
+
+    def test_cached_arrays_reject_writes(self, family):
+        log_sf = _scan_model_terms(family, 0.8, 25.0, 256, 1.5, 69)
+        with pytest.raises(ValueError):
+            log_sf[0] = 0.0
+
 
 def table_shaped_samples():
     """Seeded samples shaped like the estimation table's (n=50, theta=4, 10%
@@ -196,16 +270,21 @@ class TestResidualRoot:
 
     def test_evaluation_budget(self, family, monkeypatch):
         calls = {"scan": 0, "objective": 0, "residual": 0}
-        objective, residual = _FitContext.objective, _FitContext.residual
+        scan, objective, residual = _FitContext.scan, _FitContext.objective, _FitContext.residual
+
+        def counted_scan(self, lo, hi, n_scan):
+            calls["scan"] += 1
+            return scan(self, lo, hi, n_scan)
 
         def counted_objective(self, theta):
-            calls["scan" if np.ndim(theta) else "objective"] += 1
+            calls["objective"] += 1
             return objective(self, theta)
 
         def counted_residual(self, theta):
             calls["residual"] += 1
             return residual(self, theta)
 
+        monkeypatch.setattr(_FitContext, "scan", counted_scan)
         monkeypatch.setattr(_FitContext, "objective", counted_objective)
         monkeypatch.setattr(_FitContext, "residual", counted_residual)
         contam = Contamination(0.1, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)

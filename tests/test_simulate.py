@@ -20,6 +20,7 @@ from lsdiv import (
 from lsdiv.cli import main
 from lsdiv.simulate import (
     ESTIMATION_BETA_GRID,
+    _poisson_cdf,
     GAMMA_GRID,
     SENTINEL,
     TESTING_BETA_GRID,
@@ -87,6 +88,37 @@ class TestSamplePoisson:
         # a CDF built from a subnormal first mass would be short of 1
         with pytest.raises(FloatingPointError):
             sample_poisson(theta, 10, replication_rng(0, 0))
+
+
+class TestCdfMemo:
+    """The sampler's CDF is memoised per theta; the draws must not move."""
+
+    REPLACE = Contamination(0.25, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+    MIXTURE = Contamination(0.3, 15.0, ContaminationScheme.MIXTURE_DRAW)
+
+    def test_seeded_draws_unchanged(self):
+        # drawn by the sampler before its CDF was memoised
+        _poisson_cdf.cache_clear()
+        for _ in ("cold", "warm"):
+            assert sample_poisson(4.0, 12, replication_rng(7, 0)).tolist() == [
+                1, 6, 2, 2, 3, 1, 5, 5, 1, 4, 5, 6]
+            assert sample_poisson(100.0, 8, replication_rng(7, 1)).tolist() == [
+                94, 112, 94, 94, 101, 96, 101, 109]
+            assert contaminated_sample(20, 4.0, self.REPLACE, replication_rng(7, 2)).tolist() == [
+                6, 0, 5, 2, 3, 3, 7, 4, 6, 3, 2, 4, 5, 4, 2, 12, 15, 9, 16, 9]
+            assert contaminated_sample(20, 2.0, self.MIXTURE, replication_rng(7, 3)).tolist() == [
+                20, 14, 0, 2, 15, 12, 3, 1, 12, 1, 13, 1, 1, 2, 2, 9, 0, 1, 4, 21]
+        assert _poisson_cdf.cache_info().hits > 0
+
+    def test_cdf_rejects_writes(self):
+        with pytest.raises(ValueError):
+            _poisson_cdf(4.0)[0] = 0.5
+
+    @pytest.mark.parametrize("theta", [708.4, 750.0])
+    def test_underflow_raises_on_every_call(self, theta):
+        for _ in range(3):
+            with pytest.raises(FloatingPointError):
+                sample_poisson(theta, 10, replication_rng(0, 0))
 
 
 class TestContaminatedSample:
