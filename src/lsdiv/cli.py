@@ -93,7 +93,7 @@ def divergence(beta, gamma, theta_g, theta_f, psi, out):
 @main.command()
 @with_tilt
 @click.option("--data", type=str, default=None, help="comma/space separated integers")
-@click.option("--data-file", type=click.Path(exists=True), default=None)
+@click.option("--data-file", type=click.Path(), default=None)
 @click.option("--out", type=click.Path(), default=None)
 def estimate(beta, gamma, data, data_file, out):
     """Minimum-divergence Poisson fit of an integer sample."""
@@ -162,7 +162,7 @@ def bias_approx(beta, gamma, theta, y, eps_max, steps, out):
 @main.command("test")
 @with_tilt
 @click.option("--data", type=str, default=None)
-@click.option("--data-file", type=click.Path(exists=True), default=None)
+@click.option("--data-file", type=click.Path(), default=None)
 @click.option("--data2", type=str, default=None, help="second sample enables the two-sample test")
 @click.option("--theta0", type=float, default=None, help="null parameter (one-sample)")
 @click.option("--level", type=float, multiple=True, default=(0.05,))
@@ -190,7 +190,7 @@ def test_cmd(beta, gamma, data, data_file, data2, theta0, level, seed, out):
 
 
 @main.command()
-@click.option("--config", "config_path", type=click.Path(exists=True), required=True,
+@click.option("--config", "config_path", type=click.Path(), required=True,
               help="JSON file matching the SimulationConfig schema")
 @click.option("--seed", type=int, default=None, help="overrides the config seed")
 @click.option("--replications", type=int, default=None, help="overrides the config value")

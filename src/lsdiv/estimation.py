@@ -43,11 +43,12 @@ __all__ = [
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Entries per memo.  A scan entry (256 model terms at the default n_scan)
-# takes about 2 KB.  An estimation table's 1000 replications have about 80
-# distinct sample sums but about 200 distinct means (a sum's mean differs in
-# its last bits between samples), and 2048 entries hold them for 8 betas.
-_MEMO_SIZE = 2048
+# Entries per memo, and the largest n_scan whose scan the memo keeps: an
+# entry holds n_scan floats, so the scan memo stays below 1024 x 256 x 8
+# bytes = 2 MB.  The simulation harness fits each sample at every cell
+# before it draws the next, so its hits do not depend on this size.
+_MEMO_SIZE = 1024
+_MEMO_MAX_SCAN = 256
 
 
 @dataclass(frozen=True)
@@ -118,6 +119,16 @@ def estimating_equation_residual(
     return _FitContext(r_n, family, p, eps_tail, (theta,)).residual(theta)
 
 
+def _memoised(memo, family: ParametricFamily, *args, keep: bool = True):
+    """``memo(family, *args)``, or the function behind it when ``keep`` is
+    false or the family is hashed by identity or not at all (its value could
+    change under its key)."""
+    hash_ = type(family).__hash__
+    if not keep or hash_ is None or hash_ is object.__hash__:
+        return memo.__wrapped__(family, *args)
+    return memo(family, *args)
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _model_window_end(family: ParametricFamily, thetas: tuple, eps_tail: float) -> int:
     """End of the window from 0 that covers the support window of every
@@ -134,8 +145,9 @@ def _scan_model_terms(
     each theta of the coarse grid ``np.linspace(lo, hi, n_scan)``, as a
     read-only array.
 
-    The bracket depends on the sample only through its mean, so fits of
-    samples with the same mean (and window) at the same beta share an entry.
+    The bracket depends on the sample only through its mean, so fits of one
+    sample (or of samples with the same mean and window) at one beta share
+    an entry whatever their gamma.
     """
     grid = np.linspace(lo, hi, n_scan)
     log_sf = _lse(one_beta * family.log_density(grid[:, None], np.arange(length)))
@@ -155,11 +167,9 @@ class _FitContext:
     closed forms :func:`lpd`, :func:`ldpd`, :func:`ld` and
     :func:`oracle_grid_minimize`.
 
-    ``logf`` and ``objective`` take a float theta, giving an (L,) vector and
-    a scalar, or a (k, 1) column of thetas, giving a (k, L) matrix and k
-    objectives.  ``scan`` gives the objective on the coarse grid in one
-    (grid x occupied cells) array pass, with the model terms from a
-    process-wide memo.  ``residual`` takes a float.
+    ``objective`` and ``residual`` take a float theta.  ``scan`` gives the
+    objective on the coarse grid in one (grid x occupied cells) array pass,
+    with the model terms from a process-wide memo.
     """
 
     def __init__(
@@ -172,7 +182,8 @@ class _FitContext:
     ):
         self.family = family
         self.p = p
-        length = max(g.offset + g.mass.size, _model_window_end(family, thetas, eps_tail))
+        window_end = _memoised(_model_window_end, family, thetas, eps_tail)
+        length = max(g.offset + g.mass.size, window_end)
         self.x = np.arange(0, length)
         gv = np.zeros(length)
         gv[g.offset : g.offset + g.mass.size] = g.mass
@@ -181,28 +192,25 @@ class _FitContext:
         self.logg_pos = np.log(gv[self.pos])
         self.log_sg = _lse((1.0 + p.beta) * self.logg_pos)
 
-    def logf(self, theta) -> np.ndarray:
-        return self.family.log_density(theta, self.x)
-
-    def objective(self, theta):
-        logf = self.logf(theta)
+    def objective(self, theta: float) -> float:
+        logf = self.family.log_density(theta, self.x)
         log_sf = _lse((1.0 + self.p.beta) * logf)
-        # compress keeps a stack's rows C-ordered (a boolean index would lay
-        # it out column-major), so each row reduces as a lone vector does.
-        logf_pos = logf.compress(self.pos, axis=-1)
-        return _lsd_kernel(log_sf, logf_pos, self.logg_pos, self.log_sg, self.p)
+        return _lsd_kernel(log_sf, logf[self.pos], self.logg_pos, self.log_sg, self.p)
 
     def scan(self, lo: float, hi: float, n_scan: int) -> tuple[np.ndarray, np.ndarray]:
         """The grid of ``n_scan`` thetas on [lo, hi] and the objective at each,
         equal bit for bit to ``objective`` at each grid theta."""
         grid = np.linspace(lo, hi, n_scan)
-        log_sf = _scan_model_terms(self.family, lo, hi, n_scan, 1.0 + self.p.beta, self.x.size)
+        log_sf = _memoised(
+            _scan_model_terms, self.family, lo, hi, n_scan, 1.0 + self.p.beta, self.x.size,
+            keep=n_scan <= _MEMO_MAX_SCAN,
+        )
         logf_pos = self.family.log_density(grid[:, None], self.x_pos)
         return grid, _lsd_kernel(log_sf, logf_pos, self.logg_pos, self.log_sg, self.p)
 
     def residual(self, theta: float) -> float:
         p = self.p
-        logf = self.logf(theta)
+        logf = self.family.log_density(theta, self.x)
         u = self.family.score(theta, self.x)
         fb = np.exp((1.0 + p.beta) * logf)
         af = float(np.dot(fb, u))

@@ -24,8 +24,9 @@ _TINY = np.finfo(float).tiny  # smallest normal double
 class ParametricFamily(ABC):
     """Scalar-parameter discrete model on a subset of {0, 1, 2, ...}.
 
-    A family is an immutable, hashable value: the fit memoises windows and
-    model terms per process, keyed by the family among other inputs.
+    A family hashed by value (a frozen dataclass, as :class:`PoissonFamily`)
+    keys the fit's per-process memos of windows and model terms, so it must
+    not change; one hashed by identity or unhashable is fitted without them.
     """
 
     @abstractmethod

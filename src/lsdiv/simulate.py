@@ -256,34 +256,37 @@ def contaminated_sample(
 # ---------------------------------------------------------------------------
 
 
-def _estimate_worker(args) -> float | None:
-    seed, rep, n, theta_true, contam, beta, gamma = args
-    rng = replication_rng(seed, rep)
-    sample = contaminated_sample(n, theta_true, contam, rng)
-    try:
-        result = minimize_lsd(
-            empirical_frequencies(sample),
-            PoissonFamily(),
-            TiltParams(beta, gamma),
-            SearchConfig(),
-        )
-    except (ValueError, ArithmeticError):
-        return None
-    return result.theta_hat
+def _estimate_worker(args) -> list[float | None]:
+    """One replication's estimates at each of ``tilts`` (None for a failed fit)."""
+    seed, rep, n, theta_true, contam, tilts = args
+    sample = contaminated_sample(n, theta_true, contam, replication_rng(seed, rep))
+    estimates = []
+    for p in tilts:
+        try:
+            result = minimize_lsd(empirical_frequencies(sample), PoissonFamily(), p, SearchConfig())
+        except (ValueError, ArithmeticError):
+            estimates.append(None)
+            continue
+        estimates.append(result.theta_hat)
+    return estimates
 
 
-def _reject_worker(args) -> bool | None:
-    seed, rep, n, theta_draw, contam, beta, gamma, theta0, critical = args
-    rng = replication_rng(seed, rep)
-    sample = contaminated_sample(n, theta_draw, contam, rng)
+def _reject_worker(args) -> list[bool | None]:
+    """One replication's test decisions at each (tilt, critical value) of
+    ``tests`` (None for a failed fit)."""
+    seed, rep, n, theta_draw, contam, theta0, tests = args
+    sample = contaminated_sample(n, theta_draw, contam, replication_rng(seed, rep))
     family = PoissonFamily()
-    p = TiltParams(beta, gamma)
-    try:
-        fit = minimize_lsd(empirical_frequencies(sample), family, p, SearchConfig())
-        w = 2.0 * n * divergence_between_fits(family, fit.theta_hat, theta0, p)
-    except (ValueError, ArithmeticError):
-        return None
-    return bool(w > critical)
+    rejects = []
+    for p, critical in tests:
+        try:
+            fit = minimize_lsd(empirical_frequencies(sample), family, p, SearchConfig())
+            w = 2.0 * n * divergence_between_fits(family, fit.theta_hat, theta0, p)
+        except (ValueError, ArithmeticError):
+            rejects.append(None)
+            continue
+        rejects.append(bool(w > critical))
+    return rejects
 
 
 def _map_ordered(worker, args_list, n_jobs: int):
@@ -304,38 +307,53 @@ def _metadata(config: SimulationConfig) -> dict:
     return {"seed": config.seed, "config": config.to_dict()}
 
 
+def _by_cell(config: SimulationConfig, worker, draw, cell_args, n_jobs: int):
+    """(beta, gamma, values) per grid cell, gamma-major, where values are the
+    worker's outputs over the replications, or None where the exponent A is
+    nonpositive.
+
+    ``worker`` takes (seed, replication, *draw, per-cell arguments) and
+    returns one output per active cell, so each replication's sample is drawn
+    once and fitted at every cell before the next; fits of one sample at one
+    beta then share the scan's memoised model terms whatever the memo's size,
+    in each pool worker as in a serial run.  ``cell_args(beta, gamma)`` gives
+    an active cell's arguments.
+    """
+    grid = [(beta, gamma) for gamma in config.grid_gamma for beta in config.grid_beta]
+    active = [derive_exponents(beta, gamma)[0] > EXPONENT_BOUNDARY for beta, gamma in grid]
+    per_cell = tuple(cell_args(*cell) for cell, a in zip(grid, active) if a)
+    columns = iter(())
+    if per_cell:
+        args = [(config.seed, rep, *draw, per_cell) for rep in range(config.replications)]
+        columns = iter(zip(*_map_ordered(worker, args, n_jobs)))
+    return [(beta, gamma, next(columns) if a else None) for (beta, gamma), a in zip(grid, active)]
+
+
 def run_estimation_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationReport:
     """Empirical bias and MSE of the minimum-divergence estimate per grid cell."""
     start = time.perf_counter()
     if config.kind is not SimKind.ESTIMATION_BIAS:
         raise ValueError("config.kind must be ESTIMATION_BIAS")
     target = config.target()
+    draw = (config.n, config.theta_true, config.contamination)
     cells: list[CellResult] = []
-    for gamma in config.grid_gamma:
-        for beta in config.grid_beta:
-            exp_a, _ = derive_exponents(beta, gamma)
-            if exp_a <= EXPONENT_BOUNDARY:
-                cells.append(
-                    CellResult(beta, gamma, {"bias": None, "mse": None},
-                               config.replications, config.replications)
-                )
-                continue
-            args = [
-                (config.seed, rep, config.n, config.theta_true, config.contamination,
-                 beta, gamma)
-                for rep in range(config.replications)
-            ]
-            estimates = _map_ordered(_estimate_worker, args, n_jobs)
-            ok = np.array([e for e in estimates if e is not None])
-            failures = config.replications - ok.size
-            if failures > FAILURE_CELL_LIMIT * config.replications:
-                metrics = {"bias": None, "mse": None}
-            else:
-                metrics = {
-                    "bias": float(np.mean(ok) - target),
-                    "mse": float(np.mean((ok - target) ** 2)),
-                }
-            cells.append(CellResult(beta, gamma, metrics, config.replications, failures))
+    for beta, gamma, estimates in _by_cell(config, _estimate_worker, draw, TiltParams, n_jobs):
+        if estimates is None:
+            cells.append(
+                CellResult(beta, gamma, {"bias": None, "mse": None},
+                           config.replications, config.replications)
+            )
+            continue
+        ok = np.array([e for e in estimates if e is not None])
+        failures = config.replications - ok.size
+        if failures > FAILURE_CELL_LIMIT * config.replications:
+            metrics = {"bias": None, "mse": None}
+        else:
+            metrics = {
+                "bias": float(np.mean(ok) - target),
+                "mse": float(np.mean((ok - target) ** 2)),
+            }
+        cells.append(CellResult(beta, gamma, metrics, config.replications, failures))
     return SimulationReport(
         cells=cells, metadata=_metadata(config), wall_time=time.perf_counter() - start
     )
@@ -353,36 +371,32 @@ def run_testing_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationRepo
         config.theta_null if config.kind is SimKind.TESTING_LEVEL else config.theta_true
     )
     family = PoissonFamily()
+
+    def test_args(beta: float, gamma: float) -> tuple[TiltParams, float]:
+        p = TiltParams(beta, gamma)
+        rank = null_law(family, config.theta_null, p)[1]
+        # The reference tables compare W directly against the chi-square
+        # critical value, without the eigenvalue weight; the weight-induced
+        # level inflation at larger beta (e.g. 0.076 at beta=0.7, n=50) is
+        # exactly what those tables document, so the harness reproduces it.
+        return p, float(chi2.ppf(1.0 - config.level, df=1)) if rank else np.inf
+
+    draw = (config.n, theta_draw, config.contamination, config.theta_null)
     cells: list[CellResult] = []
-    for gamma in config.grid_gamma:
-        for beta in config.grid_beta:
-            exp_a, _ = derive_exponents(beta, gamma)
-            if exp_a <= EXPONENT_BOUNDARY:
-                cells.append(
-                    CellResult(beta, gamma, {metric_name: None},
-                               config.replications, config.replications)
-                )
-                continue
-            p = TiltParams(beta, gamma)
-            rank = null_law(family, config.theta_null, p)[1]
-            # The reference tables compare W directly against the chi-square
-            # critical value, without the eigenvalue weight; the weight-induced
-            # level inflation at larger beta (e.g. 0.076 at beta=0.7, n=50) is
-            # exactly what those tables document, so the harness reproduces it.
-            critical = float(chi2.ppf(1.0 - config.level, df=1)) if rank else np.inf
-            args = [
-                (config.seed, rep, config.n, theta_draw, config.contamination,
-                 beta, gamma, config.theta_null, critical)
-                for rep in range(config.replications)
-            ]
-            rejects = _map_ordered(_reject_worker, args, n_jobs)
-            ok = [r for r in rejects if r is not None]
-            failures = config.replications - len(ok)
-            if failures > FAILURE_CELL_LIMIT * config.replications or not ok:
-                metrics = {metric_name: None}
-            else:
-                metrics = {metric_name: float(np.mean(ok))}
-            cells.append(CellResult(beta, gamma, metrics, config.replications, failures))
+    for beta, gamma, rejects in _by_cell(config, _reject_worker, draw, test_args, n_jobs):
+        if rejects is None:
+            cells.append(
+                CellResult(beta, gamma, {metric_name: None},
+                           config.replications, config.replications)
+            )
+            continue
+        ok = [r for r in rejects if r is not None]
+        failures = config.replications - len(ok)
+        if failures > FAILURE_CELL_LIMIT * config.replications or not ok:
+            metrics = {metric_name: None}
+        else:
+            metrics = {metric_name: float(np.mean(ok))}
+        cells.append(CellResult(beta, gamma, metrics, config.replications, failures))
     return SimulationReport(
         cells=cells, metadata=_metadata(config), wall_time=time.perf_counter() - start
     )

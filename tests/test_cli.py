@@ -227,6 +227,17 @@ class TestFileErrors:
         )
         self.assert_json_error(result)
 
+    @pytest.mark.parametrize("command", ["estimate", "test", "simulate"])
+    def test_input_file_missing(self, runner, tmp_path, command):
+        missing = str(tmp_path / "missing.txt")
+        args = {
+            "estimate": ["estimate", "--beta", "0.2", "--gamma", "0", "--data-file", missing],
+            "test": ["test", "--beta", "0.2", "--gamma", "0", "--theta0", "2",
+                     "--data-file", missing],
+            "simulate": ["simulate", "--config", missing, "--out", str(tmp_path / "x.csv")],
+        }[command]
+        self.assert_json_error(runner.invoke(main, args))
+
     def test_data_file_not_utf8(self, runner, tmp_path):
         path = tmp_path / "sample.txt"
         path.write_bytes(b"\xff\xfe1,2,3")

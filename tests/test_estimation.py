@@ -133,28 +133,8 @@ class TestBatchedScan:
         [(0.0, 0.0), (0.0, 0.5), (0.2, 1.0), (0.5, 0.0), (0.2, -0.5), (1.0, 0.0)],
     )
     def test_grid_pass_matches_pointwise(self, family, theta, n, n_contam, beta, gamma):
-        rng = np.random.default_rng(17)
-        sample = rng.poisson(theta, n)
-        sample[:n_contam] = 12
-        r_n = empirical_frequencies(sample)
-        lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
-        p = TiltParams(beta, gamma)
-        ctx = _FitContext(r_n, family, p, 1e-12, (lo, 0.5 * (lo + hi), hi))
-        grid = np.linspace(lo, hi, SearchConfig().n_scan)
-        values = ctx.objective(grid[:, None])
-        assert values.shape == grid.shape
-        np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
-
-    @pytest.mark.parametrize(
-        "theta,n,n_contam",
-        [(4.0, 50, 5), (100.0, 200, 0)],
-    )
-    @pytest.mark.parametrize(
-        "beta,gamma",
-        [(0.0, 0.0), (0.0, 0.5), (0.2, 1.0), (0.5, 0.0), (0.2, -0.5), (1.0, 0.0)],
-    )
-    def test_split_scan_matches_objective(self, family, theta, n, n_contam, beta, gamma):
-        # memoised model terms plus data terms on the occupied cells only
+        # memoised model terms plus data terms on the occupied cells only,
+        # with the memo cold and again warm
         rng = np.random.default_rng(17)
         sample = rng.poisson(theta, n)
         sample[:n_contam] = 12
@@ -166,6 +146,7 @@ class TestBatchedScan:
         for _ in ("cold", "warm"):
             grid, values = ctx.scan(lo, hi, n_scan)
             np.testing.assert_array_equal(grid, np.linspace(lo, hi, n_scan))
+            assert values.shape == grid.shape
             np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
         assert _scan_model_terms.cache_info().hits == 1
 
@@ -214,6 +195,31 @@ class TestScanMemo:
         with pytest.raises(ValueError):
             log_sf[0] = 0.0
 
+    def test_scan_longer_than_the_memo_keeps_is_not_kept(self):
+        sample = [3, 4, 5, 4, 4, 6, 2, 4]
+        _scan_model_terms.cache_clear()
+        assert self.fit(sample, n_scan=257) == self.fit(sample, n_scan=257)
+        assert _scan_model_terms.cache_info().currsize == 0
+
+    def test_family_hashed_by_identity_is_not_memoised(self):
+        # a plain (non-frozen) dataclass is unhashable, a plain class is
+        # hashed by identity; either may change its value under a key
+        class Unhashable(PoissonFamily):
+            __hash__ = None
+
+        class ByIdentity(PoissonFamily):
+            __hash__ = object.__hash__
+
+        sample = empirical_frequencies(np.array([3, 4, 5, 4, 4, 6, 2, 4]))
+        p = TiltParams(0.5, 0.0)
+        expected = minimize_lsd(sample, PoissonFamily(), p)
+        _scan_model_terms.cache_clear()
+        _model_window_end.cache_clear()
+        for family in (Unhashable(), ByIdentity()):
+            assert minimize_lsd(sample, family, p) == expected
+        assert _scan_model_terms.cache_info().currsize == 0
+        assert _model_window_end.cache_info().currsize == 0
+
 
 def table_shaped_samples():
     """Seeded samples shaped like the estimation table's (n=50, theta=4, 10%
@@ -232,8 +238,8 @@ def scan_cell(r_n, p):
     """The fit's context and the scan cell [g_lo, g_hi] around its best grid point."""
     lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
     ctx = _FitContext(r_n, PoissonFamily(), p, 1e-12, (lo, 0.5 * (lo + hi), hi))
-    grid = np.linspace(lo, hi, SearchConfig().n_scan)
-    i_best = int(np.argmin(ctx.objective(grid[:, None])))
+    grid, values = ctx.scan(lo, hi, SearchConfig().n_scan)
+    i_best = int(np.argmin(values))
     return ctx, grid[i_best - 1], grid[i_best + 1]
 
 

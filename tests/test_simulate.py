@@ -1,5 +1,6 @@
 """Monte-Carlo harness: sampling, configs, table runners, report emission."""
 
+import functools
 import json
 import time
 
@@ -17,6 +18,7 @@ from lsdiv import (
     emit_report,
     sample_poisson,
 )
+from lsdiv import estimation
 from lsdiv.cli import main
 from lsdiv.simulate import (
     ESTIMATION_BETA_GRID,
@@ -219,6 +221,21 @@ class TestRunners:
         config = small_estimation_config()
         with pytest.raises(ValueError):
             run_testing_sim(config)
+
+    @pytest.mark.parametrize("kind", [SimKind.ESTIMATION_BIAS, SimKind.TESTING_LEVEL])
+    def test_each_sample_fitted_at_every_cell_in_turn(self, kind, monkeypatch):
+        # With a scan memo of one entry, a sample's fits at one beta still
+        # share it across every gamma, since each replication runs all its
+        # cells before the next sample is drawn.
+        memo = functools.lru_cache(maxsize=1)(estimation._scan_model_terms.__wrapped__)
+        monkeypatch.setattr(estimation, "_scan_model_terms", memo)
+        config = small_estimation_config(
+            kind=kind, theta_null=4.0, replications=5, grid_beta=(0.5,),
+            grid_gamma=(0.0, 0.3, 1.0),
+        )
+        report = run_simulation(config)
+        assert all(cell.failures == 0 for cell in report.cells)
+        assert memo.cache_info().hits == 5 * 2
 
 
 class TestDeterminismAndReports:
