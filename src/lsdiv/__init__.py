@@ -25,6 +25,7 @@ from .estimation import (
     empirical_frequencies,
     estimating_equation_residual,
     minimize_lsd,
+    minimize_lsd_many,
     oracle_grid_minimize,
 )
 from .asymptotics import (

@@ -168,6 +168,11 @@ def _lse(a: np.ndarray) -> np.ndarray:
     return m[..., 0] + np.log(e.sum(axis=-1))
 
 
+# log g on a padded data cell of a stack: finite, so that each branch of
+# _lsd_kernel adds an exact zero for it.
+_PAD_LOGG = -1e300
+
+
 def _lsd_kernel(
     log_sf, logf_pos: np.ndarray, logg: np.ndarray, log_sg: float, p: TiltParams
 ) -> np.ndarray:
@@ -181,14 +186,18 @@ def _lsd_kernel(
     ``log_sf`` has shape ``(...)`` and ``logf_pos`` shape ``(..., m)`` on m
     occupied cells: a scalar and an (m,) vector give one divergence, a (k,)
     vector and a (k, m) stack (one row per model) give k of them, each equal
-    to what its row alone gives.  ``logg`` is shared by every row.  Covers
-    the general formula and the B -> 0 continuity limit; the A -> 0 limit,
-    which needs g on every cell, stays with :func:`lsd`.
+    to what its row alone gives.  ``logg`` of shape (m,) with a float
+    ``log_sg`` is shared by every row; a (k, m) ``logg`` with a (k,)
+    ``log_sg`` gives each row its own data.  A row with fewer occupied cells
+    is padded with log f finite and log g = ``_PAD_LOGG``, which add exact zeros
+    to both branches (a -inf would give inf * 0 in the B -> 0 limit).
+    Covers the general formula and the B -> 0 continuity limit; the A -> 0
+    limit, which needs g on every cell, stays with :func:`lsd`.
     """
     one_beta = 1.0 + p.beta
     if abs(p.exp_b) < EXPONENT_BOUNDARY:
         # B -> 0 limit: (1/(1+b)) log(sf/sg) - sum g^(1+b) log(f/g) / sg
-        w = np.exp(one_beta * logg - log_sg)
+        w = np.exp(one_beta * logg - np.asarray(log_sg)[..., None])
         # vecdot takes each row's dot product as np.dot takes a lone vector's
         # (a stack's matmul would go through a matrix-vector BLAS call).
         corr = np.vecdot(logf_pos - logg, w)

@@ -11,7 +11,10 @@ from __future__ import annotations
 
 import enum
 import functools
+import itertools
 import json
+import math
+import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -20,7 +23,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .divergence import EXPONENT_BOUNDARY, TiltParams, derive_exponents
-from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
+from .estimation import empirical_frequencies, minimize_lsd_many
 from .families import PoissonFamily, density_vector
 from .hypotest import divergence_between_fits, null_law
 
@@ -47,6 +50,14 @@ TESTING_BETA_GRID = (0.0, 0.1, 0.2, 0.4, 0.7, 0.8, 0.9, 1.0)
 GAMMA_GRID = (-1.0, -0.9, -0.7, -0.5, -0.3, -0.1, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5, 2.0)
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 class SimKind(enum.Enum):
     ESTIMATION_BIAS = "estimation_bias"
     TESTING_LEVEL = "testing_level"
@@ -65,8 +76,12 @@ class Contamination:
     scheme: ContaminationScheme
 
     def __post_init__(self) -> None:
-        if not 0 <= self.eps < 1:
+        if not (_is_real(self.eps) and 0 <= self.eps < 1):
             raise ValueError("contamination proportion must lie in [0, 1)")
+        if not (_is_real(self.theta_contam) and self.theta_contam > 0):
+            raise ValueError(f"theta_contam must be a positive number, got {self.theta_contam!r}")
+        if not isinstance(self.scheme, ContaminationScheme):
+            raise ValueError(f"unknown contamination scheme {self.scheme!r}")
 
 
 @dataclass(frozen=True)
@@ -84,8 +99,27 @@ class SimulationConfig:
     level: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.replications < 1:
-            raise ValueError("need at least one replication")
+        """Check every field's type and range; a bad one raises ValueError."""
+        if not isinstance(self.kind, SimKind):
+            raise ValueError(f"unknown simulation kind {self.kind!r}")
+        for name, low in (("n", 1), ("replications", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if not (_is_int(value) and value >= low):
+                raise ValueError(f"{name} must be an integer >= {low}, got {value!r}")
+        for name in ("theta_true", "theta_null", "theta_target"):
+            value = getattr(self, name)
+            if not (value is None and name != "theta_true" or _is_real(value) and value > 0):
+                raise ValueError(f"{name} must be a positive number, got {value!r}")
+        if not (_is_real(self.level) and 0 < self.level < 1):
+            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
+        if not (self.contamination is None or isinstance(self.contamination, Contamination)):
+            raise ValueError(f"bad contamination {self.contamination!r}")
+        for name in ("grid_beta", "grid_gamma"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, (tuple, list)) and all(_is_real(v) for v in grid)):
+                raise ValueError(f"{name} must be a list of numbers, got {grid!r}")
+        if any(beta < 0 for beta in self.grid_beta):
+            raise ValueError(f"grid_beta entries must be >= 0, got {self.grid_beta!r}")
         if not self.grid_beta:
             default = (
                 ESTIMATION_BETA_GRID
@@ -125,9 +159,12 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationConfig":
-        d = dict(d)
+        if not isinstance(d, dict):
+            raise ValueError("a simulation config must be a JSON object")
         contamination = d.get("contamination")
         if contamination is not None:
+            if not isinstance(contamination, dict):
+                raise ValueError("contamination must be a JSON object")
             contamination = Contamination(
                 eps=contamination["eps"],
                 theta_contam=contamination["theta_contam"],
@@ -141,8 +178,8 @@ class SimulationConfig:
             theta_null=d.get("theta_null"),
             theta_target=d.get("theta_target"),
             contamination=contamination,
-            grid_beta=tuple(d.get("grid_beta") or ()),
-            grid_gamma=tuple(d.get("grid_gamma") or GAMMA_GRID),
+            grid_beta=d.get("grid_beta") or (),
+            grid_gamma=d.get("grid_gamma") or GAMMA_GRID,
             seed=d.get("seed", 0),
             level=d.get("level", 0.05),
         )
@@ -255,45 +292,61 @@ def contaminated_sample(
 # Replication workers (module-level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
-
-def _estimate_worker(args) -> list[float | None]:
-    """One replication's estimates at each of ``tilts`` (None for a failed fit)."""
-    seed, rep, n, theta_true, contam, tilts = args
-    sample = contaminated_sample(n, theta_true, contam, replication_rng(seed, rep))
-    estimates = []
-    for p in tilts:
-        try:
-            result = minimize_lsd(empirical_frequencies(sample), PoissonFamily(), p, SearchConfig())
-        except (ValueError, ArithmeticError):
-            estimates.append(None)
-            continue
-        estimates.append(result.theta_hat)
-    return estimates
+# Replications per chunk.  A worker draws a chunk's samples and fits them as
+# one stack at each cell in turn; a stacked fit depends in the last bits on
+# the rows that share its stack, so the chunks are the same at any n_jobs.
+CHUNK = 32
 
 
-def _reject_worker(args) -> list[bool | None]:
-    """One replication's test decisions at each (tilt, critical value) of
-    ``tests`` (None for a failed fit)."""
-    seed, rep, n, theta_draw, contam, theta0, tests = args
-    sample = contaminated_sample(n, theta_draw, contam, replication_rng(seed, rep))
+def _chunk_densities(seed: int, reps: range, n: int, theta: float, contam) -> list:
+    return [
+        empirical_frequencies(contaminated_sample(n, theta, contam, replication_rng(seed, rep)))
+        for rep in reps
+    ]
+
+
+def _estimate_worker(args) -> list[list[float | None]]:
+    """A chunk of replications' estimates at each of ``tilts``: one list per
+    tilt, with None for a failed fit."""
+    seed, reps, n, theta_true, contam, tilts = args
+    densities = _chunk_densities(seed, reps, n, theta_true, contam)
     family = PoissonFamily()
-    rejects = []
+    return [
+        [None if isinstance(fit, Exception) else fit.theta_hat
+         for fit in minimize_lsd_many(densities, family, p)]
+        for p in tilts
+    ]
+
+
+def _reject_worker(args) -> list[list[bool | None]]:
+    """A chunk of replications' test decisions at each (tilt, critical value)
+    of ``tests``: one list per test, with None for a failed fit."""
+    seed, reps, n, theta_draw, contam, theta0, tests = args
+    densities = _chunk_densities(seed, reps, n, theta_draw, contam)
+    family = PoissonFamily()
+    out = []
     for p, critical in tests:
-        try:
-            fit = minimize_lsd(empirical_frequencies(sample), family, p, SearchConfig())
-            w = 2.0 * n * divergence_between_fits(family, fit.theta_hat, theta0, p)
-        except (ValueError, ArithmeticError):
-            rejects.append(None)
-            continue
-        rejects.append(bool(w > critical))
-    return rejects
+        rejects = []
+        for fit in minimize_lsd_many(densities, family, p):
+            reject = None
+            if not isinstance(fit, Exception):
+                try:
+                    w = 2.0 * n * divergence_between_fits(family, fit.theta_hat, theta0, p)
+                    reject = bool(w > critical)
+                except (ValueError, ArithmeticError):
+                    pass
+            rejects.append(reject)
+        out.append(rejects)
+    return out
 
 
-def _map_ordered(worker, args_list, n_jobs: int):
+def _map_ordered(worker, args_list, n_jobs: int, chunksize: int = 32):
+    """``[worker(a) for a in args_list]``, in a pool of ``n_jobs`` processes
+    that takes ``chunksize`` arguments per task when n_jobs > 1."""
     if n_jobs <= 1:
         return [worker(a) for a in args_list]
     with ProcessPoolExecutor(max_workers=n_jobs) as pool:
-        return list(pool.map(worker, args_list, chunksize=32))
+        return list(pool.map(worker, args_list, chunksize=chunksize))
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +365,27 @@ def _by_cell(config: SimulationConfig, worker, draw, cell_args, n_jobs: int):
     worker's outputs over the replications, or None where the exponent A is
     nonpositive.
 
-    ``worker`` takes (seed, replication, *draw, per-cell arguments) and
-    returns one output per active cell, so each replication's sample is drawn
-    once and fitted at every cell before the next; fits of one sample at one
-    beta then share the scan's memoised model terms whatever the memo's size,
-    in each pool worker as in a serial run.  ``cell_args(beta, gamma)`` gives
-    an active cell's arguments.
+    ``worker`` takes (seed, replications, *draw, per-cell arguments) for a
+    chunk of ``CHUNK`` consecutive replications (one pool task each) and
+    returns, per active cell, the outputs of the chunk's replications.  It
+    draws the chunk's samples once and fits them as one stack at each cell in
+    turn, so the fits of a sample at one beta share the scan's memoised model
+    terms as long as the memo keeps the chunk's entries for every beta (see
+    ``estimation._MEMO_SIZE``), in each pool worker as in a serial run.
+    ``cell_args(beta, gamma)`` gives an active cell's arguments.
     """
     grid = [(beta, gamma) for gamma in config.grid_gamma for beta in config.grid_beta]
     active = [derive_exponents(beta, gamma)[0] > EXPONENT_BOUNDARY for beta, gamma in grid]
     per_cell = tuple(cell_args(*cell) for cell, a in zip(grid, active) if a)
     columns = iter(())
     if per_cell:
-        args = [(config.seed, rep, *draw, per_cell) for rep in range(config.replications)]
-        columns = iter(zip(*_map_ordered(worker, args, n_jobs)))
+        reps = config.replications
+        chunks = [
+            (config.seed, range(start, min(start + CHUNK, reps)), *draw, per_cell)
+            for start in range(0, reps, CHUNK)
+        ]
+        outputs = _map_ordered(worker, chunks, n_jobs, chunksize=1)
+        columns = iter([list(itertools.chain.from_iterable(c)) for c in zip(*outputs)])
     return [(beta, gamma, next(columns) if a else None) for (beta, gamma), a in zip(grid, active)]
 
 

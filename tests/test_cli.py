@@ -193,6 +193,21 @@ class TestSimulateCommand:
         assert result.exit_code == 1
         assert "error" in json.loads(result.output.strip().splitlines()[-1])
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("n", "abc"), ("n", 10.5), ("n", 0), ("replications", "3"), ("seed", "x"),
+         ("theta_true", "4"), ("grid_beta", 5)],
+    )
+    def test_config_field_of_wrong_type_or_range(self, runner, tmp_path, field, value):
+        config = self.write_config(tmp_path, **{field: value})
+        result = runner.invoke(
+            main, ["simulate", "--config", str(config), "--out", str(tmp_path / "x.csv")]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "error" in json.loads(result.output.strip().splitlines()[-1])
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestFileErrors:
     """Unwritable --out and unreadable --data-file keep the error contract."""

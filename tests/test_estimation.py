@@ -19,12 +19,15 @@ from lsdiv import (
     estimating_equation_residual,
     lsd,
     minimize_lsd,
+    minimize_lsd_many,
     oracle_grid_minimize,
 )
 from lsdiv.estimation import (
     _FitContext,
+    _FitStack,
     _golden_section,
     _model_window_end,
+    _residual_roots,
     _scan_model_terms,
 )
 from lsdiv.simulate import ESTIMATION_BETA_GRID, GAMMA_GRID, replication_rng
@@ -334,6 +337,132 @@ class TestResidualRoot:
         sample = [0] * 50 if name == "zeros" else [0] * 49 + [30]
         fit = minimize_lsd(empirical_frequencies(np.array(sample)), family, TiltParams(beta, gamma))
         assert (fit.theta_hat, fit.converged) == self.FALLBACK[key]
+
+
+def table_stacks(seed=5):
+    """An estimation-table-shaped stack of 30 densities and a wide-table-shaped
+    one of 20, as one chunk of each table draws them."""
+    contam = Contamination(0.1, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+    return [
+        [empirical_frequencies(contaminated_sample(n, theta, c, replication_rng(seed, rep)))
+         for rep in range(reps)]
+        for n, theta, c, reps in ((50, 4.0, contam, 30), (200, 100.0, None, 20))
+    ]
+
+
+class TestStackedFits:
+    """minimize_lsd_many solves a stack's roots in array passes; each row must
+    be the fit minimize_lsd gives, up to the root tolerance."""
+
+    @staticmethod
+    def assert_rows_match(family, densities, p, fits):
+        assert len(fits) == len(densities)
+        for r_n, fit in zip(densities, fits):
+            try:
+                expected = minimize_lsd(r_n, family, p)
+            except (ValueError, ArithmeticError) as exc:
+                assert type(fit) is type(exc)
+                continue
+            assert isinstance(fit, type(expected))
+            assert abs(fit.theta_hat - expected.theta_hat) <= 1e-10 * max(1.0, expected.theta_hat)
+            assert fit.converged == expected.converged
+            assert fit.objective == pytest.approx(expected.objective, rel=1e-9, abs=1e-12)
+
+    @pytest.mark.parametrize("beta,gamma", SOLVER_TILTS)
+    def test_rows_match_scalar_fits(self, family, beta, gamma):
+        p = TiltParams(beta, gamma)
+        for densities in table_stacks():
+            fits = minimize_lsd_many(densities, family, p)
+            assert all(fit.converged for fit in fits)
+            self.assert_rows_match(family, densities, p, fits)
+
+    @pytest.mark.parametrize("key", sorted(TestResidualRoot.FALLBACK))
+    def test_degenerate_rows_fall_back_unchanged(self, family, key):
+        name, beta, gamma = key
+        degenerate = empirical_frequencies(
+            np.array([0] * 50 if name == "zeros" else [0] * 49 + [30])
+        )
+        densities = table_stacks()[0][:6]
+        densities.insert(3, degenerate)
+        fits = minimize_lsd_many(densities, family, TiltParams(beta, gamma))
+        assert (fits[3].theta_hat, fits[3].converged) == TestResidualRoot.FALLBACK[key]
+        self.assert_rows_match(family, densities, TiltParams(beta, gamma), fits)
+
+    def test_failing_row_raises_alone(self, family):
+        # the window at the bracket top of a mean-300 sample underflows
+        densities = table_stacks()[0][:8]
+        p = TiltParams(0.5, 0.5)
+        fits = minimize_lsd_many(densities[:4] + [empirical_frequencies(np.full(50, 300))]
+                                 + densities[4:], family, p)
+        assert isinstance(fits[4], FloatingPointError)
+        assert fits[:4] + fits[5:] == minimize_lsd_many(densities, family, p)
+
+    def test_nonpositive_exp_a_comes_back_per_row(self, family):
+        densities = table_stacks()[0][:5]
+        fits = minimize_lsd_many(densities, family, TiltParams(0.0, -1.0))
+        assert all(isinstance(fit, DivergenceInfiniteError) for fit in fits)
+
+    def test_small_stacks_are_scalar_fits(self, family):
+        p = TiltParams(0.2, 0.5)
+        densities = table_stacks()[0][:3]
+        assert minimize_lsd_many(densities, family, p) == [
+            minimize_lsd(r_n, family, p) for r_n in densities
+        ]
+        assert minimize_lsd_many([], family, p) == []
+
+    def test_bracket_holds_a_sign_change(self, family):
+        densities = table_stacks()[0]
+        p = TiltParams(0.4, 2.0)
+        for r_n, fit in zip(densities, minimize_lsd_many(densities, family, p)):
+            lo, hi = fit.bracket
+            assert lo <= fit.theta_hat <= hi
+            assert 0.0 < hi - lo <= 1e-10 * max(1.0, fit.theta_hat)
+            ctx = scan_cell(r_n, p)[0]
+            assert ctx.residual(lo) >= 0.0 >= ctx.residual(hi)
+
+    def test_exact_zero_gives_point_bracket(self):
+        # f = c - theta^2 row by row; the first step bisects [1, 3], which
+        # lands on the root of the middle row only
+        c = np.array([2.0, 4.0, 5.0])
+        x1, x2 = np.full(3, 1.0), np.full(3, 3.0)
+
+        def fun(theta):
+            return c - theta**2
+
+        root, res, lo, hi, iterations = _residual_roots(
+            fun, x1, fun(x1), x2, fun(x2), np.ones(3, dtype=bool), 200
+        )
+        assert (root[1], res[1], lo[1], hi[1], iterations[1]) == (2.0, 0.0, 2.0, 2.0, 1)
+        for i in (0, 2):
+            assert lo[i] < hi[i] and c[i] - lo[i] ** 2 > 0.0 > c[i] - hi[i] ** 2
+            assert abs(root[i] - np.sqrt(c[i])) <= 1e-12
+            assert root[i] in (lo[i], hi[i])
+
+    def test_evaluation_budget(self, family, monkeypatch):
+        # The amortisation: one stacked residual pass per step for the whole
+        # stack, where minimize_lsd makes 7 to 10 residual calls per fit.
+        calls = {"residual": 0, "objective": 0}
+        residual, objective = _FitStack.residual, _FitStack.objective
+
+        def counted_residual(self, theta):
+            calls["residual"] += 1
+            return residual(self, theta)
+
+        def counted_objective(self, theta):
+            calls["objective"] += 1
+            return objective(self, theta)
+
+        monkeypatch.setattr(_FitStack, "residual", counted_residual)
+        monkeypatch.setattr(_FitStack, "objective", counted_objective)
+        for seed in (11, 12):
+            densities = table_stacks(seed)[0]
+            for beta, gamma in SOLVER_TILTS:
+                calls.update(residual=0, objective=0)
+                fits = minimize_lsd_many(densities, family, TiltParams(beta, gamma))
+                assert len(fits) == 30 and all(fit.converged for fit in fits)
+                assert calls["residual"] <= 20
+                assert calls["objective"] == 1
+                assert max(fit.iterations for fit in fits) <= calls["residual"] - 2
 
 
 class TestEstimatingEquationResidual:

@@ -11,11 +11,14 @@ from click.testing import CliRunner
 from lsdiv import (
     Contamination,
     ContaminationScheme,
+    PoissonFamily,
     SimKind,
     SimulationConfig,
     SimulationReport,
+    TiltParams,
     contaminated_sample,
     emit_report,
+    empirical_frequencies,
     sample_poisson,
 )
 from lsdiv import estimation
@@ -224,26 +227,45 @@ class TestRunners:
 
     @pytest.mark.parametrize("kind", [SimKind.ESTIMATION_BIAS, SimKind.TESTING_LEVEL])
     def test_each_sample_fitted_at_every_cell_in_turn(self, kind, monkeypatch):
-        # With a scan memo of one entry, a sample's fits at one beta still
-        # share it across every gamma, since each replication runs all its
-        # cells before the next sample is drawn.
-        memo = functools.lru_cache(maxsize=1)(estimation._scan_model_terms.__wrapped__)
+        # A worker fits its chunk's samples at each cell in turn, so with a
+        # scan memo the size of the chunk, the fits at every later gamma hit
+        # the entries of the first: one miss per distinct scan key (bracket
+        # and window length, at the one beta) among the chunk's samples.
+        reps, gammas = 5, (0.0, 0.3, 1.0)
+        memo = functools.lru_cache(maxsize=reps)(estimation._scan_model_terms.__wrapped__)
         monkeypatch.setattr(estimation, "_scan_model_terms", memo)
         config = small_estimation_config(
-            kind=kind, theta_null=4.0, replications=5, grid_beta=(0.5,),
-            grid_gamma=(0.0, 0.3, 1.0),
+            kind=kind, theta_null=4.0, replications=reps, grid_beta=(0.5,),
+            grid_gamma=gammas,
         )
         report = run_simulation(config)
         assert all(cell.failures == 0 for cell in report.cells)
-        assert memo.cache_info().hits == 5 * 2
+        keys = set()
+        for rep in range(reps):
+            sample = contaminated_sample(config.n, 4.0, None, replication_rng(config.seed, rep))
+            r_n = empirical_frequencies(sample)
+            lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
+            ctx = estimation._FitContext(
+                r_n, PoissonFamily(), TiltParams(0.5, 0.0), 1e-12, (lo, 0.5 * (lo + hi), hi)
+            )
+            keys.add((lo, hi, ctx.x.size))
+        info = memo.cache_info()
+        assert info.misses == len(keys)
+        assert info.hits == reps * len(gammas) - info.misses
 
 
 class TestDeterminismAndReports:
-    def test_serial_parallel_byte_identical(self):
-        config = small_estimation_config(replications=8, grid_gamma=(0.0,))
-        serial = report_to_csv(run_estimation_sim(config, n_jobs=1))
-        parallel = report_to_csv(run_estimation_sim(config, n_jobs=3))
-        assert serial == parallel
+    @pytest.mark.parametrize("replications", [8, 40])  # 40 spans two chunks
+    @pytest.mark.parametrize(
+        "kind", [SimKind.ESTIMATION_BIAS, SimKind.TESTING_LEVEL], ids=["estimation", "testing"]
+    )
+    def test_serial_parallel_byte_identical(self, kind, replications):
+        config = small_estimation_config(
+            kind=kind, theta_null=4.0, replications=replications, grid_gamma=(0.0,)
+        )
+        serial, parallel = run_simulation(config, n_jobs=1), run_simulation(config, n_jobs=3)
+        assert report_to_csv(serial) == report_to_csv(parallel)
+        assert report_to_json(serial) == report_to_json(parallel)
 
     def test_repeat_run_byte_identical(self, tmp_path):
         config = small_estimation_config(replications=6, grid_gamma=(0.0,))
