@@ -197,7 +197,7 @@ def _lsd_kernel(
     one_beta = 1.0 + p.beta
     if abs(p.exp_b) < EXPONENT_BOUNDARY:
         # B -> 0 limit: (1/(1+b)) log(sf/sg) - sum g^(1+b) log(f/g) / sg
-        w = np.exp(one_beta * logg - np.asarray(log_sg)[..., None])
+        w = np.exp(one_beta * logg - (log_sg[:, None] if logg.ndim > 1 else log_sg))
         # vecdot takes each row's dot product as np.dot takes a lone vector's
         # (a stack's matmul would go through a matrix-vector BLAS call).
         corr = np.vecdot(logf_pos - logg, w)

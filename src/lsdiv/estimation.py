@@ -256,7 +256,7 @@ class _FitStack:
     context's in the last bits, depending on the rows that share its stack.
     """
 
-    def __init__(self, contexts: list[_FitContext]):
+    def __init__(self, contexts):
         self.family, self.p = contexts[0].family, contexts[0].p
         rows = len(contexts)
         length = max(c.x.size for c in contexts)
@@ -510,9 +510,9 @@ def minimize_lsd_many(
     if not rows:
         return out
 
-    stack = _FitStack([cell[0] for cell in cells])
-    g_lo = np.array([cell[3] for cell in cells])
-    g_hi = np.array([cell[4] for cell in cells])
+    contexts, lo, hi, g_lo, g_hi, boundary_hit = zip(*cells)
+    stack = _FitStack(contexts)
+    g_lo, g_hi = np.array(g_lo), np.array(g_hi)
     v_lo, v_hi = stack.residual(g_lo), stack.residual(g_hi)
     falls = (v_lo > 0) & (v_hi < 0)
     root, res, b_lo, b_hi, iterations = _residual_roots(
@@ -520,12 +520,12 @@ def minimize_lsd_many(
     )
     fits = [
         (root[k], res[k], (b_lo[k], b_hi[k]), iterations[k]) if falls[k]
-        else _safeguard(ctx, lo, hi, a, b, search)
-        for k, (ctx, lo, hi, a, b, _) in enumerate(cells)
+        else _safeguard(contexts[k], lo[k], hi[k], g_lo[k], g_hi[k], search)
+        for k in range(len(rows))
     ]
     objective = stack.objective(np.array([fit[0] for fit in fits]))
-    for i, fit, value, cell in zip(rows, fits, objective, cells):
-        out[i] = _result(*fit, value, cell[5], search)
+    for i, fit, value, edge in zip(rows, fits, objective, boundary_hit):
+        out[i] = _result(*fit, value, edge, search)
     return out
 
 

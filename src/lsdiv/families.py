@@ -27,6 +27,8 @@ class ParametricFamily(ABC):
     A family hashed by value (a frozen dataclass, as :class:`PoissonFamily`)
     keys the fit's per-process memos of windows and model terms, so it must
     not change; one hashed by identity or unhashable is fitted without them.
+    The fit calls ``log_density`` and ``score`` with a (k, 1) column of
+    thetas as well, which must broadcast against x to a (k, len(x)) array.
     """
 
     @abstractmethod
