@@ -21,7 +21,7 @@ from lsdiv import (
     empirical_frequencies,
     sample_poisson,
 )
-from lsdiv import estimation
+from lsdiv import estimation, simulate
 from lsdiv.cli import main
 from lsdiv.simulate import (
     ESTIMATION_BETA_GRID,
@@ -266,6 +266,22 @@ class TestDeterminismAndReports:
         serial, parallel = run_simulation(config, n_jobs=1), run_simulation(config, n_jobs=3)
         assert report_to_csv(serial) == report_to_csv(parallel)
         assert report_to_json(serial) == report_to_json(parallel)
+
+    def test_chunks_do_not_depend_on_n_jobs(self, monkeypatch):
+        # a stacked fit's last bits depend on the rows sharing its stack, so
+        # the replications go out in the same chunks of 32 at any n_jobs
+        map_ordered = simulate._map_ordered
+        config = small_estimation_config(replications=40, grid_gamma=(0.0,))
+        for n_jobs in (1, 3):
+            chunks = []
+
+            def record(worker, args_list, n_jobs, chunksize=32):
+                chunks.extend(args[1] for args in args_list)
+                return map_ordered(worker, args_list, 1, chunksize)
+
+            monkeypatch.setattr(simulate, "_map_ordered", record)
+            run_estimation_sim(config, n_jobs=n_jobs)
+            assert chunks == [range(0, 32), range(32, 40)]
 
     def test_repeat_run_byte_identical(self, tmp_path):
         config = small_estimation_config(replications=6, grid_gamma=(0.0,))
