@@ -1,7 +1,7 @@
 """Logarithmic super divergence toolkit for discrete models.
 
 Divergence evaluators, minimum-divergence estimation, influence-function
-robustness analysis, eigenvalue-calibrated hypothesis tests and a seeded
+robustness analysis, chi-square-calibrated hypothesis tests and a seeded
 Monte-Carlo harness.
 """
 
@@ -40,7 +40,6 @@ from .asymptotics import (
     point_contaminated,
 )
 from .hypotest import (
-    CalibrationMethod,
     TestResult,
     curvature_a_beta,
     null_law,

@@ -40,40 +40,18 @@ class SingularityError(ValueError):
 
 @dataclass(frozen=True)
 class AsymptoticSummary:
-    """J, K, xi and the sandwich J^-1 K J^-1, stored as 1x1/length-1 arrays
-    so the shapes extend to vector parameters."""
+    """J, K, xi and the sandwich K / J^2 of the scalar parameter."""
 
-    j: np.ndarray
-    k: np.ndarray
-    xi: np.ndarray
-    sandwich: np.ndarray
-
-    @property
-    def j_scalar(self) -> float:
-        return float(self.j[0, 0])
-
-    @property
-    def k_scalar(self) -> float:
-        return float(self.k[0, 0])
-
-    @property
-    def xi_scalar(self) -> float:
-        return float(self.xi[0])
-
-    @property
-    def sandwich_scalar(self) -> float:
-        return float(self.sandwich[0, 0])
+    j: float
+    k: float
+    xi: float
+    sandwich: float
 
 
 def _summary(j: float, k: float, xi: float) -> AsymptoticSummary:
     if abs(j) <= 1e-12:
         raise SingularityError(f"information term J = {j} is numerically singular")
-    return AsymptoticSummary(
-        j=np.array([[j]]),
-        k=np.array([[k]]),
-        xi=np.array([xi]),
-        sandwich=np.array([[k / j**2]]),
-    )
+    return AsymptoticSummary(j=float(j), k=float(k), xi=float(xi), sandwich=float(k / j**2))
 
 
 def model_jkxi(
@@ -119,23 +97,6 @@ def _model_if1(
     return float(fy**beta * (uy * c0 - c1) / j0)
 
 
-def _general_arrays(
-    g: DiscreteDensity, family: ParametricFamily, theta: float, eps_tail: float
-):
-    """Aligned (x, f, g, u, u') vectors on the union of the model window and
-    the support of g."""
-    offset, length = family.support_window(theta, eps_tail)
-    lo = min(offset, g.offset)
-    hi = max(offset + length, g.offset + g.mass.size)
-    x = np.arange(lo, hi)
-    f = family.density(theta, x)
-    gv = np.zeros(x.size)
-    gv[g.offset - lo : g.offset - lo + g.mass.size] = g.mass
-    u = family.score(theta, x)
-    du = family.score_derivative(theta, x)
-    return x, f, gv, u, du
-
-
 def general_jk(
     g: DiscreteDensity,
     family: ParametricFamily,
@@ -148,44 +109,57 @@ def general_jk(
     Values are normalized by the exponent A (J by A, K and xi accordingly)
     so that at g = f_theta they reduce exactly to the model-level J and K;
     the sandwich J^-1 K J^-1 is unaffected by this normalization.
+
+    With the tilted moments c_i, d_i of :func:`moments_c_d`, w = c0 u - c1
+    and dw = (1+beta) c1 u + c0 u' - (1+beta) c2 - d0 is its theta
+    derivative.  The model-window terms of J sum to
+    sum f^(1+beta) (dw + (1+beta) w u) = 0, so every remaining sum runs over
+    the occupied cells of g only:
+
+        J = sum g^A f^B (w u - (dw + (1+beta) w u) / A),
+        xi = sum g^A f^B w,   K = sum g^(2A-1) f^(2beta+2-2A) w^2 - xi^2.
     """
-    return _general_jk(_general_arrays(g, family, theta, eps_tail), p)
+    return _general_jk(_occupied(g, family, theta, p, eps_tail), p)
 
 
-def _general_jk(arrays, p: TiltParams) -> AsymptoticSummary:
-    """:func:`general_jk` on the vectors of :func:`_general_arrays`."""
-    a, b = p.exp_a, p.exp_b
+def _occupied(
+    g: DiscreteDensity, family: ParametricFamily, theta: float, p: TiltParams, eps_tail: float
+):
+    """The moments (c, d) at beta, and (g, f, u, u') on g's occupied cells.
+
+    Raises the typed errors of the general summaries: A <= 0, and an empty
+    cell on the union of g's window and the model window with 2A - 1 <= 0.
+    """
+    a = p.exp_a
     if a <= 0:
         raise DivergenceInfiniteError("general J/K require exponent A > 0")
-    _, f, gv, u, du = arrays
-    beta = p.beta
-    fb = f ** (1.0 + beta)
-    af = float(np.dot(fb, u))
-    bf = float(fb.sum())
-    af_prime = float(np.dot(fb, (1.0 + beta) * u**2 + du))
-    bf_prime = (1.0 + beta) * af
-    w = bf * u - af
-    dw = bf_prime * u + bf * du - af_prime
-
-    pos = gv > 0
-    if not np.all(pos) and 2.0 * a - 1.0 <= 0:
+    offset, length = family.support_window(theta, eps_tail)
+    pos = g.mass > 0
+    covered = g.offset <= offset and offset + length <= g.offset + g.mass.size
+    if not (covered and np.all(pos)) and 2.0 * a - 1.0 <= 0:
         raise DivergenceInfiniteError(
             "variance term is infinite: empty cells with exponent A <= 1/2"
         )
-    ga_fb_pos = gv[pos] ** a * f[pos] ** b  # g^A f^B on occupied cells
-    m = (gv / f) ** a - 1.0  # M(delta); exact -1 on empty cells since A > 0
-
-    # J_g of the curvature identity, divided by A.
-    j = (
-        float(np.dot(ga_fb_pos, (w * u)[pos]))
-        - float(np.dot(m * fb, dw)) / a
-        - (1.0 + beta) * float(np.dot(m * fb, w * u)) / a
+    x = g.support[pos]
+    c, d = moments_c_d(family, theta, p.beta, 2, eps_tail)
+    return (
+        c, d, g.mass[pos], family.density(theta, x), family.score(theta, x),
+        family.score_derivative(theta, x),
     )
-    # Variance of M'(delta) f^beta w under g, divided by A^2.
-    z_mean = float(np.dot(ga_fb_pos, w[pos]))
-    z_sq = float(np.dot(gv[pos] ** (2.0 * a - 1.0) * f[pos] ** (2.0 * beta + 2.0 - 2.0 * a), w[pos] ** 2))
-    k = z_sq - z_mean**2
-    return _summary(j, k, z_mean)
+
+
+def _general_jk(arrays, p: TiltParams) -> AsymptoticSummary:
+    """:func:`general_jk` from the arrays of :func:`_occupied`."""
+    c, d, gp, f, u, du = arrays
+    a, b, one_beta = p.exp_a, p.exp_b, 1.0 + p.beta
+    c0, c1, c2 = c[:3]
+    w = c0 * u - c1
+    dw = one_beta * c1 * u + c0 * du - (one_beta * c2 + d[0])
+    ga_fb = gp**a * f**b
+    j = float(np.dot(ga_fb, w * u - (dw + one_beta * w * u) / a))
+    z_mean = float(np.dot(ga_fb, w))
+    z_sq = float(np.dot(gp ** (2.0 * a - 1.0) * f ** (2.0 * p.beta + 2.0 - 2.0 * a), w**2))
+    return _summary(j, z_sq - z_mean**2, z_mean)
 
 
 def if_first_order(
@@ -200,31 +174,28 @@ def if_first_order(
 
     ``g=None`` selects the model case (true density f_theta), where the
     value depends on beta only.  In the general case ``theta`` must be the
-    best-fitting parameter for ``g``.
+    best-fitting parameter for ``g``; the value is
+    (c1 (S - t) - c0 (S_u - t u_y)) / J with S = sum g^A f^B,
+    S_u = sum g^A f^B u over g's occupied cells and t = f_y^B g_y^(A-1).
     """
     if g is None:
         c = moments_c_d(family, theta, p.beta, 2, eps_tail)[0]
         return _model_if1(c, family, theta, y, p.beta)
 
-    a, b = p.exp_a, p.exp_b
-    arrays = _general_arrays(g, family, theta, eps_tail)
-    x, f, gv, u, _ = arrays
-    idx = y - int(x[0])
-    if idx < 0 or idx >= gv.size or gv[idx] <= 0:
+    k = y - g.offset
+    if k < 0 or k >= g.mass.size or g.mass[k] <= 0:
         raise DivergenceInfiniteError(
             "influence at a point with zero true density is infinite for A < 1"
         )
-    beta = p.beta
-    fb = f ** (1.0 + beta)
-    af = float(np.dot(fb, u))
-    bf = float(fb.sum())
-    pos = gv > 0
-    s_fg = float(np.dot(gv[pos] ** a, f[pos] ** b))
-    s_fgu = float(np.dot(gv[pos] ** a * f[pos] ** b, u[pos]))
-    t = f[idx] ** b * gv[idx] ** (a - 1.0)
-    uy = u[idx]
-    bvec = (af * s_fg - t * af) - (bf * s_fgu - t * uy * bf)
-    return bvec / _general_jk(arrays, p).j_scalar
+    arrays = _occupied(g, family, theta, p, eps_tail)
+    c, _, gp, f, u, _ = arrays
+    a, b = p.exp_a, p.exp_b
+    ga_fb = gp**a * f**b
+    iy = int(np.count_nonzero(g.mass[:k]))  # y's place among the occupied cells
+    t = f[iy] ** b * gp[iy] ** (a - 1.0)
+    c0, c1 = c[0], c[1]
+    numerator = c1 * (float(ga_fb.sum()) - t) - c0 * (float(np.dot(ga_fb, u)) - t * u[iy])
+    return float(numerator / _general_jk(arrays, p).j)
 
 
 def if_second_order(

@@ -15,7 +15,7 @@ import click
 import numpy as np
 
 from .asymptotics import bias_curves, if_first_order, if_second_order
-from .divergence import Psi, TiltParams, lsd, gsd
+from .divergence import Psi, TiltParams, gsd
 from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
 from .families import PoissonFamily, density_vector
 from .hypotest import one_sample_test, two_sample_statistic, second_order_test_influence
@@ -80,11 +80,10 @@ def with_tilt(cmd):
 def divergence(beta, gamma, theta_g, theta_f, psi, out):
     """Divergence between two Poisson model densities."""
     try:
-        p = TiltParams(beta, gamma, Psi.LOG if psi == "log" else Psi.IDENTITY)
         from .hypotest import model_pair_densities
 
         g, f = model_pair_densities(PoissonFamily(), theta_g, theta_f)
-        value = gsd(g, f, p)
+        value = gsd(g, f, TiltParams(beta, gamma), Psi(psi))
     except (ValueError, ArithmeticError) as exc:
         _fail(str(exc))
     _emit(json.dumps({"beta": beta, "gamma": gamma, "psi": psi, "value": value}) + "\n", out)
@@ -165,25 +164,21 @@ def bias_approx(beta, gamma, theta, y, eps_max, steps, out):
 @click.option("--data-file", type=click.Path(), default=None)
 @click.option("--data2", type=str, default=None, help="second sample enables the two-sample test")
 @click.option("--theta0", type=float, default=None, help="null parameter (one-sample)")
-@click.option("--level", type=float, multiple=True, default=(0.05,))
-@click.option("--seed", type=int, default=0)
+@click.option("--level", type=float, multiple=True, default=(0.05,),
+              help="significance level in (0, 1); repeatable")
 @click.option("--out", type=click.Path(), default=None)
-def test_cmd(beta, gamma, data, data_file, data2, theta0, level, seed, out):
+def test_cmd(beta, gamma, data, data_file, data2, theta0, level, out):
     """One- or two-sample divergence test; prints a TestResult JSON object."""
     sample = _parse_sample(data, data_file)
     p = TiltParams(beta, gamma)
     try:
         if data2 is not None:
             sample2 = _parse_sample(data2, None)
-            result = two_sample_statistic(
-                sample, sample2, PoissonFamily(), p, levels=level, seed=seed
-            )
+            result = two_sample_statistic(sample, sample2, PoissonFamily(), p, levels=level)
         else:
             if theta0 is None:
                 _fail("--theta0 is required for the one-sample test")
-            result = one_sample_test(
-                sample, PoissonFamily(), theta0, p, levels=level, seed=seed
-            )
+            result = one_sample_test(sample, PoissonFamily(), theta0, p, levels=level)
     except (ValueError, ArithmeticError) as exc:
         _fail(str(exc))
     _emit(json.dumps(result.to_dict()) + "\n", out)

@@ -75,11 +75,10 @@ def derive_exponents(beta: float, gamma: float) -> tuple[float, float]:
 
 @dataclass(frozen=True)
 class TiltParams:
-    """The (beta, gamma) pair with derived exponents and link choice."""
+    """The (beta, gamma) pair with its derived exponents."""
 
     beta: float
     gamma: float
-    psi: Psi = Psi.LOG
     exp_a: float = field(init=False)
     exp_b: float = field(init=False)
 
@@ -232,14 +231,16 @@ def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
     return float(_lsd_kernel(log_sf, logf[pos], logg, log_sg, p))
 
 
-def gsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
-    """Generalized S-divergence: dispatches on the link in ``p.psi``.
+def gsd(
+    g: DiscreteDensity, f: DiscreteDensity, p: TiltParams, psi: Psi = Psi.LOG
+) -> float:
+    """Generalized S-divergence with the link ``psi``.
 
     The log link delegates to :func:`lsd`; the identity link evaluates the
     plain S-divergence.  The identity branch has no boundary-limit handling
     (its members of interest keep both exponents away from zero).
     """
-    if p.psi is Psi.LOG:
+    if psi is Psi.LOG:
         return lsd(g, f, p)
     gv, fv = align(g, f)
     logf, pos, logg = _log_inputs(gv, fv, p)

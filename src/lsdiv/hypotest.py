@@ -1,16 +1,13 @@
 """Divergence-based parametric hypothesis tests.
 
 One-sample statistic W = 2n * LSD(f_thetahat, f_theta0) and its two-sample
-analogue, calibrated against the weighted chi-square null law whose weights
-are the nonzero eigenvalues of A * J^-1 K J^-1 evaluated at the null
-parameter.  In the scalar-parameter case the law has a single weight and the
-p-value is available in closed form; a seeded Monte Carlo path covers the
-general case.
+analogue.  With a scalar parameter the null law of either is zeta * chi2_1,
+with the single weight zeta = A_beta * K / J^2 evaluated at the null
+parameter, so the p-value is the closed-form chi-square tail at W / zeta.
 """
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +19,6 @@ from .families import ParametricFamily, moments_c_d
 from .asymptotics import SingularityError, _model_if1, _model_summary
 
 __all__ = [
-    "CalibrationMethod",
     "TestResult",
     "model_pair_densities",
     "one_sample_statistic",
@@ -35,27 +31,18 @@ __all__ = [
 ]
 
 
-class CalibrationMethod(enum.Enum):
-    CLOSED_FORM_SCALAR = "closed_form_scalar"
-    MONTE_CARLO_WEIGHTED_CHISQ = "monte_carlo_weighted_chisq"
-
-
 @dataclass(frozen=True)
 class TestResult:
     statistic: float
-    eigenvalues: np.ndarray
-    rank: int
+    weight: float
     p_value: float
-    method: CalibrationMethod
     reject_at: dict[float, bool] = field(default_factory=dict)
 
     def to_dict(self) -> dict:
         return {
             "statistic": self.statistic,
-            "eigenvalues": [float(z) for z in self.eigenvalues],
-            "rank": self.rank,
+            "weight": self.weight,
             "p_value": self.p_value,
-            "method": self.method.value,
             "reject_at": {str(k): bool(v) for k, v in self.reject_at.items()},
         }
 
@@ -136,70 +123,43 @@ def null_law(
     theta0: float,
     p: TiltParams,
     eps_tail: float = DEFAULT_EPS_TAIL,
-) -> tuple[np.ndarray, int]:
-    """Eigenvalue weights and rank of the null law of the statistic.
+) -> float:
+    """Weight zeta of the null law zeta * chi2_1 of the statistic.
 
-    Scalar case: the single weight is A_beta * K / J^2 with the model-level
-    J and K at theta0.
+    zeta = A_beta * K / J^2 with the model-level J and K at theta0; a
+    degenerate law (zeta <= 1e-12) gives 0.0.
     """
     c = moments_c_d(family, theta0, p.beta, 2, eps_tail)[0]
     summary = _model_summary(c, moments_c_d(family, theta0, 2.0 * p.beta, 2, eps_tail)[0])
-    a_beta = _curvature(c, p.beta)
-    zeta = a_beta * summary.k_scalar / summary.j_scalar**2
-    if zeta > 1e-12:
-        return np.array([zeta]), 1
-    return np.array([]), 0
+    zeta = _curvature(c, p.beta) * summary.k / summary.j**2
+    return zeta if zeta > 1e-12 else 0.0
 
 
-def weighted_chisq_pvalue(
-    w: float,
-    eigenvalues,
-    mc_draws: int = 200_000,
-    seed: int = 0,
-) -> tuple[float, float]:
-    """P(sum_i zeta_i Z_i^2 > w) with its Monte-Carlo standard error.
-
-    A single eigenvalue uses the exact chi-square tail (standard error 0);
-    several eigenvalues are handled by seeded simulation.
-    """
-    eigenvalues = np.asarray(eigenvalues, dtype=float)
+def weighted_chisq_pvalue(w: float, zeta: float) -> float:
+    """P(zeta * Z^2 > w), the chi-square tail at w / zeta."""
     if w < 0:
         raise ValueError("statistic must be nonnegative")
-    if np.any(eigenvalues < 0):
-        raise ValueError("eigenvalue weights must be nonnegative")
+    if zeta < 0:
+        raise ValueError("null-law weight must be nonnegative")
     if w == 0:
-        return 1.0, 0.0
-    if eigenvalues.size == 0 or np.all(eigenvalues == 0):
-        raise SingularityError("degenerate null law: all eigenvalue weights are zero")
-    if eigenvalues.size == 1:
-        return float(chi2.sf(w / eigenvalues[0], df=1)), 0.0
-    rng = np.random.default_rng(seed)
-    draws = rng.standard_normal((mc_draws, eigenvalues.size)) ** 2 @ eigenvalues
-    p = float(np.mean(draws > w))
-    se = float(np.sqrt(p * (1.0 - p) / mc_draws))
-    return p, se
+        return 1.0
+    if zeta == 0:
+        raise SingularityError("degenerate null law: the weight is zero")
+    return float(chi2.sf(w / zeta, df=1))
 
 
-def _build_result(
-    statistic: float,
-    eigenvalues: np.ndarray,
-    rank: int,
-    levels,
-    mc_draws: int,
-    seed: int,
-) -> TestResult:
-    p_value, _ = weighted_chisq_pvalue(statistic, eigenvalues, mc_draws, seed)
-    method = (
-        CalibrationMethod.CLOSED_FORM_SCALAR
-        if eigenvalues.size <= 1
-        else CalibrationMethod.MONTE_CARLO_WEIGHTED_CHISQ
-    )
+def _check_levels(levels) -> None:
+    for a in levels:
+        if not 0 < a < 1:
+            raise ValueError(f"significance level must lie in (0, 1), got {a!r}")
+
+
+def _build_result(statistic: float, zeta: float, levels) -> TestResult:
+    p_value = weighted_chisq_pvalue(statistic, zeta)
     return TestResult(
         statistic=float(statistic),
-        eigenvalues=eigenvalues,
-        rank=rank,
+        weight=zeta,
         p_value=p_value,
-        method=method,
         reject_at={float(a): p_value < a for a in levels},
     )
 
@@ -211,13 +171,11 @@ def one_sample_test(
     p: TiltParams,
     levels=(0.05,),
     search: SearchConfig = SearchConfig(),
-    mc_draws: int = 200_000,
-    seed: int = 0,
 ) -> TestResult:
     """Full one-sample test: estimate, statistic, null law, p-value."""
+    _check_levels(levels)
     w = one_sample_statistic(sample, family, theta0, p, search)
-    eigenvalues, rank = null_law(family, theta0, p, search.eps_tail)
-    return _build_result(w, eigenvalues, rank, levels, mc_draws, seed)
+    return _build_result(w, null_law(family, theta0, p, search.eps_tail), levels)
 
 
 def two_sample_statistic(
@@ -228,8 +186,6 @@ def two_sample_statistic(
     levels=(0.05,),
     search: SearchConfig = SearchConfig(),
     null_theta: float | str = "pooled",
-    mc_draws: int = 200_000,
-    seed: int = 0,
 ) -> TestResult:
     """Two-sample homogeneity test S = (2nm/(n+m)) * LSD(f_theta1hat, f_theta2hat).
 
@@ -237,6 +193,7 @@ def two_sample_statistic(
     estimate on the pooled sample (default), the first-sample estimate
     (``"first"``), or an explicit parameter value.
     """
+    _check_levels(levels)
     s1 = np.asarray(sample1)
     s2 = np.asarray(sample2)
     if s1.size == 0 or s2.size == 0:
@@ -254,8 +211,7 @@ def two_sample_statistic(
         theta_null = th1
     else:
         theta_null = float(null_theta)
-    eigenvalues, rank = null_law(family, theta_null, p, search.eps_tail)
-    return _build_result(stat, eigenvalues, rank, levels, mc_draws, seed)
+    return _build_result(stat, null_law(family, theta_null, p, search.eps_tail), levels)
 
 
 def second_order_test_influence(

@@ -31,6 +31,15 @@ def random_density_with_zeros(rng: np.random.Generator, size: int = 25) -> Discr
     return DiscreteDensity(offset=0, mass=raw / raw.sum(), tail_bound=0.0)
 
 
+def mixture_density(family, theta1, theta2, eps, eps_tail=1e-13) -> DiscreteDensity:
+    """(1 - eps) * f_theta1 + eps * f_theta2 on one window covering both."""
+    l1 = family.support_window(theta1, eps_tail)[1]
+    l2 = family.support_window(theta2, eps_tail)[1]
+    x = np.arange(max(l1, l2))
+    mass = (1.0 - eps) * family.density(theta1, x) + eps * family.density(theta2, x)
+    return DiscreteDensity(offset=0, mass=mass, tail_bound=eps_tail)
+
+
 def poisson_pair(theta_g: float, theta_f: float, eps_tail: float = 1e-12):
     """Two Poisson densities on one shared window (both strictly positive)."""
     fam = FAMILY
@@ -152,3 +161,56 @@ def jones_alpha1_sandwich(theta: float) -> float:
     k = f @ psi**2
     j = -(f @ dpsi)
     return float(k / j**2)
+
+
+def _union_window_arrays(g: DiscreteDensity, theta: float, eps_tail: float):
+    """(x, f, g, u, u') of the Poisson model at theta on the union of its
+    eps_tail window and g's window."""
+    length = FAMILY.support_window(theta, eps_tail)[1]
+    lo = min(0, g.offset)
+    x = np.arange(lo, max(length, g.offset + g.mass.size))
+    gv = np.zeros(x.size)
+    gv[g.offset - lo : g.offset - lo + g.mass.size] = g.mass
+    return x, FAMILY.density(theta, x), gv, x / theta - 1.0, -x / theta**2
+
+
+def general_jk_oracle(g: DiscreteDensity, theta: float, p: TiltParams, eps_tail: float = 1e-12):
+    """(J, K, xi, sandwich) under g, every sum written out on the union window.
+
+    Af = sum f^(1+beta) u, Bf = sum f^(1+beta), w = Bf u - Af, dw its theta
+    derivative and M = (g/f)^A - 1; J is the curvature identity divided by
+    A, with the model-window terms kept rather than cancelled, and K the
+    variance of g^(A-1) f^B w under g.
+    """
+    a = p.exp_a
+    _, f, gv, u, du = _union_window_arrays(g, theta, eps_tail)
+    beta = p.beta
+    fb = f ** (1.0 + beta)
+    af = fb @ u
+    bf = fb.sum()
+    w = bf * u - af
+    dw = (1.0 + beta) * af * u + bf * du - fb @ ((1.0 + beta) * u**2 + du)
+    pos = gv > 0
+    ga_fb = gv[pos] ** a * f[pos] ** p.exp_b
+    m = (gv / f) ** a - 1.0
+    j = ga_fb @ (w * u)[pos] - (m * fb) @ dw / a - (1.0 + beta) * ((m * fb) @ (w * u)) / a
+    xi = ga_fb @ w[pos]
+    k = (gv[pos] ** (2.0 * a - 1.0) * f[pos] ** (2.0 * beta + 2.0 - 2.0 * a)) @ w[pos] ** 2 - xi**2
+    return j, k, xi, k / j**2
+
+
+def general_if1_oracle(
+    y: int, g: DiscreteDensity, theta: float, p: TiltParams, eps_tail: float = 1e-12
+):
+    """First-order influence at y under g, on the union window:
+    ((Af S - t Af) - (Bf S_u - t u_y Bf)) / J with S = sum g^A f^B,
+    S_u = sum g^A f^B u and t = f_y^B g_y^(A-1)."""
+    a, b = p.exp_a, p.exp_b
+    x, f, gv, u, _ = _union_window_arrays(g, theta, eps_tail)
+    fb = f ** (1.0 + p.beta)
+    af, bf = fb @ u, fb.sum()
+    ga_fb = gv ** a * f**b  # exact zeros on empty cells
+    i = y - int(x[0])
+    t = f[i] ** b * gv[i] ** (a - 1.0)
+    numerator = (af * ga_fb.sum() - t * af) - (bf * (ga_fb @ u) - t * u[i] * bf)
+    return numerator / general_jk_oracle(g, theta, p, eps_tail)[0]

@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 
 from lsdiv import (
-    DiscreteDensity,
     DivergenceInfiniteError,
+    PoissonFamily,
     TiltParams,
     bias_curves,
     density_vector,
+    empirical_frequencies,
     general_jk,
     if_first_order,
     if_second_order,
@@ -20,31 +21,27 @@ from lsdiv import (
 from lsdiv.estimation import estimating_equation_residual
 from helpers import (
     first_order_if_oracle,
+    general_if1_oracle,
+    general_jk_oracle,
     jones_alpha1_sandwich,
+    mixture_density,
     second_order_if_oracle,
     solve_contaminated_theta,
 )
-
-
-def mixture_density(family, theta1, theta2, eps, eps_tail=1e-13):
-    l1 = family.support_window(theta1, eps_tail)[1]
-    l2 = family.support_window(theta2, eps_tail)[1]
-    x = np.arange(max(l1, l2))
-    mass = (1.0 - eps) * family.density(theta1, x) + eps * family.density(theta2, x)
-    return DiscreteDensity(offset=0, mass=mass, tail_bound=eps_tail)
+from test_estimation import SOLVER_TILTS
 
 
 class TestModelJkxi:
     @pytest.mark.parametrize("theta", [2.0, 4.0])
     def test_beta_zero_fisher_efficiency(self, family, theta):
         s = model_jkxi(family, theta, 0.0)
-        assert s.j_scalar == pytest.approx(1.0 / theta, abs=1e-10)
-        assert s.k_scalar == pytest.approx(1.0 / theta, abs=1e-10)
-        assert s.sandwich_scalar == pytest.approx(theta, abs=1e-8)
+        assert s.j == pytest.approx(1.0 / theta, abs=1e-10)
+        assert s.k == pytest.approx(1.0 / theta, abs=1e-10)
+        assert s.sandwich == pytest.approx(theta, abs=1e-8)
 
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_xi_vanishes(self, family, beta):
-        assert abs(model_jkxi(family, 4.0, beta).xi_scalar) <= 1e-12
+        assert abs(model_jkxi(family, 4.0, beta).xi) <= 1e-12
 
     def test_brute_force_wide_window(self, family):
         theta, beta = 4.0, 0.5
@@ -58,18 +55,18 @@ class TestModelJkxi:
         j = float(np.dot(w * u, fb))
         xi = float(np.dot(w, fb))
         k = float(np.dot(w**2, f ** (1.0 + 2.0 * beta))) - xi**2
-        assert s.j_scalar == pytest.approx(j, abs=1e-10)
-        assert s.k_scalar == pytest.approx(k, abs=1e-10)
+        assert s.j == pytest.approx(j, abs=1e-10)
+        assert s.k == pytest.approx(k, abs=1e-10)
 
     def test_k_nonnegative(self, family):
         for beta in (0.0, 0.3, 0.7, 1.0):
-            assert model_jkxi(family, 4.0, beta).k_scalar >= 0.0
+            assert model_jkxi(family, 4.0, beta).k >= 0.0
 
     @pytest.mark.parametrize("theta", [2.0, 4.0])
     def test_beta_one_is_jones_alpha1_sandwich(self, family, theta):
         # beta = 1 is the alpha = 1 logarithmic density power divergence
         s = model_jkxi(family, theta, 1.0)
-        assert s.sandwich_scalar == pytest.approx(jones_alpha1_sandwich(theta), abs=1e-9)
+        assert s.sandwich == pytest.approx(jones_alpha1_sandwich(theta), abs=1e-9)
 
 
 class TestGeneralJk:
@@ -79,8 +76,8 @@ class TestGeneralJk:
         g = density_vector(family, 4.0, 1e-12)
         general = general_jk(g, family, 4.0, TiltParams(beta, gamma))
         model = model_jkxi(family, 4.0, beta)
-        assert general.j_scalar == pytest.approx(model.j_scalar, abs=1e-10)
-        assert general.k_scalar == pytest.approx(model.k_scalar, abs=1e-10)
+        assert general.j == pytest.approx(model.j, abs=1e-10)
+        assert general.k == pytest.approx(model.k, abs=1e-10)
 
     def test_positive_j_at_minimizer(self, family):
         rng = np.random.default_rng(8)
@@ -90,12 +87,66 @@ class TestGeneralJk:
             theta_c = rng.uniform(8.0, 14.0)
             g = mixture_density(family, 4.0, theta_c, eps)
             theta_g = minimize_lsd(g, family, p).theta_hat
-            assert general_jk(g, family, theta_g, p).j_scalar > 0.0
+            assert general_jk(g, family, theta_g, p).j > 0.0
 
     def test_nonpositive_exp_a_rejected(self, family):
         g = density_vector(family, 4.0, 1e-12)
         with pytest.raises(DivergenceInfiniteError):
             general_jk(g, family, 4.0, TiltParams(0.0, -1.0))
+
+    def test_empty_cell_with_half_exp_a_rejected(self, family):
+        p = TiltParams(0.0, -0.6)  # A = 0.4: 2A - 1 < 0
+        assert general_jk(density_vector(family, 4.0, 1e-12), family, 4.0, p).j > 0.0
+        short = density_vector(family, 4.0, 1e-6)  # the model window reaches past it
+        sample = empirical_frequencies(np.array([1, 2, 2, 4, 6]))  # empty cells 0, 3, 5
+        for g in (short, sample):
+            with pytest.raises(DivergenceInfiniteError):
+                general_jk(g, family, 4.0, p)
+            with pytest.raises(DivergenceInfiniteError):
+                if_first_order(2, g, family, 4.0, p)
+
+    def test_influence_outside_support_rejected(self, family):
+        g = empirical_frequencies(np.array([1, 2, 2, 4, 6]))
+        for y in (0, 3, 7, 50):
+            with pytest.raises(DivergenceInfiniteError):
+                if_first_order(y, g, family, 3.0, TiltParams(0.4, 0.3))
+
+
+def oracle_cases(family):
+    """(name, g, theta) for the mixture, model and empirical densities, each
+    at its best-fitting theta under every tilt of ``SOLVER_TILTS``."""
+    rng = np.random.default_rng(21)
+    sample = np.concatenate([rng.poisson(4.0, 45), [12, 12, 13, 15, 20]])
+    densities = {
+        "mixture": mixture_density(family, 4.0, 12.0, 0.1),
+        "model": density_vector(family, 4.0, 1e-12),
+        "empirical": empirical_frequencies(sample),
+    }
+    for beta, gamma in SOLVER_TILTS:
+        p = TiltParams(beta, gamma)
+        for name, g in densities.items():
+            yield pytest.param(g, minimize_lsd(g, family, p).theta_hat, p,
+                               id=f"{name}-{beta:g}-{gamma:g}")
+
+
+@pytest.mark.parametrize("g,theta,p", list(oracle_cases(PoissonFamily())))
+class TestGeneralFormsAgainstFullWindowOracle:
+    """The occupied-cell J, K, sandwich and IF1 against the same quantities
+    summed out on the union window."""
+
+    def test_j_k_sandwich(self, family, g, theta, p):
+        s = general_jk(g, family, theta, p)
+        j, k, _, sandwich = general_jk_oracle(g, theta, p)
+        assert s.j == pytest.approx(j, rel=1e-10, abs=0)
+        assert s.k == pytest.approx(k, rel=1e-10, abs=0)
+        assert s.sandwich == pytest.approx(sandwich, rel=1e-10, abs=0)
+
+    def test_if1(self, family, g, theta, p):
+        for y in (0, 2, 7, 12):
+            if g.mass[y - g.offset] > 0:
+                assert if_first_order(y, g, family, theta, p) == pytest.approx(
+                    general_if1_oracle(y, g, theta, p), rel=1e-10, abs=0
+                )
 
 
 class TestFirstOrderInfluence:

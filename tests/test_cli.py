@@ -38,6 +38,25 @@ class TestDivergenceCommand:
         )
         assert abs(json.loads(result.output)["value"]) < 1e-10
 
+    def test_psi_selects_the_link(self, runner):
+        from lsdiv import PoissonFamily, Psi, TiltParams, gsd, lsd
+        from lsdiv.hypotest import model_pair_densities
+
+        g, f = model_pair_densities(PoissonFamily(), 3.0, 4.0)
+        p = TiltParams(0.5, 0.3)
+        values = {}
+        for psi in ("log", "identity"):
+            result = run_ok(
+                runner,
+                ["divergence", "--beta", "0.5", "--gamma", "0.3",
+                 "--theta-g", "3", "--theta-f", "4", "--psi", psi],
+            )
+            values[psi] = json.loads(result.output)["value"]
+        assert values["log"] == lsd(g, f, p)
+        assert values["identity"] == gsd(g, f, p, Psi.IDENTITY)
+        assert values["identity"] == pytest.approx(0.05456, abs=1e-5)
+        assert values["log"] == pytest.approx(0.14054, abs=1e-5)
+
     def test_degenerate_exponent_error(self, runner):
         result = runner.invoke(
             main,
@@ -126,7 +145,8 @@ class TestTestCommand:
         )
         payload = json.loads(result.output)
         assert 0.0 <= payload["p_value"] <= 1.0
-        assert payload["rank"] == 1
+        assert set(payload) == {"statistic", "weight", "p_value", "reject_at"}
+        assert payload["weight"] == pytest.approx(1.0, abs=1e-5)  # zeta at beta = 0
 
     def test_two_sample(self, runner):
         result = run_ok(
@@ -135,6 +155,25 @@ class TestTestCommand:
              "--data", "2,1,3,2,2,4,1,2", "--data2", "2,3,3,2,1,2"],
         )
         assert json.loads(result.output)["statistic"] >= 0.0
+
+    @pytest.mark.parametrize("levels", [["1.5"], ["0.05", "-2"], ["0"], ["1"]])
+    @pytest.mark.parametrize("two_sample", [False, True])
+    def test_level_outside_unit_interval(self, runner, levels, two_sample):
+        args = ["test", "--beta", "0.2", "--gamma", "0", "--data", "2,1,3,2,2,4,1,2"]
+        args += ["--data2", "2,3,3,2,1,2"] if two_sample else ["--theta0", "2"]
+        for level in levels:
+            args += ["--level", level]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "level" in json.loads(result.output.strip().splitlines()[-1])["error"]
+
+    def test_seed_option_removed(self, runner):
+        result = runner.invoke(
+            main, ["test", "--beta", "0", "--gamma", "0", "--theta0", "2",
+                   "--data", "1,2,3", "--seed", "1"]
+        )
+        assert result.exit_code == 2  # click's usage error: no such option
 
     def test_missing_theta0(self, runner):
         result = runner.invoke(

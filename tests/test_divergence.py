@@ -57,7 +57,10 @@ class TestTiltParams:
         assert (p.exp_a, p.exp_b) == derive_exponents(0.2, 0.5)
 
     def test_psi_default_is_log(self):
-        assert TiltParams(0.0, 0.0).psi is Psi.LOG
+        g, f = poisson_pair(3.0, 4.0)
+        p = TiltParams(0.5, 0.3)
+        assert gsd(g, f, p) == lsd(g, f, p)
+        assert gsd(g, f, p, Psi.IDENTITY) != gsd(g, f, p)
 
 
 class TestDiscreteDensity:
@@ -192,27 +195,26 @@ class TestReturnTypes:
     @pytest.mark.parametrize("psi", [Psi.LOG, Psi.IDENTITY])
     def test_gsd_returns_python_float(self, psi):
         g, f = poisson_pair(2.0, 3.0)
-        assert type(gsd(g, f, TiltParams(0.5, 0.3, psi))) is float
+        assert type(gsd(g, f, TiltParams(0.5, 0.3), psi)) is float
 
 
 class TestGsd:
     def test_identity_branch_self_zero(self):
         g, _ = poisson_pair(3.0, 3.0)
-        p = TiltParams(0.5, 0.3, Psi.IDENTITY)
-        assert abs(gsd(g, g, p)) <= 1e-12
+        assert abs(gsd(g, g, TiltParams(0.5, 0.3), Psi.IDENTITY)) <= 1e-12
 
     def test_log_branch_delegates_to_lsd(self):
         g, f = poisson_pair(2.0, 4.0)
-        p = TiltParams(0.5, 0.3, Psi.LOG)
-        assert gsd(g, f, p) == pytest.approx(lsd(g, f, TiltParams(0.5, 0.3)), abs=1e-12)
+        p = TiltParams(0.5, 0.3)
+        assert gsd(g, f, p, Psi.LOG) == pytest.approx(lsd(g, f, p), abs=1e-12)
 
     def test_identity_branch_nonnegative_random_pairs(self):
         rng = np.random.default_rng(11)
-        p = TiltParams(0.5, 0.0, Psi.IDENTITY)
+        p = TiltParams(0.5, 0.0)
         for _ in range(100):
             g = random_density(rng)
             f = random_density(rng)
-            assert gsd(g, f, p) >= -1e-10
+            assert gsd(g, f, p, Psi.IDENTITY) >= -1e-10
 
 
 class TestNamedSpecials:

@@ -4,10 +4,8 @@ import json
 
 import numpy as np
 import pytest
-from scipy.stats import chi2
 
 from lsdiv import (
-    CalibrationMethod,
     TiltParams,
     curvature_a_beta,
     density_vector,
@@ -104,13 +102,13 @@ class TestCurvature:
 class TestNullLaw:
     @pytest.mark.parametrize("theta0", [2.0, 4.0])
     def test_unit_eigenvalue_at_likelihood_disparity(self, family, theta0):
-        zeta, rank = null_law(family, theta0, TiltParams(0.0, 0.0))
-        assert rank == 1
-        assert zeta[0] == pytest.approx(1.0, abs=1e-5)
+        zeta = null_law(family, theta0, TiltParams(0.0, 0.0))
+        assert type(zeta) is float
+        assert zeta == pytest.approx(1.0, abs=1e-5)
 
     def test_gamma_invariant_at_beta_one(self, family):
         values = [
-            null_law(family, 2.0, TiltParams(1.0, gm))[0][0] for gm in (-1.0, 0.0, 2.0)
+            null_law(family, 2.0, TiltParams(1.0, gm)) for gm in (-1.0, 0.0, 2.0)
         ]
         assert max(values) - min(values) <= 1e-8
 
@@ -119,8 +117,12 @@ class TestNullLaw:
     def test_weight_is_curvature_times_sandwich(self, family, theta0, beta, gamma):
         p = TiltParams(beta, gamma)
         summary = model_jkxi(family, theta0, beta)
-        zeta = curvature_a_beta(family, theta0, p) * summary.k_scalar / summary.j_scalar**2
-        assert null_law(family, theta0, p)[0][0] == zeta
+        zeta = curvature_a_beta(family, theta0, p) * summary.k / summary.j**2
+        assert null_law(family, theta0, p) == zeta
+
+    def test_degenerate_law_is_zero(self, family, monkeypatch):
+        monkeypatch.setattr("lsdiv.hypotest._curvature", lambda c, beta: 1e-13)
+        assert null_law(family, 4.0, TiltParams(0.4, 0.5)) == 0.0
 
     def test_moments_at_beta_and_two_beta_only(self, family, monkeypatch):
         import lsdiv.hypotest
@@ -138,39 +140,28 @@ class TestNullLaw:
 
 class TestWeightedChisqPvalue:
     def test_zero_statistic(self):
-        assert weighted_chisq_pvalue(0.0, np.array([1.0])) == (1.0, 0.0)
+        assert weighted_chisq_pvalue(0.0, 1.0) == 1.0
+        assert weighted_chisq_pvalue(0.0, 0.0) == 1.0
 
     def test_single_eigenvalue_closed_form(self):
-        p, se = weighted_chisq_pvalue(3.841459, np.array([1.0]))
+        p = weighted_chisq_pvalue(3.841459, 1.0)
+        assert type(p) is float
         assert p == pytest.approx(0.05, abs=1e-6)
-        assert se == 0.0
 
     def test_scale_equivariance(self):
-        p1, _ = weighted_chisq_pvalue(3.841459, np.array([1.0]))
-        p2, _ = weighted_chisq_pvalue(7.682918, np.array([2.0]))
+        p1 = weighted_chisq_pvalue(3.841459, 1.0)
+        p2 = weighted_chisq_pvalue(7.682918, 2.0)
         assert p1 == pytest.approx(p2, abs=1e-12)
 
     def test_degenerate_law_rejected(self):
         with pytest.raises(SingularityError):
-            weighted_chisq_pvalue(1.0, np.array([]))
-        with pytest.raises(SingularityError):
-            weighted_chisq_pvalue(1.0, np.array([0.0, 0.0]))
+            weighted_chisq_pvalue(1.0, 0.0)
 
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
-            weighted_chisq_pvalue(-1.0, np.array([1.0]))
+            weighted_chisq_pvalue(-1.0, 1.0)
         with pytest.raises(ValueError):
-            weighted_chisq_pvalue(1.0, np.array([-0.5]))
-
-    def test_monte_carlo_path_seeded(self):
-        zeta = np.array([0.6, 0.4])
-        p1, se1 = weighted_chisq_pvalue(3.0, zeta, seed=1)
-        p2, _ = weighted_chisq_pvalue(3.0, zeta, seed=1)
-        assert p1 == p2
-        assert 0.0 < se1 < 0.01
-        # sanity: near the equal-weights chi2_2/2 law the tail is close to
-        # exp(-w) for w modestly large
-        assert p1 == pytest.approx(chi2.sf(3.0 / 0.5, df=2) * 0.5 + 0.05, abs=0.06)
+            weighted_chisq_pvalue(1.0, -0.5)
 
 
 class TestOneSampleTest:
@@ -180,11 +171,19 @@ class TestOneSampleTest:
         result = one_sample_test(sample, family, 2.0, TiltParams(0.5, 0.5), levels=(0.05, 0.1))
         assert result.statistic >= 0.0
         assert 0.0 <= result.p_value <= 1.0
-        assert result.rank == 1
-        assert result.method is CalibrationMethod.CLOSED_FORM_SCALAR
+        assert result.weight == null_law(family, 2.0, TiltParams(0.5, 0.5)) > 0.0
         assert set(result.reject_at) == {0.05, 0.1}
         payload = json.loads(json.dumps(result.to_dict()))
-        assert payload["rank"] == 1
+        assert set(payload) == {"statistic", "weight", "p_value", "reject_at"}
+        assert payload["weight"] == result.weight
+
+    @pytest.mark.parametrize("levels", [(1.5,), (0.05, -2.0), (0.0,), (1.0,), (float("nan"),)])
+    def test_level_outside_unit_interval_rejected(self, family, levels):
+        sample = np.array([1, 2, 2, 3])
+        with pytest.raises(ValueError, match="level"):
+            one_sample_test(sample, family, 2.0, TiltParams(0.2, 0.0), levels=levels)
+        with pytest.raises(ValueError, match="level"):
+            two_sample_statistic(sample, sample, family, TiltParams(0.2, 0.0), levels=levels)
 
     def test_zero_statistic_gives_p_one(self, family):
         sample = np.full(30, 2)  # MLE = 2 exactly at the null
@@ -238,7 +237,7 @@ class TestTwoSample:
         first = two_sample_statistic(s1, s2, family, p, null_theta="first")
         fixed = two_sample_statistic(s1, s2, family, p, null_theta=2.0)
         assert pooled.statistic == first.statistic == fixed.statistic
-        assert fixed.eigenvalues[0] != pytest.approx(pooled.eigenvalues[0], abs=0)
+        assert fixed.weight != pytest.approx(pooled.weight, abs=0)
 
     def test_empty_sample_rejected(self, family):
         with pytest.raises(ValueError):

@@ -283,6 +283,33 @@ class TestDeterminismAndReports:
             run_estimation_sim(config, n_jobs=n_jobs)
             assert chunks == [range(0, 32), range(32, 40)]
 
+    @pytest.mark.parametrize("n_jobs,replications,workers", [(64, 40, 2), (2, 40, 2), (3, 8, 1)])
+    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch, n_jobs, replications, workers):
+        # the pool forks all its workers at the first submit, so it is sized
+        # to the chunks; the stand-in records the size, maps serially and
+        # starts no process
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, iterable, chunksize=1):
+                return map(fn, iterable)
+
+        config = small_estimation_config(replications=replications, grid_gamma=(0.0,))
+        serial = report_to_csv(run_estimation_sim(config))
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
+        assert report_to_csv(run_estimation_sim(config, n_jobs=n_jobs)) == serial
+        assert simulate._map_ordered(abs, list(range(-5, 0)), 64, chunksize=2) == [5, 4, 3, 2, 1]
+        assert sizes == [workers, 3]
+
     def test_repeat_run_byte_identical(self, tmp_path):
         config = small_estimation_config(replications=6, grid_gamma=(0.0,))
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
