@@ -19,7 +19,7 @@ from .divergence import (
     DivergenceInfiniteError,
     TiltParams,
 )
-from .families import ParametricFamily, moments_c_d
+from .families import ParametricFamily, _tilted_moments, moments_c_d
 
 __all__ = [
     "SingularityError",
@@ -83,17 +83,18 @@ def _model_summary(c: np.ndarray, c_2beta: np.ndarray) -> AsymptoticSummary:
     return _summary(c0 * c2 - c1**2, k, 0.0)
 
 
-def _model_if1(
-    c: np.ndarray, family: ParametricFamily, theta: float, y: int, beta: float
-) -> float:
+def _density_score(family: ParametricFamily, theta: float, x: np.ndarray) -> tuple[float, float]:
+    """(f_y, u_y) at the lone point of the 1-element array x = [y]."""
+    return float(family.density(theta, x)[0]), float(family.score(theta, x)[0])
+
+
+def _model_if1(c: np.ndarray, fy: float, uy: float, beta: float) -> float:
     """Model-case first-order influence f_y^beta (u_y c0 - c1) / (c0 c2 - c1^2)
-    from the moments c_i at beta."""
+    from the moments c_i at beta and (f_y, u_y) of :func:`_density_score`."""
     c0, c1, c2 = c[:3]
     j0 = c0 * c2 - c1**2
     if abs(j0) <= 1e-12:
         raise SingularityError("model information J0 is singular")
-    fy = float(family.density(theta, np.array([y]))[0])
-    uy = float(family.score(theta, np.array([y]))[0])
     return float(fy**beta * (uy * c0 - c1) / j0)
 
 
@@ -133,7 +134,7 @@ def _occupied(
     a = p.exp_a
     if a <= 0:
         raise DivergenceInfiniteError("general J/K require exponent A > 0")
-    offset, length = family.support_window(theta, eps_tail)
+    c, d, offset, length = _tilted_moments(family, theta, p.beta, eps_tail)
     pos = g.mass > 0
     covered = g.offset <= offset and offset + length <= g.offset + g.mass.size
     if not (covered and np.all(pos)) and 2.0 * a - 1.0 <= 0:
@@ -141,7 +142,6 @@ def _occupied(
             "variance term is infinite: empty cells with exponent A <= 1/2"
         )
     x = g.support[pos]
-    c, d = moments_c_d(family, theta, p.beta, 2, eps_tail)
     return (
         c, d, g.mass[pos], family.density(theta, x), family.score(theta, x),
         family.score_derivative(theta, x),
@@ -180,7 +180,7 @@ def if_first_order(
     """
     if g is None:
         c = moments_c_d(family, theta, p.beta, 2, eps_tail)[0]
-        return _model_if1(c, family, theta, y, p.beta)
+        return _model_if1(c, *_density_score(family, theta, np.array([y])), p.beta)
 
     k = y - g.offset
     if k < 0 or k >= g.mass.size or g.mass[k] <= 0:
@@ -232,12 +232,12 @@ def _if_first_second(
     c, d = moments_c_d(family, theta, beta, 3, eps_tail)
     c0, c1, c2, c3 = c
     d0, d1 = d[0], d[1]
-    fy = float(family.density(theta, np.array([y]))[0])
-    uy = float(family.score(theta, np.array([y]))[0])
-    duy = float(family.score_derivative(theta, np.array([y]))[0])
+    x = np.array([y])
+    fy, uy = _density_score(family, theta, x)
+    duy = float(family.score_derivative(theta, x)[0])
     fby = fy**beta
     fbm1y = fy ** (beta - 1.0)
-    tp = _model_if1(c, family, theta, y, beta)
+    tp = _model_if1(c, fy, uy, beta)
 
     den = c2 * c0 - c1**2
     if abs(den) <= 1e-300:

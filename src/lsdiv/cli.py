@@ -163,7 +163,7 @@ def bias_approx(beta, gamma, theta, y, eps_max, steps, out):
 @click.option("--data", type=str, default=None)
 @click.option("--data-file", type=click.Path(), default=None)
 @click.option("--data2", type=str, default=None, help="second sample enables the two-sample test")
-@click.option("--theta0", type=float, default=None, help="null parameter (one-sample)")
+@click.option("--theta0", type=float, default=None, help="null parameter (one-sample test only)")
 @click.option("--level", type=float, multiple=True, default=(0.05,),
               help="significance level in (0, 1); repeatable")
 @click.option("--out", type=click.Path(), default=None)
@@ -173,6 +173,8 @@ def test_cmd(beta, gamma, data, data_file, data2, theta0, level, out):
     p = TiltParams(beta, gamma)
     try:
         if data2 is not None:
+            if theta0 is not None:
+                _fail("--theta0 applies to the one-sample test only, not with --data2")
             sample2 = _parse_sample(data2, None)
             result = two_sample_statistic(sample, sample2, PoissonFamily(), p, levels=level)
         else:

@@ -35,7 +35,7 @@ from .divergence import (
     _lsd_kernel,
     lsd,
 )
-from .families import ParametricFamily, density_vector
+from .families import ParametricFamily, _memoised, density_vector
 
 __all__ = [
     "SearchConfig",
@@ -134,16 +134,6 @@ def estimating_equation_residual(
             "estimating equation degenerates for exponent A <= 0"
         )
     return _FitContext(r_n, family, p, eps_tail, (theta,)).residual(theta)
-
-
-def _memoised(memo, family: ParametricFamily, *args, keep: bool = True):
-    """``memo(family, *args)``, or the function behind it when ``keep`` is
-    false or the family is hashed by identity or not at all (its value could
-    change under its key)."""
-    hash_ = type(family).__hash__
-    if not keep or hash_ is None or hash_ is object.__hash__:
-        return memo.__wrapped__(family, *args)
-    return memo(family, *args)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)

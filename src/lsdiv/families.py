@@ -8,8 +8,10 @@ underlying theory becomes a finite sum over that window.
 
 from __future__ import annotations
 
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import gammaln
@@ -20,15 +22,21 @@ __all__ = ["ParametricFamily", "PoissonFamily", "density_vector", "moments_c_d"]
 
 _TINY = np.finfo(float).tiny  # smallest normal double
 
+# Records in the tilted-moment memo: a curve over y needs one, a null law two
+# (at beta and 2 beta).
+_MOMENT_MEMO_SIZE = 32
+
 
 class ParametricFamily(ABC):
     """Scalar-parameter discrete model on a subset of {0, 1, 2, ...}.
 
     A family hashed by value (a frozen dataclass, as :class:`PoissonFamily`)
-    keys the fit's per-process memos of windows and model terms, so it must
-    not change; one hashed by identity or unhashable is fitted without them.
-    The fit calls ``log_density`` and ``score`` with a (k, 1) column of
-    thetas as well, which must broadcast against x to a (k, len(x)) array.
+    keys the per-process memos of the fit's windows and model terms and of
+    the tilted moments (:func:`moments_c_d`), so it must not change; one
+    hashed by identity or unhashable runs without them.  x is always a 1-d
+    array of integer points, a lone point included.  The fit calls
+    ``log_density`` and ``score`` with a (k, 1) column of thetas as well,
+    which must broadcast against x to a (k, len(x)) array.
     """
 
     @abstractmethod
@@ -130,6 +138,54 @@ def density_vector(
     return DiscreteDensity(offset=offset, mass=mass, tail_bound=eps_tail)
 
 
+def _memoised(memo, family: ParametricFamily, *args, keep: bool = True):
+    """``memo(family, *args)``, or the function behind it when ``keep`` is
+    false or the family is hashed by identity or not at all (its value could
+    change under its key)."""
+    hash_ = type(family).__hash__
+    if not keep or hash_ is None or hash_ is object.__hash__:
+        return memo.__wrapped__(family, *args)
+    return memo(family, *args)
+
+
+class _TiltedMoments(NamedTuple):
+    """The tilted score moments c_0..c_3 and d_0..d_3 (read-only) of
+    :func:`moments_c_d` and the support window (offset, length) they sum over."""
+
+    c: np.ndarray
+    d: np.ndarray
+    offset: int
+    length: int
+
+
+# Score powers 0..3 as one (4, 1) exponent column.
+_POWERS = np.arange(4)[:, None]
+
+
+@functools.lru_cache(maxsize=_MOMENT_MEMO_SIZE)
+def _moment_record(
+    family: ParametricFamily, theta: float, beta: float, eps_tail: float
+) -> _TiltedMoments:
+    """One pass over the support window: w = f^(1+beta) from log f, and the
+    score powers u^0..u^3 as one (4 x window) array."""
+    offset, length = family.support_window(theta, eps_tail)
+    x = offset + np.arange(length)
+    w = np.exp((1.0 + beta) * family.log_density(theta, x))
+    powers = family.score(theta, x) ** _POWERS
+    c = powers @ w
+    d = powers @ (family.score_derivative(theta, x) * w)
+    c.flags.writeable = d.flags.writeable = False
+    return _TiltedMoments(c, d, offset, length)
+
+
+def _tilted_moments(
+    family: ParametricFamily, theta: float, beta: float, eps_tail: float
+) -> _TiltedMoments:
+    """The record of (family, theta, beta, eps_tail), from the process-wide
+    memo when the family is hashed by value."""
+    return _memoised(_moment_record, family, theta, beta, eps_tail)
+
+
 def moments_c_d(
     family: ParametricFamily,
     theta: float,
@@ -137,17 +193,15 @@ def moments_c_d(
     i_max: int = 3,
     eps_tail: float = DEFAULT_EPS_TAIL,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Tilted score moments c_i = sum u^i f^(1+beta), d_i = sum u' u^i f^(1+beta).
+    """Tilted score moments c_i = sum u^i f^(1+beta), d_i = sum u' u^i f^(1+beta)
+    over the support window, for i = 0..i_max (i_max <= 3).
 
-    Returned as arrays of length i_max + 1.
+    Returned as read-only arrays of length i_max + 1, views of one record
+    per (family, theta, beta, eps_tail) in a process-wide memo of 32
+    records, so the influence functions and the null law at one
+    (theta, beta) share one pass over the window.
     """
-    offset, length = family.support_window(theta, eps_tail)
-    x = offset + np.arange(length)
-    f = family.density(theta, x)
-    u = family.score(theta, x)
-    du = family.score_derivative(theta, x)
-    w = f ** (1.0 + beta)
-    powers = np.vstack([u**i for i in range(i_max + 1)])
-    c = powers @ w
-    d = powers @ (du * w)
-    return c, d
+    if not 0 <= i_max <= 3:
+        raise ValueError(f"i_max must lie in 0..3, got {i_max}")
+    record = _tilted_moments(family, theta, beta, eps_tail)
+    return record.c[: i_max + 1], record.d[: i_max + 1]

@@ -11,12 +11,12 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import chi2
+from scipy.special import chdtrc
 
 from .divergence import DEFAULT_EPS_TAIL, DiscreteDensity, TiltParams, lsd
 from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
 from .families import ParametricFamily, moments_c_d
-from .asymptotics import SingularityError, _model_if1, _model_summary
+from .asymptotics import SingularityError, _density_score, _model_if1, _model_summary
 
 __all__ = [
     "TestResult",
@@ -145,7 +145,9 @@ def weighted_chisq_pvalue(w: float, zeta: float) -> float:
         return 1.0
     if zeta == 0:
         raise SingularityError("degenerate null law: the weight is zero")
-    return float(chi2.sf(w / zeta, df=1))
+    # chdtrc is the ufunc behind scipy.stats.chi2.sf, bit for bit, without
+    # scipy.stats' argument handling.
+    return float(chdtrc(1, w / zeta))
 
 
 def _check_levels(levels) -> None:
@@ -224,4 +226,5 @@ def second_order_test_influence(
     """Second-order influence of the test functional at the null:
     A_beta * IF1(y)^2 (the first-order influence is identically zero)."""
     c = moments_c_d(family, theta0, p.beta, 2, eps_tail)[0]
-    return _curvature(c, p.beta) * _model_if1(c, family, theta0, y, p.beta) ** 2
+    fy, uy = _density_score(family, theta0, np.array([y]))
+    return _curvature(c, p.beta) * _model_if1(c, fy, uy, p.beta) ** 2

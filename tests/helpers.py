@@ -16,6 +16,20 @@ from lsdiv.estimation import estimating_equation_residual
 FAMILY = PoissonFamily()
 
 
+def moments_c_d_oracle(family, theta: float, beta: float, i_max: int = 3, eps_tail: float = 1e-12):
+    """Tilted score moments c_i = sum u^i f^(1+beta) and d_i = sum u' u^i f^(1+beta),
+    i = 0..i_max, on the family's eps_tail window: f^(1+beta) as a power of
+    the density and each score power on its own row."""
+    offset, length = family.support_window(theta, eps_tail)
+    x = offset + np.arange(length)
+    f = family.density(theta, x)
+    u = family.score(theta, x)
+    du = family.score_derivative(theta, x)
+    w = f ** (1.0 + beta)
+    powers = np.vstack([u**i for i in range(i_max + 1)])
+    return powers @ w, powers @ (du * w)
+
+
 def random_density(rng: np.random.Generator, size: int = 25, offset: int = 0) -> DiscreteDensity:
     """Strictly positive random discrete density on a fixed window."""
     raw = rng.random(size) + 1e-3

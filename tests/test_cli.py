@@ -175,6 +175,17 @@ class TestTestCommand:
         )
         assert result.exit_code == 2  # click's usage error: no such option
 
+    def test_theta0_with_second_sample_rejected(self, runner):
+        # the two-sample null law is evaluated at the pooled estimate, so a
+        # --theta0 there would be silently ignored
+        result = runner.invoke(
+            main, ["test", "--beta", "0.2", "--gamma", "0", "--data", "2,1,3,2,2,4,1,2",
+                   "--data2", "2,3,3,2,1,2", "--theta0", "100"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert "theta0" in json.loads(result.output.strip().splitlines()[-1])["error"]
+
     def test_missing_theta0(self, runner):
         result = runner.invoke(
             main, ["test", "--beta", "0", "--gamma", "0", "--data", "1,2,3"]

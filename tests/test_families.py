@@ -5,7 +5,18 @@ import pytest
 from scipy.special import gammaln
 from scipy.stats import poisson
 
-from lsdiv import PoissonFamily, density_vector, moments_c_d
+from lsdiv import (
+    PoissonFamily,
+    TiltParams,
+    density_vector,
+    if_first_order,
+    if_second_order,
+    moments_c_d,
+    null_law,
+    second_order_test_influence,
+)
+from lsdiv.families import _moment_record
+from helpers import moments_c_d_oracle
 
 
 THETAS = (0.5, 2.0, 4.0, 10.0)
@@ -144,3 +155,86 @@ class TestMomentsCD:
         c2, d2 = moments_c_d(family, 4.0, 0.3, eps_tail=1e-14)
         np.testing.assert_allclose(c1, c2, rtol=1e-10, atol=1e-13)
         np.testing.assert_allclose(d1, d2, rtol=1e-10, atol=1e-13)
+
+
+class TestMomentRecord:
+    """The memoised record behind moments_c_d: one window pass per
+    (family, theta, beta, eps_tail)."""
+
+    @pytest.mark.parametrize("theta", [0.5, 2.0, 4.0, 10.0, 100.0])
+    @pytest.mark.parametrize("beta", [0.0, 0.1, 0.2, 0.4, 0.5, 0.8, 1.0, 2.0])
+    def test_agrees_with_oracle(self, family, theta, beta):
+        # relative to the largest |entry|: c1 is 0 in exact arithmetic at beta = 0
+        for got, want in zip(moments_c_d(family, theta, beta), moments_c_d_oracle(family, theta, beta)):
+            assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_truncated_orders_are_views_of_one_record(self, family):
+        _moment_record.cache_clear()
+        c3, d3 = moments_c_d(family, 4.0, 0.3)
+        c2, d2 = moments_c_d(family, 4.0, 0.3, 2)
+        np.testing.assert_array_equal(c2, c3[:3])
+        np.testing.assert_array_equal(d2, d3[:3])
+        assert _moment_record.cache_info().misses == 1
+
+    @pytest.mark.parametrize("i_max", [-1, 4])
+    def test_order_outside_record_rejected(self, family, i_max):
+        with pytest.raises(ValueError):
+            moments_c_d(family, 4.0, 0.3, i_max)
+
+    def test_arrays_reject_writes(self, family):
+        c, d = moments_c_d(family, 4.0, 0.3)
+        record = _moment_record(family, 4.0, 0.3, 1e-12)
+        for array in (c, d, record.c, record.d):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_theta_beta_and_eps_tail_each_key_an_entry(self, family):
+        _moment_record.cache_clear()
+        for args in [(4.0, 0.3, 1e-12), (4.0, 0.3, 1e-12), (5.0, 0.3, 1e-12),
+                     (4.0, 0.4, 1e-12), (4.0, 0.3, 1e-10)]:
+            moments_c_d(family, args[0], args[1], 3, args[2])
+        info = _moment_record.cache_info()
+        assert (info.currsize, info.hits) == (4, 1)
+        assert _moment_record(family, 4.0, 0.3, 1e-10).length < _moment_record(
+            family, 4.0, 0.3, 1e-12).length
+
+    def test_family_hashed_by_identity_is_not_memoised(self, family):
+        class Unhashable(PoissonFamily):
+            __hash__ = None
+
+        class ByIdentity(PoissonFamily):
+            __hash__ = object.__hash__
+
+        expected = moments_c_d(family, 4.0, 0.3)
+        _moment_record.cache_clear()
+        for other in (Unhashable(), ByIdentity()):
+            for got, want in zip(moments_c_d(other, 4.0, 0.3), expected):
+                np.testing.assert_array_equal(got, want)
+        assert _moment_record.cache_info().currsize == 0
+
+    def test_one_pass_for_the_influence_triple(self, family):
+        p = TiltParams(0.4, 0.5)
+        _moment_record.cache_clear()
+        if_first_order(7, None, family, 4.0, p)
+        if_second_order(7, family, 4.0, p)
+        second_order_test_influence(7, family, 4.0, p)
+        assert _moment_record.cache_info().misses == 1
+
+    def test_one_pass_for_the_influence_command(self):
+        from click.testing import CliRunner
+        from lsdiv.cli import main
+
+        _moment_record.cache_clear()
+        result = CliRunner().invoke(
+            main, ["influence", "--beta", "0.4", "--gamma", "0.5", "--theta", "4", "--y-max", "30"]
+        )
+        assert result.exit_code == 0, result.output
+        assert len(result.output.splitlines()) == 32
+        assert _moment_record.cache_info().misses == 1
+
+    def test_null_law_passes_at_beta_and_two_beta(self, family):
+        _moment_record.cache_clear()
+        null_law(family, 4.0, TiltParams(0.4, 0.5))
+        null_law(family, 4.0, TiltParams(0.4, -0.3))  # gamma does not enter
+        info = _moment_record.cache_info()
+        assert (info.misses, info.hits) == (2, 2)

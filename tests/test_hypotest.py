@@ -157,6 +157,16 @@ class TestWeightedChisqPvalue:
         with pytest.raises(SingularityError):
             weighted_chisq_pvalue(1.0, 0.0)
 
+    def test_equals_scipy_chi2_tail_bit_for_bit(self):
+        from scipy.stats import chi2
+
+        for ratio in np.geomspace(1e-8, 200.0, 2001):
+            p = weighted_chisq_pvalue(float(ratio), 1.0)
+            assert type(p) is float
+            assert p == chi2.sf(ratio, df=1)
+        w, zeta = 3.7, 0.83
+        assert weighted_chisq_pvalue(w, zeta) == chi2.sf(w / zeta, df=1)
+
     def test_invalid_inputs(self):
         with pytest.raises(ValueError):
             weighted_chisq_pvalue(-1.0, 1.0)
