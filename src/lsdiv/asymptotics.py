@@ -84,7 +84,16 @@ def _model_summary(c: np.ndarray, c_2beta: np.ndarray) -> AsymptoticSummary:
 
 
 def _density_score(family: ParametricFamily, theta: float, x: np.ndarray) -> tuple[float, float]:
-    """(f_y, u_y) at the lone point of the 1-element array x = [y]."""
+    """(f_y, u_y) at the lone point of the 1-element array x = [y].
+
+    Every model-case influence reads y here, so a y below the support
+    {0, 1, ...} raises DivergenceInfiniteError, as the general case does for
+    a point of zero true density.
+    """
+    if x[0] < 0:
+        raise DivergenceInfiniteError(
+            f"influence at y = {x[0]}, outside the support, is infinite"
+        )
     return float(family.density(theta, x)[0]), float(family.score(theta, x)[0])
 
 

@@ -121,6 +121,8 @@ def estimate(beta, gamma, data, data_file, out):
 @click.option("--out", type=click.Path(), default=None)
 def influence(beta, gamma, theta, y_max, out):
     """First/second-order influence curves at the model (CSV: y,beta,gamma,if1,if2,if2_test)."""
+    if y_max < 0:
+        _fail(f"--y-max must be >= 0, got {y_max}")
     family = PoissonFamily()
     p = TiltParams(beta, gamma)
     lines = ["y,beta,gamma,if1,if2,if2_test"]
@@ -191,7 +193,8 @@ def test_cmd(beta, gamma, data, data_file, data2, theta0, level, out):
               help="JSON file matching the SimulationConfig schema")
 @click.option("--seed", type=int, default=None, help="overrides the config seed")
 @click.option("--replications", type=int, default=None, help="overrides the config value")
-@click.option("--n-jobs", type=int, default=1)
+@click.option("--n-jobs", type=int, default=1,
+              help="processes that run the replications, this one included")
 @click.option("--out", type=click.Path(), required=True)
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def simulate(config_path, seed, replications, n_jobs, out, fmt):

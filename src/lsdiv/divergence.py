@@ -167,8 +167,23 @@ def _lse(a: np.ndarray) -> np.ndarray:
     return m[..., 0] + np.log(e.sum(axis=-1))
 
 
+def _zero_exponent_limit(log_sa, loga, logb, log_sb, one_beta: float):
+    """(1/(1+beta)) log(sa/sb) - sum b^(1+beta) log(a/b) / sb, the LSD's
+    continuity limit at a zero exponent: B -> 0 with (a, b) = (f, g), and
+    A -> 0 with (a, b) = (g, f).
+
+    A (k, L) ``logb`` takes a (k,) ``log_sb``, one row each; ``loga`` and
+    ``logb`` broadcast against each other.
+    """
+    w = np.exp(one_beta * logb - (log_sb[:, None] if logb.ndim > 1 else log_sb))
+    # vecdot takes each row's dot product as np.dot takes a lone vector's
+    # (a stack's matmul would go through a matrix-vector BLAS call).
+    return (log_sa - log_sb) / one_beta - np.vecdot(loga - logb, w)
+
+
 # log g on a padded data cell of a stack: finite, so that each branch of
-# _lsd_kernel adds an exact zero for it.
+# _lsd_kernel adds an exact zero for it (with A > 0, or with log f padded
+# alike).
 _PAD_LOGG = -1e300
 
 
@@ -195,12 +210,7 @@ def _lsd_kernel(
     """
     one_beta = 1.0 + p.beta
     if abs(p.exp_b) < EXPONENT_BOUNDARY:
-        # B -> 0 limit: (1/(1+b)) log(sf/sg) - sum g^(1+b) log(f/g) / sg
-        w = np.exp(one_beta * logg - (log_sg[:, None] if logg.ndim > 1 else log_sg))
-        # vecdot takes each row's dot product as np.dot takes a lone vector's
-        # (a stack's matmul would go through a matrix-vector BLAS call).
-        corr = np.vecdot(logf_pos - logg, w)
-        return (log_sf - log_sg) / one_beta - corr
+        return _zero_exponent_limit(log_sf, logf_pos, logg, log_sg, one_beta)
     log_sfg = _lse(p.exp_b * logf_pos + p.exp_a * logg)
     return (
         log_sf / p.exp_a
@@ -223,11 +233,8 @@ def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
     log_sg = _lse(one_beta * logg)
     log_sf = _lse(one_beta * logf)
     if abs(p.exp_a) < EXPONENT_BOUNDARY:
-        # A -> 0 limit, roles of f and g exchanged in the correction term
-        # (every cell is occupied here).
-        w = np.exp(one_beta * logf - log_sf)
-        corr = float(np.dot(w, logg - logf))
-        return float((log_sg - log_sf) / one_beta - corr)
+        # every cell is occupied here
+        return float(_zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta))
     return float(_lsd_kernel(log_sf, logf[pos], logg, log_sg, p))
 
 

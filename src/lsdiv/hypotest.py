@@ -13,7 +13,16 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc
 
-from .divergence import DEFAULT_EPS_TAIL, DiscreteDensity, TiltParams, lsd
+from .divergence import (
+    DEFAULT_EPS_TAIL,
+    EXPONENT_BOUNDARY,
+    DiscreteDensity,
+    TiltParams,
+    _PAD_LOGG,
+    _lsd_kernel,
+    _lse,
+    _zero_exponent_limit,
+)
 from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
 from .families import ParametricFamily, moments_c_d
 from .asymptotics import SingularityError, _density_score, _model_if1, _model_summary
@@ -66,17 +75,45 @@ def model_pair_densities(
 
 def divergence_between_fits(
     family: ParametricFamily,
-    theta_g: float,
+    theta_g,
     theta_f: float,
     p: TiltParams,
     eps_tail: float = DEFAULT_EPS_TAIL,
-) -> float:
-    g, f = model_pair_densities(family, theta_g, theta_f, eps_tail)
-    value = lsd(g, f, p)
+):
+    """LSD(f_theta_g, f_theta_f) between two model densities, in log space.
+
+    ``theta_g`` is a float, which gives a float, or a 1-d array, which gives
+    one divergence per entry from one (rows x window) pass.  Each row sums
+    over the union of its two support windows, as :func:`model_pair_densities`
+    lays them out.  The rows share one window from 0 that covers them all;
+    outside its own window a row holds log f = log g = ``_PAD_LOGG``, where
+    every term of the divergence is an exact zero, whatever the signs of A
+    and B, since A + B = 1 + beta.
+    """
+    theta_g = np.asarray(theta_g, dtype=float)
+    if theta_g.ndim > 1:
+        raise ValueError("theta_g must be a float or a 1-d array")
+    rows = theta_g.reshape(-1, 1)
+    offset, length = family.support_window(theta_f, eps_tail)
+    windows = np.array([family.support_window(t, eps_tail) for t in rows[:, 0]])
+    lo = np.minimum(windows[:, :1], offset)
+    hi = np.maximum(windows[:, :1] + windows[:, 1:], offset + length)
+    x = np.arange(hi.max())
+    outside = (x < lo) | (x >= hi)
+    logf = np.where(outside, _PAD_LOGG, family.log_density(theta_f, x))
+    logg = np.where(outside, _PAD_LOGG, family.log_density(rows, x))
+    one_beta = 1.0 + p.beta
+    log_sf = _lse(one_beta * logf)
+    log_sg = _lse(one_beta * logg)
+    if abs(p.exp_a) < EXPONENT_BOUNDARY:
+        value = _zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta)
+    else:
+        value = _lsd_kernel(log_sf, logf, logg, log_sg, p)
     # The divergence is nonnegative; cancellation between the three log terms
     # can leave an O(eps) negative residue when theta_g is numerically equal
     # to theta_f, which must not trip the statistic validation downstream.
-    return value if value >= 0.0 else (0.0 if value > -1e-10 else value)
+    value = np.where((value < 0.0) & (value > -1e-10), 0.0, value)
+    return float(value[0]) if theta_g.ndim == 0 else value
 
 
 def one_sample_statistic(

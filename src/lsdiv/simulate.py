@@ -320,38 +320,50 @@ def _estimate_worker(args) -> list[list[float | None]]:
 
 def _reject_worker(args) -> list[list[bool | None]]:
     """A chunk of replications' test decisions at each (tilt, critical value)
-    of ``tests``: one list per test, with None for a failed fit."""
+    of ``tests``: one list per test, with None for a failed fit.  The
+    statistics of a test's fitted rows come from one stacked pass."""
     seed, reps, n, theta_draw, contam, theta0, tests = args
     densities = _chunk_densities(seed, reps, n, theta_draw, contam)
     family = PoissonFamily()
     out = []
     for p, critical in tests:
-        rejects = []
-        for fit in minimize_lsd_many(densities, family, p):
-            reject = None
-            if not isinstance(fit, Exception):
-                try:
-                    w = 2.0 * n * divergence_between_fits(family, fit.theta_hat, theta0, p)
-                    reject = bool(w > critical)
-                except (ValueError, ArithmeticError):
-                    pass
-            rejects.append(reject)
+        fits = minimize_lsd_many(densities, family, p)
+        rejects = [None] * len(fits)
+        ok = [i for i, fit in enumerate(fits) if not isinstance(fit, Exception)]
+        if ok:
+            theta_hat = np.array([fits[i].theta_hat for i in ok])
+            w = 2.0 * n * divergence_between_fits(family, theta_hat, theta0, p)
+            for i, reject in zip(ok, (w > critical).tolist()):
+                rejects[i] = reject
         out.append(rejects)
     return out
 
 
 def _map_ordered(worker, args_list, n_jobs: int, chunksize: int = 32):
-    """``[worker(a) for a in args_list]``, in a pool of ``n_jobs`` processes
-    that takes ``chunksize`` arguments per task when n_jobs > 1.
+    """``[worker(a) for a in args_list]``, run by ``n_jobs`` processes, the
+    calling one included, when n_jobs > 1.
 
-    The pool never has more workers than tasks: it forks all of them at the
-    first submit, busy or not.
+    The arguments go out in tasks of ``chunksize``.  The calling process runs
+    tasks 0, n_jobs, 2 n_jobs, ... itself while a pool of the other
+    ``min(n_jobs, tasks) - 1`` processes runs the rest, which are submitted
+    first; a single task opens no pool.  The pool never has more workers
+    than its tasks: it forks all of them at the first submit, busy or not.
     """
-    if n_jobs <= 1:
+    tasks = [args_list[i : i + chunksize] for i in range(0, len(args_list), chunksize)]
+    n_pool = min(n_jobs, len(tasks)) - 1
+    if n_pool < 1:
         return [worker(a) for a in args_list]
-    n_tasks = -(-len(args_list) // chunksize)
-    with ProcessPoolExecutor(max_workers=max(1, min(n_jobs, n_tasks))) as pool:
-        return list(pool.map(worker, args_list, chunksize=chunksize))
+    theirs = [a for i, task in enumerate(tasks) if i % n_jobs for a in task]
+    with ProcessPoolExecutor(max_workers=n_pool) as pool:
+        # Every pool task but the last holds chunksize arguments, so the
+        # pool's chunks are the tasks.
+        from_pool = pool.map(worker, theirs, chunksize=chunksize)
+        mine = [[worker(a) for a in task] for task in tasks[::n_jobs]]
+        results = []
+        for i, task in enumerate(tasks):
+            results.extend(mine[i // n_jobs] if i % n_jobs == 0
+                           else itertools.islice(from_pool, len(task)))
+    return results
 
 
 # ---------------------------------------------------------------------------
@@ -469,6 +481,10 @@ def run_testing_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationRepo
 
 
 def run_simulation(config: SimulationConfig, n_jobs: int = 1) -> SimulationReport:
+    """The config's table, run by ``n_jobs`` processes (the calling one
+    included); n_jobs below 1 raises ValueError."""
+    if not (_is_int(n_jobs) and n_jobs >= 1):
+        raise ValueError(f"n_jobs must be an integer >= 1, got {n_jobs!r}")
     if config.kind is SimKind.ESTIMATION_BIAS:
         return run_estimation_sim(config, n_jobs)
     return run_testing_sim(config, n_jobs)

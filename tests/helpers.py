@@ -6,12 +6,15 @@ numpy so it can serve as an independent check of the library internals.
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 from scipy.optimize import brentq
 
 from lsdiv import DiscreteDensity, PoissonFamily, TiltParams, density_vector, lsd
 from lsdiv.asymptotics import point_contaminated
 from lsdiv.estimation import estimating_equation_residual
+from lsdiv.hypotest import model_pair_densities
 
 FAMILY = PoissonFamily()
 
@@ -121,6 +124,22 @@ def second_order_if_oracle(
         return (tp - 2.0 * t0 + tm) / e**2
 
     return (4.0 * second_diff(step / 2.0) - second_diff(step)) / 3.0
+
+
+def divergence_between_fits_oracle(family, theta_g: float, theta_f: float, p: TiltParams,
+                                   eps_tail: float = 1e-12) -> float:
+    """LSD(f_theta_g, f_theta_f) the way the statistic was computed one pair
+    at a time: :func:`lsd` on the exp'd masses of ``model_pair_densities``
+    (the union of the two support windows), an O(eps) negative value
+    clamped to 0."""
+    value = lsd(*model_pair_densities(family, theta_g, theta_f, eps_tail), p)
+    return value if value >= 0.0 else (0.0 if value > -1e-10 else value)
+
+
+def pid_worker(_) -> int:
+    """The id of the process that runs it; module-level so process pools can
+    pickle it."""
+    return os.getpid()
 
 
 def two_sample_reject_worker(args) -> bool:

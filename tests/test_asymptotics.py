@@ -19,6 +19,7 @@ from lsdiv import (
     point_contaminated,
 )
 from lsdiv.estimation import estimating_equation_residual
+from lsdiv.hypotest import second_order_test_influence
 from helpers import (
     first_order_if_oracle,
     general_if1_oracle,
@@ -110,6 +111,20 @@ class TestGeneralJk:
         for y in (0, 3, 7, 50):
             with pytest.raises(DivergenceInfiniteError):
                 if_first_order(y, g, family, 3.0, TiltParams(0.4, 0.3))
+
+    @pytest.mark.parametrize("tilt", [(0.0, 0.0), (0.4, 0.5)])
+    def test_model_case_below_support_rejected(self, family, tilt):
+        # y < 0 has zero model density, as a point outside g has in the
+        # general case
+        p = TiltParams(*tilt)
+        for call in (
+            lambda: if_first_order(-1, None, family, 4.0, p),
+            lambda: if_second_order(-1, family, 4.0, p),
+            lambda: second_order_test_influence(-1, family, 4.0, p),
+            lambda: bias_curves(-1, family, 4.0, p, [0.0, 0.05]),
+        ):
+            with pytest.raises(DivergenceInfiniteError, match="outside the support"):
+                call()
 
 
 def oracle_cases(family):

@@ -122,6 +122,13 @@ class TestCurveCommands:
         assert lines[0] == "y,beta,gamma,if1,if2,if2_test"
         assert len(lines) == 7
 
+    def test_negative_y_max_rejected(self, runner):
+        result = runner.invoke(
+            main, ["influence", "--beta", "0.5", "--gamma", "0", "--theta", "4", "--y-max", "-3"]
+        )
+        assert result.exit_code == 1
+        assert "y-max" in json.loads(result.output.strip().splitlines()[-1])["error"]
+
     def test_bias_approx_csv(self, runner, tmp_path):
         out = tmp_path / "bias.csv"
         run_ok(
@@ -232,6 +239,17 @@ class TestSimulateCommand:
         run_ok(runner, ["simulate", "--config", str(config), "--out", str(out1)])
         run_ok(runner, ["simulate", "--config", str(config), "--out", str(out2)])
         assert out1.read_bytes() == out2.read_bytes()
+
+    @pytest.mark.parametrize("n_jobs", ["0", "-3"])
+    def test_n_jobs_below_one_rejected(self, runner, tmp_path, n_jobs):
+        config = self.write_config(tmp_path)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["simulate", "--config", str(config), "--out", str(out), "--n-jobs", n_jobs]
+        )
+        assert result.exit_code == 1
+        assert "n_jobs" in json.loads(result.output.strip().splitlines()[-1])["error"]
+        assert not out.exists()
 
     def test_bad_config_errors(self, runner, tmp_path):
         path = tmp_path / "bad.json"

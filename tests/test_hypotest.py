@@ -21,7 +21,8 @@ from lsdiv import (
 )
 from lsdiv.asymptotics import SingularityError
 from lsdiv.hypotest import divergence_between_fits
-from helpers import curvature_fd_oracle
+from helpers import curvature_fd_oracle, divergence_between_fits_oracle
+from test_estimation import SOLVER_TILTS
 
 
 class TestOneSampleStatistic:
@@ -95,7 +96,8 @@ class TestCurvature:
             raise AssertionError("curvature_a_beta evaluated lsd")
 
         monkeypatch.setattr("lsdiv.divergence.lsd", refuse)
-        monkeypatch.setattr("lsdiv.hypotest.lsd", refuse)
+        monkeypatch.setattr("lsdiv.hypotest.divergence_between_fits", refuse)
+        monkeypatch.setattr("lsdiv.hypotest._lsd_kernel", refuse)
         assert curvature_a_beta(family, 4.0, TiltParams(0.5, 0.3)) > 0.0
 
 
@@ -286,3 +288,34 @@ class TestDivergenceBetweenFits:
 
     def test_positive_for_distinct_fits(self, family):
         assert divergence_between_fits(family, 2.0, 3.0, TiltParams(0.4, 0.6)) > 0.0
+
+    # The three log terms are O(1) and cancel to the divergence, so either
+    # arithmetic carries an O(eps) absolute error besides the relative one.
+    ORACLE_ABS = 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("theta_f", [2.0, 4.0])
+    @pytest.mark.parametrize("tilt", SOLVER_TILTS + [(0.0, -1.0)], ids=str)  # + the A -> 0 limit
+    def test_stack_matches_pair_density_oracle(self, family, theta_f, tilt):
+        # (0, 0) is the B -> 0 limit; theta_g = theta_f and theta_f + 1e-6
+        # are the near-zero rows
+        p = TiltParams(*tilt)
+        theta_g = np.concatenate([np.linspace(0.5, 30.0, 60), [theta_f, theta_f + 1e-6]])
+        stacked = divergence_between_fits(family, theta_g, theta_f, p)
+        assert stacked.shape == theta_g.shape
+        for t, value in zip(theta_g, stacked):
+            expected = divergence_between_fits_oracle(family, t, theta_f, p)
+            single = divergence_between_fits(family, t, theta_f, p)
+            assert isinstance(single, float)
+            for got in (value, single):
+                assert abs(got - expected) <= 1e-12 * abs(expected) + self.ORACLE_ABS
+
+    def test_row_does_not_depend_on_its_stack(self, family):
+        # each row sums over its own pair's windows, however long the others'
+        p = TiltParams(0.0, 0.5)  # B < 0: the sums weigh the far tail
+        alone = divergence_between_fits(family, np.array([6.0]), 2.0, p)
+        with_wide = divergence_between_fits(family, np.array([6.0, 30.0]), 2.0, p)
+        assert with_wide[0] == pytest.approx(alone[0], rel=1e-14)
+
+    def test_two_dimensional_theta_rejected(self, family):
+        with pytest.raises(ValueError, match="1-d"):
+            divergence_between_fits(family, np.ones((2, 2)), 2.0, TiltParams(0.4, 0.6))

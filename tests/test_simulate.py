@@ -2,7 +2,9 @@
 
 import functools
 import json
+import os
 import time
+from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from lsdiv import (
 )
 from lsdiv import estimation, simulate
 from lsdiv.cli import main
+from helpers import divergence_between_fits_oracle, pid_worker
 from lsdiv.simulate import (
     ESTIMATION_BETA_GRID,
     _poisson_cdf,
@@ -36,6 +39,30 @@ from lsdiv.simulate import (
     run_simulation,
     run_testing_sim,
 )
+
+
+def stand_in_pool(sizes, submitted=None):
+    """A ProcessPoolExecutor stand-in that records each pool's size in
+    ``sizes`` (and the arguments it is given in ``submitted``) and maps in
+    the calling process, so that no process is forked."""
+
+    class StandInPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, iterable, chunksize=1):
+            args = list(iterable)
+            if submitted is not None:
+                submitted.extend(args)
+            return map(fn, args)
+
+    return StandInPool
 
 
 def small_estimation_config(**overrides):
@@ -283,32 +310,20 @@ class TestDeterminismAndReports:
             run_estimation_sim(config, n_jobs=n_jobs)
             assert chunks == [range(0, 32), range(32, 40)]
 
-    @pytest.mark.parametrize("n_jobs,replications,workers", [(64, 40, 2), (2, 40, 2), (3, 8, 1)])
-    def test_pool_has_no_more_workers_than_chunks(self, monkeypatch, n_jobs, replications, workers):
-        # the pool forks all its workers at the first submit, so it is sized
-        # to the chunks; the stand-in records the size, maps serially and
-        # starts no process
+    @pytest.mark.parametrize("n_jobs,replications,processes", [(64, 40, 2), (2, 40, 2), (3, 8, 1)])
+    def test_pool_has_no_more_workers_than_chunks(
+        self, monkeypatch, n_jobs, replications, processes
+    ):
+        # the pool forks all its workers at the first submit, so the run's
+        # processes (the caller and its pool) are sized to the chunks; the
+        # stand-in records the pool size, maps serially and starts no process
         sizes = []
-
-        class SerialPool:
-            def __init__(self, max_workers):
-                sizes.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, iterable, chunksize=1):
-                return map(fn, iterable)
-
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", stand_in_pool(sizes))
         config = small_estimation_config(replications=replications, grid_gamma=(0.0,))
         serial = report_to_csv(run_estimation_sim(config))
-        monkeypatch.setattr(simulate, "ProcessPoolExecutor", SerialPool)
         assert report_to_csv(run_estimation_sim(config, n_jobs=n_jobs)) == serial
         assert simulate._map_ordered(abs, list(range(-5, 0)), 64, chunksize=2) == [5, 4, 3, 2, 1]
-        assert sizes == [workers, 3]
+        assert sizes == [processes - 1] * (processes > 1) + [2]
 
     def test_repeat_run_byte_identical(self, tmp_path):
         config = small_estimation_config(replications=6, grid_gamma=(0.0,))
@@ -346,3 +361,97 @@ class TestDeterminismAndReports:
         report = run_estimation_sim(small_estimation_config(replications=2))
         with pytest.raises(OSError, match="no/such/dir"):
             emit_report(report, "csv", "/no/such/dir/report.csv")
+
+
+class TestMapOrdered:
+    @pytest.mark.parametrize("n_jobs", [2, 3])
+    @pytest.mark.parametrize("chunksize", [1, 2])
+    def test_caller_runs_every_n_jobs_th_task(self, n_jobs, chunksize):
+        # a real pool (n_jobs <= 3 forks at most two processes)
+        pids = simulate._map_ordered(pid_worker, list(range(7)), n_jobs, chunksize)
+        tasks = [i // chunksize for i in range(7)]
+        caller = os.getpid()
+        assert [pid == caller for pid in pids] == [t % n_jobs == 0 for t in tasks]
+        pool_pids = {pid for pid, t in zip(pids, tasks) if t % n_jobs}
+        assert 1 <= len(pool_pids) <= n_jobs - 1
+
+    @pytest.mark.parametrize("n_jobs,n_args,pool", [(64, 10, 9), (4, 10, 3), (2, 3, 1), (3, 1, None)])
+    def test_pool_size_and_share(self, monkeypatch, n_jobs, n_args, pool):
+        # min(n_jobs, tasks) - 1 workers take the tasks whose index is not a
+        # multiple of n_jobs; a single task opens no pool
+        sizes, submitted = [], []
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", stand_in_pool(sizes, submitted))
+        args = list(range(-n_args, 0))
+        assert simulate._map_ordered(abs, args, n_jobs, chunksize=1) == [-a for a in args]
+        assert sizes == ([] if pool is None else [pool])
+        assert submitted == [a for i, a in enumerate(args) if i % n_jobs and pool]
+
+    def test_two_chunk_run_forks_one_process_at_two_jobs(self, monkeypatch):
+        sizes = []
+
+        class RecordingPool(ProcessPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        config = small_estimation_config(
+            kind=SimKind.TESTING_LEVEL, theta_null=4.0, replications=40, grid_gamma=(0.0,)
+        )
+        serial = report_to_csv(run_testing_sim(config))
+        monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
+        assert report_to_csv(run_testing_sim(config, n_jobs=2)) == serial
+        assert sizes == [1]
+
+    @pytest.mark.parametrize("n_jobs", [0, -3, 1.5, True])
+    def test_n_jobs_below_one_rejected(self, n_jobs):
+        with pytest.raises(ValueError, match="n_jobs"):
+            run_simulation(small_estimation_config(replications=2), n_jobs=n_jobs)
+
+
+class TestRejectWorker:
+    def worker_args(self):
+        """One chunk of 32 replications at two tilts, B = 0 and B > 0."""
+        tests = ((TiltParams(0.0, 0.0), 3.84), (TiltParams(0.4, 0.5), 3.84))
+        return (5, range(32), 30, 4.0, None, 4.0, tests)
+
+    def test_one_statistic_pass_per_test(self, monkeypatch):
+        calls = []
+        stacked = simulate.divergence_between_fits
+
+        def counted(family, theta_g, *args):
+            calls.append(np.shape(theta_g))
+            return stacked(family, theta_g, *args)
+
+        monkeypatch.setattr(simulate, "divergence_between_fits", counted)
+        out = simulate._reject_worker(self.worker_args())
+        assert calls == [(32,), (32,)]
+        assert [len(rejects) for rejects in out] == [32, 32]
+        assert all(isinstance(r, bool) for rejects in out for r in rejects)
+
+    def test_failed_fit_keeps_none(self, monkeypatch):
+        clean = simulate._reject_worker(self.worker_args())
+        fit_many = simulate.minimize_lsd_many
+
+        def failing_row_3(densities, family, p):
+            fits = fit_many(densities, family, p)
+            fits[3] = FloatingPointError("stand-in failure")
+            return fits
+
+        monkeypatch.setattr(simulate, "minimize_lsd_many", failing_row_3)
+        out = simulate._reject_worker(self.worker_args())
+        for rejects, expected in zip(out, clean):
+            assert rejects[3] is None
+            assert rejects[:3] + rejects[4:] == expected[:3] + expected[4:]
+
+    def test_decisions_match_the_pair_density_oracle(self, family):
+        seed, reps, n, theta, contam, theta0, tests = self.worker_args()
+        out = simulate._reject_worker(self.worker_args())
+        densities = simulate._chunk_densities(seed, reps, n, theta, contam)
+        for (p, critical), rejects in zip(tests, out):
+            fits = estimation.minimize_lsd_many(densities, family, p)
+            expected = [
+                2.0 * n * divergence_between_fits_oracle(family, fit.theta_hat, theta0, p)
+                > critical
+                for fit in fits
+            ]
+            assert rejects == expected
