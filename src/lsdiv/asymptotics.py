@@ -83,18 +83,20 @@ def _model_summary(c: np.ndarray, c_2beta: np.ndarray) -> AsymptoticSummary:
     return _summary(c0 * c2 - c1**2, k, 0.0)
 
 
-def _density_score(family: ParametricFamily, theta: float, x: np.ndarray) -> tuple[float, float]:
-    """(f_y, u_y) at the lone point of the 1-element array x = [y].
+def _density_score(family: ParametricFamily, theta: float, y: int) -> tuple[float, float]:
+    """(f_y, u_y) at the lone integer point y, passed to the family as a
+    scalar: numpy's in-place steps of ``log_density`` cost more on a
+    1-element array than the arithmetic.
 
     Every model-case influence reads y here, so a y below the support
     {0, 1, ...} raises DivergenceInfiniteError, as the general case does for
     a point of zero true density.
     """
-    if x[0] < 0:
+    if y < 0:
         raise DivergenceInfiniteError(
-            f"influence at y = {x[0]}, outside the support, is infinite"
+            f"influence at y = {y}, outside the support, is infinite"
         )
-    return float(family.density(theta, x)[0]), float(family.score(theta, x)[0])
+    return float(family.density(theta, y)), float(family.score(theta, y))
 
 
 def _model_if1(c: np.ndarray, fy: float, uy: float, beta: float) -> float:
@@ -189,7 +191,7 @@ def if_first_order(
     """
     if g is None:
         c = moments_c_d(family, theta, p.beta, 2, eps_tail)[0]
-        return _model_if1(c, *_density_score(family, theta, np.array([y])), p.beta)
+        return _model_if1(c, *_density_score(family, theta, y), p.beta)
 
     k = y - g.offset
     if k < 0 or k >= g.mass.size or g.mass[k] <= 0:
@@ -241,9 +243,8 @@ def _if_first_second(
     c, d = moments_c_d(family, theta, beta, 3, eps_tail)
     c0, c1, c2, c3 = c
     d0, d1 = d[0], d[1]
-    x = np.array([y])
-    fy, uy = _density_score(family, theta, x)
-    duy = float(family.score_derivative(theta, x)[0])
+    fy, uy = _density_score(family, theta, y)
+    duy = float(family.score_derivative(theta, y))
     fby = fy**beta
     fbm1y = fy ** (beta - 1.0)
     tp = _model_if1(c, fy, uy, beta)
@@ -285,8 +286,14 @@ def bias_curves(
     eps_tail: float = DEFAULT_EPS_TAIL,
 ) -> BiasCurve:
     """Predicted estimator bias eps*T' and eps*T' + eps^2/2 * T'' at the model,
-    with the quadratic/linear adequacy ratio 1 + (T''/T') * eps/2."""
+    with the quadratic/linear adequacy ratio 1 + (T''/T') * eps/2.
+
+    Raises:
+        ValueError: if a contamination level lies outside [0, 1].
+    """
     eps = np.asarray(eps_grid, dtype=float)
+    if not (eps.min(initial=0.0) >= 0.0 and eps.max(initial=1.0) <= 1.0):  # NaN fails too
+        raise ValueError("contamination levels must lie in [0, 1]")
     tp, tpp = _if_first_second(y, family, theta, p, eps_tail)
     first = eps * tp
     second = first + 0.5 * eps**2 * tpp

@@ -124,9 +124,9 @@ def influence(beta, gamma, theta, y_max, out):
     if y_max < 0:
         _fail(f"--y-max must be >= 0, got {y_max}")
     family = PoissonFamily()
-    p = TiltParams(beta, gamma)
     lines = ["y,beta,gamma,if1,if2,if2_test"]
     try:
+        p = TiltParams(beta, gamma)
         for y in range(y_max + 1):
             if1 = if_first_order(y, None, family, theta, p)
             if2 = if_second_order(y, family, theta, p)
@@ -146,6 +146,8 @@ def influence(beta, gamma, theta, y_max, out):
 @click.option("--out", type=click.Path(), default=None)
 def bias_approx(beta, gamma, theta, y, eps_max, steps, out):
     """Bias approximation curves (CSV: eps,first_order,second_order,adequacy)."""
+    if steps < 1:
+        _fail(f"--steps must be >= 1, got {steps}")
     try:
         curve = bias_curves(
             y, PoissonFamily(), theta, TiltParams(beta, gamma), np.linspace(0.0, eps_max, steps)
@@ -172,8 +174,8 @@ def bias_approx(beta, gamma, theta, y, eps_max, steps, out):
 def test_cmd(beta, gamma, data, data_file, data2, theta0, level, out):
     """One- or two-sample divergence test; prints a TestResult JSON object."""
     sample = _parse_sample(data, data_file)
-    p = TiltParams(beta, gamma)
     try:
+        p = TiltParams(beta, gamma)
         if data2 is not None:
             if theta0 is not None:
                 _fail("--theta0 applies to the one-sample test only, not with --data2")

@@ -14,6 +14,7 @@ in log space.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -64,8 +65,10 @@ def derive_exponents(beta: float, gamma: float) -> tuple[float, float]:
     is ``1 + beta`` exactly.
 
     Raises:
-        ValueError: if ``beta < 0``.
+        ValueError: if beta or gamma is not finite, or ``beta < 0``.
     """
+    if not (math.isfinite(beta) and math.isfinite(gamma)):
+        raise ValueError(f"beta and gamma must be finite, got beta={beta}, gamma={gamma}")
     if beta < 0:
         raise ValueError(f"beta must be >= 0, got {beta}")
     exp_a = 1.0 + gamma * (1.0 - beta)
@@ -177,8 +180,9 @@ def _zero_exponent_limit(log_sa, loga, logb, log_sb, one_beta: float):
     """
     w = np.exp(one_beta * logb - (log_sb[:, None] if logb.ndim > 1 else log_sb))
     # vecdot takes each row's dot product as np.dot takes a lone vector's
-    # (a stack's matmul would go through a matrix-vector BLAS call).
-    return (log_sa - log_sb) / one_beta - np.vecdot(loga - logb, w)
+    # (a stack's matmul would go through a matrix-vector BLAS call), on rows
+    # made contiguous whatever loga's layout.
+    return (log_sa - log_sb) / one_beta - np.vecdot(np.subtract(loga, logb, order="C"), w)
 
 
 # log g on a padded data cell of a stack: finite, so that each branch of
@@ -200,7 +204,8 @@ def _lsd_kernel(
     ``log_sf`` has shape ``(...)`` and ``logf_pos`` shape ``(..., m)`` on m
     occupied cells: a scalar and an (m,) vector give one divergence, a (k,)
     vector and a (k, m) stack (one row per model) give k of them, each equal
-    to what its row alone gives.  ``logg`` of shape (m,) with a float
+    to what its row alone gives, whatever the stack's layout (a transposed
+    (m, k) array gives the same bits).  ``logg`` of shape (m,) with a float
     ``log_sg`` is shared by every row; a (k, m) ``logg`` with a (k,)
     ``log_sg`` gives each row its own data.  A row with fewer occupied cells
     is padded with log f finite and log g = ``_PAD_LOGG``, which add exact zeros

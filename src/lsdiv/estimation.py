@@ -11,9 +11,17 @@ edge, or a degenerate sample) golden-section search narrows the cell and a
 residual root refinement restores full precision when the residual changes
 sign nearby.
 
-:func:`minimize_lsd_many` fits several samples at one tilt: each keeps its
-own scan, and the residuals, roots (by Chandrupatla's method) and final
-objectives of all of them run as (rows x window) array passes.
+Every fit starts from a sample part (:class:`_SamplePart`): the tilt-free
+state of one or more samples as rows, built in a few array passes (each
+row's bracket, coarse grid, window, occupied cells, log g there and log f
+on occupied cells x grid).  A fit at a tilt adds only the tilt's terms:
+the memoised model terms, log sum g^(1+beta), A log g and each row's scan
+kernel.  :func:`minimize_lsd` builds a one-row part; :func:`minimize_lsd_many`
+builds one part for all its densities, and the simulation harness one per
+chunk of drawn samples, which it fits at every cell of a table.  Each row
+keeps its own scan; the residuals, roots (by Chandrupatla's method) and
+final objectives of a part of four rows or more run as (rows x window)
+array passes.
 """
 
 from __future__ import annotations
@@ -62,8 +70,9 @@ _MEMO_MAX_SCAN = 256
 _XTOL = 1e-12
 _RTOL = 4.0 * np.finfo(float).eps
 
-# minimize_lsd_many fits fewer rows than this one by one with minimize_lsd:
-# a small stack's array passes cost more than the calls they replace.
+# A sample part of fewer rows than this is fitted row by row on the scalar
+# path of minimize_lsd: a small stack's array passes cost more than the
+# calls they replace.
 _MIN_STACK = 4
 
 
@@ -133,7 +142,13 @@ def estimating_equation_residual(
         raise DivergenceInfiniteError(
             "estimating equation degenerates for exponent A <= 0"
         )
-    return _FitContext(r_n, family, p, eps_tail, (theta,)).residual(theta)
+    # a one-row part whose window covers the data and theta's model window;
+    # its one-point grid is theta
+    search = SearchConfig(n_scan=1, bracket=(theta, theta), eps_tail=eps_tail)
+    part = _SamplePart.from_densities([r_n], family, search)
+    if part.errors[0] is not None:
+        raise part.errors[0]
+    return _FitContext(part, 0, p).residual(theta)
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -144,77 +159,209 @@ def _model_window_end(family: ParametricFamily, thetas: tuple, eps_tail: float) 
     return max(off + ln for off, ln in windows)
 
 
+def _grids(lo: np.ndarray, hi: np.ndarray, n_scan: int) -> np.ndarray:
+    """Coarse grids, one row per bracket: row k is ``np.linspace(lo[k],
+    hi[k], n_scan)`` bit for bit (numpy's arange times the step, plus lo,
+    with the end point set), in a few array passes for any number of rows."""
+    grid = np.arange(n_scan) * ((hi - lo) / max(n_scan - 1, 1))[:, None]
+    grid += lo[:, None]
+    if n_scan > 1:
+        grid[:, -1] = hi
+    return grid
+
+
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _scan_model_terms(
     family: ParametricFamily, lo: float, hi: float, n_scan: int, one_beta: float, length: int
 ) -> np.ndarray:
     """The model term log sum f_theta^(1+beta) over the window [0, length) at
-    each theta of the coarse grid ``np.linspace(lo, hi, n_scan)``, as a
+    each theta of the coarse grid of (lo, hi) (see :func:`_grids`), as a
     read-only array.
 
     The bracket depends on the sample only through its mean, so fits of one
     sample (or of samples with the same mean and window) at one beta share
     an entry whatever their gamma.
     """
-    grid = np.linspace(lo, hi, n_scan)
+    grid = _grids(np.array([lo]), np.array([hi]), n_scan)[0]
     log_sf = _lse(one_beta * family.log_density(grid[:, None], np.arange(length)))
     log_sf.flags.writeable = False
     return log_sf
 
 
-class _FitContext:
-    """Precomputed log-space objective and residual for one minimization.
+class _SamplePart:
+    """The tilt-free part of the fits of several data densities, as rows.
 
-    The window [0, L) is fixed once: it covers the data and the model tail at
-    every theta in ``thetas`` (for a fit the bracket ends and midpoint),
-    whose window end comes from a process-wide memo.  The data-side terms
-    are computed once; ``x_pos`` holds the occupied cells, which index the
-    window since it starts at 0.  The objective is the kernel behind
-    :func:`lsd`: a model term log sum f^(1+beta) over the whole window plus
-    a data term on the occupied cells only.  The independent oracles for this path are the
-    closed forms :func:`lpd`, :func:`ldpd`, :func:`ld` and
-    :func:`oracle_grid_minimize`.
+    Built once from each row's occupied cells ``x_pos`` on the window from
+    0, log g there (``logg``), their number ``cells``, the row's mean and
+    the end of its stored window: each row's bracket (lo, hi) (the
+    search's, or the mean-based default of the one-sample fit), its window
+    [0, L) covering the data and the model tail at the bracket ends and
+    midpoint (from a process-wide memo), and, in one array pass over all
+    rows, its coarse grid of ``n_scan`` thetas and log f on occupied cells x
+    grid (``logf_scan``: long rows, which numpy's array passes run faster
+    than a short row per theta).  A row given an error in ``errors``, or
+    whose window cannot be computed, keeps that error and is left out of
+    every array; ``index`` maps the kept rows to the rows given.  With
+    ``n_scan=1`` and the bracket (theta, theta) a part is the cheap
+    window-only form that the residual at theta needs.
 
-    ``objective`` and ``residual`` take a float theta.  ``scan`` gives the
-    objective on the coarse grid in one (grid x occupied cells) array pass,
-    with the model terms from a process-wide memo.
+    ``x_pos`` and ``logg`` hold each kept row's ``cells`` occupied cells in
+    order, padded to the most any row has with cell 0 and log g =
+    ``_PAD_LOGG``.  :meth:`scan` gives each row's coarse scan at a tilt; the
+    scalar fit (:class:`_FitContext`) and the stacked one (:class:`_FitStack`)
+    read the rest.
     """
 
     def __init__(
-        self,
-        g: DiscreteDensity,
-        family: ParametricFamily,
-        p: TiltParams,
-        eps_tail: float,
-        thetas: tuple[float, ...],
+        self, x_pos: np.ndarray, logg: np.ndarray, cells: np.ndarray, means, ends,
+        family: ParametricFamily, search: SearchConfig, errors=None,
     ):
-        self.family = family
-        self.p = p
-        window_end = _memoised(_model_window_end, family, thetas, eps_tail)
-        length = max(g.offset + g.mass.size, window_end)
-        self.x = np.arange(0, length)
-        gv = np.zeros(length)
-        gv[g.offset : g.offset + g.mass.size] = g.mass
-        self.x_pos = np.flatnonzero(gv)
-        self.logg_pos = np.log(gv[self.x_pos])
+        self.family, self.search = family, search
+        self.size = len(means)
+        self.errors: list = list(errors) if errors else [None] * self.size
+        self.index, self.lo, self.hi, self.length = [], [], [], []
+        for i, (mean, end) in enumerate(zip(means, ends)):
+            if self.errors[i] is not None:
+                continue
+            lo, hi = search.bracket or (max(1e-3, mean / 5.0), 5.0 * mean + 5.0)
+            try:
+                window_end = _memoised(
+                    _model_window_end, family, (lo, 0.5 * (lo + hi), hi), search.eps_tail
+                )
+            except (ValueError, ArithmeticError) as exc:
+                self.errors[i] = exc
+                continue
+            self.index.append(i)
+            self.lo.append(lo)
+            self.hi.append(hi)
+            self.length.append(max(end, window_end))
+        if not self.index:
+            return
+        if len(self.index) < self.size:
+            cells = cells[self.index]
+            width = cells.max()
+            x_pos, logg = x_pos[self.index, :width], logg[self.index, :width]
+        self.x_pos, self.logg, self.cells = x_pos, logg, cells.tolist()
+        self.grid = _grids(np.array(self.lo), np.array(self.hi), search.n_scan)
+        self.logf_scan = family.log_density(self.grid[:, None, :], x_pos[:, :, None])
+
+    @classmethod
+    def from_samples(cls, samples: np.ndarray, family: ParametricFamily, search: SearchConfig):
+        """The part of the empirical frequencies of each row of a (rows x n)
+        matrix of nonnegative integer samples, tabulated in one bincount.
+
+        A row's masses, mean and window end are those of
+        :func:`empirical_frequencies` of that row, bit for bit.
+        """
+        rows, n = samples.shape
+        ends = samples.max(axis=1) + 1
+        width = int(ends.max())
+        flat = (samples + width * np.arange(rows)[:, None]).ravel()
+        mass = np.bincount(flat, minlength=rows * width).reshape(rows, width) / n
+        occupied = mass > 0
+        cells = occupied.sum(axis=1)
+        kept = np.arange(cells.max()) < cells[:, None]
+        x_pos = np.zeros(kept.shape, dtype=np.intp)
+        x_pos[kept] = occupied.nonzero()[1]
+        logg = np.full(kept.shape, _PAD_LOGG)
+        logg[kept] = np.log(mass[occupied])
+        ends = ends.tolist()
+        # each row's mean as DiscreteDensity.mean sums it, on the row's own window
+        means = [
+            float(np.dot(np.arange(end), row[:end]) / row[:end].sum())
+            for row, end in zip(mass, ends)
+        ]
+        return cls(x_pos, logg, cells, means, ends, family, search)
+
+    @classmethod
+    def from_densities(cls, densities, family: ParametricFamily, search: SearchConfig):
+        """The part of a list of data densities, each placed at its offset; a
+        density below cell 0 or without positive mass keeps a ValueError."""
+        errors, occupied, ends, means = [], [], [], []
+        for r_n in densities:
+            nz = np.flatnonzero(r_n.mass)
+            bad = r_n.offset < 0 or not nz.size
+            errors.append(ValueError(
+                "a data density must lie on cells >= 0 and have positive mass"
+            ) if bad else None)
+            occupied.append(nz[:0] if bad else nz)
+            ends.append(r_n.offset + r_n.mass.size)
+            means.append(np.nan if bad else r_n.mean())
+        cells = np.array([nz.size for nz in occupied], dtype=int)
+        x_pos = np.zeros((len(densities), cells.max(initial=0)), dtype=np.intp)
+        logg = np.full(x_pos.shape, _PAD_LOGG)
+        for k, (r_n, nz) in enumerate(zip(densities, occupied)):
+            x_pos[k, : nz.size] = r_n.offset + nz
+            logg[k, : nz.size] = np.log(r_n.mass[nz])
+        return cls(x_pos, logg, cells, means, ends, family, search, errors)
+
+    def scan_values(self, k: int, p: TiltParams):
+        """Kept row k's log sum g^(1+beta) at tilt p and its objective at each
+        theta of its grid, equal bit for bit to :class:`_FitContext`'s
+        objective there; the model terms come from a process-wide memo."""
+        one_beta = 1.0 + p.beta
+        n_scan, m = self.search.n_scan, self.cells[k]
+        logg = self.logg[k, :m]
+        log_sg = _lse(one_beta * logg)
+        log_sf = _memoised(
+            _scan_model_terms, self.family, self.lo[k], self.hi[k], n_scan, one_beta,
+            self.length[k], keep=n_scan <= _MEMO_MAX_SCAN,
+        )
+        return log_sg, _lsd_kernel(log_sf, self.logf_scan[k, :m].T, logg, log_sg, p)
+
+    def scan(self, p: TiltParams):
+        """Each kept row's coarse scan at tilt p, as lists over the rows:
+        log sum g^(1+beta), the scan cell (g_lo, g_hi) around the grid's best
+        point (the first on ties) and whether that point is a bracket end."""
+        log_sg, g_lo, g_hi, edge = [], [], [], []
+        last = self.search.n_scan - 1
+        for k, grid in enumerate(self.grid):
+            row_sg, values = self.scan_values(k, p)
+            best = int(values.argmin())
+            log_sg.append(row_sg)
+            g_lo.append(grid[max(best - 1, 0)])
+            g_hi.append(grid[min(best + 1, last)])
+            edge.append(best in (0, last))
+        return log_sg, g_lo, g_hi, edge
+
+    @functools.cached_property
+    def pad(self) -> np.ndarray:
+        """0 on each kept row's window and -inf beyond it, as a (rows x
+        longest window) array."""
+        return np.where(np.arange(max(self.length)) < np.array(self.length)[:, None], 0.0, -np.inf)
+
+    @functools.cached_property
+    def pos(self) -> np.ndarray:
+        """Flat indices of each row's (padded) occupied cells into a (rows x
+        longest window) array."""
+        return np.arange(len(self.index))[:, None] * self.pad.shape[1] + self.x_pos
+
+
+class _FitContext:
+    """The log-space objective and residual of one kept row of a sample part
+    at one tilt, each at a float theta.  Only the objective reads
+    ``log_sg``, the row's log sum g^(1+beta) from :meth:`_SamplePart.scan`.
+
+    The objective is the kernel behind :func:`lsd`: a model term log sum
+    f^(1+beta) over the row's whole window plus a data term on its occupied
+    cells only.  The independent oracles for this path are the closed forms
+    :func:`lpd`, :func:`ldpd`, :func:`ld` and :func:`oracle_grid_minimize`.
+    """
+
+    def __init__(self, part: _SamplePart, k: int, p: TiltParams, log_sg: float | None = None):
+        self.family, self.p, self.log_sg = part.family, p, log_sg
+        # the window's points as floats, which the family would otherwise
+        # convert at every evaluation
+        self.x = np.arange(part.length[k], dtype=float)
+        m = part.cells[k]
+        self.x_pos = part.x_pos[k, :m]
+        self.logg_pos = part.logg[k, :m]
         self.a_logg = p.exp_a * self.logg_pos
-        self.log_sg = _lse((1.0 + p.beta) * self.logg_pos)
 
     def objective(self, theta: float) -> float:
         logf = self.family.log_density(theta, self.x)
         log_sf = _lse((1.0 + self.p.beta) * logf)
         return _lsd_kernel(log_sf, logf[self.x_pos], self.logg_pos, self.log_sg, self.p)
-
-    def scan(self, lo: float, hi: float, n_scan: int) -> tuple[np.ndarray, np.ndarray]:
-        """The grid of ``n_scan`` thetas on [lo, hi] and the objective at each,
-        equal bit for bit to ``objective`` at each grid theta."""
-        grid = np.linspace(lo, hi, n_scan)
-        log_sf = _memoised(
-            _scan_model_terms, self.family, lo, hi, n_scan, 1.0 + self.p.beta, self.x.size,
-            keep=n_scan <= _MEMO_MAX_SCAN,
-        )
-        logf_pos = self.family.log_density(grid[:, None], self.x_pos)
-        return grid, _lsd_kernel(log_sf, logf_pos, self.logg_pos, self.log_sg, self.p)
 
     def residual(self, theta: float) -> float:
         logf = self.family.log_density(theta, self.x)
@@ -235,33 +382,23 @@ def _residual(logf, u, logf_pos, u_pos, a_logg, p: TiltParams):
 
 
 class _FitStack:
-    """Several fits' contexts at one tilt as rows of one (rows x window)
+    """A sample part's kept rows at one tilt as rows of one (rows x window)
     grid, for array passes of the objective and the residual at one theta
     per row.
 
     Each row's window [0, L) is padded to the longest with log f = -inf, and
     its occupied cells to the most any row has with cell 0 and log g =
     ``_PAD_LOGG``; both pads add exact zeros.  A padded row's sums group
-    their terms otherwise than its context's, so its values differ from the
-    context's in the last bits, depending on the rows that share its stack.
+    their terms otherwise than its :class:`_FitContext`'s, so its values
+    differ from the context's in the last bits, depending on the rows that
+    share its stack.
     """
 
-    def __init__(self, contexts):
-        self.family, self.p = contexts[0].family, contexts[0].p
-        rows = len(contexts)
-        length = max(c.x.size for c in contexts)
-        self.x = np.arange(length)
-        self.pad = np.zeros((rows, length))
-        cells = max(c.x_pos.size for c in contexts)
-        # flat indices of the occupied cells into a (rows x window) array
-        self.pos = np.repeat(np.arange(rows)[:, None] * length, cells, axis=1)
-        self.logg = np.full(self.pos.shape, _PAD_LOGG)
-        for i, c in enumerate(contexts):
-            self.pad[i, c.x.size :] = -np.inf
-            self.pos[i, : c.x_pos.size] += c.x_pos
-            self.logg[i, : c.x_pos.size] = c.logg_pos
-        self.a_logg = self.p.exp_a * self.logg
-        self.log_sg = np.array([c.log_sg for c in contexts])
+    def __init__(self, part: _SamplePart, p: TiltParams, log_sg: np.ndarray):
+        self.family, self.p, self.log_sg = part.family, p, log_sg
+        self.pad, self.pos, self.logg = part.pad, part.pos, part.logg
+        self.x = np.arange(self.pad.shape[1], dtype=float)
+        self.a_logg = p.exp_a * self.logg
 
     def objective(self, theta: np.ndarray) -> np.ndarray:
         logf = self.family.log_density(theta[:, None], self.x) + self.pad
@@ -374,28 +511,6 @@ def _residual_roots(res_fun, x1, f1, x2, f2, active, max_iter: int):
     return root, res, np.where(exact, root, lo), np.where(exact, root, hi), iterations
 
 
-def _scan_cell(r_n: DiscreteDensity, family: ParametricFamily, p: TiltParams, search: SearchConfig):
-    """A fit's context, its bracket (lo, hi), the scan cell (g_lo, g_hi)
-    around the coarse grid's best point (the first on ties) and whether that
-    point is a bracket end."""
-    if p.exp_a <= EXPONENT_BOUNDARY:
-        raise DivergenceInfiniteError(
-            "estimation requires exponent A > 0 (empty cells make the divergence infinite)"
-        )
-    mean = r_n.mean()
-    if search.bracket is not None:
-        lo, hi = search.bracket
-    else:
-        lo, hi = max(1e-3, mean / 5.0), 5.0 * mean + 5.0
-
-    ctx = _FitContext(r_n, family, p, search.eps_tail, (lo, 0.5 * (lo + hi), hi))
-    grid, values = ctx.scan(lo, hi, search.n_scan)
-    i_best = int(np.argmin(values))
-    g_lo = grid[max(i_best - 1, 0)]
-    g_hi = grid[min(i_best + 1, search.n_scan - 1)]
-    return ctx, lo, hi, g_lo, g_hi, i_best in (0, search.n_scan - 1)
-
-
 def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float, search: SearchConfig):
     """Golden section on a scan cell across which the residual does not fall
     from positive to negative, refined on the residual where it changes sign
@@ -436,6 +551,63 @@ def _result(theta_hat, res, bracket, iterations, objective, boundary_hit: bool, 
     )
 
 
+def _fit_part(part: _SamplePart, p: TiltParams) -> list:
+    """The fits of a sample part's rows at tilt p: entry i is row i's
+    :class:`EstimatorResult`, or the error that row raises (an exception
+    object of its own).
+
+    Every row is scanned alone.  A part of fewer than ``_MIN_STACK`` rows
+    is fitted row by row on the scalar path (brentq on the residual of the
+    scan cell, or the golden-section safeguard).  Otherwise the residual at
+    every row's scan cell ends, the roots of the rows whose residual falls
+    from positive to negative there (Chandrupatla's method in place of
+    brentq) and the final objectives run as (rows x window) array passes of
+    a :class:`_FitStack`; the other rows take the safeguard.
+    """
+    if p.exp_a <= EXPONENT_BOUNDARY:
+        return [
+            DivergenceInfiniteError(
+                "estimation requires exponent A > 0 (empty cells make the divergence infinite)"
+            )
+            for _ in range(part.size)
+        ]
+    out = list(part.errors)
+    if not part.index:
+        return out
+    search = part.search
+    log_sg, g_lo, g_hi, boundary_hit = part.scan(p)
+    if part.size < _MIN_STACK:
+        for k, i in enumerate(part.index):
+            ctx = _FitContext(part, k, p, log_sg[k])
+            v_lo, v_hi = ctx.residual(g_lo[k]), ctx.residual(g_hi[k])
+            if v_lo > 0 > v_hi:
+                fit = _residual_root(
+                    ctx.residual, g_lo[k], v_lo, g_hi[k], v_hi, search.max_iterations
+                )
+            else:
+                fit = _safeguard(ctx, part.lo[k], part.hi[k], g_lo[k], g_hi[k], search)
+            out[i] = _result(*fit, ctx.objective(fit[0]), boundary_hit[k], search)
+        return out
+
+    stack = _FitStack(part, p, np.array(log_sg))
+    g_lo, g_hi = np.array(g_lo), np.array(g_hi)
+    v_lo, v_hi = stack.residual(g_lo), stack.residual(g_hi)
+    falls = (v_lo > 0) & (v_hi < 0)
+    root, res, b_lo, b_hi, iterations = _residual_roots(
+        stack.residual, g_lo, v_lo, g_hi, v_hi, falls, search.max_iterations
+    )
+    fits = [
+        (root[k], res[k], (b_lo[k], b_hi[k]), iterations[k]) if falls[k]
+        else _safeguard(_FitContext(part, k, p, log_sg[k]), part.lo[k], part.hi[k],
+                        g_lo[k], g_hi[k], search)
+        for k in range(len(part.index))
+    ]
+    objective = stack.objective(np.array([fit[0] for fit in fits]))
+    for i, fit, value, edge in zip(part.index, fits, objective, boundary_hit):
+        out[i] = _result(*fit, value, edge, search)
+    return out
+
+
 def minimize_lsd(
     r_n: DiscreteDensity,
     family: ParametricFamily,
@@ -449,13 +621,10 @@ def minimize_lsd(
             density has empty cells inside the model window (the objective
             and estimating equation are not usable there).
     """
-    ctx, lo, hi, g_lo, g_hi, boundary_hit = _scan_cell(r_n, family, p, search)
-    v_lo, v_hi = ctx.residual(g_lo), ctx.residual(g_hi)
-    if v_lo > 0 > v_hi:
-        fit = _residual_root(ctx.residual, g_lo, v_lo, g_hi, v_hi, search.max_iterations)
-    else:
-        fit = _safeguard(ctx, lo, hi, g_lo, g_hi, search)
-    return _result(*fit, ctx.objective(fit[0]), boundary_hit, search)
+    (fit,) = _fit_part(_SamplePart.from_densities([r_n], family, search), p)
+    if isinstance(fit, Exception):
+        raise fit
+    return fit
 
 
 def minimize_lsd_many(
@@ -468,55 +637,22 @@ def minimize_lsd_many(
 
     Entry i is the :class:`EstimatorResult` that :func:`minimize_lsd` gives
     for ``densities[i]``, or the ValueError or ArithmeticError it raises
-    (as an exception object, leaving the other rows alone).
+    (as an exception object of its own, leaving the other rows alone).
 
-    Each row keeps its own context and coarse scan.  The residual at every
-    row's scan cell ends, the roots of the rows whose residual falls from
-    positive to negative there (Chandrupatla's method in place of brentq)
-    and the final objectives run as (rows x window) array passes; the other
-    rows take :func:`minimize_lsd`'s golden-section safeguard.  A row's
-    estimate agrees with minimize_lsd's within the root tolerance, and its
-    padded sums make its values depend in the last bits on which rows share
-    the call.  Fewer than four densities are fitted one by one with
-    minimize_lsd.
+    The densities become the rows of one sample part (see
+    :class:`_SamplePart`), each placed at its offset: one pass builds every
+    row's bracket, grid, window, occupied cells and log f on grid x
+    occupied cells.  Each row keeps its own coarse scan.  The residual at
+    every row's scan cell ends, the roots of the rows whose residual falls
+    from positive to negative there (Chandrupatla's method in place of
+    brentq) and the final objectives run as (rows x window) array passes;
+    the other rows take :func:`minimize_lsd`'s golden-section safeguard.  A
+    row's estimate agrees with minimize_lsd's within the root tolerance,
+    and its padded sums make its values depend in the last bits on which
+    rows share the call.  Fewer than four densities are fitted one by one
+    as minimize_lsd fits them.
     """
-    out: list = [None] * len(densities)
-    if len(densities) < _MIN_STACK:
-        for i, r_n in enumerate(densities):
-            try:
-                out[i] = minimize_lsd(r_n, family, p, search)
-            except (ValueError, ArithmeticError) as exc:
-                out[i] = exc
-        return out
-
-    rows, cells = [], []
-    for i, r_n in enumerate(densities):
-        try:
-            cells.append(_scan_cell(r_n, family, p, search))
-        except (ValueError, ArithmeticError) as exc:
-            out[i] = exc
-        else:
-            rows.append(i)
-    if not rows:
-        return out
-
-    contexts, lo, hi, g_lo, g_hi, boundary_hit = zip(*cells)
-    stack = _FitStack(contexts)
-    g_lo, g_hi = np.array(g_lo), np.array(g_hi)
-    v_lo, v_hi = stack.residual(g_lo), stack.residual(g_hi)
-    falls = (v_lo > 0) & (v_hi < 0)
-    root, res, b_lo, b_hi, iterations = _residual_roots(
-        stack.residual, g_lo, v_lo, g_hi, v_hi, falls, search.max_iterations
-    )
-    fits = [
-        (root[k], res[k], (b_lo[k], b_hi[k]), iterations[k]) if falls[k]
-        else _safeguard(contexts[k], lo[k], hi[k], g_lo[k], g_hi[k], search)
-        for k in range(len(rows))
-    ]
-    objective = stack.objective(np.array([fit[0] for fit in fits]))
-    for i, fit, value, edge in zip(rows, fits, objective, boundary_hit):
-        out[i] = _result(*fit, value, edge, search)
-    return out
+    return _fit_part(_SamplePart.from_densities(densities, family, search), p)
 
 
 def oracle_grid_minimize(

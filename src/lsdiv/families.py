@@ -33,10 +33,12 @@ class ParametricFamily(ABC):
     A family hashed by value (a frozen dataclass, as :class:`PoissonFamily`)
     keys the per-process memos of the fit's windows and model terms and of
     the tilted moments (:func:`moments_c_d`), so it must not change; one
-    hashed by identity or unhashable runs without them.  x is always a 1-d
-    array of integer points, a lone point included.  The fit calls
-    ``log_density`` and ``score`` with a (k, 1) column of thetas as well,
-    which must broadcast against x to a (k, len(x)) array.
+    hashed by identity or unhashable runs without them.  x is an integer
+    point or an array of them (as ints or as floats of integer value), and
+    theta a float or an array that broadcasts against x.  The fit calls ``log_density`` and ``score``
+    with a 1-d x and a (k, 1) column of thetas, which give a (k, len(x))
+    array, and ``log_density`` with a (rows, m, 1) x and a (rows, 1, k)
+    theta, which give a (rows, m, k) array.
     """
 
     @abstractmethod
@@ -75,7 +77,7 @@ class PoissonFamily(ParametricFamily):
     def _check(self, theta) -> None:
         # A plain comparison for a scalar theta keeps the per-call cost of
         # density and score low; an array of thetas is checked at its minimum.
-        if (np.min(theta) if isinstance(theta, np.ndarray) else theta) <= 0:
+        if (theta.min() if isinstance(theta, np.ndarray) else theta) <= 0:
             raise ValueError(f"Poisson parameter must be positive, got {theta}")
 
     def density(self, theta: float, x) -> np.ndarray:
@@ -85,7 +87,14 @@ class PoissonFamily(ParametricFamily):
         """log f_theta(x); a (k, 1) column of thetas gives a (k, len(x)) matrix."""
         self._check(theta)
         x = np.asarray(x, dtype=float)
-        return x * np.log(theta) - theta - gammaln(x + 1.0)
+        # in place: for an array theta that broadcasts against x, numpy
+        # cannot reuse the product's buffer for the differences, and on a
+        # sample part's (rows x cells x grid) array two fresh temporaries
+        # cost more than the arithmetic
+        logf = x * np.log(theta)
+        logf -= theta
+        logf -= gammaln(x + 1.0)
+        return logf
 
     def score(self, theta: float, x) -> np.ndarray:
         self._check(theta)

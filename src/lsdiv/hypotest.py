@@ -263,5 +263,5 @@ def second_order_test_influence(
     """Second-order influence of the test functional at the null:
     A_beta * IF1(y)^2 (the first-order influence is identically zero)."""
     c = moments_c_d(family, theta0, p.beta, 2, eps_tail)[0]
-    fy, uy = _density_score(family, theta0, np.array([y]))
+    fy, uy = _density_score(family, theta0, y)
     return _curvature(c, p.beta) * _model_if1(c, fy, uy, p.beta) ** 2

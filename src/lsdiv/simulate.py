@@ -23,7 +23,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .divergence import EXPONENT_BOUNDARY, TiltParams, derive_exponents
-from .estimation import empirical_frequencies, minimize_lsd_many
+from .estimation import SearchConfig, _fit_part, _SamplePart
 from .families import PoissonFamily, density_vector
 from .hypotest import divergence_between_fits, null_law
 
@@ -292,28 +292,28 @@ def contaminated_sample(
 # Replication workers (module-level so process pools can pickle them)
 # ---------------------------------------------------------------------------
 
-# Replications per chunk.  A worker draws a chunk's samples and fits them as
-# one stack at each cell in turn; a stacked fit depends in the last bits on
-# the rows that share its stack, so the chunks are the same at any n_jobs.
+# Replications per chunk.  A worker draws a chunk's samples, builds their
+# tilt-free sample part once and fits it as one stack at each cell in turn;
+# a stacked fit depends in the last bits on the rows that share its stack,
+# so the chunks are the same at any n_jobs.
 CHUNK = 32
 
 
-def _chunk_densities(seed: int, reps: range, n: int, theta: float, contam) -> list:
-    return [
-        empirical_frequencies(contaminated_sample(n, theta, contam, replication_rng(seed, rep)))
-        for rep in reps
-    ]
+def _chunk_part(seed: int, reps: range, n: int, theta: float, contam) -> _SamplePart:
+    """The sample part of a chunk's samples, drawn once and fitted at every cell."""
+    samples = np.array(
+        [contaminated_sample(n, theta, contam, replication_rng(seed, rep)) for rep in reps]
+    )
+    return _SamplePart.from_samples(samples, PoissonFamily(), SearchConfig())
 
 
 def _estimate_worker(args) -> list[list[float | None]]:
     """A chunk of replications' estimates at each of ``tilts``: one list per
     tilt, with None for a failed fit."""
     seed, reps, n, theta_true, contam, tilts = args
-    densities = _chunk_densities(seed, reps, n, theta_true, contam)
-    family = PoissonFamily()
+    part = _chunk_part(seed, reps, n, theta_true, contam)
     return [
-        [None if isinstance(fit, Exception) else fit.theta_hat
-         for fit in minimize_lsd_many(densities, family, p)]
+        [None if isinstance(fit, Exception) else fit.theta_hat for fit in _fit_part(part, p)]
         for p in tilts
     ]
 
@@ -323,11 +323,11 @@ def _reject_worker(args) -> list[list[bool | None]]:
     of ``tests``: one list per test, with None for a failed fit.  The
     statistics of a test's fitted rows come from one stacked pass."""
     seed, reps, n, theta_draw, contam, theta0, tests = args
-    densities = _chunk_densities(seed, reps, n, theta_draw, contam)
-    family = PoissonFamily()
+    part = _chunk_part(seed, reps, n, theta_draw, contam)
+    family = part.family
     out = []
     for p, critical in tests:
-        fits = minimize_lsd_many(densities, family, p)
+        fits = _fit_part(part, p)
         rejects = [None] * len(fits)
         ok = [i for i, fit in enumerate(fits) if not isinstance(fit, Exception)]
         if ok:
@@ -385,10 +385,11 @@ def _by_cell(config: SimulationConfig, worker, draw, cell_args, n_jobs: int):
     ``worker`` takes (seed, replications, *draw, per-cell arguments) for a
     chunk of ``CHUNK`` consecutive replications (one pool task each) and
     returns, per active cell, the outputs of the chunk's replications.  It
-    draws the chunk's samples once and fits them as one stack at each cell in
-    turn, so the fits of a sample at one beta share the scan's memoised model
-    terms as long as the memo keeps the chunk's entries for every beta (see
-    ``estimation._MEMO_SIZE``), in each pool worker as in a serial run.
+    draws the chunk's samples and builds their sample part once, then fits
+    them as one stack at each cell in turn, so the fits of a sample at one
+    beta share the scan's memoised model terms as long as the memo keeps the
+    chunk's entries for every beta (see ``estimation._MEMO_SIZE``), in each
+    pool worker as in a serial run.
     ``cell_args(beta, gamma)`` gives an active cell's arguments.
     """
     grid = [(beta, gamma) for gamma in config.grid_gamma for beta in config.grid_beta]

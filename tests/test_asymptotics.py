@@ -316,6 +316,15 @@ class TestBiasCurves:
         bias_curves(12, family, 4.0, TiltParams(0.5, 0.3), [0.0, 0.05, 0.1])
         assert betas == [0.5]
 
+    @pytest.mark.parametrize("eps", [[-0.5, 0.0], [0.0, 0.5, 3.0], [np.nan], [0.1, -np.inf]])
+    def test_levels_outside_unit_interval_rejected(self, family, eps):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            bias_curves(12, family, 4.0, TiltParams(0.3, 0.0), eps)
+
+    def test_unit_interval_ends_accepted(self, family):
+        curve = bias_curves(12, family, 4.0, TiltParams(0.3, 0.0), [0.0, 1.0])
+        assert curve.eps_grid.tolist() == [0.0, 1.0]
+
     def test_linear_at_likelihood_disparity(self, family):
         curve = bias_curves(12, family, 4.0, TiltParams(0.0, 0.0), np.linspace(0, 0.1, 6))
         assert np.max(np.abs(curve.second_order - curve.first_order)) <= 1e-6

@@ -112,6 +112,26 @@ class TestEstimateCommand:
         assert result.exit_code == 1
 
 
+class TestNonFiniteTilt:
+    """A NaN or infinite beta or gamma is an error, never a NaN in the JSON."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["estimate", "--beta", "nan", "--gamma", "0.5", "--data", "1,2,3"],
+            ["divergence", "--beta", "0.2", "--gamma", "inf", "--theta-g", "2", "--theta-f", "3"],
+            ["influence", "--beta", "nan", "--gamma", "0", "--theta", "4", "--y-max", "2"],
+            ["bias-approx", "--beta", "0.2", "--gamma", "-inf", "--theta", "4", "--y", "12"],
+            ["test", "--beta", "0", "--gamma", "nan", "--data", "1,2,3", "--theta0", "2"],
+        ],
+        ids=["estimate", "divergence", "influence", "bias-approx", "test"],
+    )
+    def test_rejected_with_error_payload(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert "finite" in json.loads(result.output.strip().splitlines()[-1])["error"]
+
+
 class TestCurveCommands:
     def test_influence_csv(self, runner):
         result = run_ok(
@@ -128,6 +148,20 @@ class TestCurveCommands:
         )
         assert result.exit_code == 1
         assert "y-max" in json.loads(result.output.strip().splitlines()[-1])["error"]
+
+    @pytest.mark.parametrize(
+        "option,value,message",
+        [("--eps-max", "-0.5", "[0, 1]"), ("--eps-max", "3", "[0, 1]"),
+         ("--eps-max", "nan", "[0, 1]"), ("--steps", "0", "steps"), ("--steps", "-2", "steps")],
+    )
+    def test_bias_approx_impossible_grid_rejected(self, runner, option, value, message):
+        result = runner.invoke(
+            main,
+            ["bias-approx", "--beta", "0.3", "--gamma", "0", "--theta", "4", "--y", "12",
+             option, value],
+        )
+        assert result.exit_code == 1
+        assert message in json.loads(result.output.strip().splitlines()[-1])["error"]
 
     def test_bias_approx_csv(self, runner, tmp_path):
         out = tmp_path / "bias.csv"

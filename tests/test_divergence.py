@@ -38,6 +38,17 @@ class TestDeriveExponents:
         with pytest.raises(ValueError):
             derive_exponents(-0.1, 0.0)
 
+    @pytest.mark.parametrize(
+        "beta,gamma",
+        [(np.nan, 0.5), (np.inf, 0.5), (0.2, np.nan), (0.2, np.inf), (0.2, -np.inf), (-np.inf, 0.0)],
+    )
+    def test_non_finite_tilt_rejected(self, beta, gamma):
+        # nan < 0 is false, so a sign check alone lets these through
+        with pytest.raises(ValueError, match="finite"):
+            derive_exponents(beta, gamma)
+        with pytest.raises(ValueError, match="finite"):
+            TiltParams(beta, gamma)
+
     @given(
         beta=st.floats(min_value=0.0, max_value=1.0),
         gamma=st.floats(min_value=-1.0, max_value=2.0),

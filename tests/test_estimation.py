@@ -25,7 +25,9 @@ from lsdiv import (
 from lsdiv.estimation import (
     _FitContext,
     _FitStack,
+    _SamplePart,
     _golden_section,
+    _grids,
     _model_window_end,
     _residual_roots,
     _scan_model_terms,
@@ -143,13 +145,16 @@ class TestBatchedScan:
         sample[:n_contam] = 12
         r_n = empirical_frequencies(sample)
         lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
-        ctx = _FitContext(r_n, family, TiltParams(beta, gamma), 1e-12, (lo, 0.5 * (lo + hi), hi))
+        part = _SamplePart.from_densities([r_n], family, SearchConfig())
+        p = TiltParams(beta, gamma)
         n_scan = SearchConfig().n_scan
         _scan_model_terms.cache_clear()
         for _ in ("cold", "warm"):
-            grid, values = ctx.scan(lo, hi, n_scan)
+            log_sg, values = part.scan_values(0, p)
+            grid = part.grid[0]
             np.testing.assert_array_equal(grid, np.linspace(lo, hi, n_scan))
             assert values.shape == grid.shape
+            ctx = _FitContext(part, 0, p, log_sg)
             np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
         assert _scan_model_terms.cache_info().hits == 1
 
@@ -171,11 +176,13 @@ class TestScanMemo:
         p = TiltParams(0.5, 0.0)
         _scan_model_terms.cache_clear()
         for sample, length in (([4] * 50, 69), ([2] * 49 + [102], 103)):
-            r_n = empirical_frequencies(np.array(sample))
-            ctx = _FitContext(r_n, family, p, 1e-12, (0.8, 12.9, 25.0))
-            assert ctx.x.size == length
-            grid, values = ctx.scan(0.8, 25.0, 256)
-            np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
+            part = _SamplePart.from_densities(
+                [empirical_frequencies(np.array(sample))], family, SearchConfig()
+            )
+            assert (part.lo, part.hi, part.length) == ([0.8], [25.0], [length])
+            log_sg, values = part.scan_values(0, p)
+            ctx = _FitContext(part, 0, p, log_sg)
+            np.testing.assert_array_equal(values, [ctx.objective(t) for t in part.grid[0]])
         assert _scan_model_terms.cache_info().currsize == 2
 
     def test_inputs_of_the_key_get_own_entries(self):
@@ -239,11 +246,9 @@ SOLVER_TILTS = [(0.0, 0.0), (0.0, 0.5), (0.4, 2.0), (0.5, 0.0), (0.2, -0.5), (1.
 
 def scan_cell(r_n, p):
     """The fit's context and the scan cell [g_lo, g_hi] around its best grid point."""
-    lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
-    ctx = _FitContext(r_n, PoissonFamily(), p, 1e-12, (lo, 0.5 * (lo + hi), hi))
-    grid, values = ctx.scan(lo, hi, SearchConfig().n_scan)
-    i_best = int(np.argmin(values))
-    return ctx, grid[i_best - 1], grid[i_best + 1]
+    part = _SamplePart.from_densities([r_n], PoissonFamily(), SearchConfig())
+    log_sg, g_lo, g_hi, _ = part.scan(p)
+    return _FitContext(part, 0, p, log_sg[0]), g_lo[0], g_hi[0]
 
 
 class TestResidualRoot:
@@ -279,11 +284,11 @@ class TestResidualRoot:
 
     def test_evaluation_budget(self, family, monkeypatch):
         calls = {"scan": 0, "objective": 0, "residual": 0}
-        scan, objective, residual = _FitContext.scan, _FitContext.objective, _FitContext.residual
+        scan, objective, residual = _SamplePart.scan, _FitContext.objective, _FitContext.residual
 
-        def counted_scan(self, lo, hi, n_scan):
+        def counted_scan(self, p):
             calls["scan"] += 1
-            return scan(self, lo, hi, n_scan)
+            return scan(self, p)
 
         def counted_objective(self, theta):
             calls["objective"] += 1
@@ -293,7 +298,7 @@ class TestResidualRoot:
             calls["residual"] += 1
             return residual(self, theta)
 
-        monkeypatch.setattr(_FitContext, "scan", counted_scan)
+        monkeypatch.setattr(_SamplePart, "scan", counted_scan)
         monkeypatch.setattr(_FitContext, "objective", counted_objective)
         monkeypatch.setattr(_FitContext, "residual", counted_residual)
         contam = Contamination(0.1, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)
@@ -401,6 +406,7 @@ class TestStackedFits:
         densities = table_stacks()[0][:5]
         fits = minimize_lsd_many(densities, family, TiltParams(0.0, -1.0))
         assert all(isinstance(fit, DivergenceInfiniteError) for fit in fits)
+        assert len({id(fit) for fit in fits}) == len(fits)  # an object of its own per row
 
     def test_small_stacks_are_scalar_fits(self, family):
         p = TiltParams(0.2, 0.5)
@@ -463,6 +469,125 @@ class TestStackedFits:
                 assert calls["residual"] <= 20
                 assert calls["objective"] == 1
                 assert max(fit.iterations for fit in fits) <= calls["residual"] - 2
+
+
+def chunk_samples(seed):
+    """Raw samples of an estimation-table-shaped chunk of 30 replications and
+    of a wide-table-shaped one of 20, as the simulation harness draws them."""
+    contam = Contamination(0.1, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+    wide = Contamination(0.1, 130.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+    return [
+        np.array([contaminated_sample(n, theta, c, replication_rng(seed, rep))
+                  for rep in range(reps)])
+        for n, theta, c, reps in ((50, 4.0, contam, 30), (200, 100.0, wide, 20))
+    ]
+
+
+# Samples whose scan cell lies at a bracket end or has no sign change
+DEGENERATE = ([0] * 50, [0], [0] * 49 + [30], [7] * 20)
+
+
+class TestSamplePart:
+    """A chunk's sample part is tabulated in array passes; each of its rows
+    must hold what a one-row part of that row's density holds, bit for bit,
+    and the stacked fits must keep the scalar fits' scan cells."""
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_tabulated_rows_equal_one_row_parts(self, family, seed):
+        for samples in chunk_samples(seed):
+            part = _SamplePart.from_samples(samples, family, SearchConfig())
+            assert part.index == list(range(len(samples)))
+            for k, sample in enumerate(samples):
+                one = _SamplePart.from_densities(
+                    [empirical_frequencies(sample)], family, SearchConfig()
+                )
+                m = part.cells[k]
+                assert (part.lo[k], part.hi[k], part.length[k], m) == (
+                    one.lo[0], one.hi[0], one.length[0], one.cells[0]
+                )
+                np.testing.assert_array_equal(part.grid[k], one.grid[0])
+                np.testing.assert_array_equal(part.x_pos[k, :m], one.x_pos[0])
+                np.testing.assert_array_equal(part.logg[k, :m], one.logg[0])
+                np.testing.assert_array_equal(part.logf_scan[k, :m], one.logf_scan[0])
+                for beta, gamma in SOLVER_TILTS[:3]:
+                    p = TiltParams(beta, gamma)
+                    got, want = part.scan_values(k, p), one.scan_values(0, p)
+                    assert got[0] == want[0]
+                    np.testing.assert_array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("beta,gamma", SOLVER_TILTS)
+    def test_stacked_fits_keep_the_scalar_scan_cell(self, family, seed, beta, gamma):
+        p = TiltParams(beta, gamma)
+        tol_theta = SearchConfig().tol_theta
+        for samples in chunk_samples(seed):
+            densities = [empirical_frequencies(sample) for sample in samples]
+            densities += [empirical_frequencies(np.array(d)) for d in DEGENERATE]
+            densities += [DiscreteDensity(offset=3, mass=r_n.mass) for r_n in densities[:2]]
+            part = _SamplePart.from_densities(densities, family, SearchConfig())
+            _, g_lo, g_hi, edge = part.scan(p)
+            fits = minimize_lsd_many(densities, family, p)
+            for k, (r_n, fit) in enumerate(zip(densities, fits)):
+                one = _SamplePart.from_densities([r_n], family, SearchConfig())
+                _, o_lo, o_hi, o_edge = one.scan(p)
+                assert (g_lo[k], g_hi[k], edge[k]) == (o_lo[0], o_hi[0], o_edge[0])
+                expected = minimize_lsd(r_n, family, p)
+                assert abs(fit.theta_hat - expected.theta_hat) <= tol_theta
+                assert fit.converged == expected.converged
+
+    def test_nonpositive_exp_a_gives_each_row_its_own_error(self, family):
+        densities = [empirical_frequencies(sample) for sample in chunk_samples(0)[0][:6]]
+        densities += [empirical_frequencies(np.array(d)) for d in DEGENERATE]
+        densities += [DiscreteDensity(offset=3, mass=densities[0].mass)]
+        densities += [empirical_frequencies(np.full(50, 300))]  # no window at all
+        fits = minimize_lsd_many(densities, family, TiltParams(0.0, -1.0))
+        assert all(type(fit) is DivergenceInfiniteError for fit in fits)
+        assert len({id(fit) for fit in fits}) == len(densities)
+
+    def test_offset_density_placed_at_its_offset(self, family):
+        # a density stored from cell 3 fits as the same masses stored from 0
+        # behind three empty cells
+        r_n = empirical_frequencies(chunk_samples(0)[0][0])
+        shifted = DiscreteDensity(offset=3, mass=r_n.mass)
+        padded = DiscreteDensity(offset=0, mass=np.concatenate([np.zeros(3), r_n.mass]))
+        for beta, gamma in SOLVER_TILTS:
+            p = TiltParams(beta, gamma)
+            fits = minimize_lsd_many([shifted, padded] * 2, family, p)
+            scalar = minimize_lsd(shifted, family, p).theta_hat
+            assert abs(scalar - r_n.mean() - 3.0) < abs(scalar - r_n.mean())
+            for fit in fits:
+                assert abs(fit.theta_hat - scalar) <= 1e-8
+
+    @pytest.mark.parametrize("n_scan", [1, 2, 3, 256, 257])
+    def test_grids_are_linspace_rows(self, n_scan):
+        rng = np.random.default_rng(4)
+        lo = rng.uniform(1e-3, 50.0, 200)
+        hi = lo + rng.uniform(0.0, 500.0, 200)
+        hi[:3] = lo[:3]  # the one-point bracket of estimating_equation_residual
+        expected = [np.linspace(a, b, n_scan) for a, b in zip(lo, hi)]
+        np.testing.assert_array_equal(_grids(lo, hi, n_scan), expected)
+
+    @pytest.mark.parametrize(
+        "bad", [DiscreteDensity(offset=-1, mass=np.array([0.2, 0.3, 0.5])),
+                DiscreteDensity(offset=0, mass=np.zeros(4))],
+        ids=["below_cell_0", "no_mass"],
+    )
+    def test_malformed_density_raises_alone(self, family, bad):
+        densities = table_stacks()[0][:5]
+        p = TiltParams(0.2, 0.5)
+        fits = minimize_lsd_many(densities[:2] + [bad] + densities[2:], family, p)
+        assert type(fits[2]) is ValueError
+        assert fits[:2] + fits[3:] == minimize_lsd_many(densities, family, p)
+        with pytest.raises(ValueError, match="cells >= 0 and have positive mass"):
+            minimize_lsd(bad, family, p)
+
+    def test_unfittable_row_keeps_its_error(self, family):
+        samples = chunk_samples(0)[0][:6].copy()
+        samples[2] = 300  # the window at the bracket top underflows
+        part = _SamplePart.from_samples(samples, family, SearchConfig())
+        assert isinstance(part.errors[2], FloatingPointError)
+        assert part.index == [0, 1, 3, 4, 5]
+        assert part.x_pos.shape[0] == part.logf_scan.shape[0] == 5
 
 
 class TestEstimatingEquationResidual:

@@ -61,8 +61,13 @@ class TestContractConformance:
     def test_theta_column_gives_matrix(self, family):
         x = np.arange(0, 30)
         thetas = np.array([[0.5], [4.0], [10.0]])
-        rows = [family.log_density(t, x) for t in thetas[:, 0]]
+        # one grouping of the terms for a float, a column and a sample part's
+        # (rows, m, 1) x (rows, 1, k) thetas, so a fit's values keep their bits
+        rows = [x * np.log(t) - t - gammaln(x + 1.0) for t in thetas[:, 0]]
+        np.testing.assert_array_equal([family.log_density(t, x) for t in thetas[:, 0]], rows)
         np.testing.assert_array_equal(family.log_density(thetas, x), rows)
+        part = family.log_density(thetas.T[None], x[None, :, None])
+        np.testing.assert_array_equal(part[0].T, rows)
 
     def test_invalid_theta_in_column_rejected(self, family):
         with pytest.raises(ValueError):

@@ -14,6 +14,7 @@ from lsdiv import (
     Contamination,
     ContaminationScheme,
     PoissonFamily,
+    SearchConfig,
     SimKind,
     SimulationConfig,
     SimulationReport,
@@ -272,10 +273,8 @@ class TestRunners:
             sample = contaminated_sample(config.n, 4.0, None, replication_rng(config.seed, rep))
             r_n = empirical_frequencies(sample)
             lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
-            ctx = estimation._FitContext(
-                r_n, PoissonFamily(), TiltParams(0.5, 0.0), 1e-12, (lo, 0.5 * (lo + hi), hi)
-            )
-            keys.add((lo, hi, ctx.x.size))
+            part = estimation._SamplePart.from_densities([r_n], PoissonFamily(), SearchConfig())
+            keys.add((lo, hi, part.length[0]))
         info = memo.cache_info()
         assert info.misses == len(keys)
         assert info.hits == reps * len(gammas) - info.misses
@@ -408,6 +407,44 @@ class TestMapOrdered:
             run_simulation(small_estimation_config(replications=2), n_jobs=n_jobs)
 
 
+class TestSamplePartPerChunk:
+    """A worker tabulates its chunk's samples into one sample part and fits
+    that part at every active cell."""
+
+    @staticmethod
+    def count_parts(monkeypatch):
+        built = []
+        init = estimation._SamplePart.__init__
+
+        def counted(self, mass, *args):
+            built.append(mass.shape[0])
+            init(self, mass, *args)
+
+        monkeypatch.setattr(estimation._SamplePart, "__init__", counted)
+        return built
+
+    @pytest.mark.parametrize("cells", [1, 5])
+    def test_one_part_per_chunk_at_any_number_of_cells(self, monkeypatch, cells):
+        built = self.count_parts(monkeypatch)
+        tilts = tuple(TiltParams(beta, 0.5) for beta in (0.0, 0.2, 0.4, 0.8, 1.0)[:cells])
+        out = simulate._estimate_worker((5, range(32), 50, 4.0, None, tilts))
+        assert built == [32] and len(out) == cells
+        built.clear()
+        tests = tuple((p, 3.84) for p in tilts)
+        out = simulate._reject_worker((5, range(32), 30, 4.0, None, 4.0, tests))
+        assert built == [32] and len(out) == cells
+
+    @pytest.mark.parametrize("kind", [SimKind.ESTIMATION_BIAS, SimKind.TESTING_LEVEL])
+    def test_one_part_per_chunk_of_a_table(self, monkeypatch, kind):
+        built = self.count_parts(monkeypatch)
+        config = small_estimation_config(
+            kind=kind, theta_null=4.0, replications=40, grid_beta=(0.0, 0.5),
+            grid_gamma=(0.0, 1.0),
+        )
+        run_simulation(config)
+        assert built == [32, 8]
+
+
 class TestRejectWorker:
     def worker_args(self):
         """One chunk of 32 replications at two tilts, B = 0 and B > 0."""
@@ -430,14 +467,14 @@ class TestRejectWorker:
 
     def test_failed_fit_keeps_none(self, monkeypatch):
         clean = simulate._reject_worker(self.worker_args())
-        fit_many = simulate.minimize_lsd_many
+        fit_part = simulate._fit_part
 
-        def failing_row_3(densities, family, p):
-            fits = fit_many(densities, family, p)
+        def failing_row_3(part, p):
+            fits = fit_part(part, p)
             fits[3] = FloatingPointError("stand-in failure")
             return fits
 
-        monkeypatch.setattr(simulate, "minimize_lsd_many", failing_row_3)
+        monkeypatch.setattr(simulate, "_fit_part", failing_row_3)
         out = simulate._reject_worker(self.worker_args())
         for rejects, expected in zip(out, clean):
             assert rejects[3] is None
@@ -446,7 +483,10 @@ class TestRejectWorker:
     def test_decisions_match_the_pair_density_oracle(self, family):
         seed, reps, n, theta, contam, theta0, tests = self.worker_args()
         out = simulate._reject_worker(self.worker_args())
-        densities = simulate._chunk_densities(seed, reps, n, theta, contam)
+        densities = [
+            empirical_frequencies(contaminated_sample(n, theta, contam, replication_rng(seed, rep)))
+            for rep in reps
+        ]
         for (p, critical), rejects in zip(tests, out):
             fits = estimation.minimize_lsd_many(densities, family, p)
             expected = [
