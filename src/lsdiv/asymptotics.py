@@ -13,12 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .divergence import (
-    DEFAULT_EPS_TAIL,
-    DiscreteDensity,
-    DivergenceInfiniteError,
-    TiltParams,
-)
+from .divergence import DiscreteDensity, DivergenceInfiniteError, TiltParams
 from .families import ParametricFamily, _tilted_moments, moments_c_d
 
 __all__ = [
@@ -54,12 +49,7 @@ def _summary(j: float, k: float, xi: float) -> AsymptoticSummary:
     return AsymptoticSummary(j=float(j), k=float(k), xi=float(xi), sandwich=float(k / j**2))
 
 
-def model_jkxi(
-    family: ParametricFamily,
-    theta: float,
-    beta: float,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-) -> AsymptoticSummary:
+def model_jkxi(family: ParametricFamily, theta: float, beta: float) -> AsymptoticSummary:
     """J, K, xi at the model; all depend on beta only (gamma drops out).
 
     With w = Bf*u - Af, Af = sum f^(1+beta) u = c1, Bf = sum f^(1+beta) = c0
@@ -70,8 +60,7 @@ def model_jkxi(
     Fisher information.
     """
     return _model_summary(
-        moments_c_d(family, theta, beta, 2, eps_tail)[0],
-        moments_c_d(family, theta, 2.0 * beta, 2, eps_tail)[0],
+        moments_c_d(family, theta, beta, 2)[0], moments_c_d(family, theta, 2.0 * beta, 2)[0]
     )
 
 
@@ -110,11 +99,7 @@ def _model_if1(c: np.ndarray, fy: float, uy: float, beta: float) -> float:
 
 
 def general_jk(
-    g: DiscreteDensity,
-    family: ParametricFamily,
-    theta: float,
-    p: TiltParams,
-    eps_tail: float = DEFAULT_EPS_TAIL,
+    g: DiscreteDensity, family: ParametricFamily, theta: float, p: TiltParams
 ) -> AsymptoticSummary:
     """J and K under an arbitrary true density g, at its best-fitting theta.
 
@@ -131,12 +116,10 @@ def general_jk(
         J = sum g^A f^B (w u - (dw + (1+beta) w u) / A),
         xi = sum g^A f^B w,   K = sum g^(2A-1) f^(2beta+2-2A) w^2 - xi^2.
     """
-    return _general_jk(_occupied(g, family, theta, p, eps_tail), p)
+    return _general_jk(_occupied(g, family, theta, p), p)
 
 
-def _occupied(
-    g: DiscreteDensity, family: ParametricFamily, theta: float, p: TiltParams, eps_tail: float
-):
+def _occupied(g: DiscreteDensity, family: ParametricFamily, theta: float, p: TiltParams):
     """The moments (c, d) at beta, and (g, f, u, u') on g's occupied cells.
 
     Raises the typed errors of the general summaries: A <= 0, and an empty
@@ -145,7 +128,7 @@ def _occupied(
     a = p.exp_a
     if a <= 0:
         raise DivergenceInfiniteError("general J/K require exponent A > 0")
-    c, d, offset, length = _tilted_moments(family, theta, p.beta, eps_tail)
+    c, d, offset, length = _tilted_moments(family, theta, p.beta)
     pos = g.mass > 0
     covered = g.offset <= offset and offset + length <= g.offset + g.mass.size
     if not (covered and np.all(pos)) and 2.0 * a - 1.0 <= 0:
@@ -179,7 +162,6 @@ def if_first_order(
     family: ParametricFamily,
     theta: float,
     p: TiltParams,
-    eps_tail: float = DEFAULT_EPS_TAIL,
 ) -> float:
     """First-order influence of the minimum-divergence functional at y.
 
@@ -190,7 +172,7 @@ def if_first_order(
     S_u = sum g^A f^B u over g's occupied cells and t = f_y^B g_y^(A-1).
     """
     if g is None:
-        c = moments_c_d(family, theta, p.beta, 2, eps_tail)[0]
+        c = moments_c_d(family, theta, p.beta, 2)[0]
         return _model_if1(c, *_density_score(family, theta, y), p.beta)
 
     k = y - g.offset
@@ -198,7 +180,7 @@ def if_first_order(
         raise DivergenceInfiniteError(
             "influence at a point with zero true density is infinite for A < 1"
         )
-    arrays = _occupied(g, family, theta, p, eps_tail)
+    arrays = _occupied(g, family, theta, p)
     c, _, gp, f, u, _ = arrays
     a, b = p.exp_a, p.exp_b
     ga_fb = gp**a * f**b
@@ -209,13 +191,7 @@ def if_first_order(
     return float(numerator / _general_jk(arrays, p).j)
 
 
-def if_second_order(
-    y: int,
-    family: ParametricFamily,
-    theta: float,
-    p: TiltParams,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-) -> float:
+def if_second_order(y: int, family: ParametricFamily, theta: float, p: TiltParams) -> float:
     """Second-order influence of the estimator functional at the model.
 
     Obtained by differentiating the estimating equation
@@ -232,15 +208,15 @@ def if_second_order(
     extrapolated second difference of theta(eps) solved by root finding,
     which the closed form matches to ~1e-6 relative error.
     """
-    return _if_first_second(y, family, theta, p, eps_tail)[1]
+    return _if_first_second(y, family, theta, p)[1]
 
 
 def _if_first_second(
-    y: int, family: ParametricFamily, theta: float, p: TiltParams, eps_tail: float
+    y: int, family: ParametricFamily, theta: float, p: TiltParams
 ) -> tuple[float, float]:
     """(T', T'') of :func:`if_second_order` from one moment evaluation."""
     a, b, beta = p.exp_a, p.exp_b, p.beta
-    c, d = moments_c_d(family, theta, beta, 3, eps_tail)
+    c, d = moments_c_d(family, theta, beta, 3)
     c0, c1, c2, c3 = c
     d0, d1 = d[0], d[1]
     fy, uy = _density_score(family, theta, y)
@@ -283,7 +259,6 @@ def bias_curves(
     theta: float,
     p: TiltParams,
     eps_grid,
-    eps_tail: float = DEFAULT_EPS_TAIL,
 ) -> BiasCurve:
     """Predicted estimator bias eps*T' and eps*T' + eps^2/2 * T'' at the model,
     with the quadratic/linear adequacy ratio 1 + (T''/T') * eps/2.
@@ -294,7 +269,7 @@ def bias_curves(
     eps = np.asarray(eps_grid, dtype=float)
     if not (eps.min(initial=0.0) >= 0.0 and eps.max(initial=1.0) <= 1.0):  # NaN fails too
         raise ValueError("contamination levels must lie in [0, 1]")
-    tp, tpp = _if_first_second(y, family, theta, p, eps_tail)
+    tp, tpp = _if_first_second(y, family, theta, p)
     first = eps * tp
     second = first + 0.5 * eps**2 * tpp
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -309,4 +284,4 @@ def point_contaminated(f: DiscreteDensity, y: int, eps: float) -> DiscreteDensit
     mass = np.zeros(hi - lo)
     mass[f.offset - lo : f.offset - lo + f.mass.size] = (1.0 - eps) * f.mass
     mass[y - lo] += eps
-    return DiscreteDensity(offset=lo, mass=mass, tail_bound=(1.0 - eps) * f.tail_bound)
+    return DiscreteDensity(offset=lo, mass=mass)

@@ -17,7 +17,7 @@ import numpy as np
 from .asymptotics import bias_curves, if_first_order, if_second_order
 from .divergence import Psi, TiltParams, gsd
 from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
-from .families import PoissonFamily, density_vector
+from .families import PoissonFamily
 from .hypotest import one_sample_test, two_sample_statistic, second_order_test_influence
 from .simulate import SimulationConfig, emit_report, run_simulation
 

@@ -95,14 +95,13 @@ class TiltParams:
 class DiscreteDensity:
     """A finite nonnegative mass vector on a truncated integer support.
 
-    ``mass[i]`` is the probability at ``offset + i``.  ``tail_bound`` bounds
-    the mass lying outside the stored window; empirical frequency vectors
-    carry ``tail_bound = 0`` and sum to exactly 1.
+    ``mass[i]`` is the probability at ``offset + i``.  A model density
+    truncated to its support window sums to within its tail bound of 1;
+    empirical frequency vectors sum to exactly 1.
     """
 
     offset: int
     mass: np.ndarray
-    tail_bound: float = 0.0
 
     def __post_init__(self) -> None:
         mass = np.asarray(self.mass, dtype=float)
@@ -111,8 +110,6 @@ class DiscreteDensity:
             raise ValueError("mass must be a non-empty 1-d vector")
         if np.any(mass < 0):
             raise ValueError("mass entries must be nonnegative")
-        if self.tail_bound < 0:
-            raise ValueError("tail_bound must be nonnegative")
 
     @property
     def support(self) -> np.ndarray:

@@ -27,13 +27,14 @@ array passes.
 from __future__ import annotations
 
 import functools
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
 
 from .divergence import (
-    DEFAULT_EPS_TAIL,
     EXPONENT_BOUNDARY,
     DiscreteDensity,
     DivergenceInfiniteError,
@@ -70,6 +71,11 @@ _MEMO_MAX_SCAN = 256
 _XTOL = 1e-12
 _RTOL = 4.0 * np.finfo(float).eps
 
+# A converged fit's largest estimating-equation residual, and each solver's
+# step budget (brentq's, Chandrupatla's and golden section's).
+_TOL_EE = 1e-6
+_MAX_ITERATIONS = 200
+
 # A sample part of fewer rows than this is fitted row by row on the scalar
 # path of minimize_lsd: a small stack's array passes cost more than the
 # calls they replace.
@@ -78,14 +84,34 @@ _MIN_STACK = 4
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Tolerances and bracket policy for the scalar minimization."""
+    """Tolerance, coarse grid and bracket policy for the scalar minimization."""
 
-    tol_ee: float = 1e-6        # estimating-equation residual at convergence
     tol_theta: float = 1e-8     # final bracket width
-    max_iterations: int = 200
     n_scan: int = 256           # coarse-grid points guarding multimodality
     bracket: tuple[float, float] | None = None  # overrides the mean-based default
-    eps_tail: float = DEFAULT_EPS_TAIL
+
+    def __post_init__(self) -> None:
+        """Check every field's range; a bad one raises ValueError."""
+        if not (_is_real(self.tol_theta) and self.tol_theta > 0):
+            raise ValueError(f"tol_theta must be a finite number > 0, got {self.tol_theta!r}")
+        if not (_is_int(self.n_scan) and self.n_scan >= 1):
+            raise ValueError(f"n_scan must be an integer >= 1, got {self.n_scan!r}")
+        bracket = self.bracket
+        if bracket is not None and not (
+            isinstance(bracket, (tuple, list)) and len(bracket) == 2
+            and all(map(_is_real, bracket)) and 0 < bracket[0] <= bracket[1]
+        ):
+            raise ValueError(
+                f"bracket must be None or finite (lo, hi) with 0 < lo <= hi, got {bracket!r}"
+            )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
@@ -120,7 +146,7 @@ def empirical_frequencies(sample) -> DiscreteDensity:
     if np.any(sample < 0) or not np.issubdtype(sample.dtype, np.integer):
         raise ValueError("sample entries must be nonnegative integers")
     counts = np.bincount(sample)
-    return DiscreteDensity(offset=0, mass=counts / sample.size, tail_bound=0.0)
+    return DiscreteDensity(offset=0, mass=counts / sample.size)
 
 
 def estimating_equation_residual(
@@ -128,7 +154,6 @@ def estimating_equation_residual(
     r_n: DiscreteDensity,
     family: ParametricFamily,
     p: TiltParams,
-    eps_tail: float = DEFAULT_EPS_TAIL,
 ) -> float:
     """Imbalance Bf * sum e u - Af * sum e of the estimating equation.
 
@@ -142,9 +167,11 @@ def estimating_equation_residual(
         raise DivergenceInfiniteError(
             "estimating equation degenerates for exponent A <= 0"
         )
+    if not (_is_real(theta) and theta > 0):
+        raise ValueError(f"theta must be a finite number > 0, got {theta!r}")
     # a one-row part whose window covers the data and theta's model window;
     # its one-point grid is theta
-    search = SearchConfig(n_scan=1, bracket=(theta, theta), eps_tail=eps_tail)
+    search = SearchConfig(n_scan=1, bracket=(theta, theta))
     part = _SamplePart.from_densities([r_n], family, search)
     if part.errors[0] is not None:
         raise part.errors[0]
@@ -152,10 +179,10 @@ def estimating_equation_residual(
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _model_window_end(family: ParametricFamily, thetas: tuple, eps_tail: float) -> int:
+def _model_window_end(family: ParametricFamily, thetas: tuple) -> int:
     """End of the window from 0 that covers the support window of every
     theta in ``thetas``."""
-    windows = [family.support_window(t, eps_tail) for t in thetas]
+    windows = [family.support_window(t) for t in thetas]
     return max(off + ln for off, ln in windows)
 
 
@@ -225,9 +252,7 @@ class _SamplePart:
                 continue
             lo, hi = search.bracket or (max(1e-3, mean / 5.0), 5.0 * mean + 5.0)
             try:
-                window_end = _memoised(
-                    _model_window_end, family, (lo, 0.5 * (lo + hi), hi), search.eps_tail
-                )
+                window_end = _memoised(_model_window_end, family, (lo, 0.5 * (lo + hi), hi))
             except (ValueError, ArithmeticError) as exc:
                 self.errors[i] = exc
                 continue
@@ -516,7 +541,7 @@ def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float,
     from positive to negative, refined on the residual where it changes sign
     nearby; returns (theta_hat, residual, bracket, iterations)."""
     theta_hat, bracket, iterations = _golden_section(
-        ctx.objective, g_lo, g_hi, search.tol_theta, search.max_iterations
+        ctx.objective, g_lo, g_hi, search.tol_theta, _MAX_ITERATIONS
     )
     res = ctx.residual(theta_hat)
     half = max(10.0 * search.tol_theta, 1e-5)
@@ -525,7 +550,7 @@ def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float,
         v_lo, v_hi = ctx.residual(r_lo), ctx.residual(r_hi)
         if v_lo * v_hi < 0:
             theta_hat, res, _, _ = _residual_root(
-                ctx.residual, r_lo, v_lo, r_hi, v_hi, search.max_iterations
+                ctx.residual, r_lo, v_lo, r_hi, v_hi, _MAX_ITERATIONS
             )
             bracket = (r_lo, r_hi) if r_hi - r_lo < bracket[1] - bracket[0] else bracket
     except (ValueError, DivergenceInfiniteError):  # pragma: no cover - keep golden result
@@ -538,7 +563,7 @@ def _result(theta_hat, res, bracket, iterations, objective, boundary_hit: bool, 
     the bracket, the residual is small and the bracket narrow."""
     converged = (
         not boundary_hit
-        and abs(res) <= search.tol_ee
+        and abs(res) <= _TOL_EE
         and bracket[1] - bracket[0] <= max(search.tol_theta, 1e-10 * max(1.0, theta_hat))
     )
     return EstimatorResult(
@@ -582,7 +607,7 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
             v_lo, v_hi = ctx.residual(g_lo[k]), ctx.residual(g_hi[k])
             if v_lo > 0 > v_hi:
                 fit = _residual_root(
-                    ctx.residual, g_lo[k], v_lo, g_hi[k], v_hi, search.max_iterations
+                    ctx.residual, g_lo[k], v_lo, g_hi[k], v_hi, _MAX_ITERATIONS
                 )
             else:
                 fit = _safeguard(ctx, part.lo[k], part.hi[k], g_lo[k], g_hi[k], search)
@@ -594,7 +619,7 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
     v_lo, v_hi = stack.residual(g_lo), stack.residual(g_hi)
     falls = (v_lo > 0) & (v_hi < 0)
     root, res, b_lo, b_hi, iterations = _residual_roots(
-        stack.residual, g_lo, v_lo, g_hi, v_hi, falls, search.max_iterations
+        stack.residual, g_lo, v_lo, g_hi, v_hi, falls, _MAX_ITERATIONS
     )
     fits = [
         (root[k], res[k], (b_lo[k], b_hi[k]), iterations[k]) if falls[k]
@@ -662,7 +687,6 @@ def oracle_grid_minimize(
     lo: float,
     hi: float,
     pitch: float,
-    eps_tail: float = DEFAULT_EPS_TAIL,
 ) -> float:
     """Exhaustive grid argmin of the objective; smallest theta on ties.
 
@@ -674,7 +698,7 @@ def oracle_grid_minimize(
     values = []
     for theta in grid:
         # model density on a window covering both its own tail bound and r_n
-        fm = density_vector(family, theta, eps_tail)
+        fm = density_vector(family, theta)
         if r_n.offset + r_n.mass.size > fm.offset + fm.mass.size:
             x = np.arange(fm.offset, r_n.offset + r_n.mass.size)
             fm = DiscreteDensity(offset=fm.offset, mass=family.density(theta, x))

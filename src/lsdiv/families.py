@@ -33,12 +33,14 @@ class ParametricFamily(ABC):
     A family hashed by value (a frozen dataclass, as :class:`PoissonFamily`)
     keys the per-process memos of the fit's windows and model terms and of
     the tilted moments (:func:`moments_c_d`), so it must not change; one
-    hashed by identity or unhashable runs without them.  x is an integer
-    point or an array of them (as ints or as floats of integer value), and
-    theta a float or an array that broadcasts against x.  The fit calls ``log_density`` and ``score``
-    with a 1-d x and a (k, 1) column of thetas, which give a (k, len(x))
-    array, and ``log_density`` with a (rows, m, 1) x and a (rows, 1, k)
-    theta, which give a (rows, m, k) array.
+    hashed by identity or unhashable runs without them.  x is an array of
+    integer points (as ints or as floats of integer value), and theta a
+    float or an array that broadcasts against x; ``density``, ``score`` and
+    ``score_derivative`` also take a lone integer point, which the
+    model-case influence functions pass.  The fit calls ``log_density`` and
+    ``score`` with a 1-d x and a (k, 1) column of thetas, which give a
+    (k, len(x)) array, and ``log_density`` with a (rows, m, 1) x and a
+    (rows, 1, k) theta, which give a (rows, m, k) array.
     """
 
     @abstractmethod
@@ -81,11 +83,19 @@ class PoissonFamily(ParametricFamily):
             raise ValueError(f"Poisson parameter must be positive, got {theta}")
 
     def density(self, theta: float, x) -> np.ndarray:
-        return np.exp(self.log_density(theta, x))
+        self._check(theta)
+        return np.exp(self._log_mass(theta, x))
 
     def log_density(self, theta, x) -> np.ndarray:
         """log f_theta(x); a (k, 1) column of thetas gives a (k, len(x)) matrix."""
         self._check(theta)
+        return self._log_mass(theta, x)
+
+    @staticmethod
+    def _log_mass(theta, x):
+        """log f_theta(x), unchecked: ``density`` reads it here, not through
+        ``log_density``, whose x is always an array.  A lone point x gives a
+        numpy scalar and scalar steps."""
         x = np.asarray(x, dtype=float)
         # in place: for an array theta that broadcasts against x, numpy
         # cannot reuse the product's buffer for the differences, and on a
@@ -144,7 +154,7 @@ def density_vector(
 ) -> DiscreteDensity:
     """Model density truncated to its eps_tail support window."""
     offset, mass = family._window_mass(theta, eps_tail)
-    return DiscreteDensity(offset=offset, mass=mass, tail_bound=eps_tail)
+    return DiscreteDensity(offset=offset, mass=mass)
 
 
 def _memoised(memo, family: ParametricFamily, *args, keep: bool = True):
@@ -172,12 +182,10 @@ _POWERS = np.arange(4)[:, None]
 
 
 @functools.lru_cache(maxsize=_MOMENT_MEMO_SIZE)
-def _moment_record(
-    family: ParametricFamily, theta: float, beta: float, eps_tail: float
-) -> _TiltedMoments:
+def _moment_record(family: ParametricFamily, theta: float, beta: float) -> _TiltedMoments:
     """One pass over the support window: w = f^(1+beta) from log f, and the
     score powers u^0..u^3 as one (4 x window) array."""
-    offset, length = family.support_window(theta, eps_tail)
+    offset, length = family.support_window(theta)
     x = offset + np.arange(length)
     w = np.exp((1.0 + beta) * family.log_density(theta, x))
     powers = family.score(theta, x) ** _POWERS
@@ -187,30 +195,25 @@ def _moment_record(
     return _TiltedMoments(c, d, offset, length)
 
 
-def _tilted_moments(
-    family: ParametricFamily, theta: float, beta: float, eps_tail: float
-) -> _TiltedMoments:
-    """The record of (family, theta, beta, eps_tail), from the process-wide
-    memo when the family is hashed by value."""
-    return _memoised(_moment_record, family, theta, beta, eps_tail)
+def _tilted_moments(family: ParametricFamily, theta: float, beta: float) -> _TiltedMoments:
+    """The record of (family, theta, beta), from the process-wide memo when
+    the family is hashed by value."""
+    return _memoised(_moment_record, family, theta, beta)
 
 
 def moments_c_d(
-    family: ParametricFamily,
-    theta: float,
-    beta: float,
-    i_max: int = 3,
-    eps_tail: float = DEFAULT_EPS_TAIL,
+    family: ParametricFamily, theta: float, beta: float, i_max: int = 3
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tilted score moments c_i = sum u^i f^(1+beta), d_i = sum u' u^i f^(1+beta)
-    over the support window, for i = 0..i_max (i_max <= 3).
+    over the support window of the default tail bound, for i = 0..i_max
+    (i_max <= 3).
 
     Returned as read-only arrays of length i_max + 1, views of one record
-    per (family, theta, beta, eps_tail) in a process-wide memo of 32
-    records, so the influence functions and the null law at one
-    (theta, beta) share one pass over the window.
+    per (family, theta, beta) in a process-wide memo of 32 records, so the
+    influence functions and the null law at one (theta, beta) share one
+    pass over the window.
     """
     if not 0 <= i_max <= 3:
         raise ValueError(f"i_max must lie in 0..3, got {i_max}")
-    record = _tilted_moments(family, theta, beta, eps_tail)
+    record = _tilted_moments(family, theta, beta)
     return record.c[: i_max + 1], record.d[: i_max + 1]

@@ -14,7 +14,6 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .divergence import (
-    DEFAULT_EPS_TAIL,
     EXPONENT_BOUNDARY,
     DiscreteDensity,
     TiltParams,
@@ -57,29 +56,20 @@ class TestResult:
 
 
 def model_pair_densities(
-    family: ParametricFamily,
-    theta_g: float,
-    theta_f: float,
-    eps_tail: float = DEFAULT_EPS_TAIL,
+    family: ParametricFamily, theta_g: float, theta_f: float
 ) -> tuple[DiscreteDensity, DiscreteDensity]:
     """Two model densities evaluated on a single common window, so both are
     strictly positive everywhere the divergence looks."""
-    o1, l1 = family.support_window(theta_g, eps_tail)
-    o2, l2 = family.support_window(theta_f, eps_tail)
+    o1, l1 = family.support_window(theta_g)
+    o2, l2 = family.support_window(theta_f)
     lo, hi = min(o1, o2), max(o1 + l1, o2 + l2)
     x = np.arange(lo, hi)
-    g = DiscreteDensity(offset=lo, mass=family.density(theta_g, x), tail_bound=eps_tail)
-    f = DiscreteDensity(offset=lo, mass=family.density(theta_f, x), tail_bound=eps_tail)
+    g = DiscreteDensity(offset=lo, mass=family.density(theta_g, x))
+    f = DiscreteDensity(offset=lo, mass=family.density(theta_f, x))
     return g, f
 
 
-def divergence_between_fits(
-    family: ParametricFamily,
-    theta_g,
-    theta_f: float,
-    p: TiltParams,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-):
+def divergence_between_fits(family: ParametricFamily, theta_g, theta_f: float, p: TiltParams):
     """LSD(f_theta_g, f_theta_f) between two model densities, in log space.
 
     ``theta_g`` is a float, which gives a float, or a 1-d array, which gives
@@ -94,8 +84,8 @@ def divergence_between_fits(
     if theta_g.ndim > 1:
         raise ValueError("theta_g must be a float or a 1-d array")
     rows = theta_g.reshape(-1, 1)
-    offset, length = family.support_window(theta_f, eps_tail)
-    windows = np.array([family.support_window(t, eps_tail) for t in rows[:, 0]])
+    offset, length = family.support_window(theta_f)
+    windows = np.array([family.support_window(t) for t in rows[:, 0]])
     lo = np.minimum(windows[:, :1], offset)
     hi = np.maximum(windows[:, :1] + windows[:, 1:], offset + length)
     x = np.arange(hi.max())
@@ -128,17 +118,10 @@ def one_sample_statistic(
     sample = np.asarray(sample)
     if theta_hat is None:
         theta_hat = minimize_lsd(empirical_frequencies(sample), family, p, search).theta_hat
-    return 2.0 * sample.size * divergence_between_fits(
-        family, theta_hat, theta0, p, search.eps_tail
-    )
+    return 2.0 * sample.size * divergence_between_fits(family, theta_hat, theta0, p)
 
 
-def curvature_a_beta(
-    family: ParametricFamily,
-    theta0: float,
-    p: TiltParams,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-) -> float:
+def curvature_a_beta(family: ParametricFamily, theta0: float, p: TiltParams) -> float:
     """Second derivative of theta -> LSD(f_theta, f_theta0) at theta0.
 
     In the tilted score moments c_i of :func:`moments_c_d` this is
@@ -146,7 +129,7 @@ def curvature_a_beta(
     escort density f^(1+beta)/c0, scaled by 1+beta.  It does not depend on
     gamma and is >= 0 by Cauchy-Schwarz.
     """
-    return _curvature(moments_c_d(family, theta0, p.beta, 2, eps_tail)[0], p.beta)
+    return _curvature(moments_c_d(family, theta0, p.beta, 2)[0], p.beta)
 
 
 def _curvature(c: np.ndarray, beta: float) -> float:
@@ -155,19 +138,14 @@ def _curvature(c: np.ndarray, beta: float) -> float:
     return float((1.0 + beta) * (c2 / c0 - (c1 / c0) ** 2))
 
 
-def null_law(
-    family: ParametricFamily,
-    theta0: float,
-    p: TiltParams,
-    eps_tail: float = DEFAULT_EPS_TAIL,
-) -> float:
+def null_law(family: ParametricFamily, theta0: float, p: TiltParams) -> float:
     """Weight zeta of the null law zeta * chi2_1 of the statistic.
 
     zeta = A_beta * K / J^2 with the model-level J and K at theta0; a
     degenerate law (zeta <= 1e-12) gives 0.0.
     """
-    c = moments_c_d(family, theta0, p.beta, 2, eps_tail)[0]
-    summary = _model_summary(c, moments_c_d(family, theta0, 2.0 * p.beta, 2, eps_tail)[0])
+    c = moments_c_d(family, theta0, p.beta, 2)[0]
+    summary = _model_summary(c, moments_c_d(family, theta0, 2.0 * p.beta, 2)[0])
     zeta = _curvature(c, p.beta) * summary.k / summary.j**2
     return zeta if zeta > 1e-12 else 0.0
 
@@ -214,7 +192,7 @@ def one_sample_test(
     """Full one-sample test: estimate, statistic, null law, p-value."""
     _check_levels(levels)
     w = one_sample_statistic(sample, family, theta0, p, search)
-    return _build_result(w, null_law(family, theta0, p, search.eps_tail), levels)
+    return _build_result(w, null_law(family, theta0, p), levels)
 
 
 def two_sample_statistic(
@@ -240,9 +218,7 @@ def two_sample_statistic(
     th1 = minimize_lsd(empirical_frequencies(s1), family, p, search).theta_hat
     th2 = minimize_lsd(empirical_frequencies(s2), family, p, search).theta_hat
     n, m = s1.size, s2.size
-    stat = (2.0 * n * m / (n + m)) * divergence_between_fits(
-        family, th1, th2, p, search.eps_tail
-    )
+    stat = (2.0 * n * m / (n + m)) * divergence_between_fits(family, th1, th2, p)
     if null_theta == "pooled":
         pooled = np.concatenate([s1, s2])
         theta_null = minimize_lsd(empirical_frequencies(pooled), family, p, search).theta_hat
@@ -250,18 +226,14 @@ def two_sample_statistic(
         theta_null = th1
     else:
         theta_null = float(null_theta)
-    return _build_result(stat, null_law(family, theta_null, p, search.eps_tail), levels)
+    return _build_result(stat, null_law(family, theta_null, p), levels)
 
 
 def second_order_test_influence(
-    y: int,
-    family: ParametricFamily,
-    theta0: float,
-    p: TiltParams,
-    eps_tail: float = DEFAULT_EPS_TAIL,
+    y: int, family: ParametricFamily, theta0: float, p: TiltParams
 ) -> float:
     """Second-order influence of the test functional at the null:
     A_beta * IF1(y)^2 (the first-order influence is identically zero)."""
-    c = moments_c_d(family, theta0, p.beta, 2, eps_tail)[0]
+    c = moments_c_d(family, theta0, p.beta, 2)[0]
     fy, uy = _density_score(family, theta0, y)
     return _curvature(c, p.beta) * _model_if1(c, fy, uy, p.beta) ** 2

@@ -13,17 +13,15 @@ import enum
 import functools
 import itertools
 import json
-import math
-import numbers
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import chi2
 
 from .divergence import EXPONENT_BOUNDARY, TiltParams, derive_exponents
-from .estimation import SearchConfig, _fit_part, _SamplePart
+from .estimation import SearchConfig, _fit_part, _is_int, _is_real, _SamplePart
 from .families import PoissonFamily, density_vector
 from .hypotest import divergence_between_fits, null_law
 
@@ -48,14 +46,6 @@ SENTINEL = "--"
 ESTIMATION_BETA_GRID = (0.0, 0.1, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
 TESTING_BETA_GRID = (0.0, 0.1, 0.2, 0.4, 0.7, 0.8, 0.9, 1.0)
 GAMMA_GRID = (-1.0, -0.9, -0.7, -0.5, -0.3, -0.1, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5, 2.0)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_real(value) -> bool:
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 class SimKind(enum.Enum):
@@ -339,31 +329,23 @@ def _reject_worker(args) -> list[list[bool | None]]:
     return out
 
 
-def _map_ordered(worker, args_list, n_jobs: int, chunksize: int = 32):
+def _map_ordered(worker, args_list, n_jobs: int):
     """``[worker(a) for a in args_list]``, run by ``n_jobs`` processes, the
     calling one included, when n_jobs > 1.
 
-    The arguments go out in tasks of ``chunksize``.  The calling process runs
-    tasks 0, n_jobs, 2 n_jobs, ... itself while a pool of the other
-    ``min(n_jobs, tasks) - 1`` processes runs the rest, which are submitted
-    first; a single task opens no pool.  The pool never has more workers
-    than its tasks: it forks all of them at the first submit, busy or not.
+    Each argument is one task.  The calling process runs tasks 0, n_jobs,
+    2 n_jobs, ... itself while a pool of the other ``min(n_jobs, tasks) - 1``
+    processes runs the rest, which are submitted first; a single task opens
+    no pool.  The pool never has more workers than its tasks: it forks all
+    of them at the first submit, busy or not.
     """
-    tasks = [args_list[i : i + chunksize] for i in range(0, len(args_list), chunksize)]
-    n_pool = min(n_jobs, len(tasks)) - 1
+    n_pool = min(n_jobs, len(args_list)) - 1
     if n_pool < 1:
         return [worker(a) for a in args_list]
-    theirs = [a for i, task in enumerate(tasks) if i % n_jobs for a in task]
     with ProcessPoolExecutor(max_workers=n_pool) as pool:
-        # Every pool task but the last holds chunksize arguments, so the
-        # pool's chunks are the tasks.
-        from_pool = pool.map(worker, theirs, chunksize=chunksize)
-        mine = [[worker(a) for a in task] for task in tasks[::n_jobs]]
-        results = []
-        for i, task in enumerate(tasks):
-            results.extend(mine[i // n_jobs] if i % n_jobs == 0
-                           else itertools.islice(from_pool, len(task)))
-    return results
+        from_pool = pool.map(worker, [a for i, a in enumerate(args_list) if i % n_jobs])
+        mine = iter([worker(a) for a in args_list[::n_jobs]])
+        return [next(from_pool if i % n_jobs else mine) for i in range(len(args_list))]
 
 
 # ---------------------------------------------------------------------------
@@ -402,7 +384,7 @@ def _by_cell(config: SimulationConfig, worker, draw, cell_args, n_jobs: int):
             (config.seed, range(start, min(start + CHUNK, reps)), *draw, per_cell)
             for start in range(0, reps, CHUNK)
         ]
-        outputs = _map_ordered(worker, chunks, n_jobs, chunksize=1)
+        outputs = _map_ordered(worker, chunks, n_jobs)
         columns = iter([list(itertools.chain.from_iterable(c)) for c in zip(*outputs)])
     return [(beta, gamma, next(columns) if a else None) for (beta, gamma), a in zip(grid, active)]
 

@@ -36,7 +36,7 @@ def moments_c_d_oracle(family, theta: float, beta: float, i_max: int = 3, eps_ta
 def random_density(rng: np.random.Generator, size: int = 25, offset: int = 0) -> DiscreteDensity:
     """Strictly positive random discrete density on a fixed window."""
     raw = rng.random(size) + 1e-3
-    return DiscreteDensity(offset=offset, mass=raw / raw.sum(), tail_bound=0.0)
+    return DiscreteDensity(offset=offset, mass=raw / raw.sum())
 
 
 def random_density_with_zeros(rng: np.random.Generator, size: int = 25) -> DiscreteDensity:
@@ -45,7 +45,7 @@ def random_density_with_zeros(rng: np.random.Generator, size: int = 25) -> Discr
     raw[rng.random(size) < 0.2] = 0.0
     if raw.sum() == 0:
         raw[0] = 1.0
-    return DiscreteDensity(offset=0, mass=raw / raw.sum(), tail_bound=0.0)
+    return DiscreteDensity(offset=0, mass=raw / raw.sum())
 
 
 def mixture_density(family, theta1, theta2, eps, eps_tail=1e-13) -> DiscreteDensity:
@@ -54,7 +54,7 @@ def mixture_density(family, theta1, theta2, eps, eps_tail=1e-13) -> DiscreteDens
     l2 = family.support_window(theta2, eps_tail)[1]
     x = np.arange(max(l1, l2))
     mass = (1.0 - eps) * family.density(theta1, x) + eps * family.density(theta2, x)
-    return DiscreteDensity(offset=0, mass=mass, tail_bound=eps_tail)
+    return DiscreteDensity(offset=0, mass=mass)
 
 
 def poisson_pair(theta_g: float, theta_f: float, eps_tail: float = 1e-12):
@@ -63,8 +63,8 @@ def poisson_pair(theta_g: float, theta_f: float, eps_tail: float = 1e-12):
     l1 = fam.support_window(theta_g, eps_tail)[1]
     l2 = fam.support_window(theta_f, eps_tail)[1]
     x = np.arange(max(l1, l2))
-    g = DiscreteDensity(offset=0, mass=fam.density(theta_g, x), tail_bound=eps_tail)
-    f = DiscreteDensity(offset=0, mass=fam.density(theta_f, x), tail_bound=eps_tail)
+    g = DiscreteDensity(offset=0, mass=fam.density(theta_g, x))
+    f = DiscreteDensity(offset=0, mass=fam.density(theta_f, x))
     return g, f
 
 
@@ -126,13 +126,12 @@ def second_order_if_oracle(
     return (4.0 * second_diff(step / 2.0) - second_diff(step)) / 3.0
 
 
-def divergence_between_fits_oracle(family, theta_g: float, theta_f: float, p: TiltParams,
-                                   eps_tail: float = 1e-12) -> float:
+def divergence_between_fits_oracle(family, theta_g: float, theta_f: float, p: TiltParams) -> float:
     """LSD(f_theta_g, f_theta_f) the way the statistic was computed one pair
     at a time: :func:`lsd` on the exp'd masses of ``model_pair_densities``
     (the union of the two support windows), an O(eps) negative value
     clamped to 0."""
-    value = lsd(*model_pair_densities(family, theta_g, theta_f, eps_tail), p)
+    value = lsd(*model_pair_densities(family, theta_g, theta_f), p)
     return value if value >= 0.0 else (0.0 if value > -1e-10 else value)
 
 

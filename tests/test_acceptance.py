@@ -173,8 +173,8 @@ def test_criterion_7_divergence_properties():
     from lsdiv import PoissonFamily
 
     fam = PoissonFamily()
-    g = DiscreteDensity(0, fam.density(2.0, x), 1e-12)
-    f = DiscreteDensity(0, fam.density(2.5, x), 1e-12)
+    g = DiscreteDensity(0, fam.density(2.0, x))
+    f = DiscreteDensity(0, fam.density(2.5, x))
     # gamma-invariance at beta = 1
     values = [lsd(g, f, TiltParams(1.0, gm)) for gm in (-1.0, -0.5, 0.0, 1.0, 2.0)]
     assert max(values) - min(values) <= 1e-10

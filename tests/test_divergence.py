@@ -77,10 +77,10 @@ class TestTiltParams:
 class TestDiscreteDensity:
     def test_negative_mass_rejected(self):
         with pytest.raises(ValueError):
-            DiscreteDensity(offset=0, mass=np.array([0.5, -0.1, 0.6]), tail_bound=0.0)
+            DiscreteDensity(offset=0, mass=np.array([0.5, -0.1, 0.6]))
 
     def test_support_and_mean(self):
-        d = DiscreteDensity(offset=2, mass=np.array([0.25, 0.75]), tail_bound=0.0)
+        d = DiscreteDensity(offset=2, mass=np.array([0.25, 0.75]))
         assert list(d.support) == [2, 3]
         assert d.mean() == pytest.approx(2.75)
 
@@ -131,7 +131,7 @@ class TestLsd:
             assert abs(lsd(f, f, p)) <= 1e-10
             bump = np.zeros(f.mass.size)
             bump[3] = 1e-3
-            g = DiscreteDensity(0, (f.mass + bump) / (1.0 + 1e-3), 0.0)
+            g = DiscreteDensity(0, (f.mass + bump) / (1.0 + 1e-3))
             assert np.max(np.abs(g.mass - f.mass)) > 1e-6
             assert lsd(g, f, p) > 1e-10
 
@@ -171,8 +171,8 @@ class TestLsd:
             lsd(g, f, TiltParams(0.0, -1.5))  # exp_a = -0.5
 
     def test_model_side_zero_rejected(self):
-        g = DiscreteDensity(0, np.array([0.5, 0.5]), 0.0)
-        f = DiscreteDensity(0, np.array([1.0, 0.0]), 0.0)
+        g = DiscreteDensity(0, np.array([0.5, 0.5]))
+        f = DiscreteDensity(0, np.array([1.0, 0.0]))
         with pytest.raises(ValueError):
             lsd(g, f, TiltParams(0.5, 0.0))
 

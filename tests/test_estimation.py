@@ -125,6 +125,34 @@ class TestMinimizeLsd:
         assert type(result.residual) is float
 
 
+class TestSearchConfig:
+    """Each field is checked when the config is made, and a bad one is named."""
+
+    @pytest.mark.parametrize("tol_theta", [0.0, -1e-8, float("nan"), float("inf"), True])
+    def test_tol_theta_finite_and_positive(self, tol_theta):
+        with pytest.raises(ValueError, match="tol_theta"):
+            SearchConfig(tol_theta=tol_theta)
+
+    @pytest.mark.parametrize("n_scan", [0, -3, 2.0, True])
+    def test_n_scan_integer_at_least_one(self, n_scan):
+        with pytest.raises(ValueError, match="n_scan"):
+            SearchConfig(n_scan=n_scan)
+
+    @pytest.mark.parametrize(
+        "bracket", [(0.0, 1.0), (2.0, 1.0), (1.0, float("inf")), (float("nan"), 1.0), (1.0,), 3.0]
+    )
+    def test_bracket_none_or_finite_ordered_positive(self, bracket):
+        with pytest.raises(ValueError, match="bracket"):
+            SearchConfig(bracket=bracket)
+
+    def test_boundary_values_accepted(self, family):
+        # one scan point and a one-point bracket are the residual's own search
+        search = SearchConfig(tol_theta=1e-12, n_scan=1, bracket=(4.0, 4.0))
+        fit = minimize_lsd(empirical_frequencies(np.array([3, 4, 5])), family,
+                           TiltParams(0.2, 0.3), search)
+        assert fit.theta_hat == 4.0
+
+
 class TestBatchedScan:
     """The coarse scan evaluates its whole grid as one array pass; every
     value must equal the one-theta evaluation bit for bit."""
@@ -195,10 +223,9 @@ class TestScanMemo:
         self.fit(sample, beta=0.2)
         self.fit(sample, n_scan=128)
         self.fit(sample, bracket=(1.0, 20.0))
-        self.fit(sample, eps_tail=1e-6)  # a shorter model window
-        assert _scan_model_terms.cache_info().currsize == 5
-        # the window end depends on the bracket and eps_tail only
-        assert _model_window_end.cache_info().currsize == 3
+        assert _scan_model_terms.cache_info().currsize == 4
+        # the window end depends on the bracket only
+        assert _model_window_end.cache_info().currsize == 2
 
     def test_cached_arrays_reject_writes(self, family):
         log_sf = _scan_model_terms(family, 0.8, 25.0, 256, 1.5, 69)
@@ -630,6 +657,12 @@ class TestEstimatingEquationResidual:
         with pytest.raises(DivergenceInfiniteError):
             estimating_equation_residual(2.0, r_n, family, TiltParams(0.0, -1.0))
 
+    @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), float("inf")])
+    def test_theta_outside_domain_named(self, family, theta):
+        r_n = empirical_frequencies(np.array([1, 2]))
+        with pytest.raises(ValueError, match="theta"):
+            estimating_equation_residual(theta, r_n, family, TiltParams(0.2, 0.3))
+
 
 class TestOracleEquivalence:
     def test_population_case_grid(self, family):
@@ -697,12 +730,12 @@ class TestLocationFamilyEquivalence:
         for _ in range(50):
             raw = rng.random(21) + 1e-3
             g_mass = raw / raw.sum()
-            g = DiscreteDensity(offset=20, mass=g_mass, tail_bound=0.0)
+            g = DiscreteDensity(offset=20, mass=g_mass)
             lsd_values = []
             cross_values = []
             for s in shifts:
                 f_mass = f0[window - s]
-                f = DiscreteDensity(offset=10, mass=f_mass, tail_bound=0.5)
+                f = DiscreteDensity(offset=10, mass=f_mass)
                 lsd_values.append(lsd(g, f, p))
                 f_on_g = f0[g.support - s]
                 cross_values.append(np.dot(f_on_g**p.exp_b, g_mass**p.exp_a))

@@ -301,9 +301,9 @@ class TestDeterminismAndReports:
         for n_jobs in (1, 3):
             chunks = []
 
-            def record(worker, args_list, n_jobs, chunksize=32):
+            def record(worker, args_list, n_jobs):
                 chunks.extend(args[1] for args in args_list)
-                return map_ordered(worker, args_list, 1, chunksize)
+                return map_ordered(worker, args_list, 1)
 
             monkeypatch.setattr(simulate, "_map_ordered", record)
             run_estimation_sim(config, n_jobs=n_jobs)
@@ -321,7 +321,7 @@ class TestDeterminismAndReports:
         config = small_estimation_config(replications=replications, grid_gamma=(0.0,))
         serial = report_to_csv(run_estimation_sim(config))
         assert report_to_csv(run_estimation_sim(config, n_jobs=n_jobs)) == serial
-        assert simulate._map_ordered(abs, list(range(-5, 0)), 64, chunksize=2) == [5, 4, 3, 2, 1]
+        assert simulate._map_ordered(abs, list(range(-3, 0)), 64) == [3, 2, 1]
         assert sizes == [processes - 1] * (processes > 1) + [2]
 
     def test_repeat_run_byte_identical(self, tmp_path):
@@ -364,14 +364,12 @@ class TestDeterminismAndReports:
 
 class TestMapOrdered:
     @pytest.mark.parametrize("n_jobs", [2, 3])
-    @pytest.mark.parametrize("chunksize", [1, 2])
-    def test_caller_runs_every_n_jobs_th_task(self, n_jobs, chunksize):
+    def test_caller_runs_every_n_jobs_th_task(self, n_jobs):
         # a real pool (n_jobs <= 3 forks at most two processes)
-        pids = simulate._map_ordered(pid_worker, list(range(7)), n_jobs, chunksize)
-        tasks = [i // chunksize for i in range(7)]
+        pids = simulate._map_ordered(pid_worker, list(range(7)), n_jobs)
         caller = os.getpid()
-        assert [pid == caller for pid in pids] == [t % n_jobs == 0 for t in tasks]
-        pool_pids = {pid for pid, t in zip(pids, tasks) if t % n_jobs}
+        assert [pid == caller for pid in pids] == [t % n_jobs == 0 for t in range(7)]
+        pool_pids = {pid for t, pid in enumerate(pids) if t % n_jobs}
         assert 1 <= len(pool_pids) <= n_jobs - 1
 
     @pytest.mark.parametrize("n_jobs,n_args,pool", [(64, 10, 9), (4, 10, 3), (2, 3, 1), (3, 1, None)])
@@ -381,7 +379,7 @@ class TestMapOrdered:
         sizes, submitted = [], []
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", stand_in_pool(sizes, submitted))
         args = list(range(-n_args, 0))
-        assert simulate._map_ordered(abs, args, n_jobs, chunksize=1) == [-a for a in args]
+        assert simulate._map_ordered(abs, args, n_jobs) == [-a for a in args]
         assert sizes == ([] if pool is None else [pool])
         assert submitted == [a for i, a in enumerate(args) if i % n_jobs and pool]
 
