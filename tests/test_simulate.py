@@ -364,13 +364,16 @@ class TestDeterminismAndReports:
 
 class TestMapOrdered:
     @pytest.mark.parametrize("n_jobs", [2, 3])
-    def test_caller_runs_every_n_jobs_th_task(self, n_jobs):
-        # a real pool (n_jobs <= 3 forks at most two processes)
-        pids = simulate._map_ordered(pid_worker, list(range(7)), n_jobs)
+    @pytest.mark.parametrize("calls", [1, 2])
+    def test_caller_runs_every_n_jobs_th_task(self, n_jobs, calls):
+        # a real pool (n_jobs <= 3 forks at most two processes); each call
+        # opens its own pool and keeps the same share
         caller = os.getpid()
-        assert [pid == caller for pid in pids] == [t % n_jobs == 0 for t in range(7)]
-        pool_pids = {pid for t, pid in enumerate(pids) if t % n_jobs}
-        assert 1 <= len(pool_pids) <= n_jobs - 1
+        for _ in range(calls):
+            pids = simulate._map_ordered(pid_worker, list(range(7)), n_jobs)
+            assert [pid == caller for pid in pids] == [t % n_jobs == 0 for t in range(7)]
+            pool_pids = {pid for t, pid in enumerate(pids) if t % n_jobs}
+            assert 1 <= len(pool_pids) <= n_jobs - 1
 
     @pytest.mark.parametrize("n_jobs,n_args,pool", [(64, 10, 9), (4, 10, 3), (2, 3, 1), (3, 1, None)])
     def test_pool_size_and_share(self, monkeypatch, n_jobs, n_args, pool):
