@@ -234,7 +234,8 @@ class _SamplePart:
 
     ``x_pos`` and ``logg`` hold each kept row's ``cells`` occupied cells in
     order, padded to the most any row has with cell 0 and log g =
-    ``_PAD_LOGG``.  :meth:`scan` gives each row's coarse scan at a tilt; the
+    ``_PAD_LOGG``.  :meth:`scan` gives each row's coarse scan at a tilt,
+    with its log sum g^(1+beta) kept per beta (:meth:`log_sum_g`); the
     scalar fit (:class:`_FitContext`) and the stacked one (:class:`_FitStack`)
     read the rest.
     """
@@ -245,6 +246,7 @@ class _SamplePart:
     ):
         self.family, self.search = family, search
         self.size = len(means)
+        self._log_sg: dict[float, list] = {}
         self.errors: list = list(errors) if errors else [None] * self.size
         self.index, self.lo, self.hi, self.length = [], [], [], []
         for i, (mean, end) in enumerate(zip(means, ends)):
@@ -320,6 +322,15 @@ class _SamplePart:
             logg[k, : nz.size] = np.log(r_n.mass[nz])
         return cls(x_pos, logg, cells, means, ends, family, search, errors)
 
+    def log_sum_g(self, one_beta: float) -> list:
+        """Each kept row's log sum g^(1+beta), computed at the first call
+        for each beta and kept for the part's other cells at that beta."""
+        if one_beta not in self._log_sg:
+            self._log_sg[one_beta] = [
+                _lse(one_beta * logg[:m]) for logg, m in zip(self.logg, self.cells)
+            ]
+        return self._log_sg[one_beta]
+
     def scan_values(self, k: int, p: TiltParams):
         """Kept row k's log sum g^(1+beta) at tilt p and its objective at each
         theta of its grid, equal bit for bit to :class:`_FitContext`'s
@@ -327,7 +338,7 @@ class _SamplePart:
         one_beta = 1.0 + p.beta
         n_scan, m = self.search.n_scan, self.cells[k]
         logg = self.logg[k, :m]
-        log_sg = _lse(one_beta * logg)
+        log_sg = self.log_sum_g(one_beta)[k]
         log_sf = _memoised(
             _scan_model_terms, self.family, self.lo[k], self.hi[k], n_scan, one_beta,
             self.length[k], keep=n_scan <= _MEMO_MAX_SCAN,

@@ -5,6 +5,13 @@ Every replication owns an independent counter-based RNG stream derived from
 configuration and is byte-reproducible under any execution order or degree
 of parallelism.  Grid cells where the exponent A is nonpositive cannot be
 estimated and are emitted with the "--" sentinel.
+
+With ``n_jobs > 1`` the chunks of a table run in the calling process and in
+one process-wide worker pool, which is forked on first use and reused by
+later runs that need as many workers; a run that needs another number of
+workers replaces it, an exception drops it, and ``concurrent.futures``'
+exit hook joins it when the interpreter exits.  Workers keep the module
+state they were forked with.
 """
 
 from __future__ import annotations
@@ -13,6 +20,7 @@ import enum
 import functools
 import itertools
 import json
+import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -329,6 +337,24 @@ def _reject_worker(args) -> list[list[bool | None]]:
     return out
 
 
+# The worker pool that _map_ordered reuses, as (workers, executor); None
+# until a call needs one and after it is shut down.  A thread holds the lock
+# while it uses or replaces the pool, so that runs in several threads take
+# turns at it instead of shutting it down under each other.
+_pool: tuple[int, ProcessPoolExecutor] | None = None
+_pool_lock = threading.RLock()
+
+
+def _shut_pool() -> None:
+    """Shut the reused worker pool down, cancelling its tasks not yet
+    started, and join its workers; the next call that needs one forks anew."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None:
+            pool, _pool = _pool[1], None
+            pool.shutdown(cancel_futures=True)
+
+
 def _map_ordered(worker, args_list, n_jobs: int):
     """``[worker(a) for a in args_list]``, run by ``n_jobs`` processes, the
     calling one included, when n_jobs > 1.
@@ -336,16 +362,29 @@ def _map_ordered(worker, args_list, n_jobs: int):
     Each argument is one task.  The calling process runs tasks 0, n_jobs,
     2 n_jobs, ... itself while a pool of the other ``min(n_jobs, tasks) - 1``
     processes runs the rest, which are submitted first; a single task opens
-    no pool.  The pool never has more workers than its tasks: it forks all
-    of them at the first submit, busy or not.
+    no pool.  The pool forks all its workers at the first submit, busy or
+    not, and is kept for the next call: a call that needs as many workers
+    reuses it, one that needs another number shuts it down and forks a new
+    one, so a pool never has more workers than its tasks.  An exception
+    (``BrokenProcessPool`` when a worker dies) shuts it down as well, so
+    the next call starts afresh.  Calls from several threads take turns.
+    At interpreter exit ``concurrent.futures`` joins it.
     """
+    global _pool
     n_pool = min(n_jobs, len(args_list)) - 1
     if n_pool < 1:
         return [worker(a) for a in args_list]
-    with ProcessPoolExecutor(max_workers=n_pool) as pool:
-        from_pool = pool.map(worker, [a for i, a in enumerate(args_list) if i % n_jobs])
-        mine = iter([worker(a) for a in args_list[::n_jobs]])
-        return [next(from_pool if i % n_jobs else mine) for i in range(len(args_list))]
+    with _pool_lock:
+        if _pool is None or _pool[0] != n_pool:
+            _shut_pool()
+            _pool = (n_pool, ProcessPoolExecutor(max_workers=n_pool))
+        try:
+            from_pool = _pool[1].map(worker, [a for i, a in enumerate(args_list) if i % n_jobs])
+            mine = iter([worker(a) for a in args_list[::n_jobs]])
+            return [next(from_pool if i % n_jobs else mine) for i in range(len(args_list))]
+        except BaseException:
+            _shut_pool()
+            raise
 
 
 # ---------------------------------------------------------------------------

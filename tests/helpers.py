@@ -141,6 +141,14 @@ def pid_worker(_) -> int:
     return os.getpid()
 
 
+def exit_worker(arg) -> int:
+    """Kills the process that runs it, without cleanup, when ``arg`` is
+    "exit"; otherwise the id of that process."""
+    if arg == "exit":
+        os._exit(3)
+    return os.getpid()
+
+
 def two_sample_reject_worker(args) -> bool:
     """One two-sample replication under the null; module-level so process
     pools can pickle it."""

@@ -22,6 +22,7 @@ from lsdiv import (
     minimize_lsd_many,
     oracle_grid_minimize,
 )
+from lsdiv.divergence import _lse
 from lsdiv.estimation import (
     _FitContext,
     _FitStack,
@@ -541,6 +542,19 @@ class TestSamplePart:
                     got, want = part.scan_values(k, p), one.scan_values(0, p)
                     assert got[0] == want[0]
                     np.testing.assert_array_equal(got[1], want[1])
+
+    def test_log_sum_g_kept_per_beta(self, family):
+        # each row's log sum g^(1+beta) is computed once per beta, as each
+        # scan computed it for itself, and read by the scans at every gamma
+        for samples in chunk_samples(0):
+            part = _SamplePart.from_samples(samples, family, SearchConfig())
+            for beta in (0.0, 0.4, 1.0):
+                kept = part.log_sum_g(1.0 + beta)
+                rows = zip(part.logg, part.cells)
+                assert kept == [_lse((1.0 + beta) * logg[:m]) for logg, m in rows]
+                for gamma in (-0.5, 0.0, 1.0):
+                    assert part.scan(TiltParams(beta, gamma))[0] == kept
+                assert part.log_sum_g(1.0 + beta) is kept
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("beta,gamma", SOLVER_TILTS)

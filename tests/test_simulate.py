@@ -2,9 +2,13 @@
 
 import functools
 import json
+import multiprocessing
 import os
+import subprocess
+import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 
 import numpy as np
 import pytest
@@ -26,7 +30,7 @@ from lsdiv import (
 )
 from lsdiv import estimation, simulate
 from lsdiv.cli import main
-from helpers import divergence_between_fits_oracle, pid_worker
+from helpers import divergence_between_fits_oracle, exit_worker, pid_worker
 from lsdiv.simulate import (
     ESTIMATION_BETA_GRID,
     _poisson_cdf,
@@ -45,17 +49,16 @@ from lsdiv.simulate import (
 def stand_in_pool(sizes, submitted=None):
     """A ProcessPoolExecutor stand-in that records each pool's size in
     ``sizes`` (and the arguments it is given in ``submitted``) and maps in
-    the calling process, so that no process is forked."""
+    the calling process, so that no process is forked.  A test that uses it
+    takes the ``fresh_pool`` fixture, so that the reused pool is neither an
+    earlier test's nor left to a later one."""
 
     class StandInPool:
         def __init__(self, max_workers):
             sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
 
         def map(self, fn, iterable, chunksize=1):
             args = list(iterable)
@@ -311,10 +314,11 @@ class TestDeterminismAndReports:
 
     @pytest.mark.parametrize("n_jobs,replications,processes", [(64, 40, 2), (2, 40, 2), (3, 8, 1)])
     def test_pool_has_no_more_workers_than_chunks(
-        self, monkeypatch, n_jobs, replications, processes
+        self, monkeypatch, fresh_pool, n_jobs, replications, processes
     ):
         # the pool forks all its workers at the first submit, so the run's
-        # processes (the caller and its pool) are sized to the chunks; the
+        # processes (the caller and its pool) are sized to the chunks, and a
+        # call that needs another number of workers replaces the pool; the
         # stand-in records the pool size, maps serially and starts no process
         sizes = []
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", stand_in_pool(sizes))
@@ -365,18 +369,21 @@ class TestDeterminismAndReports:
 class TestMapOrdered:
     @pytest.mark.parametrize("n_jobs", [2, 3])
     @pytest.mark.parametrize("calls", [1, 2])
-    def test_caller_runs_every_n_jobs_th_task(self, n_jobs, calls):
-        # a real pool (n_jobs <= 3 forks at most two processes); each call
-        # opens its own pool and keeps the same share
+    def test_caller_runs_every_n_jobs_th_task(self, fresh_pool, n_jobs, calls):
+        # a real pool (n_jobs <= 3 forks at most two processes), forked at
+        # the first call and kept alive after it; a second call keeps the
+        # same share and runs on the first call's workers
         caller = os.getpid()
+        workers = set()
         for _ in range(calls):
             pids = simulate._map_ordered(pid_worker, list(range(7)), n_jobs)
             assert [pid == caller for pid in pids] == [t % n_jobs == 0 for t in range(7)]
-            pool_pids = {pid for t, pid in enumerate(pids) if t % n_jobs}
-            assert 1 <= len(pool_pids) <= n_jobs - 1
+            workers = workers or {child.pid for child in multiprocessing.active_children()}
+            assert len(workers) == n_jobs - 1
+            assert {pid for t, pid in enumerate(pids) if t % n_jobs} <= workers
 
     @pytest.mark.parametrize("n_jobs,n_args,pool", [(64, 10, 9), (4, 10, 3), (2, 3, 1), (3, 1, None)])
-    def test_pool_size_and_share(self, monkeypatch, n_jobs, n_args, pool):
+    def test_pool_size_and_share(self, monkeypatch, fresh_pool, n_jobs, n_args, pool):
         # min(n_jobs, tasks) - 1 workers take the tasks whose index is not a
         # multiple of n_jobs; a single task opens no pool
         sizes, submitted = [], []
@@ -386,7 +393,8 @@ class TestMapOrdered:
         assert sizes == ([] if pool is None else [pool])
         assert submitted == [a for i, a in enumerate(args) if i % n_jobs and pool]
 
-    def test_two_chunk_run_forks_one_process_at_two_jobs(self, monkeypatch):
+    def test_two_chunk_run_forks_one_process_at_two_jobs(self, monkeypatch, fresh_pool):
+        # two consecutive runs fork one pool of one worker between them
         sizes = []
 
         class RecordingPool(ProcessPoolExecutor):
@@ -399,8 +407,60 @@ class TestMapOrdered:
         )
         serial = report_to_csv(run_testing_sim(config))
         monkeypatch.setattr(simulate, "ProcessPoolExecutor", RecordingPool)
-        assert report_to_csv(run_testing_sim(config, n_jobs=2)) == serial
+        for _ in range(2):
+            assert report_to_csv(run_testing_sim(config, n_jobs=2)) == serial
         assert sizes == [1]
+
+    def test_broken_pool_is_replaced(self, fresh_pool):
+        # a task that kills its worker breaks the pool; the next call at the
+        # same n_jobs forks a fresh worker and returns correct results
+        caller = os.getpid()
+        killed = simulate._map_ordered(pid_worker, [0, 1], 2)[1]
+        with pytest.raises(BrokenProcessPool):
+            simulate._map_ordered(exit_worker, ["pid", "exit"], 2)
+        pids = simulate._map_ordered(exit_worker, ["pid", "pid", "pid"], 2)
+        assert pids[0] == pids[2] == caller
+        assert pids[1] not in (caller, killed)
+
+    def test_threads_take_turns_at_the_pool(self, fresh_pool):
+        # runs in more threads than cores at alternating n_jobs replace the
+        # pool in turn, and none has it shut down under its own tasks
+        caller = os.getpid()
+
+        def run(n_jobs):
+            for _ in range(5):
+                pids = simulate._map_ordered(pid_worker, list(range(6)), n_jobs)
+                assert [pid == caller for pid in pids] == [t % n_jobs == 0 for t in range(6)]
+
+        with ThreadPoolExecutor(max_workers=4) as threads:
+            for future in [threads.submit(run, n_jobs) for n_jobs in (2, 3, 2, 3)]:
+                future.result(timeout=60)
+
+    def test_no_process_outlives_its_run(self):
+        # the reused pool is joined when the interpreter exits, so a process
+        # that ran a pool leaves no worker behind it
+        tests_dir = os.path.dirname(os.path.abspath(__file__))
+        src = os.path.join(os.path.dirname(tests_dir), "src")
+        code = (
+            "import sys; sys.path[:0] = sys.argv[1:]\n"
+            "from helpers import pid_worker\n"
+            "from lsdiv import simulate\n"
+            "print(simulate._map_ordered(pid_worker, list(range(4)), 2)[1])\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, src, tests_dir], capture_output=True, text=True,
+            timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        worker = int(done.stdout.split()[-1])
+        deadline = time.monotonic() + 5.0
+        while True:
+            try:
+                os.kill(worker, 0)
+            except ProcessLookupError:
+                break
+            assert time.monotonic() < deadline, f"worker {worker} outlived its run"
+            time.sleep(0.01)
 
     @pytest.mark.parametrize("n_jobs", [0, -3, 1.5, True])
     def test_n_jobs_below_one_rejected(self, n_jobs):
