@@ -18,7 +18,7 @@ from .divergence import (
     lpd,
     lsd,
 )
-from .families import ParametricFamily, PoissonFamily, density_vector, moments_c_d
+from .families import PoissonFamily, density_vector, moments_c_d
 from .estimation import (
     EstimatorResult,
     SearchConfig,

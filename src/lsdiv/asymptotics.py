@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .divergence import DiscreteDensity, DivergenceInfiniteError, TiltParams
-from .families import ParametricFamily, _tilted_moments, moments_c_d
+from .families import PoissonFamily, _moment_record, moments_c_d
 
 __all__ = [
     "SingularityError",
@@ -49,7 +49,7 @@ def _summary(j: float, k: float, xi: float) -> AsymptoticSummary:
     return AsymptoticSummary(j=float(j), k=float(k), xi=float(xi), sandwich=float(k / j**2))
 
 
-def model_jkxi(family: ParametricFamily, theta: float, beta: float) -> AsymptoticSummary:
+def model_jkxi(family: PoissonFamily, theta: float, beta: float) -> AsymptoticSummary:
     """J, K, xi at the model; all depend on beta only (gamma drops out).
 
     With w = Bf*u - Af, Af = sum f^(1+beta) u = c1, Bf = sum f^(1+beta) = c0
@@ -72,7 +72,7 @@ def _model_summary(c: np.ndarray, c_2beta: np.ndarray) -> AsymptoticSummary:
     return _summary(c0 * c2 - c1**2, k, 0.0)
 
 
-def _density_score(family: ParametricFamily, theta: float, y: int) -> tuple[float, float]:
+def _density_score(family: PoissonFamily, theta: float, y: int) -> tuple[float, float]:
     """(f_y, u_y) at the lone integer point y, passed to the family as a
     scalar: numpy's in-place steps of ``log_density`` cost more on a
     1-element array than the arithmetic.
@@ -99,7 +99,7 @@ def _model_if1(c: np.ndarray, fy: float, uy: float, beta: float) -> float:
 
 
 def general_jk(
-    g: DiscreteDensity, family: ParametricFamily, theta: float, p: TiltParams
+    g: DiscreteDensity, family: PoissonFamily, theta: float, p: TiltParams
 ) -> AsymptoticSummary:
     """J and K under an arbitrary true density g, at its best-fitting theta.
 
@@ -119,7 +119,7 @@ def general_jk(
     return _general_jk(_occupied(g, family, theta, p), p)
 
 
-def _occupied(g: DiscreteDensity, family: ParametricFamily, theta: float, p: TiltParams):
+def _occupied(g: DiscreteDensity, family: PoissonFamily, theta: float, p: TiltParams):
     """The moments (c, d) at beta, and (g, f, u, u') on g's occupied cells.
 
     Raises the typed errors of the general summaries: A <= 0, and an empty
@@ -128,9 +128,9 @@ def _occupied(g: DiscreteDensity, family: ParametricFamily, theta: float, p: Til
     a = p.exp_a
     if a <= 0:
         raise DivergenceInfiniteError("general J/K require exponent A > 0")
-    c, d, offset, length = _tilted_moments(family, theta, p.beta)
+    c, d, length = _moment_record(family, theta, p.beta)
     pos = g.mass > 0
-    covered = g.offset <= offset and offset + length <= g.offset + g.mass.size
+    covered = g.offset <= 0 and length <= g.offset + g.mass.size
     if not (covered and np.all(pos)) and 2.0 * a - 1.0 <= 0:
         raise DivergenceInfiniteError(
             "variance term is infinite: empty cells with exponent A <= 1/2"
@@ -159,7 +159,7 @@ def _general_jk(arrays, p: TiltParams) -> AsymptoticSummary:
 def if_first_order(
     y: int,
     g: DiscreteDensity | None,
-    family: ParametricFamily,
+    family: PoissonFamily,
     theta: float,
     p: TiltParams,
 ) -> float:
@@ -191,7 +191,7 @@ def if_first_order(
     return float(numerator / _general_jk(arrays, p).j)
 
 
-def if_second_order(y: int, family: ParametricFamily, theta: float, p: TiltParams) -> float:
+def if_second_order(y: int, family: PoissonFamily, theta: float, p: TiltParams) -> float:
     """Second-order influence of the estimator functional at the model.
 
     Obtained by differentiating the estimating equation
@@ -212,7 +212,7 @@ def if_second_order(y: int, family: ParametricFamily, theta: float, p: TiltParam
 
 
 def _if_first_second(
-    y: int, family: ParametricFamily, theta: float, p: TiltParams
+    y: int, family: PoissonFamily, theta: float, p: TiltParams
 ) -> tuple[float, float]:
     """(T', T'') of :func:`if_second_order` from one moment evaluation."""
     a, b, beta = p.exp_a, p.exp_b, p.beta
@@ -255,7 +255,7 @@ class BiasCurve:
 
 def bias_curves(
     y: int,
-    family: ParametricFamily,
+    family: PoissonFamily,
     theta: float,
     p: TiltParams,
     eps_grid,

@@ -108,8 +108,9 @@ class DiscreteDensity:
         object.__setattr__(self, "mass", mass)
         if mass.ndim != 1 or mass.size == 0:
             raise ValueError("mass must be a non-empty 1-d vector")
-        if np.any(mass < 0):
-            raise ValueError("mass entries must be nonnegative")
+        # NaN propagates through min and max, so both bounds reject it
+        if not (mass.min() >= 0 and mass.max() < math.inf):
+            raise ValueError("mass entries must be finite and nonnegative")
 
     @property
     def support(self) -> np.ndarray:

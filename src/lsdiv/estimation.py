@@ -44,7 +44,7 @@ from .divergence import (
     _lsd_kernel,
     lsd,
 )
-from .families import ParametricFamily, _memoised, density_vector
+from .families import PoissonFamily, density_vector
 
 __all__ = [
     "SearchConfig",
@@ -152,7 +152,7 @@ def empirical_frequencies(sample) -> DiscreteDensity:
 def estimating_equation_residual(
     theta: float,
     r_n: DiscreteDensity,
-    family: ParametricFamily,
+    family: PoissonFamily,
     p: TiltParams,
 ) -> float:
     """Imbalance Bf * sum e u - Af * sum e of the estimating equation.
@@ -179,11 +179,10 @@ def estimating_equation_residual(
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
-def _model_window_end(family: ParametricFamily, thetas: tuple) -> int:
+def _model_window_end(family: PoissonFamily, thetas: tuple) -> int:
     """End of the window from 0 that covers the support window of every
-    theta in ``thetas``."""
-    windows = [family.support_window(t) for t in thetas]
-    return max(off + ln for off, ln in windows)
+    theta in ``thetas``, the longest (a length is not monotone in theta)."""
+    return max(family.support_window(t)[1] for t in thetas)
 
 
 def _grids(lo: np.ndarray, hi: np.ndarray, n_scan: int) -> np.ndarray:
@@ -199,7 +198,7 @@ def _grids(lo: np.ndarray, hi: np.ndarray, n_scan: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _scan_model_terms(
-    family: ParametricFamily, lo: float, hi: float, n_scan: int, one_beta: float, length: int
+    family: PoissonFamily, lo: float, hi: float, n_scan: int, one_beta: float, length: int
 ) -> np.ndarray:
     """The model term log sum f_theta^(1+beta) over the window [0, length) at
     each theta of the coarse grid of (lo, hi) (see :func:`_grids`), as a
@@ -242,7 +241,7 @@ class _SamplePart:
 
     def __init__(
         self, x_pos: np.ndarray, logg: np.ndarray, cells: np.ndarray, means, ends,
-        family: ParametricFamily, search: SearchConfig, errors=None,
+        family: PoissonFamily, search: SearchConfig, errors=None,
     ):
         self.family, self.search = family, search
         self.size = len(means)
@@ -254,7 +253,7 @@ class _SamplePart:
                 continue
             lo, hi = search.bracket or (max(1e-3, mean / 5.0), 5.0 * mean + 5.0)
             try:
-                window_end = _memoised(_model_window_end, family, (lo, 0.5 * (lo + hi), hi))
+                window_end = _model_window_end(family, (lo, 0.5 * (lo + hi), hi))
             except (ValueError, ArithmeticError) as exc:
                 self.errors[i] = exc
                 continue
@@ -273,7 +272,7 @@ class _SamplePart:
         self.logf_scan = family.log_density(self.grid[:, None, :], x_pos[:, :, None])
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, family: ParametricFamily, search: SearchConfig):
+    def from_samples(cls, samples: np.ndarray, family: PoissonFamily, search: SearchConfig):
         """The part of the empirical frequencies of each row of a (rows x n)
         matrix of nonnegative integer samples, tabulated in one bincount.
 
@@ -301,7 +300,7 @@ class _SamplePart:
         return cls(x_pos, logg, cells, means, ends, family, search)
 
     @classmethod
-    def from_densities(cls, densities, family: ParametricFamily, search: SearchConfig):
+    def from_densities(cls, densities, family: PoissonFamily, search: SearchConfig):
         """The part of a list of data densities, each placed at its offset; a
         density below cell 0 or without positive mass keeps a ValueError."""
         errors, occupied, ends, means = [], [], [], []
@@ -339,10 +338,8 @@ class _SamplePart:
         n_scan, m = self.search.n_scan, self.cells[k]
         logg = self.logg[k, :m]
         log_sg = self.log_sum_g(one_beta)[k]
-        log_sf = _memoised(
-            _scan_model_terms, self.family, self.lo[k], self.hi[k], n_scan, one_beta,
-            self.length[k], keep=n_scan <= _MEMO_MAX_SCAN,
-        )
+        memo = _scan_model_terms if n_scan <= _MEMO_MAX_SCAN else _scan_model_terms.__wrapped__
+        log_sf = memo(self.family, self.lo[k], self.hi[k], n_scan, one_beta, self.length[k])
         return log_sg, _lsd_kernel(log_sf, self.logf_scan[k, :m].T, logg, log_sg, p)
 
     def scan(self, p: TiltParams):
@@ -646,7 +643,7 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
 
 def minimize_lsd(
     r_n: DiscreteDensity,
-    family: ParametricFamily,
+    family: PoissonFamily,
     p: TiltParams,
     search: SearchConfig = SearchConfig(),
 ) -> EstimatorResult:
@@ -665,7 +662,7 @@ def minimize_lsd(
 
 def minimize_lsd_many(
     densities,
-    family: ParametricFamily,
+    family: PoissonFamily,
     p: TiltParams,
     search: SearchConfig = SearchConfig(),
 ) -> list:
@@ -693,7 +690,7 @@ def minimize_lsd_many(
 
 def oracle_grid_minimize(
     r_n: DiscreteDensity,
-    family: ParametricFamily,
+    family: PoissonFamily,
     p: TiltParams,
     lo: float,
     hi: float,
@@ -710,8 +707,8 @@ def oracle_grid_minimize(
     for theta in grid:
         # model density on a window covering both its own tail bound and r_n
         fm = density_vector(family, theta)
-        if r_n.offset + r_n.mass.size > fm.offset + fm.mass.size:
-            x = np.arange(fm.offset, r_n.offset + r_n.mass.size)
-            fm = DiscreteDensity(offset=fm.offset, mass=family.density(theta, x))
+        if r_n.offset + r_n.mass.size > fm.mass.size:
+            x = np.arange(r_n.offset + r_n.mass.size)
+            fm = DiscreteDensity(offset=0, mass=family.density(theta, x))
         values.append(lsd(r_n, fm, p))
     return float(grid[int(np.argmin(values))])

@@ -1,6 +1,6 @@
-"""Discrete parametric family contract and the Poisson implementation.
+"""The Poisson model family and its tilted score moments.
 
-A family exposes the pointwise density, the score u = d log f / d theta,
+The family exposes the pointwise density, the score u = d log f / d theta,
 the score derivative u' = du/d theta and a truncated support window whose
 excluded tail mass is below a caller-chosen bound.  Every "integral" of the
 underlying theory becomes a finite sum over that window.
@@ -9,7 +9,7 @@ underlying theory becomes a finite sum over that window.
 from __future__ import annotations
 
 import functools
-from abc import ABC, abstractmethod
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -18,7 +18,7 @@ from scipy.special import gammaln
 
 from .divergence import DEFAULT_EPS_TAIL, DiscreteDensity
 
-__all__ = ["ParametricFamily", "PoissonFamily", "density_vector", "moments_c_d"]
+__all__ = ["PoissonFamily", "density_vector", "moments_c_d"]
 
 _TINY = np.finfo(float).tiny  # smallest normal double
 
@@ -27,60 +27,30 @@ _TINY = np.finfo(float).tiny  # smallest normal double
 _MOMENT_MEMO_SIZE = 32
 
 
-class ParametricFamily(ABC):
-    """Scalar-parameter discrete model on a subset of {0, 1, 2, ...}.
+@dataclass(frozen=True)
+class PoissonFamily:
+    """Poisson(theta) on {0, 1, 2, ...}; u = x/theta - 1, u' = -x/theta^2.
 
-    A family hashed by value (a frozen dataclass, as :class:`PoissonFamily`)
-    keys the per-process memos of the fit's windows and model terms and of
-    the tilted moments (:func:`moments_c_d`), so it must not change; one
-    hashed by identity or unhashable runs without them.  x is an array of
-    integer points (as ints or as floats of integer value), and theta a
-    float or an array that broadcasts against x; ``density``, ``score`` and
+    The family is a frozen dataclass, hashed by value: it keys the
+    per-process memos of the fit's windows and model terms and of the tilted
+    moments (:func:`moments_c_d`).  x is an array of integer points (as ints
+    or as floats of integer value), and theta a positive finite float or an
+    array that broadcasts against x; ``density``, ``score`` and
     ``score_derivative`` also take a lone integer point, which the
     model-case influence functions pass.  The fit calls ``log_density`` and
     ``score`` with a 1-d x and a (k, 1) column of thetas, which give a
     (k, len(x)) array, and ``log_density`` with a (rows, m, 1) x and a
-    (rows, 1, k) theta, which give a (rows, m, k) array.
+    (rows, 1, k) theta, which give a (rows, m, k) array.  Every support
+    window starts at 0, so every sum over the model runs over [0, length).
     """
-
-    @abstractmethod
-    def density(self, theta: float, x: np.ndarray) -> np.ndarray:
-        """f_theta evaluated at integer points x."""
-
-    def log_density(self, theta: float, x: np.ndarray) -> np.ndarray:
-        """log f_theta(x); override when an analytic form avoids underflow."""
-        return np.log(self.density(theta, x))
-
-    @abstractmethod
-    def score(self, theta: float, x: np.ndarray) -> np.ndarray:
-        """u(theta, x) = d log f_theta(x) / d theta."""
-
-    @abstractmethod
-    def score_derivative(self, theta: float, x: np.ndarray) -> np.ndarray:
-        """u'(theta, x) = d u(theta, x) / d theta."""
-
-    @abstractmethod
-    def support_window(
-        self, theta: float, eps_tail: float = DEFAULT_EPS_TAIL
-    ) -> tuple[int, int]:
-        """Smallest window (offset, length) capturing mass >= 1 - eps_tail."""
-
-    def _window_mass(self, theta: float, eps_tail: float):
-        """(offset, masses) on the support window; a family overrides this
-        when it has a more accurate way to compute its masses there."""
-        offset, length = self.support_window(theta, eps_tail)
-        return offset, self.density(theta, offset + np.arange(length))
-
-
-@dataclass(frozen=True)
-class PoissonFamily(ParametricFamily):
-    """Poisson(theta) on {0, 1, 2, ...}; u = x/theta - 1, u' = -x/theta^2."""
 
     def _check(self, theta) -> None:
         # A plain comparison for a scalar theta keeps the per-call cost of
-        # density and score low; an array of thetas is checked at its minimum.
-        if (theta.min() if isinstance(theta, np.ndarray) else theta) <= 0:
-            raise ValueError(f"Poisson parameter must be positive, got {theta}")
+        # density and score low; an array of thetas (the fit's grids and
+        # steps, inside a bracket whose ends passed the scalar check) is
+        # checked at its minimum, which is NaN when any entry is.
+        if not (theta.min() > 0 if isinstance(theta, np.ndarray) else 0 < theta < math.inf):
+            raise ValueError(f"Poisson parameter must be positive and finite, got {theta}")
 
     def density(self, theta: float, x) -> np.ndarray:
         self._check(theta)
@@ -117,9 +87,11 @@ class PoissonFamily(ParametricFamily):
     def support_window(
         self, theta: float, eps_tail: float = DEFAULT_EPS_TAIL
     ) -> tuple[int, int]:
-        return 0, len(self._window_mass(theta, eps_tail)[1])
+        """Smallest window (0, length) capturing mass >= 1 - eps_tail."""
+        return 0, len(self._window_mass(theta, eps_tail))
 
-    def _window_mass(self, theta: float, eps_tail: float) -> tuple[int, list[float]]:
+    def _window_mass(self, theta: float, eps_tail: float) -> list[float]:
+        """The masses on the support window [0, length)."""
         self._check(theta)
         if not 0 < eps_tail < 1:
             raise ValueError("eps_tail must lie in (0, 1)")
@@ -138,7 +110,7 @@ class PoissonFamily(ParametricFamily):
         cum = fx
         for x in range(1, 100_000):
             if 1.0 - cum < eps_tail:
-                return 0, mass
+                return mass
             if fx == 0.0:
                 break  # the masses underflowed before the tail bound: the sum is final
             fx *= theta / x
@@ -150,30 +122,19 @@ class PoissonFamily(ParametricFamily):
 
 
 def density_vector(
-    family: ParametricFamily, theta: float, eps_tail: float = DEFAULT_EPS_TAIL
+    family: PoissonFamily, theta: float, eps_tail: float = DEFAULT_EPS_TAIL
 ) -> DiscreteDensity:
     """Model density truncated to its eps_tail support window."""
-    offset, mass = family._window_mass(theta, eps_tail)
-    return DiscreteDensity(offset=offset, mass=mass)
-
-
-def _memoised(memo, family: ParametricFamily, *args, keep: bool = True):
-    """``memo(family, *args)``, or the function behind it when ``keep`` is
-    false or the family is hashed by identity or not at all (its value could
-    change under its key)."""
-    hash_ = type(family).__hash__
-    if not keep or hash_ is None or hash_ is object.__hash__:
-        return memo.__wrapped__(family, *args)
-    return memo(family, *args)
+    return DiscreteDensity(offset=0, mass=family._window_mass(theta, eps_tail))
 
 
 class _TiltedMoments(NamedTuple):
     """The tilted score moments c_0..c_3 and d_0..d_3 (read-only) of
-    :func:`moments_c_d` and the support window (offset, length) they sum over."""
+    :func:`moments_c_d` and the length of the support window [0, length)
+    they sum over."""
 
     c: np.ndarray
     d: np.ndarray
-    offset: int
     length: int
 
 
@@ -182,27 +143,22 @@ _POWERS = np.arange(4)[:, None]
 
 
 @functools.lru_cache(maxsize=_MOMENT_MEMO_SIZE)
-def _moment_record(family: ParametricFamily, theta: float, beta: float) -> _TiltedMoments:
-    """One pass over the support window: w = f^(1+beta) from log f, and the
-    score powers u^0..u^3 as one (4 x window) array."""
-    offset, length = family.support_window(theta)
-    x = offset + np.arange(length)
+def _moment_record(family: PoissonFamily, theta: float, beta: float) -> _TiltedMoments:
+    """The moments of (family, theta, beta) in one pass over the support
+    window: w = f^(1+beta) from log f, and the score powers u^0..u^3 as one
+    (4 x window) array."""
+    length = family.support_window(theta)[1]
+    x = np.arange(length)
     w = np.exp((1.0 + beta) * family.log_density(theta, x))
     powers = family.score(theta, x) ** _POWERS
     c = powers @ w
     d = powers @ (family.score_derivative(theta, x) * w)
     c.flags.writeable = d.flags.writeable = False
-    return _TiltedMoments(c, d, offset, length)
-
-
-def _tilted_moments(family: ParametricFamily, theta: float, beta: float) -> _TiltedMoments:
-    """The record of (family, theta, beta), from the process-wide memo when
-    the family is hashed by value."""
-    return _memoised(_moment_record, family, theta, beta)
+    return _TiltedMoments(c, d, length)
 
 
 def moments_c_d(
-    family: ParametricFamily, theta: float, beta: float, i_max: int = 3
+    family: PoissonFamily, theta: float, beta: float, i_max: int = 3
 ) -> tuple[np.ndarray, np.ndarray]:
     """Tilted score moments c_i = sum u^i f^(1+beta), d_i = sum u' u^i f^(1+beta)
     over the support window of the default tail bound, for i = 0..i_max
@@ -215,5 +171,5 @@ def moments_c_d(
     """
     if not 0 <= i_max <= 3:
         raise ValueError(f"i_max must lie in 0..3, got {i_max}")
-    record = _tilted_moments(family, theta, beta)
+    record = _moment_record(family, theta, beta)
     return record.c[: i_max + 1], record.d[: i_max + 1]

@@ -23,7 +23,7 @@ from .divergence import (
     _zero_exponent_limit,
 )
 from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
-from .families import ParametricFamily, moments_c_d
+from .families import PoissonFamily, moments_c_d
 from .asymptotics import SingularityError, _density_score, _model_if1, _model_summary
 
 __all__ = [
@@ -56,20 +56,17 @@ class TestResult:
 
 
 def model_pair_densities(
-    family: ParametricFamily, theta_g: float, theta_f: float
+    family: PoissonFamily, theta_g: float, theta_f: float
 ) -> tuple[DiscreteDensity, DiscreteDensity]:
     """Two model densities evaluated on a single common window, so both are
     strictly positive everywhere the divergence looks."""
-    o1, l1 = family.support_window(theta_g)
-    o2, l2 = family.support_window(theta_f)
-    lo, hi = min(o1, o2), max(o1 + l1, o2 + l2)
-    x = np.arange(lo, hi)
-    g = DiscreteDensity(offset=lo, mass=family.density(theta_g, x))
-    f = DiscreteDensity(offset=lo, mass=family.density(theta_f, x))
+    x = np.arange(max(family.support_window(theta_g)[1], family.support_window(theta_f)[1]))
+    g = DiscreteDensity(offset=0, mass=family.density(theta_g, x))
+    f = DiscreteDensity(offset=0, mass=family.density(theta_f, x))
     return g, f
 
 
-def divergence_between_fits(family: ParametricFamily, theta_g, theta_f: float, p: TiltParams):
+def divergence_between_fits(family: PoissonFamily, theta_g, theta_f: float, p: TiltParams):
     """LSD(f_theta_g, f_theta_f) between two model densities, in log space.
 
     ``theta_g`` is a float, which gives a float, or a 1-d array, which gives
@@ -84,12 +81,10 @@ def divergence_between_fits(family: ParametricFamily, theta_g, theta_f: float, p
     if theta_g.ndim > 1:
         raise ValueError("theta_g must be a float or a 1-d array")
     rows = theta_g.reshape(-1, 1)
-    offset, length = family.support_window(theta_f)
-    windows = np.array([family.support_window(t) for t in rows[:, 0]])
-    lo = np.minimum(windows[:, :1], offset)
-    hi = np.maximum(windows[:, :1] + windows[:, 1:], offset + length)
-    x = np.arange(hi.max())
-    outside = (x < lo) | (x >= hi)
+    length = family.support_window(theta_f)[1]
+    ends = np.maximum([[family.support_window(t)[1]] for t in rows[:, 0]], length)
+    x = np.arange(ends.max())
+    outside = x >= ends
     logf = np.where(outside, _PAD_LOGG, family.log_density(theta_f, x))
     logg = np.where(outside, _PAD_LOGG, family.log_density(rows, x))
     one_beta = 1.0 + p.beta
@@ -108,7 +103,7 @@ def divergence_between_fits(family: ParametricFamily, theta_g, theta_f: float, p
 
 def one_sample_statistic(
     sample,
-    family: ParametricFamily,
+    family: PoissonFamily,
     theta0: float,
     p: TiltParams,
     search: SearchConfig = SearchConfig(),
@@ -121,7 +116,7 @@ def one_sample_statistic(
     return 2.0 * sample.size * divergence_between_fits(family, theta_hat, theta0, p)
 
 
-def curvature_a_beta(family: ParametricFamily, theta0: float, p: TiltParams) -> float:
+def curvature_a_beta(family: PoissonFamily, theta0: float, p: TiltParams) -> float:
     """Second derivative of theta -> LSD(f_theta, f_theta0) at theta0.
 
     In the tilted score moments c_i of :func:`moments_c_d` this is
@@ -138,7 +133,7 @@ def _curvature(c: np.ndarray, beta: float) -> float:
     return float((1.0 + beta) * (c2 / c0 - (c1 / c0) ** 2))
 
 
-def null_law(family: ParametricFamily, theta0: float, p: TiltParams) -> float:
+def null_law(family: PoissonFamily, theta0: float, p: TiltParams) -> float:
     """Weight zeta of the null law zeta * chi2_1 of the statistic.
 
     zeta = A_beta * K / J^2 with the model-level J and K at theta0; a
@@ -152,10 +147,11 @@ def null_law(family: ParametricFamily, theta0: float, p: TiltParams) -> float:
 
 def weighted_chisq_pvalue(w: float, zeta: float) -> float:
     """P(zeta * Z^2 > w), the chi-square tail at w / zeta."""
-    if w < 0:
-        raise ValueError("statistic must be nonnegative")
-    if zeta < 0:
-        raise ValueError("null-law weight must be nonnegative")
+    # "not >=" rejects NaN too
+    if not w >= 0:
+        raise ValueError(f"statistic must be nonnegative, got {w}")
+    if not zeta >= 0:
+        raise ValueError(f"null-law weight must be nonnegative, got {zeta}")
     if w == 0:
         return 1.0
     if zeta == 0:
@@ -183,7 +179,7 @@ def _build_result(statistic: float, zeta: float, levels) -> TestResult:
 
 def one_sample_test(
     sample,
-    family: ParametricFamily,
+    family: PoissonFamily,
     theta0: float,
     p: TiltParams,
     levels=(0.05,),
@@ -198,7 +194,7 @@ def one_sample_test(
 def two_sample_statistic(
     sample1,
     sample2,
-    family: ParametricFamily,
+    family: PoissonFamily,
     p: TiltParams,
     levels=(0.05,),
     search: SearchConfig = SearchConfig(),
@@ -230,7 +226,7 @@ def two_sample_statistic(
 
 
 def second_order_test_influence(
-    y: int, family: ParametricFamily, theta0: float, p: TiltParams
+    y: int, family: PoissonFamily, theta0: float, p: TiltParams
 ) -> float:
     """Second-order influence of the test functional at the null:
     A_beta * IF1(y)^2 (the first-order influence is identically zero)."""

@@ -132,6 +132,26 @@ class TestNonFiniteTilt:
         assert "finite" in json.loads(result.output.strip().splitlines()[-1])["error"]
 
 
+class TestNonFiniteTheta:
+    """A NaN or infinite model parameter is rejected before any window scan."""
+
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["influence", "--beta", "0.4", "--gamma", "0.5", "--theta", "nan", "--y-max", "3"],
+            ["influence", "--beta", "0.4", "--gamma", "0.5", "--theta", "inf", "--y-max", "3"],
+            ["divergence", "--beta", "0.2", "--gamma", "0.5", "--theta-g", "nan", "--theta-f", "3"],
+            ["bias-approx", "--beta", "0.2", "--gamma", "0.5", "--theta", "nan", "--y", "12"],
+        ],
+        ids=["influence-nan", "influence-inf", "divergence-nan", "bias-approx-nan"],
+    )
+    def test_rejected_with_error_payload(self, runner, args):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        error = json.loads(result.output.strip().splitlines()[-1])["error"]
+        assert "positive and finite" in error
+
+
 class TestCurveCommands:
     def test_influence_csv(self, runner):
         result = run_ok(

@@ -79,6 +79,14 @@ class TestDiscreteDensity:
         with pytest.raises(ValueError):
             DiscreteDensity(offset=0, mass=np.array([0.5, -0.1, 0.6]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_mass_rejected(self, bad):
+        # a NaN cell used to read as an empty one: lsd gave 0.5545 here
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteDensity(offset=0, mass=np.array([bad, 1.0]))
+        with pytest.raises(ValueError, match="finite"):
+            lsd(DiscreteDensity(0, [bad, 1.0]), DiscreteDensity(0, [0.5, 0.5]), TiltParams(0.5, 0.5))
+
     def test_support_and_mean(self):
         d = DiscreteDensity(offset=2, mass=np.array([0.25, 0.75]))
         assert list(d.support) == [2, 3]

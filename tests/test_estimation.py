@@ -239,24 +239,6 @@ class TestScanMemo:
         assert self.fit(sample, n_scan=257) == self.fit(sample, n_scan=257)
         assert _scan_model_terms.cache_info().currsize == 0
 
-    def test_family_hashed_by_identity_is_not_memoised(self):
-        # a plain (non-frozen) dataclass is unhashable, a plain class is
-        # hashed by identity; either may change its value under a key
-        class Unhashable(PoissonFamily):
-            __hash__ = None
-
-        class ByIdentity(PoissonFamily):
-            __hash__ = object.__hash__
-
-        sample = empirical_frequencies(np.array([3, 4, 5, 4, 4, 6, 2, 4]))
-        p = TiltParams(0.5, 0.0)
-        expected = minimize_lsd(sample, PoissonFamily(), p)
-        _scan_model_terms.cache_clear()
-        _model_window_end.cache_clear()
-        for family in (Unhashable(), ByIdentity()):
-            assert minimize_lsd(sample, family, p) == expected
-        assert _scan_model_terms.cache_info().currsize == 0
-        assert _model_window_end.cache_info().currsize == 0
 
 
 def table_shaped_samples():

@@ -175,6 +175,12 @@ class TestWeightedChisqPvalue:
         with pytest.raises(ValueError):
             weighted_chisq_pvalue(1.0, -0.5)
 
+    @pytest.mark.parametrize("w,zeta", [(np.nan, 1.0), (1.0, np.nan), (0.0, np.nan)])
+    def test_nan_input_rejected(self, w, zeta):
+        # nan < 0 is false: a sign check alone returned a NaN p-value
+        with pytest.raises(ValueError, match="nonnegative"):
+            weighted_chisq_pvalue(w, zeta)
+
 
 class TestOneSampleTest:
     def test_result_shape_and_serialization(self, family):
