@@ -21,7 +21,6 @@ from .divergence import (
 from .families import PoissonFamily, density_vector, moments_c_d
 from .estimation import (
     EstimatorResult,
-    SearchConfig,
     empirical_frequencies,
     estimating_equation_residual,
     minimize_lsd,

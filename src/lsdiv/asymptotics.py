@@ -60,7 +60,7 @@ def model_jkxi(family: PoissonFamily, theta: float, beta: float) -> AsymptoticSu
     Fisher information.
     """
     return _model_summary(
-        moments_c_d(family, theta, beta, 2)[0], moments_c_d(family, theta, 2.0 * beta, 2)[0]
+        moments_c_d(family, theta, beta)[0], moments_c_d(family, theta, 2.0 * beta)[0]
     )
 
 
@@ -172,7 +172,7 @@ def if_first_order(
     S_u = sum g^A f^B u over g's occupied cells and t = f_y^B g_y^(A-1).
     """
     if g is None:
-        c = moments_c_d(family, theta, p.beta, 2)[0]
+        c = moments_c_d(family, theta, p.beta)[0]
         return _model_if1(c, *_density_score(family, theta, y), p.beta)
 
     k = y - g.offset
@@ -216,7 +216,7 @@ def _if_first_second(
 ) -> tuple[float, float]:
     """(T', T'') of :func:`if_second_order` from one moment evaluation."""
     a, b, beta = p.exp_a, p.exp_b, p.beta
-    c, d = moments_c_d(family, theta, beta, 3)
+    c, d = moments_c_d(family, theta, beta)
     c0, c1, c2, c3 = c
     d0, d1 = d[0], d[1]
     fy, uy = _density_score(family, theta, y)

@@ -16,9 +16,15 @@ import numpy as np
 
 from .asymptotics import bias_curves, if_first_order, if_second_order
 from .divergence import Psi, TiltParams, gsd
-from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
+from .estimation import empirical_frequencies, minimize_lsd
 from .families import PoissonFamily
-from .hypotest import one_sample_test, two_sample_statistic, second_order_test_influence
+from .hypotest import (
+    divergence_between_fits,
+    model_pair_densities,
+    one_sample_test,
+    second_order_test_influence,
+    two_sample_statistic,
+)
 from .simulate import SimulationConfig, emit_report, run_simulation
 
 
@@ -78,12 +84,19 @@ def with_tilt(cmd):
 @click.option("--psi", type=click.Choice(["log", "identity"]), default="log")
 @click.option("--out", type=click.Path(), default=None)
 def divergence(beta, gamma, theta_g, theta_f, psi, out):
-    """Divergence between two Poisson model densities."""
-    try:
-        from .hypotest import model_pair_densities
+    """Divergence between two Poisson model densities.
 
-        g, f = model_pair_densities(PoissonFamily(), theta_g, theta_f)
-        value = gsd(g, f, TiltParams(beta, gamma), Psi(psi))
+    The log link sums log masses, so a mass that underflows far in a tail
+    does not matter; the identity link sums the two densities on their
+    common window.
+    """
+    try:
+        p, family = TiltParams(beta, gamma), PoissonFamily()
+        if psi == "log":
+            value = divergence_between_fits(family, theta_g, theta_f, p)
+        else:
+            g, f = model_pair_densities(family, theta_g, theta_f)
+            value = gsd(g, f, p, Psi.IDENTITY)
     except (ValueError, ArithmeticError) as exc:
         _fail(str(exc))
     _emit(json.dumps({"beta": beta, "gamma": gamma, "psi": psi, "value": value}) + "\n", out)
@@ -99,7 +112,7 @@ def estimate(beta, gamma, data, data_file, out):
     sample = _parse_sample(data, data_file)
     try:
         result = minimize_lsd(
-            empirical_frequencies(sample), PoissonFamily(), TiltParams(beta, gamma), SearchConfig()
+            empirical_frequencies(sample), PoissonFamily(), TiltParams(beta, gamma)
         )
     except (ValueError, ArithmeticError) as exc:
         _fail(str(exc))

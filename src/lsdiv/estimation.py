@@ -47,7 +47,6 @@ from .divergence import (
 from .families import PoissonFamily, density_vector
 
 __all__ = [
-    "SearchConfig",
     "EstimatorResult",
     "empirical_frequencies",
     "estimating_equation_residual",
@@ -58,13 +57,17 @@ __all__ = [
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Entries per memo, and the largest n_scan whose scan the memo keeps: an
-# entry holds n_scan floats, so the scan memo stays below 1024 x 256 x 8
-# bytes = 2 MB.  The simulation harness fits a chunk of 32 samples at every
-# cell in turn, so a chunk needs at most 32 entries per beta (256 on the
-# default 8-beta grid) for every later gamma to hit.
+# Points of each row's coarse scan, which guards against multimodality, and
+# the width of the golden-section safeguard's final bracket.
+_N_SCAN = 256
+_TOL_THETA = 1e-8
+
+# Entries per memo: an entry of the scan memo holds _N_SCAN floats, so it
+# stays below 1024 x 256 x 8 bytes = 2 MB.  The simulation harness fits a
+# chunk of 32 samples at every cell in turn, so a chunk needs at most 32
+# entries per beta (256 on the default 8-beta grid) for every later gamma
+# to hit.
 _MEMO_SIZE = 1024
-_MEMO_MAX_SCAN = 256
 
 # Tolerances of a residual root: brentq's xtol as the fit passes it, and
 # its default rtol.
@@ -80,34 +83,6 @@ _MAX_ITERATIONS = 200
 # path of minimize_lsd: a small stack's array passes cost more than the
 # calls they replace.
 _MIN_STACK = 4
-
-
-@dataclass(frozen=True)
-class SearchConfig:
-    """Tolerance, coarse grid and bracket policy for the scalar minimization."""
-
-    tol_theta: float = 1e-8     # final bracket width
-    n_scan: int = 256           # coarse-grid points guarding multimodality
-    bracket: tuple[float, float] | None = None  # overrides the mean-based default
-
-    def __post_init__(self) -> None:
-        """Check every field's range; a bad one raises ValueError."""
-        if not (_is_real(self.tol_theta) and self.tol_theta > 0):
-            raise ValueError(f"tol_theta must be a finite number > 0, got {self.tol_theta!r}")
-        if not (_is_int(self.n_scan) and self.n_scan >= 1):
-            raise ValueError(f"n_scan must be an integer >= 1, got {self.n_scan!r}")
-        bracket = self.bracket
-        if bracket is not None and not (
-            isinstance(bracket, (tuple, list)) and len(bracket) == 2
-            and all(map(_is_real, bracket)) and 0 < bracket[0] <= bracket[1]
-        ):
-            raise ValueError(
-                f"bracket must be None or finite (lo, hi) with 0 < lo <= hi, got {bracket!r}"
-            )
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def _is_real(value) -> bool:
@@ -169,10 +144,8 @@ def estimating_equation_residual(
         )
     if not (_is_real(theta) and theta > 0):
         raise ValueError(f"theta must be a finite number > 0, got {theta!r}")
-    # a one-row part whose window covers the data and theta's model window;
-    # its one-point grid is theta
-    search = SearchConfig(n_scan=1, bracket=(theta, theta))
-    part = _SamplePart.from_densities([r_n], family, search)
+    # a one-row part whose window covers the data and theta's model window
+    part = _SamplePart.from_densities([r_n], family, bracket=(theta, theta))
     if part.errors[0] is not None:
         raise part.errors[0]
     return _FitContext(part, 0, p).residual(theta)
@@ -185,20 +158,19 @@ def _model_window_end(family: PoissonFamily, thetas: tuple) -> int:
     return max(family.support_window(t)[1] for t in thetas)
 
 
-def _grids(lo: np.ndarray, hi: np.ndarray, n_scan: int) -> np.ndarray:
+def _grids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Coarse grids, one row per bracket: row k is ``np.linspace(lo[k],
-    hi[k], n_scan)`` bit for bit (numpy's arange times the step, plus lo,
+    hi[k], _N_SCAN)`` bit for bit (numpy's arange times the step, plus lo,
     with the end point set), in a few array passes for any number of rows."""
-    grid = np.arange(n_scan) * ((hi - lo) / max(n_scan - 1, 1))[:, None]
+    grid = np.arange(_N_SCAN) * ((hi - lo) / (_N_SCAN - 1))[:, None]
     grid += lo[:, None]
-    if n_scan > 1:
-        grid[:, -1] = hi
+    grid[:, -1] = hi
     return grid
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
 def _scan_model_terms(
-    family: PoissonFamily, lo: float, hi: float, n_scan: int, one_beta: float, length: int
+    family: PoissonFamily, lo: float, hi: float, one_beta: float, length: int
 ) -> np.ndarray:
     """The model term log sum f_theta^(1+beta) over the window [0, length) at
     each theta of the coarse grid of (lo, hi) (see :func:`_grids`), as a
@@ -208,7 +180,7 @@ def _scan_model_terms(
     sample (or of samples with the same mean and window) at one beta share
     an entry whatever their gamma.
     """
-    grid = _grids(np.array([lo]), np.array([hi]), n_scan)[0]
+    grid = _grids(np.array([lo]), np.array([hi]))[0]
     log_sf = _lse(one_beta * family.log_density(grid[:, None], np.arange(length)))
     log_sf.flags.writeable = False
     return log_sf
@@ -220,16 +192,16 @@ class _SamplePart:
     Built once from each row's occupied cells ``x_pos`` on the window from
     0, log g there (``logg``), their number ``cells``, the row's mean and
     the end of its stored window: each row's bracket (lo, hi) (the
-    search's, or the mean-based default of the one-sample fit), its window
-    [0, L) covering the data and the model tail at the bracket ends and
-    midpoint (from a process-wide memo), and, in one array pass over all
-    rows, its coarse grid of ``n_scan`` thetas and log f on occupied cells x
-    grid (``logf_scan``: long rows, which numpy's array passes run faster
-    than a short row per theta).  A row given an error in ``errors``, or
-    whose window cannot be computed, keeps that error and is left out of
-    every array; ``index`` maps the kept rows to the rows given.  With
-    ``n_scan=1`` and the bracket (theta, theta) a part is the cheap
-    window-only form that the residual at theta needs.
+    mean-based default of the one-sample fit, or ``bracket`` for every
+    row), its window [0, L) covering the data and the model tail at the
+    bracket ends and midpoint (from a process-wide memo), and, in one array
+    pass over all rows at first use, its coarse grid of ``_N_SCAN`` thetas
+    and log f on occupied cells x grid (``logf_scan``: long rows, which
+    numpy's array passes run faster than a short row per theta).  A row
+    given an error in ``errors``, or whose window cannot be computed, keeps
+    that error and is left out of every array; ``index`` maps the kept rows
+    to the rows given.  The residual at theta reads only the window of the
+    bracket (theta, theta), so its part never builds a scan.
 
     ``x_pos`` and ``logg`` hold each kept row's ``cells`` occupied cells in
     order, padded to the most any row has with cell 0 and log g =
@@ -241,9 +213,9 @@ class _SamplePart:
 
     def __init__(
         self, x_pos: np.ndarray, logg: np.ndarray, cells: np.ndarray, means, ends,
-        family: PoissonFamily, search: SearchConfig, errors=None,
+        family: PoissonFamily, errors=None, bracket: tuple[float, float] | None = None,
     ):
-        self.family, self.search = family, search
+        self.family = family
         self.size = len(means)
         self._log_sg: dict[float, list] = {}
         self.errors: list = list(errors) if errors else [None] * self.size
@@ -251,7 +223,7 @@ class _SamplePart:
         for i, (mean, end) in enumerate(zip(means, ends)):
             if self.errors[i] is not None:
                 continue
-            lo, hi = search.bracket or (max(1e-3, mean / 5.0), 5.0 * mean + 5.0)
+            lo, hi = bracket or (max(1e-3, mean / 5.0), 5.0 * mean + 5.0)
             try:
                 window_end = _model_window_end(family, (lo, 0.5 * (lo + hi), hi))
             except (ValueError, ArithmeticError) as exc:
@@ -268,11 +240,9 @@ class _SamplePart:
             width = cells.max()
             x_pos, logg = x_pos[self.index, :width], logg[self.index, :width]
         self.x_pos, self.logg, self.cells = x_pos, logg, cells.tolist()
-        self.grid = _grids(np.array(self.lo), np.array(self.hi), search.n_scan)
-        self.logf_scan = family.log_density(self.grid[:, None, :], x_pos[:, :, None])
 
     @classmethod
-    def from_samples(cls, samples: np.ndarray, family: PoissonFamily, search: SearchConfig):
+    def from_samples(cls, samples: np.ndarray, family: PoissonFamily):
         """The part of the empirical frequencies of each row of a (rows x n)
         matrix of nonnegative integer samples, tabulated in one bincount.
 
@@ -297,12 +267,13 @@ class _SamplePart:
             float(np.dot(np.arange(end), row[:end]) / row[:end].sum())
             for row, end in zip(mass, ends)
         ]
-        return cls(x_pos, logg, cells, means, ends, family, search)
+        return cls(x_pos, logg, cells, means, ends, family)
 
     @classmethod
-    def from_densities(cls, densities, family: PoissonFamily, search: SearchConfig):
+    def from_densities(cls, densities, family: PoissonFamily, bracket=None):
         """The part of a list of data densities, each placed at its offset; a
-        density below cell 0 or without positive mass keeps a ValueError."""
+        density below cell 0 or without positive mass keeps a ValueError.
+        ``bracket`` replaces every row's mean-based bracket."""
         errors, occupied, ends, means = [], [], [], []
         for r_n in densities:
             nz = np.flatnonzero(r_n.mass)
@@ -319,7 +290,7 @@ class _SamplePart:
         for k, (r_n, nz) in enumerate(zip(densities, occupied)):
             x_pos[k, : nz.size] = r_n.offset + nz
             logg[k, : nz.size] = np.log(r_n.mass[nz])
-        return cls(x_pos, logg, cells, means, ends, family, search, errors)
+        return cls(x_pos, logg, cells, means, ends, family, errors, bracket)
 
     def log_sum_g(self, one_beta: float) -> list:
         """Each kept row's log sum g^(1+beta), computed at the first call
@@ -335,11 +306,10 @@ class _SamplePart:
         theta of its grid, equal bit for bit to :class:`_FitContext`'s
         objective there; the model terms come from a process-wide memo."""
         one_beta = 1.0 + p.beta
-        n_scan, m = self.search.n_scan, self.cells[k]
+        m = self.cells[k]
         logg = self.logg[k, :m]
         log_sg = self.log_sum_g(one_beta)[k]
-        memo = _scan_model_terms if n_scan <= _MEMO_MAX_SCAN else _scan_model_terms.__wrapped__
-        log_sf = memo(self.family, self.lo[k], self.hi[k], n_scan, one_beta, self.length[k])
+        log_sf = _scan_model_terms(self.family, self.lo[k], self.hi[k], one_beta, self.length[k])
         return log_sg, _lsd_kernel(log_sf, self.logf_scan[k, :m].T, logg, log_sg, p)
 
     def scan(self, p: TiltParams):
@@ -347,7 +317,7 @@ class _SamplePart:
         log sum g^(1+beta), the scan cell (g_lo, g_hi) around the grid's best
         point (the first on ties) and whether that point is a bracket end."""
         log_sg, g_lo, g_hi, edge = [], [], [], []
-        last = self.search.n_scan - 1
+        last = _N_SCAN - 1
         for k, grid in enumerate(self.grid):
             row_sg, values = self.scan_values(k, p)
             best = int(values.argmin())
@@ -356,6 +326,17 @@ class _SamplePart:
             g_hi.append(grid[min(best + 1, last)])
             edge.append(best in (0, last))
         return log_sg, g_lo, g_hi, edge
+
+    @functools.cached_property
+    def grid(self) -> np.ndarray:
+        """Each kept row's coarse grid of its bracket (see :func:`_grids`)."""
+        return _grids(np.array(self.lo), np.array(self.hi))
+
+    @functools.cached_property
+    def logf_scan(self) -> np.ndarray:
+        """log f on each kept row's occupied cells x grid, as a (rows x
+        cells x _N_SCAN) array."""
+        return self.family.log_density(self.grid[:, None, :], self.x_pos[:, :, None])
 
     @functools.cached_property
     def pad(self) -> np.ndarray:
@@ -544,15 +525,15 @@ def _residual_roots(res_fun, x1, f1, x2, f2, active, max_iter: int):
     return root, res, np.where(exact, root, lo), np.where(exact, root, hi), iterations
 
 
-def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float, search: SearchConfig):
+def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float):
     """Golden section on a scan cell across which the residual does not fall
     from positive to negative, refined on the residual where it changes sign
     nearby; returns (theta_hat, residual, bracket, iterations)."""
     theta_hat, bracket, iterations = _golden_section(
-        ctx.objective, g_lo, g_hi, search.tol_theta, _MAX_ITERATIONS
+        ctx.objective, g_lo, g_hi, _TOL_THETA, _MAX_ITERATIONS
     )
     res = ctx.residual(theta_hat)
-    half = max(10.0 * search.tol_theta, 1e-5)
+    half = max(10.0 * _TOL_THETA, 1e-5)
     r_lo, r_hi = max(lo, theta_hat - half), min(hi, theta_hat + half)
     try:
         v_lo, v_hi = ctx.residual(r_lo), ctx.residual(r_hi)
@@ -566,13 +547,13 @@ def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float,
     return theta_hat, res, bracket, iterations
 
 
-def _result(theta_hat, res, bracket, iterations, objective, boundary_hit: bool, search: SearchConfig):
+def _result(theta_hat, res, bracket, iterations, objective, boundary_hit: bool):
     """A fit's result; it has converged when the scan's best point is inside
     the bracket, the residual is small and the bracket narrow."""
     converged = (
         not boundary_hit
         and abs(res) <= _TOL_EE
-        and bracket[1] - bracket[0] <= max(search.tol_theta, 1e-10 * max(1.0, theta_hat))
+        and bracket[1] - bracket[0] <= max(_TOL_THETA, 1e-10 * max(1.0, theta_hat))
     )
     return EstimatorResult(
         theta_hat=float(theta_hat),
@@ -607,7 +588,6 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
     out = list(part.errors)
     if not part.index:
         return out
-    search = part.search
     log_sg, g_lo, g_hi, boundary_hit = part.scan(p)
     if part.size < _MIN_STACK:
         for k, i in enumerate(part.index):
@@ -618,8 +598,8 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
                     ctx.residual, g_lo[k], v_lo, g_hi[k], v_hi, _MAX_ITERATIONS
                 )
             else:
-                fit = _safeguard(ctx, part.lo[k], part.hi[k], g_lo[k], g_hi[k], search)
-            out[i] = _result(*fit, ctx.objective(fit[0]), boundary_hit[k], search)
+                fit = _safeguard(ctx, part.lo[k], part.hi[k], g_lo[k], g_hi[k])
+            out[i] = _result(*fit, ctx.objective(fit[0]), boundary_hit[k])
         return out
 
     stack = _FitStack(part, p, np.array(log_sg))
@@ -631,22 +611,18 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
     )
     fits = [
         (root[k], res[k], (b_lo[k], b_hi[k]), iterations[k]) if falls[k]
-        else _safeguard(_FitContext(part, k, p, log_sg[k]), part.lo[k], part.hi[k],
-                        g_lo[k], g_hi[k], search)
+        else _safeguard(
+            _FitContext(part, k, p, log_sg[k]), part.lo[k], part.hi[k], g_lo[k], g_hi[k]
+        )
         for k in range(len(part.index))
     ]
     objective = stack.objective(np.array([fit[0] for fit in fits]))
     for i, fit, value, edge in zip(part.index, fits, objective, boundary_hit):
-        out[i] = _result(*fit, value, edge, search)
+        out[i] = _result(*fit, value, edge)
     return out
 
 
-def minimize_lsd(
-    r_n: DiscreteDensity,
-    family: PoissonFamily,
-    p: TiltParams,
-    search: SearchConfig = SearchConfig(),
-) -> EstimatorResult:
+def minimize_lsd(r_n: DiscreteDensity, family: PoissonFamily, p: TiltParams) -> EstimatorResult:
     """Minimum-LSD estimate of the scalar model parameter from a density r_n.
 
     Raises:
@@ -654,18 +630,13 @@ def minimize_lsd(
             density has empty cells inside the model window (the objective
             and estimating equation are not usable there).
     """
-    (fit,) = _fit_part(_SamplePart.from_densities([r_n], family, search), p)
+    (fit,) = _fit_part(_SamplePart.from_densities([r_n], family), p)
     if isinstance(fit, Exception):
         raise fit
     return fit
 
 
-def minimize_lsd_many(
-    densities,
-    family: PoissonFamily,
-    p: TiltParams,
-    search: SearchConfig = SearchConfig(),
-) -> list:
+def minimize_lsd_many(densities, family: PoissonFamily, p: TiltParams) -> list:
     """Minimum-LSD estimates of several data densities at one tilt.
 
     Entry i is the :class:`EstimatorResult` that :func:`minimize_lsd` gives
@@ -685,7 +656,7 @@ def minimize_lsd_many(
     rows share the call.  Fewer than four densities are fitted one by one
     as minimize_lsd fits them.
     """
-    return _fit_part(_SamplePart.from_densities(densities, family, search), p)
+    return _fit_part(_SamplePart.from_densities(densities, family), p)
 
 
 def oracle_grid_minimize(

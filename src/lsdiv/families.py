@@ -48,8 +48,12 @@ class PoissonFamily:
         # A plain comparison for a scalar theta keeps the per-call cost of
         # density and score low; an array of thetas (the fit's grids and
         # steps, inside a bracket whose ends passed the scalar check) is
-        # checked at its minimum, which is NaN when any entry is.
-        if not (theta.min() > 0 if isinstance(theta, np.ndarray) else 0 < theta < math.inf):
+        # checked at its minimum and maximum, which are NaN when any entry is.
+        if isinstance(theta, np.ndarray):
+            ok = theta.min() > 0 and theta.max() < math.inf
+        else:
+            ok = 0 < theta < math.inf
+        if not ok:
             raise ValueError(f"Poisson parameter must be positive and finite, got {theta}")
 
     def density(self, theta: float, x) -> np.ndarray:
@@ -157,19 +161,14 @@ def _moment_record(family: PoissonFamily, theta: float, beta: float) -> _TiltedM
     return _TiltedMoments(c, d, length)
 
 
-def moments_c_d(
-    family: PoissonFamily, theta: float, beta: float, i_max: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
+def moments_c_d(family: PoissonFamily, theta: float, beta: float) -> tuple[np.ndarray, np.ndarray]:
     """Tilted score moments c_i = sum u^i f^(1+beta), d_i = sum u' u^i f^(1+beta)
-    over the support window of the default tail bound, for i = 0..i_max
-    (i_max <= 3).
+    over the support window of the default tail bound, for i = 0..3.
 
-    Returned as read-only arrays of length i_max + 1, views of one record
-    per (family, theta, beta) in a process-wide memo of 32 records, so the
-    influence functions and the null law at one (theta, beta) share one
-    pass over the window.
+    Returned as read-only arrays of length 4, one record per (family,
+    theta, beta) in a process-wide memo of 32 records, so the influence
+    functions and the null law at one (theta, beta) share one pass over the
+    window.
     """
-    if not 0 <= i_max <= 3:
-        raise ValueError(f"i_max must lie in 0..3, got {i_max}")
     record = _moment_record(family, theta, beta)
-    return record.c[: i_max + 1], record.d[: i_max + 1]
+    return record.c, record.d

@@ -22,7 +22,7 @@ from .divergence import (
     _lse,
     _zero_exponent_limit,
 )
-from .estimation import SearchConfig, empirical_frequencies, minimize_lsd
+from .estimation import empirical_frequencies, minimize_lsd
 from .families import PoissonFamily, moments_c_d
 from .asymptotics import SingularityError, _density_score, _model_if1, _model_summary
 
@@ -101,18 +101,10 @@ def divergence_between_fits(family: PoissonFamily, theta_g, theta_f: float, p: T
     return float(value[0]) if theta_g.ndim == 0 else value
 
 
-def one_sample_statistic(
-    sample,
-    family: PoissonFamily,
-    theta0: float,
-    p: TiltParams,
-    search: SearchConfig = SearchConfig(),
-    theta_hat: float | None = None,
-) -> float:
-    """W = 2n * LSD(f_thetahat, f_theta0); thetahat may be precomputed."""
+def one_sample_statistic(sample, family: PoissonFamily, theta0: float, p: TiltParams) -> float:
+    """W = 2n * LSD(f_thetahat, f_theta0)."""
     sample = np.asarray(sample)
-    if theta_hat is None:
-        theta_hat = minimize_lsd(empirical_frequencies(sample), family, p, search).theta_hat
+    theta_hat = minimize_lsd(empirical_frequencies(sample), family, p).theta_hat
     return 2.0 * sample.size * divergence_between_fits(family, theta_hat, theta0, p)
 
 
@@ -124,7 +116,7 @@ def curvature_a_beta(family: PoissonFamily, theta0: float, p: TiltParams) -> flo
     escort density f^(1+beta)/c0, scaled by 1+beta.  It does not depend on
     gamma and is >= 0 by Cauchy-Schwarz.
     """
-    return _curvature(moments_c_d(family, theta0, p.beta, 2)[0], p.beta)
+    return _curvature(moments_c_d(family, theta0, p.beta)[0], p.beta)
 
 
 def _curvature(c: np.ndarray, beta: float) -> float:
@@ -139,8 +131,8 @@ def null_law(family: PoissonFamily, theta0: float, p: TiltParams) -> float:
     zeta = A_beta * K / J^2 with the model-level J and K at theta0; a
     degenerate law (zeta <= 1e-12) gives 0.0.
     """
-    c = moments_c_d(family, theta0, p.beta, 2)[0]
-    summary = _model_summary(c, moments_c_d(family, theta0, 2.0 * p.beta, 2)[0])
+    c = moments_c_d(family, theta0, p.beta)[0]
+    summary = _model_summary(c, moments_c_d(family, theta0, 2.0 * p.beta)[0])
     zeta = _curvature(c, p.beta) * summary.k / summary.j**2
     return zeta if zeta > 1e-12 else 0.0
 
@@ -183,11 +175,10 @@ def one_sample_test(
     theta0: float,
     p: TiltParams,
     levels=(0.05,),
-    search: SearchConfig = SearchConfig(),
 ) -> TestResult:
     """Full one-sample test: estimate, statistic, null law, p-value."""
     _check_levels(levels)
-    w = one_sample_statistic(sample, family, theta0, p, search)
+    w = one_sample_statistic(sample, family, theta0, p)
     return _build_result(w, null_law(family, theta0, p), levels)
 
 
@@ -197,31 +188,23 @@ def two_sample_statistic(
     family: PoissonFamily,
     p: TiltParams,
     levels=(0.05,),
-    search: SearchConfig = SearchConfig(),
-    null_theta: float | str = "pooled",
 ) -> TestResult:
     """Two-sample homogeneity test S = (2nm/(n+m)) * LSD(f_theta1hat, f_theta2hat).
 
-    The null law is evaluated at ``null_theta``: the minimum-divergence
-    estimate on the pooled sample (default), the first-sample estimate
-    (``"first"``), or an explicit parameter value.
+    The null law is evaluated at the minimum-divergence estimate on the
+    pooled sample.
     """
     _check_levels(levels)
     s1 = np.asarray(sample1)
     s2 = np.asarray(sample2)
     if s1.size == 0 or s2.size == 0:
         raise ValueError("both samples must be non-empty")
-    th1 = minimize_lsd(empirical_frequencies(s1), family, p, search).theta_hat
-    th2 = minimize_lsd(empirical_frequencies(s2), family, p, search).theta_hat
+    th1 = minimize_lsd(empirical_frequencies(s1), family, p).theta_hat
+    th2 = minimize_lsd(empirical_frequencies(s2), family, p).theta_hat
     n, m = s1.size, s2.size
     stat = (2.0 * n * m / (n + m)) * divergence_between_fits(family, th1, th2, p)
-    if null_theta == "pooled":
-        pooled = np.concatenate([s1, s2])
-        theta_null = minimize_lsd(empirical_frequencies(pooled), family, p, search).theta_hat
-    elif null_theta == "first":
-        theta_null = th1
-    else:
-        theta_null = float(null_theta)
+    pooled = np.concatenate([s1, s2])
+    theta_null = minimize_lsd(empirical_frequencies(pooled), family, p).theta_hat
     return _build_result(stat, null_law(family, theta_null, p), levels)
 
 
@@ -230,6 +213,6 @@ def second_order_test_influence(
 ) -> float:
     """Second-order influence of the test functional at the null:
     A_beta * IF1(y)^2 (the first-order influence is identically zero)."""
-    c = moments_c_d(family, theta0, p.beta, 2)[0]
+    c = moments_c_d(family, theta0, p.beta)[0]
     fy, uy = _density_score(family, theta0, y)
     return _curvature(c, p.beta) * _model_if1(c, fy, uy, p.beta) ** 2

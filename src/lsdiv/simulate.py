@@ -20,6 +20,7 @@ import enum
 import functools
 import itertools
 import json
+import numbers
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,7 +30,7 @@ import numpy as np
 from scipy.stats import chi2
 
 from .divergence import EXPONENT_BOUNDARY, TiltParams, derive_exponents
-from .estimation import SearchConfig, _fit_part, _is_int, _is_real, _SamplePart
+from .estimation import _fit_part, _is_real, _SamplePart
 from .families import PoissonFamily, density_vector
 from .hypotest import divergence_between_fits, null_law
 
@@ -54,6 +55,10 @@ SENTINEL = "--"
 ESTIMATION_BETA_GRID = (0.0, 0.1, 0.2, 0.4, 0.5, 0.6, 0.8, 1.0)
 TESTING_BETA_GRID = (0.0, 0.1, 0.2, 0.4, 0.7, 0.8, 0.9, 1.0)
 GAMMA_GRID = (-1.0, -0.9, -0.7, -0.5, -0.3, -0.1, 0.0, 0.1, 0.3, 0.5, 0.7, 0.9, 1.0, 1.5, 2.0)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 class SimKind(enum.Enum):
@@ -302,7 +307,7 @@ def _chunk_part(seed: int, reps: range, n: int, theta: float, contam) -> _Sample
     samples = np.array(
         [contaminated_sample(n, theta, contam, replication_rng(seed, rep)) for rep in reps]
     )
-    return _SamplePart.from_samples(samples, PoissonFamily(), SearchConfig())
+    return _SamplePart.from_samples(samples, PoissonFamily())
 
 
 def _estimate_worker(args) -> list[list[float | None]]:

@@ -215,7 +215,7 @@ class TestFirstOrderInfluence:
         # true density: contaminated mixture; functional perturbed at y
         p = TiltParams(0.4, 0.3)
         g = mixture_density(family, 4.0, 12.0, 0.08)
-        theta_g = minimize_lsd(g, family, p, search_with_tight_tol()).theta_hat
+        theta_g = minimize_lsd(g, family, p).theta_hat
         closed = if_first_order(9, g, family, theta_g, p)
         step = 1e-6
 
@@ -230,12 +230,6 @@ class TestFirstOrderInfluence:
 
         oracle = (solved(step) - solved(-step)) / (2.0 * step)
         assert closed == pytest.approx(oracle, rel=1e-4)
-
-
-def search_with_tight_tol():
-    from lsdiv import SearchConfig
-
-    return SearchConfig(tol_theta=1e-10)
 
 
 class TestSecondOrderInfluence:

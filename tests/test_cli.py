@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -56,6 +57,39 @@ class TestDivergenceCommand:
         assert values["identity"] == gsd(g, f, p, Psi.IDENTITY)
         assert values["identity"] == pytest.approx(0.05456, abs=1e-5)
         assert values["log"] == pytest.approx(0.14054, abs=1e-5)
+
+    def test_log_link_far_apart_thetas(self, runner):
+        # the log link sums log masses: a model mass that underflows in the
+        # other model's window must not fail the command, and equal models
+        # give 0, not a negative residue.  The oracle sums scipy's log masses
+        # over the union of the two support windows.
+        from scipy.special import logsumexp
+        from scipy.stats import poisson
+
+        from lsdiv import PoissonFamily
+
+        family = PoissonFamily()
+        for theta_g in (0.5, 1.0, 5.0, 30.0, 200.0, 400.0):
+            for theta_f in (0.5, 1.0, 10.0, 100.0, theta_g):
+                for beta, gamma in ((0.1, -0.5), (0.1, 0.0), (0.5, 0.5), (1.0, 1.5), (0.5, 1.5)):
+                    result = run_ok(
+                        runner,
+                        ["divergence", "--beta", str(beta), "--gamma", str(gamma),
+                         "--theta-g", str(theta_g), "--theta-f", str(theta_f)],
+                    )
+                    value = json.loads(result.output)["value"]
+                    if theta_g == theta_f:
+                        assert 0.0 <= value < 1e-12
+                        continue
+                    a, b = 1.0 + gamma * (1.0 - beta), beta - gamma * (1.0 - beta)
+                    x = np.arange(max(family.support_window(t)[1] for t in (theta_g, theta_f)))
+                    logg, logf = poisson.logpmf(x, theta_g), poisson.logpmf(x, theta_f)
+                    oracle = (
+                        logsumexp((1.0 + beta) * logf) / a
+                        - (1.0 + beta) / (a * b) * logsumexp(b * logf + a * logg)
+                        + logsumexp((1.0 + beta) * logg) / b
+                    )
+                    assert value == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 
     def test_degenerate_exponent_error(self, runner):
         result = runner.invoke(

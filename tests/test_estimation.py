@@ -10,7 +10,6 @@ from lsdiv import (
     DiscreteDensity,
     DivergenceInfiniteError,
     PoissonFamily,
-    SearchConfig,
     TiltParams,
     contaminated_sample,
     density_vector,
@@ -24,6 +23,8 @@ from lsdiv import (
 )
 from lsdiv.divergence import _lse
 from lsdiv.estimation import (
+    _N_SCAN,
+    _TOL_THETA,
     _FitContext,
     _FitStack,
     _SamplePart,
@@ -126,34 +127,6 @@ class TestMinimizeLsd:
         assert type(result.residual) is float
 
 
-class TestSearchConfig:
-    """Each field is checked when the config is made, and a bad one is named."""
-
-    @pytest.mark.parametrize("tol_theta", [0.0, -1e-8, float("nan"), float("inf"), True])
-    def test_tol_theta_finite_and_positive(self, tol_theta):
-        with pytest.raises(ValueError, match="tol_theta"):
-            SearchConfig(tol_theta=tol_theta)
-
-    @pytest.mark.parametrize("n_scan", [0, -3, 2.0, True])
-    def test_n_scan_integer_at_least_one(self, n_scan):
-        with pytest.raises(ValueError, match="n_scan"):
-            SearchConfig(n_scan=n_scan)
-
-    @pytest.mark.parametrize(
-        "bracket", [(0.0, 1.0), (2.0, 1.0), (1.0, float("inf")), (float("nan"), 1.0), (1.0,), 3.0]
-    )
-    def test_bracket_none_or_finite_ordered_positive(self, bracket):
-        with pytest.raises(ValueError, match="bracket"):
-            SearchConfig(bracket=bracket)
-
-    def test_boundary_values_accepted(self, family):
-        # one scan point and a one-point bracket are the residual's own search
-        search = SearchConfig(tol_theta=1e-12, n_scan=1, bracket=(4.0, 4.0))
-        fit = minimize_lsd(empirical_frequencies(np.array([3, 4, 5])), family,
-                           TiltParams(0.2, 0.3), search)
-        assert fit.theta_hat == 4.0
-
-
 class TestBatchedScan:
     """The coarse scan evaluates its whole grid as one array pass; every
     value must equal the one-theta evaluation bit for bit."""
@@ -174,14 +147,13 @@ class TestBatchedScan:
         sample[:n_contam] = 12
         r_n = empirical_frequencies(sample)
         lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
-        part = _SamplePart.from_densities([r_n], family, SearchConfig())
+        part = _SamplePart.from_densities([r_n], family)
         p = TiltParams(beta, gamma)
-        n_scan = SearchConfig().n_scan
         _scan_model_terms.cache_clear()
         for _ in ("cold", "warm"):
             log_sg, values = part.scan_values(0, p)
             grid = part.grid[0]
-            np.testing.assert_array_equal(grid, np.linspace(lo, hi, n_scan))
+            np.testing.assert_array_equal(grid, np.linspace(lo, hi, _N_SCAN))
             assert values.shape == grid.shape
             ctx = _FitContext(part, 0, p, log_sg)
             np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
@@ -193,10 +165,9 @@ class TestScanMemo:
     process; an entry may be shared only by fits whose values it equals."""
 
     @staticmethod
-    def fit(sample, beta=0.5, gamma=0.0, **search):
+    def fit(sample, beta=0.5, gamma=0.0):
         return minimize_lsd(
-            empirical_frequencies(np.array(sample)), PoissonFamily(),
-            TiltParams(beta, gamma), SearchConfig(**search),
+            empirical_frequencies(np.array(sample)), PoissonFamily(), TiltParams(beta, gamma)
         )
 
     def test_same_mean_other_data_end_gets_own_entry(self, family):
@@ -205,9 +176,7 @@ class TestScanMemo:
         p = TiltParams(0.5, 0.0)
         _scan_model_terms.cache_clear()
         for sample, length in (([4] * 50, 69), ([2] * 49 + [102], 103)):
-            part = _SamplePart.from_densities(
-                [empirical_frequencies(np.array(sample))], family, SearchConfig()
-            )
+            part = _SamplePart.from_densities([empirical_frequencies(np.array(sample))], family)
             assert (part.lo, part.hi, part.length) == ([0.8], [25.0], [length])
             log_sg, values = part.scan_values(0, p)
             ctx = _FitContext(part, 0, p, log_sg)
@@ -222,22 +191,14 @@ class TestScanMemo:
         self.fit(sample, gamma=0.5)  # same beta: shares the entry
         assert _scan_model_terms.cache_info().currsize == 1
         self.fit(sample, beta=0.2)
-        self.fit(sample, n_scan=128)
-        self.fit(sample, bracket=(1.0, 20.0))
-        assert _scan_model_terms.cache_info().currsize == 4
+        assert _scan_model_terms.cache_info().currsize == 2
         # the window end depends on the bracket only
-        assert _model_window_end.cache_info().currsize == 2
+        assert _model_window_end.cache_info().currsize == 1
 
     def test_cached_arrays_reject_writes(self, family):
-        log_sf = _scan_model_terms(family, 0.8, 25.0, 256, 1.5, 69)
+        log_sf = _scan_model_terms(family, 0.8, 25.0, 1.5, 69)
         with pytest.raises(ValueError):
             log_sf[0] = 0.0
-
-    def test_scan_longer_than_the_memo_keeps_is_not_kept(self):
-        sample = [3, 4, 5, 4, 4, 6, 2, 4]
-        _scan_model_terms.cache_clear()
-        assert self.fit(sample, n_scan=257) == self.fit(sample, n_scan=257)
-        assert _scan_model_terms.cache_info().currsize == 0
 
 
 
@@ -256,7 +217,7 @@ SOLVER_TILTS = [(0.0, 0.0), (0.0, 0.5), (0.4, 2.0), (0.5, 0.0), (0.2, -0.5), (1.
 
 def scan_cell(r_n, p):
     """The fit's context and the scan cell [g_lo, g_hi] around its best grid point."""
-    part = _SamplePart.from_densities([r_n], PoissonFamily(), SearchConfig())
+    part = _SamplePart.from_densities([r_n], PoissonFamily())
     log_sg, g_lo, g_hi, _ = part.scan(p)
     return _FitContext(part, 0, p, log_sg[0]), g_lo[0], g_hi[0]
 
@@ -505,12 +466,10 @@ class TestSamplePart:
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tabulated_rows_equal_one_row_parts(self, family, seed):
         for samples in chunk_samples(seed):
-            part = _SamplePart.from_samples(samples, family, SearchConfig())
+            part = _SamplePart.from_samples(samples, family)
             assert part.index == list(range(len(samples)))
             for k, sample in enumerate(samples):
-                one = _SamplePart.from_densities(
-                    [empirical_frequencies(sample)], family, SearchConfig()
-                )
+                one = _SamplePart.from_densities([empirical_frequencies(sample)], family)
                 m = part.cells[k]
                 assert (part.lo[k], part.hi[k], part.length[k], m) == (
                     one.lo[0], one.hi[0], one.length[0], one.cells[0]
@@ -529,7 +488,7 @@ class TestSamplePart:
         # each row's log sum g^(1+beta) is computed once per beta, as each
         # scan computed it for itself, and read by the scans at every gamma
         for samples in chunk_samples(0):
-            part = _SamplePart.from_samples(samples, family, SearchConfig())
+            part = _SamplePart.from_samples(samples, family)
             for beta in (0.0, 0.4, 1.0):
                 kept = part.log_sum_g(1.0 + beta)
                 rows = zip(part.logg, part.cells)
@@ -542,20 +501,19 @@ class TestSamplePart:
     @pytest.mark.parametrize("beta,gamma", SOLVER_TILTS)
     def test_stacked_fits_keep_the_scalar_scan_cell(self, family, seed, beta, gamma):
         p = TiltParams(beta, gamma)
-        tol_theta = SearchConfig().tol_theta
         for samples in chunk_samples(seed):
             densities = [empirical_frequencies(sample) for sample in samples]
             densities += [empirical_frequencies(np.array(d)) for d in DEGENERATE]
             densities += [DiscreteDensity(offset=3, mass=r_n.mass) for r_n in densities[:2]]
-            part = _SamplePart.from_densities(densities, family, SearchConfig())
+            part = _SamplePart.from_densities(densities, family)
             _, g_lo, g_hi, edge = part.scan(p)
             fits = minimize_lsd_many(densities, family, p)
             for k, (r_n, fit) in enumerate(zip(densities, fits)):
-                one = _SamplePart.from_densities([r_n], family, SearchConfig())
+                one = _SamplePart.from_densities([r_n], family)
                 _, o_lo, o_hi, o_edge = one.scan(p)
                 assert (g_lo[k], g_hi[k], edge[k]) == (o_lo[0], o_hi[0], o_edge[0])
                 expected = minimize_lsd(r_n, family, p)
-                assert abs(fit.theta_hat - expected.theta_hat) <= tol_theta
+                assert abs(fit.theta_hat - expected.theta_hat) <= _TOL_THETA
                 assert fit.converged == expected.converged
 
     def test_nonpositive_exp_a_gives_each_row_its_own_error(self, family):
@@ -581,14 +539,13 @@ class TestSamplePart:
             for fit in fits:
                 assert abs(fit.theta_hat - scalar) <= 1e-8
 
-    @pytest.mark.parametrize("n_scan", [1, 2, 3, 256, 257])
-    def test_grids_are_linspace_rows(self, n_scan):
+    def test_grids_are_linspace_rows(self):
         rng = np.random.default_rng(4)
         lo = rng.uniform(1e-3, 50.0, 200)
         hi = lo + rng.uniform(0.0, 500.0, 200)
-        hi[:3] = lo[:3]  # the one-point bracket of estimating_equation_residual
-        expected = [np.linspace(a, b, n_scan) for a, b in zip(lo, hi)]
-        np.testing.assert_array_equal(_grids(lo, hi, n_scan), expected)
+        hi[:3] = lo[:3]  # one-point brackets
+        expected = [np.linspace(a, b, 256) for a, b in zip(lo, hi)]
+        np.testing.assert_array_equal(_grids(lo, hi), expected)
 
     @pytest.mark.parametrize(
         "bad", [DiscreteDensity(offset=-1, mass=np.array([0.2, 0.3, 0.5])),
@@ -607,7 +564,7 @@ class TestSamplePart:
     def test_unfittable_row_keeps_its_error(self, family):
         samples = chunk_samples(0)[0][:6].copy()
         samples[2] = 300  # the window at the bracket top underflows
-        part = _SamplePart.from_samples(samples, family, SearchConfig())
+        part = _SamplePart.from_samples(samples, family)
         assert isinstance(part.errors[2], FloatingPointError)
         assert part.index == [0, 1, 3, 4, 5]
         assert part.x_pos.shape[0] == part.logf_scan.shape[0] == 5
@@ -652,6 +609,17 @@ class TestEstimatingEquationResidual:
         r_n = empirical_frequencies(np.array([1, 2]))
         with pytest.raises(DivergenceInfiniteError):
             estimating_equation_residual(2.0, r_n, family, TiltParams(0.0, -1.0))
+
+    def test_one_point_bracket_builds_no_scan(self, family):
+        # the residual reads a one-row part's window at the bracket (theta,
+        # theta); its values are pinned, and the part never builds a scan
+        r_n = empirical_frequencies(np.array([3, 4, 5]))
+        p = TiltParams(0.2, 0.3)
+        values = [estimating_equation_residual(t, r_n, family, p) for t in (0.5, 4.0, 30.0)]
+        assert values == [6.112725268507475, 0.012403044457515165, -0.7907709216775031]
+        part = _SamplePart.from_densities([r_n], family, bracket=(4.0, 4.0))
+        assert _FitContext(part, 0, p).residual(4.0) == values[1]
+        assert "grid" not in vars(part) and "logf_scan" not in vars(part)
 
     @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), float("inf")])
     def test_theta_outside_domain_named(self, family, theta):

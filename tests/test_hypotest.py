@@ -27,14 +27,14 @@ from test_estimation import SOLVER_TILTS
 
 class TestOneSampleStatistic:
     def test_zero_at_null_population(self, family):
-        w = one_sample_statistic(
-            np.array([2, 2, 2]), family, 2.0, TiltParams(0.0, 0.0), theta_hat=2.0
-        )
+        p = TiltParams(0.0, 0.0)
+        assert 2.0 * 3 * divergence_between_fits(family, 2.0, 2.0, p) == 0.0
+        w = one_sample_statistic(np.array([2, 2, 2]), family, 2.0, p)
         assert w == pytest.approx(0.0, abs=1e-10)
 
     def test_kl_oracle_at_likelihood_disparity(self, family):
-        sample = np.full(50, 2)
-        w = one_sample_statistic(sample, family, 2.0, TiltParams(0.0, 0.0), theta_hat=2.2)
+        # W = 2n * LSD(f_thetahat, f_theta0), here at thetahat = 2.2
+        w = 2.0 * 50 * divergence_between_fits(family, 2.2, 2.0, TiltParams(0.0, 0.0))
         x = np.arange(0, 60)
         f_hat = family.density(2.2, x)
         f0 = family.density(2.0, x)
@@ -42,9 +42,8 @@ class TestOneSampleStatistic:
         assert w == pytest.approx(100.0 * kl, abs=1e-8)
 
     def test_gamma_invariant_at_beta_one(self, family):
-        sample = np.array([1, 2, 2, 3, 4, 2, 1, 3])
         values = [
-            one_sample_statistic(sample, family, 2.0, TiltParams(1.0, gm), theta_hat=2.4)
+            2.0 * 8 * divergence_between_fits(family, 2.4, 2.0, TiltParams(1.0, gm))
             for gm in (-1.0, 0.0, 2.0)
         ]
         assert max(values) - min(values) <= 1e-10
@@ -236,7 +235,7 @@ class TestTwoSample:
         s1 = rng.poisson(2.0, 60)
         s2 = rng.poisson(2.5, 40)
         p = TiltParams(0.4, 0.2)
-        from lsdiv import SearchConfig, empirical_frequencies, minimize_lsd
+        from lsdiv import empirical_frequencies, minimize_lsd
 
         th1 = minimize_lsd(empirical_frequencies(s1), family, p).theta_hat
         th2 = minimize_lsd(empirical_frequencies(s2), family, p).theta_hat
@@ -246,16 +245,17 @@ class TestTwoSample:
             scale * divergence_between_fits(family, th2, th1, p), abs=1e-10
         )
 
-    def test_null_theta_options(self, family):
+    def test_null_law_at_pooled_estimate(self, family):
+        from lsdiv import empirical_frequencies, minimize_lsd
+
         rng = np.random.default_rng(13)
         s1 = rng.poisson(2.0, 50)
         s2 = rng.poisson(2.0, 50)
         p = TiltParams(0.2, 0.1)
-        pooled = two_sample_statistic(s1, s2, family, p, null_theta="pooled")
-        first = two_sample_statistic(s1, s2, family, p, null_theta="first")
-        fixed = two_sample_statistic(s1, s2, family, p, null_theta=2.0)
-        assert pooled.statistic == first.statistic == fixed.statistic
-        assert fixed.weight != pytest.approx(pooled.weight, abs=0)
+        result = two_sample_statistic(s1, s2, family, p)
+        pooled = minimize_lsd(empirical_frequencies(np.concatenate([s1, s2])), family, p)
+        assert result.weight == null_law(family, pooled.theta_hat, p)
+        assert result.weight != null_law(family, 2.0, p)
 
     def test_empty_sample_rejected(self, family):
         with pytest.raises(ValueError):

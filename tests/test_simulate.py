@@ -18,7 +18,6 @@ from lsdiv import (
     Contamination,
     ContaminationScheme,
     PoissonFamily,
-    SearchConfig,
     SimKind,
     SimulationConfig,
     SimulationReport,
@@ -276,7 +275,7 @@ class TestRunners:
             sample = contaminated_sample(config.n, 4.0, None, replication_rng(config.seed, rep))
             r_n = empirical_frequencies(sample)
             lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
-            part = estimation._SamplePart.from_densities([r_n], PoissonFamily(), SearchConfig())
+            part = estimation._SamplePart.from_densities([r_n], PoissonFamily())
             keys.add((lo, hi, part.length[0]))
         info = memo.cache_info()
         assert info.misses == len(keys)
