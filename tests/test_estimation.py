@@ -539,10 +539,11 @@ class TestSamplePart:
             for fit in fits:
                 assert abs(fit.theta_hat - scalar) <= 1e-8
 
-    def test_grids_are_linspace_rows(self):
+    @pytest.mark.parametrize("n_rows", [1, 2, 3, 256, 257])
+    def test_grids_are_linspace_rows(self, n_rows):
         rng = np.random.default_rng(4)
-        lo = rng.uniform(1e-3, 50.0, 200)
-        hi = lo + rng.uniform(0.0, 500.0, 200)
+        lo = rng.uniform(1e-3, 50.0, n_rows)
+        hi = lo + rng.uniform(0.0, 500.0, n_rows)
         hi[:3] = lo[:3]  # one-point brackets
         expected = [np.linspace(a, b, 256) for a, b in zip(lo, hi)]
         np.testing.assert_array_equal(_grids(lo, hi), expected)
