@@ -15,12 +15,11 @@ import click
 import numpy as np
 
 from .asymptotics import bias_curves, if_first_order, if_second_order
-from .divergence import Psi, TiltParams, gsd
+from .divergence import Psi, TiltParams
 from .estimation import empirical_frequencies, minimize_lsd
 from .families import PoissonFamily
 from .hypotest import (
     divergence_between_fits,
-    model_pair_densities,
     one_sample_test,
     second_order_test_influence,
     two_sample_statistic,
@@ -86,17 +85,17 @@ def with_tilt(cmd):
 def divergence(beta, gamma, theta_g, theta_f, psi, out):
     """Divergence between two Poisson model densities.
 
-    The log link sums log masses, so a mass that underflows far in a tail
-    does not matter; the identity link sums the two densities on their
-    common window.
+    Both links sum log masses over the union of the two support windows, so
+    a mass that underflows far in a tail does not matter: the log link
+    combines the three log sums, the identity link their exps, which is an
+    error where a sum exceeds a double.
     """
     try:
         p, family = TiltParams(beta, gamma), PoissonFamily()
-        if psi == "log":
-            value = divergence_between_fits(family, theta_g, theta_f, p)
-        else:
-            g, f = model_pair_densities(family, theta_g, theta_f)
-            value = gsd(g, f, p, Psi.IDENTITY)
+        with np.errstate(over="ignore"):  # the identity link's exps can overflow
+            value = divergence_between_fits(family, theta_g, theta_f, p, Psi(psi))
+        if not np.isfinite(value):
+            raise OverflowError(f"the {psi}-link divergence overflows a double")
     except (ValueError, ArithmeticError) as exc:
         _fail(str(exc))
     _emit(json.dumps({"beta": beta, "gamma": gamma, "psi": psi, "value": value}) + "\n", out)

@@ -155,32 +155,40 @@ def _log_inputs(gv: np.ndarray, fv: np.ndarray, p: TiltParams):
     return np.log(fv), pos, np.log(gv[pos])
 
 
-def _lse(a: np.ndarray) -> np.ndarray:
-    """log sum exp(a) over the last axis: a float for an (L,) vector, a
-    (k,) array for a (k, L) stack of rows.
+def _lse(a: np.ndarray, axis: int = -1) -> np.ndarray:
+    """log sum exp(a) over ``axis``, the last by default: a float for an
+    (L,) vector, a (k,) array for a (k, L) stack of rows.
 
-    Plain numpy: several times cheaper per call than
-    scipy.special.logsumexp on the short vectors a fit evaluates.
+    Along the last axis numpy sums each row pairwise, as it sums a lone
+    vector; along another axis it adds the terms one after another, at
+    every position of the axes after it.  Plain numpy: several times
+    cheaper per call than scipy.special.logsumexp on the short vectors a
+    fit evaluates.
     """
-    m = a.max(axis=-1, keepdims=True)
+    m = a.max(axis=axis, keepdims=True)
     e = np.subtract(a, m, order="C")  # rows contiguous whatever a's layout
     np.exp(e, out=e)
-    return m[..., 0] + np.log(e.sum(axis=-1))
+    return m.squeeze(axis) + np.log(e.sum(axis=axis))
 
 
-def _zero_exponent_limit(log_sa, loga, logb, log_sb, one_beta: float):
+def _zero_exponent_limit(log_sa, loga, logb, log_sb, one_beta: float, axis: int = -1):
     """(1/(1+beta)) log(sa/sb) - sum b^(1+beta) log(a/b) / sb, the LSD's
     continuity limit at a zero exponent: B -> 0 with (a, b) = (f, g), and
-    A -> 0 with (a, b) = (g, f).
+    A -> 0 with (a, b) = (g, f).  The sums run over ``axis``.
 
-    A (k, L) ``logb`` takes a (k,) ``log_sb``, one row each; ``loga`` and
-    ``logb`` broadcast against each other.
+    A stacked ``logb`` (rows on axis 0, cells on axis 1) takes a ``log_sb``
+    with one entry per row, shaped as ``logb`` without its cells axis;
+    ``loga`` and ``logb`` broadcast against each other.
     """
     w = np.exp(one_beta * logb - (log_sb[:, None] if logb.ndim > 1 else log_sb))
-    # vecdot takes each row's dot product as np.dot takes a lone vector's
-    # (a stack's matmul would go through a matrix-vector BLAS call), on rows
-    # made contiguous whatever loga's layout.
-    return (log_sa - log_sb) / one_beta - np.vecdot(np.subtract(loga, logb, order="C"), w)
+    diff = np.subtract(loga, logb, order="C")  # rows contiguous whatever loga's layout
+    if axis == -1:
+        # each row's dot product as np.dot takes a lone vector's (a stack's
+        # matmul would go through a matrix-vector BLAS call)
+        dot = np.vecdot(diff, w)
+    else:  # the cells added one after another, as _lse adds them
+        dot = np.multiply(diff, w, out=diff).sum(axis=axis)
+    return (log_sa - log_sb) / one_beta - dot
 
 
 # log g on a padded data cell of a stack: finite, so that each branch of
@@ -190,9 +198,11 @@ _PAD_LOGG = -1e300
 
 
 def _lsd_kernel(
-    log_sf, logf_pos: np.ndarray, logg: np.ndarray, log_sg: float, p: TiltParams
+    log_sf, logf_pos: np.ndarray, logg: np.ndarray, log_sg: float, p: TiltParams,
+    axis: int = -1, psi: Psi = Psi.LOG,
 ) -> np.ndarray:
-    """LSD from its model term and its data term's inputs.
+    """LSD from its model term and its data term's inputs; with the identity
+    link ``psi``, the S-divergence from the same three log sums.
 
     The model term ``log_sf = log sum f^(1+beta)`` runs over the model's
     whole window and does not depend on the data; the data term needs log f
@@ -208,18 +218,27 @@ def _lsd_kernel(
     ``log_sg`` gives each row its own data.  A row with fewer occupied cells
     is padded with log f finite and log g = ``_PAD_LOGG``, which add exact zeros
     to both branches (a -inf would give inf * 0 in the B -> 0 limit).
-    Covers the general formula and the B -> 0 continuity limit; the A -> 0
-    limit, which needs g on every cell, stays with :func:`lsd`.
+    ``axis`` names the cells axis of ``logf_pos`` when it is not the last;
+    ``logg`` then broadcasts against ``logf_pos`` and ``log_sg`` against
+    the result (see :func:`_lse` for the order of the sums).
+    Covers the general formula and, for the log link, the B -> 0 continuity
+    limit; the A -> 0 limit, which needs g on every cell, stays with
+    :func:`lsd`.
     """
     one_beta = 1.0 + p.beta
-    if abs(p.exp_b) < EXPONENT_BOUNDARY:
-        return _zero_exponent_limit(log_sf, logf_pos, logg, log_sg, one_beta)
-    log_sfg = _lse(p.exp_b * logf_pos + p.exp_a * logg)
-    return (
-        log_sf / p.exp_a
-        - one_beta / (p.exp_a * p.exp_b) * log_sfg
-        + log_sg / p.exp_b
-    )
+    if abs(p.exp_b) < EXPONENT_BOUNDARY and psi is Psi.LOG:
+        return _zero_exponent_limit(log_sf, logf_pos, logg, log_sg, one_beta, axis)
+    tilted = p.exp_b * logf_pos
+    tilted += p.exp_a * logg  # in place (logf_pos has the full shape): one temporary less
+    log_sfg = _lse(tilted, axis)
+    if psi is Psi.IDENTITY:
+        if min(abs(p.exp_a), abs(p.exp_b)) < EXPONENT_BOUNDARY:
+            raise ValueError(
+                "identity-link divergence is undefined at the exponent boundary A=0 or B=0"
+            )
+        # the identity link combines the sums themselves
+        log_sf, log_sfg, log_sg = np.exp(log_sf), np.exp(log_sfg), np.exp(log_sg)
+    return log_sf / p.exp_a - one_beta / (p.exp_a * p.exp_b) * log_sfg + log_sg / p.exp_b
 
 
 def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
@@ -247,22 +266,18 @@ def gsd(
     """Generalized S-divergence with the link ``psi``.
 
     The log link delegates to :func:`lsd`; the identity link evaluates the
-    plain S-divergence.  The identity branch has no boundary-limit handling
-    (its members of interest keep both exponents away from zero).
+    plain S-divergence from the same log sums.  The identity branch has no
+    boundary-limit handling (its members of interest keep both exponents
+    away from zero).
     """
     if psi is Psi.LOG:
         return lsd(g, f, p)
     gv, fv = align(g, f)
     logf, pos, logg = _log_inputs(gv, fv, p)
-    if abs(p.exp_a) < EXPONENT_BOUNDARY or abs(p.exp_b) < EXPONENT_BOUNDARY:
-        raise ValueError(
-            "identity-link divergence is undefined at the exponent boundary A=0 or B=0"
-        )
     one_beta = 1.0 + p.beta
-    sf = np.exp(_lse(one_beta * logf))
-    sg = np.exp(_lse(one_beta * logg))
-    sfg = np.exp(_lse(p.exp_b * logf[pos] + p.exp_a * logg))
-    return float(sf / p.exp_a - one_beta / (p.exp_a * p.exp_b) * sfg + sg / p.exp_b)
+    return float(_lsd_kernel(
+        _lse(one_beta * logf), logf[pos], logg, _lse(one_beta * logg), p, psi=psi
+    ))
 
 
 def lpd(g: DiscreteDensity, f: DiscreteDensity, gamma: float) -> float:

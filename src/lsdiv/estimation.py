@@ -15,13 +15,13 @@ Every fit starts from a sample part (:class:`_SamplePart`): the tilt-free
 state of one or more samples as rows, built in a few array passes (each
 row's bracket, coarse grid, window, occupied cells, log g there and log f
 on occupied cells x grid).  A fit at a tilt adds only the tilt's terms:
-the memoised model terms, log sum g^(1+beta), A log g and each row's scan
-kernel.  :func:`minimize_lsd` builds a one-row part; :func:`minimize_lsd_many`
+the memoised model terms, log sum g^(1+beta), A log g and the scan kernel.
+:func:`minimize_lsd` builds a one-row part; :func:`minimize_lsd_many`
 builds one part for all its densities, and the simulation harness one per
-chunk of drawn samples, which it fits at every cell of a table.  Each row
-keeps its own scan; the residuals, roots (by Chandrupatla's method) and
-final objectives of a part of four rows or more run as (rows x window)
-array passes.
+chunk of drawn samples, which it fits at every cell of a table.  The scan
+of every row runs in blocks of rows, each summed over its cells axis; the
+residuals, roots (by Chandrupatla's method) and final objectives of a part
+of four rows or more run as (rows x window) array passes.
 """
 
 from __future__ import annotations
@@ -62,6 +62,10 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _N_SCAN = 256
 _TOL_THETA = 1e-8
 
+# The grid indices of the scan cell around each grid point: its neighbours,
+# clipped to the grid.
+_SCAN_CELL = np.clip(np.arange(_N_SCAN)[:, None] + [-1, 1], 0, _N_SCAN - 1)
+
 # Entries per memo: an entry of the scan memo holds _N_SCAN floats, so it
 # stays below 1024 x 256 x 8 bytes = 2 MB.  The simulation harness fits a
 # chunk of 32 samples at every cell in turn, so a chunk needs at most 32
@@ -78,6 +82,12 @@ _RTOL = 4.0 * np.finfo(float).eps
 # step budget (brentq's, Chandrupatla's and golden section's).
 _TOL_EE = 1e-6
 _MAX_ITERATIONS = 200
+
+# Floats in a block of the coarse scan's (rows x cells x _N_SCAN) arrays
+# (256 KB).  Blocks this small reuse the memory the previous block freed;
+# the temporaries of a whole chunk, or of blocks of 65 536 floats, cost
+# hundreds of minor page faults per cell of the estimation tables.
+_SCAN_BLOCK = 32768
 
 # A sample part of fewer rows than this is fitted row by row on the scalar
 # path of minimize_lsd: a small stack's array passes cost more than the
@@ -205,10 +215,11 @@ class _SamplePart:
 
     ``x_pos`` and ``logg`` hold each kept row's ``cells`` occupied cells in
     order, padded to the most any row has with cell 0 and log g =
-    ``_PAD_LOGG``.  :meth:`scan` gives each row's coarse scan at a tilt,
-    with its log sum g^(1+beta) kept per beta (:meth:`log_sum_g`); the
-    scalar fit (:class:`_FitContext`) and the stacked one (:class:`_FitStack`)
-    read the rest.
+    ``_PAD_LOGG``.  :meth:`scan` gives every row's coarse scan at a tilt as
+    arrays over the rows, from the objective on every row's grid
+    (:meth:`scan_objective`, in blocks of rows) and the log sum g^(1+beta)
+    kept per beta (:meth:`log_sum_g`); the scalar fit (:class:`_FitContext`)
+    and the stacked one (:class:`_FitStack`) read the rest.
     """
 
     def __init__(
@@ -217,7 +228,7 @@ class _SamplePart:
     ):
         self.family = family
         self.size = len(means)
-        self._log_sg: dict[float, list] = {}
+        self._log_sg: dict[float, np.ndarray] = {}
         self.errors: list = list(errors) if errors else [None] * self.size
         self.index, self.lo, self.hi, self.length = [], [], [], []
         for i, (mean, end) in enumerate(zip(means, ends)):
@@ -239,7 +250,7 @@ class _SamplePart:
             cells = cells[self.index]
             width = cells.max()
             x_pos, logg = x_pos[self.index, :width], logg[self.index, :width]
-        self.x_pos, self.logg, self.cells = x_pos, logg, cells.tolist()
+        self.x_pos, self.logg, self.cells = x_pos, logg, cells
 
     @classmethod
     def from_samples(cls, samples: np.ndarray, family: PoissonFamily):
@@ -292,40 +303,61 @@ class _SamplePart:
             logg[k, : nz.size] = np.log(r_n.mass[nz])
         return cls(x_pos, logg, cells, means, ends, family, errors, bracket)
 
-    def log_sum_g(self, one_beta: float) -> list:
+    def log_sum_g(self, one_beta: float) -> np.ndarray:
         """Each kept row's log sum g^(1+beta), computed at the first call
-        for each beta and kept for the part's other cells at that beta."""
+        for each beta and kept, read-only, for the part's other cells at
+        that beta.  The rows of one cell count share one pass, which sums
+        each row as it sums the row alone (see :func:`_lse`)."""
         if one_beta not in self._log_sg:
-            self._log_sg[one_beta] = [
-                _lse(one_beta * logg[:m]) for logg, m in zip(self.logg, self.cells)
-            ]
+            counts = set(self.cells.tolist())
+            if len(counts) == 1:  # every row as wide as the part: no masks
+                log_sg = _lse(one_beta * self.logg)
+            else:
+                log_sg = np.empty(len(self.cells))
+                for m in counts:
+                    rows = self.cells == m
+                    log_sg[rows] = _lse(one_beta * self.logg[rows, :m])
+            log_sg.flags.writeable = False
+            self._log_sg[one_beta] = log_sg
         return self._log_sg[one_beta]
 
-    def scan_values(self, k: int, p: TiltParams):
-        """Kept row k's log sum g^(1+beta) at tilt p and its objective at each
-        theta of its grid, equal bit for bit to :class:`_FitContext`'s
-        objective there; the model terms come from a process-wide memo."""
+    def scan_objective(self, p: TiltParams):
+        """Each kept row's log sum g^(1+beta) at tilt p and its objective at
+        each theta of its grid, as (rows,) and (rows x _N_SCAN) arrays.
+
+        ``logf_scan`` is read in blocks of rows of at most ``_SCAN_BLOCK``
+        floats (at least one row), and each block's data terms are summed
+        over its cells axis, one cell after another, so that the grid is the
+        contiguous inner loop; a row's padded cells add exact zeros at the
+        end, which gives the row the same bits in any part and any block.
+        The model terms come from a process-wide memo, one lookup per row
+        (the only step taken row by row).  A value differs from
+        :class:`_FitContext`'s objective there, which sums its cells
+        pairwise, in the last bits only.
+        """
         one_beta = 1.0 + p.beta
-        m = self.cells[k]
-        logg = self.logg[k, :m]
-        log_sg = self.log_sum_g(one_beta)[k]
-        log_sf = _scan_model_terms(self.family, self.lo[k], self.hi[k], one_beta, self.length[k])
-        return log_sg, _lsd_kernel(log_sf, self.logf_scan[k, :m].T, logg, log_sg, p)
+        log_sg = self.log_sum_g(one_beta)
+        values = np.array([
+            _scan_model_terms(self.family, lo, hi, one_beta, length)
+            for lo, hi, length in zip(self.lo, self.hi, self.length)
+        ])
+        logf, logg = self.logf_scan, self.logg[:, :, None]
+        step = max(1, _SCAN_BLOCK // logf[0].size)
+        for i in range(0, len(values), step):
+            block = slice(i, i + step)
+            values[block] = _lsd_kernel(
+                values[block], logf[block], logg[block], log_sg[block, None], p, axis=1
+            )
+        return log_sg, values
 
     def scan(self, p: TiltParams):
-        """Each kept row's coarse scan at tilt p, as lists over the rows:
+        """Each kept row's coarse scan at tilt p, as arrays over the rows:
         log sum g^(1+beta), the scan cell (g_lo, g_hi) around the grid's best
         point (the first on ties) and whether that point is a bracket end."""
-        log_sg, g_lo, g_hi, edge = [], [], [], []
-        last = _N_SCAN - 1
-        for k, grid in enumerate(self.grid):
-            row_sg, values = self.scan_values(k, p)
-            best = int(values.argmin())
-            log_sg.append(row_sg)
-            g_lo.append(grid[max(best - 1, 0)])
-            g_hi.append(grid[min(best + 1, last)])
-            edge.append(best in (0, last))
-        return log_sg, g_lo, g_hi, edge
+        log_sg, values = self.scan_objective(p)
+        best = values.argmin(axis=1)
+        cell = self.grid[np.arange(len(best))[:, None], _SCAN_CELL[best]]
+        return log_sg, cell[:, 0], cell[:, 1], best % (_N_SCAN - 1) == 0
 
     @functools.cached_property
     def grid(self) -> np.ndarray:
@@ -358,8 +390,9 @@ class _FitContext:
 
     The objective is the kernel behind :func:`lsd`: a model term log sum
     f^(1+beta) over the row's whole window plus a data term on its occupied
-    cells only.  The independent oracles for this path are the closed forms
-    :func:`lpd`, :func:`ldpd`, :func:`ld` and :func:`oracle_grid_minimize`.
+    cells only, summed pairwise as numpy sums a lone vector.  The
+    independent oracles for this path are the closed forms :func:`lpd`,
+    :func:`ldpd`, :func:`ld` and :func:`oracle_grid_minimize`.
     """
 
     def __init__(self, part: _SamplePart, k: int, p: TiltParams, log_sg: float | None = None):
@@ -570,9 +603,9 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
     :class:`EstimatorResult`, or the error that row raises (an exception
     object of its own).
 
-    Every row is scanned alone.  A part of fewer than ``_MIN_STACK`` rows
-    is fitted row by row on the scalar path (brentq on the residual of the
-    scan cell, or the golden-section safeguard).  Otherwise the residual at
+    Every row is scanned in one blocked pass.  A part of fewer than
+    ``_MIN_STACK`` rows is fitted row by row on the scalar path (brentq on
+    the residual of the scan cell, or the golden-section safeguard).  Otherwise the residual at
     every row's scan cell ends, the roots of the rows whose residual falls
     from positive to negative there (Chandrupatla's method in place of
     brentq) and the final objectives run as (rows x window) array passes of
@@ -602,8 +635,7 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
             out[i] = _result(*fit, ctx.objective(fit[0]), boundary_hit[k])
         return out
 
-    stack = _FitStack(part, p, np.array(log_sg))
-    g_lo, g_hi = np.array(g_lo), np.array(g_hi)
+    stack = _FitStack(part, p, log_sg)
     v_lo, v_hi = stack.residual(g_lo), stack.residual(g_hi)
     falls = (v_lo > 0) & (v_hi < 0)
     root, res, b_lo, b_hi, iterations = _residual_roots(
@@ -646,8 +678,9 @@ def minimize_lsd_many(densities, family: PoissonFamily, p: TiltParams) -> list:
     The densities become the rows of one sample part (see
     :class:`_SamplePart`), each placed at its offset: one pass builds every
     row's bracket, grid, window, occupied cells and log f on grid x
-    occupied cells.  Each row keeps its own coarse scan.  The residual at
-    every row's scan cell ends, the roots of the rows whose residual falls
+    occupied cells.  The coarse scans of all rows run in blocks of rows (see
+    :meth:`_SamplePart.scan_objective`).  The residual at every row's scan
+    cell ends, the roots of the rows whose residual falls
     from positive to negative there (Chandrupatla's method in place of
     brentq) and the final objectives run as (rows x window) array passes;
     the other rows take :func:`minimize_lsd`'s golden-section safeguard.  A

@@ -16,6 +16,7 @@ from scipy.special import chdtrc
 from .divergence import (
     EXPONENT_BOUNDARY,
     DiscreteDensity,
+    Psi,
     TiltParams,
     _PAD_LOGG,
     _lsd_kernel,
@@ -66,8 +67,12 @@ def model_pair_densities(
     return g, f
 
 
-def divergence_between_fits(family: PoissonFamily, theta_g, theta_f: float, p: TiltParams):
-    """LSD(f_theta_g, f_theta_f) between two model densities, in log space.
+def divergence_between_fits(
+    family: PoissonFamily, theta_g, theta_f: float, p: TiltParams, psi: Psi = Psi.LOG
+):
+    """LSD(f_theta_g, f_theta_f) between two model densities, in log space;
+    with the identity link ``psi``, the S-divergence as the exp of the same
+    three log sums (undefined at A = 0 or B = 0, a ValueError).
 
     ``theta_g`` is a float, which gives a float, or a 1-d array, which gives
     one divergence per entry from one (rows x window) pass.  Each row sums
@@ -90,10 +95,10 @@ def divergence_between_fits(family: PoissonFamily, theta_g, theta_f: float, p: T
     one_beta = 1.0 + p.beta
     log_sf = _lse(one_beta * logf)
     log_sg = _lse(one_beta * logg)
-    if abs(p.exp_a) < EXPONENT_BOUNDARY:
+    if psi is Psi.LOG and abs(p.exp_a) < EXPONENT_BOUNDARY:
         value = _zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta)
     else:
-        value = _lsd_kernel(log_sf, logf, logg, log_sg, p)
+        value = _lsd_kernel(log_sf, logf, logg, log_sg, p, psi=psi)
     # The divergence is nonnegative; cancellation between the three log terms
     # can leave an O(eps) negative residue when theta_g is numerically equal
     # to theta_f, which must not trip the statistic validation downstream.

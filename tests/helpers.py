@@ -135,6 +135,46 @@ def divergence_between_fits_oracle(family, theta_g: float, theta_f: float, p: Ti
     return value if value >= 0.0 else (0.0 if value > -1e-10 else value)
 
 
+def scan_oracle(part, k: int, p: TiltParams) -> np.ndarray:
+    """Kept row k's coarse scan at tilt p, one grid point at a time.
+
+    At each theta of the row's grid: log f on the row's window [0, length),
+    the model term log sum f^(1+beta) and the row's log sum g^(1+beta) as
+    the objective forms them (numpy's sum of a lone vector), and the data
+    term's sum over the row's occupied cells added one cell after another
+    in a Python loop; B = 0 takes the continuity limit.
+    """
+    from lsdiv.divergence import EXPONENT_BOUNDARY
+
+    def in_order(terms):
+        total = terms[0]
+        for term in terms[1:]:
+            total += term
+        return total
+
+    def lse(v):
+        peak = v.max()
+        return peak + np.log(np.exp(v - peak).sum())
+
+    m = part.cells[k]
+    x_pos, logg = part.x_pos[k, :m], part.logg[k, :m]
+    a, b, one_beta = p.exp_a, p.exp_b, 1.0 + p.beta
+    log_sg = lse(one_beta * logg)
+    values = []
+    for theta in part.grid[k]:
+        logf = part.family.log_density(theta, np.arange(part.length[k]))
+        log_sf = lse(one_beta * logf)
+        if abs(b) < EXPONENT_BOUNDARY:
+            w = np.exp(one_beta * logg - log_sg)
+            values.append((log_sf - log_sg) / one_beta - in_order((logf[x_pos] - logg) * w))
+            continue
+        tilted = b * logf[x_pos] + a * logg
+        peak = tilted.max()
+        log_sfg = peak + np.log(in_order(np.exp(tilted - peak)))
+        values.append(log_sf / a - one_beta / (a * b) * log_sfg + log_sg / b)
+    return np.array(values)
+
+
 def pid_worker(_) -> int:
     """The id of the process that runs it; module-level so process pools can
     pickle it."""

@@ -91,6 +91,28 @@ class TestDivergenceCommand:
                     )
                     assert value == pytest.approx(oracle, rel=1e-8, abs=1e-12)
 
+    def test_identity_link_far_apart_thetas(self, runner):
+        # Poisson(1)'s masses underflow on Poisson(200)'s window; the
+        # identity link sums log masses as the log link does
+        result = run_ok(
+            runner,
+            ["divergence", "--beta", "0.5", "--gamma", "0.5",
+             "--theta-g", "200", "--theta-f", "1", "--psi", "identity"],
+        )
+        value = json.loads(result.output)["value"]
+        assert np.isfinite(value) and value > 0.0
+
+    def test_identity_link_overflow_is_an_error(self, runner):
+        # at B < 0 the sum of f^B g^A exceeds a double here; the command
+        # reports it instead of printing Infinity, which is not JSON
+        result = runner.invoke(
+            main,
+            ["divergence", "--beta", "0.1", "--gamma", "3",
+             "--theta-g", "80", "--theta-f", "1", "--psi", "identity"],
+        )
+        assert result.exit_code == 1
+        assert "overflows" in json.loads(result.output.strip().splitlines()[-1])["error"]
+
     def test_degenerate_exponent_error(self, runner):
         result = runner.invoke(
             main,

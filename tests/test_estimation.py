@@ -24,6 +24,7 @@ from lsdiv import (
 from lsdiv.divergence import _lse
 from lsdiv.estimation import (
     _N_SCAN,
+    _SCAN_BLOCK,
     _TOL_THETA,
     _FitContext,
     _FitStack,
@@ -35,6 +36,8 @@ from lsdiv.estimation import (
     _scan_model_terms,
 )
 from lsdiv.simulate import ESTIMATION_BETA_GRID, GAMMA_GRID, replication_rng
+
+from helpers import scan_oracle
 
 
 def refined_grid_argmin(r_n, family, p, lo, hi):
@@ -127,9 +130,16 @@ class TestMinimizeLsd:
         assert type(result.residual) is float
 
 
+# B > 0, B < 0, and B = 0 at beta = 0 and at beta > 0
+SCAN_TILTS = [(0.2, -0.5), (0.2, 1.0), (0.0, 0.0), (0.5, 1.0)]
+
+
 class TestBatchedScan:
-    """The coarse scan evaluates its whole grid as one array pass; every
-    value must equal the one-theta evaluation bit for bit."""
+    """The coarse scan evaluates its grid in blocks of rows, adding each
+    row's cells one after another: every value must equal the in-order
+    oracle bit for bit, whatever part or block holds the row, and the
+    one-theta objective (which sums the cells pairwise) within rounding,
+    with the same best point."""
 
     @pytest.mark.parametrize(
         "theta,n,n_contam",
@@ -151,13 +161,52 @@ class TestBatchedScan:
         p = TiltParams(beta, gamma)
         _scan_model_terms.cache_clear()
         for _ in ("cold", "warm"):
-            log_sg, values = part.scan_values(0, p)
+            log_sg, values = part.scan_objective(p)
             grid = part.grid[0]
             np.testing.assert_array_equal(grid, np.linspace(lo, hi, _N_SCAN))
-            assert values.shape == grid.shape
-            ctx = _FitContext(part, 0, p, log_sg)
-            np.testing.assert_array_equal(values, [ctx.objective(t) for t in grid])
+            assert values.shape == (1, _N_SCAN)
+            ctx = _FitContext(part, 0, p, log_sg[0])
+            pointwise = np.array([ctx.objective(t) for t in grid])
+            np.testing.assert_allclose(values[0], pointwise, rtol=1e-14, atol=0.0)
+            assert values[0].argmin() == pointwise.argmin()
         assert _scan_model_terms.cache_info().hits == 1
+
+    @pytest.mark.parametrize("beta,gamma", SCAN_TILTS)
+    def test_scan_equals_in_order_oracle(self, family, beta, gamma):
+        # the first rows of an estimation-table chunk (about 15 cells) and
+        # of a wide one (about 47), each padded to its chunk's widest row
+        p = TiltParams(beta, gamma)
+        for samples in chunk_samples(0):
+            part = _SamplePart.from_samples(samples, family)
+            values = part.scan_objective(p)[1]
+            for k in range(8):
+                np.testing.assert_array_equal(values[k], scan_oracle(part, k, p))
+
+    @pytest.mark.parametrize("beta,gamma", SCAN_TILTS)
+    def test_row_scan_same_in_any_part_and_block(self, family, beta, gamma):
+        # each row alone, in a 32-row chunk of either table, and in a part
+        # of both shapes and single-cell rows that spans many blocks (a
+        # block holds at most two of its rows)
+        p = TiltParams(beta, gamma)
+        contam = Contamination(0.1, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+        wide = Contamination(0.1, 130.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+        table_chunk, wide_chunk = (
+            np.array([contaminated_sample(n, theta, c, replication_rng(3, rep)) for rep in range(32)])
+            for n, theta, c in ((50, 4.0, contam), (200, 100.0, wide))
+        )
+        mixed = [*table_chunk[:10], *wide_chunk[:10], *map(np.array, ([0] * 50, [3], [7] * 20))]
+        parts = [
+            (_SamplePart.from_samples(table_chunk, family), table_chunk),
+            (_SamplePart.from_samples(wide_chunk, family), wide_chunk),
+            (_SamplePart.from_densities([empirical_frequencies(s) for s in mixed], family), mixed),
+        ]
+        assert parts[2][0].logf_scan[0].size * 3 > _SCAN_BLOCK
+        assert sorted(parts[2][0].cells)[:3] == [1, 1, 1]
+        for part, samples in parts:
+            values = part.scan_objective(p)[1]
+            for k, sample in enumerate(samples):
+                one = _SamplePart.from_densities([empirical_frequencies(sample)], family)
+                np.testing.assert_array_equal(values[k], one.scan_objective(p)[1][0])
 
 
 class TestScanMemo:
@@ -178,9 +227,9 @@ class TestScanMemo:
         for sample, length in (([4] * 50, 69), ([2] * 49 + [102], 103)):
             part = _SamplePart.from_densities([empirical_frequencies(np.array(sample))], family)
             assert (part.lo, part.hi, part.length) == ([0.8], [25.0], [length])
-            log_sg, values = part.scan_values(0, p)
-            ctx = _FitContext(part, 0, p, log_sg)
-            np.testing.assert_array_equal(values, [ctx.objective(t) for t in part.grid[0]])
+            log_sg, values = part.scan_objective(p)
+            ctx = _FitContext(part, 0, p, log_sg[0])
+            np.testing.assert_array_equal(values[0], [ctx.objective(t) for t in part.grid[0]])
         assert _scan_model_terms.cache_info().currsize == 2
 
     def test_inputs_of_the_key_get_own_entries(self):
@@ -480,9 +529,9 @@ class TestSamplePart:
                 np.testing.assert_array_equal(part.logf_scan[k, :m], one.logf_scan[0])
                 for beta, gamma in SOLVER_TILTS[:3]:
                     p = TiltParams(beta, gamma)
-                    got, want = part.scan_values(k, p), one.scan_values(0, p)
-                    assert got[0] == want[0]
-                    np.testing.assert_array_equal(got[1], want[1])
+                    got, want = part.scan_objective(p), one.scan_objective(p)
+                    assert got[0][k] == want[0][0]
+                    np.testing.assert_array_equal(got[1][k], want[1][0])
 
     def test_log_sum_g_kept_per_beta(self, family):
         # each row's log sum g^(1+beta) is computed once per beta, as each
@@ -492,9 +541,11 @@ class TestSamplePart:
             for beta in (0.0, 0.4, 1.0):
                 kept = part.log_sum_g(1.0 + beta)
                 rows = zip(part.logg, part.cells)
-                assert kept == [_lse((1.0 + beta) * logg[:m]) for logg, m in rows]
+                np.testing.assert_array_equal(
+                    kept, [_lse((1.0 + beta) * logg[:m]) for logg, m in rows]
+                )
                 for gamma in (-0.5, 0.0, 1.0):
-                    assert part.scan(TiltParams(beta, gamma))[0] == kept
+                    np.testing.assert_array_equal(part.scan(TiltParams(beta, gamma))[0], kept)
                 assert part.log_sum_g(1.0 + beta) is kept
 
     @pytest.mark.parametrize("seed", [0, 1])

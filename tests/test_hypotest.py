@@ -6,7 +6,10 @@ import numpy as np
 import pytest
 
 from lsdiv import (
+    Psi,
+    SupportAlignmentError,
     TiltParams,
+    gsd,
     curvature_a_beta,
     density_vector,
     if_first_order,
@@ -20,7 +23,7 @@ from lsdiv import (
     weighted_chisq_pvalue,
 )
 from lsdiv.asymptotics import SingularityError
-from lsdiv.hypotest import divergence_between_fits
+from lsdiv.hypotest import divergence_between_fits, model_pair_densities
 from helpers import curvature_fd_oracle, divergence_between_fits_oracle
 from test_estimation import SOLVER_TILTS
 
@@ -321,6 +324,34 @@ class TestDivergenceBetweenFits:
         alone = divergence_between_fits(family, np.array([6.0]), 2.0, p)
         with_wide = divergence_between_fits(family, np.array([6.0, 30.0]), 2.0, p)
         assert with_wide[0] == pytest.approx(alone[0], rel=1e-14)
+
+    def test_identity_link_matches_mass_vector_path(self, family):
+        # the identity link takes the exps of the three log sums; wherever
+        # gsd on the pair's mass vectors works (no model mass underflows on
+        # the union window) the two agree
+        checked = 0
+        for theta_g in (0.5, 1.0, 3.0, 12.0, 40.0, 120.0, 300.0):
+            for theta_f in (0.5, 2.0, 10.0, 60.0, 250.0):
+                if theta_g == theta_f:
+                    continue
+                for tilt in ((0.1, -0.5), (0.2, 1.0), (0.5, 0.5), (0.5, 1.5), (1.0, 1.5)):
+                    p = TiltParams(*tilt)
+                    try:
+                        expected = gsd(*model_pair_densities(family, theta_g, theta_f), p, Psi.IDENTITY)
+                    except SupportAlignmentError:
+                        continue
+                    if not np.isfinite(expected):
+                        continue
+                    got = divergence_between_fits(family, theta_g, theta_f, p, Psi.IDENTITY)
+                    assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
+                    checked += 1
+        assert checked >= 100
+
+    @pytest.mark.parametrize("tilt", [(0.0, 0.0), (0.5, 1.0), (0.0, -1.0)], ids=str)
+    def test_identity_link_undefined_at_zero_exponents(self, family, tilt):
+        # B = 0 twice, then A = 0
+        with pytest.raises(ValueError, match="exponent boundary"):
+            divergence_between_fits(family, 3.0, 2.0, TiltParams(*tilt), Psi.IDENTITY)
 
     def test_two_dimensional_theta_rejected(self, family):
         with pytest.raises(ValueError, match="1-d"):
