@@ -202,7 +202,8 @@ def _lsd_kernel(
     axis: int = -1, psi: Psi = Psi.LOG,
 ) -> np.ndarray:
     """LSD from its model term and its data term's inputs; with the identity
-    link ``psi``, the S-divergence from the same three log sums.
+    link ``psi``, the S-divergence from the exps of the same three log sums
+    (an OverflowError where a sum or the divergence exceeds a double).
 
     The model term ``log_sf = log sum f^(1+beta)`` runs over the model's
     whole window and does not depend on the data; the data term needs log f
@@ -231,14 +232,25 @@ def _lsd_kernel(
     tilted = p.exp_b * logf_pos
     tilted += p.exp_a * logg  # in place (logf_pos has the full shape): one temporary less
     log_sfg = _lse(tilted, axis)
-    if psi is Psi.IDENTITY:
-        if min(abs(p.exp_a), abs(p.exp_b)) < EXPONENT_BOUNDARY:
-            raise ValueError(
-                "identity-link divergence is undefined at the exponent boundary A=0 or B=0"
-            )
-        # the identity link combines the sums themselves
-        log_sf, log_sfg, log_sg = np.exp(log_sf), np.exp(log_sfg), np.exp(log_sg)
-    return log_sf / p.exp_a - one_beta / (p.exp_a * p.exp_b) * log_sfg + log_sg / p.exp_b
+    if psi is Psi.LOG:
+        return _s_combination(log_sf, log_sfg, log_sg, p)
+    if min(abs(p.exp_a), abs(p.exp_b)) < EXPONENT_BOUNDARY:
+        raise ValueError(
+            "identity-link divergence is undefined at the exponent boundary A=0 or B=0"
+        )
+    # the identity link combines the sums themselves, which can leave a double's range
+    with np.errstate(over="raise"):
+        try:
+            return _s_combination(np.exp(log_sf), np.exp(log_sfg), np.exp(log_sg), p)
+        except FloatingPointError:
+            raise OverflowError("the identity-link divergence overflows a double") from None
+
+
+def _s_combination(sf, sfg, sg, p: TiltParams):
+    """sf / A - (1+beta) / (A B) sfg + sg / B: the LSD from the log sums
+    log sum f^(1+beta), log sum f^B g^A and log sum g^(1+beta), or the
+    S-divergence from the sums themselves."""
+    return sf / p.exp_a - (1.0 + p.beta) / (p.exp_a * p.exp_b) * sfg + sg / p.exp_b
 
 
 def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
@@ -266,9 +278,9 @@ def gsd(
     """Generalized S-divergence with the link ``psi``.
 
     The log link delegates to :func:`lsd`; the identity link evaluates the
-    plain S-divergence from the same log sums.  The identity branch has no
-    boundary-limit handling (its members of interest keep both exponents
-    away from zero).
+    plain S-divergence from the exps of the same log sums, an OverflowError
+    where one exceeds a double.  The identity branch has no boundary-limit
+    handling (its members of interest keep both exponents away from zero).
     """
     if psi is Psi.LOG:
         return lsd(g, f, p)

@@ -62,9 +62,13 @@ GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 _N_SCAN = 256
 _TOL_THETA = 1e-8
 
-# The grid indices of the scan cell around each grid point: its neighbours,
-# clipped to the grid.
+# Per point of the coarse grid: the grid indices of the scan cell around it
+# (its neighbours, clipped to the grid), and whether it is a bracket end.
+# A scan reads both with one lookup each; on minimize_lsd's one-row part,
+# np.clip with np.take_along_axis, or two comparisons, cost several times
+# more (numpy's per-call cost on one-element arrays).
 _SCAN_CELL = np.clip(np.arange(_N_SCAN)[:, None] + [-1, 1], 0, _N_SCAN - 1)
+_BRACKET_END = np.isin(np.arange(_N_SCAN), [0, _N_SCAN - 1])
 
 # Entries per memo: an entry of the scan memo holds _N_SCAN floats, so it
 # stays below 1024 x 256 x 8 bytes = 2 MB.  The simulation harness fits a
@@ -310,7 +314,9 @@ class _SamplePart:
         each row as it sums the row alone (see :func:`_lse`)."""
         if one_beta not in self._log_sg:
             counts = set(self.cells.tolist())
-            if len(counts) == 1:  # every row as wide as the part: no masks
+            if len(counts) == 1:
+                # every row as wide as the part, as in minimize_lsd's one-row
+                # part: no masks, which cost a third of such a call
                 log_sg = _lse(one_beta * self.logg)
             else:
                 log_sg = np.empty(len(self.cells))
@@ -357,7 +363,7 @@ class _SamplePart:
         log_sg, values = self.scan_objective(p)
         best = values.argmin(axis=1)
         cell = self.grid[np.arange(len(best))[:, None], _SCAN_CELL[best]]
-        return log_sg, cell[:, 0], cell[:, 1], best % (_N_SCAN - 1) == 0
+        return log_sg, cell[:, 0], cell[:, 1], _BRACKET_END[best]
 
     @functools.cached_property
     def grid(self) -> np.ndarray:

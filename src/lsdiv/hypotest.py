@@ -71,8 +71,9 @@ def divergence_between_fits(
     family: PoissonFamily, theta_g, theta_f: float, p: TiltParams, psi: Psi = Psi.LOG
 ):
     """LSD(f_theta_g, f_theta_f) between two model densities, in log space;
-    with the identity link ``psi``, the S-divergence as the exp of the same
-    three log sums (undefined at A = 0 or B = 0, a ValueError).
+    with the identity link ``psi``, the S-divergence from the exps of the
+    same three log sums (undefined at A = 0 or B = 0, a ValueError; an
+    OverflowError where a sum or a row's divergence exceeds a double).
 
     ``theta_g`` is a float, which gives a float, or a 1-d array, which gives
     one divergence per entry from one (rows x window) pass.  Each row sums

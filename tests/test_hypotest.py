@@ -1,6 +1,7 @@
 """Hypothesis tests: statistics, curvature, null law, p-values, test IF."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -338,14 +339,24 @@ class TestDivergenceBetweenFits:
                     p = TiltParams(*tilt)
                     try:
                         expected = gsd(*model_pair_densities(family, theta_g, theta_f), p, Psi.IDENTITY)
-                    except SupportAlignmentError:
-                        continue
-                    if not np.isfinite(expected):
+                    except (SupportAlignmentError, OverflowError):
                         continue
                     got = divergence_between_fits(family, theta_g, theta_f, p, Psi.IDENTITY)
                     assert got == pytest.approx(expected, rel=1e-12, abs=0.0)
                     checked += 1
         assert checked >= 100
+
+    def test_identity_link_overflow_is_an_error(self, family):
+        # at B < 0 the sum of f^B g^A exceeds a double here: an OverflowError,
+        # with no RuntimeWarning on the way, for a float and for an array
+        p = TiltParams(0.1, 3.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(OverflowError, match="overflows a double"):
+                divergence_between_fits(family, 80.0, 1.0, p, Psi.IDENTITY)
+            with pytest.raises(OverflowError, match="overflows a double"):
+                divergence_between_fits(family, np.array([2.0, 80.0]), 1.0, p, Psi.IDENTITY)
+            assert np.isfinite(divergence_between_fits(family, 2.0, 1.0, p, Psi.IDENTITY))
 
     @pytest.mark.parametrize("tilt", [(0.0, 0.0), (0.5, 1.0), (0.0, -1.0)], ids=str)
     def test_identity_link_undefined_at_zero_exponents(self, family, tilt):

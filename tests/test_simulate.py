@@ -555,3 +555,27 @@ class TestRejectWorker:
                 for fit in fits
             ]
             assert rejects == expected
+
+
+class TestCriticalValue:
+    def test_equals_chi2_ppf_bit_for_bit(self):
+        from scipy.stats import chi2
+
+        levels = np.r_[0.05, 0.01, 0.1, 0.001, 0.5, 1e-9, 1 - 1e-9,
+                       np.random.default_rng(0).random(2000)]
+        for level in levels.tolist():
+            assert simulate._chi2_critical_value(level) == float(chi2.ppf(1.0 - level, df=1))
+
+    def test_package_import_leaves_scipy_stats_out(self):
+        # scipy.stats is about half of the package's import time
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import sys; sys.path[:0] = sys.argv[1:]\n"
+            "import lsdiv, lsdiv.cli\n"
+            "print('scipy.stats' in sys.modules)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
