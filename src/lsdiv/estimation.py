@@ -574,15 +574,12 @@ def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float)
     res = ctx.residual(theta_hat)
     half = max(10.0 * _TOL_THETA, 1e-5)
     r_lo, r_hi = max(lo, theta_hat - half), min(hi, theta_hat + half)
-    try:
-        v_lo, v_hi = ctx.residual(r_lo), ctx.residual(r_hi)
-        if v_lo * v_hi < 0:
-            theta_hat, res, _, _ = _residual_root(
-                ctx.residual, r_lo, v_lo, r_hi, v_hi, _MAX_ITERATIONS
-            )
-            bracket = (r_lo, r_hi) if r_hi - r_lo < bracket[1] - bracket[0] else bracket
-    except (ValueError, DivergenceInfiniteError):  # pragma: no cover - keep golden result
-        pass
+    v_lo, v_hi = ctx.residual(r_lo), ctx.residual(r_hi)
+    if v_lo * v_hi < 0:
+        theta_hat, res, _, _ = _residual_root(
+            ctx.residual, r_lo, v_lo, r_hi, v_hi, _MAX_ITERATIONS
+        )
+        bracket = (r_lo, r_hi) if r_hi - r_lo < bracket[1] - bracket[0] else bracket
     return theta_hat, res, bracket, iterations
 
 

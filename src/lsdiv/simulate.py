@@ -399,68 +399,62 @@ def _map_ordered(worker, args_list, n_jobs: int):
 FAILURE_CELL_LIMIT = 0.05  # cells with more than 5% failed replications emit "--"
 
 
-def _metadata(config: SimulationConfig) -> dict:
-    return {"seed": config.seed, "config": config.to_dict()}
-
-
-def _by_cell(config: SimulationConfig, worker, draw, cell_args, n_jobs: int):
-    """(beta, gamma, values) per grid cell, gamma-major, where values are the
-    worker's outputs over the replications, or None where the exponent A is
-    nonpositive.
+def _run_table(config: SimulationConfig, n_jobs: int, worker, draw, cell_args, metrics):
+    """The report of a table: one cell per (beta, gamma), gamma-major, with
+    its metrics over the replications that did not fail.
 
     ``worker`` takes (seed, replications, *draw, per-cell arguments) for a
     chunk of ``CHUNK`` consecutive replications (one pool task each) and
-    returns, per active cell, the outputs of the chunk's replications.  It
-    draws the chunk's samples and builds their sample part once, then fits
-    them as one stack at each cell in turn, so the fits of a sample at one
-    beta share the scan's memoised model terms as long as the memo keeps the
-    chunk's entries for every beta (see ``estimation._MEMO_SIZE``), in each
-    pool worker as in a serial run.
-    ``cell_args(beta, gamma)`` gives an active cell's arguments.
+    returns, per active cell, the values of the chunk's replications, None
+    for a failed one.  It draws the chunk's samples and builds their sample
+    part once, then fits them as one stack at each cell in turn, so the fits
+    of a sample at one beta share the scan's memoised model terms as long as
+    the memo keeps the chunk's entries for every beta (see
+    ``estimation._MEMO_SIZE``), in each pool worker as in a serial run.
+    ``cell_args(beta, gamma)`` gives an active cell's arguments, and
+    ``metrics`` maps each metric's name to a function of the array of a
+    cell's successful values.  A cell where the exponent A is nonpositive
+    is inactive, and all its replications count as failed; a cell where
+    more than ``FAILURE_CELL_LIMIT`` of them failed emits every metric as
+    None ("--").
     """
+    start = time.perf_counter()
+    reps = config.replications
     grid = [(beta, gamma) for gamma in config.grid_gamma for beta in config.grid_beta]
     active = [derive_exponents(beta, gamma)[0] > EXPONENT_BOUNDARY for beta, gamma in grid]
     per_cell = tuple(cell_args(*cell) for cell, a in zip(grid, active) if a)
     columns = iter(())
     if per_cell:
-        reps = config.replications
         chunks = [
-            (config.seed, range(start, min(start + CHUNK, reps)), *draw, per_cell)
-            for start in range(0, reps, CHUNK)
+            (config.seed, range(first, min(first + CHUNK, reps)), *draw, per_cell)
+            for first in range(0, reps, CHUNK)
         ]
-        outputs = _map_ordered(worker, chunks, n_jobs)
-        columns = iter([list(itertools.chain.from_iterable(c)) for c in zip(*outputs)])
-    return [(beta, gamma, next(columns) if a else None) for (beta, gamma), a in zip(grid, active)]
+        columns = zip(*_map_ordered(worker, chunks, n_jobs))
+    cells = []
+    for (beta, gamma), a in zip(grid, active):
+        values = itertools.chain.from_iterable(next(columns)) if a else ()
+        ok = np.array([v for v in values if v is not None])
+        failures = reps - ok.size
+        if failures > FAILURE_CELL_LIMIT * reps:
+            cell_metrics = dict.fromkeys(metrics)
+        else:
+            cell_metrics = {name: metric(ok) for name, metric in metrics.items()}
+        cells.append(CellResult(beta, gamma, cell_metrics, reps, failures))
+    metadata = {"seed": config.seed, "config": config.to_dict()}
+    return SimulationReport(cells, metadata, wall_time=time.perf_counter() - start)
 
 
 def run_estimation_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationReport:
     """Empirical bias and MSE of the minimum-divergence estimate per grid cell."""
-    start = time.perf_counter()
     if config.kind is not SimKind.ESTIMATION_BIAS:
         raise ValueError("config.kind must be ESTIMATION_BIAS")
     target = config.target()
+    metrics = {
+        "bias": lambda ok: float(np.mean(ok) - target),
+        "mse": lambda ok: float(np.mean((ok - target) ** 2)),
+    }
     draw = (config.n, config.theta_true, config.contamination)
-    cells: list[CellResult] = []
-    for beta, gamma, estimates in _by_cell(config, _estimate_worker, draw, TiltParams, n_jobs):
-        if estimates is None:
-            cells.append(
-                CellResult(beta, gamma, {"bias": None, "mse": None},
-                           config.replications, config.replications)
-            )
-            continue
-        ok = np.array([e for e in estimates if e is not None])
-        failures = config.replications - ok.size
-        if failures > FAILURE_CELL_LIMIT * config.replications:
-            metrics = {"bias": None, "mse": None}
-        else:
-            metrics = {
-                "bias": float(np.mean(ok) - target),
-                "mse": float(np.mean((ok - target) ** 2)),
-            }
-        cells.append(CellResult(beta, gamma, metrics, config.replications, failures))
-    return SimulationReport(
-        cells=cells, metadata=_metadata(config), wall_time=time.perf_counter() - start
-    )
+    return _run_table(config, n_jobs, _estimate_worker, draw, TiltParams, metrics)
 
 
 def _chi2_critical_value(level: float) -> float:
@@ -472,7 +466,6 @@ def _chi2_critical_value(level: float) -> float:
 
 def run_testing_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationReport:
     """Empirical level or power of the one-sample test per grid cell."""
-    start = time.perf_counter()
     if config.kind not in (SimKind.TESTING_LEVEL, SimKind.TESTING_POWER):
         raise ValueError("config.kind must be TESTING_LEVEL or TESTING_POWER")
     if config.theta_null is None:
@@ -494,24 +487,8 @@ def run_testing_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationRepo
         return p, np.inf
 
     draw = (config.n, theta_draw, config.contamination, config.theta_null)
-    cells: list[CellResult] = []
-    for beta, gamma, rejects in _by_cell(config, _reject_worker, draw, test_args, n_jobs):
-        if rejects is None:
-            cells.append(
-                CellResult(beta, gamma, {metric_name: None},
-                           config.replications, config.replications)
-            )
-            continue
-        ok = [r for r in rejects if r is not None]
-        failures = config.replications - len(ok)
-        if failures > FAILURE_CELL_LIMIT * config.replications or not ok:
-            metrics = {metric_name: None}
-        else:
-            metrics = {metric_name: float(np.mean(ok))}
-        cells.append(CellResult(beta, gamma, metrics, config.replications, failures))
-    return SimulationReport(
-        cells=cells, metadata=_metadata(config), wall_time=time.perf_counter() - start
-    )
+    metrics = {metric_name: lambda ok: float(np.mean(ok))}
+    return _run_table(config, n_jobs, _reject_worker, draw, test_args, metrics)
 
 
 def run_simulation(config: SimulationConfig, n_jobs: int = 1) -> SimulationReport:

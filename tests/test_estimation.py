@@ -33,6 +33,7 @@ from lsdiv.estimation import (
     _grids,
     _model_window_end,
     _residual_roots,
+    _safeguard,
     _scan_model_terms,
 )
 from lsdiv.simulate import ESTIMATION_BETA_GRID, GAMMA_GRID, replication_rng
@@ -363,6 +364,37 @@ class TestResidualRoot:
         fit = minimize_lsd(empirical_frequencies(np.array(sample)), family, TiltParams(beta, gamma))
         assert (fit.theta_hat, fit.converged) == self.FALLBACK[key]
 
+    class StandInContext:
+        """A fit context whose objective is least at 2 and whose residual
+        falls through zero at ``root``: no table sample searched gives the
+        safeguard a residual sign change next to its golden-section result."""
+
+        def __init__(self, root):
+            self.root = root
+
+        def objective(self, theta):
+            return (theta - 2.0) ** 2
+
+        def residual(self, theta):
+            return self.root - theta
+
+    @pytest.mark.parametrize("offset", [3e-6, -3e-6])
+    def test_safeguard_refines_on_a_nearby_residual_root(self, offset):
+        ctx = self.StandInContext(2.0 + offset)
+        golden, bracket, iterations = _golden_section(ctx.objective, 1.5, 2.5, _TOL_THETA, 200)
+        assert abs(golden - 2.0) <= _TOL_THETA
+        theta_hat, res, fit_bracket, fit_iterations = _safeguard(ctx, 1.0, 3.0, 1.5, 2.5)
+        assert abs(theta_hat - ctx.root) <= 1e-12 and abs(res) <= 1e-12
+        # the refinement's +-1e-5 bracket is wider than golden section's
+        assert (fit_bracket, fit_iterations) == (bracket, iterations)
+
+    def test_safeguard_keeps_golden_result_without_a_nearby_root(self):
+        ctx = self.StandInContext(2.0 + 3e-5)
+        golden, bracket, iterations = _golden_section(ctx.objective, 1.5, 2.5, _TOL_THETA, 200)
+        assert _safeguard(ctx, 1.0, 3.0, 1.5, 2.5) == (
+            golden, ctx.residual(golden), bracket, iterations
+        )
+
 
 def table_stacks(seed=5):
     """An estimation-table-shaped stack of 30 densities and a wide-table-shaped
@@ -672,6 +704,14 @@ class TestEstimatingEquationResidual:
         part = _SamplePart.from_densities([r_n], family, bracket=(4.0, 4.0))
         assert _FitContext(part, 0, p).residual(4.0) == values[1]
         assert "grid" not in vars(part) and "logf_scan" not in vars(part)
+
+    @pytest.mark.parametrize(
+        "r_n", [DiscreteDensity(-1, np.array([0.5, 0.5])), DiscreteDensity(0, np.zeros(3))],
+        ids=["offset_below_zero", "no_positive_mass"],
+    )
+    def test_density_outside_the_support_rejected(self, family, r_n):
+        with pytest.raises(ValueError, match="cells >= 0 and have positive mass"):
+            estimating_equation_residual(2.0, r_n, family, TiltParams(0.2, 0.3))
 
     @pytest.mark.parametrize("theta", [0.0, -1.0, float("nan"), float("inf")])
     def test_theta_outside_domain_named(self, family, theta):

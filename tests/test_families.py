@@ -162,6 +162,14 @@ class TestSupportWindow:
         _, length = family.support_window(708.0, 1e-12)
         assert poisson.sf(length - 1, 708.0) < 1e-12
 
+    def test_tail_bound_below_double_resolution(self, family):
+        # below double resolution the scan stops only once the summed masses
+        # round to 1: at theta = 4 they underflow to 0 first, at theta = 0.5
+        # the sum reaches 1 at length 15
+        with pytest.raises(FloatingPointError, match="cannot reach"):
+            family.support_window(4.0, 1e-17)
+        assert family.support_window(0.5, 1e-17) == (0, 15)
+
     @pytest.mark.parametrize("theta", [730.0, 740.0])
     def test_subnormal_first_mass_raises(self, family, theta):
         # exp(-theta) is subnormal here; the recurrence used to return a

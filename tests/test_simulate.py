@@ -282,6 +282,94 @@ class TestRunners:
         assert info.hits == reps * len(gammas) - info.misses
 
 
+class TestFailureRule:
+    """One failure rule for both table kinds: a cell emits "--" when more
+    than 5% of its replications fail, and an inactive cell (A <= 0) counts
+    every replication as failed."""
+
+    def test_inactive_testing_cell(self):
+        config = SimulationConfig(
+            kind=SimKind.TESTING_LEVEL, n=30, theta_true=2.0, theta_null=2.0,
+            replications=8, grid_beta=(0.0,), grid_gamma=(-1.0, 0.0), seed=3,
+        )
+        report = run_testing_sim(config)
+        inactive, active = report.cells
+        assert (inactive.beta, inactive.gamma) == (0.0, -1.0)
+        assert inactive.metrics == {"level": None}
+        assert inactive.failures == inactive.replications == 8
+        assert active.metrics["level"] is not None and active.failures == 0
+        assert report_to_csv(report).splitlines()[1] == "-1,0,level,--,8"
+
+    @staticmethod
+    def far_contamination_config(kind, eps):
+        # n = 4 and theta_contam = 700: a sample with a contaminated draw has
+        # a mean of 175 or more, so its bracket top passes 708, where the
+        # first Poisson mass underflows, and its fit raises FloatingPointError
+        return SimulationConfig(
+            kind=kind, n=4, theta_true=2.0, theta_null=2.0, replications=40,
+            grid_beta=(0.5,), grid_gamma=(0.0,), seed=1,
+            contamination=Contamination(eps, 700.0, ContaminationScheme.MIXTURE_DRAW),
+        )
+
+    @staticmethod
+    def fits(config):
+        """minimize_lsd's result or error for each replication's sample."""
+        out = []
+        for rep in range(config.replications):
+            sample = contaminated_sample(
+                config.n, 2.0, config.contamination, replication_rng(config.seed, rep)
+            )
+            try:
+                out.append(estimation.minimize_lsd(
+                    empirical_frequencies(sample), PoissonFamily(), TiltParams(0.5, 0.0)
+                ))
+            except (ValueError, ArithmeticError) as exc:
+                out.append(exc)
+        return out
+
+    @pytest.mark.parametrize(
+        "kind", [SimKind.ESTIMATION_BIAS, SimKind.TESTING_LEVEL], ids=["estimation", "testing"]
+    )
+    @pytest.mark.parametrize("eps", [0.3, 0.01])
+    def test_cell_past_the_failure_limit_emits_sentinel(self, kind, eps):
+        config = self.far_contamination_config(kind, eps)
+        fits = self.fits(config)
+        failed = sum(isinstance(fit, FloatingPointError) for fit in fits)
+        assert failed == sum(isinstance(fit, Exception) for fit in fits)
+        (cell,) = run_simulation(config).cells
+        assert cell.failures == failed
+        if eps == 0.3:
+            assert failed > 0.05 * config.replications  # 28 of 40
+            assert set(cell.metrics.values()) == {None}
+        else:
+            assert 0 < failed <= 0.05 * config.replications  # 1 of 40
+            assert None not in cell.metrics.values()
+        if kind is SimKind.ESTIMATION_BIAS and eps == 0.01:
+            ok = np.array([fit.theta_hat for fit in fits if not isinstance(fit, Exception)])
+            assert cell.metrics["bias"] == pytest.approx(np.mean(ok) - 2.0, abs=1e-8)
+
+    def test_zero_null_weight_never_rejects(self, monkeypatch):
+        # at theta_null = 0.1 and beta = 10 the null law's weight is 0, so
+        # the cell's critical value is infinite and its level exactly 0
+        p = TiltParams(10.0, 0.0)
+        assert simulate.null_law(PoissonFamily(), 0.1, p) == 0.0
+        tasks = []
+        map_ordered = simulate._map_ordered
+
+        def recorded(worker, args_list, n_jobs):
+            tasks.extend(args_list)
+            return map_ordered(worker, args_list, n_jobs)
+
+        monkeypatch.setattr(simulate, "_map_ordered", recorded)
+        config = SimulationConfig(
+            kind=SimKind.TESTING_LEVEL, n=20, theta_true=0.1, theta_null=0.1,
+            replications=8, grid_beta=(10.0,), grid_gamma=(0.0,), seed=4,
+        )
+        (cell,) = run_testing_sim(config).cells
+        assert [task[-1] for task in tasks] == [((p, np.inf),)]
+        assert cell.metrics == {"level": 0.0} and cell.failures == 0
+
+
 class TestDeterminismAndReports:
     @pytest.mark.parametrize("replications", [8, 40])  # 40 spans two chunks
     @pytest.mark.parametrize(
