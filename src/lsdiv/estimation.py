@@ -57,10 +57,12 @@ __all__ = [
 
 GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
-# Points of each row's coarse scan, which guards against multimodality, and
-# the width of the golden-section safeguard's final bracket.
+# Points of each row's coarse scan, which guards against multimodality, the
+# width of the golden-section safeguard's final bracket, and the half-width
+# of the interval around its result on which it refines theta on the residual.
 _N_SCAN = 256
 _TOL_THETA = 1e-8
+_REFINE_HALF = max(10.0 * _TOL_THETA, 1e-5)
 
 # Per point of the coarse grid: the grid indices of the scan cell around it
 # (its neighbours, clipped to the grid), and whether it is a bracket end.
@@ -112,7 +114,7 @@ class EstimatorResult:
     where that safeguard ran.  ``bracket`` is the tightest interval
     around ``theta_hat`` whose ends were evaluated with residual > 0 (low
     end) and < 0 (high end), ``(theta_hat, theta_hat)`` on an exact zero, or
-    the golden-section interval where the safeguard ran.
+    the golden-section interval where the safeguard ran and did not refine.
     """
 
     theta_hat: float
@@ -208,7 +210,8 @@ class _SamplePart:
     the end of its stored window: each row's bracket (lo, hi) (the
     mean-based default of the one-sample fit, or ``bracket`` for every
     row), its window [0, L) covering the data and the model tail at the
-    bracket ends and midpoint (from a process-wide memo), and, in one array
+    bracket ends and midpoint (``length``, from a process-wide memo; the
+    scan and the scalar fit sum over it), and, in one array
     pass over all rows at first use, its coarse grid of ``_N_SCAN`` thetas
     and log f on occupied cells x grid (``logf_scan``: long rows, which
     numpy's array passes run faster than a short row per theta).  A row
@@ -223,7 +226,7 @@ class _SamplePart:
     arrays over the rows, from the objective on every row's grid
     (:meth:`scan_objective`, in blocks of rows) and the log sum g^(1+beta)
     kept per beta (:meth:`log_sum_g`); the scalar fit (:class:`_FitContext`)
-    and the stacked one (:class:`_FitStack`) read the rest.
+    and the stacked one (:class:`_FitStack`, on its own window) the rest.
     """
 
     def __init__(
@@ -376,18 +379,6 @@ class _SamplePart:
         cells x _N_SCAN) array."""
         return self.family.log_density(self.grid[:, None, :], self.x_pos[:, :, None])
 
-    @functools.cached_property
-    def pad(self) -> np.ndarray:
-        """0 on each kept row's window and -inf beyond it, as a (rows x
-        longest window) array."""
-        return np.where(np.arange(max(self.length)) < np.array(self.length)[:, None], 0.0, -np.inf)
-
-    @functools.cached_property
-    def pos(self) -> np.ndarray:
-        """Flat indices of each row's (padded) occupied cells into a (rows x
-        longest window) array."""
-        return np.arange(len(self.index))[:, None] * self.pad.shape[1] + self.x_pos
-
 
 class _FitContext:
     """The log-space objective and residual of one kept row of a sample part
@@ -437,29 +428,31 @@ def _residual(logf, u, logf_pos, u_pos, a_logg, p: TiltParams):
 class _FitStack:
     """A sample part's kept rows at one tilt as rows of one (rows x window)
     grid, for array passes of the objective and the residual at one theta
-    per row.
+    per row, each theta at most ``top``.
 
-    Each row's window [0, L) is padded to the longest with log f = -inf, and
-    its occupied cells to the most any row has with cell 0 and log g =
-    ``_PAD_LOGG``; both pads add exact zeros.  A padded row's sums group
-    their terms otherwise than its :class:`_FitContext`'s, so its values
-    differ from the context's in the last bits, depending on the rows that
-    share its stack.
+    Every row sums over one window [0, end) that holds the part's data and
+    the support window of ``top``, and so (the Poisson tail beyond any x
+    grows with theta) every row's model tail at each theta evaluated.  The
+    occupied cells are padded to the most any row has with cell 0 and log g
+    = ``_PAD_LOGG``, which add exact zeros.  A row's values differ from its
+    :class:`_FitContext`'s, on another window, in the last bits, depending
+    on the rows that share its stack.
     """
 
-    def __init__(self, part: _SamplePart, p: TiltParams, log_sg: np.ndarray):
-        self.family, self.p, self.log_sg = part.family, p, log_sg
-        self.pad, self.pos, self.logg = part.pad, part.pos, part.logg
-        self.x = np.arange(self.pad.shape[1], dtype=float)
+    def __init__(self, part: _SamplePart, p: TiltParams, log_sg: np.ndarray, top: float):
+        self.family, self.p, self.log_sg, self.logg = part.family, p, log_sg, part.logg
+        end = max(int(part.x_pos.max()) + 1, part.family.support_window(top)[1])
+        self.x = np.arange(end, dtype=float)
+        self.pos = np.arange(len(part.index))[:, None] * end + part.x_pos
         self.a_logg = p.exp_a * self.logg
 
     def objective(self, theta: np.ndarray) -> np.ndarray:
-        logf = self.family.log_density(theta[:, None], self.x) + self.pad
+        logf = self.family.log_density(theta[:, None], self.x)
         log_sf = _lse((1.0 + self.p.beta) * logf)
         return _lsd_kernel(log_sf, logf.reshape(-1)[self.pos], self.logg, self.log_sg, self.p)
 
     def residual(self, theta: np.ndarray) -> np.ndarray:
-        logf = self.family.log_density(theta[:, None], self.x) + self.pad
+        logf = self.family.log_density(theta[:, None], self.x)
         u = self.family.score(theta[:, None], self.x)
         pos = self.pos
         return _residual(logf, u, logf.reshape(-1)[pos], u.reshape(-1)[pos], self.a_logg, self.p)
@@ -572,14 +565,12 @@ def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float)
         ctx.objective, g_lo, g_hi, _TOL_THETA, _MAX_ITERATIONS
     )
     res = ctx.residual(theta_hat)
-    half = max(10.0 * _TOL_THETA, 1e-5)
-    r_lo, r_hi = max(lo, theta_hat - half), min(hi, theta_hat + half)
+    r_lo, r_hi = max(lo, theta_hat - _REFINE_HALF), min(hi, theta_hat + _REFINE_HALF)
     v_lo, v_hi = ctx.residual(r_lo), ctx.residual(r_hi)
     if v_lo * v_hi < 0:
-        theta_hat, res, _, _ = _residual_root(
+        theta_hat, res, bracket, _ = _residual_root(
             ctx.residual, r_lo, v_lo, r_hi, v_hi, _MAX_ITERATIONS
         )
-        bracket = (r_lo, r_hi) if r_hi - r_lo < bracket[1] - bracket[0] else bracket
     return theta_hat, res, bracket, iterations
 
 
@@ -606,13 +597,14 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
     :class:`EstimatorResult`, or the error that row raises (an exception
     object of its own).
 
-    Every row is scanned in one blocked pass.  A part of fewer than
+    Every row is scanned in one blocked pass, and a part of fewer than
     ``_MIN_STACK`` rows is fitted row by row on the scalar path (brentq on
-    the residual of the scan cell, or the golden-section safeguard).  Otherwise the residual at
-    every row's scan cell ends, the roots of the rows whose residual falls
-    from positive to negative there (Chandrupatla's method in place of
-    brentq) and the final objectives run as (rows x window) array passes of
-    a :class:`_FitStack`; the other rows take the safeguard.
+    the residual of the scan cell, or the golden-section safeguard), all on
+    the rows' bracket windows.  Otherwise the residual at every row's scan
+    cell ends, the roots where it falls from positive to negative there
+    (Chandrupatla's method in place of brentq) and the final objectives run
+    as array passes of a :class:`_FitStack` on one window of the highest
+    theta they reach; the other rows take the scalar safeguard.
     """
     if p.exp_a <= EXPONENT_BOUNDARY:
         return [
@@ -638,7 +630,9 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
             out[i] = _result(*fit, ctx.objective(fit[0]), boundary_hit[k])
         return out
 
-    stack = _FitStack(part, p, log_sg)
+    # a root lies in its scan cell, a safeguard result at most _REFINE_HALF above
+    top = np.minimum(part.hi, g_hi + _REFINE_HALF).max()
+    stack = _FitStack(part, p, log_sg, top)
     v_lo, v_hi = stack.residual(g_lo), stack.residual(g_hi)
     falls = (v_lo > 0) & (v_hi < 0)
     root, res, b_lo, b_hi, iterations = _residual_roots(

@@ -3,8 +3,8 @@
 Every replication owns an independent counter-based RNG stream derived from
 (seed, replication index), so the full pipeline is a pure function of the
 configuration and is byte-reproducible under any execution order or degree
-of parallelism.  Grid cells where the exponent A is nonpositive cannot be
-estimated and are emitted with the "--" sentinel.
+of parallelism.  Grid cells where the exponent A is nonpositive, or a
+testing table's null law singular, are emitted with the "--" sentinel.
 
 With ``n_jobs > 1`` the chunks of a table run in the calling process and in
 one process-wide worker pool, which is forked on first use and reused by
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaincinv
 
+from .asymptotics import SingularityError
 from .divergence import EXPONENT_BOUNDARY, TiltParams, derive_exponents
 from .estimation import _fit_part, _is_real, _SamplePart
 from .families import PoissonFamily, density_vector
@@ -411,18 +412,21 @@ def _run_table(config: SimulationConfig, n_jobs: int, worker, draw, cell_args, m
     of a sample at one beta share the scan's memoised model terms as long as
     the memo keeps the chunk's entries for every beta (see
     ``estimation._MEMO_SIZE``), in each pool worker as in a serial run.
-    ``cell_args(beta, gamma)`` gives an active cell's arguments, and
-    ``metrics`` maps each metric's name to a function of the array of a
-    cell's successful values.  A cell where the exponent A is nonpositive
-    is inactive, and all its replications count as failed; a cell where
-    more than ``FAILURE_CELL_LIMIT`` of them failed emits every metric as
-    None ("--").
+    ``cell_args(beta, gamma)`` gives a cell's arguments, or None for a cell
+    that cannot run, and ``metrics`` maps each metric's name to a function
+    of the array of a cell's successful values.  A cell where the exponent
+    A is nonpositive, or whose arguments are None, is inactive, and all its
+    replications count as failed; a cell where more than
+    ``FAILURE_CELL_LIMIT`` of them failed emits every metric as None ("--").
     """
     start = time.perf_counter()
     reps = config.replications
     grid = [(beta, gamma) for gamma in config.grid_gamma for beta in config.grid_beta]
-    active = [derive_exponents(beta, gamma)[0] > EXPONENT_BOUNDARY for beta, gamma in grid]
-    per_cell = tuple(cell_args(*cell) for cell, a in zip(grid, active) if a)
+    args = [
+        cell_args(*cell) if derive_exponents(*cell)[0] > EXPONENT_BOUNDARY else None
+        for cell in grid
+    ]
+    per_cell = tuple(a for a in args if a is not None)
     columns = iter(())
     if per_cell:
         chunks = [
@@ -431,8 +435,8 @@ def _run_table(config: SimulationConfig, n_jobs: int, worker, draw, cell_args, m
         ]
         columns = zip(*_map_ordered(worker, chunks, n_jobs))
     cells = []
-    for (beta, gamma), a in zip(grid, active):
-        values = itertools.chain.from_iterable(next(columns)) if a else ()
+    for (beta, gamma), a in zip(grid, args):
+        values = itertools.chain.from_iterable(next(columns)) if a is not None else ()
         ok = np.array([v for v in values if v is not None])
         failures = reps - ok.size
         if failures > FAILURE_CELL_LIMIT * reps:
@@ -476,15 +480,17 @@ def run_testing_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationRepo
     )
     family = PoissonFamily()
 
-    def test_args(beta: float, gamma: float) -> tuple[TiltParams, float]:
+    def test_args(beta: float, gamma: float) -> tuple[TiltParams, float] | None:
         p = TiltParams(beta, gamma)
         # The reference tables compare W directly against the chi-square
         # critical value, without the null-law weight; the weight-induced
         # level inflation at larger beta (e.g. 0.076 at beta=0.7, n=50) is
         # exactly what those tables document, so the harness reproduces it.
-        if null_law(family, config.theta_null, p) > 0:
-            return p, _chi2_critical_value(config.level)
-        return p, np.inf
+        try:
+            weight = null_law(family, config.theta_null, p)
+        except SingularityError:
+            return None
+        return p, _chi2_critical_value(config.level) if weight > 0 else np.inf
 
     draw = (config.n, theta_draw, config.contamination, config.theta_null)
     metrics = {metric_name: lambda ok: float(np.mean(ok))}

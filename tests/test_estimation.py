@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from lsdiv import (
@@ -24,14 +26,17 @@ from lsdiv import (
 from lsdiv.divergence import _lse
 from lsdiv.estimation import (
     _N_SCAN,
+    _REFINE_HALF,
     _SCAN_BLOCK,
     _TOL_THETA,
     _FitContext,
     _FitStack,
     _SamplePart,
+    _fit_part,
     _golden_section,
     _grids,
     _model_window_end,
+    _residual_root,
     _residual_roots,
     _safeguard,
     _scan_model_terms,
@@ -385,8 +390,12 @@ class TestResidualRoot:
         assert abs(golden - 2.0) <= _TOL_THETA
         theta_hat, res, fit_bracket, fit_iterations = _safeguard(ctx, 1.0, 3.0, 1.5, 2.5)
         assert abs(theta_hat - ctx.root) <= 1e-12 and abs(res) <= 1e-12
-        # the refinement's +-1e-5 bracket is wider than golden section's
-        assert (fit_bracket, fit_iterations) == (bracket, iterations)
+        # the bracket is the refinement's, which holds theta_hat, and the
+        # iterations are golden section's
+        r_lo, r_hi = golden - _REFINE_HALF, golden + _REFINE_HALF
+        root = _residual_root(ctx.residual, r_lo, ctx.residual(r_lo), r_hi, ctx.residual(r_hi), 200)
+        assert fit_bracket[0] <= theta_hat <= fit_bracket[1]
+        assert (fit_bracket, fit_iterations) == (root[2], iterations)
 
     def test_safeguard_keeps_golden_result_without_a_nearby_root(self):
         ctx = self.StandInContext(2.0 + 3e-5)
@@ -428,7 +437,14 @@ class TestStackedFits:
     @pytest.mark.parametrize("beta,gamma", SOLVER_TILTS)
     def test_rows_match_scalar_fits(self, family, beta, gamma):
         p = TiltParams(beta, gamma)
-        for densities in table_stacks():
+        small, wide = table_stacks()
+        # rows of means near 2 and near 100 in one stack, whose one window is
+        # that of the mean-100 rows' scan cells
+        mixed = [r_n for rep in range(4) for r_n in (
+            empirical_frequencies(contaminated_sample(50, 2.0, None, replication_rng(5, rep))),
+            wide[rep],
+        )]
+        for densities in (small, wide, mixed):
             fits = minimize_lsd_many(densities, family, p)
             assert all(fit.converged for fit in fits)
             self.assert_rows_match(family, densities, p, fits)
@@ -495,6 +511,46 @@ class TestStackedFits:
             assert lo[i] < hi[i] and c[i] - lo[i] ** 2 > 0.0 > c[i] - hi[i] ** 2
             assert abs(root[i] - np.sqrt(c[i])) <= 1e-12
             assert root[i] in (lo[i], hi[i])
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        means=st.lists(st.floats(0.0, 100.0), min_size=4, max_size=8),
+        n=st.integers(1, 60),
+        tilt=st.sampled_from(SOLVER_TILTS),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_stack_window_holds_every_theta_evaluated(self, means, n, tilt, seed):
+        # The window reaches each kept row's data and the support window of
+        # the highest theta the row can reach: a root in its scan cell or a
+        # safeguard result refined at most _REFINE_HALF above the cell.
+        family, p = PoissonFamily(), TiltParams(*tilt)
+        rng = np.random.default_rng(seed)
+        part = _SamplePart.from_samples(rng.poisson(means, size=(n, len(means))).T, family)
+        _, _, g_hi, _ = part.scan(p)
+        tops = np.minimum(part.hi, g_hi + _REFINE_HALF)
+        stacks, evaluated = [], []
+        init, residual, objective = _FitStack.__init__, _FitStack.residual, _FitStack.objective
+
+        def recorded_init(self, *args):
+            init(self, *args)
+            stacks.append(self)
+
+        def recorded(method):
+            def call(self, theta):
+                evaluated.append(theta)
+                return method(self, theta)
+            return call
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(_FitStack, "__init__", recorded_init)
+            patch.setattr(_FitStack, "residual", recorded(residual))
+            patch.setattr(_FitStack, "objective", recorded(objective))
+            _fit_part(part, p)
+        (stack,) = stacks
+        ends = [part.x_pos[k, : part.cells[k]].max() + 1 for k in range(len(part.index))]
+        assert stack.x.size >= max(ends)
+        assert stack.x.size >= max(family.support_window(top)[1] for top in tops)
+        assert all((theta <= tops).all() for theta in evaluated)
 
     def test_evaluation_budget(self, family, monkeypatch):
         # The amortisation: one stacked residual pass per step for the whole

@@ -21,6 +21,7 @@ from lsdiv import (
     SimKind,
     SimulationConfig,
     SimulationReport,
+    SingularityError,
     TiltParams,
     contaminated_sample,
     emit_report,
@@ -347,6 +348,28 @@ class TestFailureRule:
         if kind is SimKind.ESTIMATION_BIAS and eps == 0.01:
             ok = np.array([fit.theta_hat for fit in fits if not isinstance(fit, Exception)])
             assert cell.metrics["bias"] == pytest.approx(np.mean(ok) - 2.0, abs=1e-8)
+
+    def test_singular_null_law_cell_counts_every_replication_failed(self, tmp_path):
+        # at theta_null = 50 and beta = 10 the information term J underflows
+        # to about 1.8e-29, so that cell's null law raises SingularityError;
+        # the table still runs, and that cell reads "--"
+        with pytest.raises(SingularityError, match="information term J"):
+            simulate.null_law(PoissonFamily(), 50.0, TiltParams(10.0, 0.0))
+        raw = dict(kind="testing_level", n=30, theta_true=50.0, theta_null=50.0,
+                   replications=20, grid_beta=[0.0, 10.0], grid_gamma=[0.0], seed=2)
+        config = SimulationConfig.from_dict(raw)
+        level, singular = run_testing_sim(config).cells
+        (alone,) = run_testing_sim(SimulationConfig.from_dict({**raw, "grid_beta": [0.0]})).cells
+        assert level == alone and level.metrics["level"] is not None
+        assert singular.metrics == {"level": None}
+        assert singular.failures == singular.replications == 20
+        path, out = tmp_path / "config.json", tmp_path / "report.csv"
+        path.write_text(json.dumps(raw))
+        result = CliRunner().invoke(main, ["simulate", "--config", str(path), "--out", str(out)])
+        assert result.exit_code == 0, result.output
+        assert out.read_text().splitlines()[1:] == [
+            f"0,0,level,{level.metrics['level']:.17g},0", "0,10,level,--,20"
+        ]
 
     def test_zero_null_weight_never_rejects(self, monkeypatch):
         # at theta_null = 0.1 and beta = 10 the null law's weight is 0, so
