@@ -214,10 +214,11 @@ def simulate(config_path, seed, replications, n_jobs, out, fmt):
     try:
         with open(config_path, encoding="utf-8") as fh:
             raw = json.load(fh)
-        if seed is not None:
-            raw["seed"] = seed
-        if replications is not None:
-            raw["replications"] = replications
+        if isinstance(raw, dict):  # from_dict rejects any other JSON value
+            if seed is not None:
+                raw["seed"] = seed
+            if replications is not None:
+                raw["replications"] = replications
         config = SimulationConfig.from_dict(raw)
         report = run_simulation(config, n_jobs=n_jobs)
         emit_report(report, fmt, out)

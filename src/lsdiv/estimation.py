@@ -44,7 +44,7 @@ from .divergence import (
     _lsd_kernel,
     lsd,
 )
-from .families import PoissonFamily, density_vector
+from .families import _MAX_WINDOW, PoissonFamily, density_vector
 
 __all__ = [
     "EstimatorResult",
@@ -129,13 +129,19 @@ def empirical_frequencies(sample) -> DiscreteDensity:
     """Relative frequency vector of a nonnegative integer sample.
 
     The window starts at 0 and covers max(sample); the masses sum to
-    exactly 1.
+    exactly 1.  An entry at or above the longest support window the family
+    builds raises ValueError: no model window reaches it, and its count
+    vector would be as long as the entry.
     """
     sample = np.asarray(sample)
     if sample.size == 0:
         raise ValueError("sample must be non-empty")
     if np.any(sample < 0) or not np.issubdtype(sample.dtype, np.integer):
         raise ValueError("sample entries must be nonnegative integers")
+    if sample.max() >= _MAX_WINDOW:
+        raise ValueError(
+            f"sample entries must be below {_MAX_WINDOW}, the longest support window"
+        )
     counts = np.bincount(sample)
     return DiscreteDensity(offset=0, mass=counts / sample.size)
 
@@ -279,13 +285,15 @@ class _SamplePart:
         x_pos[kept] = occupied.nonzero()[1]
         logg = np.full(kept.shape, _PAD_LOGG)
         logg[kept] = np.log(mass[occupied])
-        ends = ends.tolist()
-        # each row's mean as DiscreteDensity.mean sums it, on the row's own window
-        means = [
-            float(np.dot(np.arange(end), row[:end]) / row[:end].sum())
-            for row, end in zip(mass, ends)
-        ]
-        return cls(x_pos, logg, cells, means, ends, family)
+        # each row's mean as DiscreteDensity.mean sums it, on the row's own
+        # window: one dot product a row, taken for all rows of one window end
+        # at once, gives the same bits as a dot product of that row alone
+        means = np.empty(rows)
+        for end in set(ends.tolist()):
+            group = ends == end
+            window = mass[group, :end]
+            means[group] = np.vecdot(np.arange(end), window) / window.sum(axis=1)
+        return cls(x_pos, logg, cells, means.tolist(), ends.tolist(), family)
 
     @classmethod
     def from_densities(cls, densities, family: PoissonFamily, bracket=None):

@@ -22,6 +22,9 @@ __all__ = ["PoissonFamily", "density_vector", "moments_c_d"]
 
 _TINY = np.finfo(float).tiny  # smallest normal double
 
+# Every support window the family builds is shorter than this many points.
+_MAX_WINDOW = 100_000
+
 # Records in the tilted-moment memo: a curve over y needs one, a null law two
 # (at beta and 2 beta).
 _MOMENT_MEMO_SIZE = 32
@@ -112,7 +115,7 @@ class PoissonFamily:
             )
         mass = [fx]
         cum = fx
-        for x in range(1, 100_000):
+        for x in range(1, _MAX_WINDOW):
             if 1.0 - cum < eps_tail:
                 return mass
             if fx == 0.0:

@@ -3,8 +3,12 @@
 Every replication owns an independent counter-based RNG stream derived from
 (seed, replication index), so the full pipeline is a pure function of the
 configuration and is byte-reproducible under any execution order or degree
-of parallelism.  Grid cells where the exponent A is nonpositive, or a
-testing table's null law singular, are emitted with the "--" sentinel.
+of parallelism.  A chunk of replications is drawn in one pass, each row
+from its own stream and in the order that drawing its replication alone
+reads that stream's uniforms (see ``_draw_chunk``); that order is the
+contract that keeps seeded samples and tables unchanged.  Grid cells where
+the exponent A is nonpositive, or a testing table's null law singular, are
+emitted with the "--" sentinel.
 
 With ``n_jobs > 1`` the chunks of a table run in the calling process and in
 one process-wide worker pool, which is forked on first use and reused by
@@ -256,13 +260,55 @@ def _poisson_cdf(theta: float) -> np.ndarray:
     return cdf
 
 
-def sample_poisson(theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n Poisson(theta) draws by CDF inversion; bit-reproducible per stream."""
+def _draw_chunk(n: int, theta: float, contamination: Contamination | None, rngs) -> np.ndarray:
+    """A (len(rngs) x n) intp array of samples of size n, optionally
+    contaminated, row r drawn from generator ``rngs[r]`` alone.
+
+    Each row reads its stream's uniforms in the order that drawing its
+    sample alone reads them, which keeps every seeded sample and table:
+    - no contamination (or eps = 0): n uniforms, inverted on the
+      Poisson(theta) CDF;
+    - fixed count: n uniforms, then k = floor(eps*n) more, which the last k
+      entries invert on the contaminating CDF instead of their own;
+    - mixture: n flag uniforms, then n draw uniforms; an entry whose flag
+      uniform is below eps inverts its draw uniform on the contaminating CDF.
+    The uniforms go into one buffer, and each memoised CDF is inverted once
+    for the chunk, the contaminating one only on the entries that take it.
+    """
     if theta <= 0:
         raise ValueError("theta must be positive")
     cdf = _poisson_cdf(theta)
-    u = rng.random(n)
-    return np.searchsorted(cdf, u, side="left").astype(np.int64)
+    u = np.empty((len(rngs), n))
+    scheme = None if contamination is None or contamination.eps == 0.0 else contamination.scheme
+    if scheme is ContaminationScheme.MIXTURE_DRAW:
+        cdf_contam = _poisson_cdf(contamination.theta_contam)
+        takes = np.empty(u.shape, dtype=bool)
+        for rng, row, flags in zip(rngs, u, takes):
+            rng.random(out=row)
+            np.less(row, contamination.eps, out=flags)
+            rng.random(out=row)
+    else:
+        k = int(np.floor(contamination.eps * n)) if scheme else 0
+        for rng, row in zip(rngs, u):
+            rng.random(out=row)
+            if k:
+                rng.random(out=row[n - k :])
+        if not k:
+            return np.searchsorted(cdf, u, side="left")
+        cdf_contam = _poisson_cdf(contamination.theta_contam)
+        takes = np.s_[:, n - k :]
+    # the contaminating draws first, so that the copy of their uniforms is
+    # freed before the chunk's samples are allocated
+    contam = np.searchsorted(cdf_contam, u[takes], side="left")
+    samples = np.searchsorted(cdf, u, side="left")
+    samples[takes] = contam
+    return samples
+
+
+def sample_poisson(theta: float, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n Poisson(theta) draws by CDF inversion of n uniforms of ``rng``;
+    bit-reproducible per stream.  The one-row case of the chunk draw."""
+    return _draw_chunk(n, theta, None, [rng])[0]
 
 
 def contaminated_sample(
@@ -275,21 +321,11 @@ def contaminated_sample(
 
     The fixed-count scheme overwrites the last floor(eps*n) entries of a pure
     sample with draws from the contaminating component; the mixture scheme
-    routes each observation independently with probability eps.
+    routes each observation independently with probability eps.  The
+    one-row case of the chunk draw, which fixes the order in which the
+    scheme reads ``rng``'s uniforms (see ``_draw_chunk``).
     """
-    if contamination is None or contamination.eps == 0.0:
-        return sample_poisson(theta_true, n, rng)
-    if contamination.scheme is ContaminationScheme.REPLACE_FIXED_COUNT:
-        sample = sample_poisson(theta_true, n, rng)
-        k = int(np.floor(contamination.eps * n))
-        if k > 0:
-            sample[n - k :] = sample_poisson(contamination.theta_contam, k, rng)
-        return sample
-    flags = rng.random(n) < contamination.eps
-    u = rng.random(n)
-    base = np.searchsorted(_poisson_cdf(theta_true), u, side="left")
-    contam = np.searchsorted(_poisson_cdf(contamination.theta_contam), u, side="left")
-    return np.where(flags, contam, base).astype(np.int64)
+    return _draw_chunk(n, theta_true, contamination, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,10 +340,11 @@ CHUNK = 32
 
 
 def _chunk_part(seed: int, reps: range, n: int, theta: float, contam) -> _SamplePart:
-    """The sample part of a chunk's samples, drawn once and fitted at every cell."""
-    samples = np.array(
-        [contaminated_sample(n, theta, contam, replication_rng(seed, rep)) for rep in reps]
-    )
+    """The sample part of a chunk's samples, drawn once and fitted at every
+    cell.  Replication ``rep`` reads its own stream ``replication_rng(seed,
+    rep)`` in the order ``contaminated_sample`` reads it, so its sample is
+    the same in any chunk and at any n_jobs."""
+    samples = _draw_chunk(n, theta, contam, [replication_rng(seed, rep) for rep in reps])
     return _SamplePart.from_samples(samples, PoissonFamily())
 
 

@@ -175,6 +175,32 @@ def scan_oracle(part, k: int, p: TiltParams) -> np.ndarray:
     return np.array(values)
 
 
+def contaminated_sample_oracle(n: int, theta: float, contamination, rng) -> np.ndarray:
+    """One sample drawn as the harness drew each replication on its own:
+    a draw call per component, each inverting its uniforms on the
+    component's Poisson CDF (the 1e-13 window's cumulative masses)."""
+    from lsdiv.simulate import ContaminationScheme
+
+    def draw(theta, size):
+        cdf = np.cumsum(density_vector(FAMILY, theta, 1e-13).mass)
+        return np.searchsorted(cdf, rng.random(size), side="left").astype(np.int64)
+
+    if contamination is None or contamination.eps == 0.0:
+        return draw(theta, n)
+    if contamination.scheme is ContaminationScheme.REPLACE_FIXED_COUNT:
+        sample = draw(theta, n)
+        k = int(np.floor(contamination.eps * n))
+        if k > 0:
+            sample[n - k :] = draw(contamination.theta_contam, k)
+        return sample
+    flags = rng.random(n) < contamination.eps
+    u = rng.random(n)
+    cdf = np.cumsum(density_vector(FAMILY, theta, 1e-13).mass)
+    cdf_contam = np.cumsum(density_vector(FAMILY, contamination.theta_contam, 1e-13).mass)
+    base = np.searchsorted(cdf, u, side="left")
+    return np.where(flags, np.searchsorted(cdf_contam, u, side="left"), base).astype(np.int64)
+
+
 def pid_worker(_) -> int:
     """The id of the process that runs it; module-level so process pools can
     pickle it."""

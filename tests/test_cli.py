@@ -1,6 +1,9 @@
 """Command-line interface: subcommands, file emission, error contract."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -166,6 +169,32 @@ class TestEstimateCommand:
             main, ["estimate", "--beta", "0", "--gamma", "0", "--data", "1.5,2"]
         )
         assert result.exit_code == 1
+
+    def test_entry_past_the_longest_window_rejected(self, runner):
+        # bincount would ask for 8 TiB and raise MemoryError
+        result = runner.invoke(
+            main, ["estimate", "--beta", ".5", "--gamma", ".5", "--data", f"3 {2**40}"]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        error = json.loads(result.output.strip().splitlines()[-1])["error"]
+        assert "longest support window" in error
+
+    def test_largest_int64_entry_rejected(self):
+        # bincount's length overflows and it writes past its buffer, which
+        # aborts the interpreter: run the command in a child
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import sys; sys.path[:0] = sys.argv[1:2]\n"
+            "from lsdiv.cli import main\n"
+            "main(sys.argv[2:])\n"
+        )
+        args = ["estimate", "--beta", ".5", "--gamma", ".5", "--data", f"3 {2**63 - 1}"]
+        done = subprocess.run(
+            [sys.executable, "-c", code, src, *args], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 1, done.stderr
+        assert "longest support window" in json.loads(done.stderr.strip())["error"]
 
 
 class TestNonFiniteTilt:
@@ -370,6 +399,24 @@ class TestSimulateCommand:
         )
         assert result.exit_code == 1
         assert "error" in json.loads(result.output.strip().splitlines()[-1])
+
+    @pytest.mark.parametrize("raw", ["[1, 2]", "null", '"config"', "3"])
+    @pytest.mark.parametrize(
+        "overrides", [[], ["--seed", "3"], ["--replications", "3"]], ids=["plain", "seed", "reps"]
+    )
+    def test_config_that_is_not_an_object(self, runner, tmp_path, raw, overrides):
+        path = tmp_path / "config.json"
+        path.write_text(raw)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(
+            main, ["simulate", "--config", str(path), "--out", str(out), *overrides]
+        )
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert json.loads(result.output.strip().splitlines()[-1]) == {
+            "error": "a simulation config must be a JSON object"
+        }
+        assert not out.exists()
 
     @pytest.mark.parametrize(
         "field,value",

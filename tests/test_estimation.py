@@ -1,5 +1,9 @@
 """Minimum-divergence estimation: frequencies, optimizer, oracle, residual."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -76,6 +80,32 @@ class TestEmpiricalFrequencies:
             empirical_frequencies(np.array([1, -2]))
         with pytest.raises(ValueError):
             empirical_frequencies(np.array([1.5, 2.0]))
+
+    @pytest.mark.parametrize("entry", [100_000, 2**40])
+    def test_rejects_entries_past_the_longest_window(self, entry):
+        # 2**40 used to ask bincount for 8 TiB and raise MemoryError
+        with pytest.raises(ValueError, match="longest support window"):
+            empirical_frequencies(np.array([3, entry]))
+        assert empirical_frequencies(np.array([3, 99_999])).mass.size == 100_000
+
+    def test_largest_int64_entry_rejected(self):
+        # bincount's length overflows at 2**63 - 1 and it writes past its
+        # buffer, which aborts the interpreter: run the call in a child
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import sys; sys.path[:0] = sys.argv[1:]\n"
+            "import numpy as np\n"
+            "from lsdiv import empirical_frequencies\n"
+            "try:\n"
+            "    empirical_frequencies(np.array([3, 2**63 - 1]))\n"
+            "except ValueError as exc:\n"
+            "    print(exc)\n"
+        )
+        done = subprocess.run(
+            [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
+        )
+        assert done.returncode == 0, done.stderr
+        assert "longest support window" in done.stdout
 
 
 class TestMinimizeLsd:
@@ -602,7 +632,12 @@ class TestSamplePart:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_tabulated_rows_equal_one_row_parts(self, family, seed):
-        for samples in chunk_samples(seed):
+        # and a chunk of 15 window ends, two rows to an end, whose means are
+        # taken one end at a time
+        table, wide = chunk_samples(seed)
+        spread = table.copy()
+        spread[:, 0] = 20 + np.arange(len(table)) // 2
+        for samples in (table, wide, spread):
             part = _SamplePart.from_samples(samples, family)
             assert part.index == list(range(len(samples)))
             for k, sample in enumerate(samples):

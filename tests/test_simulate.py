@@ -7,12 +7,16 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
+from unittest import mock
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lsdiv import (
     Contamination,
@@ -30,9 +34,15 @@ from lsdiv import (
 )
 from lsdiv import estimation, simulate
 from lsdiv.cli import main
-from helpers import divergence_between_fits_oracle, exit_worker, pid_worker
+from helpers import (
+    contaminated_sample_oracle,
+    divergence_between_fits_oracle,
+    exit_worker,
+    pid_worker,
+)
 from lsdiv.simulate import (
     ESTIMATION_BETA_GRID,
+    _draw_chunk,
     _poisson_cdf,
     GAMMA_GRID,
     SENTINEL,
@@ -176,6 +186,95 @@ class TestContaminatedSample:
     def test_invalid_eps_rejected(self):
         with pytest.raises(ValueError):
             Contamination(1.0, 12.0, ContaminationScheme.MIXTURE_DRAW)
+
+
+FIXED = ContaminationScheme.REPLACE_FIXED_COUNT
+MIXTURE = ContaminationScheme.MIXTURE_DRAW
+
+
+class TestChunkDraw:
+    """A table chunk's samples are drawn in one pass; each row must be the
+    sample its replication's stream gives on its own, bit for bit."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        seed=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**64)),
+        first=st.one_of(st.integers(0, 2**32 - 1), st.integers(2**32, 2**48)),
+        rows=st.integers(1, 33),
+        n=st.integers(1, 300),
+        theta=st.sampled_from([0.3, 4.0, 100.0]),
+        contamination=st.sampled_from([
+            None,
+            Contamination(0.0, 12.0, FIXED),
+            Contamination(0.0, 12.0, MIXTURE),
+            Contamination(0.003, 12.0, FIXED),  # k = floor(eps n) = 0
+            Contamination(0.1, 130.0, FIXED),
+            Contamination(0.45, 12.0, FIXED),
+            Contamination(0.1, 15.0, MIXTURE),
+            Contamination(0.6, 40.0, MIXTURE),
+        ]),
+    )
+    def test_chunk_equals_one_draw_per_replication(
+        self, seed, first, rows, n, theta, contamination
+    ):
+        reps = range(first, first + rows)
+        with mock.patch.object(
+            simulate._SamplePart, "from_samples", side_effect=lambda samples, family: samples
+        ):
+            chunk = simulate._chunk_part(seed, reps, n, theta, contamination)
+        oracle = np.array([
+            contaminated_sample_oracle(n, theta, contamination, replication_rng(seed, rep))
+            for rep in reps
+        ])
+        one_by_one = np.array([
+            contaminated_sample(n, theta, contamination, replication_rng(seed, rep))
+            for rep in reps
+        ])
+        assert chunk.shape == (rows, n) and chunk.dtype == np.int64
+        np.testing.assert_array_equal(chunk, oracle)
+        np.testing.assert_array_equal(one_by_one, oracle)
+
+    def test_underflowing_contamination_raises_as_one_sample_does(self):
+        # every mixture draw inverts the contaminating CDF, which cannot be
+        # built at theta_c = 800; a fixed count of floor(0.01 * 50) = 0
+        # entries never reads it
+        rngs = [replication_rng(1, rep) for rep in range(4)]
+        mixture = Contamination(0.1, 800.0, MIXTURE)
+        with pytest.raises(FloatingPointError):
+            _draw_chunk(50, 4.0, mixture, rngs)
+        with pytest.raises(FloatingPointError):
+            contaminated_sample(50, 4.0, mixture, replication_rng(1, 0))
+        fixed = Contamination(0.01, 800.0, FIXED)
+        chunk = _draw_chunk(50, 4.0, fixed, [replication_rng(1, rep) for rep in range(4)])
+        for rep, row in enumerate(chunk):
+            np.testing.assert_array_equal(
+                row, sample_poisson(4.0, 50, replication_rng(1, rep))
+            )
+            np.testing.assert_array_equal(
+                row, contaminated_sample(50, 4.0, fixed, replication_rng(1, rep))
+            )
+        with pytest.raises(ValueError):
+            _draw_chunk(50, 0.0, None, rngs)
+
+    @pytest.mark.parametrize(
+        "contamination",
+        [None, *(Contamination(eps, 12.0, s) for s in (FIXED, MIXTURE) for eps in (0.1, 0.5))],
+        ids=["none", "fixed-0.1", "fixed-0.5", "mixture-0.1", "mixture-0.5"],
+    )
+    def test_memory_of_a_large_chunk(self, contamination):
+        # the draw one replication at a time peaked at 51.2 MB on a chunk of
+        # 32 samples of 100 000 (each row, then their stacked copy); the
+        # one-pass draw may take at most half as much again
+        for theta in (4.0, 12.0):
+            _poisson_cdf(theta)  # memoised before tracing, as for a table's later chunks
+        rngs = [replication_rng(0, rep) for rep in range(32)]
+        tracemalloc.start()
+        try:
+            _draw_chunk(100_000, 4.0, contamination, rngs)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * 51.2e6
 
 
 class TestSimulationConfig:
