@@ -225,9 +225,7 @@ def _if_first_second(
     fbm1y = fy ** (beta - 1.0)
     tp = _model_if1(c, fy, uy, beta)
 
-    den = c2 * c0 - c1**2
-    if abs(den) <= 1e-300:
-        raise SingularityError("second-order influence denominator vanishes")
+    den = c2 * c0 - c1**2  # nonzero: _model_if1 raised where it is within 1e-12 of 0
 
     # L_ee / A: pure contamination curvature of the tilted cross terms.
     l_ee = (a - 1.0) * (fbm1y - 2.0 * fby) * (c0 * uy - c1)

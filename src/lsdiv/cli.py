@@ -4,10 +4,13 @@ Subcommands: divergence, estimate, influence, bias-approx, test, simulate.
 Numeric results go to stdout as JSON unless --out is given; curve and table
 emitters write CSV (or JSON for simulation reports).  All randomness is
 controlled by explicit --seed values, so outputs are byte-reproducible.
+Every failure, a non-finite result included, is one ``{"error": ...}`` JSON
+line on stderr with exit status 1.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -27,39 +30,56 @@ from .hypotest import (
 from .simulate import SimulationConfig, emit_report, run_simulation
 
 
-def _fail(message: str) -> None:
-    click.echo(json.dumps({"error": message}), err=True)
-    sys.exit(1)
+class _JsonErrorGroup(click.Group):
+    """The CLI's one error boundary: a user error that any subcommand raises
+    becomes one ``{"error": ...}`` line on stderr and exit status 1.  Click's
+    usage errors keep their message and exit status 2."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise  # a closed stdout: click exits 1 quietly
+        except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+            click.echo(json.dumps({"error": str(exc)}), err=True)
+            sys.exit(1)
 
 
 def _emit(payload: str, out: str | None) -> None:
     if out:
-        try:
-            with open(out, "w", encoding="utf-8", newline="") as fh:
-                fh.write(payload)
-        except OSError as exc:
-            _fail(str(exc))
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(payload)
     else:
         click.echo(payload, nl=not payload.endswith("\n"))
 
 
+def _emit_json(payload: dict, out: str | None) -> None:
+    """Emit one JSON object; a NaN or infinite number in it, which JSON
+    cannot hold, is a ValueError instead."""
+    try:
+        text = json.dumps(payload, allow_nan=False)
+    except ValueError:
+        raise ValueError(f"the result is not finite: {payload}") from None
+    _emit(text + "\n", out)
+
+
 def _parse_sample(text: str | None, path: str | None) -> np.ndarray:
     if (text is None) == (path is None):
-        _fail("provide exactly one of --data or --data-file")
+        raise ValueError("provide exactly one of --data or --data-file")
     if path is not None:
         try:
             with open(path, encoding="utf-8") as fh:
                 text = fh.read()
         except (OSError, UnicodeDecodeError) as exc:
-            _fail(f"cannot read {path}: {exc}")
+            raise ValueError(f"cannot read {path}: {exc}") from None
     tokens = text.replace(",", " ").split()
     try:
         return np.array([int(t) for t in tokens])
     except ValueError:
-        _fail("sample entries must be integers")
+        raise ValueError("sample entries must be integers") from None
 
 
-@click.group()
+@click.group(cls=_JsonErrorGroup)
 def main() -> None:
     """Logarithmic super divergence toolkit."""
 
@@ -90,13 +110,10 @@ def divergence(beta, gamma, theta_g, theta_f, psi, out):
     combines the three log sums, the identity link their exps, which is an
     error where a sum exceeds a double.
     """
-    try:
-        value = divergence_between_fits(
-            PoissonFamily(), theta_g, theta_f, TiltParams(beta, gamma), Psi(psi)
-        )
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
-    _emit(json.dumps({"beta": beta, "gamma": gamma, "psi": psi, "value": value}) + "\n", out)
+    value = divergence_between_fits(
+        PoissonFamily(), theta_g, theta_f, TiltParams(beta, gamma), Psi(psi)
+    )
+    _emit_json({"beta": beta, "gamma": gamma, "psi": psi, "value": value}, out)
 
 
 @main.command()
@@ -107,21 +124,8 @@ def divergence(beta, gamma, theta_g, theta_f, psi, out):
 def estimate(beta, gamma, data, data_file, out):
     """Minimum-divergence Poisson fit of an integer sample."""
     sample = _parse_sample(data, data_file)
-    try:
-        result = minimize_lsd(
-            empirical_frequencies(sample), PoissonFamily(), TiltParams(beta, gamma)
-        )
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
-    payload = {
-        "theta_hat": result.theta_hat,
-        "objective": result.objective,
-        "residual": result.residual,
-        "iterations": result.iterations,
-        "converged": result.converged,
-        "bracket": list(result.bracket),
-    }
-    _emit(json.dumps(payload) + "\n", out)
+    result = minimize_lsd(empirical_frequencies(sample), PoissonFamily(), TiltParams(beta, gamma))
+    _emit_json(dataclasses.asdict(result), out)
 
 
 @main.command()
@@ -132,18 +136,15 @@ def estimate(beta, gamma, data, data_file, out):
 def influence(beta, gamma, theta, y_max, out):
     """First/second-order influence curves at the model (CSV: y,beta,gamma,if1,if2,if2_test)."""
     if y_max < 0:
-        _fail(f"--y-max must be >= 0, got {y_max}")
+        raise ValueError(f"--y-max must be >= 0, got {y_max}")
     family = PoissonFamily()
     lines = ["y,beta,gamma,if1,if2,if2_test"]
-    try:
-        p = TiltParams(beta, gamma)
-        for y in range(y_max + 1):
-            if1 = if_first_order(y, None, family, theta, p)
-            if2 = if_second_order(y, family, theta, p)
-            if2_test = second_order_test_influence(y, family, theta, p)
-            lines.append(f"{y},{beta:g},{gamma:g},{if1:.12g},{if2:.12g},{if2_test:.12g}")
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
+    p = TiltParams(beta, gamma)
+    for y in range(y_max + 1):
+        if1 = if_first_order(y, None, family, theta, p)
+        if2 = if_second_order(y, family, theta, p)
+        if2_test = second_order_test_influence(y, family, theta, p)
+        lines.append(f"{y},{beta:g},{gamma:g},{if1:.12g},{if2:.12g},{if2_test:.12g}")
     _emit("\n".join(lines) + "\n", out)
 
 
@@ -157,13 +158,10 @@ def influence(beta, gamma, theta, y_max, out):
 def bias_approx(beta, gamma, theta, y, eps_max, steps, out):
     """Bias approximation curves (CSV: eps,first_order,second_order,adequacy)."""
     if steps < 1:
-        _fail(f"--steps must be >= 1, got {steps}")
-    try:
-        curve = bias_curves(
-            y, PoissonFamily(), theta, TiltParams(beta, gamma), np.linspace(0.0, eps_max, steps)
-        )
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
+        raise ValueError(f"--steps must be >= 1, got {steps}")
+    curve = bias_curves(
+        y, PoissonFamily(), theta, TiltParams(beta, gamma), np.linspace(0.0, eps_max, steps)
+    )
     lines = ["eps,first_order,second_order,adequacy"]
     for e, fo, so, ad in zip(
         curve.eps_grid, curve.first_order, curve.second_order, curve.adequacy_ratio
@@ -184,20 +182,17 @@ def bias_approx(beta, gamma, theta, y, eps_max, steps, out):
 def test_cmd(beta, gamma, data, data_file, data2, theta0, level, out):
     """One- or two-sample divergence test; prints a TestResult JSON object."""
     sample = _parse_sample(data, data_file)
-    try:
-        p = TiltParams(beta, gamma)
-        if data2 is not None:
-            if theta0 is not None:
-                _fail("--theta0 applies to the one-sample test only, not with --data2")
-            sample2 = _parse_sample(data2, None)
-            result = two_sample_statistic(sample, sample2, PoissonFamily(), p, levels=level)
-        else:
-            if theta0 is None:
-                _fail("--theta0 is required for the one-sample test")
-            result = one_sample_test(sample, PoissonFamily(), theta0, p, levels=level)
-    except (ValueError, ArithmeticError) as exc:
-        _fail(str(exc))
-    _emit(json.dumps(result.to_dict()) + "\n", out)
+    p = TiltParams(beta, gamma)
+    if data2 is not None:
+        if theta0 is not None:
+            raise ValueError("--theta0 applies to the one-sample test only, not with --data2")
+        sample2 = _parse_sample(data2, None)
+        result = two_sample_statistic(sample, sample2, PoissonFamily(), p, levels=level)
+    else:
+        if theta0 is None:
+            raise ValueError("--theta0 is required for the one-sample test")
+        result = one_sample_test(sample, PoissonFamily(), theta0, p, levels=level)
+    _emit_json(result.to_dict(), out)
 
 
 @main.command()
@@ -211,19 +206,15 @@ def test_cmd(beta, gamma, data, data_file, data2, theta0, level, out):
 @click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv")
 def simulate(config_path, seed, replications, n_jobs, out, fmt):
     """Run a Monte-Carlo table and write it as CSV or JSON."""
-    try:
-        with open(config_path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-        if isinstance(raw, dict):  # from_dict rejects any other JSON value
-            if seed is not None:
-                raw["seed"] = seed
-            if replications is not None:
-                raw["replications"] = replications
-        config = SimulationConfig.from_dict(raw)
-        report = run_simulation(config, n_jobs=n_jobs)
-        emit_report(report, fmt, out)
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
-        _fail(str(exc))
+    with open(config_path, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    if isinstance(raw, dict):  # from_dict rejects any other JSON value
+        if seed is not None:
+            raw["seed"] = seed
+        if replications is not None:
+            raw["replications"] = replications
+    config = SimulationConfig.from_dict(raw)
+    emit_report(run_simulation(config, n_jobs=n_jobs), fmt, out)
 
 
 if __name__ == "__main__":

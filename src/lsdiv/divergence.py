@@ -65,7 +65,8 @@ def derive_exponents(beta: float, gamma: float) -> tuple[float, float]:
     is ``1 + beta`` exactly.
 
     Raises:
-        ValueError: if beta or gamma is not finite, or ``beta < 0``.
+        ValueError: if beta or gamma is not finite, ``beta < 0``, or A or B
+            overflows a double.
     """
     if not (math.isfinite(beta) and math.isfinite(gamma)):
         raise ValueError(f"beta and gamma must be finite, got beta={beta}, gamma={gamma}")
@@ -73,6 +74,11 @@ def derive_exponents(beta: float, gamma: float) -> tuple[float, float]:
         raise ValueError(f"beta must be >= 0, got {beta}")
     exp_a = 1.0 + gamma * (1.0 - beta)
     exp_b = beta - gamma * (1.0 - beta)
+    if not (math.isfinite(exp_a) and math.isfinite(exp_b)):
+        raise ValueError(
+            f"exponents A and B must be finite, got A={exp_a}, B={exp_b} "
+            f"at beta={beta}, gamma={gamma}"
+        )
     return exp_a, exp_b
 
 
@@ -253,6 +259,20 @@ def _s_combination(sf, sfg, sg, p: TiltParams):
     return sf / p.exp_a - (1.0 + p.beta) / (p.exp_a * p.exp_b) * sfg + sg / p.exp_b
 
 
+def _divergence(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams, psi: Psi) -> float:
+    """The divergence of :func:`gsd` with the link ``psi``; the log link
+    takes the A -> 0 continuity limit, which needs g on every cell."""
+    gv, fv = align(g, f)
+    logf, pos, logg = _log_inputs(gv, fv, p)
+    one_beta = 1.0 + p.beta
+    log_sg = _lse(one_beta * logg)
+    log_sf = _lse(one_beta * logf)
+    if abs(p.exp_a) < EXPONENT_BOUNDARY and psi is Psi.LOG:
+        # every cell is occupied here
+        return float(_zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta))
+    return float(_lsd_kernel(log_sf, logf[pos], logg, log_sg, p, psi=psi))
+
+
 def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
     """Logarithmic S-divergence between data density ``g`` and model ``f``.
 
@@ -261,15 +281,7 @@ def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
     returned (the raw formula is singular there); this covers in particular
     the likelihood-disparity member beta = gamma = 0.
     """
-    gv, fv = align(g, f)
-    logf, pos, logg = _log_inputs(gv, fv, p)
-    one_beta = 1.0 + p.beta
-    log_sg = _lse(one_beta * logg)
-    log_sf = _lse(one_beta * logf)
-    if abs(p.exp_a) < EXPONENT_BOUNDARY:
-        # every cell is occupied here
-        return float(_zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta))
-    return float(_lsd_kernel(log_sf, logf[pos], logg, log_sg, p))
+    return _divergence(g, f, p, Psi.LOG)
 
 
 def gsd(
@@ -277,19 +289,12 @@ def gsd(
 ) -> float:
     """Generalized S-divergence with the link ``psi``.
 
-    The log link delegates to :func:`lsd`; the identity link evaluates the
-    plain S-divergence from the exps of the same log sums, an OverflowError
-    where one exceeds a double.  The identity branch has no boundary-limit
+    The log link gives :func:`lsd`; the identity link evaluates the plain
+    S-divergence from the exps of the same log sums, an OverflowError where
+    one exceeds a double.  The identity branch has no boundary-limit
     handling (its members of interest keep both exponents away from zero).
     """
-    if psi is Psi.LOG:
-        return lsd(g, f, p)
-    gv, fv = align(g, f)
-    logf, pos, logg = _log_inputs(gv, fv, p)
-    one_beta = 1.0 + p.beta
-    return float(_lsd_kernel(
-        _lse(one_beta * logf), logf[pos], logg, _lse(one_beta * logg), p, psi=psi
-    ))
+    return _divergence(g, f, p, psi)
 
 
 def lpd(g: DiscreteDensity, f: DiscreteDensity, gamma: float) -> float:

@@ -466,8 +466,9 @@ class _FitStack:
         return _residual(logf, u, logf.reshape(-1)[pos], u.reshape(-1)[pos], self.a_logg, self.p)
 
 
-def _golden_section(fun, lo: float, hi: float, tol: float, max_iter: int):
-    """Golden-section minimization; returns (argmin, bracket, evaluations).
+def _golden_section(fun, lo: float, hi: float):
+    """Golden-section minimization to a bracket of ``_TOL_THETA`` or
+    ``_MAX_ITERATIONS`` steps; returns (argmin, bracket, evaluations).
 
     The safeguard of :func:`minimize_lsd` for a scan cell across which the
     residual does not fall from positive to negative.
@@ -476,7 +477,7 @@ def _golden_section(fun, lo: float, hi: float, tol: float, max_iter: int):
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = fun(x1), fun(x2)
     it = 0
-    while hi - lo > tol and it < max_iter:
+    while hi - lo > _TOL_THETA and it < _MAX_ITERATIONS:
         if f1 <= f2:  # ties shrink toward the smaller theta
             hi, x2, f2 = x2, x1, f1
             x1 = hi - GOLDEN * (hi - lo)
@@ -489,7 +490,7 @@ def _golden_section(fun, lo: float, hi: float, tol: float, max_iter: int):
     return (lo if f1 <= f2 else x2, (lo, hi), it)
 
 
-def _residual_root(res_fun, lo: float, v_lo: float, hi: float, v_hi: float, max_iter: int):
+def _residual_root(res_fun, lo: float, v_lo: float, hi: float, v_hi: float):
     """Root of the residual on [lo, hi], whose end values v_lo and v_hi differ
     in sign, by brentq; returns (root, residual at root, bracket, iterations).
 
@@ -505,7 +506,7 @@ def _residual_root(res_fun, lo: float, v_lo: float, hi: float, v_hi: float, max_
         return seen[theta]
 
     root, info = brentq(
-        fun, lo, hi, xtol=_XTOL, maxiter=max_iter, full_output=True, disp=False
+        fun, lo, hi, xtol=_XTOL, maxiter=_MAX_ITERATIONS, full_output=True, disp=False
     )
     res = fun(root)
     if res == 0.0:
@@ -515,7 +516,7 @@ def _residual_root(res_fun, lo: float, v_lo: float, hi: float, v_hi: float, max_
     return root, res, (below, above), info.iterations
 
 
-def _residual_roots(res_fun, x1, f1, x2, f2, active, max_iter: int):
+def _residual_roots(res_fun, x1, f1, x2, f2, active):
     """Roots of the stacked residual on the rows where ``active``, each on
     [x1, x2] with f1 > 0 > f2 there, by Chandrupatla's method: inverse
     quadratic interpolation where the last three points trust it, bisection
@@ -536,7 +537,7 @@ def _residual_roots(res_fun, x1, f1, x2, f2, active, max_iter: int):
             root, res = np.where(near, x1, x2), np.where(near, f1, f2)
             tol = _RTOL * np.abs(root) + _XTOL
             dx = np.abs(x2 - x1)
-            active = active & (res != 0.0) & (dx >= tol) & (iterations < max_iter)
+            active = active & (res != 0.0) & (dx >= tol) & (iterations < _MAX_ITERATIONS)
             if not active.any():
                 break
             tl = 0.5 * tol / dx
@@ -569,16 +570,12 @@ def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float)
     """Golden section on a scan cell across which the residual does not fall
     from positive to negative, refined on the residual where it changes sign
     nearby; returns (theta_hat, residual, bracket, iterations)."""
-    theta_hat, bracket, iterations = _golden_section(
-        ctx.objective, g_lo, g_hi, _TOL_THETA, _MAX_ITERATIONS
-    )
+    theta_hat, bracket, iterations = _golden_section(ctx.objective, g_lo, g_hi)
     res = ctx.residual(theta_hat)
     r_lo, r_hi = max(lo, theta_hat - _REFINE_HALF), min(hi, theta_hat + _REFINE_HALF)
     v_lo, v_hi = ctx.residual(r_lo), ctx.residual(r_hi)
     if v_lo * v_hi < 0:
-        theta_hat, res, bracket, _ = _residual_root(
-            ctx.residual, r_lo, v_lo, r_hi, v_hi, _MAX_ITERATIONS
-        )
+        theta_hat, res, bracket, _ = _residual_root(ctx.residual, r_lo, v_lo, r_hi, v_hi)
     return theta_hat, res, bracket, iterations
 
 
@@ -630,9 +627,7 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
             ctx = _FitContext(part, k, p, log_sg[k])
             v_lo, v_hi = ctx.residual(g_lo[k]), ctx.residual(g_hi[k])
             if v_lo > 0 > v_hi:
-                fit = _residual_root(
-                    ctx.residual, g_lo[k], v_lo, g_hi[k], v_hi, _MAX_ITERATIONS
-                )
+                fit = _residual_root(ctx.residual, g_lo[k], v_lo, g_hi[k], v_hi)
             else:
                 fit = _safeguard(ctx, part.lo[k], part.hi[k], g_lo[k], g_hi[k])
             out[i] = _result(*fit, ctx.objective(fit[0]), boundary_hit[k])
@@ -644,7 +639,7 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
     v_lo, v_hi = stack.residual(g_lo), stack.residual(g_hi)
     falls = (v_lo > 0) & (v_hi < 0)
     root, res, b_lo, b_hi, iterations = _residual_roots(
-        stack.residual, g_lo, v_lo, g_hi, v_hi, falls, _MAX_ITERATIONS
+        stack.residual, g_lo, v_lo, g_hi, v_hi, falls
     )
     fits = [
         (root[k], res[k], (b_lo[k], b_hi[k]), iterations[k]) if falls[k]

@@ -28,7 +28,7 @@ import numbers
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.special import gammaincinv
@@ -144,25 +144,12 @@ class SimulationConfig:
         return self.theta_true if self.theta_target is None else self.theta_target
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind.value,
-            "n": self.n,
-            "replications": self.replications,
-            "theta_true": self.theta_true,
-            "theta_null": self.theta_null,
-            "theta_target": self.theta_target,
-            "grid_beta": list(self.grid_beta),
-            "grid_gamma": list(self.grid_gamma),
-            "seed": self.seed,
-            "level": self.level,
-            "contamination": None,
-        }
+        """The config as JSON values: enums as their values, grids as lists."""
+        d = asdict(self)
+        d["kind"] = self.kind.value
+        d["grid_beta"], d["grid_gamma"] = list(self.grid_beta), list(self.grid_gamma)
         if self.contamination is not None:
-            d["contamination"] = {
-                "eps": self.contamination.eps,
-                "theta_contam": self.contamination.theta_contam,
-                "scheme": self.contamination.scheme.value,
-            }
+            d["contamination"]["scheme"] = self.contamination.scheme.value
         return d
 
     @classmethod
@@ -209,35 +196,11 @@ class SimulationReport:
     wall_time: float = 0.0  # seconds the runner took; informational only, never serialized
 
     def to_dict(self) -> dict:
-        return {
-            "metadata": self.metadata,
-            "cells": [
-                {
-                    "beta": c.beta,
-                    "gamma": c.gamma,
-                    "metrics": c.metrics,
-                    "replications": c.replications,
-                    "failures": c.failures,
-                }
-                for c in self.cells
-            ],
-        }
+        return {"metadata": self.metadata, "cells": [asdict(c) for c in self.cells]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "SimulationReport":
-        return cls(
-            cells=[
-                CellResult(
-                    beta=c["beta"],
-                    gamma=c["gamma"],
-                    metrics=c["metrics"],
-                    replications=c["replications"],
-                    failures=c["failures"],
-                )
-                for c in d["cells"]
-            ],
-            metadata=d["metadata"],
-        )
+        return cls(cells=[CellResult(**c) for c in d["cells"]], metadata=d["metadata"])
 
 
 # ---------------------------------------------------------------------------
@@ -564,7 +527,8 @@ def report_to_csv(report: SimulationReport) -> str:
 
 
 def report_to_json(report: SimulationReport) -> str:
-    return json.dumps(report.to_dict(), sort_keys=True, indent=2) + "\n"
+    """The report as JSON; a NaN or infinite number in it is a ValueError."""
+    return json.dumps(report.to_dict(), sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def emit_report(report: SimulationReport, format: str, path) -> None:

@@ -6,6 +6,7 @@ import pytest
 from lsdiv import (
     DivergenceInfiniteError,
     PoissonFamily,
+    SingularityError,
     TiltParams,
     bias_curves,
     density_vector,
@@ -336,3 +337,23 @@ class TestPointContaminated:
         f = density_vector(family, 2.0, 1e-6)
         g = point_contaminated(f, 40, 0.05)
         assert g.offset + g.mass.size > 40
+
+
+class TestSingularModelInformation:
+    """At theta = 50, beta = 10 the tilted moments make J0 = c0 c2 - c1^2
+    vanish to within 1e-12; every model-case influence raises there, the
+    second-order ones through their first-order factor."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda fam, p: if_first_order(3, None, fam, 50.0, p),
+            lambda fam, p: if_second_order(3, fam, 50.0, p),
+            lambda fam, p: second_order_test_influence(3, fam, 50.0, p),
+            lambda fam, p: bias_curves(3, fam, 50.0, p, [0.0, 0.1]),
+        ],
+        ids=["if_first_order", "if_second_order", "second_order_test_influence", "bias_curves"],
+    )
+    def test_raises_singularity_error(self, family, call):
+        with pytest.raises(SingularityError, match="J0 is singular"):
+            call(family, TiltParams(10.0, 0.0))

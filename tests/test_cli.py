@@ -485,3 +485,84 @@ class TestFileErrors:
             main, ["estimate", "--beta", "0.2", "--gamma", "0", "--data-file", str(path)]
         )
         self.assert_json_error(result)
+
+
+def _no_constant(name):
+    raise AssertionError(f"{name} is not JSON")
+
+
+class TestJsonOutput:
+    """Every JSON object the CLI prints is strict JSON: a NaN or an infinity
+    in a result is one error instead."""
+
+    PRINTERS = {
+        "divergence-log": TestFileErrors.EMITTERS["divergence"],
+        "divergence-identity": TestFileErrors.EMITTERS["divergence"] + ["--psi", "identity"],
+        "estimate": TestFileErrors.EMITTERS["estimate"],
+        "test-one-sample": TestFileErrors.EMITTERS["test"] + ["--level", "0.1"],
+        "test-two-sample": ["test", "--beta", "0.2", "--gamma", "0.1", "--data", "1,2,3,2,5",
+                            "--data2", "2,3,4,4,6"],
+    }
+
+    @pytest.mark.parametrize("name", sorted(PRINTERS))
+    def test_stdout_is_strict_json(self, runner, name):
+        result = run_ok(runner, self.PRINTERS[name])
+        assert isinstance(json.loads(result.stdout, parse_constant=_no_constant), dict)
+
+    def test_simulate_report_is_strict_json(self, runner, tmp_path):
+        config = TestSimulateCommand.write_config(tmp_path)
+        out = tmp_path / "report.json"
+        run_ok(runner, ["simulate", "--config", str(config), "--out", str(out), "--format", "json"])
+        json.loads(out.read_text(), parse_constant=_no_constant)
+
+    @pytest.mark.parametrize(
+        "args,message",
+        [
+            # A = -inf and B = inf: the tilt itself is refused
+            (["divergence", "--beta", "1e300", "--gamma", "1e300",
+              "--theta-g", "2", "--theta-f", "3"], "A and B must be finite"),
+            (["divergence", "--beta", "1e154", "--gamma", "1e155",
+              "--theta-g", "2", "--theta-f", "3"], "A and B must be finite"),
+            # A = 1e5 + 1: the fit's residual is NaN
+            (["estimate", "--beta", "0", "--gamma", "1e5", "--data", "1,2,3,3,4"],
+             "not finite"),
+            (["influence", "--beta", "10", "--gamma", "0", "--theta", "50", "--y-max", "3"],
+             "J0 is singular"),
+        ],
+        ids=["divergence-nan", "divergence-exponent-overflow", "estimate-nan-residual",
+             "influence-singular"],
+    )
+    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    def test_non_finite_result_is_one_error(self, runner, args, message):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        (line,) = result.stderr.strip().splitlines()
+        assert message in json.loads(line, parse_constant=_no_constant)["error"]
+
+    def test_closed_stdout_exits_quietly(self):
+        # as click's own handler does: exit status 1 and no error line for a
+        # reader that went away; the child waits until its stdout is closed
+        src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        code = (
+            "import sys; sys.path[:0] = sys.argv[1:2]\n"
+            "from lsdiv.cli import main\n"
+            "sys.stdin.readline()\n"
+            "main(sys.argv[2:])\n"
+        )
+        args = ["influence", "--beta", "0.5", "--gamma", "0", "--theta", "4", "--y-max", "150"]
+        child = subprocess.Popen(
+            [sys.executable, "-c", code, src, *args],
+            stdin=subprocess.PIPE, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        child.stdout.close()
+        _, err = child.communicate(b"\n", timeout=60)
+        assert child.returncode == 1
+        assert err == b""
+
+    def test_usage_error_keeps_exit_status_two(self, runner):
+        result = runner.invoke(main, ["estimate", "--beta", "abc", "--gamma", "0", "--data", "1"])
+        assert result.exit_code == 2
+        assert "Invalid value for '--beta'" in result.stderr

@@ -269,3 +269,37 @@ class TestNamedSpecials:
                 assert ld(g, f) == pytest.approx(
                     lsd(g, f, TiltParams(0.0, 0.0)), abs=1e-10
                 )
+
+
+_G = DiscreteDensity(0, [0.2, 0.3, 0.5])
+_F = DiscreteDensity(0, [0.3, 0.4, 0.3])
+_GAP = DiscreteDensity(0, [0.5, 0.0, 0.5])  # an empty cell, as data or as model
+
+
+class TestTypedErrors:
+    """Each evaluator's typed error on the input that reaches it."""
+
+    @pytest.mark.parametrize(
+        "call,error,match",
+        [
+            (lambda: TiltParams(1e154, 1e155), ValueError, "A and B must be finite"),
+            (lambda: TiltParams(1e300, 1e300), ValueError, "A and B must be finite"),
+            (lambda: DiscreteDensity(0, np.ones((2, 2))), ValueError, "1-d"),
+            (lambda: DiscreteDensity(0, np.array([])), ValueError, "non-empty"),
+            (lambda: lsd(DiscreteDensity(0, np.zeros(3)), _F, TiltParams(0.5, 0.1)),
+             ValueError, "no positive mass"),
+            (lambda: lpd(_G, _GAP, 0.5), ValueError, "positive on the window"),
+            (lambda: ldpd(_G, _GAP, 0.5), ValueError, "positive on the window"),
+            (lambda: ld(_G, _GAP), ValueError, "positive on the window"),
+            (lambda: lpd(_GAP, _F, -1.5), DivergenceInfiniteError, "gamma < -1"),
+            (lambda: ldpd(_G, _F, 0.0), ValueError, "beta > 0"),
+        ],
+        ids=[
+            "tilt-exponents-overflow", "tilt-exponents-nan", "density-2d", "density-empty",
+            "lsd-empty-data", "lpd-zero-model-mass", "ldpd-zero-model-mass",
+            "ld-zero-model-mass", "lpd-empty-cell-gamma-below-minus-one", "ldpd-beta-zero",
+        ],
+    )
+    def test_raises(self, call, error, match):
+        with pytest.raises(error, match=match):
+            call()

@@ -321,7 +321,7 @@ class TestResidualRoot:
             r_n = empirical_frequencies(sample)
             fit = minimize_lsd(r_n, family, p)
             ctx, g_lo, g_hi = scan_cell(r_n, p)
-            theta, _, _ = _golden_section(ctx.objective, g_lo, g_hi, 1e-8, 200)
+            theta, _, _ = _golden_section(ctx.objective, g_lo, g_hi)
             ref = brentq(ctx.residual, theta - 1e-5, theta + 1e-5, xtol=1e-12)
             assert fit.converged
             assert abs(fit.theta_hat - ref) <= 1e-10
@@ -416,20 +416,20 @@ class TestResidualRoot:
     @pytest.mark.parametrize("offset", [3e-6, -3e-6])
     def test_safeguard_refines_on_a_nearby_residual_root(self, offset):
         ctx = self.StandInContext(2.0 + offset)
-        golden, bracket, iterations = _golden_section(ctx.objective, 1.5, 2.5, _TOL_THETA, 200)
+        golden, bracket, iterations = _golden_section(ctx.objective, 1.5, 2.5)
         assert abs(golden - 2.0) <= _TOL_THETA
         theta_hat, res, fit_bracket, fit_iterations = _safeguard(ctx, 1.0, 3.0, 1.5, 2.5)
         assert abs(theta_hat - ctx.root) <= 1e-12 and abs(res) <= 1e-12
         # the bracket is the refinement's, which holds theta_hat, and the
         # iterations are golden section's
         r_lo, r_hi = golden - _REFINE_HALF, golden + _REFINE_HALF
-        root = _residual_root(ctx.residual, r_lo, ctx.residual(r_lo), r_hi, ctx.residual(r_hi), 200)
+        root = _residual_root(ctx.residual, r_lo, ctx.residual(r_lo), r_hi, ctx.residual(r_hi))
         assert fit_bracket[0] <= theta_hat <= fit_bracket[1]
         assert (fit_bracket, fit_iterations) == (root[2], iterations)
 
     def test_safeguard_keeps_golden_result_without_a_nearby_root(self):
         ctx = self.StandInContext(2.0 + 3e-5)
-        golden, bracket, iterations = _golden_section(ctx.objective, 1.5, 2.5, _TOL_THETA, 200)
+        golden, bracket, iterations = _golden_section(ctx.objective, 1.5, 2.5)
         assert _safeguard(ctx, 1.0, 3.0, 1.5, 2.5) == (
             golden, ctx.residual(golden), bracket, iterations
         )
@@ -534,7 +534,7 @@ class TestStackedFits:
             return c - theta**2
 
         root, res, lo, hi, iterations = _residual_roots(
-            fun, x1, fun(x1), x2, fun(x2), np.ones(3, dtype=bool), 200
+            fun, x1, fun(x1), x2, fun(x2), np.ones(3, dtype=bool)
         )
         assert (root[1], res[1], lo[1], hi[1], iterations[1]) == (2.0, 0.0, 2.0, 2.0, 1)
         for i in (0, 2):
@@ -850,6 +850,14 @@ class TestOracleEquivalence:
                 r_n, family, p, max(1e-3, mean / 5.0), 5.0 * mean + 5.0
             )
             assert fast.theta_hat == pytest.approx(oracle, abs=1e-4), (beta, gamma)
+
+    @pytest.mark.parametrize(
+        "lo,hi,pitch", [(1.0, 3.0, 0.0), (1.0, 3.0, -0.1), (3.0, 1.0, 0.1), (2.0, 2.0, 0.1)]
+    )
+    def test_oracle_rejects_an_empty_grid(self, family, lo, hi, pitch):
+        r_n = empirical_frequencies(np.array([1, 2, 3]))
+        with pytest.raises(ValueError, match="pitch > 0"):
+            oracle_grid_minimize(r_n, family, TiltParams(0.5, 0.1), lo, hi, pitch)
 
 
 class TestLocationFamilyEquivalence:

@@ -294,6 +294,25 @@ class TestSimulationConfig:
         again = SimulationConfig.from_dict(json.loads(json.dumps(config.to_dict())))
         assert again == config
 
+    @pytest.mark.parametrize(
+        "contamination",
+        [None, Contamination(0.2, 9.0, ContaminationScheme.MIXTURE_DRAW)],
+        ids=["none", "mixture"],
+    )
+    def test_to_dict_holds_json_values(self, contamination):
+        config = small_estimation_config(contamination=contamination, theta_null=3.0)
+        d = config.to_dict()
+        assert d == {
+            "kind": "estimation_bias", "n": 25, "theta_true": 4.0, "replications": 12,
+            "theta_null": 3.0, "theta_target": None,
+            "contamination": contamination and {
+                "eps": 0.2, "theta_contam": 9.0, "scheme": "mixture_draw"
+            },
+            "grid_beta": [0.0, 0.5], "grid_gamma": [0.0, -1.0], "seed": 99, "level": 0.05,
+        }
+        again = SimulationConfig.from_dict(json.loads(json.dumps(d, allow_nan=False)))
+        assert again == config
+
     def test_target_defaults_to_theta_true(self):
         config = small_estimation_config()
         assert config.target() == 4.0
@@ -304,6 +323,33 @@ class TestSimulationConfig:
             small_estimation_config(replications=0)
         with pytest.raises(ValueError):
             small_estimation_config(grid_gamma=())
+
+    @pytest.mark.parametrize(
+        "make,match",
+        [
+            (lambda: Contamination(0.1, 0.0, ContaminationScheme.MIXTURE_DRAW), "theta_contam"),
+            (lambda: Contamination(0.1, -1.0, ContaminationScheme.MIXTURE_DRAW), "theta_contam"),
+            (lambda: Contamination(0.1, 5.0, "mixture_draw"), "unknown contamination scheme"),
+            (lambda: small_estimation_config(kind="estimation_bias"), "unknown simulation kind"),
+            (lambda: small_estimation_config(level=1.5), "level must lie in"),
+            (lambda: small_estimation_config(contamination={"eps": 0.1}), "bad contamination"),
+            (lambda: small_estimation_config(grid_beta=(0.5, -0.1)), "grid_beta entries"),
+            (lambda: SimulationConfig.from_dict(
+                {"kind": "estimation_bias", "n": 10, "theta_true": 2.0, "contamination": [0.1]}
+            ), "contamination must be a JSON object"),
+            (lambda: run_estimation_sim(small_estimation_config(
+                kind=SimKind.TESTING_LEVEL, theta_null=4.0
+            )), "ESTIMATION_BIAS"),
+        ],
+        ids=[
+            "theta-contam-zero", "theta-contam-negative", "scheme-string", "kind-string",
+            "level-above-one", "contamination-dict", "grid-beta-negative",
+            "from-dict-contamination-list", "estimation-runner-testing-config",
+        ],
+    )
+    def test_typed_errors(self, make, match):
+        with pytest.raises(ValueError, match=match):
+            make()
 
 
 class TestRunners:
@@ -562,7 +608,14 @@ class TestDeterminismAndReports:
     def test_json_round_trip(self):
         report = run_estimation_sim(small_estimation_config(replications=4))
         again = SimulationReport.from_dict(json.loads(report_to_json(report)))
+        assert again.cells == report.cells and again.metadata == report.metadata
         assert report_to_json(again) == report_to_json(report)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_json_refuses_a_non_finite_metric(self, value):
+        cell = simulate.CellResult(0.0, 0.0, {"bias": value, "mse": 1.0}, 10, 0)
+        with pytest.raises(ValueError):
+            report_to_json(SimulationReport([cell], {}))
 
     def test_emit_unknown_format(self, tmp_path):
         report = run_estimation_sim(small_estimation_config(replications=2))
