@@ -5,11 +5,11 @@ sample mean.  A coarse scan guards against the multimodality that appears
 for large gamma under contamination and picks the best grid cell.  Since
 the estimating-equation residual has the sign opposite to the objective's
 derivative (for A > 0), the minimizer in that cell is the root of the
-residual, found by brentq whenever the residual falls from positive to
-negative across the cell.  Otherwise (the scan's best cell at a bracket
-edge, or a degenerate sample) golden-section search narrows the cell and a
-residual root refinement restores full precision when the residual changes
-sign nearby.
+residual, found by Chandrupatla's method whenever the residual falls from
+positive to negative across the cell.  Otherwise (the scan's best cell at
+a bracket edge, or a degenerate sample) golden-section search narrows the
+cell and a residual root refinement restores full precision when the
+residual changes sign nearby.
 
 Every fit starts from a sample part (:class:`_SamplePart`): the tilt-free
 state of one or more samples as rows, built in a few array passes (each
@@ -20,8 +20,8 @@ the memoised model terms, log sum g^(1+beta), A log g and the scan kernel.
 builds one part for all its densities, and the simulation harness one per
 chunk of drawn samples, which it fits at every cell of a table.  The scan
 of every row runs in blocks of rows, each summed over its cells axis; the
-residuals, roots (by Chandrupatla's method) and final objectives of a part
-of four rows or more run as (rows x window) array passes.
+residuals, roots and final objectives of a part of four rows or more run
+as (rows x window) array passes, and a smaller part's roots on floats.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .divergence import (
     EXPONENT_BOUNDARY,
@@ -79,13 +78,13 @@ _BRACKET_END = np.isin(np.arange(_N_SCAN), [0, _N_SCAN - 1])
 # to hit.
 _MEMO_SIZE = 1024
 
-# Tolerances of a residual root: brentq's xtol as the fit passes it, and
-# its default rtol.
+# A root's solve stops once its bracket is narrower than
+# _RTOL * |root| + _XTOL (Python floats, as the scalar solver's arithmetic).
 _XTOL = 1e-12
-_RTOL = 4.0 * np.finfo(float).eps
+_RTOL = 4.0 * math.ulp(1.0)
 
 # A converged fit's largest estimating-equation residual, and each solver's
-# step budget (brentq's, Chandrupatla's and golden section's).
+# step budget (the root solver's and golden section's).
 _TOL_EE = 1e-6
 _MAX_ITERATIONS = 200
 
@@ -109,12 +108,12 @@ def _is_real(value) -> bool:
 class EstimatorResult:
     """A fit's estimate and diagnostics.
 
-    ``iterations`` counts the root solver's steps on the residual (brentq's,
-    or Chandrupatla's in :func:`minimize_lsd_many`), or golden-section steps
-    where that safeguard ran.  ``bracket`` is the tightest interval
-    around ``theta_hat`` whose ends were evaluated with residual > 0 (low
-    end) and < 0 (high end), ``(theta_hat, theta_hat)`` on an exact zero, or
-    the golden-section interval where the safeguard ran and did not refine.
+    ``iterations`` counts the root solver's steps on the residual
+    (Chandrupatla's method), or golden-section steps where that safeguard
+    ran.  ``bracket`` is the tightest interval around ``theta_hat`` whose
+    ends were evaluated with residual > 0 (low end) and < 0 (high end),
+    ``(theta_hat, theta_hat)`` on an exact zero, or the golden-section
+    interval where the safeguard ran and did not refine.
     """
 
     theta_hat: float
@@ -468,11 +467,7 @@ class _FitStack:
 
 def _golden_section(fun, lo: float, hi: float):
     """Golden-section minimization to a bracket of ``_TOL_THETA`` or
-    ``_MAX_ITERATIONS`` steps; returns (argmin, bracket, evaluations).
-
-    The safeguard of :func:`minimize_lsd` for a scan cell across which the
-    residual does not fall from positive to negative.
-    """
+    ``_MAX_ITERATIONS`` steps; returns (argmin, bracket, evaluations)."""
     x1 = hi - GOLDEN * (hi - lo)
     x2 = lo + GOLDEN * (hi - lo)
     f1, f2 = fun(x1), fun(x2)
@@ -490,43 +485,58 @@ def _golden_section(fun, lo: float, hi: float):
     return (lo if f1 <= f2 else x2, (lo, hi), it)
 
 
+def _interpolation(x1, f1, x2, f2, x3, f3, sqrt):
+    """Chandrupatla's test and step on the bracket (x1, x2) that x3 just left,
+    on floats (``math.sqrt``) or arrays (``np.sqrt``): whether inverse
+    quadratic interpolation is trusted, and its step as a fraction of x2 - x1.
+    Where numpy's inf or NaN fails the test, floats raise instead."""
+    xi = (x1 - x2) / (x3 - x2)
+    phi = (f1 - f2) / (f3 - f2)
+    alpha = (x3 - x1) / (x2 - x1)
+    trusted = (1.0 - sqrt(1.0 - xi) < phi) & (phi < sqrt(xi))
+    return trusted, f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+
+
 def _residual_root(res_fun, lo: float, v_lo: float, hi: float, v_hi: float):
     """Root of the residual on [lo, hi], whose end values v_lo and v_hi differ
-    in sign, by brentq; returns (root, residual at root, bracket, iterations).
-
-    The bracket is the tightest interval around the root whose ends were
-    evaluated with the sign of v_lo (low end) and of v_hi (high end); it is
-    (root, root) on an exact zero.
-    """
-    seen = {lo: v_lo, hi: v_hi}
-
-    def fun(theta):
-        if theta not in seen:
-            seen[theta] = res_fun(theta)
-        return seen[theta]
-
-    root, info = brentq(
-        fun, lo, hi, xtol=_XTOL, maxiter=_MAX_ITERATIONS, full_output=True, disp=False
-    )
-    res = fun(root)
-    if res == 0.0:
-        return root, res, (root, root), info.iterations
-    below = max(t for t, v in seen.items() if t <= root and v * v_lo > 0)
-    above = min(t for t, v in seen.items() if t >= root and v * v_hi > 0)
-    return root, res, (below, above), info.iterations
+    in sign, by :func:`_residual_roots`' steps on one row, on floats and with
+    its results bit for bit: (root, residual at root, bracket, iterations).
+    The bracket is (root, root) on an exact zero, else the two ends kept,
+    the low one with the sign of v_lo."""
+    x1, f1, x2, f2 = float(lo), float(v_lo), float(hi), float(v_hi)
+    t, iterations = 0.5, 0
+    while True:
+        root, res = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
+        tol = _RTOL * abs(root) + _XTOL
+        dx = abs(x2 - x1)
+        if not (res != 0.0 and dx >= tol and iterations < _MAX_ITERATIONS):
+            break
+        tl = 0.5 * tol / dx
+        xt = x1 + min(max(t, tl), 1.0 - tl) * (x2 - x1)
+        ft = float(res_fun(xt))
+        # x1 and x2 trade unless np.sign(ft) == np.sign(f1); xt drops x1 to x3
+        if not (ft > 0.0 < f1 or ft < 0.0 > f1 or ft == 0.0 == f1):
+            x1, f1, x2, f2 = x2, f2, x1, f1
+        x3, f3, x1, f1 = x1, f1, xt, ft
+        iterations += 1
+        try:
+            trusted, step = _interpolation(x1, f1, x2, f2, x3, f3, math.sqrt)
+        except (ZeroDivisionError, ValueError):
+            trusted = False
+        t = step if trusted else 0.5
+    return root, res, (root, root) if res == 0.0 else (min(x1, x2), max(x1, x2)), iterations
 
 
 def _residual_roots(res_fun, x1, f1, x2, f2, active):
     """Roots of the stacked residual on the rows where ``active``, each on
     [x1, x2] with f1 > 0 > f2 there, by Chandrupatla's method: inverse
-    quadratic interpolation where the last three points trust it, bisection
-    elsewhere, each step at least half the tolerance inside the bracket.
-
-    Every step evaluates ``res_fun`` at one theta per row (a row that is
-    done at a point it has seen).  A row stops on an exact zero or once its
-    bracket is narrower than brentq's tolerance.  Returns arrays (root,
-    residual at root, bracket low end, bracket high end, iterations) with
-    the meanings of :func:`_residual_root`'s results.
+    quadratic interpolation where :func:`_interpolation` trusts it,
+    bisection elsewhere, each step at least half the tolerance inside the
+    bracket.  Every step evaluates ``res_fun`` at one theta per row (a row
+    that is done at a point it has seen).  A row stops on an exact zero,
+    a bracket narrower than the tolerance or after ``_MAX_ITERATIONS``
+    steps.  Returns arrays (root, residual at root, bracket low end,
+    bracket high end, iterations), each row as :func:`_residual_root`'s.
     """
     x3, f3 = x2, f2
     t = np.full(x1.shape, 0.5)
@@ -552,15 +562,8 @@ def _residual_roots(res_fun, x1, f1, x2, f2, active):
             x2, f2 = np.where(other, x1, x2), np.where(other, f1, f2)
             x1, f1 = np.where(active, xt, x1), np.where(active, ft, f1)
             iterations += active
-            xi = (x1 - x2) / (x3 - x2)
-            phi = (f1 - f2) / (f3 - f2)
-            alpha = (x3 - x1) / (x2 - x1)
-            iqi = (1.0 - np.sqrt(1.0 - xi) < phi) & (phi < np.sqrt(xi))
-            t = np.where(
-                iqi,
-                f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3),
-                0.5,
-            )
+            trusted, step = _interpolation(x1, f1, x2, f2, x3, f3, np.sqrt)
+            t = np.where(trusted, step, 0.5)
     lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
     exact = res == 0.0
     return root, res, np.where(exact, root, lo), np.where(exact, root, hi), iterations
@@ -603,11 +606,11 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> list:
     object of its own).
 
     Every row is scanned in one blocked pass, and a part of fewer than
-    ``_MIN_STACK`` rows is fitted row by row on the scalar path (brentq on
-    the residual of the scan cell, or the golden-section safeguard), all on
+    ``_MIN_STACK`` rows is fitted row by row on the scalar path (the root of
+    the residual on the scan cell, or the golden-section safeguard), all on
     the rows' bracket windows.  Otherwise the residual at every row's scan
     cell ends, the roots where it falls from positive to negative there
-    (Chandrupatla's method in place of brentq) and the final objectives run
+    (the same Chandrupatla steps, row by row) and the final objectives run
     as array passes of a :class:`_FitStack` on one window of the highest
     theta they reach; the other rows take the scalar safeguard.
     """
@@ -675,19 +678,13 @@ def minimize_lsd_many(densities, family: PoissonFamily, p: TiltParams) -> list:
     for ``densities[i]``, or the ValueError or ArithmeticError it raises
     (as an exception object of its own, leaving the other rows alone).
 
-    The densities become the rows of one sample part (see
-    :class:`_SamplePart`), each placed at its offset: one pass builds every
-    row's bracket, grid, window, occupied cells and log f on grid x
-    occupied cells.  The coarse scans of all rows run in blocks of rows (see
-    :meth:`_SamplePart.scan_objective`).  The residual at every row's scan
-    cell ends, the roots of the rows whose residual falls
-    from positive to negative there (Chandrupatla's method in place of
-    brentq) and the final objectives run as (rows x window) array passes;
-    the other rows take :func:`minimize_lsd`'s golden-section safeguard.  A
-    row's estimate agrees with minimize_lsd's within the root tolerance,
-    and its padded sums make its values depend in the last bits on which
-    rows share the call.  Fewer than four densities are fitted one by one
-    as minimize_lsd fits them.
+    The densities, each placed at its offset, become the rows of one
+    sample part (see :class:`_SamplePart`) that :func:`_fit_part` fits.
+    Fewer than four are fitted one by one as minimize_lsd fits them; the
+    rows of more are solved in (rows x window) array passes, whose padded
+    sums make a row's values depend in the last bits on the rows that share
+    the call, and its estimate agree with minimize_lsd's within the root
+    tolerance.
     """
     return _fit_part(_SamplePart.from_densities(densities, family), p)
 

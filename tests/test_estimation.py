@@ -1,5 +1,6 @@
 """Minimum-divergence estimation: frequencies, optimizer, oracle, residual."""
 
+import itertools
 import os
 import subprocess
 import sys
@@ -29,10 +30,13 @@ from lsdiv import (
 )
 from lsdiv.divergence import _lse
 from lsdiv.estimation import (
+    _MAX_ITERATIONS,
     _N_SCAN,
     _REFINE_HALF,
+    _RTOL,
     _SCAN_BLOCK,
     _TOL_THETA,
+    _XTOL,
     _FitContext,
     _FitStack,
     _SamplePart,
@@ -435,6 +439,130 @@ class TestResidualRoot:
         )
 
 
+def row_root(res_fun, lo, v_lo, hi, v_hi):
+    """_residual_roots on one row of a float residual, shaped as
+    _residual_root's result."""
+    root, res, b_lo, b_hi, iterations = _residual_roots(
+        lambda theta: np.array([res_fun(float(theta[0]))]),
+        np.array([lo]), np.array([v_lo]), np.array([hi]), np.array([v_hi]), np.array([True]),
+    )
+    return root[0], res[0], (b_lo[0], b_hi[0]), iterations[0]
+
+
+def bits(fit):
+    """A root solver's result with every float as its exact bits (NaN equal
+    to NaN, -0.0 apart from 0.0)."""
+    root, res, (lo, hi), iterations = fit
+    return tuple(float(v).hex() for v in (root, res, lo, hi)) + (int(iterations),)
+
+
+def table_cell_residual(seed, rep, tilt):
+    """The residual of an est_table-shaped sample's fit at a tilt, and its
+    scan cell ends with their values."""
+    contam = Contamination(0.1, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+    r_n = empirical_frequencies(contaminated_sample(50, 4.0, contam, replication_rng(seed, rep)))
+    ctx, g_lo, g_hi = scan_cell(r_n, TiltParams(*tilt))
+    return ctx.residual, g_lo, ctx.residual(g_lo), g_hi, ctx.residual(g_hi)
+
+
+def quadratic(c, sign):
+    """sign * (c - theta^2), whose root is sqrt(c)."""
+    return lambda theta: sign * (c - theta * theta)
+
+
+class TestScalarRootSolver:
+    """_residual_root is _residual_roots' Chandrupatla method on one row,
+    taken on floats: the same steps and the same bits, brentq's root within
+    the tolerance, and no float exception where numpy's inf or NaN would
+    send the array driver to bisection."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rep=st.integers(0, 2**20),
+           tilt=st.sampled_from(SOLVER_TILTS))
+    def test_table_roots_equal_the_array_row_bit_for_bit(self, seed, rep, tilt):
+        fun, lo, v_lo, hi, v_hi = table_cell_residual(seed, rep, tilt)
+        if v_lo > 0 > v_hi:
+            fit = _residual_root(fun, lo, v_lo, hi, v_hi)
+            assert bits(fit) == bits(row_root(fun, lo, v_lo, hi, v_hi))
+            assert 1 <= fit[3] <= 10
+
+    @settings(max_examples=200, deadline=None)
+    @given(c=st.floats(1e-6, 1e6), a=st.floats(0.0, 0.999), b=st.floats(1.001, 20.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_quadratic_roots_equal_the_array_row_bit_for_bit(self, c, a, b, sign):
+        fun, lo, hi = quadratic(c, sign), a * c**0.5, b * c**0.5
+        v_lo, v_hi = fun(lo), fun(hi)
+        if v_lo * v_hi < 0:
+            fit = _residual_root(fun, lo, v_lo, hi, v_hi)
+            assert bits(fit) == bits(row_root(fun, lo, v_lo, hi, v_hi))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), rep=st.integers(0, 2**20),
+           tilt=st.sampled_from(SOLVER_TILTS))
+    def test_roots_agree_with_brentq(self, seed, rep, tilt):
+        fun, lo, v_lo, hi, v_hi = table_cell_residual(seed, rep, tilt)
+        if v_lo > 0 > v_hi:
+            root = _residual_root(fun, lo, v_lo, hi, v_hi)[0]
+            assert abs(root - brentq(fun, lo, hi, xtol=_XTOL)) <= _XTOL + _RTOL * abs(root)
+
+    @settings(max_examples=100, deadline=None)
+    @given(c=st.floats(1e-3, 1e4), a=st.floats(0.0, 0.999), b=st.floats(1.001, 20.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_bracket_ends_carry_the_end_signs(self, c, a, b, sign):
+        fun, lo, hi = quadratic(c, sign), a * c**0.5, b * c**0.5
+        v_lo, v_hi = fun(lo), fun(hi)
+        if v_lo * v_hi < 0:
+            root, res, (b_lo, b_hi), iterations = _residual_root(fun, lo, v_lo, hi, v_hi)
+            assert lo <= b_lo <= root <= b_hi <= hi and res == fun(root)
+            if res != 0.0:
+                assert root in (b_lo, b_hi) and b_hi - b_lo < _XTOL + _RTOL * root
+                assert np.sign(fun(b_lo)) == np.sign(v_lo)
+                assert np.sign(fun(b_hi)) == np.sign(v_hi)
+            assert abs(root - brentq(fun, lo, hi, xtol=_XTOL)) <= _XTOL + _RTOL * root
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_exact_zero_gives_point_bracket(self, sign):
+        # the first step bisects [1, 3] onto the root of 4 - theta^2
+        fun = quadratic(4.0, sign)
+        fit = _residual_root(fun, 1.0, fun(1.0), 3.0, fun(3.0))
+        assert fit == (2.0, 0.0, (2.0, 2.0), 1)
+        assert bits(fit) == bits(row_root(fun, 1.0, fun(1.0), 3.0, fun(3.0)))
+
+    @settings(max_examples=200, deadline=None)
+    @given(bad=st.sampled_from([np.nan, np.inf, -np.inf, "steps"]),
+           c=st.floats(0.5, 50.0), u=st.floats(0.0, 1.0), w=st.floats(0.0, 1.0),
+           sign=st.sampled_from([1.0, -1.0]))
+    def test_nonfinite_or_flat_residuals_end_as_the_array_row(self, bad, c, u, w, sign):
+        # The residual is nonfinite (or, for "steps", +-1 only, whose
+        # interpolation divides by zero) on a window of the bracket [0, 2
+        # sqrt(c)]: the float driver raises nothing and ends where numpy's
+        # inf and NaN take the array driver, within the step budget.
+        lo, hi = 0.0, 2.0 * c**0.5
+        start, stop = sorted((lo + u * (hi - lo), lo + w * (hi - lo)))
+
+        def fun(theta):
+            if bad == "steps":
+                return sign * (1.0 if theta * theta < c else -1.0)
+            return bad if start <= theta <= stop else sign * (c - theta * theta)
+
+        v_lo, v_hi = fun(lo), fun(hi)
+        if v_lo * v_hi < 0:
+            fit = _residual_root(fun, lo, v_lo, hi, v_hi)
+            assert fit[3] <= _MAX_ITERATIONS
+            assert bits(fit) == bits(row_root(fun, lo, v_lo, hi, v_hi))
+
+    def test_every_residual_evaluation_is_a_step(self, family):
+        # The solver reads the end values it is given and evaluates the
+        # residual once per step; roots of the table cells take 4 to 6 steps.
+        for seed, rep in itertools.product(range(2), range(8)):
+            for tilt in SOLVER_TILTS:
+                fun, lo, v_lo, hi, v_hi = table_cell_residual(seed, rep, tilt)
+                calls = []
+                fit = _residual_root(lambda t: calls.append(t) or fun(t), lo, v_lo, hi, v_hi)
+                assert len(calls) == fit[3] and 4 <= fit[3] <= 6
+                assert lo < min(calls) and max(calls) < hi
+
+
 def table_stacks(seed=5):
     """An estimation-table-shaped stack of 30 densities and a wide-table-shaped
     one of 20, as one chunk of each table draws them."""
@@ -584,7 +712,7 @@ class TestStackedFits:
 
     def test_evaluation_budget(self, family, monkeypatch):
         # The amortisation: one stacked residual pass per step for the whole
-        # stack, where minimize_lsd makes 7 to 10 residual calls per fit.
+        # stack, where minimize_lsd makes 6 to 8 residual calls per fit.
         calls = {"residual": 0, "objective": 0}
         residual, objective = _FitStack.residual, _FitStack.objective
 
