@@ -401,24 +401,32 @@ class _FitContext:
 
     def __init__(self, part: _SamplePart, k: int, p: TiltParams, log_sg: float | None = None):
         self.family, self.p, self.log_sg = part.family, p, log_sg
-        # the window's points as floats, which the family would otherwise
-        # convert at every evaluation
+        # the window's points as floats and their log x!, which the family
+        # would otherwise compute at every evaluation
         self.x = np.arange(part.length[k], dtype=float)
+        self.log_x_factorial = self.family._log_factorial(self.x)
         m = part.cells[k]
         self.x_pos = part.x_pos[k, :m]
         self.logg_pos = part.logg[k, :m]
         self.a_logg = p.exp_a * self.logg_pos
 
     def objective(self, theta: float) -> float:
-        logf = self.family.log_density(theta, self.x)
+        logf = _window_log_density(self, theta)
         log_sf = _lse((1.0 + self.p.beta) * logf)
         return _lsd_kernel(log_sf, logf[self.x_pos], self.logg_pos, self.log_sg, self.p)
 
     def residual(self, theta: float) -> float:
-        logf = self.family.log_density(theta, self.x)
+        logf = _window_log_density(self, theta)
         u = self.family.score(theta, self.x)
         pos = self.x_pos
         return float(_residual(logf, u, logf[pos], u[pos], self.a_logg, self.p))
+
+
+def _window_log_density(fit, theta):
+    """``fit.family.log_density(theta, fit.x)`` for a fit context or stack,
+    bit for bit, from the log x! it keeps for its fixed window."""
+    fit.family._check(theta)
+    return fit.family._log_mass(theta, fit.x, fit.log_x_factorial)
 
 
 def _residual(logf, u, logf_pos, u_pos, a_logg, p: TiltParams):
@@ -450,16 +458,17 @@ class _FitStack:
         self.family, self.p, self.log_sg, self.logg = part.family, p, log_sg, part.logg
         end = max(int(part.x_pos.max()) + 1, part.family.support_window(top)[1])
         self.x = np.arange(end, dtype=float)
+        self.log_x_factorial = self.family._log_factorial(self.x)
         self.pos = np.arange(len(part.index))[:, None] * end + part.x_pos
         self.a_logg = p.exp_a * self.logg
 
     def objective(self, theta: np.ndarray) -> np.ndarray:
-        logf = self.family.log_density(theta[:, None], self.x)
+        logf = _window_log_density(self, theta[:, None])
         log_sf = _lse((1.0 + self.p.beta) * logf)
         return _lsd_kernel(log_sf, logf.reshape(-1)[self.pos], self.logg, self.log_sg, self.p)
 
     def residual(self, theta: np.ndarray) -> np.ndarray:
-        logf = self.family.log_density(theta[:, None], self.x)
+        logf = _window_log_density(self, theta[:, None])
         u = self.family.score(theta[:, None], self.x)
         pos = self.pos
         return _residual(logf, u, logf.reshape(-1)[pos], u.reshape(-1)[pos], self.a_logg, self.p)

@@ -69,10 +69,12 @@ class PoissonFamily:
         return self._log_mass(theta, x)
 
     @staticmethod
-    def _log_mass(theta, x):
+    def _log_mass(theta, x, log_x_factorial=None):
         """log f_theta(x), unchecked: ``density`` reads it here, not through
         ``log_density``, whose x is always an array.  A lone point x gives a
-        numpy scalar and scalar steps."""
+        numpy scalar and scalar steps.  A caller that evaluates one x at
+        many thetas (a fit's window) passes ``_log_factorial(x)`` as
+        ``log_x_factorial`` and pays for it once."""
         x = np.asarray(x, dtype=float)
         # in place: for an array theta that broadcasts against x, numpy
         # cannot reuse the product's buffer for the differences, and on a
@@ -80,8 +82,13 @@ class PoissonFamily:
         # cost more than the arithmetic
         logf = x * np.log(theta)
         logf -= theta
-        logf -= gammaln(x + 1.0)
+        logf -= PoissonFamily._log_factorial(x) if log_x_factorial is None else log_x_factorial
         return logf
+
+    @staticmethod
+    def _log_factorial(x: np.ndarray) -> np.ndarray:
+        """log x! of a float array x, the last term of :meth:`_log_mass`."""
+        return gammaln(x + 1.0)
 
     def score(self, theta: float, x) -> np.ndarray:
         self._check(theta)

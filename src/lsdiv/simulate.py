@@ -6,7 +6,9 @@ configuration and is byte-reproducible under any execution order or degree
 of parallelism.  A chunk of replications is drawn in one pass, each row
 from its own stream and in the order that drawing its replication alone
 reads that stream's uniforms (see ``_draw_chunk``); that order is the
-contract that keeps seeded samples and tables unchanged.  Grid cells where
+contract that keeps seeded samples and tables unchanged.  The chunk's
+stream keys come from one array pass, and one generator is re-keyed to
+each row (see ``_ChunkStreams``).  Grid cells where
 the exponent A is nonpositive, or a testing table's null law singular, are
 emitted with the "--" sentinel.
 
@@ -209,9 +211,159 @@ class SimulationReport:
 
 
 def replication_rng(seed: int, replication: int) -> np.random.Generator:
-    """Counter-based stream keyed by (seed, replication index)."""
+    """Counter-based stream keyed by (seed, replication index): a Philox
+    generator seeded by ``SeedSequence(seed, spawn_key=(replication,))``.
+
+    A table chunk reads the same streams through :class:`_ChunkStreams`,
+    which derives their keys for the whole chunk at once; this function is
+    the reference that path is tested against."""
     ss = np.random.SeedSequence(entropy=seed, spawn_key=(replication,))
     return np.random.Generator(np.random.Philox(ss))
+
+
+# numpy's SeedSequence hash (numpy/random/bit_generator.pyx, after O'Neill's
+# seed_seq): a pool of 4 uint32 words mixes the run entropy, then each word
+# of the spawn key, and its output hash gives a Philox key.
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _uint32_words(value: int) -> list[int]:
+    """A non-negative int as SeedSequence splits it: little-endian 32-bit
+    words, one word for 0."""
+    words = [value & _MASK32]
+    while value := value >> 32:
+        words.append(value & _MASK32)
+    return words
+
+
+def _hash_constants(first: int, mult: int, count: int) -> list[int]:
+    """The hash constant ``first`` and the ``count`` values it takes after
+    it, each the last one times ``mult`` modulo 2**32."""
+    hashes = [first]
+    for _ in range(count):
+        hashes.append(hashes[-1] * mult & _MASK32)
+    return hashes
+
+
+def _column(values: list[int]) -> np.ndarray:
+    """The values as a read-only (len, 1) uint32 column, which broadcasts
+    along the rows of a (4, rows) pool."""
+    column = np.array(values, dtype=np.uint32)[:, None]
+    column.flags.writeable = False
+    return column
+
+
+# The output hash's constants: pool word i is xored with entry i and
+# multiplied by entry i + 1
+_OUT_HASHES = _column(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE))
+
+
+@functools.lru_cache(maxsize=64)
+def _seed_pool(seed: int, spawn_words: int):
+    """SeedSequence's pool after it mixes the run entropy ``seed``, and the
+    hash constants with which it then mixes the first ``spawn_words`` words
+    of a spawn key, as uint32 columns: pool word i mixes spawn word j hashed
+    with entries 4 j + i (xor) and 4 j + i + 1 (multiply).
+
+    The hash constant moves the same way whatever the data, so neither
+    depends on the spawn key, and a table's chunks share them.  Python ints,
+    masked to 32 bits, stand for the hash's uint32 arithmetic."""
+    entropy = _uint32_words(seed)
+    # with a spawn key, SeedSequence pads the run entropy to the pool size
+    entropy += [0] * (_POOL_SIZE - len(entropy))
+    h = _INIT_A
+
+    def hashmix(value: int) -> int:
+        nonlocal h
+        value ^= h
+        h = h * _MULT_A & _MASK32
+        value = value * h & _MASK32
+        return value ^ value >> 16
+
+    def mix(x: int, y: int) -> int:
+        result = (_MIX_MULT_L * x - _MIX_MULT_R * y) & _MASK32
+        return result ^ result >> 16
+
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    return _column(pool), _column(_hash_constants(h, _MULT_A, _POOL_SIZE * spawn_words))
+
+
+def _replication_keys(seed: int, reps: range) -> np.ndarray:
+    """The Philox keys of ``replication_rng(seed, rep)`` for rep in ``reps``,
+    as a (len(reps), 2) uint64 array whose row r is
+    ``SeedSequence(seed, spawn_key=(reps[r],)).generate_state(2, np.uint64)``.
+
+    Only the mixing of the spawn-key words and the output hash depend on the
+    replication; both run as uint32 array passes over the chunk, the 4 pool
+    words as 4 rows.  A replication of w 32-bit words mixes w of them, so in
+    a chunk that straddles 2**32 the rows below it skip word 1.  The words
+    come from a uint64 array below 2**64 and from Python ints above it."""
+    top = max(reps, default=0)
+    n_words = max(1, -(-top.bit_length() // 32))
+    pool, hashes = _seed_pool(seed, n_words)
+    reps = np.array(reps, dtype=np.uint64 if n_words <= 2 else object)
+    for j in range(n_words):
+        i = _POOL_SIZE * j
+        hashed = (reps >> 32 * j & _MASK32).astype(np.uint32) ^ hashes[i : i + _POOL_SIZE]
+        hashed *= hashes[i + 1 : i + _POOL_SIZE + 1]
+        hashed ^= hashed >> 16
+        mixed = pool * np.uint32(_MIX_MULT_L) - hashed * np.uint32(_MIX_MULT_R)
+        mixed ^= mixed >> 16
+        pool = mixed if j == 0 else np.where(reps >= 1 << 32 * j, mixed, pool)
+    out = pool ^ _OUT_HASHES[:-1]
+    out *= _OUT_HASHES[1:]
+    out ^= out >> 16
+    # output words (0, 1) and (2, 3) as little-endian uint64s, as
+    # generate_state joins them
+    return out.T.astype("<u4", order="C").view("<u8")
+
+
+class _ChunkStreams:
+    """The streams ``replication_rng(seed, rep)`` of a chunk's replications,
+    read through one Philox generator that is re-keyed to each in turn.
+
+    A Philox stream is set by its 128-bit key alone (Salmon et al.,
+    "Parallel random numbers: as easy as 1, 2, 3", SC'11), so a generator
+    set to {key, counter 0, empty buffer, no spare 32-bit word} reads the
+    stream from its start, as a fresh one does.  Iterating yields the one
+    generator once per replication, set to that replication's stream, so
+    a caller finishes with a stream before it takes the next.  Each
+    iteration makes its own generator, so chunks drawn in several threads
+    never share one."""
+
+    def __init__(self, seed: int, reps: range):
+        # as Python ints, which the state setter reads faster than numpy's
+        self.keys = _replication_keys(seed, reps).tolist()
+
+    def __len__(self) -> int:
+        return len(self.keys)
+
+    def __iter__(self):
+        bitgen = np.random.Philox(0)  # each replication replaces its key
+        rng = np.random.Generator(bitgen)
+        state = {
+            "bit_generator": "Philox",
+            "state": {"counter": [0, 0, 0, 0], "key": None},
+            "buffer": [0, 0, 0, 0],
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        for key in self.keys:
+            state["state"]["key"] = key
+            bitgen.state = state
+            yield rng
 
 
 @functools.lru_cache(maxsize=64)
@@ -225,7 +377,9 @@ def _poisson_cdf(theta: float) -> np.ndarray:
 
 def _draw_chunk(n: int, theta: float, contamination: Contamination | None, rngs) -> np.ndarray:
     """A (len(rngs) x n) intp array of samples of size n, optionally
-    contaminated, row r drawn from generator ``rngs[r]`` alone.
+    contaminated, row r drawn from the r-th generator that iterating
+    ``rngs`` yields, alone: a list of generators, or a chunk's
+    :class:`_ChunkStreams`, whose one generator each row re-keys.
 
     Each row reads its stream's uniforms in the order that drawing its
     sample alone reads them, which keeps every seeded sample and table:
@@ -306,8 +460,10 @@ def _chunk_part(seed: int, reps: range, n: int, theta: float, contam) -> _Sample
     """The sample part of a chunk's samples, drawn once and fitted at every
     cell.  Replication ``rep`` reads its own stream ``replication_rng(seed,
     rep)`` in the order ``contaminated_sample`` reads it, so its sample is
-    the same in any chunk and at any n_jobs."""
-    samples = _draw_chunk(n, theta, contam, [replication_rng(seed, rep) for rep in reps])
+    the same in any chunk and at any n_jobs.  The streams' keys are derived
+    for the chunk in one array pass, and one generator, made for this call,
+    is re-keyed to each row (see :class:`_ChunkStreams`)."""
+    samples = _draw_chunk(n, theta, contam, _ChunkStreams(seed, reps))
     return _SamplePart.from_samples(samples, PoissonFamily())
 
 

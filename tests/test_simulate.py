@@ -277,6 +277,89 @@ class TestChunkDraw:
         assert peak <= 1.5 * 51.2e6
 
 
+class TestReplicationKeys:
+    """A chunk's Philox keys come from one array pass over its replications
+    and one re-keyed generator reads their streams; both must give what a
+    SeedSequence and a generator per replication give, bit for bit."""
+
+    SEEDS = [0, 7, 12345, 2**32, 2**40 + 7, 2**130 + 3]  # the last has five run words
+
+    @staticmethod
+    def seed_sequence_keys(seed, reps):
+        return np.array([
+            np.random.SeedSequence(seed, spawn_key=(rep,)).generate_state(2, np.uint64)
+            for rep in reps
+        ])
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    @pytest.mark.parametrize(
+        "reps",
+        [
+            range(64),
+            range(2**32 - 1, 2**32),
+            range(2**32, 2**32 + 1),
+            range(2**33 + 5, 2**33 + 6),
+            range(2**40, 2**40 + 1),
+            range(2**32 - 16, 2**32 + 16),  # one chunk straddles 2**32
+            range(2**64 - 2, 2**64 + 2),  # words from Python ints from 2**64
+        ],
+        ids=["0-63", "2^32-1", "2^32", "2^33+5", "2^40", "straddles-2^32", "straddles-2^64"],
+    )
+    def test_keys_equal_seed_sequence(self, seed, reps):
+        keys = simulate._replication_keys(seed, reps)
+        assert keys.shape == (len(reps), 2)
+        np.testing.assert_array_equal(keys, self.seed_sequence_keys(seed, reps))
+        assert keys.tolist() == [
+            replication_rng(seed, rep).bit_generator.state["state"]["key"].tolist()
+            for rep in reps
+        ]
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_chunk_builds_no_generator_per_replication(self, seed):
+        reps = range(2**32 - 16, 2**32 + 16)
+        mixture = Contamination(0.1, 15.0, MIXTURE)
+        oracle = np.array([
+            contaminated_sample(50, 4.0, mixture, replication_rng(seed, rep)) for rep in reps
+        ])
+        with mock.patch.object(
+            simulate._SamplePart, "from_samples", side_effect=lambda samples, family: samples
+        ), mock.patch.object(
+            simulate, "replication_rng", side_effect=AssertionError("per-replication stream")
+        ), mock.patch.object(
+            np.random, "SeedSequence", wraps=np.random.SeedSequence
+        ) as seed_sequence, mock.patch.object(
+            np.random, "Philox", wraps=np.random.Philox
+        ) as philox, mock.patch.object(
+            np.random, "Generator", wraps=np.random.Generator
+        ) as generator:
+            chunk = simulate._chunk_part(seed, reps, 50, 4.0, mixture)
+        assert (seed_sequence.call_count, philox.call_count, generator.call_count) == (0, 1, 1)
+        np.testing.assert_array_equal(chunk, oracle)
+
+    def test_threads_draw_their_own_streams(self):
+        # three threads draw chunks of different seeds at once, with thread
+        # switches forced often; each must get its serial draws
+        fixed = Contamination(0.1, 12.0, FIXED)
+
+        def draw(seed):
+            return [
+                _draw_chunk(20, 4.0, fixed, simulate._ChunkStreams(seed, range(first, first + 32)))
+                for first in range(0, 32 * 40, 32)
+            ]
+
+        serial = {seed: draw(seed) for seed in (3, 2**40 + 7, 2**130 + 3)}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(len(serial)) as pool:
+                threaded = dict(zip(serial, pool.map(draw, serial, timeout=120)))
+        finally:
+            sys.setswitchinterval(interval)
+        for seed, chunks in serial.items():
+            for a, b in zip(chunks, threaded[seed], strict=True):
+                np.testing.assert_array_equal(a, b)
+
+
 class TestSimulationConfig:
     def test_default_grids_by_kind(self):
         est = SimulationConfig(kind=SimKind.ESTIMATION_BIAS, n=50, theta_true=4.0)
