@@ -22,6 +22,8 @@ chunk of drawn samples, which it fits at every cell of a table.  The scan
 of every row runs in blocks of rows, each summed over its cells axis; the
 residuals, roots and final objectives of a part of four rows or more run
 as (rows x window) array passes, and a smaller part's roots on floats.
+The fits are one record of arrays over the rows (:class:`_PartFits`), from
+which only the public functions build :class:`EstimatorResult`s.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -70,6 +73,7 @@ _REFINE_HALF = max(10.0 * _TOL_THETA, 1e-5)
 # more (numpy's per-call cost on one-element arrays).
 _SCAN_CELL = np.clip(np.arange(_N_SCAN)[:, None] + [-1, 1], 0, _N_SCAN - 1)
 _BRACKET_END = np.isin(np.arange(_N_SCAN), [0, _N_SCAN - 1])
+_GRID_STEPS = np.arange(_N_SCAN, dtype=float)  # np.linspace's step counts, in floats
 
 # Entries per memo: an entry of the scan memo holds _N_SCAN floats, so it
 # stays below 1024 x 256 x 8 bytes = 2 MB.  The simulation harness fits a
@@ -183,7 +187,7 @@ def _grids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Coarse grids, one row per bracket: row k is ``np.linspace(lo[k],
     hi[k], _N_SCAN)`` bit for bit (numpy's arange times the step, plus lo,
     with the end point set), in a few array passes for any number of rows."""
-    grid = np.arange(_N_SCAN) * ((hi - lo) / (_N_SCAN - 1))[:, None]
+    grid = _GRID_STEPS * ((hi - lo) / (_N_SCAN - 1))[:, None]
     grid += lo[:, None]
     grid[:, -1] = hi
     return grid
@@ -301,7 +305,7 @@ class _SamplePart:
         ``bracket`` replaces every row's mean-based bracket."""
         errors, occupied, ends, means = [], [], [], []
         for r_n in densities:
-            nz = np.flatnonzero(r_n.mass)
+            nz = r_n.mass.nonzero()[0]
             bad = r_n.offset < 0 or not nz.size
             errors.append(ValueError(
                 "a data density must lie on cells >= 0 and have positive mass"
@@ -310,7 +314,7 @@ class _SamplePart:
             ends.append(r_n.offset + r_n.mass.size)
             means.append(np.nan if bad else r_n.mean())
         cells = np.array([nz.size for nz in occupied], dtype=int)
-        x_pos = np.zeros((len(densities), cells.max(initial=0)), dtype=np.intp)
+        x_pos = np.zeros((len(densities), max(map(len, occupied), default=0)), dtype=np.intp)
         logg = np.full(x_pos.shape, _PAD_LOGG)
         for k, (r_n, nz) in enumerate(zip(densities, occupied)):
             x_pos[k, : nz.size] = r_n.offset + nz
@@ -417,7 +421,7 @@ class _FitContext:
 
     def residual(self, theta: float) -> float:
         logf = _window_log_density(self, theta)
-        u = self.family.score(theta, self.x)
+        u = self.x / theta - 1.0  # the Poisson score; log f has checked theta
         pos = self.x_pos
         return float(_residual(logf, u, logf[pos], u[pos], self.a_logg, self.p))
 
@@ -469,7 +473,7 @@ class _FitStack:
 
     def residual(self, theta: np.ndarray) -> np.ndarray:
         logf = _window_log_density(self, theta[:, None])
-        u = self.family.score(theta[:, None], self.x)
+        u = self.x / theta[:, None] - 1.0  # the Poisson score, as above
         pos = self.pos
         return _residual(logf, u, logf.reshape(-1)[pos], u.reshape(-1)[pos], self.a_logg, self.p)
 
@@ -591,79 +595,79 @@ def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float)
     return theta_hat, res, bracket, iterations
 
 
-def _result(theta_hat, res, bracket, iterations, objective, boundary_hit: bool):
-    """A fit's result; it has converged when the scan's best point is inside
-    the bracket, the residual is small and the bracket narrow."""
-    converged = (
-        not boundary_hit
-        and abs(res) <= _TOL_EE
-        and bracket[1] - bracket[0] <= max(_TOL_THETA, 1e-10 * max(1.0, theta_hat))
-    )
-    return EstimatorResult(
-        theta_hat=float(theta_hat),
-        objective=float(objective),
-        residual=float(res),
-        iterations=int(iterations),
-        converged=bool(converged),
-        bracket=(float(bracket[0]), float(bracket[1])),
-    )
+class _PartFits(NamedTuple):
+    """A sample part's fits at one tilt as arrays over its rows: the fields
+    of :class:`EstimatorResult` (``bracket`` rows x 2) and ``errors``, row
+    i's error (an object of its own) or None.  A failed row holds NaN in the
+    float columns, 0 iterations and converged False."""
+
+    theta_hat: np.ndarray
+    objective: np.ndarray
+    residual: np.ndarray
+    iterations: np.ndarray
+    converged: np.ndarray
+    bracket: np.ndarray
+    errors: list
 
 
-def _fit_part(part: _SamplePart, p: TiltParams) -> list:
-    """The fits of a sample part's rows at tilt p: entry i is row i's
-    :class:`EstimatorResult`, or the error that row raises (an exception
-    object of its own).
+def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
+    """The fits of a sample part's rows at tilt p, scanned in one blocked pass.
 
-    Every row is scanned in one blocked pass, and a part of fewer than
-    ``_MIN_STACK`` rows is fitted row by row on the scalar path (the root of
-    the residual on the scan cell, or the golden-section safeguard), all on
-    the rows' bracket windows.  Otherwise the residual at every row's scan
-    cell ends, the roots where it falls from positive to negative there
-    (the same Chandrupatla steps, row by row) and the final objectives run
-    as array passes of a :class:`_FitStack` on one window of the highest
-    theta they reach; the other rows take the scalar safeguard.
+    In a part of ``_MIN_STACK`` rows or more, the residual at the scan cell
+    ends, the roots where it falls from positive to negative (Chandrupatla's
+    steps, row by row) and the final objectives run as array passes of a
+    :class:`_FitStack` on one window of the highest theta they reach.  Every
+    other row takes the scalar path on its bracket window: that root where
+    the residual falls, else the golden-section safeguard.  A fit has
+    converged when the scan's best point is inside the bracket, the residual
+    is small and the bracket narrow.
     """
+    errors, index = list(part.errors), part.index
     if p.exp_a <= EXPONENT_BOUNDARY:
-        return [
-            DivergenceInfiniteError(
-                "estimation requires exponent A > 0 (empty cells make the divergence infinite)"
-            )
-            for _ in range(part.size)
-        ]
-    out = list(part.errors)
-    if not part.index:
-        return out
-    log_sg, g_lo, g_hi, boundary_hit = part.scan(p)
-    if part.size < _MIN_STACK:
-        for k, i in enumerate(part.index):
+        message = "estimation requires exponent A > 0 (empty cells make the divergence infinite)"
+        errors, index = [DivergenceInfiniteError(message) for _ in errors], []
+    # the kept rows' theta_hat, objective, residual and bracket ends
+    table = np.empty((5, len(index)))
+    iterations = np.zeros(len(index), dtype=int)
+    boundary_hit = np.zeros(len(index), dtype=bool)
+    if index:
+        log_sg, g_lo, g_hi, boundary_hit = part.scan(p)
+        stack, rest = None, range(len(index))
+        if part.size >= _MIN_STACK:
+            # a root lies in its scan cell, a safeguard result at most _REFINE_HALF above
+            top = np.minimum(part.hi, g_hi + _REFINE_HALF).max()
+            stack = _FitStack(part, p, log_sg, top)
+            v_lo, v_hi = stack.residual(g_lo), stack.residual(g_hi)
+            falls = (v_lo > 0) & (v_hi < 0)
+            roots = _residual_roots(stack.residual, g_lo, v_lo, g_hi, v_hi, falls)
+            table[[0, 2, 3, 4]], iterations = roots[:4], roots[4]
+            rest = np.flatnonzero(~falls).tolist()
+        for k in rest:
             ctx = _FitContext(part, k, p, log_sg[k])
-            v_lo, v_hi = ctx.residual(g_lo[k]), ctx.residual(g_hi[k])
+            # a stacked row left here does not fall across its scan cell
+            v_lo = v_hi = 0.0
+            if stack is None:
+                v_lo, v_hi = ctx.residual(g_lo[k]), ctx.residual(g_hi[k])
             if v_lo > 0 > v_hi:
                 fit = _residual_root(ctx.residual, g_lo[k], v_lo, g_hi[k], v_hi)
             else:
                 fit = _safeguard(ctx, part.lo[k], part.hi[k], g_lo[k], g_hi[k])
-            out[i] = _result(*fit, ctx.objective(fit[0]), boundary_hit[k])
-        return out
-
-    # a root lies in its scan cell, a safeguard result at most _REFINE_HALF above
-    top = np.minimum(part.hi, g_hi + _REFINE_HALF).max()
-    stack = _FitStack(part, p, log_sg, top)
-    v_lo, v_hi = stack.residual(g_lo), stack.residual(g_hi)
-    falls = (v_lo > 0) & (v_hi < 0)
-    root, res, b_lo, b_hi, iterations = _residual_roots(
-        stack.residual, g_lo, v_lo, g_hi, v_hi, falls
+            table[0, k], table[2, k], (table[3, k], table[4, k]), iterations[k] = fit
+            if stack is None:
+                table[1, k] = ctx.objective(fit[0])
+        if stack is not None:
+            table[1] = stack.objective(table[0])
+    if len(index) < part.size:  # a failed row: NaN, 0 iterations, no scan (a boundary hit)
+        full = np.full((5, part.size), np.nan), np.zeros(part.size, int), np.ones(part.size, bool)
+        for whole, kept in zip(full, (table, iterations, boundary_hit)):
+            whole[..., index] = kept
+        table, iterations, boundary_hit = full
+    theta_hat, objective, residual, b_lo, b_hi = table[0], table[1], table[2], table[3], table[4]
+    # the width bound max(1e-8, 1e-10 max(1, theta)), since 1e-10 theta < 1e-8 for theta < 1
+    converged = ~boundary_hit & (np.abs(residual) <= _TOL_EE) & (
+        b_hi - b_lo <= np.fmax(_TOL_THETA, 1e-10 * theta_hat)
     )
-    fits = [
-        (root[k], res[k], (b_lo[k], b_hi[k]), iterations[k]) if falls[k]
-        else _safeguard(
-            _FitContext(part, k, p, log_sg[k]), part.lo[k], part.hi[k], g_lo[k], g_hi[k]
-        )
-        for k in range(len(part.index))
-    ]
-    objective = stack.objective(np.array([fit[0] for fit in fits]))
-    for i, fit, value, edge in zip(part.index, fits, objective, boundary_hit):
-        out[i] = _result(*fit, value, edge)
-    return out
+    return _PartFits(theta_hat, objective, residual, iterations, converged, table[3:].T, errors)
 
 
 def minimize_lsd(r_n: DiscreteDensity, family: PoissonFamily, p: TiltParams) -> EstimatorResult:
@@ -674,7 +678,7 @@ def minimize_lsd(r_n: DiscreteDensity, family: PoissonFamily, p: TiltParams) -> 
             density has empty cells inside the model window (the objective
             and estimating equation are not usable there).
     """
-    (fit,) = _fit_part(_SamplePart.from_densities([r_n], family), p)
+    (fit,) = minimize_lsd_many([r_n], family, p)
     if isinstance(fit, Exception):
         raise fit
     return fit
@@ -695,7 +699,10 @@ def minimize_lsd_many(densities, family: PoissonFamily, p: TiltParams) -> list:
     the call, and its estimate agree with minimize_lsd's within the root
     tolerance.
     """
-    return _fit_part(_SamplePart.from_densities(densities, family), p)
+    fits = _fit_part(_SamplePart.from_densities(densities, family), p)
+    # the record's first five columns are EstimatorResult's first five fields
+    rows = zip(*(column.tolist() for column in fits[:5]), map(tuple, fits.bracket.tolist()))
+    return [EstimatorResult(*row) if e is None else e for e, row in zip(fits.errors, rows)]
 
 
 def oracle_grid_minimize(

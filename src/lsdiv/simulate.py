@@ -8,9 +8,10 @@ from its own stream and in the order that drawing its replication alone
 reads that stream's uniforms (see ``_draw_chunk``); that order is the
 contract that keeps seeded samples and tables unchanged.  The chunk's
 stream keys come from one array pass, and one generator is re-keyed to
-each row (see ``_ChunkStreams``).  Grid cells where
-the exponent A is nonpositive, or a testing table's null law singular, are
-emitted with the "--" sentinel.
+each row (see ``_ChunkStreams``).  A worker returns a chunk's values as
+one array, cells x replications, NaN for a failed replication.  Grid cells
+where the exponent A is nonpositive, or a testing table's null law
+singular, are emitted with the "--" sentinel.
 
 With ``n_jobs > 1`` the chunks of a table run in the calling process and in
 one process-wide worker pool, which is forked on first use and reused by
@@ -24,7 +25,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import json
 import numbers
 import threading
@@ -175,8 +175,8 @@ class SimulationConfig:
             theta_null=d.get("theta_null"),
             theta_target=d.get("theta_target"),
             contamination=contamination,
-            grid_beta=d.get("grid_beta") or (),
-            grid_gamma=d.get("grid_gamma") or GAMMA_GRID,
+            grid_beta=d.get("grid_beta", ()),
+            grid_gamma=d.get("grid_gamma", GAMMA_GRID),
             seed=d.get("seed", 0),
             level=d.get("level", 0.05),
         )
@@ -467,35 +467,27 @@ def _chunk_part(seed: int, reps: range, n: int, theta: float, contam) -> _Sample
     return _SamplePart.from_samples(samples, PoissonFamily())
 
 
-def _estimate_worker(args) -> list[list[float | None]]:
-    """A chunk of replications' estimates at each of ``tilts``: one list per
-    tilt, with None for a failed fit."""
+def _estimate_worker(args) -> np.ndarray:
+    """A chunk of replications' estimates at each of ``tilts``, as a (tilts
+    x replications) array with NaN for a failed fit."""
     seed, reps, n, theta_true, contam, tilts = args
     part = _chunk_part(seed, reps, n, theta_true, contam)
-    return [
-        [None if isinstance(fit, Exception) else fit.theta_hat for fit in _fit_part(part, p)]
-        for p in tilts
-    ]
+    return np.array([_fit_part(part, p).theta_hat for p in tilts])
 
 
-def _reject_worker(args) -> list[list[bool | None]]:
+def _reject_worker(args) -> np.ndarray:
     """A chunk of replications' test decisions at each (tilt, critical value)
-    of ``tests``: one list per test, with None for a failed fit.  The
-    statistics of a test's fitted rows come from one stacked pass."""
+    of ``tests``, a (tests x replications) array of 1.0 (reject) and 0.0, NaN
+    for a failed fit; a test's fitted rows' statistics take one stacked pass."""
     seed, reps, n, theta_draw, contam, theta0, tests = args
     part = _chunk_part(seed, reps, n, theta_draw, contam)
-    family = part.family
-    out = []
-    for p, critical in tests:
-        fits = _fit_part(part, p)
-        rejects = [None] * len(fits)
-        ok = [i for i, fit in enumerate(fits) if not isinstance(fit, Exception)]
-        if ok:
-            theta_hat = np.array([fits[i].theta_hat for i in ok])
-            w = 2.0 * n * divergence_between_fits(family, theta_hat, theta0, p)
-            for i, reject in zip(ok, (w > critical).tolist()):
-                rejects[i] = reject
-        out.append(rejects)
+    out = np.full((len(tests), len(reps)), np.nan)
+    for rejects, (p, critical) in zip(out, tests):
+        theta_hat = _fit_part(part, p).theta_hat
+        fitted = ~np.isnan(theta_hat)
+        if fitted.any():
+            w = 2.0 * n * divergence_between_fits(part.family, theta_hat[fitted], theta0, p)
+            rejects[fitted] = w > critical
     return out
 
 
@@ -562,11 +554,11 @@ def _run_table(config: SimulationConfig, n_jobs: int, worker, draw, cell_args, m
 
     ``worker`` takes (seed, replications, *draw, per-cell arguments) for a
     chunk of ``CHUNK`` consecutive replications (one pool task each) and
-    returns, per active cell, the values of the chunk's replications, None
-    for a failed one.  It draws the chunk's samples and builds their sample
-    part once, then fits them as one stack at each cell in turn, so the fits
-    of a sample at one beta share the scan's memoised model terms as long as
-    the memo keeps the chunk's entries for every beta (see
+    returns the chunk's values as an (active cells x replications) array,
+    NaN for a failed one.  It draws the chunk's samples and builds their
+    sample part once, then fits them as one stack at each cell in turn, so
+    the fits of a sample at one beta share the scan's memoised model terms
+    as long as the memo keeps the chunk's entries for every beta (see
     ``estimation._MEMO_SIZE``), in each pool worker as in a serial run.
     ``cell_args(beta, gamma)`` gives a cell's arguments, or None for a cell
     that cannot run, and ``metrics`` maps each metric's name to a function
@@ -589,11 +581,11 @@ def _run_table(config: SimulationConfig, n_jobs: int, worker, draw, cell_args, m
             (config.seed, range(first, min(first + CHUNK, reps)), *draw, per_cell)
             for first in range(0, reps, CHUNK)
         ]
-        columns = zip(*_map_ordered(worker, chunks, n_jobs))
+        columns = iter(np.concatenate(_map_ordered(worker, chunks, n_jobs), axis=1))
     cells = []
     for (beta, gamma), a in zip(grid, args):
-        values = itertools.chain.from_iterable(next(columns)) if a is not None else ()
-        ok = np.array([v for v in values if v is not None])
+        values = next(columns) if a is not None else np.empty(0)
+        ok = values[~np.isnan(values)]
         failures = reps - ok.size
         if failures > FAILURE_CELL_LIMIT * reps:
             cell_metrics = dict.fromkeys(metrics)

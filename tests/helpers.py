@@ -135,6 +135,17 @@ def divergence_between_fits_oracle(family, theta_g: float, theta_f: float, p: Ti
     return value if value >= 0.0 else (0.0 if value > -1e-10 else value)
 
 
+def converged_oracle(theta_hat: float, residual: float, bracket, boundary_hit: bool) -> bool:
+    """A fit's converged flag, one fit at a time: the scan's best point is
+    inside the bracket, the estimating-equation residual is at most 1e-6
+    and the bracket no wider than max(1e-8, 1e-10 max(1, theta_hat))."""
+    return (
+        not boundary_hit
+        and abs(residual) <= 1e-6
+        and bracket[1] - bracket[0] <= max(1e-8, 1e-10 * max(1.0, theta_hat))
+    )
+
+
 def scan_oracle(part, k: int, p: TiltParams) -> np.ndarray:
     """Kept row k's coarse scan at tilt p, one grid point at a time.
 

@@ -434,6 +434,24 @@ class TestSimulateCommand:
         assert not (tmp_path / "x.csv").exists()
 
 
+    @pytest.mark.parametrize(
+        "value,message",
+        [([], "gamma grid must be non-empty"), (0, "must be a list of numbers"),
+         (False, "must be a list of numbers"), ("", "must be a list of numbers"),
+         (None, "must be a list of numbers")],
+        ids=["empty-list", "zero", "false", "empty-string", "null"],
+    )
+    def test_present_gamma_grid_is_checked(self, runner, tmp_path, value, message):
+        # a present grid_gamma never runs the default grid
+        config = self.write_config(tmp_path, grid_gamma=value)
+        out = tmp_path / "x.csv"
+        result = runner.invoke(main, ["simulate", "--config", str(config), "--out", str(out)])
+        assert result.exit_code == 1
+        (line,) = result.output.strip().splitlines()
+        assert message in json.loads(line)["error"]
+        assert not out.exists()
+
+
 class TestFileErrors:
     """Unwritable --out and unreadable --data-file keep the error contract."""
 

@@ -51,7 +51,7 @@ from lsdiv.estimation import (
 )
 from lsdiv.simulate import ESTIMATION_BETA_GRID, GAMMA_GRID, replication_rng
 
-from helpers import scan_oracle
+from helpers import converged_oracle, scan_oracle
 
 
 def refined_grid_argmin(r_n, family, p, lo, hi):
@@ -735,6 +735,92 @@ class TestStackedFits:
                 assert calls["residual"] <= 20
                 assert calls["objective"] == 1
                 assert max(fit.iterations for fit in fits) <= calls["residual"] - 2
+
+
+class TestPartFitsRecord:
+    """_fit_part's record of arrays: each row's columns are the fields of
+    minimize_lsd_many's entry for it, and converged is the one-fit formula
+    of helpers.converged_oracle.  A failed row holds NaN, 0 iterations,
+    converged False and its error."""
+
+    @staticmethod
+    def assert_record_matches(family, densities, p):
+        part = _SamplePart.from_densities(densities, family)
+        fits = _fit_part(part, p)
+        expected = minimize_lsd_many(densities, family, p)
+        rows = len(densities)
+        assert fits.theta_hat.shape == fits.objective.shape == fits.residual.shape == (rows,)
+        assert fits.bracket.shape == (rows, 2) and len(fits.errors) == rows
+        assert fits.iterations.dtype.kind == "i" and fits.converged.dtype == bool
+        fitted = part.index and p.exp_a > 0
+        edges = dict(zip(part.index, part.scan(p)[3].tolist())) if fitted else {}
+        for i, want in enumerate(expected):
+            floats = [fits.theta_hat[i], fits.objective[i], fits.residual[i], *fits.bracket[i]]
+            if isinstance(want, Exception):
+                assert type(fits.errors[i]) is type(want) and str(fits.errors[i]) == str(want)
+                assert np.isnan(floats).all()
+                assert fits.iterations[i] == 0 and not fits.converged[i]
+                continue
+            assert fits.errors[i] is None
+            got = (*map(float.hex, map(float, floats)), int(fits.iterations[i]))
+            assert got == (*map(float.hex, (want.theta_hat, want.objective, want.residual,
+                                            *want.bracket)), want.iterations)
+            oracle = converged_oracle(want.theta_hat, want.residual, want.bracket, edges[i])
+            assert bool(fits.converged[i]) is want.converged is oracle
+
+    @pytest.mark.parametrize("rows", [1, 2, 3, 30])
+    @pytest.mark.parametrize("beta,gamma", SOLVER_TILTS)
+    def test_scalar_and_stacked_parts(self, family, rows, beta, gamma):
+        small, wide = table_stacks()
+        for densities in (small[:rows], wide[:rows]):
+            self.assert_record_matches(family, densities, TiltParams(beta, gamma))
+
+    def test_all_zero_sample_hits_the_bracket_floor(self, family):
+        zeros = empirical_frequencies(np.zeros(50, dtype=int))
+        p = TiltParams(0.4, 0.5)
+        (fit,) = minimize_lsd_many([zeros], family, p)
+        assert not fit.converged
+        for densities in ([zeros], table_stacks()[0][:5] + [zeros]):
+            self.assert_record_matches(family, densities, p)
+
+    def test_edge_scan_point_alone_keeps_a_fit_from_converging(self, family):
+        # the scan's best point is the bracket's low end, 2.47; the fit then
+        # finds a root inside the bracket (residual 0 alone, ~1e-18 in a stack)
+        r_n = empirical_frequencies(np.array([1, 2, 2, 3, 4, 62]))
+        p = TiltParams(1.0, 1.0)
+        (fit,) = minimize_lsd_many([r_n], family, p)
+        assert abs(fit.residual) <= 1e-12 and fit.theta_hat > r_n.mean() / 5.0
+        assert not fit.converged
+        for densities in ([r_n], table_stacks()[0][:4] + [r_n]):
+            self.assert_record_matches(family, densities, p)
+
+    def test_nan_residual(self, family):
+        r_n = empirical_frequencies(np.array([1, 2, 3, 3, 4]))
+        p = TiltParams(0.0, 1e4)
+        with np.errstate(over="ignore", invalid="ignore"):
+            (fit,) = minimize_lsd_many([r_n], family, p)
+            assert np.isnan(fit.residual) and not fit.converged
+            for densities in ([r_n], [r_n] * 2 + table_stacks()[0][:3]):
+                self.assert_record_matches(family, densities, p)
+
+    def test_unfittable_row(self, family):
+        # the window at the bracket top of a mean-300 sample underflows
+        large = empirical_frequencies(np.random.default_rng(3).poisson(300.0, 50))
+        p = TiltParams(0.2, 0.5)
+        small = table_stacks()[0]
+        for densities in ([large], small[:2] + [large], small[:6] + [large]):
+            fits = _fit_part(_SamplePart.from_densities(densities, family), p)
+            assert isinstance(fits.errors[-1], FloatingPointError)
+            self.assert_record_matches(family, densities, p)
+
+    @pytest.mark.parametrize("rows", [1, 5])
+    def test_nonpositive_exp_a(self, family, rows):
+        p = TiltParams(0.0, -1.0)
+        assert p.exp_a <= 0
+        densities = table_stacks()[0][:rows]
+        fits = _fit_part(_SamplePart.from_densities(densities, family), p)
+        assert all(type(error) is DivergenceInfiniteError for error in fits.errors)
+        self.assert_record_matches(family, densities, p)
 
 
 def chunk_samples(seed):

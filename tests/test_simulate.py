@@ -407,6 +407,28 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             small_estimation_config(grid_gamma=())
 
+    RAW = {"kind": "estimation_bias", "n": 10, "theta_true": 2.0}
+
+    def test_absent_grids_take_the_defaults(self):
+        config = SimulationConfig.from_dict(self.RAW)
+        assert (config.grid_beta, config.grid_gamma) == (ESTIMATION_BETA_GRID, GAMMA_GRID)
+        # an empty beta grid takes the constructor's default as well
+        config = SimulationConfig.from_dict({**self.RAW, "grid_beta": []})
+        assert config.grid_beta == ESTIMATION_BETA_GRID
+
+    def test_empty_gamma_grid_from_dict_is_rejected(self):
+        with pytest.raises(ValueError, match="gamma grid must be non-empty"):
+            SimulationConfig.from_dict({**self.RAW, "grid_gamma": []})
+
+    @pytest.mark.parametrize("name", ["grid_gamma", "grid_beta"])
+    @pytest.mark.parametrize(
+        "value", [0, False, "", None], ids=["zero", "false", "empty-string", "null"]
+    )
+    def test_present_grid_that_is_not_a_list_is_rejected(self, name, value):
+        # a present value never falls back to a default grid
+        with pytest.raises(ValueError, match=f"{name} must be a list of numbers"):
+            SimulationConfig.from_dict({**self.RAW, name: value})
+
     @pytest.mark.parametrize(
         "make,match",
         [
@@ -868,23 +890,25 @@ class TestRejectWorker:
         monkeypatch.setattr(simulate, "divergence_between_fits", counted)
         out = simulate._reject_worker(self.worker_args())
         assert calls == [(32,), (32,)]
-        assert [len(rejects) for rejects in out] == [32, 32]
-        assert all(isinstance(r, bool) for rejects in out for r in rejects)
+        assert out.shape == (2, 32)
+        assert np.isin(out, (0.0, 1.0)).all()
 
     def test_failed_fit_keeps_none(self, monkeypatch):
+        # a failed fit's row is NaN, and the other rows keep their decisions
         clean = simulate._reject_worker(self.worker_args())
         fit_part = simulate._fit_part
 
         def failing_row_3(part, p):
             fits = fit_part(part, p)
-            fits[3] = FloatingPointError("stand-in failure")
+            fits.theta_hat[3] = np.nan
             return fits
 
         monkeypatch.setattr(simulate, "_fit_part", failing_row_3)
         out = simulate._reject_worker(self.worker_args())
-        for rejects, expected in zip(out, clean):
-            assert rejects[3] is None
-            assert rejects[:3] + rejects[4:] == expected[:3] + expected[4:]
+        assert np.isnan(out[:, 3]).all()
+        others = np.arange(32) != 3
+        np.testing.assert_array_equal(out[:, others], clean[:, others])
+        assert not np.isnan(clean).any()
 
     def test_decisions_match_the_pair_density_oracle(self, family):
         seed, reps, n, theta, contam, theta0, tests = self.worker_args()
@@ -896,11 +920,11 @@ class TestRejectWorker:
         for (p, critical), rejects in zip(tests, out):
             fits = estimation.minimize_lsd_many(densities, family, p)
             expected = [
-                2.0 * n * divergence_between_fits_oracle(family, fit.theta_hat, theta0, p)
-                > critical
+                float(2.0 * n * divergence_between_fits_oracle(family, fit.theta_hat, theta0, p)
+                      > critical)
                 for fit in fits
             ]
-            assert rejects == expected
+            assert rejects.tolist() == expected
 
 
 class TestCriticalValue:
