@@ -264,13 +264,21 @@ def _divergence(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams, psi: Psi)
     takes the A -> 0 continuity limit, which needs g on every cell."""
     gv, fv = align(g, f)
     logf, pos, logg = _log_inputs(gv, fv, p)
+    return float(_lsd_from_logs(logf, logf[pos], logg, p, psi))
+
+
+def _lsd_from_logs(logf, logf_pos, logg, p: TiltParams, psi: Psi):
+    """The divergence with the link ``psi`` from log f on the model window,
+    log f on the occupied data cells (``logf_pos``) and log g there, each a
+    vector or a stack of rows: the log link at |A| < 1e-8 takes the A -> 0
+    continuity limit, which needs g on every cell (``logg`` as wide as
+    ``logf``), and every other case :func:`_lsd_kernel`."""
     one_beta = 1.0 + p.beta
     log_sg = _lse(one_beta * logg)
     log_sf = _lse(one_beta * logf)
     if abs(p.exp_a) < EXPONENT_BOUNDARY and psi is Psi.LOG:
-        # every cell is occupied here
-        return float(_zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta))
-    return float(_lsd_kernel(log_sf, logf[pos], logg, log_sg, p, psi=psi))
+        return _zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta)
+    return _lsd_kernel(log_sf, logf_pos, logg, log_sg, p, psi=psi)
 
 
 def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:

@@ -21,7 +21,8 @@ builds one part for all its densities, and the simulation harness one per
 chunk of drawn samples, which it fits at every cell of a table.  The scan
 of every row runs in blocks of rows, each summed over its cells axis; the
 residuals, roots and final objectives of a part of four rows or more run
-as (rows x window) array passes, and a smaller part's roots on floats.
+as (rows x window) array passes, and a smaller part's roots on floats;
+both evaluate one fit window (:class:`_FitWindow`), a stack's or a row's.
 The fits are one record of arrays over the rows (:class:`_PartFits`), from
 which only the public functions build :class:`EstimatorResult`s.
 """
@@ -117,7 +118,10 @@ class EstimatorResult:
     ran.  ``bracket`` is the tightest interval around ``theta_hat`` whose
     ends were evaluated with residual > 0 (low end) and < 0 (high end),
     ``(theta_hat, theta_hat)`` on an exact zero, or the golden-section
-    interval where the safeguard ran and did not refine.
+    interval where the safeguard ran and did not refine.  ``converged`` is
+    True when the coarse scan's best point is not a bracket end and
+    |residual| <= 1e-6; the bracket is then at most max(1e-8, 1e-10
+    max(1, theta_hat)) wide, which the solvers' stop rules give.
     """
 
     theta_hat: float
@@ -173,7 +177,7 @@ def estimating_equation_residual(
     part = _SamplePart.from_densities([r_n], family, bracket=(theta, theta))
     if part.errors[0] is not None:
         raise part.errors[0]
-    return _FitContext(part, 0, p).residual(theta)
+    return float(_FitWindow.row(part, 0, p).residual(theta))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -234,8 +238,8 @@ class _SamplePart:
     ``_PAD_LOGG``.  :meth:`scan` gives every row's coarse scan at a tilt as
     arrays over the rows, from the objective on every row's grid
     (:meth:`scan_objective`, in blocks of rows) and the log sum g^(1+beta)
-    kept per beta (:meth:`log_sum_g`); the scalar fit (:class:`_FitContext`)
-    and the stacked one (:class:`_FitStack`, on its own window) the rest.
+    kept per beta (:meth:`log_sum_g`); the fit windows (:class:`_FitWindow`:
+    a row's on its ``length``, a stack's on its own) the rest.
     """
 
     def __init__(
@@ -352,7 +356,7 @@ class _SamplePart:
         end, which gives the row the same bits in any part and any block.
         The model terms come from a process-wide memo, one lookup per row
         (the only step taken row by row).  A value differs from
-        :class:`_FitContext`'s objective there, which sums its cells
+        a row's :class:`_FitWindow` objective there, which sums its cells
         pairwise, in the last bits only.
         """
         one_beta = 1.0 + p.beta
@@ -391,91 +395,68 @@ class _SamplePart:
         return self.family.log_density(self.grid[:, None, :], self.x_pos[:, :, None])
 
 
-class _FitContext:
-    """The log-space objective and residual of one kept row of a sample part
-    at one tilt, each at a float theta.  Only the objective reads
-    ``log_sg``, the row's log sum g^(1+beta) from :meth:`_SamplePart.scan`.
+class _FitWindow:
+    """The log-space objective and residual of a sample part's kept rows at
+    one tilt, summed over one window [0, end): one row's at a float theta
+    (:meth:`row`), or every row's at a (rows, 1) column of thetas, one per
+    row (:meth:`stack`).  Only the objective reads ``log_sg``, the rows' log
+    sum g^(1+beta) from :meth:`_SamplePart.scan`.
 
-    The objective is the kernel behind :func:`lsd`: a model term log sum
-    f^(1+beta) over the row's whole window plus a data term on its occupied
-    cells only, summed pairwise as numpy sums a lone vector.  The
-    independent oracles for this path are the closed forms :func:`lpd`,
+    ``pos`` indexes each occupied cell in log f on the window, flattened for
+    a stack.  The objective is the kernel behind :func:`lsd`: a model term
+    log sum f^(1+beta) over the whole window plus a data term on the
+    occupied cells only, summed pairwise as numpy sums a lone vector or row.
+    The residual is Bf * sum e u - Af * sum e with e = g^A f^B and the
+    Poisson score u.  A row's values in a stack differ from its own
+    window's in the last bits, depending on the rows that share the stack.
+    The independent oracles for this path are the closed forms :func:`lpd`,
     :func:`ldpd`, :func:`ld` and :func:`oracle_grid_minimize`.
     """
 
-    def __init__(self, part: _SamplePart, k: int, p: TiltParams, log_sg: float | None = None):
-        self.family, self.p, self.log_sg = part.family, p, log_sg
+    def __init__(self, part: _SamplePart, p: TiltParams, end: int, pos, logg, log_sg):
+        self.family, self.p, self.pos, self.logg, self.log_sg = part.family, p, pos, logg, log_sg
         # the window's points as floats and their log x!, which the family
         # would otherwise compute at every evaluation
-        self.x = np.arange(part.length[k], dtype=float)
-        self.log_x_factorial = self.family._log_factorial(self.x)
-        m = part.cells[k]
-        self.x_pos = part.x_pos[k, :m]
-        self.logg_pos = part.logg[k, :m]
-        self.a_logg = p.exp_a * self.logg_pos
-
-    def objective(self, theta: float) -> float:
-        logf = _window_log_density(self, theta)
-        log_sf = _lse((1.0 + self.p.beta) * logf)
-        return _lsd_kernel(log_sf, logf[self.x_pos], self.logg_pos, self.log_sg, self.p)
-
-    def residual(self, theta: float) -> float:
-        logf = _window_log_density(self, theta)
-        u = self.x / theta - 1.0  # the Poisson score; log f has checked theta
-        pos = self.x_pos
-        return float(_residual(logf, u, logf[pos], u[pos], self.a_logg, self.p))
-
-
-def _window_log_density(fit, theta):
-    """``fit.family.log_density(theta, fit.x)`` for a fit context or stack,
-    bit for bit, from the log x! it keeps for its fixed window."""
-    fit.family._check(theta)
-    return fit.family._log_mass(theta, fit.x, fit.log_x_factorial)
-
-
-def _residual(logf, u, logf_pos, u_pos, a_logg, p: TiltParams):
-    """The residual Bf * sum e u - Af * sum e from log f and the score u on
-    the model window, their values on the occupied cells and A log g there,
-    with e = g^A f^B; row by row for (rows x window) and (rows x cells)
-    stacks.  ``vecdot`` takes a row's dot product as ``np.dot`` takes a
-    lone vector's."""
-    fb = np.exp((1.0 + p.beta) * logf)
-    e = np.exp(a_logg + p.exp_b * logf_pos)
-    return fb.sum(-1) * np.vecdot(e, u_pos) - np.vecdot(fb, u) * e.sum(-1)
-
-
-class _FitStack:
-    """A sample part's kept rows at one tilt as rows of one (rows x window)
-    grid, for array passes of the objective and the residual at one theta
-    per row, each theta at most ``top``.
-
-    Every row sums over one window [0, end) that holds the part's data and
-    the support window of ``top``, and so (the Poisson tail beyond any x
-    grows with theta) every row's model tail at each theta evaluated.  The
-    occupied cells are padded to the most any row has with cell 0 and log g
-    = ``_PAD_LOGG``, which add exact zeros.  A row's values differ from its
-    :class:`_FitContext`'s, on another window, in the last bits, depending
-    on the rows that share its stack.
-    """
-
-    def __init__(self, part: _SamplePart, p: TiltParams, log_sg: np.ndarray, top: float):
-        self.family, self.p, self.log_sg, self.logg = part.family, p, log_sg, part.logg
-        end = max(int(part.x_pos.max()) + 1, part.family.support_window(top)[1])
         self.x = np.arange(end, dtype=float)
         self.log_x_factorial = self.family._log_factorial(self.x)
-        self.pos = np.arange(len(part.index))[:, None] * end + part.x_pos
-        self.a_logg = p.exp_a * self.logg
+        self.a_logg = p.exp_a * logg
 
-    def objective(self, theta: np.ndarray) -> np.ndarray:
-        logf = _window_log_density(self, theta[:, None])
+    @classmethod
+    def row(cls, part: _SamplePart, k: int, p: TiltParams, log_sg: float | None = None):
+        """Kept row k on its bracket window [0, ``part.length[k]``)."""
+        m = part.cells[k]
+        return cls(part, p, part.length[k], part.x_pos[k, :m], part.logg[k, :m], log_sg)
+
+    @classmethod
+    def stack(cls, part: _SamplePart, p: TiltParams, log_sg: np.ndarray, top: float):
+        """Every kept row on one window that holds the part's data and the
+        support window of ``top``, the highest theta a row evaluates; the
+        occupied cells are padded as the part pads them (cell 0, log g =
+        ``_PAD_LOGG``), which add exact zeros.  The exact support window
+        grows with theta, but the computed one can be one cell shorter at a
+        higher theta by rounding (see :func:`_model_window_end`), so a lower
+        theta's computed window may end one cell past this one."""
+        end = max(int(part.x_pos.max()) + 1, part.family.support_window(top)[1])
+        pos = np.arange(len(part.index))[:, None] * end + part.x_pos
+        return cls(part, p, end, pos, part.logg, log_sg)
+
+    def _log_density(self, theta):
+        """``family.log_density(theta, x)`` bit for bit, from the kept log x!."""
+        self.family._check(theta)
+        return self.family._log_mass(theta, self.x, self.log_x_factorial)
+
+    def objective(self, theta):
+        logf = self._log_density(theta)
         log_sf = _lse((1.0 + self.p.beta) * logf)
-        return _lsd_kernel(log_sf, logf.reshape(-1)[self.pos], self.logg, self.log_sg, self.p)
+        return _lsd_kernel(log_sf, logf.take(self.pos), self.logg, self.log_sg, self.p)
 
-    def residual(self, theta: np.ndarray) -> np.ndarray:
-        logf = _window_log_density(self, theta[:, None])
-        u = self.x / theta[:, None] - 1.0  # the Poisson score, as above
-        pos = self.pos
-        return _residual(logf, u, logf.reshape(-1)[pos], u.reshape(-1)[pos], self.a_logg, self.p)
+    def residual(self, theta):
+        logf = self._log_density(theta)
+        u = self.x / theta - 1.0  # the Poisson score; log f has checked theta
+        fb = np.exp((1.0 + self.p.beta) * logf)
+        e = np.exp(self.a_logg + self.p.exp_b * logf.take(self.pos))
+        # vecdot takes a row's dot product as np.dot takes a lone vector's
+        return fb.sum(-1) * np.vecdot(e, u.take(self.pos)) - np.vecdot(fb, u) * e.sum(-1)
 
 
 def _golden_section(fun, lo: float, hi: float):
@@ -582,7 +563,7 @@ def _residual_roots(res_fun, x1, f1, x2, f2, active):
     return root, res, np.where(exact, root, lo), np.where(exact, root, hi), iterations
 
 
-def _safeguard(ctx: _FitContext, lo: float, hi: float, g_lo: float, g_hi: float):
+def _safeguard(ctx: _FitWindow, lo: float, hi: float, g_lo: float, g_hi: float):
     """Golden section on a scan cell across which the residual does not fall
     from positive to negative, refined on the residual where it changes sign
     nearby; returns (theta_hat, residual, bracket, iterations)."""
@@ -615,12 +596,16 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
 
     In a part of ``_MIN_STACK`` rows or more, the residual at the scan cell
     ends, the roots where it falls from positive to negative (Chandrupatla's
-    steps, row by row) and the final objectives run as array passes of a
-    :class:`_FitStack` on one window of the highest theta they reach.  Every
-    other row takes the scalar path on its bracket window: that root where
-    the residual falls, else the golden-section safeguard.  A fit has
-    converged when the scan's best point is inside the bracket, the residual
-    is small and the bracket narrow.
+    steps, row by row) and the final objectives run as array passes of
+    :meth:`_FitWindow.stack` on one window of the highest theta they reach.
+    Every other row takes the scalar path on its :meth:`_FitWindow.row`
+    bracket window: that root where the residual falls, else the
+    golden-section safeguard.  A fit has converged when the scan's best
+    point is inside the bracket and the residual is small.  The bracket is
+    not tested: golden section narrows it to ``_TOL_THETA`` and the root
+    solvers below ``_RTOL * |root| + _XTOL`` (or to a point on an exact
+    zero) well within their step budgets, and a NaN residual fails the
+    residual bound.
     """
     errors, index = list(part.errors), part.index
     if p.exp_a <= EXPONENT_BOUNDARY:
@@ -636,14 +621,16 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
         if part.size >= _MIN_STACK:
             # a root lies in its scan cell, a safeguard result at most _REFINE_HALF above
             top = np.minimum(part.hi, g_hi + _REFINE_HALF).max()
-            stack = _FitStack(part, p, log_sg, top)
-            v_lo, v_hi = stack.residual(g_lo), stack.residual(g_hi)
+            stack = _FitWindow.stack(part, p, log_sg, top)
+            v_lo, v_hi = stack.residual(g_lo[:, None]), stack.residual(g_hi[:, None])
             falls = (v_lo > 0) & (v_hi < 0)
-            roots = _residual_roots(stack.residual, g_lo, v_lo, g_hi, v_hi, falls)
+            roots = _residual_roots(
+                lambda t: stack.residual(t[:, None]), g_lo, v_lo, g_hi, v_hi, falls
+            )
             table[[0, 2, 3, 4]], iterations = roots[:4], roots[4]
             rest = np.flatnonzero(~falls).tolist()
         for k in rest:
-            ctx = _FitContext(part, k, p, log_sg[k])
+            ctx = _FitWindow.row(part, k, p, log_sg[k])
             # a stacked row left here does not fall across its scan cell
             v_lo = v_hi = 0.0
             if stack is None:
@@ -656,17 +643,14 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
             if stack is None:
                 table[1, k] = ctx.objective(fit[0])
         if stack is not None:
-            table[1] = stack.objective(table[0])
+            table[1] = stack.objective(table[0][:, None])
     if len(index) < part.size:  # a failed row: NaN, 0 iterations, no scan (a boundary hit)
         full = np.full((5, part.size), np.nan), np.zeros(part.size, int), np.ones(part.size, bool)
         for whole, kept in zip(full, (table, iterations, boundary_hit)):
             whole[..., index] = kept
         table, iterations, boundary_hit = full
-    theta_hat, objective, residual, b_lo, b_hi = table[0], table[1], table[2], table[3], table[4]
-    # the width bound max(1e-8, 1e-10 max(1, theta)), since 1e-10 theta < 1e-8 for theta < 1
-    converged = ~boundary_hit & (np.abs(residual) <= _TOL_EE) & (
-        b_hi - b_lo <= np.fmax(_TOL_THETA, 1e-10 * theta_hat)
-    )
+    theta_hat, objective, residual = table[:3]
+    converged = ~boundary_hit & (np.abs(residual) <= _TOL_EE)
     return _PartFits(theta_hat, objective, residual, iterations, converged, table[3:].T, errors)
 
 

@@ -13,16 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import chdtrc
 
-from .divergence import (
-    EXPONENT_BOUNDARY,
-    DiscreteDensity,
-    Psi,
-    TiltParams,
-    _PAD_LOGG,
-    _lsd_kernel,
-    _lse,
-    _zero_exponent_limit,
-)
+from .divergence import DiscreteDensity, Psi, TiltParams, _PAD_LOGG, _lsd_from_logs
 from .estimation import empirical_frequencies, minimize_lsd
 from .families import PoissonFamily, moments_c_d
 from .asymptotics import SingularityError, _density_score, _model_if1, _model_summary
@@ -93,13 +84,7 @@ def divergence_between_fits(
     outside = x >= ends
     logf = np.where(outside, _PAD_LOGG, family.log_density(theta_f, x))
     logg = np.where(outside, _PAD_LOGG, family.log_density(rows, x))
-    one_beta = 1.0 + p.beta
-    log_sf = _lse(one_beta * logf)
-    log_sg = _lse(one_beta * logg)
-    if psi is Psi.LOG and abs(p.exp_a) < EXPONENT_BOUNDARY:
-        value = _zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta)
-    else:
-        value = _lsd_kernel(log_sf, logf, logg, log_sg, p, psi=psi)
+    value = _lsd_from_logs(logf, logf, logg, p, psi)
     # The divergence is nonnegative; cancellation between the three log terms
     # can leave an O(eps) negative residue when theta_g is numerically equal
     # to theta_f, which must not trip the statistic validation downstream.

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from lsdiv import estimation
 from lsdiv import (
     Contamination,
     ContaminationScheme,
@@ -37,8 +38,7 @@ from lsdiv.estimation import (
     _SCAN_BLOCK,
     _TOL_THETA,
     _XTOL,
-    _FitContext,
-    _FitStack,
+    _FitWindow,
     _SamplePart,
     _fit_part,
     _golden_section,
@@ -205,7 +205,7 @@ class TestBatchedScan:
             grid = part.grid[0]
             np.testing.assert_array_equal(grid, np.linspace(lo, hi, _N_SCAN))
             assert values.shape == (1, _N_SCAN)
-            ctx = _FitContext(part, 0, p, log_sg[0])
+            ctx = _FitWindow.row(part, 0, p, log_sg[0])
             pointwise = np.array([ctx.objective(t) for t in grid])
             np.testing.assert_allclose(values[0], pointwise, rtol=1e-14, atol=0.0)
             assert values[0].argmin() == pointwise.argmin()
@@ -268,7 +268,7 @@ class TestScanMemo:
             part = _SamplePart.from_densities([empirical_frequencies(np.array(sample))], family)
             assert (part.lo, part.hi, part.length) == ([0.8], [25.0], [length])
             log_sg, values = part.scan_objective(p)
-            ctx = _FitContext(part, 0, p, log_sg[0])
+            ctx = _FitWindow.row(part, 0, p, log_sg[0])
             np.testing.assert_array_equal(values[0], [ctx.objective(t) for t in part.grid[0]])
         assert _scan_model_terms.cache_info().currsize == 2
 
@@ -305,10 +305,10 @@ SOLVER_TILTS = [(0.0, 0.0), (0.0, 0.5), (0.4, 2.0), (0.5, 0.0), (0.2, -0.5), (1.
 
 
 def scan_cell(r_n, p):
-    """The fit's context and the scan cell [g_lo, g_hi] around its best grid point."""
+    """The fit's row window and the scan cell [g_lo, g_hi] around its best grid point."""
     part = _SamplePart.from_densities([r_n], PoissonFamily())
     log_sg, g_lo, g_hi, _ = part.scan(p)
-    return _FitContext(part, 0, p, log_sg[0]), g_lo[0], g_hi[0]
+    return _FitWindow.row(part, 0, p, log_sg[0]), g_lo[0], g_hi[0]
 
 
 class TestResidualRoot:
@@ -344,7 +344,7 @@ class TestResidualRoot:
 
     def test_evaluation_budget(self, family, monkeypatch):
         calls = {"scan": 0, "objective": 0, "residual": 0}
-        scan, objective, residual = _SamplePart.scan, _FitContext.objective, _FitContext.residual
+        scan, objective, residual = _SamplePart.scan, _FitWindow.objective, _FitWindow.residual
 
         def counted_scan(self, p):
             calls["scan"] += 1
@@ -359,8 +359,8 @@ class TestResidualRoot:
             return residual(self, theta)
 
         monkeypatch.setattr(_SamplePart, "scan", counted_scan)
-        monkeypatch.setattr(_FitContext, "objective", counted_objective)
-        monkeypatch.setattr(_FitContext, "residual", counted_residual)
+        monkeypatch.setattr(_FitWindow, "objective", counted_objective)
+        monkeypatch.setattr(_FitWindow, "residual", counted_residual)
         contam = Contamination(0.1, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)
         for rep in range(5):
             r_n = empirical_frequencies(
@@ -687,22 +687,23 @@ class TestStackedFits:
         _, _, g_hi, _ = part.scan(p)
         tops = np.minimum(part.hi, g_hi + _REFINE_HALF)
         stacks, evaluated = [], []
-        init, residual, objective = _FitStack.__init__, _FitStack.residual, _FitStack.objective
+        build, residual, objective = _FitWindow.stack, _FitWindow.residual, _FitWindow.objective
 
-        def recorded_init(self, *args):
-            init(self, *args)
-            stacks.append(self)
+        def recorded_stack(cls, *args):
+            stacks.append(build(*args))
+            return stacks[-1]
 
         def recorded(method):
             def call(self, theta):
-                evaluated.append(theta)
+                if any(self is s for s in stacks):  # a row's own window is not the stack's
+                    evaluated.append(theta[:, 0])
                 return method(self, theta)
             return call
 
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(_FitStack, "__init__", recorded_init)
-            patch.setattr(_FitStack, "residual", recorded(residual))
-            patch.setattr(_FitStack, "objective", recorded(objective))
+            patch.setattr(_FitWindow, "stack", classmethod(recorded_stack))
+            patch.setattr(_FitWindow, "residual", recorded(residual))
+            patch.setattr(_FitWindow, "objective", recorded(objective))
             _fit_part(part, p)
         (stack,) = stacks
         ends = [part.x_pos[k, : part.cells[k]].max() + 1 for k in range(len(part.index))]
@@ -714,18 +715,19 @@ class TestStackedFits:
         # The amortisation: one stacked residual pass per step for the whole
         # stack, where minimize_lsd makes 6 to 8 residual calls per fit.
         calls = {"residual": 0, "objective": 0}
-        residual, objective = _FitStack.residual, _FitStack.objective
+        residual, objective = _FitWindow.residual, _FitWindow.objective
 
+        # a stack takes a (rows, 1) column of thetas; a row's window a float
         def counted_residual(self, theta):
-            calls["residual"] += 1
+            calls["residual"] += np.ndim(theta) == 2
             return residual(self, theta)
 
         def counted_objective(self, theta):
-            calls["objective"] += 1
+            calls["objective"] += np.ndim(theta) == 2
             return objective(self, theta)
 
-        monkeypatch.setattr(_FitStack, "residual", counted_residual)
-        monkeypatch.setattr(_FitStack, "objective", counted_objective)
+        monkeypatch.setattr(_FitWindow, "residual", counted_residual)
+        monkeypatch.setattr(_FitWindow, "objective", counted_objective)
         for seed in (11, 12):
             densities = table_stacks(seed)[0]
             for beta, gamma in SOLVER_TILTS:
@@ -812,6 +814,38 @@ class TestPartFitsRecord:
             fits = _fit_part(_SamplePart.from_densities(densities, family), p)
             assert isinstance(fits.errors[-1], FloatingPointError)
             self.assert_record_matches(family, densities, p)
+
+    @pytest.mark.parametrize("beta,gamma", [*SOLVER_TILTS, (0.0, 1e4)])
+    def test_bracket_narrow_without_a_width_test(self, family, beta, gamma, monkeypatch):
+        # converged does not test the bracket: the solvers' stop rules keep
+        # every fit's bracket within max(1e-8, 1e-10 max(1, theta_hat)), on
+        # root rows and on safeguard rows, alone and in parts of 4 rows or more
+        safeguard, calls = estimation._safeguard, []
+
+        def counted(*args):
+            calls[-1] += 1
+            return safeguard(*args)
+
+        monkeypatch.setattr(estimation, "_safeguard", counted)
+        special = [
+            empirical_frequencies(np.array(s)) for s in ([0] * 50, [1, 2, 3, 3, 4], [0] * 49 + [30])
+        ]
+        small, wide = table_stacks()
+        densities = small[:4] + wide[:2] + special
+        p = TiltParams(beta, gamma)
+        for part in ([[r_n] for r_n in densities], [densities, small[:2] + special[:2]]):
+            calls.append(0)
+            for rows in part:
+                with np.errstate(over="ignore", invalid="ignore"):
+                    fits = _fit_part(_SamplePart.from_densities(rows, family), p)
+                for theta, (lo, hi), error in zip(fits.theta_hat, fits.bracket, fits.errors):
+                    assert error is None
+                    assert lo <= theta <= hi and hi - lo <= max(1e-8, 1e-10 * max(1.0, theta))
+        # the one-row parts and the stacks each ran the safeguard and, but
+        # at the NaN-residual tilt (every row a safeguard row), solved roots
+        rows = [len(densities), len(densities) + 4]
+        assert all(0 < c for c in calls)
+        assert gamma == 1e4 or all(c < n for c, n in zip(calls, rows))
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_nonpositive_exp_a(self, family, rows):
@@ -1007,7 +1041,7 @@ class TestEstimatingEquationResidual:
         values = [estimating_equation_residual(t, r_n, family, p) for t in (0.5, 4.0, 30.0)]
         assert values == [6.112725268507475, 0.012403044457515165, -0.7907709216775031]
         part = _SamplePart.from_densities([r_n], family, bracket=(4.0, 4.0))
-        assert _FitContext(part, 0, p).residual(4.0) == values[1]
+        assert _FitWindow.row(part, 0, p).residual(4.0) == values[1]
         assert "grid" not in vars(part) and "logf_scan" not in vars(part)
 
     @pytest.mark.parametrize(

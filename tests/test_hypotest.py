@@ -100,7 +100,7 @@ class TestCurvature:
 
         monkeypatch.setattr("lsdiv.divergence.lsd", refuse)
         monkeypatch.setattr("lsdiv.hypotest.divergence_between_fits", refuse)
-        monkeypatch.setattr("lsdiv.hypotest._lsd_kernel", refuse)
+        monkeypatch.setattr("lsdiv.hypotest._lsd_from_logs", refuse)
         assert curvature_a_beta(family, 4.0, TiltParams(0.5, 0.3)) > 0.0
 
 
