@@ -161,51 +161,41 @@ def _log_inputs(gv: np.ndarray, fv: np.ndarray, p: TiltParams):
     return np.log(fv), pos, np.log(gv[pos])
 
 
-def _lse(a: np.ndarray, axis: int = -1) -> np.ndarray:
-    """log sum exp(a) over ``axis``, the last by default: a float for an
-    (L,) vector, a (k,) array for a (k, L) stack of rows.
-
-    Along the last axis numpy sums each row pairwise, as it sums a lone
-    vector; along another axis it adds the terms one after another, at
-    every position of the axes after it.  Plain numpy: several times
-    cheaper per call than scipy.special.logsumexp on the short vectors a
-    fit evaluates.
+def _lse(a: np.ndarray) -> np.ndarray:
+    """log sum exp(a) over the last axis: a float for an (L,) vector, a (k,)
+    array for a (k, L) stack of rows, each summed pairwise as numpy sums a
+    lone vector.  Plain numpy: several times cheaper per call than
+    scipy.special.logsumexp on the short vectors a fit evaluates.
     """
-    m = a.max(axis=axis, keepdims=True)
+    m = a.max(axis=-1, keepdims=True)
     e = np.subtract(a, m, order="C")  # rows contiguous whatever a's layout
     np.exp(e, out=e)
-    return m.squeeze(axis) + np.log(e.sum(axis=axis))
+    return m.squeeze(-1) + np.log(e.sum(axis=-1))
 
 
-def _zero_exponent_limit(log_sa, loga, logb, log_sb, one_beta: float, axis: int = -1):
-    """(1/(1+beta)) log(sa/sb) - sum b^(1+beta) log(a/b) / sb, the LSD's
-    continuity limit at a zero exponent: B -> 0 with (a, b) = (f, g), and
-    A -> 0 with (a, b) = (g, f).  The sums run over ``axis``.
-
-    A stacked ``logb`` (rows on axis 0, cells on axis 1) takes a ``log_sb``
-    with one entry per row, shaped as ``logb`` without its cells axis;
-    ``loga`` and ``logb`` broadcast against each other.
+def _zero_exponent_limit(log_sa, loga, logb, log_sb, one_beta: float):
+    """(1/(1+beta)) log(sa/sb) - sum b^(1+beta) log(a/b) / sb over the last
+    axis, the LSD's continuity limit at a zero exponent: B -> 0 with (a, b)
+    = (f, g), and A -> 0 with (a, b) = (g, f).  A stacked ``logb`` (rows x
+    cells) takes a ``log_sb`` with one entry per row; ``loga`` and ``logb``
+    broadcast against each other.
     """
     w = np.exp(one_beta * logb - (log_sb[:, None] if logb.ndim > 1 else log_sb))
     diff = np.subtract(loga, logb, order="C")  # rows contiguous whatever loga's layout
-    if axis == -1:
-        # each row's dot product as np.dot takes a lone vector's (a stack's
-        # matmul would go through a matrix-vector BLAS call)
-        dot = np.vecdot(diff, w)
-    else:  # the cells added one after another, as _lse adds them
-        dot = np.multiply(diff, w, out=diff).sum(axis=axis)
-    return (log_sa - log_sb) / one_beta - dot
+    # each row's dot product as np.dot takes a lone vector's (a stack's
+    # matmul would go through a matrix-vector BLAS call)
+    return (log_sa - log_sb) / one_beta - np.vecdot(diff, w)
 
 
 # log g on a padded data cell of a stack: finite, so that each branch of
-# _lsd_kernel adds an exact zero for it (with A > 0, or with log f padded
-# alike).
+# _lsd_kernel and of the fit's scan adds an exact zero for it (with A > 0,
+# or with log f padded alike).
 _PAD_LOGG = -1e300
 
 
 def _lsd_kernel(
     log_sf, logf_pos: np.ndarray, logg: np.ndarray, log_sg: float, p: TiltParams,
-    axis: int = -1, psi: Psi = Psi.LOG,
+    psi: Psi = Psi.LOG,
 ) -> np.ndarray:
     """LSD from its model term and its data term's inputs; with the identity
     link ``psi``, the S-divergence from the exps of the same three log sums
@@ -219,25 +209,21 @@ def _lsd_kernel(
     ``log_sf`` has shape ``(...)`` and ``logf_pos`` shape ``(..., m)`` on m
     occupied cells: a scalar and an (m,) vector give one divergence, a (k,)
     vector and a (k, m) stack (one row per model) give k of them, each equal
-    to what its row alone gives, whatever the stack's layout (a transposed
-    (m, k) array gives the same bits).  ``logg`` of shape (m,) with a float
+    to what its row alone gives.  ``logg`` of shape (m,) with a float
     ``log_sg`` is shared by every row; a (k, m) ``logg`` with a (k,)
     ``log_sg`` gives each row its own data.  A row with fewer occupied cells
-    is padded with log f finite and log g = ``_PAD_LOGG``, which add exact zeros
-    to both branches (a -inf would give inf * 0 in the B -> 0 limit).
-    ``axis`` names the cells axis of ``logf_pos`` when it is not the last;
-    ``logg`` then broadcasts against ``logf_pos`` and ``log_sg`` against
-    the result (see :func:`_lse` for the order of the sums).
+    is padded with log f finite and log g = ``_PAD_LOGG``, which add exact
+    zeros to both branches (a -inf would give inf * 0 in the B -> 0 limit).
     Covers the general formula and, for the log link, the B -> 0 continuity
     limit; the A -> 0 limit, which needs g on every cell, stays with
     :func:`lsd`.
     """
     one_beta = 1.0 + p.beta
     if abs(p.exp_b) < EXPONENT_BOUNDARY and psi is Psi.LOG:
-        return _zero_exponent_limit(log_sf, logf_pos, logg, log_sg, one_beta, axis)
+        return _zero_exponent_limit(log_sf, logf_pos, logg, log_sg, one_beta)
     tilted = p.exp_b * logf_pos
     tilted += p.exp_a * logg  # in place (logf_pos has the full shape): one temporary less
-    log_sfg = _lse(tilted, axis)
+    log_sfg = _lse(tilted)
     if psi is Psi.LOG:
         return _s_combination(log_sf, log_sfg, log_sg, p)
     if min(abs(p.exp_a), abs(p.exp_b)) < EXPONENT_BOUNDARY:

@@ -13,9 +13,9 @@ residual changes sign nearby.
 
 Every fit starts from a sample part (:class:`_SamplePart`): the tilt-free
 state of one or more samples as rows, built in a few array passes (each
-row's bracket, coarse grid, window, occupied cells, log g there and log f
-on occupied cells x grid).  A fit at a tilt adds only the tilt's terms:
-the memoised model terms, log sum g^(1+beta), A log g and the scan kernel.
+row's bracket, coarse grid and log theta there, window, occupied cells with
+their log x!, and log g there).  A fit at a tilt adds only the tilt's terms:
+the memoised model terms, log sum g^(1+beta) and the data term's factors.
 :func:`minimize_lsd` builds a one-row part; :func:`minimize_lsd_many`
 builds one part for all its densities, and the simulation harness one per
 chunk of drawn samples, which it fits at every cell of a table.  The scan
@@ -44,7 +44,7 @@ from .divergence import (
     TiltParams,
     _PAD_LOGG,
     _lse,
-    _lsd_kernel,
+    _s_combination,
     lsd,
 )
 from .families import _MAX_WINDOW, PoissonFamily, density_vector
@@ -68,12 +68,10 @@ _TOL_THETA = 1e-8
 _REFINE_HALF = max(10.0 * _TOL_THETA, 1e-5)
 
 # Per point of the coarse grid: the grid indices of the scan cell around it
-# (its neighbours, clipped to the grid), and whether it is a bracket end.
-# A scan reads both with one lookup each; on minimize_lsd's one-row part,
-# np.clip with np.take_along_axis, or two comparisons, cost several times
-# more (numpy's per-call cost on one-element arrays).
+# (its neighbours, clipped to the grid).  A scan reads them with one lookup;
+# on minimize_lsd's one-row part, np.clip with np.take_along_axis costs
+# several times more (numpy's per-call cost on one-element arrays).
 _SCAN_CELL = np.clip(np.arange(_N_SCAN)[:, None] + [-1, 1], 0, _N_SCAN - 1)
-_BRACKET_END = np.isin(np.arange(_N_SCAN), [0, _N_SCAN - 1])
 _GRID_STEPS = np.arange(_N_SCAN, dtype=float)  # np.linspace's step counts, in floats
 
 # Entries per memo: an entry of the scan memo holds _N_SCAN floats, so it
@@ -82,6 +80,7 @@ _GRID_STEPS = np.arange(_N_SCAN, dtype=float)  # np.linspace's step counts, in f
 # entries per beta (256 on the default 8-beta grid) for every later gamma
 # to hit.
 _MEMO_SIZE = 1024
+
 
 # A root's solve stops once its bracket is narrower than
 # _RTOL * |root| + _XTOL (Python floats, as the scalar solver's arithmetic).
@@ -119,9 +118,9 @@ class EstimatorResult:
     ends were evaluated with residual > 0 (low end) and < 0 (high end),
     ``(theta_hat, theta_hat)`` on an exact zero, or the golden-section
     interval where the safeguard ran and did not refine.  ``converged`` is
-    True when the coarse scan's best point is not a bracket end and
-    |residual| <= 1e-6; the bracket is then at most max(1e-8, 1e-10
-    max(1, theta_hat)) wide, which the solvers' stop rules give.
+    True when ``theta_hat`` is more than 1e-8 inside the search bracket and
+    |residual| <= 1e-6; the bracket is then at most max(1e-8, 1e-10 max(1,
+    theta_hat)) wide, which the solvers' stop rules give.
     """
 
     theta_hat: float
@@ -202,17 +201,70 @@ def _scan_model_terms(
     family: PoissonFamily, lo: float, hi: float, one_beta: float, length: int
 ) -> np.ndarray:
     """The model term log sum f_theta^(1+beta) over the window [0, length) at
-    each theta of the coarse grid of (lo, hi) (see :func:`_grids`), as a
-    read-only array.
+    each theta of the coarse grid of (lo, hi) (see :func:`_grids`), of f
+    scaled as :func:`_objective` scales it, as a read-only array.
 
     The bracket depends on the sample only through its mean, so fits of one
     sample (or of samples with the same mean and window) at one beta share
     an entry whatever their gamma.
     """
-    grid = _grids(np.array([lo]), np.array([hi]))[0]
-    log_sf = _lse(one_beta * family.log_density(grid[:, None], np.arange(length)))
+    grid, ref = _grids(np.array([lo]), np.array([hi]))[0], _reference(lo, hi)
+    family._check(grid)
+    x, _, logf_ref = _window_terms(family, length, ref)
+    logf = x * np.log(grid / ref)[:, None]  # log f e^(theta - theta_r), see _objective
+    logf += logf_ref
+    log_sf = _lse(one_beta * logf)
     log_sf.flags.writeable = False
     return log_sf
+
+
+_POINTS = np.zeros(0), np.zeros(0)  # [0, n) as floats and log x! there (_window_terms)
+
+
+def _window_terms(family: PoissonFamily, end: int, ref):
+    """The window [0, end) as floats and log x! there, read-only views of
+    process-wide tables grown on demand (log x! is taken point by point, so
+    a view has a window's own bits), and log f_theta_r there, at theta_r a
+    float or a (rows, 1) column."""
+    global _POINTS
+    points = _POINTS  # another thread may replace the tables, with shorter ones
+    if len(points[0]) < end:
+        x = np.arange(max(end, 2 * len(points[0])), dtype=float)
+        points = _POINTS = x, family._log_factorial(x)
+        for a in points:
+            a.flags.writeable = False
+    x, log_x_factorial = points[0][:end], points[1][:end]
+    return x, log_x_factorial, family._log_mass(ref, x, log_x_factorial)
+
+
+def _reference(lo: float, hi: float) -> float:
+    """The reference theta_r of a bracket: the mean of its default (mean/5,
+    5 mean + 5), within it."""
+    return max(lo, (hi - 5.0) / 5.0)
+
+
+def _objective(log_sf, log_ratio, factors, log_sg, p: TiltParams):
+    """The objective at theta from the model term ``log_sf``, log(theta /
+    theta_r) and the data term's factors: floats for a row, or arrays over
+    rows whose factors hold the cells on axis 1.  The LSD does not change
+    when f is scaled (its terms move by (1+beta)/A log c, -(1+beta)/A log c
+    and 0), so both terms take f_theta e^(theta - theta_r), whose log is
+    log f_theta_r + x log(theta / theta_r), smooth in theta.  At B != 0 the
+    data term is the log-sum-exp of (B x) log(theta / theta_r) + (A log g +
+    B log f_theta_r); at B = 0 the limit's sum w (log f - log g) is
+    log(theta / theta_r) sum w x + sum w (log f_theta_r - log g)."""
+    if abs(p.exp_b) < EXPONENT_BOUNDARY:  # factors: sum w x, sum w (log f_theta_r - log g)
+        return (log_sf - log_sg) / (1.0 + p.beta) - (log_ratio * factors[0] + factors[1])
+    bx, c = factors
+    rows = isinstance(log_ratio, np.ndarray)
+    tilted = bx * (log_ratio[:, None] if rows else log_ratio)
+    tilted += c
+    peak = tilted.max(axis=1, keepdims=True) if rows else tilted.max()
+    tilted -= peak
+    e = np.exp(tilted, out=tilted)
+    # a row's cells are added one after another, as a scan's sum over axis 1 adds them
+    log_sfg = (peak[:, 0] if rows else peak) + np.log(e.sum(axis=1) if rows else sum(e.tolist()))
+    return _s_combination(log_sf, log_sfg, log_sg, p)
 
 
 class _SamplePart:
@@ -224,22 +276,21 @@ class _SamplePart:
     mean-based default of the one-sample fit, or ``bracket`` for every
     row), its window [0, L) covering the data and the model tail at the
     bracket ends and midpoint (``length``, from a process-wide memo; the
-    scan and the scalar fit sum over it), and, in one array
-    pass over all rows at first use, its coarse grid of ``_N_SCAN`` thetas
-    and log f on occupied cells x grid (``logf_scan``: long rows, which
-    numpy's array passes run faster than a short row per theta).  A row
-    given an error in ``errors``, or whose window cannot be computed, keeps
-    that error and is left out of every array; ``index`` maps the kept rows
-    to the rows given.  The residual at theta reads only the window of the
-    bracket (theta, theta), so its part never builds a scan.
+    scan and the scalar fit sum over it), and, in one array pass over all
+    rows at first use, its coarse grid of ``_N_SCAN`` thetas and log f's
+    factors there (``scan_terms``).  A row given an error in ``errors``, or
+    whose window cannot be computed, keeps that error and is left out of
+    every array; ``index`` maps the kept rows to the rows given.  The
+    residual at theta reads only the window of the bracket (theta, theta),
+    so its part never builds a scan.
 
     ``x_pos`` and ``logg`` hold each kept row's ``cells`` occupied cells in
     order, padded to the most any row has with cell 0 and log g =
     ``_PAD_LOGG``.  :meth:`scan` gives every row's coarse scan at a tilt as
     arrays over the rows, from the objective on every row's grid
-    (:meth:`scan_objective`, in blocks of rows) and the log sum g^(1+beta)
-    kept per beta (:meth:`log_sum_g`); the fit windows (:class:`_FitWindow`:
-    a row's on its ``length``, a stack's on its own) the rest.
+    (:meth:`scan_objective`), the log sum g^(1+beta) kept per beta
+    (:meth:`log_sum_g`) and the data term's factors kept for the last tilt
+    (:meth:`data_factors`); the fit windows (:class:`_FitWindow`) the rest.
     """
 
     def __init__(
@@ -249,8 +300,9 @@ class _SamplePart:
         self.family = family
         self.size = len(means)
         self._log_sg: dict[float, np.ndarray] = {}
+        self._factors = None, None  # the last tilt and its data_factors
         self.errors: list = list(errors) if errors else [None] * self.size
-        self.index, self.lo, self.hi, self.length = [], [], [], []
+        self.index, self.lo, self.hi, self.length, self.ref = [], [], [], [], []
         for i, (mean, end) in enumerate(zip(means, ends)):
             if self.errors[i] is not None:
                 continue
@@ -264,6 +316,7 @@ class _SamplePart:
             self.lo.append(lo)
             self.hi.append(hi)
             self.length.append(max(end, window_end))
+            self.ref.append(_reference(lo, hi))
         if not self.index:
             return
         if len(self.index) < self.size:
@@ -345,19 +398,35 @@ class _SamplePart:
             self._log_sg[one_beta] = log_sg
         return self._log_sg[one_beta]
 
+    def data_factors(self, p: TiltParams):
+        """Every kept row's theta-free factors of the data term at tilt p
+        (see :func:`_objective`), kept for the last tilt asked, which the
+        scan and then the fit windows read: at B != 0, B x and A log g +
+        B log f_theta_r, (rows x cells) arrays; at B = 0, sum w x and sum w
+        (log f_theta_r - log g) per row, each added one cell after another,
+        so that padded cells (w = 0) leave a row's bits alone."""
+        if self._factors[0] is not p:
+            _, x, logf_ref = self.scan_terms
+            if abs(p.exp_b) < EXPONENT_BOUNDARY:
+                log_w = (1.0 + p.beta) * self.logg - self.log_sum_g(1.0 + p.beta)[:, None]
+                terms = np.exp(log_w) * [x, logf_ref - self.logg]
+                self._factors = p, np.cumsum(terms, axis=-1)[..., -1]
+            else:
+                self._factors = p, (p.exp_b * x, p.exp_a * self.logg + p.exp_b * logf_ref)
+        return self._factors[1]
+
     def scan_objective(self, p: TiltParams):
         """Each kept row's log sum g^(1+beta) at tilt p and its objective at
         each theta of its grid, as (rows,) and (rows x _N_SCAN) arrays.
 
-        ``logf_scan`` is read in blocks of rows of at most ``_SCAN_BLOCK``
-        floats (at least one row), and each block's data terms are summed
-        over its cells axis, one cell after another, so that the grid is the
-        contiguous inner loop; a row's padded cells add exact zeros at the
-        end, which gives the row the same bits in any part and any block.
-        The model terms come from a process-wide memo, one lookup per row
-        (the only step taken row by row).  A value differs from
-        a row's :class:`_FitWindow` objective there, which sums its cells
-        pairwise, in the last bits only.
+        The data term (:func:`_objective`) runs in blocks of rows of at
+        most ``_SCAN_BLOCK`` floats (at B = 0 a (rows x _N_SCAN) pass), its
+        products summed over the cells one after another, so that the grid
+        is the contiguous inner loop: a row's padded cells add exact zeros
+        at the end, which gives the row the same bits in any part and any
+        block.  The model terms come from a process-wide memo, one lookup
+        per row.  A value equals the row's :class:`_FitWindow` objective at
+        that theta bit for bit.
         """
         one_beta = 1.0 + p.beta
         log_sg = self.log_sum_g(one_beta)
@@ -365,23 +434,24 @@ class _SamplePart:
             _scan_model_terms(self.family, lo, hi, one_beta, length)
             for lo, hi, length in zip(self.lo, self.hi, self.length)
         ])
-        logf, logg = self.logf_scan, self.logg[:, :, None]
-        step = max(1, _SCAN_BLOCK // logf[0].size)
+        factors = [f[..., None] for f in self.data_factors(p)]
+        step = max(1, _SCAN_BLOCK // (factors[0][0].size * _N_SCAN))
         for i in range(0, len(values), step):
             block = slice(i, i + step)
-            values[block] = _lsd_kernel(
-                values[block], logf[block], logg[block], log_sg[block, None], p, axis=1
+            values[block] = _objective(
+                values[block], self.scan_terms[0][block], [f[block] for f in factors],
+                log_sg[block, None], p,
             )
         return log_sg, values
 
     def scan(self, p: TiltParams):
         """Each kept row's coarse scan at tilt p, as arrays over the rows:
-        log sum g^(1+beta), the scan cell (g_lo, g_hi) around the grid's best
-        point (the first on ties) and whether that point is a bracket end."""
+        log sum g^(1+beta) and the scan cell (g_lo, g_hi) around the grid's
+        best point (the first on ties)."""
         log_sg, values = self.scan_objective(p)
         best = values.argmin(axis=1)
         cell = self.grid[np.arange(len(best))[:, None], _SCAN_CELL[best]]
-        return log_sg, cell[:, 0], cell[:, 1], _BRACKET_END[best]
+        return log_sg, cell[:, 0], cell[:, 1]
 
     @functools.cached_property
     def grid(self) -> np.ndarray:
@@ -389,10 +459,14 @@ class _SamplePart:
         return _grids(np.array(self.lo), np.array(self.hi))
 
     @functools.cached_property
-    def logf_scan(self) -> np.ndarray:
-        """log f on each kept row's occupied cells x grid, as a (rows x
-        cells x _N_SCAN) array."""
-        return self.family.log_density(self.grid[:, None, :], self.x_pos[:, :, None])
+    def scan_terms(self):
+        """For each kept row's reference theta_r (``ref``, its mean within its
+        bracket): log(theta / theta_r) on its grid (checked once by the
+        family), and its occupied cells as floats with log f_theta_r there
+        (rows x cells)."""
+        self.family._check(self.grid)
+        ref, x = np.array(self.ref)[:, None], self.x_pos.astype(float)
+        return np.log(self.grid / ref), x, self.family._log_mass(ref, x)
 
 
 class _FitWindow:
@@ -403,29 +477,32 @@ class _FitWindow:
     sum g^(1+beta) from :meth:`_SamplePart.scan`.
 
     ``pos`` indexes each occupied cell in log f on the window, flattened for
-    a stack.  The objective is the kernel behind :func:`lsd`: a model term
-    log sum f^(1+beta) over the whole window plus a data term on the
-    occupied cells only, summed pairwise as numpy sums a lone vector or row.
-    The residual is Bf * sum e u - Af * sum e with e = g^A f^B and the
-    Poisson score u.  A row's values in a stack differ from its own
-    window's in the last bits, depending on the rows that share the stack.
+    a stack, and ``cells`` the rows and cells of the part's arrays.  The
+    objective is :func:`lsd`'s, from the scan's model and data terms
+    (:func:`_objective`, on the part's data-term factors): a row's equals
+    its scan at a grid point bit for bit, and a stack sums each row's cells
+    pairwise.  The residual is Bf * sum e u - Af * sum e with e = g^A f^B
+    and the Poisson score u, from log f itself.  A row's values in a stack
+    differ from its own window's in the last bits, depending on the rows
+    that share the stack.
     The independent oracles for this path are the closed forms :func:`lpd`,
     :func:`ldpd`, :func:`ld` and :func:`oracle_grid_minimize`.
     """
 
-    def __init__(self, part: _SamplePart, p: TiltParams, end: int, pos, logg, log_sg):
-        self.family, self.p, self.pos, self.logg, self.log_sg = part.family, p, pos, logg, log_sg
-        # the window's points as floats and their log x!, which the family
-        # would otherwise compute at every evaluation
-        self.x = np.arange(end, dtype=float)
-        self.log_x_factorial = self.family._log_factorial(self.x)
-        self.a_logg = p.exp_a * logg
+    def __init__(self, part: _SamplePart, p: TiltParams, pos, cells, ref, window, log_sg):
+        self.family, self.p, self.pos, self.ref, self.log_sg = part.family, p, pos, ref, log_sg
+        self.x, self.log_x_factorial, self.logf_ref = window  # see _window_terms
+        self.logg = part.logg[cells]
+        self.a_logg = p.exp_a * self.logg
+        if log_sg is not None:  # the objective's; a residual alone needs none
+            self.factors = [f[cells[: f.ndim]] for f in part.data_factors(p)]
 
     @classmethod
     def row(cls, part: _SamplePart, k: int, p: TiltParams, log_sg: float | None = None):
         """Kept row k on its bracket window [0, ``part.length[k]``)."""
-        m = part.cells[k]
-        return cls(part, p, part.length[k], part.x_pos[k, :m], part.logg[k, :m], log_sg)
+        m, ref = part.cells[k], part.ref[k]
+        window = _window_terms(part.family, part.length[k], ref)
+        return cls(part, p, part.x_pos[k, :m], (k, slice(m)), ref, window, log_sg)
 
     @classmethod
     def stack(cls, part: _SamplePart, p: TiltParams, log_sg: np.ndarray, top: float):
@@ -438,7 +515,8 @@ class _FitWindow:
         theta's computed window may end one cell past this one."""
         end = max(int(part.x_pos.max()) + 1, part.family.support_window(top)[1])
         pos = np.arange(len(part.index))[:, None] * end + part.x_pos
-        return cls(part, p, end, pos, part.logg, log_sg)
+        ref = np.array(part.ref)[:, None]
+        return cls(part, p, pos, (slice(None),), ref, _window_terms(part.family, end, ref), log_sg)
 
     def _log_density(self, theta):
         """``family.log_density(theta, x)`` bit for bit, from the kept log x!."""
@@ -446,9 +524,14 @@ class _FitWindow:
         return self.family._log_mass(theta, self.x, self.log_x_factorial)
 
     def objective(self, theta):
-        logf = self._log_density(theta)
+        self.family._check(theta)
+        ratio = np.log(theta / self.ref)
+        logf = self.x * ratio  # log f e^(theta - theta_r), as the scan's model terms
+        logf += self.logf_ref
         log_sf = _lse((1.0 + self.p.beta) * logf)
-        return _lsd_kernel(log_sf, logf.take(self.pos), self.logg, self.log_sg, self.p)
+        if isinstance(theta, np.ndarray):  # a stack's (rows, 1) column
+            ratio = ratio[:, 0]
+        return _objective(log_sf, ratio, self.factors, self.log_sg, self.p)
 
     def residual(self, theta):
         logf = self._log_density(theta)
@@ -600,12 +683,12 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
     :meth:`_FitWindow.stack` on one window of the highest theta they reach.
     Every other row takes the scalar path on its :meth:`_FitWindow.row`
     bracket window: that root where the residual falls, else the
-    golden-section safeguard.  A fit has converged when the scan's best
-    point is inside the bracket and the residual is small.  The bracket is
-    not tested: golden section narrows it to ``_TOL_THETA`` and the root
-    solvers below ``_RTOL * |root| + _XTOL`` (or to a point on an exact
-    zero) well within their step budgets, and a NaN residual fails the
-    residual bound.
+    golden-section safeguard.  A fit has converged when its estimate is
+    more than ``_TOL_THETA`` inside the search bracket and the residual is
+    small.  The solver's bracket is not tested: golden section narrows it
+    to ``_TOL_THETA`` and the root solvers below ``_RTOL * |root| + _XTOL``
+    (or to a point on an exact zero) well within their step budgets, and a
+    NaN residual fails the residual bound.
     """
     errors, index = list(part.errors), part.index
     if p.exp_a <= EXPONENT_BOUNDARY:
@@ -614,9 +697,8 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
     # the kept rows' theta_hat, objective, residual and bracket ends
     table = np.empty((5, len(index)))
     iterations = np.zeros(len(index), dtype=int)
-    boundary_hit = np.zeros(len(index), dtype=bool)
     if index:
-        log_sg, g_lo, g_hi, boundary_hit = part.scan(p)
+        log_sg, g_lo, g_hi = part.scan(p)
         stack, rest = None, range(len(index))
         if part.size >= _MIN_STACK:
             # a root lies in its scan cell, a safeguard result at most _REFINE_HALF above
@@ -644,13 +726,16 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
                 table[1, k] = ctx.objective(fit[0])
         if stack is not None:
             table[1] = stack.objective(table[0][:, None])
-    if len(index) < part.size:  # a failed row: NaN, 0 iterations, no scan (a boundary hit)
-        full = np.full((5, part.size), np.nan), np.zeros(part.size, int), np.ones(part.size, bool)
-        for whole, kept in zip(full, (table, iterations, boundary_hit)):
+    # on floats, which cost a one-row part less than four array passes
+    ends = zip(table[0].tolist(), part.lo, part.hi)
+    inside = np.array([min(t - lo, hi - t) > _TOL_THETA for t, lo, hi in ends], dtype=bool)
+    if len(index) < part.size:  # a failed row: NaN, 0 iterations, not inside
+        full = np.full((5, part.size), np.nan), np.zeros(part.size, int), np.zeros(part.size, bool)
+        for whole, kept in zip(full, (table, iterations, inside)):
             whole[..., index] = kept
-        table, iterations, boundary_hit = full
+        table, iterations, inside = full
     theta_hat, objective, residual = table[:3]
-    converged = ~boundary_hit & (np.abs(residual) <= _TOL_EE)
+    converged = inside & (np.abs(residual) <= _TOL_EE)
     return _PartFits(theta_hat, objective, residual, iterations, converged, table[3:].T, errors)
 
 

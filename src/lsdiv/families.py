@@ -42,9 +42,8 @@ class PoissonFamily:
     ``score_derivative`` also take a lone integer point, which the
     model-case influence functions pass.  The fit calls ``log_density`` and
     ``score`` with a 1-d x and a (k, 1) column of thetas, which give a
-    (k, len(x)) array, and ``log_density`` with a (rows, m, 1) x and a
-    (rows, 1, k) theta, which give a (rows, m, k) array.  Every support
-    window starts at 0, so every sum over the model runs over [0, length).
+    (k, len(x)) array.  Every support window starts at 0, so every sum over
+    the model runs over [0, length).
     """
 
     def _check(self, theta) -> None:
@@ -78,8 +77,8 @@ class PoissonFamily:
         x = np.asarray(x, dtype=float)
         # in place: for an array theta that broadcasts against x, numpy
         # cannot reuse the product's buffer for the differences, and on a
-        # sample part's (rows x cells x grid) array two fresh temporaries
-        # cost more than the arithmetic
+        # (rows x window) array of divergence_between_fits two fresh
+        # temporaries cost more than the arithmetic
         logf = x * np.log(theta)
         logf -= theta
         logf -= PoissonFamily._log_factorial(x) if log_x_factorial is None else log_x_factorial

@@ -14,7 +14,7 @@ import numpy as np
 from scipy.special import chdtrc
 
 from .divergence import DiscreteDensity, Psi, TiltParams, _PAD_LOGG, _lsd_from_logs
-from .estimation import empirical_frequencies, minimize_lsd
+from .estimation import empirical_frequencies, minimize_lsd, minimize_lsd_many
 from .families import PoissonFamily, moments_c_d
 from .asymptotics import SingularityError, _density_score, _model_if1, _model_summary
 
@@ -183,19 +183,22 @@ def two_sample_statistic(
     """Two-sample homogeneity test S = (2nm/(n+m)) * LSD(f_theta1hat, f_theta2hat).
 
     The null law is evaluated at the minimum-divergence estimate on the
-    pooled sample.
+    pooled sample.  The three fits run as one :func:`minimize_lsd_many`
+    call; the first that fails (sample 1, 2, pooled) raises its error.
     """
     _check_levels(levels)
     s1 = np.asarray(sample1)
     s2 = np.asarray(sample2)
     if s1.size == 0 or s2.size == 0:
         raise ValueError("both samples must be non-empty")
-    th1 = minimize_lsd(empirical_frequencies(s1), family, p).theta_hat
-    th2 = minimize_lsd(empirical_frequencies(s2), family, p).theta_hat
+    samples = (s1, s2, np.concatenate([s1, s2]))
+    fits = minimize_lsd_many([empirical_frequencies(s) for s in samples], family, p)
+    for fit in fits:
+        if isinstance(fit, Exception):
+            raise fit
+    th1, th2, theta_null = (fit.theta_hat for fit in fits)
     n, m = s1.size, s2.size
     stat = (2.0 * n * m / (n + m)) * divergence_between_fits(family, th1, th2, p)
-    pooled = np.concatenate([s1, s2])
-    theta_null = minimize_lsd(empirical_frequencies(pooled), family, p).theta_hat
     return _build_result(stat, null_law(family, theta_null, p), levels)
 
 

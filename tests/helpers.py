@@ -135,12 +135,13 @@ def divergence_between_fits_oracle(family, theta_g: float, theta_f: float, p: Ti
     return value if value >= 0.0 else (0.0 if value > -1e-10 else value)
 
 
-def converged_oracle(theta_hat: float, residual: float, bracket, boundary_hit: bool) -> bool:
-    """A fit's converged flag, one fit at a time: the scan's best point is
-    inside the bracket, the estimating-equation residual is at most 1e-6
-    and the bracket no wider than max(1e-8, 1e-10 max(1, theta_hat))."""
+def converged_oracle(theta_hat: float, residual: float, bracket, lo: float, hi: float) -> bool:
+    """A fit's converged flag, one fit at a time: theta_hat is more than
+    1e-8 inside the search bracket (lo, hi), the estimating-equation
+    residual is at most 1e-6 and the bracket no wider than max(1e-8, 1e-10
+    max(1, theta_hat))."""
     return (
-        not boundary_hit
+        min(theta_hat - lo, hi - theta_hat) > 1e-8
         and abs(residual) <= 1e-6
         and bracket[1] - bracket[0] <= max(1e-8, 1e-10 * max(1.0, theta_hat))
     )
@@ -149,12 +150,21 @@ def converged_oracle(theta_hat: float, residual: float, bracket, boundary_hit: b
 def scan_oracle(part, k: int, p: TiltParams) -> np.ndarray:
     """Kept row k's coarse scan at tilt p, one grid point at a time.
 
-    At each theta of the row's grid: log f on the row's window [0, length),
-    the model term log sum f^(1+beta) and the row's log sum g^(1+beta) as
-    the objective forms them (numpy's sum of a lone vector), and the data
-    term's sum over the row's occupied cells added one cell after another
-    in a Python loop; B = 0 takes the continuity limit.
+    The LSD does not change when f is scaled by a constant, so the scan
+    takes f_theta e^(theta - theta_r) at the row's reference theta_r
+    (``part.ref[k]``), whose log is log f_theta_r + x log(theta / theta_r).
+    At each theta of the row's grid: that log f on the row's window [0,
+    length), the model term log sum f^(1+beta) and the row's log sum
+    g^(1+beta) as the objective forms them (numpy's sum of a lone vector),
+    and the data term on the row's occupied cells x, with every sum over
+    those cells added one cell after another in a Python loop.  At B != 0
+    each cell's term is (B x) log(theta / theta_r) + (A log g + B log
+    f_theta_r); at B = 0 the continuity limit's sum w (log f - log g), with
+    w = g^(1+beta) / sum g^(1+beta), is log(theta / theta_r) sum w x + sum w
+    (log f_theta_r - log g).
     """
+    from scipy.special import gammaln
+
     from lsdiv.divergence import EXPONENT_BOUNDARY
 
     def in_order(terms):
@@ -167,19 +177,24 @@ def scan_oracle(part, k: int, p: TiltParams) -> np.ndarray:
         peak = v.max()
         return peak + np.log(np.exp(v - peak).sum())
 
-    m = part.cells[k]
-    x_pos, logg = part.x_pos[k, :m], part.logg[k, :m]
+    m, ref = part.cells[k], part.ref[k]
+    logg = part.logg[k, :m]
+    window = np.arange(part.length[k], dtype=float)
+    window_ref = window * np.log(ref) - ref - gammaln(window + 1.0)
+    x = part.x_pos[k, :m].astype(float)
+    logf_ref = window_ref[part.x_pos[k, :m]]
     a, b, one_beta = p.exp_a, p.exp_b, 1.0 + p.beta
     log_sg = lse(one_beta * logg)
+    w = np.exp(one_beta * logg - log_sg)
+    sums = [in_order(w * x), in_order(w * (logf_ref - logg))]
     values = []
     for theta in part.grid[k]:
-        logf = part.family.log_density(theta, np.arange(part.length[k]))
-        log_sf = lse(one_beta * logf)
+        log_ratio = np.log(theta / ref)
+        log_sf = lse(one_beta * (window * log_ratio + window_ref))
         if abs(b) < EXPONENT_BOUNDARY:
-            w = np.exp(one_beta * logg - log_sg)
-            values.append((log_sf - log_sg) / one_beta - in_order((logf[x_pos] - logg) * w))
+            values.append((log_sf - log_sg) / one_beta - (log_ratio * sums[0] + sums[1]))
             continue
-        tilted = b * logf[x_pos] + a * logg
+        tilted = (b * x) * log_ratio + (a * logg + b * logf_ref)
         peak = tilted.max()
         log_sfg = peak + np.log(in_order(np.exp(tilted - peak)))
         values.append(log_sf / a - one_beta / (a * b) * log_sfg + log_sg / b)

@@ -183,7 +183,11 @@ class TestBatchedScan:
 
     @pytest.mark.parametrize(
         "theta,n,n_contam",
-        [(4.0, 50, 5), (100.0, 200, 0)],  # the estimation table's and a wide window
+        # the estimation table's, a wide window, and a mean of about 138, whose
+        # bracket top 696 nears the largest window the fit accepts: there x log
+        # theta reaches about 1 100 and log x! 730, so a data term factored on
+        # them rather than on log f at the row's reference would cancel most
+        [(4.0, 50, 5), (100.0, 200, 0), (138.0, 200, 0)],
     )
     @pytest.mark.parametrize(
         "beta,gamma",
@@ -223,6 +227,18 @@ class TestBatchedScan:
                 np.testing.assert_array_equal(values[k], scan_oracle(part, k, p))
 
     @pytest.mark.parametrize("beta,gamma", SCAN_TILTS)
+    def test_scan_is_the_row_objective(self, family, beta, gamma):
+        # the scan and a row's one-theta objective share their model and
+        # data terms and the order of their sums: they agree bit for bit
+        p = TiltParams(beta, gamma)
+        for samples in chunk_samples(0):
+            part = _SamplePart.from_samples(samples, family)
+            log_sg, values = part.scan_objective(p)
+            for k in range(0, len(samples), 9):
+                ctx = _FitWindow.row(part, k, p, log_sg[k])
+                np.testing.assert_array_equal(values[k], [ctx.objective(t) for t in part.grid[k]])
+
+    @pytest.mark.parametrize("beta,gamma", SCAN_TILTS)
     def test_row_scan_same_in_any_part_and_block(self, family, beta, gamma):
         # each row alone, in a 32-row chunk of either table, and in a part
         # of both shapes and single-cell rows that spans many blocks (a
@@ -240,7 +256,7 @@ class TestBatchedScan:
             (_SamplePart.from_samples(wide_chunk, family), wide_chunk),
             (_SamplePart.from_densities([empirical_frequencies(s) for s in mixed], family), mixed),
         ]
-        assert parts[2][0].logf_scan[0].size * 3 > _SCAN_BLOCK
+        assert parts[2][0].x_pos[0].size * _N_SCAN * 3 > _SCAN_BLOCK
         assert sorted(parts[2][0].cells)[:3] == [1, 1, 1]
         for part, samples in parts:
             values = part.scan_objective(p)[1]
@@ -307,7 +323,7 @@ SOLVER_TILTS = [(0.0, 0.0), (0.0, 0.5), (0.4, 2.0), (0.5, 0.0), (0.2, -0.5), (1.
 def scan_cell(r_n, p):
     """The fit's row window and the scan cell [g_lo, g_hi] around its best grid point."""
     part = _SamplePart.from_densities([r_n], PoissonFamily())
-    log_sg, g_lo, g_hi, _ = part.scan(p)
+    log_sg, g_lo, g_hi = part.scan(p)
     return _FitWindow.row(part, 0, p, log_sg[0]), g_lo[0], g_hi[0]
 
 
@@ -684,7 +700,7 @@ class TestStackedFits:
         family, p = PoissonFamily(), TiltParams(*tilt)
         rng = np.random.default_rng(seed)
         part = _SamplePart.from_samples(rng.poisson(means, size=(n, len(means))).T, family)
-        _, _, g_hi, _ = part.scan(p)
+        _, _, g_hi = part.scan(p)
         tops = np.minimum(part.hi, g_hi + _REFINE_HALF)
         stacks, evaluated = [], []
         build, residual, objective = _FitWindow.stack, _FitWindow.residual, _FitWindow.objective
@@ -755,7 +771,7 @@ class TestPartFitsRecord:
         assert fits.bracket.shape == (rows, 2) and len(fits.errors) == rows
         assert fits.iterations.dtype.kind == "i" and fits.converged.dtype == bool
         fitted = part.index and p.exp_a > 0
-        edges = dict(zip(part.index, part.scan(p)[3].tolist())) if fitted else {}
+        brackets = dict(zip(part.index, zip(part.lo, part.hi))) if fitted else {}
         for i, want in enumerate(expected):
             floats = [fits.theta_hat[i], fits.objective[i], fits.residual[i], *fits.bracket[i]]
             if isinstance(want, Exception):
@@ -767,7 +783,7 @@ class TestPartFitsRecord:
             got = (*map(float.hex, map(float, floats)), int(fits.iterations[i]))
             assert got == (*map(float.hex, (want.theta_hat, want.objective, want.residual,
                                             *want.bracket)), want.iterations)
-            oracle = converged_oracle(want.theta_hat, want.residual, want.bracket, edges[i])
+            oracle = converged_oracle(want.theta_hat, want.residual, want.bracket, *brackets[i])
             assert bool(fits.converged[i]) is want.converged is oracle
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 30])
@@ -785,15 +801,21 @@ class TestPartFitsRecord:
         for densities in ([zeros], table_stacks()[0][:5] + [zeros]):
             self.assert_record_matches(family, densities, p)
 
-    def test_edge_scan_point_alone_keeps_a_fit_from_converging(self, family):
+    def test_interior_root_after_an_edge_scan_point_converges(self, family):
         # the scan's best point is the bracket's low end, 2.47; the fit then
-        # finds a root inside the bracket (residual 0 alone, ~1e-18 in a stack)
+        # finds a root inside the bracket (residual 0 alone, ~1e-18 in a
+        # stack), which converges, while an all-zero sample fits to the
+        # bracket floor 0.001 and does not
         r_n = empirical_frequencies(np.array([1, 2, 2, 3, 4, 62]))
+        zeros = empirical_frequencies(np.zeros(50, dtype=int))
         p = TiltParams(1.0, 1.0)
-        (fit,) = minimize_lsd_many([r_n], family, p)
-        assert abs(fit.residual) <= 1e-12 and fit.theta_hat > r_n.mean() / 5.0
-        assert not fit.converged
-        for densities in ([r_n], table_stacks()[0][:4] + [r_n]):
+        part = _SamplePart.from_densities([r_n], family)
+        assert part.scan_objective(p)[1].argmin() == 0 and part.lo[0] == r_n.mean() / 5.0
+        fit, floor = minimize_lsd_many([r_n, zeros], family, p)
+        assert fit.residual == 0.0 and fit.bracket == (fit.theta_hat, fit.theta_hat)
+        assert abs(fit.theta_hat - 2.5373) < 1e-4 and fit.converged
+        assert floor.theta_hat == 1e-3 and not floor.converged
+        for densities in ([r_n], [zeros], table_stacks()[0][:4] + [r_n, zeros]):
             self.assert_record_matches(family, densities, p)
 
     def test_nan_residual(self, family):
@@ -897,7 +919,10 @@ class TestSamplePart:
                 np.testing.assert_array_equal(part.grid[k], one.grid[0])
                 np.testing.assert_array_equal(part.x_pos[k, :m], one.x_pos[0])
                 np.testing.assert_array_equal(part.logg[k, :m], one.logg[0])
-                np.testing.assert_array_equal(part.logf_scan[k, :m], one.logf_scan[0])
+                assert part.ref[k] == one.ref[0]
+                np.testing.assert_array_equal(part.scan_terms[0][k], one.scan_terms[0][0])
+                for got, want in zip(part.scan_terms[1:], one.scan_terms[1:]):
+                    np.testing.assert_array_equal(got[k, :m], want[0])
                 for beta, gamma in SOLVER_TILTS[:3]:
                     p = TiltParams(beta, gamma)
                     got, want = part.scan_objective(p), one.scan_objective(p)
@@ -928,12 +953,14 @@ class TestSamplePart:
             densities += [empirical_frequencies(np.array(d)) for d in DEGENERATE]
             densities += [DiscreteDensity(offset=3, mass=r_n.mass) for r_n in densities[:2]]
             part = _SamplePart.from_densities(densities, family)
-            _, g_lo, g_hi, edge = part.scan(p)
+            _, g_lo, g_hi = part.scan(p)
+            best = part.scan_objective(p)[1].argmin(axis=1)
             fits = minimize_lsd_many(densities, family, p)
             for k, (r_n, fit) in enumerate(zip(densities, fits)):
                 one = _SamplePart.from_densities([r_n], family)
-                _, o_lo, o_hi, o_edge = one.scan(p)
-                assert (g_lo[k], g_hi[k], edge[k]) == (o_lo[0], o_hi[0], o_edge[0])
+                _, o_lo, o_hi = one.scan(p)
+                o_best = one.scan_objective(p)[1].argmin()
+                assert (g_lo[k], g_hi[k], best[k]) == (o_lo[0], o_hi[0], o_best)
                 expected = minimize_lsd(r_n, family, p)
                 assert abs(fit.theta_hat - expected.theta_hat) <= _TOL_THETA
                 assert fit.converged == expected.converged
@@ -990,7 +1017,8 @@ class TestSamplePart:
         part = _SamplePart.from_samples(samples, family)
         assert isinstance(part.errors[2], FloatingPointError)
         assert part.index == [0, 1, 3, 4, 5]
-        assert part.x_pos.shape[0] == part.logf_scan.shape[0] == 5
+        assert part.x_pos.shape[0] == 5
+        assert len(part.ref) == 5 and [a.shape[0] for a in part.scan_terms] == [5] * 3
 
 
 class TestEstimatingEquationResidual:
@@ -1042,7 +1070,7 @@ class TestEstimatingEquationResidual:
         assert values == [6.112725268507475, 0.012403044457515165, -0.7907709216775031]
         part = _SamplePart.from_densities([r_n], family, bracket=(4.0, 4.0))
         assert _FitWindow.row(part, 0, p).residual(4.0) == values[1]
-        assert "grid" not in vars(part) and "logf_scan" not in vars(part)
+        assert "grid" not in vars(part) and "scan_terms" not in vars(part)
 
     @pytest.mark.parametrize(
         "r_n", [DiscreteDensity(-1, np.array([0.5, 0.5])), DiscreteDensity(0, np.zeros(3))],

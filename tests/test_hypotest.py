@@ -265,6 +265,43 @@ class TestTwoSample:
         with pytest.raises(ValueError):
             two_sample_statistic(np.array([], dtype=int), np.array([1]), family, TiltParams(0, 0))
 
+    @pytest.mark.parametrize("beta,gamma", SOLVER_TILTS)
+    def test_one_call_fits_as_minimize_lsd(self, family, beta, gamma, monkeypatch):
+        # the three fits run as one minimize_lsd_many call, each row as
+        # minimize_lsd fits it alone, bit for bit
+        from lsdiv import empirical_frequencies, hypotest, minimize_lsd
+
+        rng = np.random.default_rng(21)
+        s1, s2 = rng.poisson(2.0, 60), rng.poisson(3.5, 40)
+        s2[:3] = 17
+        p = TiltParams(beta, gamma)
+        th1, th2, pooled = (
+            minimize_lsd(empirical_frequencies(s), family, p).theta_hat
+            for s in (s1, s2, np.concatenate([s1, s2]))
+        )
+        calls, many = [], hypotest.minimize_lsd_many
+
+        def counted(*args):
+            calls.append(args)
+            return many(*args)
+
+        monkeypatch.setattr(hypotest, "minimize_lsd_many", counted)
+        monkeypatch.setattr(hypotest, "minimize_lsd", None)  # the one-sample fit is not called
+        result = two_sample_statistic(s1, s2, family, p)
+        assert len(calls) == 1
+        scale = 2.0 * 60 * 40 / 100.0
+        assert result.statistic == scale * divergence_between_fits(family, th1, th2, p)
+        assert result.weight == null_law(family, pooled, p)
+
+    def test_first_failed_fit_raises(self, family):
+        # a sample of 300s cannot be fitted (its window at the bracket
+        # midpoint 782.5 underflows), nor can the pooled sample (at its
+        # bracket top 1310.65); the sample's error is raised, in either place
+        small, large, p = np.array([1, 2, 3]), np.full(20, 300), TiltParams(0.2, 0.5)
+        for s1, s2 in ((small, large), (large, small)):
+            with pytest.raises(FloatingPointError, match=r"exp\(-782\.5\)"):
+                two_sample_statistic(s1, s2, family, p)
+
 
 class TestSecondOrderTestInfluence:
     def test_known_value_at_likelihood_disparity(self, family):
