@@ -1,21 +1,22 @@
 """Minimum-divergence estimation for discrete models.
 
 The estimate minimizes theta -> LSD(r_n, f_theta) over a bracket around the
-sample mean.  A coarse scan guards against the multimodality that appears
-for large gamma under contamination and picks the best grid cell.  Since
-the estimating-equation residual has the sign opposite to the objective's
-derivative (for A > 0), the minimizer in that cell is the root of the
-residual, found by Chandrupatla's method whenever the residual falls from
-positive to negative across the cell.  Otherwise (the scan's best cell at
-a bracket edge, or a degenerate sample) golden-section search narrows the
-cell and a residual root refinement restores full precision when the
-residual changes sign nearby.
+sample mean.  A coarse scan picks the best point of a grid over the
+bracket: the objective is convex in log theta at B <= 0, but at B > 0 it
+can have several local minima (on the samples measured, at gamma <
+beta / (1 - beta), and at every gamma when beta = 1).  The estimating-
+equation residual is the objective's slope in log theta times
+-A / ((1 + beta) theta), so where it falls from positive to negative across
+the scan cell around the best point, the minimizer is its root there,
+found by Chandrupatla's method.  Otherwise (the best point at a bracket
+end, or a degenerate sample) the fit keeps the best grid point.
 
 Every fit starts from a sample part (:class:`_SamplePart`): the tilt-free
 state of one or more samples as rows, built in a few array passes (each
 row's bracket, coarse grid and log theta there, window, occupied cells with
-their log x!, and log g there).  A fit at a tilt adds only the tilt's terms:
-the memoised model terms, log sum g^(1+beta) and the data term's factors.
+log f at a reference theta there, and log g there).  A fit at a tilt adds
+only the tilt's terms: the memoised model terms, log sum g^(1+beta) and the
+data term's factors.
 :func:`minimize_lsd` builds a one-row part; :func:`minimize_lsd_many`
 builds one part for all its densities, and the simulation harness one per
 chunk of drawn samples, which it fits at every cell of a table.  The scan
@@ -58,20 +59,17 @@ __all__ = [
     "oracle_grid_minimize",
 ]
 
-GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-# Points of each row's coarse scan, which guards against multimodality, the
-# width of the golden-section safeguard's final bracket, and the half-width
-# of the interval around its result on which it refines theta on the residual.
+# Points of each row's coarse scan, which guards against multimodality, and
+# the least distance from a converged estimate to its search bracket's ends.
 _N_SCAN = 256
 _TOL_THETA = 1e-8
-_REFINE_HALF = max(10.0 * _TOL_THETA, 1e-5)
 
-# Per point of the coarse grid: the grid indices of the scan cell around it
-# (its neighbours, clipped to the grid).  A scan reads them with one lookup;
-# on minimize_lsd's one-row part, np.clip with np.take_along_axis costs
-# several times more (numpy's per-call cost on one-element arrays).
-_SCAN_CELL = np.clip(np.arange(_N_SCAN)[:, None] + [-1, 1], 0, _N_SCAN - 1)
+# Per point of the coarse grid: the grid indices of its scan cell's low end,
+# of itself and of the cell's high end (its neighbours, clipped to the
+# grid).  A scan reads them with one lookup; on minimize_lsd's one-row part,
+# np.clip with np.take_along_axis costs several times more (numpy's
+# per-call cost on one-element arrays).
+_SCAN_CELL = np.clip(np.arange(_N_SCAN)[:, None] + [-1, 0, 1], 0, _N_SCAN - 1)
 _GRID_STEPS = np.arange(_N_SCAN, dtype=float)  # np.linspace's step counts, in floats
 
 # Entries per memo: an entry of the scan memo holds _N_SCAN floats, so it
@@ -87,8 +85,8 @@ _MEMO_SIZE = 1024
 _XTOL = 1e-12
 _RTOL = 4.0 * math.ulp(1.0)
 
-# A converged fit's largest estimating-equation residual, and each solver's
-# step budget (the root solver's and golden section's).
+# A converged fit's largest estimating-equation residual, and the root
+# solver's step budget.
 _TOL_EE = 1e-6
 _MAX_ITERATIONS = 200
 
@@ -112,15 +110,16 @@ def _is_real(value) -> bool:
 class EstimatorResult:
     """A fit's estimate and diagnostics.
 
+    ``residual`` is :func:`estimating_equation_residual` at ``theta_hat``.
     ``iterations`` counts the root solver's steps on the residual
-    (Chandrupatla's method), or golden-section steps where that safeguard
-    ran.  ``bracket`` is the tightest interval around ``theta_hat`` whose
+    (Chandrupatla's method), 0 where the fit kept the scan's best grid
+    point.  ``bracket`` is the tightest interval around ``theta_hat`` whose
     ends were evaluated with residual > 0 (low end) and < 0 (high end),
-    ``(theta_hat, theta_hat)`` on an exact zero, or the golden-section
-    interval where the safeguard ran and did not refine.  ``converged`` is
-    True when ``theta_hat`` is more than 1e-8 inside the search bracket and
-    |residual| <= 1e-6; the bracket is then at most max(1e-8, 1e-10 max(1,
-    theta_hat)) wide, which the solvers' stop rules give.
+    ``(theta_hat, theta_hat)`` on an exact zero, or the scan cell around
+    a kept grid point.  ``converged`` is True when ``theta_hat`` is more
+    than 1e-8 inside the search bracket and |residual| <= 1e-6; a root's
+    bracket is then at most max(1e-8, 1e-10 max(1, theta_hat)) wide, which
+    the solver's stop rule gives.
     """
 
     theta_hat: float
@@ -158,13 +157,18 @@ def estimating_equation_residual(
     family: PoissonFamily,
     p: TiltParams,
 ) -> float:
-    """Imbalance Bf * sum e u - Af * sum e of the estimating equation.
+    """The estimating equation's residual E_e[u] - E_{f^(1+beta)}[u] at theta.
 
-    Here e = r_n^A f_theta^B on the occupied data cells, Af = sum f^(1+beta) u
-    and Bf = sum f^(1+beta); since sum f^(1+beta) (Bf u - Af) = 0 this equals
-    sum (delta^A - 1) f^(1+beta) (Bf u - Af) with delta = r_n / f_theta.  Zero
-    at an interior optimum; its sign is opposite to the sign of the objective
-    derivative (positive below the minimizer for A > 0).
+    The means of the Poisson score u = x / theta - 1 are taken under weights
+    e = r_n^A f_theta^B on the occupied data cells (r_n^(1+beta) at B = 0)
+    and f_theta^(1+beta) on the model window, each normalised, so the value
+    is (E_e[x] - E_{f^(1+beta)}[x]) / theta and does not change when f is
+    scaled.  It is the objective's derivative in log theta times
+    -A / ((1+beta) theta): zero at an interior optimum, positive below the
+    minimizer for A > 0.  The estimating equation's left side sum
+    (delta^A - 1) f^(1+beta) (Bf u - Af), with delta = r_n / f_theta, Af =
+    sum f^(1+beta) u and Bf = sum f^(1+beta), is sum e times Bf times this
+    residual.
     """
     if p.exp_a <= EXPONENT_BOUNDARY:
         raise DivergenceInfiniteError(
@@ -210,7 +214,7 @@ def _scan_model_terms(
     """
     grid, ref = _grids(np.array([lo]), np.array([hi]))[0], _reference(lo, hi)
     family._check(grid)
-    x, _, logf_ref = _window_terms(family, length, ref)
+    x, logf_ref = _window_terms(family, length, ref)
     logf = x * np.log(grid / ref)[:, None]  # log f e^(theta - theta_r), see _objective
     logf += logf_ref
     log_sf = _lse(one_beta * logf)
@@ -222,10 +226,10 @@ _POINTS = np.zeros(0), np.zeros(0)  # [0, n) as floats and log x! there (_window
 
 
 def _window_terms(family: PoissonFamily, end: int, ref):
-    """The window [0, end) as floats and log x! there, read-only views of
-    process-wide tables grown on demand (log x! is taken point by point, so
-    a view has a window's own bits), and log f_theta_r there, at theta_r a
-    float or a (rows, 1) column."""
+    """The window [0, end) as floats, a read-only view of a process-wide
+    table grown on demand, and log f_theta_r there, at theta_r a float or a
+    (rows, 1) column, from the table's log x! (taken point by point, so a
+    view has a window's own bits)."""
     global _POINTS
     points = _POINTS  # another thread may replace the tables, with shorter ones
     if len(points[0]) < end:
@@ -233,8 +237,8 @@ def _window_terms(family: PoissonFamily, end: int, ref):
         points = _POINTS = x, family._log_factorial(x)
         for a in points:
             a.flags.writeable = False
-    x, log_x_factorial = points[0][:end], points[1][:end]
-    return x, log_x_factorial, family._log_mass(ref, x, log_x_factorial)
+    x = points[0][:end]
+    return x, family._log_mass(ref, x, points[1][:end])
 
 
 def _reference(lo: float, hi: float) -> float:
@@ -267,6 +271,12 @@ def _objective(log_sf, log_ratio, factors, log_sg, p: TiltParams):
     return _s_combination(log_sf, log_sfg, log_sg, p)
 
 
+def _mean(w, x):
+    """The mean of x under the weights w over the last axis: a float for a
+    row, an array for a stack of rows."""
+    return np.vecdot(w, x) / w.sum(axis=-1)
+
+
 class _SamplePart:
     """The tilt-free part of the fits of several data densities, as rows.
 
@@ -277,12 +287,14 @@ class _SamplePart:
     row), its window [0, L) covering the data and the model tail at the
     bracket ends and midpoint (``length``, from a process-wide memo; the
     scan and the scalar fit sum over it), and, in one array pass over all
-    rows at first use, its coarse grid of ``_N_SCAN`` thetas and log f's
-    factors there (``scan_terms``).  A row given an error in ``errors``, or
-    whose window cannot be computed, keeps that error and is left out of
-    every array; ``index`` maps the kept rows to the rows given.  The
-    residual at theta reads only the window of the bracket (theta, theta),
-    so its part never builds a scan.
+    rows at first use each, its occupied cells as floats with log f at its
+    reference theta there (``cell_terms``) and its coarse grid of
+    ``_N_SCAN`` thetas (``grid``) with log(theta / theta_r) there
+    (``scan_terms``).  A row given an error in ``errors``, or whose window
+    cannot be computed, keeps that error and is left out of every array;
+    ``index`` maps the kept rows to the rows given.  The residual at theta
+    reads only the window of the bracket (theta, theta) and the cell terms,
+    so its part never builds a grid.
 
     ``x_pos`` and ``logg`` hold each kept row's ``cells`` occupied cells in
     order, padded to the most any row has with cell 0 and log g =
@@ -290,7 +302,8 @@ class _SamplePart:
     arrays over the rows, from the objective on every row's grid
     (:meth:`scan_objective`), the log sum g^(1+beta) kept per beta
     (:meth:`log_sum_g`) and the data term's factors kept for the last tilt
-    (:meth:`data_factors`); the fit windows (:class:`_FitWindow`) the rest.
+    (:meth:`data_factors`), which the fit windows (:class:`_FitWindow`)
+    read too.
     """
 
     def __init__(
@@ -406,7 +419,7 @@ class _SamplePart:
         (log f_theta_r - log g) per row, each added one cell after another,
         so that padded cells (w = 0) leave a row's bits alone."""
         if self._factors[0] is not p:
-            _, x, logf_ref = self.scan_terms
+            x, logf_ref = self.cell_terms
             if abs(p.exp_b) < EXPONENT_BOUNDARY:
                 log_w = (1.0 + p.beta) * self.logg - self.log_sum_g(1.0 + p.beta)[:, None]
                 terms = np.exp(log_w) * [x, logf_ref - self.logg]
@@ -415,9 +428,9 @@ class _SamplePart:
                 self._factors = p, (p.exp_b * x, p.exp_a * self.logg + p.exp_b * logf_ref)
         return self._factors[1]
 
-    def scan_objective(self, p: TiltParams):
-        """Each kept row's log sum g^(1+beta) at tilt p and its objective at
-        each theta of its grid, as (rows,) and (rows x _N_SCAN) arrays.
+    def scan_objective(self, p: TiltParams) -> np.ndarray:
+        """Each kept row's objective at tilt p at each theta of its grid, as
+        a (rows x _N_SCAN) array.
 
         The data term (:func:`_objective`) runs in blocks of rows of at
         most ``_SCAN_BLOCK`` floats (at B = 0 a (rows x _N_SCAN) pass), its
@@ -439,19 +452,20 @@ class _SamplePart:
         for i in range(0, len(values), step):
             block = slice(i, i + step)
             values[block] = _objective(
-                values[block], self.scan_terms[0][block], [f[block] for f in factors],
+                values[block], self.scan_terms[block], [f[block] for f in factors],
                 log_sg[block, None], p,
             )
-        return log_sg, values
+        return values
 
     def scan(self, p: TiltParams):
         """Each kept row's coarse scan at tilt p, as arrays over the rows:
-        log sum g^(1+beta) and the scan cell (g_lo, g_hi) around the grid's
-        best point (the first on ties)."""
-        log_sg, values = self.scan_objective(p)
+        the grid's best point (the first on ties), the objective there and
+        the scan cell (g_lo, g_hi) around it."""
+        values = self.scan_objective(p)
         best = values.argmin(axis=1)
-        cell = self.grid[np.arange(len(best))[:, None], _SCAN_CELL[best]]
-        return log_sg, cell[:, 0], cell[:, 1]
+        rows = np.arange(len(best))
+        cell = self.grid[rows[:, None], _SCAN_CELL[best]]
+        return cell[:, 1], values[rows, best], cell[:, 0], cell[:, 2]
 
     @functools.cached_property
     def grid(self) -> np.ndarray:
@@ -459,53 +473,59 @@ class _SamplePart:
         return _grids(np.array(self.lo), np.array(self.hi))
 
     @functools.cached_property
-    def scan_terms(self):
-        """For each kept row's reference theta_r (``ref``, its mean within its
-        bracket): log(theta / theta_r) on its grid (checked once by the
-        family), and its occupied cells as floats with log f_theta_r there
-        (rows x cells)."""
+    def cell_terms(self):
+        """Each kept row's occupied cells as floats and log f_theta_r there
+        (rows x cells), at its reference theta_r (``ref``, its mean within
+        its bracket)."""
+        x = self.x_pos.astype(float)
+        return x, self.family._log_mass(np.array(self.ref)[:, None], x)
+
+    @functools.cached_property
+    def scan_terms(self) -> np.ndarray:
+        """log(theta / theta_r) on each kept row's grid (checked once by the
+        family), rows x _N_SCAN."""
         self.family._check(self.grid)
-        ref, x = np.array(self.ref)[:, None], self.x_pos.astype(float)
-        return np.log(self.grid / ref), x, self.family._log_mass(ref, x)
+        return np.log(self.grid / np.array(self.ref)[:, None])
 
 
 class _FitWindow:
     """The log-space objective and residual of a sample part's kept rows at
     one tilt, summed over one window [0, end): one row's at a float theta
     (:meth:`row`), or every row's at a (rows, 1) column of thetas, one per
-    row (:meth:`stack`).  Only the objective reads ``log_sg``, the rows' log
-    sum g^(1+beta) from :meth:`_SamplePart.scan`.
+    row (:meth:`stack`).
 
-    ``pos`` indexes each occupied cell in log f on the window, flattened for
-    a stack, and ``cells`` the rows and cells of the part's arrays.  The
-    objective is :func:`lsd`'s, from the scan's model and data terms
-    (:func:`_objective`, on the part's data-term factors): a row's equals
-    its scan at a grid point bit for bit, and a stack sums each row's cells
-    pairwise.  The residual is Bf * sum e u - Af * sum e with e = g^A f^B
-    and the Poisson score u, from log f itself.  A row's values in a stack
-    differ from its own window's in the last bits, depending on the rows
-    that share the stack.
+    Both read log f e^(theta - theta_r) = log f_theta_r + x log(theta /
+    theta_r) on the window, and the part's data-term factors and log sum
+    g^(1+beta) at the tilt; ``cells`` indexes the rows and cells of the
+    part's arrays.  The objective is :func:`lsd`'s (:func:`_objective`): a
+    row's equals its scan at a grid point bit for bit, and a stack sums
+    each row's cells pairwise.  The residual is
+    :func:`estimating_equation_residual`'s (E_e[x] - E_{f^(1+beta)}[x]) /
+    theta, whose means take max-shifted exps of the objective's own terms:
+    (1+beta) log f on the window, and the data term's (B x) log(theta /
+    theta_r) + (A log g + B log f_theta_r) on the occupied cells (at B = 0,
+    its factor sum w x is the data mean).  So it neither overflows nor
+    changes when f is scaled.  A row's values in a stack differ from its
+    own window's in the last bits, depending on the rows that share the
+    stack.
     The independent oracles for this path are the closed forms :func:`lpd`,
     :func:`ldpd`, :func:`ld` and :func:`oracle_grid_minimize`.
     """
 
-    def __init__(self, part: _SamplePart, p: TiltParams, pos, cells, ref, window, log_sg):
-        self.family, self.p, self.pos, self.ref, self.log_sg = part.family, p, pos, ref, log_sg
-        self.x, self.log_x_factorial, self.logf_ref = window  # see _window_terms
-        self.logg = part.logg[cells]
-        self.a_logg = p.exp_a * self.logg
-        if log_sg is not None:  # the objective's; a residual alone needs none
-            self.factors = [f[cells[: f.ndim]] for f in part.data_factors(p)]
+    def __init__(self, part: _SamplePart, p: TiltParams, cells, ref, end: int):
+        self.family, self.p, self.ref = part.family, p, ref
+        self.x, self.logf_ref = _window_terms(part.family, end, ref)
+        self.log_sg = part.log_sum_g(1.0 + p.beta)[cells[0]]
+        self.factors = [f[cells[: f.ndim]] for f in part.data_factors(p)]
+        self.x_cells = part.cell_terms[0][cells]
 
     @classmethod
-    def row(cls, part: _SamplePart, k: int, p: TiltParams, log_sg: float | None = None):
+    def row(cls, part: _SamplePart, k: int, p: TiltParams):
         """Kept row k on its bracket window [0, ``part.length[k]``)."""
-        m, ref = part.cells[k], part.ref[k]
-        window = _window_terms(part.family, part.length[k], ref)
-        return cls(part, p, part.x_pos[k, :m], (k, slice(m)), ref, window, log_sg)
+        return cls(part, p, (k, slice(part.cells[k])), part.ref[k], part.length[k])
 
     @classmethod
-    def stack(cls, part: _SamplePart, p: TiltParams, log_sg: np.ndarray, top: float):
+    def stack(cls, part: _SamplePart, p: TiltParams, top: float):
         """Every kept row on one window that holds the part's data and the
         support window of ``top``, the highest theta a row evaluates; the
         occupied cells are padded as the part pads them (cell 0, log g =
@@ -514,52 +534,39 @@ class _FitWindow:
         higher theta by rounding (see :func:`_model_window_end`), so a lower
         theta's computed window may end one cell past this one."""
         end = max(int(part.x_pos.max()) + 1, part.family.support_window(top)[1])
-        pos = np.arange(len(part.index))[:, None] * end + part.x_pos
-        ref = np.array(part.ref)[:, None]
-        return cls(part, p, pos, (slice(None),), ref, _window_terms(part.family, end, ref), log_sg)
+        return cls(part, p, (slice(None),), np.array(part.ref)[:, None], end)
 
-    def _log_density(self, theta):
-        """``family.log_density(theta, x)`` bit for bit, from the kept log x!."""
-        self.family._check(theta)
-        return self.family._log_mass(theta, self.x, self.log_x_factorial)
-
-    def objective(self, theta):
+    def _log_f(self, theta):
+        """log(theta / theta_r) and log f e^(theta - theta_r) on the window."""
         self.family._check(theta)
         ratio = np.log(theta / self.ref)
-        logf = self.x * ratio  # log f e^(theta - theta_r), as the scan's model terms
+        logf = self.x * ratio
         logf += self.logf_ref
+        return ratio, logf
+
+    def objective(self, theta):
+        ratio, logf = self._log_f(theta)
         log_sf = _lse((1.0 + self.p.beta) * logf)
         if isinstance(theta, np.ndarray):  # a stack's (rows, 1) column
             ratio = ratio[:, 0]
         return _objective(log_sf, ratio, self.factors, self.log_sg, self.p)
 
     def residual(self, theta):
-        logf = self._log_density(theta)
-        u = self.x / theta - 1.0  # the Poisson score; log f has checked theta
-        fb = np.exp((1.0 + self.p.beta) * logf)
-        e = np.exp(self.a_logg + self.p.exp_b * logf.take(self.pos))
-        # vecdot takes a row's dot product as np.dot takes a lone vector's
-        return fb.sum(-1) * np.vecdot(e, u.take(self.pos)) - np.vecdot(fb, u) * e.sum(-1)
-
-
-def _golden_section(fun, lo: float, hi: float):
-    """Golden-section minimization to a bracket of ``_TOL_THETA`` or
-    ``_MAX_ITERATIONS`` steps; returns (argmin, bracket, evaluations)."""
-    x1 = hi - GOLDEN * (hi - lo)
-    x2 = lo + GOLDEN * (hi - lo)
-    f1, f2 = fun(x1), fun(x2)
-    it = 0
-    while hi - lo > _TOL_THETA and it < _MAX_ITERATIONS:
-        if f1 <= f2:  # ties shrink toward the smaller theta
-            hi, x2, f2 = x2, x1, f1
-            x1 = hi - GOLDEN * (hi - lo)
-            f1 = fun(x1)
+        ratio, logf = self._log_f(theta)
+        stack = isinstance(theta, np.ndarray)  # a (rows, 1) column
+        # log f less its largest value, a row's at the mode floor(theta)
+        logf -= logf.max(axis=-1, keepdims=True) if stack else logf[int(theta)]
+        logf *= 1.0 + self.p.beta
+        mean_f = _mean(np.exp(logf, out=logf), self.x)
+        if abs(self.p.exp_b) < EXPONENT_BOUNDARY:
+            mean_e = self.factors[0]
         else:
-            lo, x1, f1 = x1, x2, f2
-            x2 = lo + GOLDEN * (hi - lo)
-            f2 = fun(x2)
-        it += 1
-    return (lo if f1 <= f2 else x2, (lo, hi), it)
+            bx, c = self.factors
+            log_e = bx * ratio
+            log_e += c
+            log_e -= log_e.max(axis=-1, keepdims=True)
+            mean_e = _mean(np.exp(log_e, out=log_e), self.x_cells)
+        return (mean_e - mean_f) / (theta[:, 0] if stack else theta)
 
 
 def _interpolation(x1, f1, x2, f2, x3, f3, sqrt):
@@ -646,19 +653,6 @@ def _residual_roots(res_fun, x1, f1, x2, f2, active):
     return root, res, np.where(exact, root, lo), np.where(exact, root, hi), iterations
 
 
-def _safeguard(ctx: _FitWindow, lo: float, hi: float, g_lo: float, g_hi: float):
-    """Golden section on a scan cell across which the residual does not fall
-    from positive to negative, refined on the residual where it changes sign
-    nearby; returns (theta_hat, residual, bracket, iterations)."""
-    theta_hat, bracket, iterations = _golden_section(ctx.objective, g_lo, g_hi)
-    res = ctx.residual(theta_hat)
-    r_lo, r_hi = max(lo, theta_hat - _REFINE_HALF), min(hi, theta_hat + _REFINE_HALF)
-    v_lo, v_hi = ctx.residual(r_lo), ctx.residual(r_hi)
-    if v_lo * v_hi < 0:
-        theta_hat, res, bracket, _ = _residual_root(ctx.residual, r_lo, v_lo, r_hi, v_hi)
-    return theta_hat, res, bracket, iterations
-
-
 class _PartFits(NamedTuple):
     """A sample part's fits at one tilt as arrays over its rows: the fields
     of :class:`EstimatorResult` (``bracket`` rows x 2) and ``errors``, row
@@ -677,18 +671,21 @@ class _PartFits(NamedTuple):
 def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
     """The fits of a sample part's rows at tilt p, scanned in one blocked pass.
 
-    In a part of ``_MIN_STACK`` rows or more, the residual at the scan cell
-    ends, the roots where it falls from positive to negative (Chandrupatla's
-    steps, row by row) and the final objectives run as array passes of
-    :meth:`_FitWindow.stack` on one window of the highest theta they reach.
-    Every other row takes the scalar path on its :meth:`_FitWindow.row`
-    bracket window: that root where the residual falls, else the
-    golden-section safeguard.  A fit has converged when its estimate is
-    more than ``_TOL_THETA`` inside the search bracket and the residual is
-    small.  The solver's bracket is not tested: golden section narrows it
-    to ``_TOL_THETA`` and the root solvers below ``_RTOL * |root| + _XTOL``
-    (or to a point on an exact zero) well within their step budgets, and a
-    NaN residual fails the residual bound.
+    A row whose residual falls from positive to negative across its scan
+    cell takes the root there.  In a part of ``_MIN_STACK`` rows or more,
+    the residuals at the cell ends, the roots (Chandrupatla's steps, row
+    by row) and the final objectives run as array passes of
+    :meth:`_FitWindow.stack` on one window of the highest cell top; a
+    smaller part fits row by row on :meth:`_FitWindow.row`'s bracket
+    window.  Any other row keeps the scan's best grid point, with the
+    scan's value, the residual there, its scan cell as the bracket and 0
+    iterations: the residual is a negative multiple of the objective's
+    slope, so across the cell of an interior best point it falls unless
+    the objective is flat there or has two minima in the cell.  A fit has
+    converged when its estimate is more than ``_TOL_THETA`` inside the
+    search bracket and the residual is small.  A root's bracket is not
+    tested: the root solvers narrow it below ``_RTOL * |root| + _XTOL`` (or
+    to a point on an exact zero) well within their step budget.
     """
     errors, index = list(part.errors), part.index
     if p.exp_a <= EXPONENT_BOUNDARY:
@@ -698,34 +695,29 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
     table = np.empty((5, len(index)))
     iterations = np.zeros(len(index), dtype=int)
     if index:
-        log_sg, g_lo, g_hi = part.scan(p)
-        stack, rest = None, range(len(index))
+        best, table[1], g_lo, g_hi = part.scan(p)
         if part.size >= _MIN_STACK:
-            # a root lies in its scan cell, a safeguard result at most _REFINE_HALF above
-            top = np.minimum(part.hi, g_hi + _REFINE_HALF).max()
-            stack = _FitWindow.stack(part, p, log_sg, top)
+            stack = _FitWindow.stack(part, p, g_hi.max())
             v_lo, v_hi = stack.residual(g_lo[:, None]), stack.residual(g_hi[:, None])
             falls = (v_lo > 0) & (v_hi < 0)
             roots = _residual_roots(
                 lambda t: stack.residual(t[:, None]), g_lo, v_lo, g_hi, v_hi, falls
             )
-            table[[0, 2, 3, 4]], iterations = roots[:4], roots[4]
-            rest = np.flatnonzero(~falls).tolist()
-        for k in rest:
-            ctx = _FitWindow.row(part, k, p, log_sg[k])
-            # a stacked row left here does not fall across its scan cell
-            v_lo = v_hi = 0.0
-            if stack is None:
+            res = roots[1] if falls.all() else stack.residual(best[:, None])
+            table[[0, 2, 3, 4]] = np.where(falls, roots[:4], [best, res, g_lo, g_hi])
+            iterations = roots[4]
+            table[1] = np.where(falls, stack.objective(table[0][:, None]), table[1])
+        else:
+            for k in range(len(index)):
+                ctx = _FitWindow.row(part, k, p)
                 v_lo, v_hi = ctx.residual(g_lo[k]), ctx.residual(g_hi[k])
-            if v_lo > 0 > v_hi:
-                fit = _residual_root(ctx.residual, g_lo[k], v_lo, g_hi[k], v_hi)
-            else:
-                fit = _safeguard(ctx, part.lo[k], part.hi[k], g_lo[k], g_hi[k])
-            table[0, k], table[2, k], (table[3, k], table[4, k]), iterations[k] = fit
-            if stack is None:
-                table[1, k] = ctx.objective(fit[0])
-        if stack is not None:
-            table[1] = stack.objective(table[0][:, None])
+                if v_lo > 0 > v_hi:
+                    root, table[2, k], (table[3, k], table[4, k]), iterations[k] = (
+                        _residual_root(ctx.residual, g_lo[k], v_lo, g_hi[k], v_hi)
+                    )
+                    table[0, k], table[1, k] = root, ctx.objective(root)
+                else:
+                    table[:, k] = best[k], table[1, k], ctx.residual(best[k]), g_lo[k], g_hi[k]
     # on floats, which cost a one-row part less than four array passes
     ends = zip(table[0].tolist(), part.lo, part.hi)
     inside = np.array([min(t - lo, hi - t) > _TOL_THETA for t, lo, hi in ends], dtype=bool)

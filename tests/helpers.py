@@ -6,6 +6,7 @@ numpy so it can serve as an independent check of the library internals.
 
 from __future__ import annotations
 
+import math
 import os
 
 import numpy as np
@@ -105,6 +106,45 @@ def solve_contaminated_theta(
     return brentq(
         lambda t: estimating_equation_residual(t, g_eps, FAMILY, p), lo, hi, xtol=1e-14
     )
+
+
+def golden_section_oracle(fun, lo: float, hi: float, tol: float = 1e-8) -> float:
+    """Golden-section minimization of ``fun`` on [lo, hi] down to a bracket
+    of ``tol``; ties shrink toward the smaller theta."""
+    ratio = (math.sqrt(5.0) - 1.0) / 2.0
+    x1, x2 = hi - ratio * (hi - lo), lo + ratio * (hi - lo)
+    f1, f2 = fun(x1), fun(x2)
+    while hi - lo > tol:
+        if f1 <= f2:
+            hi, x2, f2 = x2, x1, f1
+            x1 = hi - ratio * (hi - lo)
+            f1 = fun(x1)
+        else:
+            lo, x1, f1 = x1, x2, f2
+            x2 = lo + ratio * (hi - lo)
+            f2 = fun(x2)
+    return lo if f1 <= f2 else x2
+
+
+def residual_oracle(theta: float, r_n: DiscreteDensity, p: TiltParams) -> float:
+    """The estimating equation's residual E_e[u] - E_{f^(1+beta)}[u], one
+    term at a time: log f_theta from ``scipy.stats.poisson.logpmf`` on a
+    window [0, theta + 40 sqrt(theta) + 40) that also holds the data, the
+    weights e = r_n^A f^B (at B = 0, r_n^(1+beta)) on the data's occupied
+    cells and f^(1+beta) on the window, each shifted by its largest log
+    and summed by ``math.fsum``."""
+    from scipy.stats import poisson
+
+    def mean_score(x, log_w):
+        w = np.exp(log_w - log_w.max())
+        return math.fsum(w * (x / theta - 1.0)) / math.fsum(w)
+
+    end = max(int(theta + 40.0 * math.sqrt(theta) + 40.0), r_n.offset + r_n.mass.size)
+    x = np.arange(end, dtype=float)
+    cells = r_n.offset + np.flatnonzero(r_n.mass)
+    log_e = p.exp_a * np.log(r_n.mass[cells - r_n.offset]) + p.exp_b * poisson.logpmf(cells, theta)
+    model = mean_score(x, (1.0 + p.beta) * poisson.logpmf(x, theta))
+    return mean_score(cells.astype(float), log_e) - model
 
 
 def second_order_if_oracle(

@@ -541,14 +541,10 @@ class TestJsonOutput:
               "--theta-g", "2", "--theta-f", "3"], "A and B must be finite"),
             (["divergence", "--beta", "1e154", "--gamma", "1e155",
               "--theta-g", "2", "--theta-f", "3"], "A and B must be finite"),
-            # A = 1e5 + 1: the fit's residual is NaN
-            (["estimate", "--beta", "0", "--gamma", "1e5", "--data", "1,2,3,3,4"],
-             "not finite"),
             (["influence", "--beta", "10", "--gamma", "0", "--theta", "50", "--y-max", "3"],
              "J0 is singular"),
         ],
-        ids=["divergence-nan", "divergence-exponent-overflow", "estimate-nan-residual",
-             "influence-singular"],
+        ids=["divergence-nan", "divergence-exponent-overflow", "influence-singular"],
     )
     @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -559,6 +555,17 @@ class TestJsonOutput:
         assert result.stdout == ""
         (line,) = result.stderr.strip().splitlines()
         assert message in json.loads(line, parse_constant=_no_constant)["error"]
+
+    def test_large_gamma_estimate_converges(self, runner):
+        # A = 1e5 + 1: the fit's residual takes its weights from max-shifted
+        # exps, so it is finite and the fit converges at the sample mean
+        result = run_ok(
+            runner, ["estimate", "--beta", "0", "--gamma", "1e5", "--data", "1,2,3,3,4"]
+        )
+        assert result.stderr == ""
+        payload = json.loads(result.stdout, parse_constant=_no_constant)
+        assert payload["converged"] is True and abs(payload["residual"]) <= 1e-12
+        assert abs(payload["theta_hat"] - 3.0) <= 1e-8
 
     def test_closed_stdout_exits_quietly(self):
         # as click's own handler does: exit status 1 and no error line for a

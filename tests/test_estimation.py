@@ -7,11 +7,10 @@ import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from lsdiv import estimation
 from lsdiv import (
     Contamination,
     ContaminationScheme,
@@ -33,7 +32,6 @@ from lsdiv.divergence import _lse
 from lsdiv.estimation import (
     _MAX_ITERATIONS,
     _N_SCAN,
-    _REFINE_HALF,
     _RTOL,
     _SCAN_BLOCK,
     _TOL_THETA,
@@ -41,17 +39,15 @@ from lsdiv.estimation import (
     _FitWindow,
     _SamplePart,
     _fit_part,
-    _golden_section,
     _grids,
     _model_window_end,
     _residual_root,
     _residual_roots,
-    _safeguard,
     _scan_model_terms,
 )
 from lsdiv.simulate import ESTIMATION_BETA_GRID, GAMMA_GRID, replication_rng
 
-from helpers import converged_oracle, scan_oracle
+from helpers import converged_oracle, golden_section_oracle, residual_oracle, scan_oracle
 
 
 def refined_grid_argmin(r_n, family, p, lo, hi):
@@ -162,6 +158,26 @@ class TestMinimizeLsd:
         assert result.objective <= objective(lo) + 1e-12
         assert result.objective <= objective(hi) + 1e-12
 
+    # Inputs where the residual, taken as sum f^(1+beta) sum e (E_e[u] -
+    # E_{f^(1+beta)}[u]), overflowed to NaN (gamma 1e4 and 1e5), read 1.2e11
+    # and -8.2e234 at the root (gamma 100 and 1e3) or -569 ([22]), or
+    # crossed 1e-6 between the two ends of a 5e-13 root bracket ([37, 37, 0])
+    @pytest.mark.parametrize(
+        "sample,beta,gamma",
+        [*(([1, 2, 3, 3, 4], 0.0, g) for g in (100.0, 1e3, 1e4, 1e5)),
+         ([22], 20.0, -3.0), ([37, 37, 0], 0.2, 2.0)],
+    )
+    def test_scale_free_residual_converges(self, family, sample, beta, gamma):
+        r_n, p = empirical_frequencies(np.array(sample)), TiltParams(beta, gamma)
+        with np.errstate(over="raise", invalid="raise"):
+            fit = minimize_lsd(r_n, family, p)
+            stacked = minimize_lsd_many([r_n] * 5, family, p)
+        assert np.isfinite([fit.theta_hat, fit.objective, fit.residual]).all()
+        assert fit.converged and abs(fit.residual) <= 1e-12
+        assert abs(fit.residual - residual_oracle(fit.theta_hat, r_n, p)) <= 1e-12
+        for row in stacked:
+            assert row.converged and abs(row.theta_hat - fit.theta_hat) <= 1e-8
+
     def test_result_fields_are_python_scalars(self, family):
         sample = np.random.default_rng(9).poisson(4.0, 60)
         result = minimize_lsd(empirical_frequencies(sample), family, TiltParams(0.3, 0.5))
@@ -205,11 +221,11 @@ class TestBatchedScan:
         p = TiltParams(beta, gamma)
         _scan_model_terms.cache_clear()
         for _ in ("cold", "warm"):
-            log_sg, values = part.scan_objective(p)
+            values = part.scan_objective(p)
             grid = part.grid[0]
             np.testing.assert_array_equal(grid, np.linspace(lo, hi, _N_SCAN))
             assert values.shape == (1, _N_SCAN)
-            ctx = _FitWindow.row(part, 0, p, log_sg[0])
+            ctx = _FitWindow.row(part, 0, p)
             pointwise = np.array([ctx.objective(t) for t in grid])
             np.testing.assert_allclose(values[0], pointwise, rtol=1e-14, atol=0.0)
             assert values[0].argmin() == pointwise.argmin()
@@ -222,7 +238,7 @@ class TestBatchedScan:
         p = TiltParams(beta, gamma)
         for samples in chunk_samples(0):
             part = _SamplePart.from_samples(samples, family)
-            values = part.scan_objective(p)[1]
+            values = part.scan_objective(p)
             for k in range(8):
                 np.testing.assert_array_equal(values[k], scan_oracle(part, k, p))
 
@@ -233,9 +249,9 @@ class TestBatchedScan:
         p = TiltParams(beta, gamma)
         for samples in chunk_samples(0):
             part = _SamplePart.from_samples(samples, family)
-            log_sg, values = part.scan_objective(p)
+            values = part.scan_objective(p)
             for k in range(0, len(samples), 9):
-                ctx = _FitWindow.row(part, k, p, log_sg[k])
+                ctx = _FitWindow.row(part, k, p)
                 np.testing.assert_array_equal(values[k], [ctx.objective(t) for t in part.grid[k]])
 
     @pytest.mark.parametrize("beta,gamma", SCAN_TILTS)
@@ -259,10 +275,10 @@ class TestBatchedScan:
         assert parts[2][0].x_pos[0].size * _N_SCAN * 3 > _SCAN_BLOCK
         assert sorted(parts[2][0].cells)[:3] == [1, 1, 1]
         for part, samples in parts:
-            values = part.scan_objective(p)[1]
+            values = part.scan_objective(p)
             for k, sample in enumerate(samples):
                 one = _SamplePart.from_densities([empirical_frequencies(sample)], family)
-                np.testing.assert_array_equal(values[k], one.scan_objective(p)[1][0])
+                np.testing.assert_array_equal(values[k], one.scan_objective(p)[0])
 
 
 class TestScanMemo:
@@ -283,8 +299,8 @@ class TestScanMemo:
         for sample, length in (([4] * 50, 69), ([2] * 49 + [102], 103)):
             part = _SamplePart.from_densities([empirical_frequencies(np.array(sample))], family)
             assert (part.lo, part.hi, part.length) == ([0.8], [25.0], [length])
-            log_sg, values = part.scan_objective(p)
-            ctx = _FitWindow.row(part, 0, p, log_sg[0])
+            values = part.scan_objective(p)
+            ctx = _FitWindow.row(part, 0, p)
             np.testing.assert_array_equal(values[0], [ctx.objective(t) for t in part.grid[0]])
         assert _scan_model_terms.cache_info().currsize == 2
 
@@ -323,25 +339,25 @@ SOLVER_TILTS = [(0.0, 0.0), (0.0, 0.5), (0.4, 2.0), (0.5, 0.0), (0.2, -0.5), (1.
 def scan_cell(r_n, p):
     """The fit's row window and the scan cell [g_lo, g_hi] around its best grid point."""
     part = _SamplePart.from_densities([r_n], PoissonFamily())
-    log_sg, g_lo, g_hi = part.scan(p)
-    return _FitWindow.row(part, 0, p, log_sg[0]), g_lo[0], g_hi[0]
+    _, _, g_lo, g_hi = part.scan(p)
+    return _FitWindow.row(part, 0, p), g_lo[0], g_hi[0]
 
 
 class TestResidualRoot:
-    """The fit solves the residual's root on the scan cell; golden section is
-    only the safeguard for a cell without a sign change."""
+    """The fit solves the residual's root on the scan cell; a cell without a
+    sign change keeps the scan's best grid point."""
 
     @pytest.mark.parametrize("beta,gamma", SOLVER_TILTS)
     def test_matches_golden_section_then_refinement(self, family, beta, gamma):
-        # Golden section alone resolves theta only to ~1e-8 * theta (the
-        # objective is flat to double precision there), so it is refined on
-        # the residual within +-1e-5, as the two-stage search did.
+        # Golden section on the objective alone resolves theta only to
+        # ~1e-8 * theta (the objective is flat to double precision there),
+        # so it is refined on the residual within +-1e-5.
         p = TiltParams(beta, gamma)
         for sample in table_shaped_samples():
             r_n = empirical_frequencies(sample)
             fit = minimize_lsd(r_n, family, p)
             ctx, g_lo, g_hi = scan_cell(r_n, p)
-            theta, _, _ = _golden_section(ctx.objective, g_lo, g_hi)
+            theta = golden_section_oracle(ctx.objective, g_lo, g_hi)
             ref = brentq(ctx.residual, theta - 1e-5, theta + 1e-5, xtol=1e-12)
             assert fit.converged
             assert abs(fit.theta_hat - ref) <= 1e-10
@@ -391,8 +407,9 @@ class TestResidualRoot:
                 assert calls["residual"] <= 20
                 assert fit.iterations <= calls["residual"]
 
-    # The two-stage search's results on the samples whose scan cell has no
-    # sign change; the safeguard must reproduce them exactly.
+    # The fits of samples whose scan cell has no sign change: each keeps the
+    # scan's best grid point, a bracket end (the outlier sample's top at
+    # (0, 1), where golden section stopped 2.4e-9 below it).
     FALLBACK = {
         ("zeros", 0.0, -0.5): (0.001, False),
         ("zeros", 0.0, 0.0): (0.001, False),
@@ -404,7 +421,7 @@ class TestResidualRoot:
         ("zeros", 1.0, 0.0): (0.001, False),
         ("zeros", 1.0, 1.0): (0.001, False),
         ("outlier", 0.0, -0.5): (0.12, False),
-        ("outlier", 0.0, 1.0): (7.9999999975767055, False),
+        ("outlier", 0.0, 1.0): (8.0, False),
         ("outlier", 0.5, -0.5): (0.12, False),
         ("outlier", 0.5, 0.0): (0.12, False),
         ("outlier", 1.0, -0.5): (0.12, False),
@@ -416,43 +433,15 @@ class TestResidualRoot:
     def test_edge_cells_fall_back_unchanged(self, family, key):
         name, beta, gamma = key
         sample = [0] * 50 if name == "zeros" else [0] * 49 + [30]
-        fit = minimize_lsd(empirical_frequencies(np.array(sample)), family, TiltParams(beta, gamma))
+        r_n, p = empirical_frequencies(np.array(sample)), TiltParams(beta, gamma)
+        fit = minimize_lsd(r_n, family, p)
         assert (fit.theta_hat, fit.converged) == self.FALLBACK[key]
-
-    class StandInContext:
-        """A fit context whose objective is least at 2 and whose residual
-        falls through zero at ``root``: no table sample searched gives the
-        safeguard a residual sign change next to its golden-section result."""
-
-        def __init__(self, root):
-            self.root = root
-
-        def objective(self, theta):
-            return (theta - 2.0) ** 2
-
-        def residual(self, theta):
-            return self.root - theta
-
-    @pytest.mark.parametrize("offset", [3e-6, -3e-6])
-    def test_safeguard_refines_on_a_nearby_residual_root(self, offset):
-        ctx = self.StandInContext(2.0 + offset)
-        golden, bracket, iterations = _golden_section(ctx.objective, 1.5, 2.5)
-        assert abs(golden - 2.0) <= _TOL_THETA
-        theta_hat, res, fit_bracket, fit_iterations = _safeguard(ctx, 1.0, 3.0, 1.5, 2.5)
-        assert abs(theta_hat - ctx.root) <= 1e-12 and abs(res) <= 1e-12
-        # the bracket is the refinement's, which holds theta_hat, and the
-        # iterations are golden section's
-        r_lo, r_hi = golden - _REFINE_HALF, golden + _REFINE_HALF
-        root = _residual_root(ctx.residual, r_lo, ctx.residual(r_lo), r_hi, ctx.residual(r_hi))
-        assert fit_bracket[0] <= theta_hat <= fit_bracket[1]
-        assert (fit_bracket, fit_iterations) == (root[2], iterations)
-
-    def test_safeguard_keeps_golden_result_without_a_nearby_root(self):
-        ctx = self.StandInContext(2.0 + 3e-5)
-        golden, bracket, iterations = _golden_section(ctx.objective, 1.5, 2.5)
-        assert _safeguard(ctx, 1.0, 3.0, 1.5, 2.5) == (
-            golden, ctx.residual(golden), bracket, iterations
+        part = _SamplePart.from_densities([r_n], family)
+        best, value, g_lo, g_hi = part.scan(p)
+        assert (fit.theta_hat, fit.objective, fit.bracket, fit.iterations) == (
+            best[0], value[0], (g_lo[0], g_hi[0]), 0
         )
+        assert fit.residual == _FitWindow.row(part, 0, p).residual(best[0])
 
 
 def row_root(res_fun, lo, v_lo, hi, v_hi):
@@ -659,14 +648,22 @@ class TestStackedFits:
         assert minimize_lsd_many([], family, p) == []
 
     def test_bracket_holds_a_sign_change(self, family):
+        # on the stack's own window, whose residual of a row reads that row's
+        # theta alone: near a root a row's window can differ from it in sign
+        # by rounding (about 3e-16)
         densities = table_stacks()[0]
         p = TiltParams(0.4, 2.0)
-        for r_n, fit in zip(densities, minimize_lsd_many(densities, family, p)):
+        part = _SamplePart.from_densities(densities, family)
+        stack = _FitWindow.stack(part, p, part.scan(p)[3].max())
+        fits = minimize_lsd_many(densities, family, p)
+        for fit in fits:
             lo, hi = fit.bracket
             assert lo <= fit.theta_hat <= hi
-            assert 0.0 < hi - lo <= 1e-10 * max(1.0, fit.theta_hat)
-            ctx = scan_cell(r_n, p)[0]
-            assert ctx.residual(lo) >= 0.0 >= ctx.residual(hi)
+            assert hi - lo <= 1e-10 * max(1.0, fit.theta_hat)
+            assert hi > lo or fit.residual == 0.0  # a point bracket is an exact zero
+        lo, hi = np.array([fit.bracket for fit in fits]).T
+        assert (stack.residual(lo[:, None]) >= 0.0).all()
+        assert (stack.residual(hi[:, None]) <= 0.0).all()
 
     def test_exact_zero_gives_point_bracket(self):
         # f = c - theta^2 row by row; the first step bisects [1, 3], which
@@ -695,13 +692,12 @@ class TestStackedFits:
     )
     def test_stack_window_holds_every_theta_evaluated(self, means, n, tilt, seed):
         # The window reaches each kept row's data and the support window of
-        # the highest theta the row can reach: a root in its scan cell or a
-        # safeguard result refined at most _REFINE_HALF above the cell.
+        # the highest theta the row can reach: its scan cell's top, above a
+        # root in the cell and the scan's best point.
         family, p = PoissonFamily(), TiltParams(*tilt)
         rng = np.random.default_rng(seed)
         part = _SamplePart.from_samples(rng.poisson(means, size=(n, len(means))).T, family)
-        _, _, g_hi = part.scan(p)
-        tops = np.minimum(part.hi, g_hi + _REFINE_HALF)
+        tops = part.scan(p)[3]
         stacks, evaluated = [], []
         build, residual, objective = _FitWindow.stack, _FitWindow.residual, _FitWindow.objective
 
@@ -803,27 +799,29 @@ class TestPartFitsRecord:
 
     def test_interior_root_after_an_edge_scan_point_converges(self, family):
         # the scan's best point is the bracket's low end, 2.47; the fit then
-        # finds a root inside the bracket (residual 0 alone, ~1e-18 in a
-        # stack), which converges, while an all-zero sample fits to the
-        # bracket floor 0.001 and does not
+        # finds a root inside the bracket, which converges, while an all-zero
+        # sample fits to the bracket floor 0.001 and does not
         r_n = empirical_frequencies(np.array([1, 2, 2, 3, 4, 62]))
         zeros = empirical_frequencies(np.zeros(50, dtype=int))
         p = TiltParams(1.0, 1.0)
         part = _SamplePart.from_densities([r_n], family)
-        assert part.scan_objective(p)[1].argmin() == 0 and part.lo[0] == r_n.mean() / 5.0
+        assert part.scan_objective(p).argmin() == 0 and part.lo[0] == r_n.mean() / 5.0
         fit, floor = minimize_lsd_many([r_n, zeros], family, p)
-        assert fit.residual == 0.0 and fit.bracket == (fit.theta_hat, fit.theta_hat)
+        assert abs(fit.residual) <= 1e-12 and fit.iterations > 0
+        assert fit.bracket[0] <= fit.theta_hat <= fit.bracket[1]
         assert abs(fit.theta_hat - 2.5373) < 1e-4 and fit.converged
         assert floor.theta_hat == 1e-3 and not floor.converged
         for densities in ([r_n], [zeros], table_stacks()[0][:4] + [r_n, zeros]):
             self.assert_record_matches(family, densities, p)
 
-    def test_nan_residual(self, family):
+    def test_large_gamma_residual_is_finite(self, family):
+        # A = 1e4 + 1: the residual's weights r_n^A f^B are taken from
+        # max-shifted exps, so they neither overflow nor give NaN
         r_n = empirical_frequencies(np.array([1, 2, 3, 3, 4]))
         p = TiltParams(0.0, 1e4)
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(over="raise", invalid="raise"):
             (fit,) = minimize_lsd_many([r_n], family, p)
-            assert np.isnan(fit.residual) and not fit.converged
+            assert abs(fit.residual) <= 1e-12 and fit.converged
             for densities in ([r_n], [r_n] * 2 + table_stacks()[0][:3]):
                 self.assert_record_matches(family, densities, p)
 
@@ -838,17 +836,11 @@ class TestPartFitsRecord:
             self.assert_record_matches(family, densities, p)
 
     @pytest.mark.parametrize("beta,gamma", [*SOLVER_TILTS, (0.0, 1e4)])
-    def test_bracket_narrow_without_a_width_test(self, family, beta, gamma, monkeypatch):
+    def test_bracket_narrow_without_a_width_test(self, family, beta, gamma):
         # converged does not test the bracket: the solvers' stop rules keep
-        # every fit's bracket within max(1e-8, 1e-10 max(1, theta_hat)), on
-        # root rows and on safeguard rows, alone and in parts of 4 rows or more
-        safeguard, calls = estimation._safeguard, []
-
-        def counted(*args):
-            calls[-1] += 1
-            return safeguard(*args)
-
-        monkeypatch.setattr(estimation, "_safeguard", counted)
+        # every root's bracket within max(1e-8, 1e-10 max(1, theta_hat)),
+        # alone and in parts of 4 rows or more, and a row that keeps the
+        # scan's best grid point, a bracket end here, does not converge
         special = [
             empirical_frequencies(np.array(s)) for s in ([0] * 50, [1, 2, 3, 3, 4], [0] * 49 + [30])
         ]
@@ -856,18 +848,20 @@ class TestPartFitsRecord:
         densities = small[:4] + wide[:2] + special
         p = TiltParams(beta, gamma)
         for part in ([[r_n] for r_n in densities], [densities, small[:2] + special[:2]]):
-            calls.append(0)
+            kept = roots = 0
             for rows in part:
-                with np.errstate(over="ignore", invalid="ignore"):
-                    fits = _fit_part(_SamplePart.from_densities(rows, family), p)
-                for theta, (lo, hi), error in zip(fits.theta_hat, fits.bracket, fits.errors):
-                    assert error is None
-                    assert lo <= theta <= hi and hi - lo <= max(1e-8, 1e-10 * max(1.0, theta))
-        # the one-row parts and the stacks each ran the safeguard and, but
-        # at the NaN-residual tilt (every row a safeguard row), solved roots
-        rows = [len(densities), len(densities) + 4]
-        assert all(0 < c for c in calls)
-        assert gamma == 1e4 or all(c < n for c, n in zip(calls, rows))
+                fits = _fit_part(_SamplePart.from_densities(rows, family), p)
+                for theta, (lo, hi), error, iterations, converged in zip(
+                    fits.theta_hat, fits.bracket, fits.errors, fits.iterations, fits.converged
+                ):
+                    assert error is None and lo <= theta <= hi
+                    if iterations == 0:  # the scan cell of a kept grid point
+                        assert theta in (lo, hi) and not converged
+                        kept += 1
+                    else:
+                        assert hi - lo <= max(1e-8, 1e-10 * max(1.0, theta)) and converged
+                        roots += 1
+            assert kept > 0 and roots > 0
 
     @pytest.mark.parametrize("rows", [1, 5])
     def test_nonpositive_exp_a(self, family, rows):
@@ -877,6 +871,45 @@ class TestPartFitsRecord:
         fits = _fit_part(_SamplePart.from_densities(densities, family), p)
         assert all(type(error) is DivergenceInfiniteError for error in fits.errors)
         self.assert_record_matches(family, densities, p)
+
+
+class TestFitInvariants:
+    """Invariants of every fit over a sweep of small and contaminated
+    samples and tilts: a finite result, the scalar and stacked paths in
+    agreement, and a fit that has not converged only at a bracket end.
+    The means stop at 80 and beta at 20: fits at means above about 140
+    underflow (their windows start at 0), and the LSD of a huge beta
+    cancels in its last bits; each bound widens when ROADMAP's item on it
+    lands."""
+
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    @given(
+        n=st.sampled_from([1, 2, 5, 20, 50, 200]),
+        mean=st.sampled_from([0.05, 0.5, 3.0, 20.0, 80.0]),
+        contaminated=st.booleans(),
+        beta=st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.0, 5.0, 20.0]),
+        gamma=st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 2.0, 10.0, 50.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fit_invariants(self, n, mean, contaminated, beta, gamma, seed):
+        family, p = PoissonFamily(), TiltParams(beta, gamma)
+        assume(p.exp_a > 0)
+        rng = np.random.default_rng(seed)
+        sample = rng.poisson(mean, n)
+        if contaminated:  # a tenth of the sample from far above the mean
+            sample[: n // 10] = rng.poisson(4.0 * mean + 10.0, n // 10)
+        r_n = empirical_frequencies(sample)
+        fit = minimize_lsd(r_n, family, p)
+        assert np.isfinite([fit.theta_hat, fit.objective, fit.residual]).all()
+        assert abs(fit.residual - residual_oracle(fit.theta_hat, r_n, p)) <= 1e-10 * max(
+            1.0, abs(fit.residual)
+        )
+        lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
+        if not fit.converged:
+            assert min(fit.theta_hat - lo, hi - fit.theta_hat) <= _TOL_THETA
+        for row in minimize_lsd_many([r_n] * 5, family, p):
+            assert abs(row.theta_hat - fit.theta_hat) <= 1e-8
+            assert row.converged == fit.converged and np.isfinite(row.residual)
 
 
 def chunk_samples(seed):
@@ -920,18 +953,20 @@ class TestSamplePart:
                 np.testing.assert_array_equal(part.x_pos[k, :m], one.x_pos[0])
                 np.testing.assert_array_equal(part.logg[k, :m], one.logg[0])
                 assert part.ref[k] == one.ref[0]
-                np.testing.assert_array_equal(part.scan_terms[0][k], one.scan_terms[0][0])
-                for got, want in zip(part.scan_terms[1:], one.scan_terms[1:]):
+                np.testing.assert_array_equal(part.scan_terms[k], one.scan_terms[0])
+                for got, want in zip(part.cell_terms, one.cell_terms):
                     np.testing.assert_array_equal(got[k, :m], want[0])
                 for beta, gamma in SOLVER_TILTS[:3]:
                     p = TiltParams(beta, gamma)
-                    got, want = part.scan_objective(p), one.scan_objective(p)
-                    assert got[0][k] == want[0][0]
-                    np.testing.assert_array_equal(got[1][k], want[1][0])
+                    assert part.log_sum_g(1.0 + beta)[k] == one.log_sum_g(1.0 + beta)[0]
+                    np.testing.assert_array_equal(
+                        part.scan_objective(p)[k], one.scan_objective(p)[0]
+                    )
 
     def test_log_sum_g_kept_per_beta(self, family):
         # each row's log sum g^(1+beta) is computed once per beta, as each
-        # scan computed it for itself, and read by the scans at every gamma
+        # scan computed it for itself, and read by the fit windows at every
+        # gamma
         for samples in chunk_samples(0):
             part = _SamplePart.from_samples(samples, family)
             for beta in (0.0, 0.4, 1.0):
@@ -941,7 +976,11 @@ class TestSamplePart:
                     kept, [_lse((1.0 + beta) * logg[:m]) for logg, m in rows]
                 )
                 for gamma in (-0.5, 0.0, 1.0):
-                    np.testing.assert_array_equal(part.scan(TiltParams(beta, gamma))[0], kept)
+                    p = TiltParams(beta, gamma)
+                    part.scan(p)
+                    stack = _FitWindow.stack(part, p, part.hi[0])
+                    np.testing.assert_array_equal(stack.log_sg, kept)
+                    assert _FitWindow.row(part, 3, p).log_sg == kept[3]
                 assert part.log_sum_g(1.0 + beta) is kept
 
     @pytest.mark.parametrize("seed", [0, 1])
@@ -953,13 +992,13 @@ class TestSamplePart:
             densities += [empirical_frequencies(np.array(d)) for d in DEGENERATE]
             densities += [DiscreteDensity(offset=3, mass=r_n.mass) for r_n in densities[:2]]
             part = _SamplePart.from_densities(densities, family)
-            _, g_lo, g_hi = part.scan(p)
-            best = part.scan_objective(p)[1].argmin(axis=1)
+            _, _, g_lo, g_hi = part.scan(p)
+            best = part.scan_objective(p).argmin(axis=1)
             fits = minimize_lsd_many(densities, family, p)
             for k, (r_n, fit) in enumerate(zip(densities, fits)):
                 one = _SamplePart.from_densities([r_n], family)
-                _, o_lo, o_hi = one.scan(p)
-                o_best = one.scan_objective(p)[1].argmin()
+                _, _, o_lo, o_hi = one.scan(p)
+                o_best = one.scan_objective(p).argmin()
                 assert (g_lo[k], g_hi[k], best[k]) == (o_lo[0], o_hi[0], o_best)
                 expected = minimize_lsd(r_n, family, p)
                 assert abs(fit.theta_hat - expected.theta_hat) <= _TOL_THETA
@@ -1018,7 +1057,8 @@ class TestSamplePart:
         assert isinstance(part.errors[2], FloatingPointError)
         assert part.index == [0, 1, 3, 4, 5]
         assert part.x_pos.shape[0] == 5
-        assert len(part.ref) == 5 and [a.shape[0] for a in part.scan_terms] == [5] * 3
+        assert len(part.ref) == 5 and part.scan_terms.shape[0] == 5
+        assert [a.shape[0] for a in part.cell_terms] == [5, 5]
 
 
 class TestEstimatingEquationResidual:
@@ -1056,6 +1096,22 @@ class TestEstimatingEquationResidual:
             assert np.sign(res) == -np.sign(deriv)
             checked += 1
 
+    @pytest.mark.parametrize("beta,gamma", [*SOLVER_TILTS, (0.0, 1e4), (20.0, -3.0)])
+    def test_matches_the_oracle_at_any_scale(self, family, beta, gamma):
+        # the one-point part reads f at theta_r = theta, a fit's row window
+        # f e^(theta - theta_r) at its sample's mean: both are the oracle's
+        # scale-free value, up to the mass their windows leave out (1e-12)
+        p = TiltParams(beta, gamma)
+        for sample in ([3, 4, 5], [1, 2, 3, 3, 4], [0] * 49 + [30], [22]):
+            r_n = empirical_frequencies(np.array(sample))
+            part = _SamplePart.from_densities([r_n], family)
+            window = _FitWindow.row(part, 0, p)
+            for theta in (0.5, r_n.mean(), 3.0 * r_n.mean()):
+                want = residual_oracle(theta, r_n, p)
+                for got in (estimating_equation_residual(theta, r_n, family, p),
+                            window.residual(theta)):
+                    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+
     def test_nonpositive_exp_a_rejected(self, family):
         r_n = empirical_frequencies(np.array([1, 2]))
         with pytest.raises(DivergenceInfiniteError):
@@ -1067,7 +1123,7 @@ class TestEstimatingEquationResidual:
         r_n = empirical_frequencies(np.array([3, 4, 5]))
         p = TiltParams(0.2, 0.3)
         values = [estimating_equation_residual(t, r_n, family, p) for t in (0.5, 4.0, 30.0)]
-        assert values == [6.112725268507475, 0.012403044457515165, -0.7907709216775031]
+        assert values == [7.28915056598844, 0.022701928716666542, -0.8655670532514074]
         part = _SamplePart.from_densities([r_n], family, bracket=(4.0, 4.0))
         assert _FitWindow.row(part, 0, p).residual(4.0) == values[1]
         assert "grid" not in vars(part) and "scan_terms" not in vars(part)
