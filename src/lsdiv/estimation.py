@@ -20,10 +20,14 @@ data term's factors.
 :func:`minimize_lsd` builds a one-row part; :func:`minimize_lsd_many`
 builds one part for all its densities, and the simulation harness one per
 chunk of drawn samples, which it fits at every cell of a table.  The scan
-of every row runs in blocks of rows, each summed over its cells axis; the
-residuals, roots and final objectives of a part of four rows or more run
-as (rows x window) array passes, and a smaller part's roots on floats;
-both evaluate one fit window (:class:`_FitWindow`), a stack's or a row's.
+of a part of four rows or more is certified at B != 0: it evaluates every
+16th grid point, then only the points where a bound (a chord at B > 0,
+convexity at B < 0) shows the grid's argmin can lie, gathered over the rows
+in one pass (:meth:`_SamplePart.scan_objective`); a smaller part, and any
+part at B = 0, evaluates the whole grid.  The residuals, roots and final
+objectives of a part of four rows or more run as (rows x window) array
+passes, and a smaller part's roots on floats; both evaluate one fit window
+(:class:`_FitWindow`), a stack's or a row's.
 The fits are one record of arrays over the rows (:class:`_PartFits`), from
 which only the public functions build :class:`EstimatorResult`s.
 """
@@ -85,16 +89,25 @@ _MEMO_SIZE = 1024
 _XTOL = 1e-12
 _RTOL = 4.0 * math.ulp(1.0)
 
-# A converged fit's largest estimating-equation residual, and the root
-# solver's step budget.
+# A converged fit's largest estimating-equation residual and lowest
+# objective (the LSD is >= 0; a value below this is cancellation in its log
+# sums, as at beta ~ 1e10), and the root solver's step budget.
 _TOL_EE = 1e-6
+_MIN_OBJECTIVE = -1e-10
 _MAX_ITERATIONS = 200
 
-# Floats in a block of the coarse scan's (rows x cells x _N_SCAN) arrays
-# (256 KB).  Blocks this small reuse the memory the previous block freed;
-# the temporaries of a whole chunk, or of blocks of 65 536 floats, cost
-# hundreds of minor page faults per cell of the estimation tables.
-_SCAN_BLOCK = 32768
+# The certified scan's coarse pass: every _COARSE_STEP-th grid point and the
+# last (measured against steps of 8 and 32 on the table shapes); per grid
+# point, the coarse interval [a, b] that holds it, by its position among the
+# coarse points, and whether it is a fine (not a coarse) point.  A fine
+# point stays in the scan while a bound shows it may be within
+# _SCAN_MARGIN, relative to the size of the objective's terms, of the
+# coarse best, which covers their rounding.
+_COARSE_STEP = 16
+_COARSE = np.append(np.arange(0, _N_SCAN, _COARSE_STEP), _N_SCAN - 1)
+_INTERVAL = np.arange(_N_SCAN) // _COARSE_STEP
+_FINE = np.isin(np.arange(_N_SCAN), _COARSE, invert=True)
+_SCAN_MARGIN = 1e-12
 
 # A sample part of fewer rows than this is fitted row by row on the scalar
 # path of minimize_lsd: a small stack's array passes cost more than the
@@ -117,9 +130,11 @@ class EstimatorResult:
     ends were evaluated with residual > 0 (low end) and < 0 (high end),
     ``(theta_hat, theta_hat)`` on an exact zero, or the scan cell around
     a kept grid point.  ``converged`` is True when ``theta_hat`` is more
-    than 1e-8 inside the search bracket and |residual| <= 1e-6; a root's
-    bracket is then at most max(1e-8, 1e-10 max(1, theta_hat)) wide, which
-    the solver's stop rule gives.
+    than 1e-8 inside the search bracket, |residual| <= 1e-6 and the
+    objective is at least -1e-10 (the LSD is >= 0: a lower value is
+    cancellation in its log sums, as at beta ~ 1e10); a root's bracket is
+    then at most max(1e-8, 1e-10 max(1, theta_hat)) wide, which the
+    solver's stop rule gives.
     """
 
     theta_hat: float
@@ -430,31 +445,71 @@ class _SamplePart:
 
     def scan_objective(self, p: TiltParams) -> np.ndarray:
         """Each kept row's objective at tilt p at each theta of its grid, as
-        a (rows x _N_SCAN) array.
+        a (rows x _N_SCAN) array, +inf at the points a certified scan skips.
 
-        The data term (:func:`_objective`) runs in blocks of rows of at
-        most ``_SCAN_BLOCK`` floats (at B = 0 a (rows x _N_SCAN) pass), its
-        products summed over the cells one after another, so that the grid
-        is the contiguous inner loop: a row's padded cells add exact zeros
-        at the end, which gives the row the same bits in any part and any
-        block.  The model terms come from a process-wide memo, one lookup
-        per row.  A value equals the row's :class:`_FitWindow` objective at
-        that theta bit for bit.
+        The model terms come from a process-wide memo, one lookup per row.
+        The data term (:func:`_objective`) sums each point's products over
+        the cells one after another (the cells on an outer axis, the points
+        on the contiguous inner one): a row's padded cells add exact zeros
+        at the end, so an evaluated value equals the row's
+        :class:`_FitWindow` objective at that theta bit for bit, in any part.
+
+        At B = 0, and in a part of fewer than ``_MIN_STACK`` rows (such as
+        minimize_lsd's one-row part, where the extra passes cost more than
+        they save), every point is evaluated.  Otherwise the scan is
+        certified: it evaluates the coarse points ``_COARSE``, then, in one
+        pass gathered over the rows, only the fine points where the grid's
+        argmin can lie, so that the argmin (the first on ties) and the value
+        there are the full grid's.  In r = log(theta / theta_r) the model
+        term and the data term's log sum K(r) = log sum exp(c + B x r) are
+        convex (log-sum-exps of terms linear in r), and:
+
+        - at B > 0 the objective less its model term, -(1+beta)/(AB) K plus
+          a constant, is concave, so its chord between two coarse points
+          plus the model term bounds the objective from below between them;
+          a fine point is kept where that bound is within the margin of the
+          coarse best;
+        - at B < 0 the objective is convex, so its argmin lies within one
+          coarse interval of a coarse point within the margin of the coarse
+          best; both intervals around each such point are kept.
         """
         one_beta = 1.0 + p.beta
         log_sg = self.log_sum_g(one_beta)
-        values = np.array([
+        model = np.array([
             _scan_model_terms(self.family, lo, hi, one_beta, length)
             for lo, hi, length in zip(self.lo, self.hi, self.length)
         ])
-        factors = [f[..., None] for f in self.data_factors(p)]
-        step = max(1, _SCAN_BLOCK // (factors[0][0].size * _N_SCAN))
-        for i in range(0, len(values), step):
-            block = slice(i, i + step)
-            values[block] = _objective(
-                values[block], self.scan_terms[block], [f[block] for f in factors],
-                log_sg[block, None], p,
-            )
+        factors = self.data_factors(p)
+        columns = [f[..., None] for f in factors]  # rows x cells x 1
+        if self.size < _MIN_STACK or abs(p.exp_b) < EXPONENT_BOUNDARY:
+            return _objective(model, self.scan_terms, columns, log_sg[:, None], p)
+        r = self.scan_terms
+        coarse = _objective(model[:, _COARSE], r[:, _COARSE], columns, log_sg[:, None], p)
+        # the objective's terms: log sum f^(1+beta) / A (model_term), the
+        # data term and log sum g^(1+beta) / B (g_term); the margin scales
+        # with their sizes
+        model_term, g_term = model / p.exp_a, (log_sg / p.exp_b)[:, None]
+        rest = coarse - model_term[:, _COARSE]
+        size = np.abs(model_term).max(axis=1) + np.abs(rest - g_term).max(axis=1)
+        limit = coarse.min(axis=1) + _SCAN_MARGIN * (1.0 + size + np.abs(g_term[:, 0]))
+        if p.exp_b > 0:
+            ends = r[:, _COARSE]
+            share = (r - ends[:, _INTERVAL]) / (ends[:, _INTERVAL + 1] - ends[:, _INTERVAL])
+            low = rest[:, _INTERVAL]
+            kept = model_term + low + (rest[:, _INTERVAL + 1] - low) * share <= limit[:, None]
+        else:
+            near = coarse <= limit[:, None]
+            kept = (near[:, :-1] | near[:, 1:])[:, _INTERVAL]
+        values = np.full(model.shape, np.inf)
+        values[:, _COARSE] = coarse
+        rows, points = (kept & _FINE).nonzero()
+        if len(rows) == 1:  # numpy sums a lone point's cells pairwise, as a contiguous axis
+            rows, points = rows.repeat(2), points.repeat(2)
+        # the kept points as the points of one row, each with its row's cells
+        gathered = [f.T.take(rows, axis=1)[None] for f in factors]
+        values[rows, points] = _objective(
+            model[rows, points][None], r[rows, points][None], gathered, log_sg[rows][None], p
+        )[0]
         return values
 
     def scan(self, p: TiltParams):
@@ -669,7 +724,7 @@ class _PartFits(NamedTuple):
 
 
 def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
-    """The fits of a sample part's rows at tilt p, scanned in one blocked pass.
+    """The fits of a sample part's rows at tilt p, after one scan of them all.
 
     A row whose residual falls from positive to negative across its scan
     cell takes the root there.  In a part of ``_MIN_STACK`` rows or more,
@@ -683,7 +738,8 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
     slope, so across the cell of an interior best point it falls unless
     the objective is flat there or has two minima in the cell.  A fit has
     converged when its estimate is more than ``_TOL_THETA`` inside the
-    search bracket and the residual is small.  A root's bracket is not
+    search bracket, the residual is small and the objective is not below
+    ``_MIN_OBJECTIVE``.  A root's bracket is not
     tested: the root solvers narrow it below ``_RTOL * |root| + _XTOL`` (or
     to a point on an exact zero) well within their step budget.
     """
@@ -727,7 +783,7 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
             whole[..., index] = kept
         table, iterations, inside = full
     theta_hat, objective, residual = table[:3]
-    converged = inside & (np.abs(residual) <= _TOL_EE)
+    converged = inside & (np.abs(residual) <= _TOL_EE) & (objective >= _MIN_OBJECTIVE)
     return _PartFits(theta_hat, objective, residual, iterations, converged, table[3:].T, errors)
 
 

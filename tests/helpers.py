@@ -175,14 +175,18 @@ def divergence_between_fits_oracle(family, theta_g: float, theta_f: float, p: Ti
     return value if value >= 0.0 else (0.0 if value > -1e-10 else value)
 
 
-def converged_oracle(theta_hat: float, residual: float, bracket, lo: float, hi: float) -> bool:
+def converged_oracle(
+    theta_hat: float, objective: float, residual: float, bracket, lo: float, hi: float
+) -> bool:
     """A fit's converged flag, one fit at a time: theta_hat is more than
     1e-8 inside the search bracket (lo, hi), the estimating-equation
-    residual is at most 1e-6 and the bracket no wider than max(1e-8, 1e-10
+    residual is at most 1e-6, the objective (an LSD, so >= 0 but for
+    rounding) at least -1e-10 and the bracket no wider than max(1e-8, 1e-10
     max(1, theta_hat))."""
     return (
         min(theta_hat - lo, hi - theta_hat) > 1e-8
         and abs(residual) <= 1e-6
+        and objective >= -1e-10
         and bracket[1] - bracket[0] <= max(1e-8, 1e-10 * max(1.0, theta_hat))
     )
 
@@ -239,6 +243,16 @@ def scan_oracle(part, k: int, p: TiltParams) -> np.ndarray:
         log_sfg = peak + np.log(in_order(np.exp(tilted - peak)))
         values.append(log_sf / a - one_beta / (a * b) * log_sfg + log_sg / b)
     return np.array(values)
+
+
+def full_scan_oracle(part, k: int, p: TiltParams) -> np.ndarray:
+    """Kept row k's objective at tilt p at every point of its coarse grid,
+    one theta at a time through the row's fit window, which a scan equals
+    bit for bit wherever it evaluates."""
+    from lsdiv.estimation import _FitWindow
+
+    row = _FitWindow.row(part, k, p)
+    return np.array([row.objective(theta) for theta in part.grid[k]])
 
 
 def contaminated_sample_oracle(n: int, theta: float, contamination, rng) -> np.ndarray:

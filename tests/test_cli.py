@@ -136,6 +136,16 @@ class TestEstimateCommand:
         assert payload["theta_hat"] == pytest.approx(4.0, abs=1e-6)
         assert payload["converged"] is True
 
+    def test_negative_objective_not_converged(self, runner):
+        # at beta = 1e300 the LSD's log sums cancel to a hugely negative
+        # objective; the LSD is >= 0, so such a fit has not converged
+        result = run_ok(
+            runner, ["estimate", "--beta", "1e300", "--gamma", "0", "--data", "1,2,3"]
+        )
+        payload = json.loads(result.output)
+        assert payload["objective"] < -1e-10
+        assert payload["converged"] is False
+
     def test_underflowing_bracket_error(self, runner):
         # the bracket reaches theta ~ 1e4, where the Poisson masses underflow
         # and the support window scan stops with a typed error

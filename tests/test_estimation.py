@@ -28,12 +28,14 @@ from lsdiv import (
     minimize_lsd_many,
     oracle_grid_minimize,
 )
-from lsdiv.divergence import _lse
+from lsdiv.divergence import EXPONENT_BOUNDARY, _lse
 from lsdiv.estimation import (
+    _COARSE,
     _MAX_ITERATIONS,
+    _MIN_STACK,
     _N_SCAN,
     _RTOL,
-    _SCAN_BLOCK,
+    _SCAN_MARGIN,
     _TOL_THETA,
     _XTOL,
     _FitWindow,
@@ -45,9 +47,21 @@ from lsdiv.estimation import (
     _residual_roots,
     _scan_model_terms,
 )
-from lsdiv.simulate import ESTIMATION_BETA_GRID, GAMMA_GRID, replication_rng
+from lsdiv.simulate import (
+    ESTIMATION_BETA_GRID,
+    GAMMA_GRID,
+    _ChunkStreams,
+    _draw_chunk,
+    replication_rng,
+)
 
-from helpers import converged_oracle, golden_section_oracle, residual_oracle, scan_oracle
+from helpers import (
+    converged_oracle,
+    full_scan_oracle,
+    golden_section_oracle,
+    residual_oracle,
+    scan_oracle,
+)
 
 
 def refined_grid_argmin(r_n, family, p, lo, hi):
@@ -190,12 +204,23 @@ class TestMinimizeLsd:
 SCAN_TILTS = [(0.2, -0.5), (0.2, 1.0), (0.0, 0.0), (0.5, 1.0)]
 
 
+def assert_scan_of(values, full):
+    """A row's scan ``values`` against its objective at every grid point:
+    the same bits wherever the scan evaluated (it reads +inf where it
+    skipped) and the same best point, the first on ties."""
+    evaluated = np.isfinite(values)
+    np.testing.assert_array_equal(values[evaluated], full[evaluated])
+    assert values.argmin() == full.argmin()
+
+
 class TestBatchedScan:
-    """The coarse scan evaluates its grid in blocks of rows, adding each
-    row's cells one after another: every value must equal the in-order
-    oracle bit for bit, whatever part or block holds the row, and the
-    one-theta objective (which sums the cells pairwise) within rounding,
-    with the same best point."""
+    """The coarse scan evaluates a whole part's grids in array passes,
+    adding each row's cells one after another: every value it evaluates
+    must equal the in-order oracle and the row's one-theta objective bit for
+    bit, whatever part holds the row, and its best point must be theirs.  A
+    part of ``_MIN_STACK`` rows or more skips, at B != 0, the points that
+    cannot hold the argmin (see :class:`TestCertifiedScan`); a smaller part
+    evaluates every point."""
 
     @pytest.mark.parametrize(
         "theta,n,n_contam",
@@ -239,26 +264,29 @@ class TestBatchedScan:
         for samples in chunk_samples(0):
             part = _SamplePart.from_samples(samples, family)
             values = part.scan_objective(p)
+            assert np.isfinite(values).all() == (abs(p.exp_b) < EXPONENT_BOUNDARY)
             for k in range(8):
-                np.testing.assert_array_equal(values[k], scan_oracle(part, k, p))
+                assert_scan_of(values[k], scan_oracle(part, k, p))
 
     @pytest.mark.parametrize("beta,gamma", SCAN_TILTS)
     def test_scan_is_the_row_objective(self, family, beta, gamma):
         # the scan and a row's one-theta objective share their model and
-        # data terms and the order of their sums: they agree bit for bit
+        # data terms and the order of their sums: they agree bit for bit,
+        # at every point of the row's own one-row part
         p = TiltParams(beta, gamma)
         for samples in chunk_samples(0):
             part = _SamplePart.from_samples(samples, family)
             values = part.scan_objective(p)
             for k in range(0, len(samples), 9):
-                ctx = _FitWindow.row(part, k, p)
-                np.testing.assert_array_equal(values[k], [ctx.objective(t) for t in part.grid[k]])
+                full = full_scan_oracle(part, k, p)
+                assert_scan_of(values[k], full)
+                one = _SamplePart.from_samples(samples[k : k + 1], family)
+                np.testing.assert_array_equal(one.scan_objective(p)[0], full)
 
     @pytest.mark.parametrize("beta,gamma", SCAN_TILTS)
-    def test_row_scan_same_in_any_part_and_block(self, family, beta, gamma):
+    def test_row_scan_same_in_any_part(self, family, beta, gamma):
         # each row alone, in a 32-row chunk of either table, and in a part
-        # of both shapes and single-cell rows that spans many blocks (a
-        # block holds at most two of its rows)
+        # of both shapes and single-cell rows
         p = TiltParams(beta, gamma)
         contam = Contamination(0.1, 12.0, ContaminationScheme.REPLACE_FIXED_COUNT)
         wide = Contamination(0.1, 130.0, ContaminationScheme.REPLACE_FIXED_COUNT)
@@ -272,13 +300,166 @@ class TestBatchedScan:
             (_SamplePart.from_samples(wide_chunk, family), wide_chunk),
             (_SamplePart.from_densities([empirical_frequencies(s) for s in mixed], family), mixed),
         ]
-        assert parts[2][0].x_pos[0].size * _N_SCAN * 3 > _SCAN_BLOCK
         assert sorted(parts[2][0].cells)[:3] == [1, 1, 1]
         for part, samples in parts:
             values = part.scan_objective(p)
             for k, sample in enumerate(samples):
                 one = _SamplePart.from_densities([empirical_frequencies(sample)], family)
-                np.testing.assert_array_equal(values[k], one.scan_objective(p)[0])
+                assert_scan_of(values[k], one.scan_objective(p)[0])
+
+
+class TestCertifiedScan:
+    """A part of ``_MIN_STACK`` rows or more evaluates, at B != 0, its
+    coarse points and then only the fine points where a bound shows the
+    grid's argmin can lie: the chord bound at B > 0, the convex bracket at
+    B < 0.  On rows built to stress both, the scan must keep the full
+    grid's argmin (the first on ties), the value there and the scan cell,
+    and every value it evaluates must equal the row's objective bit for
+    bit.  At B > 0 the bound itself must hold at every grid point within
+    the margin."""
+
+    BRACKET = (1.0, 52.0)  # a grid step of 0.2
+    # B > 0 and B < 0, each up to beta = 20, and B = 8e-7, where the
+    # objective's terms are a million times its value
+    TILTS = [
+        (1.0, 0.0), (0.5, 0.0), (0.2, -0.5), (20.0, 0.0),
+        (0.0, 0.5), (0.4, 2.0), (5.0, -3.0), (20.0, -3.0), (0.2, 0.249999),
+    ]
+
+    @staticmethod
+    def two_minima(family, p, bracket):
+        """Masses at 2 and 30 whose weight makes the objective's best
+        points below and above theta = 10 as equal as bisection gets them
+        (at B > 0; elsewhere the objective has one minimum)."""
+        split = np.searchsorted(np.linspace(*bracket, _N_SCAN), 10.0)
+
+        def density(w):
+            return DiscreteDensity(offset=0, mass=np.eye(31)[2] * w + np.eye(31)[30] * (1.0 - w))
+
+        def gap(w):
+            one = _SamplePart.from_densities([density(w)], family, bracket=bracket)
+            values = one.scan_objective(p)[0]
+            return values[:split].min() - values[split:].min()
+
+        lo, hi = 0.01, 0.99
+        if gap(lo) < 0 < gap(hi) or gap(lo) > 0 > gap(hi):
+            for _ in range(60):
+                mid = 0.5 * (lo + hi)
+                lo, hi = (mid, hi) if (gap(mid) > 0) == (gap(lo) > 0) else (lo, mid)
+        return density(lo)
+
+    def stress_parts(self, family, p):
+        """Parts of the stress rows, each of at least ``_MIN_STACK`` rows,
+        and the grid index each row's argmin must have (None: any)."""
+        grid = np.linspace(*self.BRACKET, _N_SCAN)
+        # Poisson populations whose minimum lies at a coarse point (48), next
+        # to one (49, 63), mid-interval (56), at the last point and beyond
+        # either end of the search bracket
+        thetas = [(grid[j], j) for j in (48, 49, 56, 63, 255)] + [(0.5, 0), (60.0, 255)]
+        populations = [density_vector(family, t) for t, _ in thetas]
+        one_cell = [[3], [0] * 50, [7] * 20, [0] * 45 + [1] * 5, [0] * 49 + [30]]
+        return [
+            (
+                _SamplePart.from_densities(
+                    [*populations, self.two_minima(family, p, self.BRACKET)], family,
+                    bracket=self.BRACKET,
+                ),
+                [j for _, j in thetas] + [None],
+            ),
+            (
+                _SamplePart.from_densities(
+                    [empirical_frequencies(np.array(s)) for s in one_cell], family
+                ),
+                [None] * len(one_cell),
+            ),
+            # all-zero and near-zero samples on a bracket where the objective
+            # is flat to 1e-9 (at beta = 5) or to rounding (at beta = 20)
+            (
+                _SamplePart.from_densities(
+                    [empirical_frequencies(np.array(s)) for s in one_cell[1:]], family,
+                    bracket=(1e-3, 0.05),
+                ),
+                [None] * 4,
+            ),
+        ]
+
+    @pytest.mark.parametrize("beta,gamma", TILTS)
+    def test_stress_rows_keep_the_full_argmin(self, family, beta, gamma):
+        p = TiltParams(beta, gamma)
+        for part, argmins in self.stress_parts(family, p):
+            assert part.size >= _MIN_STACK
+            values = part.scan_objective(p)
+            best, value, g_lo, g_hi = part.scan(p)
+            for k, argmin in enumerate(argmins):
+                full = full_scan_oracle(part, k, p)
+                j = full.argmin()
+                assert argmin is None or j == argmin
+                assert_scan_of(values[k], full)
+                grid = part.grid[k]
+                assert (best[k], value[k]) == (grid[j], full[j])
+                assert (g_lo[k], g_hi[k]) == (grid[max(j - 1, 0)], grid[min(j + 1, _N_SCAN - 1)])
+                if p.exp_b > 1e-3:
+                    assert chord_bound(part, k, p, full).max() <= _SCAN_MARGIN * (1.0 + abs(full[j]))
+
+    def test_the_stress_rows_stress_the_scan(self, family):
+        # the tuned row's two best points are equal or a few ulps apart,
+        # and the flat bracket keeps more than one coarse interval pair
+        p = TiltParams(1.0, 0.0)
+        part, _ = self.stress_parts(family, p)[0]
+        full = full_scan_oracle(part, part.size - 1, p)
+        split = np.searchsorted(part.grid[-1], 10.0)
+        assert abs(full[:split].min() - full[split:].min()) <= 1e-14 * full.min()
+        p = TiltParams(5.0, -3.0)
+        part = self.stress_parts(family, p)[2][0]
+        full = full_scan_oracle(part, 0, p)
+        coarse = full[_COARSE]
+        assert (coarse <= coarse.min() + _SCAN_MARGIN).sum() >= 3
+        # more than the coarse points and the two intervals around one of them
+        assert np.isfinite(part.scan_objective(p)[0]).sum() > len(_COARSE) + 2 * 16
+
+    def test_a_lone_kept_point_sums_its_cells_in_order(self, family):
+        # a bimodal chunk whose 32 rows keep one fine point between them at
+        # B = 0.1: numpy would add that one point's cells pairwise, as over
+        # a contiguous axis, unlike the full grid
+        contam = Contamination(0.3, 40.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+        samples = _draw_chunk(50, 2.0, contam, _ChunkStreams(1, range(32)))
+        part = _SamplePart.from_samples(samples, family)
+        p = TiltParams(0.0, -0.1)
+        values = part.scan_objective(p)
+        assert np.isfinite(values).sum() == len(samples) * len(_COARSE) + 1
+        for k in range(len(samples)):
+            one = _SamplePart.from_samples(samples[k : k + 1], family)
+            assert_scan_of(values[k], one.scan_objective(p)[0])
+
+    @pytest.mark.parametrize("reps", [range(0, 32), range(32, 64)])
+    def test_bimodal_table_chunks(self, family, reps):
+        # every chunk and cell of the CI bimodal table (n = 50, theta = 2, 30%
+        # of each sample from Poisson(40), seed 7), against each row alone,
+        # whose one-row part evaluates every grid point
+        contam = Contamination(0.3, 40.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+        samples = _draw_chunk(50, 2.0, contam, _ChunkStreams(7, reps))
+        part = _SamplePart.from_samples(samples, family)
+        ones = [_SamplePart.from_samples(samples[k : k + 1], family) for k in range(len(samples))]
+        for beta, gamma in itertools.product([0.0, 0.5, 1.0], [0.0, 1.0, 3.0, 10.0]):
+            p = TiltParams(beta, gamma)
+            values = part.scan_objective(p)
+            scan = np.array(part.scan(p))
+            for k, one in enumerate(ones):
+                assert_scan_of(values[k], one.scan_objective(p)[0])
+                np.testing.assert_array_equal(scan[:, k], np.array(one.scan(p))[:, 0])
+
+
+def chord_bound(part, k, p, full):
+    """LB_j - value_j at every grid point of kept row k at tilt p (B > 0),
+    from its objective ``full`` there: LB is the model term log sum
+    f^(1+beta) / A plus the chord, in r = log(theta / theta_r), of the rest
+    of the objective between the coarse points around the point."""
+    row = _FitWindow.row(part, k, p)
+    model = np.array([_lse((1.0 + p.beta) * row._log_f(t)[1]) for t in part.grid[k]]) / p.exp_a
+    r = np.log(part.grid[k] / part.ref[k])
+    rest = full - model
+    lb = model + np.interp(r, r[_COARSE], rest[_COARSE])
+    return lb - full
 
 
 class TestScanMemo:
@@ -779,7 +960,9 @@ class TestPartFitsRecord:
             got = (*map(float.hex, map(float, floats)), int(fits.iterations[i]))
             assert got == (*map(float.hex, (want.theta_hat, want.objective, want.residual,
                                             *want.bracket)), want.iterations)
-            oracle = converged_oracle(want.theta_hat, want.residual, want.bracket, *brackets[i])
+            oracle = converged_oracle(
+                want.theta_hat, want.objective, want.residual, want.bracket, *brackets[i]
+            )
             assert bool(fits.converged[i]) is want.converged is oracle
 
     @pytest.mark.parametrize("rows", [1, 2, 3, 30])
@@ -875,9 +1058,12 @@ class TestPartFitsRecord:
 
 class TestFitInvariants:
     """Invariants of every fit over a sweep of small and contaminated
-    samples and tilts: a finite result, the scalar and stacked paths in
-    agreement, and a fit that has not converged only at a bracket end.
-    The means stop at 80 and beta at 20: fits at means above about 140
+    samples and tilts: a finite result, an objective >= -1e-10 and no worse
+    than the best point of the full grid, at B <= 0 (where the objective is
+    convex in log theta) the estimate of a fine grid, the scalar and
+    stacked paths (a one-row scan of every grid point, a certified one of
+    five copies) in agreement, and a fit that has not converged only at a
+    bracket end.  The means stop at 80 and beta at 20: fits at means above about 140
     underflow (their windows start at 0), and the LSD of a huge beta
     cancels in its last bits; each bound widens when ROADMAP's item on it
     lands."""
@@ -904,12 +1090,21 @@ class TestFitInvariants:
         assert abs(fit.residual - residual_oracle(fit.theta_hat, r_n, p)) <= 1e-10 * max(
             1.0, abs(fit.residual)
         )
+        assert fit.objective >= -1e-10
+        one = _SamplePart.from_densities([r_n], family)
+        assert fit.objective <= full_scan_oracle(one, 0, p).min()
         lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
+        if p.exp_b <= 0:
+            pitch = (hi - lo) / 64
+            assert abs(fit.theta_hat - oracle_grid_minimize(r_n, family, p, lo, hi, pitch)) <= pitch
         if not fit.converged:
             assert min(fit.theta_hat - lo, hi - fit.theta_hat) <= _TOL_THETA
         for row in minimize_lsd_many([r_n] * 5, family, p):
             assert abs(row.theta_hat - fit.theta_hat) <= 1e-8
             assert row.converged == fit.converged and np.isfinite(row.residual)
+        copies = _SamplePart.from_densities([r_n] * 5, family).scan(p)
+        for got, want in zip(copies, one.scan(p)):
+            assert (got == want[0]).all()
 
 
 def chunk_samples(seed):
@@ -959,9 +1154,7 @@ class TestSamplePart:
                 for beta, gamma in SOLVER_TILTS[:3]:
                     p = TiltParams(beta, gamma)
                     assert part.log_sum_g(1.0 + beta)[k] == one.log_sum_g(1.0 + beta)[0]
-                    np.testing.assert_array_equal(
-                        part.scan_objective(p)[k], one.scan_objective(p)[0]
-                    )
+                    assert_scan_of(part.scan_objective(p)[k], one.scan_objective(p)[0])
 
     def test_log_sum_g_kept_per_beta(self, family):
         # each row's log sum g^(1+beta) is computed once per beta, as each

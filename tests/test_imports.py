@@ -1,11 +1,14 @@
-"""Every module-level import of the package's modules is used.
+"""Every module-level import of the package's modules is used, and every
+private module-level name is read somewhere in the package.
 
-No linter runs on the package, so a stale import left by a refactor would
-otherwise go unnoticed.  The check reads the source with the standard
-library's ``ast`` only: a name counts as used when the module reads it
-(annotations included, also those written as strings) or lists it in
-``__all__``.  ``__init__.py`` is left out, since its imports are the
-package's public names.
+No linter runs on the package, so a stale import or a private function,
+class or constant left behind by a refactor would otherwise go unnoticed.
+The checks read the source with the standard library's ``ast`` only: a
+name counts as used when the module reads it (annotations included, also
+those written as strings) or lists it in ``__all__``, and a private name
+as read when any module of the package uses it, imports it or reads it as
+an attribute.  ``__init__.py`` is left out of the import check, since its
+imports are the package's public names.
 """
 
 import ast
@@ -60,6 +63,66 @@ def test_every_module_level_import_is_used(path):
     unused = {name: line for name, line in module_imports(tree).items()
               if name not in used_names(tree)}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def private_definitions(statement: ast.stmt) -> list[str]:
+    """The private names (not dunders) a top-level statement defines: a
+    function, a class or assigned names."""
+    if isinstance(statement, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        names = [statement.name]
+    elif isinstance(statement, (ast.Assign, ast.AnnAssign)):
+        targets = statement.targets if isinstance(statement, ast.Assign) else [statement.target]
+        names = [n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)]
+    else:
+        names = []
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def dead_private_names(tree: ast.Module, package: list[ast.Module]) -> dict[str, int]:
+    """The private names ``tree`` defines at its top level that no other
+    top-level statement of the package's modules reads (uses, imports or
+    reads as an attribute), with their lines: a function read only by its
+    own body is dead."""
+    reads = []
+    for statement in (s for module in package for s in module.body):
+        read = used_names(statement)
+        for node in ast.walk(statement):
+            if isinstance(node, ast.ImportFrom):
+                read.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+        reads.append((statement, read))
+    return {
+        name: statement.lineno
+        for statement in tree.body
+        for name in private_definitions(statement)
+        if not any(name in read for other, read in reads if other is not statement)
+    }
+
+
+TREES = {path: ast.parse(path.read_text(), filename=str(path)) for path in SOURCES}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_every_private_module_level_name_is_read(path):
+    dead = dead_private_names(TREES[path], list(TREES.values()))
+    assert not dead, f"{path.name}: private names no module reads (name: line) {dead}"
+
+
+def test_the_check_sees_a_dead_private_name():
+    defining = ast.parse(
+        "import numpy as np\n"
+        "_STEP = 16\n"
+        "_GRID, _UNUSED = np.arange(_STEP), 0\n"
+        "_TABLE: dict = {}\n"
+        "__version__ = '1'\n"
+        "def _helper():\n    return _GRID\n"
+        "def _dead():\n    return _dead()\n"
+        "class _Record:\n    pass\n"
+        "def public():\n    return _helper()\n"
+    )
+    reading = ast.parse("from .m import _TABLE\nimport m\nx = m._Record, _TABLE\n")
+    assert dead_private_names(defining, [defining, reading]) == {"_UNUSED": 3, "_dead": 8}
 
 
 def test_the_check_sees_an_unused_import():
