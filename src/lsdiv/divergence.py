@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 __all__ = [
     "Psi",
@@ -305,6 +304,9 @@ def lpd(g: DiscreteDensity, f: DiscreteDensity, gamma: float) -> float:
     pos = gv > 0
     if gamma < -1 and not np.all(pos):
         raise DivergenceInfiniteError("empty data cell with gamma < -1")
+    # the closed forms keep scipy's logsumexp, which the package loads only here
+    from scipy.special import logsumexp
+
     logf = np.log(fv[pos])
     logg = np.log(gv[pos])
     val = logsumexp((1.0 + gamma) * logg - gamma * logf)
@@ -318,6 +320,8 @@ def ldpd(g: DiscreteDensity, f: DiscreteDensity, beta: float) -> float:
     gv, fv = align(g, f)
     if np.any(fv <= 0):
         raise SupportAlignmentError("model density must be positive on the window")
+    from scipy.special import logsumexp
+
     pos = gv > 0
     logf = np.log(fv)
     logg = np.log(gv[pos])

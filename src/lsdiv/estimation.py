@@ -52,7 +52,7 @@ from .divergence import (
     _s_combination,
     lsd,
 )
-from .families import _MAX_WINDOW, PoissonFamily, density_vector
+from .families import _MAX_WINDOW, PoissonFamily, _points, density_vector
 
 __all__ = [
     "EstimatorResult",
@@ -229,31 +229,12 @@ def _scan_model_terms(
     """
     grid, ref = _grids(np.array([lo]), np.array([hi]))[0], _reference(lo, hi)
     family._check(grid)
-    x, logf_ref = _window_terms(family, length, ref)
+    x = _points(length)
     logf = x * np.log(grid / ref)[:, None]  # log f e^(theta - theta_r), see _objective
-    logf += logf_ref
+    logf += family._log_mass(ref, x)
     log_sf = _lse(one_beta * logf)
     log_sf.flags.writeable = False
     return log_sf
-
-
-_POINTS = np.zeros(0), np.zeros(0)  # [0, n) as floats and log x! there (_window_terms)
-
-
-def _window_terms(family: PoissonFamily, end: int, ref):
-    """The window [0, end) as floats, a read-only view of a process-wide
-    table grown on demand, and log f_theta_r there, at theta_r a float or a
-    (rows, 1) column, from the table's log x! (taken point by point, so a
-    view has a window's own bits)."""
-    global _POINTS
-    points = _POINTS  # another thread may replace the tables, with shorter ones
-    if len(points[0]) < end:
-        x = np.arange(max(end, 2 * len(points[0])), dtype=float)
-        points = _POINTS = x, family._log_factorial(x)
-        for a in points:
-            a.flags.writeable = False
-    x = points[0][:end]
-    return x, family._log_mass(ref, x, points[1][:end])
 
 
 def _reference(lo: float, hi: float) -> float:
@@ -569,7 +550,9 @@ class _FitWindow:
 
     def __init__(self, part: _SamplePart, p: TiltParams, cells, ref, end: int):
         self.family, self.p, self.ref = part.family, p, ref
-        self.x, self.logf_ref = _window_terms(part.family, end, ref)
+        # the window from the log x! table, and log f_theta_r there
+        self.x = _points(end)
+        self.logf_ref = part.family._log_mass(ref, self.x)
         self.log_sg = part.log_sum_g(1.0 + p.beta)[cells[0]]
         self.factors = [f[cells[: f.ndim]] for f in part.data_factors(p)]
         self.x_cells = part.cell_terms[0][cells]
@@ -582,13 +565,14 @@ class _FitWindow:
     @classmethod
     def stack(cls, part: _SamplePart, p: TiltParams, top: float):
         """Every kept row on one window that holds the part's data and the
-        support window of ``top``, the highest theta a row evaluates; the
-        occupied cells are padded as the part pads them (cell 0, log g =
-        ``_PAD_LOGG``), which add exact zeros.  The exact support window
-        grows with theta, but the computed one can be one cell shorter at a
-        higher theta by rounding (see :func:`_model_window_end`), so a lower
-        theta's computed window may end one cell past this one."""
-        end = max(int(part.x_pos.max()) + 1, part.family.support_window(top)[1])
+        support window of ``top`` (from the window memo), the highest theta
+        a row evaluates; the occupied cells are padded as the part pads them
+        (cell 0, log g = ``_PAD_LOGG``), which add exact zeros.  The exact
+        support window grows with theta, but the computed one can be one
+        cell shorter at a higher theta by rounding (see
+        :func:`_model_window_end`), so a lower theta's computed window may
+        end one cell past this one."""
+        end = max(int(part.x_pos.max()) + 1, _model_window_end(part.family, (top,)))
         return cls(part, p, (slice(None),), np.array(part.ref)[:, None], end)
 
     def _log_f(self, theta):

@@ -11,11 +11,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import chdtrc
 
 from .divergence import DiscreteDensity, Psi, TiltParams, _PAD_LOGG, _lsd_from_logs
 from .estimation import empirical_frequencies, minimize_lsd, minimize_lsd_many
-from .families import PoissonFamily, moments_c_d
+from .families import PoissonFamily, _points, moments_c_d
 from .asymptotics import SingularityError, _density_score, _model_if1, _model_summary
 
 __all__ = [
@@ -52,7 +51,7 @@ def model_pair_densities(
 ) -> tuple[DiscreteDensity, DiscreteDensity]:
     """Two model densities evaluated on a single common window, so both are
     strictly positive everywhere the divergence looks."""
-    x = np.arange(max(family.support_window(theta_g)[1], family.support_window(theta_f)[1]))
+    x = _points(max(family.support_window(theta_g)[1], family.support_window(theta_f)[1]))
     g = DiscreteDensity(offset=0, mass=family.density(theta_g, x))
     f = DiscreteDensity(offset=0, mass=family.density(theta_f, x))
     return g, f
@@ -80,7 +79,7 @@ def divergence_between_fits(
     rows = theta_g.reshape(-1, 1)
     length = family.support_window(theta_f)[1]
     ends = np.maximum([[family.support_window(t)[1]] for t in rows[:, 0]], length)
-    x = np.arange(ends.max())
+    x = _points(int(ends.max()))
     outside = x >= ends
     logf = np.where(outside, _PAD_LOGG, family.log_density(theta_f, x))
     logg = np.where(outside, _PAD_LOGG, family.log_density(rows, x))
@@ -140,7 +139,10 @@ def weighted_chisq_pvalue(w: float, zeta: float) -> float:
     if zeta == 0:
         raise SingularityError("degenerate null law: the weight is zero")
     # chdtrc is the ufunc behind scipy.stats.chi2.sf, bit for bit, without
-    # scipy.stats' argument handling.
+    # scipy.stats' argument handling; imported at the first p-value, so that
+    # the package's import and its fits load no scipy
+    from scipy.special import chdtrc
+
     return float(chdtrc(1, w / zeta))
 
 

@@ -33,7 +33,6 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
-from scipy.special import gammaincinv
 
 from .asymptotics import SingularityError
 from .divergence import EXPONENT_BOUNDARY, TiltParams, derive_exponents
@@ -612,7 +611,10 @@ def run_estimation_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationR
 def _chi2_critical_value(level: float) -> float:
     """The chi-square(1) quantile at 1 - level, as scipy.stats.chi2.ppf
     computes it (2 gammaincinv(1/2, q)), bit for bit, without importing
-    scipy.stats, which is about half of the package's import time."""
+    scipy.stats; scipy.special loads here, at the first call, and not with
+    the package."""
+    from scipy.special import gammaincinv
+
     return float(2.0 * gammaincinv(0.5, 1.0 - level))
 
 

@@ -1,5 +1,8 @@
 """Poisson family contract conformance and tilted score moments."""
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -21,7 +24,8 @@ from lsdiv import (
     one_sample_test,
     second_order_test_influence,
 )
-from lsdiv.families import _moment_record
+from lsdiv import families
+from lsdiv.families import _MAX_WINDOW, _moment_record, _points, _table
 from helpers import moments_c_d_oracle
 
 
@@ -288,3 +292,109 @@ class TestMomentRecord:
         null_law(family, 4.0, TiltParams(0.4, -0.3))  # gamma does not enter
         info = _moment_record.cache_info()
         assert (info.misses, info.hits) == (2, 2)
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and bool((a.view(np.int64) == b.view(np.int64)).all())
+
+
+class TestLogFactorialTable:
+    def test_equals_gammaln_at_every_window_point(self):
+        x = _points(_MAX_WINDOW + 1)
+        log_x_factorial = PoissonFamily._log_factorial(x)
+        np.testing.assert_array_equal(x, np.arange(_MAX_WINDOW + 1))
+        assert same_bits(log_x_factorial, gammaln(x + 1.0))
+        assert not x.flags.writeable and not log_x_factorial.flags.writeable
+        # a window of the table's points reads a view of its log x!, not a gather
+        assert log_x_factorial.base is _table(0)[1]
+
+    def test_windows_inside_the_table_read_their_own_points(self):
+        x = _points(300)
+        for window in (x[7:40], x[299:], x[::2], x[None, 3:9]):
+            assert same_bits(PoissonFamily._log_factorial(window), gammaln(window + 1.0))
+
+    @pytest.mark.parametrize("point", [0, 1, 2, 12, 13, 999, 1000, 99_999, 10**6, 10**9])
+    def test_lone_points_and_the_formula_past_the_table(self, family, point):
+        expected = gammaln(point + 1.0)
+        assert same_bits(PoissonFamily._log_factorial(np.asarray(float(point))), expected)
+        # an array with a point past the longest window takes the formula too
+        points = np.array([3.0, float(point)])
+        assert same_bits(PoissonFamily._log_factorial(points), gammaln(points + 1.0))
+        theta = 7.5
+        direct = point * np.log(theta) - theta - expected
+        assert same_bits(family.density(theta, point), np.exp(direct))
+
+    def test_gathers_keep_the_shape(self, family):
+        x = np.array([[0.0, 5.0, 2.0], [40.0, 40.0, 1.0]])
+        assert same_bits(PoissonFamily._log_factorial(x), gammaln(x + 1.0))
+        assert PoissonFamily._log_factorial(np.zeros((2, 0))).shape == (2, 0)
+        assert same_bits(family.log_density(3.0, np.arange(5)),
+                         np.arange(5) * np.log(3.0) - 3.0 - gammaln(np.arange(5) + 1.0))
+
+    @pytest.mark.parametrize("point", [-1, -1e9, 0.5, 2.5, np.nan, np.inf, -np.inf])
+    def test_a_point_off_the_support_raises(self, family, point):
+        # -1 would read the table's last entry; it must never index it
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            PoissonFamily._log_factorial(np.asarray(point))
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            PoissonFamily._log_factorial(np.array([1.0, point]))
+        with pytest.raises(ValueError, match="nonnegative integer"):
+            family.density(2.0, point)
+
+    def test_threads_growing_the_table_read_only_whole_tables(self, monkeypatch):
+        # one thread grows the table from empty by doubling while another
+        # reads windows of whatever length the table has, and grows it too;
+        # every table a read returns must be complete and read-only, and
+        # every log x! read from it must have the table's bits
+        reference = gammaln(np.arange(1 << 16) + 1.0)
+        interval, problems = sys.getswitchinterval(), []
+        monkeypatch.setattr(families, "_POINTS", (np.zeros(0), np.zeros(0)))
+
+        def reported(work):
+            # an exception in a thread would only be printed: record it
+            def run(*args):
+                try:
+                    work(*args)
+                except Exception as exc:
+                    problems.append(exc)
+            return run
+
+        @reported
+        def grow():
+            for k in range(4, 17):
+                _points(1 << k)
+
+        @reported
+        def read(rng, grower):
+            while grower.is_alive():
+                end = min(int(rng.integers(1, len(families._POINTS[0]) + 64)), 1 << 16)
+                x = _points(end)
+                log_x_factorial = PoissonFamily._log_factorial(x)
+                lone = PoissonFamily._log_factorial(np.asarray(float(end - 1)))
+                if not (
+                    len(x) == len(log_x_factorial) == end
+                    and x[-1] == end - 1
+                    and same_bits(log_x_factorial, reference[:end])
+                    and same_bits(lone, reference[end - 1])
+                    and not x.flags.writeable
+                    # a view of the table's log x! (a gather, where another
+                    # thread replaced the table that x views, is a copy)
+                    and not (log_x_factorial.base is not None and log_x_factorial.flags.writeable)
+                ):
+                    problems.append(end)
+
+        sys.setswitchinterval(1e-6)  # switch threads often
+        try:
+            for seed in range(3):
+                families._POINTS = np.zeros(0), np.zeros(0)
+                grower = threading.Thread(target=grow)
+                reader = threading.Thread(target=read, args=(np.random.default_rng(seed), grower))
+                grower.start()
+                reader.start()
+                for t in (grower, reader):
+                    t.join(timeout=60)
+                    assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert not problems

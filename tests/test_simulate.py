@@ -937,26 +937,40 @@ class TestCriticalValue:
             assert simulate._chi2_critical_value(level) == float(chi2.ppf(1.0 - level, df=1))
 
     def test_package_import_leaves_scipy_stats_out(self):
-        # scipy.stats and scipy.optimize are most of the package's import
-        # time; neither is loaded by the import, nor later by a scalar fit
-        # (minimize_lsd, lsdiv estimate), which a lazy import would do
+        # scipy is about half of the package's import time: neither the
+        # import nor a fit, an influence curve or an estimation table loads
+        # any of it (a lazy import would show up after the call); the first
+        # p-value loads scipy.special
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         code = (
             "import sys; sys.path[:0] = sys.argv[1:]\n"
             "import lsdiv, lsdiv.cli\n"
             "from click.testing import CliRunner\n"
-            "def loaded(): return [m in sys.modules for m in ('scipy.stats', 'scipy.optimize')]\n"
+            "def loaded(): return sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')\n"
+            "def cli(*args):\n"
+            "    result = CliRunner().invoke(lsdiv.cli.main, list(args))\n"
+            "    assert result.exit_code == 0, result.output\n"
+            "    return result.output\n"
             "print(loaded())\n"
             "r_n = lsdiv.empirical_frequencies([1, 2, 2, 3, 4, 4, 5, 9])\n"
             "fit = lsdiv.minimize_lsd(r_n, lsdiv.PoissonFamily(), lsdiv.TiltParams(0.5, 0.0))\n"
             "assert fit.converged and fit.iterations > 0, fit\n"
-            "args = ['estimate', '--beta', '0.2', '--gamma', '0.5', '--data', '3,4,5,4,4,12']\n"
-            "result = CliRunner().invoke(lsdiv.cli.main, args)\n"
-            "assert result.exit_code == 0 and '\"converged\": true' in result.output, result.output\n"
             "print(loaded())\n"
+            "out = cli('estimate', '--beta', '0.2', '--gamma', '0.5', '--data', '3,4,5,4,4,12')\n"
+            "assert '\"converged\": true' in out, out\n"
+            "print(loaded())\n"
+            "assert len(cli('influence', '--beta', '0.4', '--gamma', '0.5', '--theta', '4',\n"
+            "               '--y-max', '40').splitlines()) == 42\n"
+            "print(loaded())\n"
+            "config = lsdiv.SimulationConfig(lsdiv.SimKind.ESTIMATION_BIAS, n=30, theta_true=4.0,\n"
+            "    replications=8, grid_beta=(0.5,), grid_gamma=(0.2,), seed=3)\n"
+            "assert lsdiv.run_estimation_sim(config).cells[0].failures == 0\n"
+            "print(loaded())\n"
+            "assert 0 < lsdiv.weighted_chisq_pvalue(2.0, 0.7) < 1\n"
+            "print('scipy.special' in sys.modules)\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split("\n")[:2] == ["[False, False]"] * 2
+        assert done.stdout.split("\n")[:6] == ["[]"] * 5 + ["True"]
