@@ -68,10 +68,9 @@ __version__ = "0.1.0"
 # The fits' short-lived arrays of up to a few hundred KiB belong on the heap.
 # glibc's malloc serves a block of 128 KiB or more by mmap until it frees
 # such a block, which raises that threshold to the block's size and the
-# heap's trim threshold to twice that.  Importing scipy did so as a side
-# effect; without it, those arrays were mapped and unmapped anew, about
+# heap's trim threshold to twice that.  Nothing the package imports frees
+# such a block, so those arrays would be mapped and unmapped anew, about
 # 500 minor page faults per pass of perfbench's est_table against 1.
-# Freeing one 1 MiB array here restores that state; other allocators
-# ignore it.
+# Freeing one 1 MiB array here sets that state; other allocators ignore it.
 _np.empty(1 << 17)
 del _np

@@ -143,6 +143,14 @@ def align(g: DiscreteDensity, f: DiscreteDensity) -> tuple[np.ndarray, np.ndarra
     return gv, fv
 
 
+def _occupied(gv: np.ndarray) -> np.ndarray:
+    """The mask of the data density's positive cells, of which there must be one."""
+    pos = gv > 0
+    if not np.any(pos):
+        raise ValueError("data density has no positive mass on the window")
+    return pos
+
+
 def _log_inputs(gv: np.ndarray, fv: np.ndarray, p: TiltParams):
     """Validate an aligned pair and return ``(log f, pos, log g[pos])``,
     where ``pos`` marks the occupied data cells."""
@@ -150,9 +158,7 @@ def _log_inputs(gv: np.ndarray, fv: np.ndarray, p: TiltParams):
         raise SupportAlignmentError(
             "model density must be strictly positive on the union window"
         )
-    pos = gv > 0
-    if not np.any(pos):
-        raise ValueError("data density has no positive mass on the window")
+    pos = _occupied(gv)
     if p.exp_a < EXPONENT_BOUNDARY and not np.all(pos):
         raise DivergenceInfiniteError(
             "empty data cell with exponent A <= 0 makes the divergence infinite"
@@ -163,8 +169,8 @@ def _log_inputs(gv: np.ndarray, fv: np.ndarray, p: TiltParams):
 def _lse(a: np.ndarray) -> np.ndarray:
     """log sum exp(a) over the last axis: a float for an (L,) vector, a (k,)
     array for a (k, L) stack of rows, each summed pairwise as numpy sums a
-    lone vector.  Plain numpy: several times cheaper per call than
-    scipy.special.logsumexp on the short vectors a fit evaluates.
+    lone vector.  The package's one log-sum-exp: the fits, :func:`lsd` and
+    the closed forms all sum through it.
     """
     m = a.max(axis=-1, keepdims=True)
     e = np.subtract(a, m, order="C")  # rows contiguous whatever a's layout
@@ -301,15 +307,12 @@ def lpd(g: DiscreteDensity, f: DiscreteDensity, gamma: float) -> float:
     gv, fv = align(g, f)
     if np.any(fv <= 0):
         raise SupportAlignmentError("model density must be positive on the window")
-    pos = gv > 0
+    pos = _occupied(gv)
     if gamma < -1 and not np.all(pos):
         raise DivergenceInfiniteError("empty data cell with gamma < -1")
-    # the closed forms keep scipy's logsumexp, which the package loads only here
-    from scipy.special import logsumexp
-
     logf = np.log(fv[pos])
     logg = np.log(gv[pos])
-    val = logsumexp((1.0 + gamma) * logg - gamma * logf)
+    val = _lse((1.0 + gamma) * logg - gamma * logf)
     return float(val / (gamma * (gamma + 1.0)))
 
 
@@ -320,14 +323,12 @@ def ldpd(g: DiscreteDensity, f: DiscreteDensity, beta: float) -> float:
     gv, fv = align(g, f)
     if np.any(fv <= 0):
         raise SupportAlignmentError("model density must be positive on the window")
-    from scipy.special import logsumexp
-
-    pos = gv > 0
+    pos = _occupied(gv)
     logf = np.log(fv)
     logg = np.log(gv[pos])
-    t1 = logsumexp((1.0 + beta) * logf)
-    t2 = logsumexp(beta * logf[pos] + logg)
-    t3 = logsumexp((1.0 + beta) * logg)
+    t1 = _lse((1.0 + beta) * logf)
+    t2 = _lse(beta * logf[pos] + logg)
+    t3 = _lse((1.0 + beta) * logg)
     return float(t1 - (1.0 + 1.0 / beta) * t2 + t3 / beta)
 
 
@@ -336,5 +337,5 @@ def ld(g: DiscreteDensity, f: DiscreteDensity) -> float:
     gv, fv = align(g, f)
     if np.any(fv <= 0):
         raise SupportAlignmentError("model density must be positive on the window")
-    pos = gv > 0
+    pos = _occupied(gv)
     return float(np.dot(gv[pos], np.log(gv[pos] / fv[pos])))

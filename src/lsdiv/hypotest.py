@@ -8,6 +8,7 @@ parameter, so the p-value is the closed-form chi-square tail at W / zeta.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -138,12 +139,8 @@ def weighted_chisq_pvalue(w: float, zeta: float) -> float:
         return 1.0
     if zeta == 0:
         raise SingularityError("degenerate null law: the weight is zero")
-    # chdtrc is the ufunc behind scipy.stats.chi2.sf, bit for bit, without
-    # scipy.stats' argument handling; imported at the first p-value, so that
-    # the package's import and its fits load no scipy
-    from scipy.special import chdtrc
-
-    return float(chdtrc(1, w / zeta))
+    # the chi-square(1) tail at x is erfc(sqrt(x / 2))
+    return math.erfc(math.sqrt(0.5 * w / zeta))
 
 
 def _check_levels(levels) -> None:

@@ -27,6 +27,7 @@ import enum
 import functools
 import json
 import numbers
+import statistics
 import threading
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -609,13 +610,10 @@ def run_estimation_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationR
 
 
 def _chi2_critical_value(level: float) -> float:
-    """The chi-square(1) quantile at 1 - level, as scipy.stats.chi2.ppf
-    computes it (2 gammaincinv(1/2, q)), bit for bit, without importing
-    scipy.stats; scipy.special loads here, at the first call, and not with
-    the package."""
-    from scipy.special import gammaincinv
-
-    return float(2.0 * gammaincinv(0.5, 1.0 - level))
+    """The chi-square(1) quantile at 1 - level: the square of the standard
+    normal quantile at level / 2, which reads the tail directly and so
+    stays exact for levels far below the rounding of 1 - level."""
+    return statistics.NormalDist().inv_cdf(0.5 * level) ** 2
 
 
 def run_testing_sim(config: SimulationConfig, n_jobs: int = 1) -> SimulationReport:

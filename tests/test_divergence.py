@@ -274,6 +274,7 @@ class TestNamedSpecials:
 _G = DiscreteDensity(0, [0.2, 0.3, 0.5])
 _F = DiscreteDensity(0, [0.3, 0.4, 0.3])
 _GAP = DiscreteDensity(0, [0.5, 0.0, 0.5])  # an empty cell, as data or as model
+_ZERO = DiscreteDensity(0, np.zeros(3))  # data with no positive mass
 
 
 class TestTypedErrors:
@@ -293,11 +294,15 @@ class TestTypedErrors:
             (lambda: ld(_G, _GAP), ValueError, "positive on the window"),
             (lambda: lpd(_GAP, _F, -1.5), DivergenceInfiniteError, "gamma < -1"),
             (lambda: ldpd(_G, _F, 0.0), ValueError, "beta > 0"),
+            (lambda: lpd(_ZERO, _F, 0.5), ValueError, "no positive mass"),
+            (lambda: ldpd(_ZERO, _F, 0.5), ValueError, "no positive mass"),
+            (lambda: ld(_ZERO, _F), ValueError, "no positive mass"),
         ],
         ids=[
             "tilt-exponents-overflow", "tilt-exponents-nan", "density-2d", "density-empty",
             "lsd-empty-data", "lpd-zero-model-mass", "ldpd-zero-model-mass",
             "ld-zero-model-mass", "lpd-empty-cell-gamma-below-minus-one", "ldpd-beta-zero",
+            "lpd-empty-data", "ldpd-empty-data", "ld-empty-data",
         ],
     )
     def test_raises(self, call, error, match):

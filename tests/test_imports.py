@@ -1,5 +1,6 @@
-"""Every module-level import of the package's modules is used, and every
-private module-level name is read somewhere in the package.
+"""Every module-level import of the package's modules is used, every
+private module-level name is read somewhere in the package, and no module
+imports scipy.
 
 No linter runs on the package, so a stale import or a private function,
 class or constant left behind by a refactor would otherwise go unnoticed.
@@ -55,6 +56,45 @@ def used_names(tree: ast.Module) -> set[str]:
             if isinstance(node, ast.Constant) and isinstance(node.value, str):
                 used |= used_names(ast.parse(node.value, mode="eval"))
     return used
+
+
+def scipy_imports(tree: ast.Module) -> list[int]:
+    """The lines of every import of scipy or of a scipy module, at module
+    level or nested in a function, a class or a block."""
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        if any(module.partition(".")[0] == "scipy" for module in modules):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_module_imports_scipy(path):
+    # the package runs on numpy and click; scipy is the tests' oracle only
+    lines = scipy_imports(ast.parse(path.read_text(), filename=str(path)))
+    assert not lines, f"{path.name}: imports scipy at lines {lines}"
+
+
+def test_the_check_sees_a_scipy_import():
+    tree = ast.parse(
+        "import numpy as np, scipy\n"
+        "from scipy import special\n"
+        "from .scipy_like import x\n"
+        "import scipyx\n"
+        "def f(x):\n"
+        "    from scipy.special import logsumexp\n"
+        "    return logsumexp(x)\n"
+        "class C:\n"
+        "    if True:\n"
+        "        import scipy.stats as st\n"
+    )
+    assert scipy_imports(tree) == [1, 2, 6, 10]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)

@@ -2,6 +2,7 @@
 
 import functools
 import json
+import math
 import multiprocessing
 import os
 import subprocess
@@ -31,6 +32,7 @@ from lsdiv import (
     emit_report,
     empirical_frequencies,
     sample_poisson,
+    weighted_chisq_pvalue,
 )
 from lsdiv import estimation, simulate
 from lsdiv.cli import main
@@ -928,19 +930,31 @@ class TestRejectWorker:
 
 
 class TestCriticalValue:
-    def test_equals_chi2_ppf_bit_for_bit(self):
+    def test_round_trips_and_matches_chi2_ppf(self):
         from scipy.stats import chi2
 
         levels = np.r_[0.05, 0.01, 0.1, 0.001, 0.5, 1e-9, 1 - 1e-9,
                        np.random.default_rng(0).random(2000)]
         for level in levels.tolist():
-            assert simulate._chi2_critical_value(level) == float(chi2.ppf(1.0 - level, df=1))
+            crit = simulate._chi2_critical_value(level)
+            assert weighted_chisq_pvalue(crit, 1.0) == pytest.approx(level, rel=1e-14, abs=0)
+            if level >= 1e-3:
+                assert crit == pytest.approx(chi2.ppf(1.0 - level, df=1), rel=1e-13, abs=0)
+        # 1 - level rounds to 1 below about 1.1e-16, where a quantile at
+        # 1 - level reads inf and no test could reject; the normal quantile
+        # at level / 2 reads the tail itself.  A relative error e in the
+        # critical value x moves its tail by about (x / 2) e relative.
+        for level in (1e-17, 1e-20, 1e-300):
+            crit = simulate._chi2_critical_value(level)
+            assert math.isfinite(crit)
+            assert weighted_chisq_pvalue(crit, 1.0) == pytest.approx(
+                level, rel=1e-14 * crit / 2, abs=0
+            )
 
-    def test_package_import_leaves_scipy_stats_out(self):
-        # scipy is about half of the package's import time: neither the
-        # import nor a fit, an influence curve or an estimation table loads
-        # any of it (a lazy import would show up after the call); the first
-        # p-value loads scipy.special
+    def test_package_never_loads_scipy(self):
+        # the package runs on numpy and click alone: neither its import nor
+        # a fit, an influence curve, a p-value, a test or a table loads any
+        # scipy module (a lazy import would show up after its call)
         src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
         code = (
             "import sys; sys.path[:0] = sys.argv[1:]\n"
@@ -967,10 +981,18 @@ class TestCriticalValue:
             "assert lsdiv.run_estimation_sim(config).cells[0].failures == 0\n"
             "print(loaded())\n"
             "assert 0 < lsdiv.weighted_chisq_pvalue(2.0, 0.7) < 1\n"
-            "print('scipy.special' in sys.modules)\n"
+            "print(loaded())\n"
+            "out = cli('test', '--beta', '0.4', '--gamma', '0.5', '--data', '3,4,5,4,4,12',\n"
+            "          '--theta0', '4')\n"
+            "assert '\"p_value\"' in out, out\n"
+            "print(loaded())\n"
+            "config = lsdiv.SimulationConfig(lsdiv.SimKind.TESTING_LEVEL, n=30, theta_true=2.0,\n"
+            "    theta_null=2.0, replications=8, grid_beta=(0.5,), grid_gamma=(0.2,), seed=3)\n"
+            "assert lsdiv.run_testing_sim(config).cells[0].failures == 0\n"
+            "print(loaded())\n"
         )
         done = subprocess.run(
             [sys.executable, "-c", code, src], capture_output=True, text=True, timeout=60
         )
         assert done.returncode == 0, done.stderr
-        assert done.stdout.split("\n")[:6] == ["[]"] * 5 + ["True"]
+        assert done.stdout.split("\n") == ["[]"] * 8 + [""]
