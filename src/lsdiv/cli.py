@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import sys
 
 import click
@@ -61,6 +62,15 @@ def _emit_json(payload: dict, out: str | None) -> None:
     except ValueError:
         raise ValueError(f"the result is not finite: {payload}") from None
     _emit(text + "\n", out)
+
+
+def _emit_csv(header: str, rows: list[str], out: str | None) -> None:
+    """Emit a CSV table; a row with a NaN or infinite number in it is a
+    ValueError instead, as in :func:`_emit_json`."""
+    for row in rows:
+        if not all(math.isfinite(float(v)) for v in row.split(",")):
+            raise ValueError(f"the result is not finite: {header} = {row}")
+    _emit("\n".join([header, *rows]) + "\n", out)
 
 
 def _parse_sample(text: str | None, path: str | None) -> np.ndarray:
@@ -138,14 +148,14 @@ def influence(beta, gamma, theta, y_max, out):
     if y_max < 0:
         raise ValueError(f"--y-max must be >= 0, got {y_max}")
     family = PoissonFamily()
-    lines = ["y,beta,gamma,if1,if2,if2_test"]
+    rows = []
     p = TiltParams(beta, gamma)
     for y in range(y_max + 1):
         if1 = if_first_order(y, None, family, theta, p)
         if2 = if_second_order(y, family, theta, p)
         if2_test = second_order_test_influence(y, family, theta, p)
-        lines.append(f"{y},{beta:g},{gamma:g},{if1:.12g},{if2:.12g},{if2_test:.12g}")
-    _emit("\n".join(lines) + "\n", out)
+        rows.append(f"{y},{beta:g},{gamma:g},{if1:.12g},{if2:.12g},{if2_test:.12g}")
+    _emit_csv("y,beta,gamma,if1,if2,if2_test", rows, out)
 
 
 @main.command("bias-approx")
@@ -162,12 +172,13 @@ def bias_approx(beta, gamma, theta, y, eps_max, steps, out):
     curve = bias_curves(
         y, PoissonFamily(), theta, TiltParams(beta, gamma), np.linspace(0.0, eps_max, steps)
     )
-    lines = ["eps,first_order,second_order,adequacy"]
-    for e, fo, so, ad in zip(
-        curve.eps_grid, curve.first_order, curve.second_order, curve.adequacy_ratio
-    ):
-        lines.append(f"{e:.6g},{fo:.12g},{so:.12g},{ad:.12g}")
-    _emit("\n".join(lines) + "\n", out)
+    rows = [
+        f"{e:.6g},{fo:.12g},{so:.12g},{ad:.12g}"
+        for e, fo, so, ad in zip(
+            curve.eps_grid, curve.first_order, curve.second_order, curve.adequacy_ratio
+        )
+    ]
+    _emit_csv("eps,first_order,second_order,adequacy", rows, out)
 
 
 @main.command("test")

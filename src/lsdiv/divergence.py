@@ -143,34 +143,26 @@ def align(g: DiscreteDensity, f: DiscreteDensity) -> tuple[np.ndarray, np.ndarra
     return gv, fv
 
 
-def _occupied(gv: np.ndarray) -> np.ndarray:
-    """The mask of the data density's positive cells, of which there must be one."""
+def _aligned(g: DiscreteDensity, f: DiscreteDensity):
+    """The union-window masses ``(gv, fv)`` of :func:`align` and the mask
+    of the occupied data cells; a model mass that is not positive is a
+    SupportAlignmentError, and data without positive mass a ValueError."""
+    gv, fv = align(g, f)
+    if np.any(fv <= 0):
+        raise SupportAlignmentError("model density must be positive on the window")
     pos = gv > 0
     if not np.any(pos):
         raise ValueError("data density has no positive mass on the window")
-    return pos
-
-
-def _log_inputs(gv: np.ndarray, fv: np.ndarray, p: TiltParams):
-    """Validate an aligned pair and return ``(log f, pos, log g[pos])``,
-    where ``pos`` marks the occupied data cells."""
-    if np.any(fv <= 0):
-        raise SupportAlignmentError(
-            "model density must be strictly positive on the union window"
-        )
-    pos = _occupied(gv)
-    if p.exp_a < EXPONENT_BOUNDARY and not np.all(pos):
-        raise DivergenceInfiniteError(
-            "empty data cell with exponent A <= 0 makes the divergence infinite"
-        )
-    return np.log(fv), pos, np.log(gv[pos])
+    return gv, fv, pos
 
 
 def _lse(a: np.ndarray) -> np.ndarray:
     """log sum exp(a) over the last axis: a float for an (L,) vector, a (k,)
     array for a (k, L) stack of rows, each summed pairwise as numpy sums a
-    lone vector.  The package's one log-sum-exp: the fits, :func:`lsd` and
-    the closed forms all sum through it.
+    lone vector.  :func:`gsd`, the closed forms and the fits' model terms
+    and log sum g^(1+beta) sum through it; the fit's data term
+    (``estimation._objective`` and ``_FitWindow.residual``) takes its own
+    max-shifted passes, which add a row's cells in order.
     """
     m = a.max(axis=-1, keepdims=True)
     e = np.subtract(a, m, order="C")  # rows contiguous whatever a's layout
@@ -192,55 +184,10 @@ def _zero_exponent_limit(log_sa, loga, logb, log_sb, one_beta: float):
     return (log_sa - log_sb) / one_beta - np.vecdot(diff, w)
 
 
-# log g on a padded data cell of a stack: finite, so that each branch of
-# _lsd_kernel and of the fit's scan adds an exact zero for it (with A > 0,
-# or with log f padded alike).
+# log g on a padded cell of a stack: finite, so that each branch of
+# _lsd_from_logs (whose stacks pad log f alike) and the fit's data term adds
+# an exact zero for it (a -inf would give inf * 0 in the B -> 0 limit).
 _PAD_LOGG = -1e300
-
-
-def _lsd_kernel(
-    log_sf, logf_pos: np.ndarray, logg: np.ndarray, log_sg: float, p: TiltParams,
-    psi: Psi = Psi.LOG,
-) -> np.ndarray:
-    """LSD from its model term and its data term's inputs; with the identity
-    link ``psi``, the S-divergence from the exps of the same three log sums
-    (an OverflowError where a sum or the divergence exceeds a double).
-
-    The model term ``log_sf = log sum f^(1+beta)`` runs over the model's
-    whole window and does not depend on the data; the data term needs log f
-    only on the occupied data cells (``logf_pos``), where ``logg`` is log g,
-    and ``log_sg = log sum g^(1+beta)``.
-
-    ``log_sf`` has shape ``(...)`` and ``logf_pos`` shape ``(..., m)`` on m
-    occupied cells: a scalar and an (m,) vector give one divergence, a (k,)
-    vector and a (k, m) stack (one row per model) give k of them, each equal
-    to what its row alone gives.  ``logg`` of shape (m,) with a float
-    ``log_sg`` is shared by every row; a (k, m) ``logg`` with a (k,)
-    ``log_sg`` gives each row its own data.  A row with fewer occupied cells
-    is padded with log f finite and log g = ``_PAD_LOGG``, which add exact
-    zeros to both branches (a -inf would give inf * 0 in the B -> 0 limit).
-    Covers the general formula and, for the log link, the B -> 0 continuity
-    limit; the A -> 0 limit, which needs g on every cell, stays with
-    :func:`lsd`.
-    """
-    one_beta = 1.0 + p.beta
-    if abs(p.exp_b) < EXPONENT_BOUNDARY and psi is Psi.LOG:
-        return _zero_exponent_limit(log_sf, logf_pos, logg, log_sg, one_beta)
-    tilted = p.exp_b * logf_pos
-    tilted += p.exp_a * logg  # in place (logf_pos has the full shape): one temporary less
-    log_sfg = _lse(tilted)
-    if psi is Psi.LOG:
-        return _s_combination(log_sf, log_sfg, log_sg, p)
-    if min(abs(p.exp_a), abs(p.exp_b)) < EXPONENT_BOUNDARY:
-        raise ValueError(
-            "identity-link divergence is undefined at the exponent boundary A=0 or B=0"
-        )
-    # the identity link combines the sums themselves, which can leave a double's range
-    with np.errstate(over="raise"):
-        try:
-            return _s_combination(np.exp(log_sf), np.exp(log_sfg), np.exp(log_sg), p)
-        except FloatingPointError:
-            raise OverflowError("the identity-link divergence overflows a double") from None
 
 
 def _s_combination(sf, sfg, sg, p: TiltParams):
@@ -250,26 +197,41 @@ def _s_combination(sf, sfg, sg, p: TiltParams):
     return sf / p.exp_a - (1.0 + p.beta) / (p.exp_a * p.exp_b) * sfg + sg / p.exp_b
 
 
-def _divergence(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams, psi: Psi) -> float:
-    """The divergence of :func:`gsd` with the link ``psi``; the log link
-    takes the A -> 0 continuity limit, which needs g on every cell."""
-    gv, fv = align(g, f)
-    logf, pos, logg = _log_inputs(gv, fv, p)
-    return float(_lsd_from_logs(logf, logf[pos], logg, p, psi))
-
-
 def _lsd_from_logs(logf, logf_pos, logg, p: TiltParams, psi: Psi):
     """The divergence with the link ``psi`` from log f on the model window,
-    log f on the occupied data cells (``logf_pos``) and log g there, each a
-    vector or a stack of rows: the log link at |A| < 1e-8 takes the A -> 0
-    continuity limit, which needs g on every cell (``logg`` as wide as
-    ``logf``), and every other case :func:`_lsd_kernel`."""
+    log f on the occupied data cells (``logf_pos``) and log g there.
+
+    Vectors give one divergence; (k, m) stacks give k of them, each equal
+    to what its row alone gives, with a row's unused cells padded with
+    log f = log g = ``_PAD_LOGG``.  The log link takes the continuity limit
+    at |A| < 1e-8, which needs g on every cell (``logg`` as wide as
+    ``logf``), and at |B| < 1e-8; the identity link is a ValueError there,
+    and elsewhere the S-divergence from the exps of the three log sums (an
+    OverflowError where a sum or the divergence exceeds a double).
+    """
     one_beta = 1.0 + p.beta
     log_sg = _lse(one_beta * logg)
     log_sf = _lse(one_beta * logf)
-    if abs(p.exp_a) < EXPONENT_BOUNDARY and psi is Psi.LOG:
-        return _zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta)
-    return _lsd_kernel(log_sf, logf_pos, logg, log_sg, p, psi=psi)
+    if psi is Psi.LOG:
+        if abs(p.exp_a) < EXPONENT_BOUNDARY:
+            return _zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta)
+        if abs(p.exp_b) < EXPONENT_BOUNDARY:
+            return _zero_exponent_limit(log_sf, logf_pos, logg, log_sg, one_beta)
+    elif min(abs(p.exp_a), abs(p.exp_b)) < EXPONENT_BOUNDARY:
+        raise ValueError(
+            "identity-link divergence is undefined at the exponent boundary A=0 or B=0"
+        )
+    tilted = p.exp_b * logf_pos
+    tilted += p.exp_a * logg  # in place (logf_pos has the full shape): one temporary less
+    log_sfg = _lse(tilted)
+    if psi is Psi.LOG:
+        return _s_combination(log_sf, log_sfg, log_sg, p)
+    # the identity link combines the sums themselves, which can leave a double's range
+    with np.errstate(over="raise"):
+        try:
+            return _s_combination(np.exp(log_sf), np.exp(log_sfg), np.exp(log_sg), p)
+        except FloatingPointError:
+            raise OverflowError("the identity-link divergence overflows a double") from None
 
 
 def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
@@ -280,7 +242,7 @@ def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
     returned (the raw formula is singular there); this covers in particular
     the likelihood-disparity member beta = gamma = 0.
     """
-    return _divergence(g, f, p, Psi.LOG)
+    return gsd(g, f, p)
 
 
 def gsd(
@@ -290,10 +252,17 @@ def gsd(
 
     The log link gives :func:`lsd`; the identity link evaluates the plain
     S-divergence from the exps of the same log sums, an OverflowError where
-    one exceeds a double.  The identity branch has no boundary-limit
-    handling (its members of interest keep both exponents away from zero).
+    one exceeds a double.  The identity link has no boundary limit: at
+    A = 0 or B = 0 it is a ValueError (its members of interest keep both
+    exponents away from zero).
     """
-    return _divergence(g, f, p, psi)
+    gv, fv, pos = _aligned(g, f)
+    if p.exp_a < EXPONENT_BOUNDARY and not np.all(pos):
+        raise DivergenceInfiniteError(
+            "empty data cell with exponent A <= 0 makes the divergence infinite"
+        )
+    logf = np.log(fv)
+    return float(_lsd_from_logs(logf, logf[pos], np.log(gv[pos]), p, psi))
 
 
 def lpd(g: DiscreteDensity, f: DiscreteDensity, gamma: float) -> float:
@@ -304,10 +273,7 @@ def lpd(g: DiscreteDensity, f: DiscreteDensity, gamma: float) -> float:
     """
     if gamma in (0.0, -1.0):
         raise ValueError("lpd is undefined at gamma in {0, -1}")
-    gv, fv = align(g, f)
-    if np.any(fv <= 0):
-        raise SupportAlignmentError("model density must be positive on the window")
-    pos = _occupied(gv)
+    gv, fv, pos = _aligned(g, f)
     if gamma < -1 and not np.all(pos):
         raise DivergenceInfiniteError("empty data cell with gamma < -1")
     logf = np.log(fv[pos])
@@ -320,10 +286,7 @@ def ldpd(g: DiscreteDensity, f: DiscreteDensity, beta: float) -> float:
     """Logarithmic density power divergence with index beta > 0 (closed form)."""
     if beta <= 0:
         raise ValueError("ldpd requires beta > 0 (beta = 0 is the likelihood disparity)")
-    gv, fv = align(g, f)
-    if np.any(fv <= 0):
-        raise SupportAlignmentError("model density must be positive on the window")
-    pos = _occupied(gv)
+    gv, fv, pos = _aligned(g, f)
     logf = np.log(fv)
     logg = np.log(gv[pos])
     t1 = _lse((1.0 + beta) * logf)
@@ -334,8 +297,5 @@ def ldpd(g: DiscreteDensity, f: DiscreteDensity, beta: float) -> float:
 
 def ld(g: DiscreteDensity, f: DiscreteDensity) -> float:
     """Likelihood disparity sum g*log(g/f); empty data cells contribute 0."""
-    gv, fv = align(g, f)
-    if np.any(fv <= 0):
-        raise SupportAlignmentError("model density must be positive on the window")
-    pos = _occupied(gv)
+    gv, fv, pos = _aligned(g, f)
     return float(np.dot(gv[pos], np.log(gv[pos] / fv[pos])))

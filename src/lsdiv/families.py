@@ -10,10 +10,11 @@ of the points [0, n) as floats and log x! there, grown on demand: a window
 of its points (:func:`_points`) reads a view of its log x!, any other array
 of points a gather (:meth:`PoissonFamily._log_factorial`), and a lone point
 one entry, or the formula past the table's end.  :func:`_log_gamma` fills
-it: the cephes ``lgam`` that ``scipy.special.gammaln`` evaluates, step for
-step on Python floats, so the table equals ``gammaln(x + 1)`` bit for bit
-without importing scipy.  It takes ``math.log`` point by point, since
-``np.log`` differs from it in the last bit at a few integers.
+it, taking log Gamma(x + 1) at integers x >= 0 alone: the cephes ``lgam``
+that ``scipy.special.gammaln`` evaluates, step for step on Python floats, so
+the table equals ``gammaln(x + 1)`` bit for bit without importing scipy.  It
+takes ``math.log`` point by point, since ``np.log`` differs from it in the
+last bit at a few integers.
 """
 
 from __future__ import annotations
@@ -34,44 +35,21 @@ _TINY = np.finfo(float).tiny  # smallest normal double
 # Every support window the family builds is shorter than this many points.
 _MAX_WINDOW = 100_000
 
-# The coefficients of cephes' lgam (see _log_gamma): the Stirling series' A,
-# the rational approximation B / C on [2, 3), log sqrt(2 pi), and the largest
-# x whose log gamma is finite.
+# The coefficients of cephes' Stirling series (see _log_gamma), log sqrt(2
+# pi), and the largest x whose log gamma is finite.
 _LGAM_A = (8.11614167470508450300e-4, -5.95061904284301438324e-4,
            7.93650340457716943945e-4, -2.77777777730099687205e-3, 8.33333333333331927722e-2)
-_LGAM_B = (-1.37825152569120859100e3, -3.88016315134637840924e4, -3.31612992738871184744e5,
-           -1.16237097492762307383e6, -1.72173700820839662146e6, -8.53555664245765465627e5)
-_LGAM_C = (-3.51815701436523470549e2, -1.70642106651881159223e4, -2.20528590553854454839e5,
-           -1.13933444367982507207e6, -2.53252307177582951285e6, -2.01889141433532773231e6)
 _LS2PI = 0.91893853320467274178
 _MAXLGM = 2.556348e305
 
 
 def _log_gamma(x: float) -> float:
-    """log Gamma(x) at x >= 1: cephes' lgam, the function behind
-    ``scipy.special.gammaln``, on Python floats in its order of operations,
-    so it gives gammaln's bits."""
+    """log Gamma(x) at an integer x >= 1, with the bits of cephes' lgam, the
+    function behind ``scipy.special.gammaln``.  Below 13 lgam's shifts stop
+    at 2 and return the log of their product, the exact (x - 1)!; above,
+    its Stirling branches run on Python floats in its order of operations."""
     if x < 13.0:
-        # shift x into [2, 3), keeping the product of the shifts in z
-        z, p, u = 1.0, 0.0, x
-        while u >= 3.0:
-            p -= 1.0
-            u = x + p
-            z *= u
-        while u < 2.0:
-            z /= u
-            p += 1.0
-            u = x + p
-        if u == 2.0:
-            return math.log(z)
-        x += p - 2.0
-        num = _LGAM_B[0]
-        for coef in _LGAM_B[1:]:
-            num = num * x + coef
-        den = x + _LGAM_C[0]
-        for coef in _LGAM_C[1:]:
-            den = den * x + coef
-        return math.log(z) + x * num / den
+        return math.log(math.factorial(int(x) - 1))
     if x > _MAXLGM:
         return math.inf
     q = (x - 0.5) * math.log(x) - x + _LS2PI

@@ -120,8 +120,9 @@ class SimulationConfig:
             value = getattr(self, name)
             if not (value is None and name != "theta_true" or _is_real(value) and value > 0):
                 raise ValueError(f"{name} must be a positive number, got {value!r}")
-        if not (_is_real(self.level) and 0 < self.level < 1):
-            raise ValueError(f"level must lie in (0, 1), got {self.level!r}")
+        # the critical value reads the tail at level / 2, which must not round to 0
+        if not (_is_real(self.level) and 0 < 0.5 * self.level and self.level < 1):
+            raise ValueError(f"level must lie in [1e-323, 1), got {self.level!r}")
         if not (self.contamination is None or isinstance(self.contamination, Contamination)):
             raise ValueError(f"bad contamination {self.contamination!r}")
         for name in ("grid_beta", "grid_gamma"):

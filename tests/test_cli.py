@@ -557,10 +557,16 @@ class TestJsonOutput:
               "--theta-g", "2", "--theta-f", "3"], "A and B must be finite"),
             (["influence", "--beta", "10", "--gamma", "0", "--theta", "50", "--y-max", "3"],
              "J0 is singular"),
+            (["influence", "--beta", "0.5", "--gamma", "1e308", "--theta", "2", "--y-max", "3"],
+             "the result is not finite: y,beta,gamma,if1,if2,if2_test = "),
+            (["bias-approx", "--beta", "0.5", "--gamma", "1e308", "--theta", "2", "--y", "3",
+              "--steps", "3"],
+             "the result is not finite: eps,first_order,second_order,adequacy = "),
         ],
-        ids=["divergence-nan", "divergence-exponent-overflow", "influence-singular"],
+        ids=["divergence-nan", "divergence-exponent-overflow", "influence-singular",
+             "influence-non-finite", "bias-approx-non-finite"],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered in exp:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_result_is_one_error(self, runner, args, message):
         result = runner.invoke(main, args)

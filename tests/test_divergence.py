@@ -9,6 +9,7 @@ from lsdiv import (
     DiscreteDensity,
     DivergenceInfiniteError,
     Psi,
+    SupportAlignmentError,
     TiltParams,
     derive_exponents,
     gsd,
@@ -297,12 +298,21 @@ class TestTypedErrors:
             (lambda: lpd(_ZERO, _F, 0.5), ValueError, "no positive mass"),
             (lambda: ldpd(_ZERO, _F, 0.5), ValueError, "no positive mass"),
             (lambda: ld(_ZERO, _F), ValueError, "no positive mass"),
+            (lambda: lsd(_G, _GAP, TiltParams(0.5, 0.1)),
+             SupportAlignmentError, "positive on the window"),
+            (lambda: gsd(_G, _GAP, TiltParams(0.5, 0.1), Psi.IDENTITY),
+             SupportAlignmentError, "positive on the window"),
+            (lambda: gsd(_ZERO, _F, TiltParams(0.5, 0.1), Psi.IDENTITY),
+             ValueError, "no positive mass"),
+            (lambda: gsd(_G, _F, TiltParams(0.0, 0.0), Psi.IDENTITY),
+             ValueError, "undefined at the exponent boundary"),
         ],
         ids=[
             "tilt-exponents-overflow", "tilt-exponents-nan", "density-2d", "density-empty",
             "lsd-empty-data", "lpd-zero-model-mass", "ldpd-zero-model-mass",
             "ld-zero-model-mass", "lpd-empty-cell-gamma-below-minus-one", "ldpd-beta-zero",
-            "lpd-empty-data", "ldpd-empty-data", "ld-empty-data",
+            "lpd-empty-data", "ldpd-empty-data", "ld-empty-data", "lsd-zero-model-mass",
+            "gsd-identity-zero-model-mass", "gsd-identity-empty-data", "gsd-identity-at-b-zero",
         ],
     )
     def test_raises(self, call, error, match):

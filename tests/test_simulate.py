@@ -439,6 +439,7 @@ class TestSimulationConfig:
             (lambda: Contamination(0.1, 5.0, "mixture_draw"), "unknown contamination scheme"),
             (lambda: small_estimation_config(kind="estimation_bias"), "unknown simulation kind"),
             (lambda: small_estimation_config(level=1.5), "level must lie in"),
+            (lambda: small_estimation_config(level=5e-324), r"level must lie in \[1e-323, 1\)"),
             (lambda: small_estimation_config(contamination={"eps": 0.1}), "bad contamination"),
             (lambda: small_estimation_config(grid_beta=(0.5, -0.1)), "grid_beta entries"),
             (lambda: SimulationConfig.from_dict(
@@ -450,7 +451,7 @@ class TestSimulationConfig:
         ],
         ids=[
             "theta-contam-zero", "theta-contam-negative", "scheme-string", "kind-string",
-            "level-above-one", "contamination-dict", "grid-beta-negative",
+            "level-above-one", "level-half-underflows", "contamination-dict", "grid-beta-negative",
             "from-dict-contamination-list", "estimation-runner-testing-config",
         ],
     )
