@@ -9,6 +9,7 @@ the contamination proportion.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -214,16 +215,27 @@ def if_second_order(y: int, family: PoissonFamily, theta: float, p: TiltParams) 
 def _if_first_second(
     y: int, family: PoissonFamily, theta: float, p: TiltParams
 ) -> tuple[float, float]:
-    """(T', T'') of :func:`if_second_order` from one moment evaluation."""
+    """(T', T'') of :func:`if_second_order` from one moment evaluation.
+
+    Raises:
+        ValueError: naming y, theta, beta and gamma, where f_y^(beta-1), T'
+            or T'' is not finite (f_y underflows to 0 far in the tail, or
+            an exponent near a double's range).
+    """
     a, b, beta = p.exp_a, p.exp_b, p.beta
     c, d = moments_c_d(family, theta, beta)
-    c0, c1, c2, c3 = c
-    d0, d1 = d[0], d[1]
+    # Python floats: past a double a product reads inf and a power raises,
+    # with no numpy warning
+    c0, c1, c2, c3 = c.tolist()
+    d0, d1 = d[:2].tolist()
     fy, uy = _density_score(family, theta, y)
     duy = float(family.score_derivative(theta, y))
     fby = fy**beta
-    fbm1y = fy ** (beta - 1.0)
     tp = _model_if1(c, fy, uy, beta)
+    try:
+        fbm1y, uy2, tp2 = fy ** (beta - 1.0), uy**2, tp**2
+    except (ZeroDivisionError, OverflowError):  # f_y = 0 or tiny to a negative power
+        fbm1y = uy2 = tp2 = math.inf
 
     den = c2 * c0 - c1**2  # nonzero: _model_if1 raised where it is within 1e-12 of 0
 
@@ -232,13 +244,19 @@ def _if_first_second(
     # L_te / A: mixed theta/eps partial.
     l_te = (
         (1.0 + beta) * c1 * (fby * uy - c1)
-        + c0 * (b * fby * uy**2 - b * c2 + fby * duy - d0)
+        + c0 * (b * fby * uy2 - b * c2 + fby * duy - d0)
         - (d0 + (1.0 + beta) * c2) * (fby - c0)
         - b * c1 * (fby * uy - c1)
     )
     # L_tt / A: curvature in theta at the model.
     l_tt = (a + 2.0 * b) * (c1 * c2 - c0 * c3) + 3.0 * (c1 * d0 - c0 * d1)
-    return tp, float((l_ee + 2.0 * tp * l_te + tp**2 * l_tt) / den)
+    tpp = (l_ee + 2.0 * tp * l_te + tp2 * l_tt) / den
+    if not (math.isfinite(fbm1y) and math.isfinite(tp) and math.isfinite(tpp)):
+        raise ValueError(
+            f"f_y^(beta-1), T' or T'' is not finite at y={y}, theta={theta}, "
+            f"beta={beta}, gamma={p.gamma}"
+        )
+    return tp, tpp
 
 
 @dataclass(frozen=True)
@@ -262,7 +280,9 @@ def bias_curves(
     with the quadratic/linear adequacy ratio 1 + (T''/T') * eps/2.
 
     Raises:
-        ValueError: if a contamination level lies outside [0, 1].
+        ValueError: if a contamination level lies outside [0, 1], or where
+            f_y^(beta-1), T' or T'' is not finite (naming y, theta, beta and
+            gamma).
     """
     eps = np.asarray(eps_grid, dtype=float)
     if not (eps.min(initial=0.0) >= 0.0 and eps.max(initial=1.0) <= 1.0):  # NaN fails too
@@ -270,8 +290,8 @@ def bias_curves(
     tp, tpp = _if_first_second(y, family, theta, p)
     first = eps * tp
     second = first + 0.5 * eps**2 * tpp
-    with np.errstate(divide="ignore", invalid="ignore"):
-        adequacy = 1.0 + (tpp / tp) * eps / 2.0
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        adequacy = 1.0 + np.divide(tpp, tp) * eps / 2.0  # inf or nan where T' = 0
     return BiasCurve(eps_grid=eps, first_order=first, second_order=second, adequacy_ratio=adequacy)
 
 

@@ -34,8 +34,8 @@ __all__ = [
     "ld",
 ]
 
-# Below this magnitude an exponent is treated as exactly zero and the
-# continuity limit of the divergence is used instead of the raw formula.
+# Below this magnitude an exponent is treated as zero: the identity link is
+# undefined there, and A <= 0 makes an empty data cell's divergence infinite.
 EXPONENT_BOUNDARY = 1e-8
 
 DEFAULT_EPS_TAIL = 1e-12
@@ -159,34 +159,17 @@ def _aligned(g: DiscreteDensity, f: DiscreteDensity):
 def _lse(a: np.ndarray) -> np.ndarray:
     """log sum exp(a) over the last axis: a float for an (L,) vector, a (k,)
     array for a (k, L) stack of rows, each summed pairwise as numpy sums a
-    lone vector.  :func:`gsd`, the closed forms and the fits' model terms
-    and log sum g^(1+beta) sum through it; the fit's data term
-    (``estimation._objective`` and ``_FitWindow.residual``) takes its own
-    max-shifted passes, which add a row's cells in order.
-    """
+    lone vector: the identity link, the closed forms and the fits' model
+    terms and log sum g^(1+beta).  The fit's data term takes its own passes,
+    which add a row's cells in order."""
     m = a.max(axis=-1, keepdims=True)
     e = np.subtract(a, m, order="C")  # rows contiguous whatever a's layout
     np.exp(e, out=e)
     return m.squeeze(-1) + np.log(e.sum(axis=-1))
 
 
-def _zero_exponent_limit(log_sa, loga, logb, log_sb, one_beta: float):
-    """(1/(1+beta)) log(sa/sb) - sum b^(1+beta) log(a/b) / sb over the last
-    axis, the LSD's continuity limit at a zero exponent: B -> 0 with (a, b)
-    = (f, g), and A -> 0 with (a, b) = (g, f).  A stacked ``logb`` (rows x
-    cells) takes a ``log_sb`` with one entry per row; ``loga`` and ``logb``
-    broadcast against each other.
-    """
-    w = np.exp(one_beta * logb - (log_sb[:, None] if logb.ndim > 1 else log_sb))
-    diff = np.subtract(loga, logb, order="C")  # rows contiguous whatever loga's layout
-    # each row's dot product as np.dot takes a lone vector's (a stack's
-    # matmul would go through a matrix-vector BLAS call)
-    return (log_sa - log_sb) / one_beta - np.vecdot(diff, w)
-
-
-# log g on a padded cell of a stack: finite, so that each branch of
-# _lsd_from_logs (whose stacks pad log f alike) and the fit's data term adds
-# an exact zero for it (a -inf would give inf * 0 in the B -> 0 limit).
+# log g on a padded cell of a stack: finite, so that log g - log f is an exact
+# zero there and the cell weighs nothing in _lsd_from_logs or the fit's data term.
 _PAD_LOGG = -1e300
 
 
@@ -197,71 +180,96 @@ def _s_combination(sf, sfg, sg, p: TiltParams):
     return sf / p.exp_a - (1.0 + p.beta) / (p.exp_a * p.exp_b) * sfg + sg / p.exp_b
 
 
+def _peak_and_mass(logx, k: float):
+    """max log x, (x / max x)^k and its sum, over the last axis (kept)."""
+    peak = logx.max(axis=-1, keepdims=True)
+    scaled = np.exp(k * (logx - peak))
+    return peak, scaled, scaled.sum(axis=-1, keepdims=True)
+
+
 def _lsd_from_logs(logf, logf_pos, logg, p: TiltParams, psi: Psi):
     """The divergence with the link ``psi`` from log f on the model window,
-    log f on the occupied data cells (``logf_pos``) and log g there.
+    log f on the occupied data cells (``logf_pos``, ``logf`` itself where
+    all are occupied) and log g there: one for vectors, one per row for
+    (k, m) stacks whose unused cells hold log f = log g = ``_PAD_LOGG``.
 
-    Vectors give one divergence; (k, m) stacks give k of them, each equal
-    to what its row alone gives, with a row's unused cells padded with
-    log f = log g = ``_PAD_LOGG``.  The log link takes the continuity limit
-    at |A| < 1e-8, which needs g on every cell (``logg`` as wide as
-    ``logf``), and at |B| < 1e-8; the identity link is a ValueError there,
-    and elsewhere the S-divergence from the exps of the three log sums (an
-    OverflowError where a sum or the divergence exceeds a double).
-    """
+    The log link is one formula at every tilt.  With c = 1 + beta, t = A/c
+    and the convex h(s) = log sum_occupied f^(c(1-s)) g^(cs),
+
+        LSD = (1/A) log(sum_all f^c / sum_occupied f^c) + h[0, t, 1] / c,
+
+    h[0, t, 1] = (phi(1) - phi(t)/t) / (1 - t) >= 0 and phi(s) = log E_w
+    e^(s c e), where w is the softmax of c log f on the occupied cells and e
+    is log g - log f less its w-mean; t > 1/2 takes (g, f, 1 - t) instead."""
     one_beta = 1.0 + p.beta
-    log_sg = _lse(one_beta * logg)
-    log_sf = _lse(one_beta * logf)
-    if psi is Psi.LOG:
-        if abs(p.exp_a) < EXPONENT_BOUNDARY:
-            return _zero_exponent_limit(log_sg, logg, logf, log_sf, one_beta)
-        if abs(p.exp_b) < EXPONENT_BOUNDARY:
-            return _zero_exponent_limit(log_sf, logf_pos, logg, log_sg, one_beta)
-    elif min(abs(p.exp_a), abs(p.exp_b)) < EXPONENT_BOUNDARY:
-        raise ValueError(
-            "identity-link divergence is undefined at the exponent boundary A=0 or B=0"
-        )
-    tilted = p.exp_b * logf_pos
-    tilted += p.exp_a * logg  # in place (logf_pos has the full shape): one temporary less
-    log_sfg = _lse(tilted)
-    if psi is Psi.LOG:
-        return _s_combination(log_sf, log_sfg, log_sg, p)
-    # the identity link combines the sums themselves, which can leave a double's range
-    with np.errstate(over="raise"):
-        try:
-            return _s_combination(np.exp(log_sf), np.exp(log_sfg), np.exp(log_sg), p)
-        except FloatingPointError:
-            raise OverflowError("the identity-link divergence overflows a double") from None
+    if psi is Psi.IDENTITY:
+        if min(abs(p.exp_a), abs(p.exp_b)) < EXPONENT_BOUNDARY:
+            raise ValueError(
+                "identity-link divergence is undefined at the exponent boundary A=0 or B=0"
+            )
+        log_sg, log_sf = _lse(one_beta * logg), _lse(one_beta * logf)
+        # the identity link combines the sums themselves, which can leave a double's range
+        with np.errstate(over="raise"):
+            try:
+                tilted = p.exp_b * logf_pos
+                tilted += p.exp_a * logg  # in place (logf_pos has the full shape)
+                value = _s_combination(np.exp(log_sf), np.exp(_lse(tilted)), np.exp(log_sg), p)
+            except FloatingPointError:
+                raise OverflowError("the identity-link divergence overflows a double") from None
+        return np.maximum(value, 0.0)  # the S-divergence is >= 0 but for rounding
+    # c log f of a padded cell (a zero weight) and the expm1 form can overflow
+    with np.errstate(over="ignore", invalid="ignore"):
+        empty = 0.0
+        if logf_pos is not logf:  # empty data cells, which gsd admits at A > 0 only
+            peak_all, _, mass_all = _peak_and_mass(logf, one_beta)
+            peak, _, mass = _peak_and_mass(logf_pos, one_beta)
+            empty = (one_beta * (peak_all - peak) + np.log(mass_all / mass)).squeeze(-1) / p.exp_a
+        low, high, logu, logv = p.exp_a, p.exp_b, logf_pos, logg
+        if low > high:  # t > 1/2
+            low, high, logu, logv = high, low, logg, logf_pos
+        peak, w, mass = _peak_and_mass(logu, one_beta)
+        w /= mass  # the softmax
+        d = logv - logu
+        mu = np.vecdot(d, w, keepdims=True)
+        e = d - mu
+        # phi(1) and phi(t) as log1p(E_w[expm1(k e) - k e]) at k = c and c t,
+        # whose absolute error stays near eps k E_w |e| however small k is
+        x = np.multiply.outer((one_beta, low), e)
+        phi = np.log1p(np.vecdot(np.expm1(x) - x, w))
+        slopes = [phi[0] / one_beta, phi[1] * (1.0 / low if low else 0.0)]  # 0 at t = 0
+        if not math.isfinite(phi.sum()):  # a finite phi is below 710
+            # where expm1 overflows, sum the logs of w e^(k e), c lu + k e - log mass, in
+            # units of |k|; e as (log v - peak - mu) - lu keeps ties of log v exact
+            lu = logu - peak
+            e, log_mass = (logv - peak - mu) - lu, np.log(mass)
+            for i, k in enumerate((one_beta, low)):
+                if not np.isfinite(phi[i]).all():
+                    sign, k = math.copysign(1.0, k), abs(k)
+                    top, _, total = _peak_and_mass((one_beta / k) * lu + sign * e, k)
+                    y = sign * (top + (np.log(total) - log_mass) / k).squeeze(-1)
+                    slopes[i] = np.where(np.isfinite(phi[i]), slopes[i], y)
+        return empty + np.maximum((slopes[0] - slopes[1]) * (one_beta / high), 0.0)
 
 
 def lsd(g: DiscreteDensity, f: DiscreteDensity, p: TiltParams) -> float:
-    """Logarithmic S-divergence between data density ``g`` and model ``f``.
-
-    ``f`` must be strictly positive on the union window.  At the exponent
-    boundaries ``|A| < 1e-8`` or ``|B| < 1e-8`` the continuity limit is
-    returned (the raw formula is singular there); this covers in particular
-    the likelihood-disparity member beta = gamma = 0.
-    """
+    """Logarithmic S-divergence of data density ``g`` from model ``f``: :func:`gsd`."""
     return gsd(g, f, p)
 
 
 def gsd(
     g: DiscreteDensity, f: DiscreteDensity, p: TiltParams, psi: Psi = Psi.LOG
 ) -> float:
-    """Generalized S-divergence with the link ``psi``.
-
-    The log link gives :func:`lsd`; the identity link evaluates the plain
-    S-divergence from the exps of the same log sums, an OverflowError where
-    one exceeds a double.  The identity link has no boundary limit: at
-    A = 0 or B = 0 it is a ValueError (its members of interest keep both
-    exponents away from zero).
-    """
+    """Generalized S-divergence with the link ``psi``: the log link gives :func:`lsd`, the
+    identity link the S-divergence from the exps of the same log sums (an
+    OverflowError where one exceeds a double, a ValueError at A = 0 or B = 0)."""
     gv, fv, pos = _aligned(g, f)
-    if p.exp_a < EXPONENT_BOUNDARY and not np.all(pos):
+    logf = np.log(fv)
+    if np.all(pos):
+        return float(_lsd_from_logs(logf, logf, np.log(gv), p, psi))
+    if p.exp_a < EXPONENT_BOUNDARY:
         raise DivergenceInfiniteError(
             "empty data cell with exponent A <= 0 makes the divergence infinite"
         )
-    logf = np.log(fv)
     return float(_lsd_from_logs(logf, logf[pos], np.log(gv[pos]), p, psi))
 
 

@@ -61,18 +61,14 @@ def model_pair_densities(
 def divergence_between_fits(
     family: PoissonFamily, theta_g, theta_f: float, p: TiltParams, psi: Psi = Psi.LOG
 ):
-    """LSD(f_theta_g, f_theta_f) between two model densities, in log space;
-    with the identity link ``psi``, the S-divergence from the exps of the
-    same three log sums (undefined at A = 0 or B = 0, a ValueError; an
-    OverflowError where a sum or a row's divergence exceeds a double).
+    """LSD(f_theta_g, f_theta_f) between two model densities, in log space,
+    or with the identity link ``psi`` the S-divergence (see :func:`gsd`).
 
     ``theta_g`` is a float, which gives a float, or a 1-d array, which gives
     one divergence per entry from one (rows x window) pass.  Each row sums
     over the union of its two support windows, as :func:`model_pair_densities`
-    lays them out.  The rows share one window from 0 that covers them all;
-    outside its own window a row holds log f = log g = ``_PAD_LOGG``, where
-    every term of the divergence is an exact zero, whatever the signs of A
-    and B, since A + B = 1 + beta.
+    lays them out, inside one window from 0 that covers them all; outside
+    its own a row holds log f = log g = ``_PAD_LOGG``, which weighs nothing.
     """
     theta_g = np.asarray(theta_g, dtype=float)
     if theta_g.ndim > 1:
@@ -85,10 +81,6 @@ def divergence_between_fits(
     logf = np.where(outside, _PAD_LOGG, family.log_density(theta_f, x))
     logg = np.where(outside, _PAD_LOGG, family.log_density(rows, x))
     value = _lsd_from_logs(logf, logf, logg, p, psi)
-    # The divergence is nonnegative; cancellation between the three log terms
-    # can leave an O(eps) negative residue when theta_g is numerically equal
-    # to theta_f, which must not trip the statistic validation downstream.
-    value = np.where((value < 0.0) & (value > -1e-10), 0.0, value)
     return float(value[0]) if theta_g.ndim == 0 else value
 
 

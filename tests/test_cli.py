@@ -558,16 +558,27 @@ class TestJsonOutput:
             (["influence", "--beta", "10", "--gamma", "0", "--theta", "50", "--y-max", "3"],
              "J0 is singular"),
             (["influence", "--beta", "0.5", "--gamma", "1e308", "--theta", "2", "--y-max", "3"],
-             "the result is not finite: y,beta,gamma,if1,if2,if2_test = "),
+             "T' or T'' is not finite at y=0, theta=2.0, beta=0.5, gamma=1e+308"),
             (["bias-approx", "--beta", "0.5", "--gamma", "1e308", "--theta", "2", "--y", "3",
               "--steps", "3"],
+             "T' or T'' is not finite at y=3, theta=2.0, beta=0.5, gamma=1e+308"),
+            # f_y underflows far in the tail: 0.0, or a subnormal, to the power -1
+            (["bias-approx", "--beta", "0", "--gamma", "0", "--theta", "0.01", "--y", "159"],
+             "f_y^(beta-1), T' or T'' is not finite at y=159, theta=0.01, beta=0.0, gamma=0.0"),
+            (["influence", "--beta", "0", "--gamma", "0", "--theta", "0.01", "--y-max", "159"],
+             "f_y^(beta-1), T' or T'' is not finite at y=88, theta=0.01, beta=0.0, gamma=0.0"),
+            # T' = 0 (f_y^2 underflows): the adequacy ratio T''/T' is not finite
+            (["bias-approx", "--beta", "2", "--gamma", "-800", "--theta", "0.01", "--y", "136"],
              "the result is not finite: eps,first_order,second_order,adequacy = "),
+            # B log f + A log g leaves a double's range
+            (["divergence", "--beta", "0.5", "--gamma", "1e308",
+              "--theta-g", "2", "--theta-f", "3", "--psi", "identity"],
+             "the identity-link divergence overflows a double"),
         ],
         ids=["divergence-nan", "divergence-exponent-overflow", "influence-singular",
-             "influence-non-finite", "bias-approx-non-finite"],
+             "influence-non-finite", "bias-approx-non-finite", "bias-approx-tail",
+             "influence-tail", "bias-approx-zero-first-order", "divergence-identity-overflow"],
     )
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     def test_non_finite_result_is_one_error(self, runner, args, message):
         result = runner.invoke(main, args)
         assert result.exit_code == 1
@@ -620,30 +631,53 @@ def _flag(name, value):
 _TILT = st.tuples(st.floats(0.0, 20.0), st.floats(-1e3, 1e3)).map(
     lambda bg: [_flag("beta", bg[0]), _flag("gamma", bg[1])]
 )
+# beta up to 1e300 and |gamma| up to 1e308: the narrow range, every decade
+# beyond it alike (st.floats alone rarely leaves small values), and the ends
+_WIDE_TILT = st.tuples(
+    st.one_of(
+        st.floats(0.0, 20.0), st.floats(1.0, 300.0).map(lambda k: 10.0**k), st.just(1e300)
+    ),
+    st.one_of(
+        st.floats(-1e3, 1e3),
+        st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(3.0, 308.0)).map(
+            lambda sk: sk[0] * 10.0 ** sk[1]
+        ),
+        st.sampled_from([-1e308, 1e308]),
+    ),
+).map(lambda bg: [_flag("beta", bg[0]), _flag("gamma", bg[1])])
 _THETA = st.floats(0.01, 100.0)
 _SAMPLE = st.lists(st.integers(0, 100), min_size=1, max_size=50).map(
     lambda xs: ",".join(map(str, xs))
 )
-_CALLS = st.one_of(
-    st.tuples(st.just(["estimate"]), _TILT, _SAMPLE.map(lambda d: ["--data", d])),
+_ANALYTIC_PARTS = (
     st.tuples(
-        st.just(["divergence"]), _TILT,
+        st.just(["divergence"]), _WIDE_TILT,
         st.tuples(_THETA, _THETA, st.sampled_from(["log", "identity"])).map(
             lambda t: [_flag("theta-g", t[0]), _flag("theta-f", t[1]), f"--psi={t[2]}"]
         ),
     ),
     st.tuples(
-        st.just(["influence"]), _TILT,
+        st.just(["influence"]), _WIDE_TILT,
         st.tuples(_THETA, st.integers(0, 40)).map(
             lambda t: [_flag("theta", t[0]), _flag("y-max", t[1])]
         ),
     ),
     st.tuples(
-        st.just(["bias-approx"]), _TILT,
+        st.just(["bias-approx"]), _WIDE_TILT,
         st.tuples(_THETA, st.integers(0, 200)).map(
             lambda t: [_flag("theta", t[0]), _flag("y", t[1]), "--steps=5"]
         ),
     ),
+)
+
+
+def _joined(parts):
+    return st.one_of(*parts).map(lambda call: [arg for part in call for arg in part])
+
+
+_CALLS = _joined((
+    st.tuples(st.just(["estimate"]), _TILT, _SAMPLE.map(lambda d: ["--data", d])),
+    *_ANALYTIC_PARTS,
     st.tuples(
         st.just(["test"]), _TILT,
         st.tuples(_SAMPLE, _THETA).map(lambda t: ["--data", t[0], _flag("theta0", t[1])]),
@@ -652,7 +686,7 @@ _CALLS = st.one_of(
         st.just(["test"]), _TILT,
         st.tuples(_SAMPLE, _SAMPLE).map(lambda t: ["--data", t[0], "--data2", t[1]]),
     ),
-).map(lambda parts: [arg for part in parts for arg in part])
+))
 
 
 class TestOutputInvariant:
@@ -660,15 +694,27 @@ class TestOutputInvariant:
     result, as one strict JSON line or as CSV of finite numbers, and exits
     0, or prints one ``{"error": ...}`` line on stderr and exits 1.  A
     warning would reach stderr in a process of its own, so the call emits
-    none.  Beta stops at 20 and |gamma| at 1e3, where the LSD still keeps
-    its last bits (ROADMAP direction 3: outside it, ``estimate --gamma
-    1e308`` prints five numpy RuntimeWarnings before its error line), and
-    the sample means at 100, below the windows' underflow near 140
-    (direction 4)."""
+    none.  ``divergence``, ``influence`` and ``bias-approx`` take beta up to
+    1e300 and |gamma| up to 1e308.  ``estimate`` and ``test`` stop at beta
+    20 and |gamma| 1e3, since their fits still overflow outside it (ROADMAP
+    direction 2: ``estimate --gamma 1e308`` prints five numpy
+    RuntimeWarnings before its error line), and the sample means at 100,
+    below the windows' underflow near 140 (direction 3)."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(args=_CALLS)
     def test_one_result_or_one_error(self, args):
+        self.check(args)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(args=_joined(_ANALYTIC_PARTS))
+    def test_analytic_commands_at_any_tilt(self, args):
+        # the analytic subcommands alone, so that their wide tilts get as
+        # many examples as the whole mix
+        self.check(args)
+
+    @staticmethod
+    def check(args):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             result = CliRunner().invoke(main, args)
@@ -687,5 +733,8 @@ class TestOutputInvariant:
             )
         else:
             assert not rows
-            assert isinstance(json.loads(header, parse_constant=_no_constant), dict)
+            payload = json.loads(header, parse_constant=_no_constant)
+            assert isinstance(payload, dict)
+            if args[0] == "divergence":
+                assert payload["value"] >= 0.0
 

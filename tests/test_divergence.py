@@ -1,8 +1,11 @@
 """Divergence evaluators: exponents, LSD, GSD branches, named special cases."""
 
+import types
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from lsdiv import (
@@ -18,8 +21,9 @@ from lsdiv import (
     lpd,
     lsd,
 )
-from lsdiv.divergence import _lse
-from helpers import poisson_pair, random_density, random_density_with_zeros
+from lsdiv.divergence import EXPONENT_BOUNDARY, _lse
+from lsdiv.hypotest import divergence_between_fits
+from helpers import FAMILY, poisson_pair, random_density, random_density_with_zeros
 
 
 class TestDeriveExponents:
@@ -318,3 +322,143 @@ class TestTypedErrors:
     def test_raises(self, call, error, match):
         with pytest.raises(error, match=match):
             call()
+
+
+# beta up to 1e300 and |gamma| up to 1e300: the unit range and every decade
+# beyond it alike
+_BETA = st.one_of(st.floats(0.0, 2.0), st.floats(-3.0, 300.0).map(lambda k: 10.0**k))
+_GAMMA = st.one_of(
+    st.floats(-3.0, 3.0),
+    st.tuples(st.sampled_from([-1.0, 1.0]), st.floats(-3.0, 300.0)).map(
+        lambda sk: sk[0] * 10.0 ** sk[1]
+    ),
+)
+
+
+def _tilt(beta, gamma):
+    """The tilt, where TiltParams accepts the pair."""
+    try:
+        return TiltParams(beta, gamma)
+    except ValueError:
+        assume(False)
+
+
+def _masses(draw, size, empty):
+    """A random mass vector with entries in [1e-3, 1]; with ``empty``, some
+    cells 0 but the first."""
+    raw = np.array(draw(st.lists(st.floats(1e-3, 1.0), min_size=size, max_size=size)))
+    if empty:
+        raw[1:][np.array(draw(st.lists(st.booleans(), min_size=size - 1, max_size=size - 1)))] = 0.0
+    return raw / raw.sum()
+
+
+@st.composite
+def _pairs(draw, empty=True):
+    """(g, f) on one window of 2 to 12 cells, f positive; g may have empty
+    cells where ``empty``, with f's largest mass on an occupied cell (the
+    empty-cell term (1/A) log(sum_all f^c / sum_occupied f^c) then stays
+    below log(12) / A, inside a double's range)."""
+    size = draw(st.integers(2, 12))
+    g, f = _masses(draw, size, empty), _masses(draw, size, False)
+    top = int(np.argmax(f))
+    f[[0, top]] = f[[top, 0]]
+    return DiscreteDensity(0, g), DiscreteDensity(0, f)
+
+
+class TestOneFormula:
+    """The log link is one centred divided difference at every tilt: no
+    branch at the exponent boundaries, and no cancellation at huge beta."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pair=_pairs(), beta=_BETA, gamma=_GAMMA)
+    def test_vectors_finite_and_nonnegative(self, pair, beta, gamma):
+        p = _tilt(beta, gamma)
+        g, f = pair
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            if p.exp_a < EXPONENT_BOUNDARY and np.any(g.mass == 0):
+                with pytest.raises(DivergenceInfiniteError):
+                    lsd(g, f, p)
+                return
+            value = lsd(g, f, p)
+        assert np.isfinite(value) and value >= 0.0
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        thetas=st.lists(st.floats(0.05, 60.0), min_size=1, max_size=6),
+        theta_f=st.floats(0.05, 60.0),
+        beta=_BETA,
+        gamma=_GAMMA,
+    )
+    def test_padded_stacks_finite_and_nonnegative(self, thetas, theta_f, beta, gamma):
+        p = _tilt(beta, gamma)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            values = divergence_between_fits(FAMILY, np.array(thetas), theta_f, p)
+        assert np.all(np.isfinite(values)) and np.all(values >= 0.0)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(pair=_pairs(empty=False), beta=_BETA, gamma=_GAMMA)
+    def test_swapping_the_pair_and_the_exponents(self, pair, beta, gamma):
+        # LSD(g, f) at (A, B) is LSD(f, g) at (B, A); (beta, gamma) cannot
+        # always name the swapped exponents in floats, so they are set directly
+        p = _tilt(beta, gamma)
+        g, f = pair
+        swapped = types.SimpleNamespace(beta=p.beta, exp_a=p.exp_b, exp_b=p.exp_a)
+        assert lsd(f, g, swapped) == pytest.approx(lsd(g, f, p), rel=1e-12, abs=0.0)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(pair=_pairs(empty=False))
+    def test_likelihood_disparities_at_the_corners(self, pair):
+        # (0, 0) is B = 0 and (0, -1) is A = 0, with 1 + beta = 1; the closed
+        # form's terms g log(g/f) cancel, which leaves it an absolute error of
+        # a few eps besides the relative one
+        g, f = pair
+        eps8 = 8 * np.finfo(float).eps
+        assert lsd(g, f, TiltParams(0.0, 0.0)) == pytest.approx(ld(g, f), rel=1e-13, abs=eps8)
+        assert lsd(g, f, TiltParams(0.0, -1.0)) == pytest.approx(ld(f, g), rel=1e-13, abs=eps8)
+
+    @pytest.mark.parametrize("gamma", [-3.0, -1e-10, 0.0, 0.7, 1e10])
+    def test_padded_stack_rows_at_huge_beta(self, gamma):
+        # at c = 1e10 + 1, c times a padded cell's log overflows to -inf
+        p = TiltParams(1e10, gamma)
+        thetas = np.linspace(0.5, 30.0, 32)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stacked = divergence_between_fits(FAMILY, thetas, 2.0, p)
+            alone = [divergence_between_fits(FAMILY, t, 2.0, p) for t in thetas]
+        np.testing.assert_allclose(stacked, alone, rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize(
+        "args,expected,rel",
+        [
+            # 700-digit mpmath on the same log masses
+            ((1e300, 0.0, 2.0, 3.0), 0.18232155679395472, 1e-14),
+            ((1e300, 0.0, 2.0, 3.3), 0.40546510810816461, 1e-14),
+            ((1e10, 0.0, 4.0, 4.5), 6.9314718055994531e-11, 1e-9),
+        ],
+        ids=["beta-1e300", "beta-1e300-mode-3", "beta-1e10"],
+    )
+    def test_huge_beta_against_mpmath(self, args, expected, rel):
+        beta, gamma, theta_g, theta_f = args
+        value = divergence_between_fits(FAMILY, theta_g, theta_f, TiltParams(beta, gamma))
+        assert value == pytest.approx(expected, rel=rel, abs=0.0)
+
+    def test_huge_gamma(self):
+        # A = -B = 5e307; mpmath reads 2.78e-308
+        value = divergence_between_fits(FAMILY, 2.0, 3.0, TiltParams(0.5, 1e308))
+        assert 0.0 <= value <= 1e-300
+
+    @pytest.mark.parametrize("boundary", ["A", "B"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_no_cliff_at_the_boundaries(self, boundary, sign):
+        # |LSD(eps) - LSD(0)| / eps holds still from eps = 1e-4 down to 1e-12
+        g, f = poisson_pair(2.0, 2.5)
+        beta = 0.5
+        gamma0 = -1.0 / (1.0 - beta) if boundary == "A" else beta / (1.0 - beta)
+        at_zero = lsd(g, f, TiltParams(beta, gamma0))
+        slopes = [
+            abs(lsd(g, f, TiltParams(beta, gamma0 + sign * eps / (1.0 - beta))) - at_zero) / eps
+            for eps in 10.0 ** -np.arange(4.0, 13.0)
+        ]
+        assert max(slopes) <= 1.02 * slopes[0] and min(slopes) >= 0.98 * slopes[0]
