@@ -207,15 +207,14 @@ def _lsd_from_logs(logf, logf_pos, logg, p: TiltParams, psi: Psi):
             raise ValueError(
                 "identity-link divergence is undefined at the exponent boundary A=0 or B=0"
             )
-        log_sg, log_sf = _lse(one_beta * logg), _lse(one_beta * logf)
-        # the identity link combines the sums themselves, which can leave a double's range
-        with np.errstate(over="raise"):
-            try:
-                tilted = p.exp_b * logf_pos
-                tilted += p.exp_a * logg  # in place (logf_pos has the full shape)
-                value = _s_combination(np.exp(log_sf), np.exp(_lse(tilted)), np.exp(log_sg), p)
-            except FloatingPointError:
-                raise OverflowError("the identity-link divergence overflows a double") from None
+        # B log f + A log g as B (log f - log g) + (1 + beta) log g: a padded cell weighs 0
+        # at any tilt, its (1 + beta) _PAD_LOGG falling to -inf at a large beta
+        with np.errstate(over="ignore", invalid="ignore"):
+            tilted = p.exp_b * (logf_pos - logg) + one_beta * logg
+            sums = np.exp([_lse(one_beta * logf), _lse(tilted), _lse(one_beta * logg)])
+            value = _s_combination(*sums, p)  # from the sums themselves, which can overflow
+        if not np.isfinite(value).all():
+            raise OverflowError("the identity-link divergence overflows a double")
         return np.maximum(value, 0.0)  # the S-divergence is >= 0 but for rounding
     # c log f of a padded cell (a zero weight) and the expm1 form can overflow
     with np.errstate(over="ignore", invalid="ignore"):

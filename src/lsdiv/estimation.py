@@ -8,8 +8,9 @@ beta / (1 - beta), and at every gamma when beta = 1).  The estimating-
 equation residual is the objective's slope in log theta times
 -A / ((1 + beta) theta), so where it falls from positive to negative across
 the scan cell around the best point, the minimizer is its root there,
-found by Chandrupatla's method.  Otherwise (the best point at a bracket
-end, or a degenerate sample) the fit keeps the best grid point.
+found by a safeguarded Newton method on the residual and its closed-form
+slope.  Otherwise (the best point at a bracket end, or a degenerate
+sample) the fit keeps the best grid point.
 
 Every fit starts from a sample part (:class:`_SamplePart`): the tilt-free
 state of one or more samples as rows, built in a few array passes (each
@@ -109,6 +110,8 @@ _INTERVAL = np.arange(_N_SCAN) // _COARSE_STEP
 _FINE = np.isin(np.arange(_N_SCAN), _COARSE, invert=True)
 _SCAN_MARGIN = 1e-12
 
+_POWERS = np.arange(3.0)  # of x, whose weighted sums a residual pass takes
+
 # A sample part of fewer rows than this is fitted row by row on the scalar
 # path of minimize_lsd: a small stack's array passes cost more than the
 # calls they replace.
@@ -124,10 +127,11 @@ class EstimatorResult:
     """A fit's estimate and diagnostics.
 
     ``residual`` is :func:`estimating_equation_residual` at ``theta_hat``.
-    ``iterations`` counts the root solver's steps on the residual
-    (Chandrupatla's method), 0 where the fit kept the scan's best grid
-    point.  ``bracket`` is the tightest interval around ``theta_hat`` whose
-    ends were evaluated with residual > 0 (low end) and < 0 (high end),
+    ``iterations`` counts the root solver's steps (each a pass over the
+    residual and its slope at one theta, or at the closing pair around the
+    root), 0 where the fit kept the scan's best grid point.  ``bracket`` is
+    the tightest interval around ``theta_hat`` whose ends were evaluated
+    with residual > 0 (low end) and < 0 (high end),
     ``(theta_hat, theta_hat)`` on an exact zero, or the scan cell around
     a kept grid point.  ``converged`` is True when ``theta_hat`` is more
     than 1e-8 inside the search bracket, |residual| <= 1e-6 and the
@@ -195,7 +199,8 @@ def estimating_equation_residual(
     part = _SamplePart.from_densities([r_n], family, bracket=(theta, theta))
     if part.errors[0] is not None:
         raise part.errors[0]
-    return float(_FitWindow.row(part, 0, p).residual(theta))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # as in a fit
+        return float(_FitWindow.row(part, 0, p).residual(theta))
 
 
 @functools.lru_cache(maxsize=_MEMO_SIZE)
@@ -265,12 +270,6 @@ def _objective(log_sf, log_ratio, factors, log_sg, p: TiltParams):
     # a row's cells are added one after another, as a scan's sum over axis 1 adds them
     log_sfg = (peak[:, 0] if rows else peak) + np.log(e.sum(axis=1) if rows else sum(e.tolist()))
     return _s_combination(log_sf, log_sfg, log_sg, p)
-
-
-def _mean(w, x):
-    """The mean of x under the weights w over the last axis: a float for a
-    row, an array for a stack of rows."""
-    return np.vecdot(w, x) / w.sum(axis=-1)
 
 
 class _SamplePart:
@@ -495,13 +494,15 @@ class _SamplePart:
 
     def scan(self, p: TiltParams):
         """Each kept row's coarse scan at tilt p, as arrays over the rows:
-        the grid's best point (the first on ties), the objective there and
-        the scan cell (g_lo, g_hi) around it."""
+        the grid's best point (the first on ties), the objective there, the
+        scan cell (g_lo, g_hi) around it and the objective at the cell's
+        ends (+inf where a certified scan skipped one)."""
         values = self.scan_objective(p)
         best = values.argmin(axis=1)
-        rows = np.arange(len(best))
-        cell = self.grid[rows[:, None], _SCAN_CELL[best]]
-        return cell[:, 1], values[rows, best], cell[:, 0], cell[:, 2]
+        rows = np.arange(len(best))[:, None]
+        cell = _SCAN_CELL[best]
+        (g_lo, theta, g_hi), (v_lo, value, v_hi) = self.grid[rows, cell].T, values[rows, cell].T
+        return theta, value, g_lo, g_hi, v_lo, v_hi
 
     @functools.cached_property
     def grid(self) -> np.ndarray:
@@ -517,6 +518,11 @@ class _SamplePart:
         return x, self.family._log_mass(np.array(self.ref)[:, None], x)
 
     @functools.cached_property
+    def cell_columns(self) -> np.ndarray:
+        """Each kept row's occupied cells' powers [1, x, x^2], rows x cells x 3."""
+        return self.cell_terms[0][..., None] ** _POWERS
+
+    @functools.cached_property
     def scan_terms(self) -> np.ndarray:
         """log(theta / theta_r) on each kept row's grid (checked once by the
         family), rows x _N_SCAN."""
@@ -527,23 +533,22 @@ class _SamplePart:
 class _FitWindow:
     """The log-space objective and residual of a sample part's kept rows at
     one tilt, summed over one window [0, end): one row's at a float theta
-    (:meth:`row`), or every row's at a (rows, 1) column of thetas, one per
-    row (:meth:`stack`).
+    (:meth:`row`), or every row's at (rows, k) thetas (:meth:`stack`).
 
     Both read log f e^(theta - theta_r) = log f_theta_r + x log(theta /
     theta_r) on the window, and the part's data-term factors and log sum
     g^(1+beta) at the tilt; ``cells`` indexes the rows and cells of the
-    part's arrays.  The objective is :func:`lsd`'s (:func:`_objective`): a
-    row's equals its scan at a grid point bit for bit, and a stack sums
-    each row's cells pairwise.  The residual is
-    :func:`estimating_equation_residual`'s (E_e[x] - E_{f^(1+beta)}[x]) /
-    theta, whose means take max-shifted exps of the objective's own terms:
-    (1+beta) log f on the window, and the data term's (B x) log(theta /
-    theta_r) + (A log g + B log f_theta_r) on the occupied cells (at B = 0,
-    its factor sum w x is the data mean).  So it neither overflows nor
-    changes when f is scaled.  A row's values in a stack differ from its
-    own window's in the last bits, depending on the rows that share the
-    stack.
+    part's arrays (a stack's with a middle axis for the thetas).  The
+    objective is :func:`lsd`'s (:func:`_objective`): a row's equals its
+    scan at a grid point bit for bit, and a stack sums each row's cells
+    pairwise.  The residual is :func:`estimating_equation_residual`'s
+    (E_e[x] - E_{f^(1+beta)}[x]) / theta, whose means take max-shifted exps
+    of the objective's own terms: (1+beta) log f on the window, and the data
+    term's (B x) log(theta / theta_r) + (A log g + B log f_theta_r) on the
+    occupied cells (at B = 0, its factor sum w x is the data mean).  So it
+    neither overflows nor changes when f is scaled.  A row's values in a
+    stack differ from its own window's in the last bits, depending on the
+    rows that share the stack.
     The independent oracles for this path are the closed forms :func:`lpd`,
     :func:`ldpd`, :func:`ld` and :func:`oracle_grid_minimize`.
     """
@@ -555,7 +560,8 @@ class _FitWindow:
         self.logf_ref = part.family._log_mass(ref, self.x)
         self.log_sg = part.log_sum_g(1.0 + p.beta)[cells[0]]
         self.factors = [f[cells[: f.ndim]] for f in part.data_factors(p)]
-        self.x_cells = part.cell_terms[0][cells]
+        # the powers [1, x, x^2] on the window and the occupied cells
+        self.columns, self.cell_columns = self.x[:, None] ** _POWERS, part.cell_columns[cells]
 
     @classmethod
     def row(cls, part: _SamplePart, k: int, p: TiltParams):
@@ -573,11 +579,16 @@ class _FitWindow:
         :func:`_model_window_end`), so a lower theta's computed window may
         end one cell past this one."""
         end = max(int(part.x_pos.max()) + 1, _model_window_end(part.family, (top,)))
-        return cls(part, p, (slice(None),), np.array(part.ref)[:, None], end)
+        window = cls(part, p, (slice(None),), np.array(part.ref)[:, None, None], end)
+        window.log_sg = window.log_sg[:, None]
+        window.factors = [f[:, None] for f in window.factors]
+        return window
 
     def _log_f(self, theta):
-        """log(theta / theta_r) and log f e^(theta - theta_r) on the window."""
-        self.family._check(theta)
+        """log(theta / theta_r) and log f e^(theta - theta_r) on the window,
+        unchecked (a fit's thetas lie in its checked grid's cells)."""
+        if isinstance(theta, np.ndarray):
+            theta = theta[..., None]
         ratio = np.log(theta / self.ref)
         logf = self.x * ratio
         logf += self.logf_ref
@@ -585,111 +596,159 @@ class _FitWindow:
 
     def objective(self, theta):
         ratio, logf = self._log_f(theta)
-        log_sf = _lse((1.0 + self.p.beta) * logf)
-        if isinstance(theta, np.ndarray):  # a stack's (rows, 1) column
-            ratio = ratio[:, 0]
-        return _objective(log_sf, ratio, self.factors, self.log_sg, self.p)
+        log_sf, factors, log_sg = _lse((1.0 + self.p.beta) * logf), self.factors, self.log_sg
+        if isinstance(theta, np.ndarray):  # a stack's (rows, 1) thetas, as the scan's rows
+            log_sf, ratio, log_sg = log_sf[:, 0], ratio[:, 0, 0], log_sg[:, 0]
+            factors = [f[:, 0] for f in factors]
+        return _objective(log_sf, ratio, factors, log_sg, self.p)
 
-    def residual(self, theta):
+    def residual_slope(self, theta):
+        """The residual R and its slope in theta from one pass: as
+        d log f / d theta = x / theta - 1, the slope is
+        (B Var_e[x] - (1+beta) Var_{f^(1+beta)}[x]) / theta^2 - R / theta
+        (e does not move at B = 0)."""
         ratio, logf = self._log_f(theta)
-        stack = isinstance(theta, np.ndarray)  # a (rows, 1) column
+        stack = isinstance(theta, np.ndarray)
         # log f less its largest value, a row's at the mode floor(theta)
         logf -= logf.max(axis=-1, keepdims=True) if stack else logf[int(theta)]
-        logf *= 1.0 + self.p.beta
-        mean_f = _mean(np.exp(logf, out=logf), self.x)
+        one_beta = 1.0 + self.p.beta
+        logf *= one_beta
+        mean_f, var_f = _moments(np.exp(logf, out=logf), self.columns)
         if abs(self.p.exp_b) < EXPONENT_BOUNDARY:
-            mean_e = self.factors[0]
+            mean_e, var_e = self.factors[0], 0.0
         else:
             bx, c = self.factors
             log_e = bx * ratio
             log_e += c
             log_e -= log_e.max(axis=-1, keepdims=True)
-            mean_e = _mean(np.exp(log_e, out=log_e), self.x_cells)
-        return (mean_e - mean_f) / (theta[:, 0] if stack else theta)
+            mean_e, var_e = _moments(np.exp(log_e, out=log_e), self.cell_columns)
+        residual = (mean_e - mean_f) / theta
+        slope = (self.p.exp_b * var_e - one_beta * var_f) / (theta * theta) - residual / theta
+        return residual, slope
+
+    def residual(self, theta):
+        return self.residual_slope(theta)[0]
 
 
-def _interpolation(x1, f1, x2, f2, x3, f3, sqrt):
-    """Chandrupatla's test and step on the bracket (x1, x2) that x3 just left,
-    on floats (``math.sqrt``) or arrays (``np.sqrt``): whether inverse
-    quadratic interpolation is trusted, and its step as a fraction of x2 - x1.
-    Where numpy's inf or NaN fails the test, floats raise instead."""
-    xi = (x1 - x2) / (x3 - x2)
-    phi = (f1 - f2) / (f3 - f2)
-    alpha = (x3 - x1) / (x2 - x1)
-    trusted = (1.0 - sqrt(1.0 - xi) < phi) & (phi < sqrt(xi))
-    return trusted, f1 / (f1 - f2) * f3 / (f3 - f2) - alpha * f1 / (f3 - f1) * f2 / (f2 - f3)
+def _moments(w, columns):
+    """The mean and variance of x under the weights w (last axis), from the
+    weights' product with the powers [1, x, x^2]."""
+    sums = w @ columns  # a row's as floats, which cost it less than numpy scalars
+    s0, s1, s2 = sums.tolist() if sums.ndim == 1 else (sums[..., 0], sums[..., 1], sums[..., 2])
+    mean = s1 / s0
+    return mean, s2 / s0 - mean * mean
 
 
-def _residual_root(res_fun, lo: float, v_lo: float, hi: float, v_hi: float):
-    """Root of the residual on [lo, hi], whose end values v_lo and v_hi differ
-    in sign, by :func:`_residual_roots`' steps on one row, on floats and with
-    its results bit for bit: (root, residual at root, bracket, iterations).
-    The bracket is (root, root) on an exact zero, else the two ends kept,
-    the low one with the sign of v_lo."""
-    x1, f1, x2, f2 = float(lo), float(v_lo), float(hi), float(v_hi)
-    t, iterations = 0.5, 0
-    while True:
-        root, res = (x1, f1) if abs(f1) < abs(f2) else (x2, f2)
-        tol = _RTOL * abs(root) + _XTOL
-        dx = abs(x2 - x1)
-        if not (res != 0.0 and dx >= tol and iterations < _MAX_ITERATIONS):
+def _newton_start(best, value, g_lo, g_hi, v_lo, v_hi):
+    """The vertex of the parabola through a scan's best points and their
+    cell ends (:meth:`_SamplePart.scan`), or the best point where that is
+    not finite (a skipped cell end, +inf, or a cell at a grid end)."""
+    h_lo, h_hi, d_lo, d_hi = best - g_lo, g_hi - best, v_lo - value, v_hi - value
+    vertex = best + 0.5 * (d_lo * h_hi * h_hi - d_hi * h_lo * h_lo) / (d_lo * h_hi + d_hi * h_lo)
+    return np.where(np.isfinite(vertex), vertex, best)
+
+
+# After a Newton step shorter than this times 1 + |theta|, the next pass closes.
+_CLOSE_STEP = 3e-7
+
+
+def _residual_root(res_fun, lo: float, start: float, hi: float):
+    """:func:`_residual_roots` on one row, on floats and with its results
+    bit for bit: (root, residual at root, bracket, steps), or None where
+    the row has no root; ``res_fun`` takes and gives floats."""
+    a, fa, lim_lo, b, fb, lim_hi = lo, math.inf, -math.inf, hi, -math.inf, math.inf
+    t, scale, pair, iterations = start, abs(start), False, 0
+    for _ in range(_MAX_ITERATIONS):
+        tol = _RTOL * scale + _XTOL
+        if not b - a >= tol:
             break
-        tl = 0.5 * tol / dx
-        xt = x1 + min(max(t, tl), 1.0 - tl) * (x2 - x1)
-        ft = float(res_fun(xt))
-        # x1 and x2 trade unless np.sign(ft) == np.sign(f1); xt drops x1 to x3
-        if not (ft > 0.0 < f1 or ft < 0.0 > f1 or ft == 0.0 == f1):
-            x1, f1, x2, f2 = x2, f2, x1, f1
-        x3, f3, x1, f1 = x1, f1, xt, ft
-        iterations += 1
-        try:
-            trusted, step = _interpolation(x1, f1, x2, f2, x3, f3, math.sqrt)
-        except (ZeroDivisionError, ValueError):
-            trusted = False
-        t = step if trusted else 0.5
-    return root, res, (root, root) if res == 0.0 else (min(x1, x2), max(x1, x2)), iterations
-
-
-def _residual_roots(res_fun, x1, f1, x2, f2, active):
-    """Roots of the stacked residual on the rows where ``active``, each on
-    [x1, x2] with f1 > 0 > f2 there, by Chandrupatla's method: inverse
-    quadratic interpolation where :func:`_interpolation` trusts it,
-    bisection elsewhere, each step at least half the tolerance inside the
-    bracket.  Every step evaluates ``res_fun`` at one theta per row (a row
-    that is done at a point it has seen).  A row stops on an exact zero,
-    a bracket narrower than the tolerance or after ``_MAX_ITERATIONS``
-    steps.  Returns arrays (root, residual at root, bracket low end,
-    bracket high end, iterations), each row as :func:`_residual_root`'s.
-    """
-    x3, f3 = x2, f2
-    t = np.full(x1.shape, 0.5)
-    iterations = np.zeros(x1.shape, dtype=int)
-    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        while True:
-            near = np.abs(f1) < np.abs(f2)
-            root, res = np.where(near, x1, x2), np.where(near, f1, f2)
-            tol = _RTOL * np.abs(root) + _XTOL
-            dx = np.abs(x2 - x1)
-            active = active & (res != 0.0) & (dx >= tol) & (iterations < _MAX_ITERATIONS)
-            if not active.any():
+        half = 0.5 * tol
+        t = min(max(t, a + half), b - half)
+        for k, point in enumerate((t - 0.5 * half, t + 0.5 * half) if pair else (t,)):
+            if k and not a < point < b:
                 break
-            tl = 0.5 * tol / dx
-            xt = np.where(active, x1 + np.clip(t, tl, 1.0 - tl) * (x2 - x1), x1)
-            ft = res_fun(xt)
-            # xt replaces x1; the end it drops (x1 if their signs agree,
-            # else x2, which x1 replaces) becomes x3.  A row that is done
-            # keeps its ends; its x3 and t are not read again.
-            same = np.sign(ft) == np.sign(f1)
-            x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
-            other = active & ~same
-            x2, f2 = np.where(other, x1, x2), np.where(other, f1, f2)
-            x1, f1 = np.where(active, xt, x1), np.where(active, ft, f1)
-            iterations += active
-            trusted, step = _interpolation(x1, f1, x2, f2, x3, f3, np.sqrt)
-            t = np.where(trusted, step, 0.5)
-    lo, hi = np.minimum(x1, x2), np.maximum(x1, x2)
-    exact = res == 0.0
-    return root, res, np.where(exact, root, lo), np.where(exact, root, hi), iterations
+            x, (r, d) = point, map(float, res_fun(point))
+            if r >= 0.0:
+                a, fa, lim_lo = x, r, x
+            if not r > 0.0:
+                b, fb, lim_hi = x, r, x
+        iterations, scale = iterations + 1, abs(x)
+        step = r / d if d else r * math.copysign(math.inf, d)  # numpy's r / d
+        newton = lim_lo <= x - step <= lim_hi
+        pair = newton and abs(step) < _CLOSE_STEP + _CLOSE_STEP * scale
+        t = x - step if newton else 0.5 * (a + b)
+    if not (lim_lo > -math.inf and lim_hi < math.inf):
+        v_lo, v_hi = float(res_fun(lo)[0]), float(res_fun(hi)[0])
+        if not v_lo > 0.0 > v_hi:
+            return None
+        fa, fb = v_lo if lim_lo == -math.inf else fa, v_hi if lim_hi == math.inf else fb
+    root, res = (a, fa) if abs(fa) < abs(fb) else (b, fb)
+    return root, res, (a, b), iterations
+
+
+def _residual_roots(res_fun, lo, start, hi):
+    """Roots of the stacked residual, each row's on its scan cell [lo, hi],
+    by a safeguarded Newton method from ``start``; ``res_fun`` gives the
+    residual and its slope at (rows, k) thetas, k = 1 or 2, as two arrays.
+
+    A cell's ends count as positive (lo) and negative (hi) until evaluated;
+    a point with residual >= 0 becomes the low end, one not > 0 the high
+    end.  The next point is the Newton step from the last one where it
+    stays inside the bracket or passes an end never evaluated (a slope not
+    negative sends it out through the last point), else the midpoint, kept
+    half the tolerance ``_RTOL`` |theta| + ``_XTOL`` inside the bracket.
+    After a step shorter than ``_CLOSE_STEP`` (1 + |theta|), the pass
+    evaluates the pair a quarter of the tolerance either side (the high
+    point where the low one moved the low end), closing a bracket that
+    straddles the root.  A row stops once its bracket is narrower than the
+    tolerance or after ``_MAX_ITERATIONS`` steps; where a side was never
+    evaluated, one pass at the cell ends gives it its value if the residual
+    falls across the cell, else the row has no root.  Returns arrays (root,
+    the end of smaller |residual|; residual there; bracket ends; steps;
+    whether the row has a root).
+    """
+    a, b, t, scale = lo.copy(), hi.copy(), start, np.abs(start)
+    fa, lim_lo, fb, lim_hi = (np.full(lo.shape, v) for v in (np.inf, -np.inf, -np.inf, np.inf))
+    pair, active = np.zeros(lo.shape, dtype=bool), np.ones(lo.shape, dtype=bool)
+    iterations = np.zeros(lo.shape, dtype=int)
+    for _ in range(_MAX_ITERATIONS):
+        tol = _RTOL * scale + _XTOL
+        active &= b - a >= tol
+        if not np.count_nonzero(active):
+            break
+        half = 0.5 * tol
+        t = np.minimum(np.maximum(t, a + half), b - half)
+        pair &= active
+        q = 0.5 * half * pair  # 0 where a row does not close: it evaluates t twice
+        points = np.stack([t - q, t + q], axis=-1) if np.count_nonzero(pair) else t[:, None]
+        values, slopes = res_fun(points)
+        x, r, d, kept = points[:, 0], values[:, 0], slopes[:, 0], active
+        for k in range(points.shape[1]):
+            if k:
+                kept = active & (a < points[:, 1]) & (points[:, 1] < b)
+                x, r, d = (
+                    np.where(kept, v[:, 1], v0) for v, v0 in ((points, x), (values, r), (slopes, d))
+                )
+            low, high = kept & (r >= 0.0), kept > (r > 0.0)  # an exact zero moves both ends
+            for end, f, lim, moved in ((a, fa, lim_lo, low), (b, fb, lim_hi, high)):
+                np.copyto(end, x, where=moved)
+                np.copyto(f, r, where=moved)
+                np.copyto(lim, x, where=moved)
+        iterations += active
+        scale, step = np.abs(x), r / d
+        n = x - step
+        newton = (lim_lo <= n) & (n <= lim_hi)
+        pair = newton & (np.abs(step) < _CLOSE_STEP + _CLOSE_STEP * scale)
+        t = np.where(newton, n, 0.5 * (a + b))
+    found = (lim_lo > -np.inf) & (lim_hi < np.inf)
+    if not found.all():
+        ends = res_fun(np.stack([lo, hi], axis=-1))[0]
+        falls = ~found & (ends[:, 0] > 0.0) & (ends[:, 1] < 0.0)
+        np.copyto(fa, ends[:, 0], where=falls & (lim_lo == -np.inf))
+        np.copyto(fb, ends[:, 1], where=falls & (lim_hi == np.inf))
+        found |= falls
+    near = np.abs(fa) < np.abs(fb)
+    return np.where(near, a, b), np.where(near, fa, fb), a, b, iterations, found
 
 
 class _PartFits(NamedTuple):
@@ -711,21 +770,21 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
     """The fits of a sample part's rows at tilt p, after one scan of them all.
 
     A row whose residual falls from positive to negative across its scan
-    cell takes the root there.  In a part of ``_MIN_STACK`` rows or more,
-    the residuals at the cell ends, the roots (Chandrupatla's steps, row
-    by row) and the final objectives run as array passes of
-    :meth:`_FitWindow.stack` on one window of the highest cell top; a
-    smaller part fits row by row on :meth:`_FitWindow.row`'s bracket
-    window.  Any other row keeps the scan's best grid point, with the
-    scan's value, the residual there, its scan cell as the bracket and 0
-    iterations: the residual is a negative multiple of the objective's
-    slope, so across the cell of an interior best point it falls unless
-    the objective is flat there or has two minima in the cell.  A fit has
-    converged when its estimate is more than ``_TOL_THETA`` inside the
-    search bracket, the residual is small and the objective is not below
-    ``_MIN_OBJECTIVE``.  A root's bracket is not
+    cell takes the root there, from the scan's parabola vertex.  In a part
+    of ``_MIN_STACK`` rows or more, the roots and the final objectives run
+    as array passes of :meth:`_FitWindow.stack` on one window of the
+    highest cell top; a smaller part fits row by row on
+    :meth:`_FitWindow.row`'s bracket window.  Any other row keeps the
+    scan's best grid point, with the scan's value, the residual there, its
+    scan cell as the bracket and 0 iterations: the residual is a negative
+    multiple of the objective's slope, so across the cell of an interior
+    best point it falls unless the objective is flat there or has two
+    minima in the cell.  A fit has converged when its estimate is more than
+    ``_TOL_THETA`` inside the search bracket, the residual is small and the
+    objective is not below ``_MIN_OBJECTIVE``.  A root's bracket is not
     tested: the root solvers narrow it below ``_RTOL * |root| + _XTOL`` (or
-    to a point on an exact zero) well within their step budget.
+    to a point on an exact zero) well within their step budget.  Overflow
+    at extreme tilts ends as non-finite values, without numpy warnings.
     """
     errors, index = list(part.errors), part.index
     if p.exp_a <= EXPONENT_BOUNDARY:
@@ -734,30 +793,28 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
     # the kept rows' theta_hat, objective, residual and bracket ends
     table = np.empty((5, len(index)))
     iterations = np.zeros(len(index), dtype=int)
-    if index:
-        best, table[1], g_lo, g_hi = part.scan(p)
-        if part.size >= _MIN_STACK:
-            stack = _FitWindow.stack(part, p, g_hi.max())
-            v_lo, v_hi = stack.residual(g_lo[:, None]), stack.residual(g_hi[:, None])
-            falls = (v_lo > 0) & (v_hi < 0)
-            roots = _residual_roots(
-                lambda t: stack.residual(t[:, None]), g_lo, v_lo, g_hi, v_hi, falls
-            )
-            res = roots[1] if falls.all() else stack.residual(best[:, None])
-            table[[0, 2, 3, 4]] = np.where(falls, roots[:4], [best, res, g_lo, g_hi])
-            iterations = roots[4]
-            table[1] = np.where(falls, stack.objective(table[0][:, None]), table[1])
-        else:
-            for k in range(len(index)):
-                ctx = _FitWindow.row(part, k, p)
-                v_lo, v_hi = ctx.residual(g_lo[k]), ctx.residual(g_hi[k])
-                if v_lo > 0 > v_hi:
-                    root, table[2, k], (table[3, k], table[4, k]), iterations[k] = (
-                        _residual_root(ctx.residual, g_lo[k], v_lo, g_hi[k], v_hi)
-                    )
-                    table[0, k], table[1, k] = root, ctx.objective(root)
-                else:
-                    table[:, k] = best[k], table[1, k], ctx.residual(best[k]), g_lo[k], g_hi[k]
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        if index:
+            scan = part.scan(p)
+            best, table[1], g_lo, g_hi = scan[:4]
+            if part.size >= _MIN_STACK:
+                stack = _FitWindow.stack(part, p, g_hi.max())
+                start = _newton_start(*scan)
+                *roots, found = _residual_roots(stack.residual_slope, g_lo, start, g_hi)
+                res = roots[1] if found.all() else stack.residual(best[:, None])[:, 0]
+                table[[0, 2, 3, 4]] = np.where(found, roots[:4], [best, res, g_lo, g_hi])
+                iterations = np.where(found, roots[4], 0)
+                table[1] = np.where(found, stack.objective(table[0][:, None]), table[1])
+            else:
+                for k in range(len(index)):
+                    ctx = _FitWindow.row(part, k, p)
+                    start = float(_newton_start(*(v[k] for v in scan)))  # on numpy scalars, cheaper
+                    fit = _residual_root(ctx.residual_slope, float(g_lo[k]), start, float(g_hi[k]))
+                    if fit is None:
+                        table[:, k] = best[k], table[1, k], ctx.residual(best[k]), g_lo[k], g_hi[k]
+                    else:
+                        root, table[2, k], (table[3, k], table[4, k]), iterations[k] = fit
+                        table[0, k], table[1, k] = root, ctx.objective(root)
     # on floats, which cost a one-row part less than four array passes
     ends = zip(table[0].tolist(), part.lo, part.hi)
     inside = np.array([min(t - lo, hi - t) > _TOL_THETA for t, lo, hi in ends], dtype=bool)

@@ -574,10 +574,14 @@ class TestJsonOutput:
             (["divergence", "--beta", "0.5", "--gamma", "1e308",
               "--theta-g", "2", "--theta-f", "3", "--psi", "identity"],
              "the identity-link divergence overflows a double"),
+            # the fit's data term B x log(theta / theta_r) overflows: NaN, without warnings
+            (["estimate", "--beta", "0.5", "--gamma", "1e308", "--data", "1,2,3"],
+             "the result is not finite: "),
         ],
         ids=["divergence-nan", "divergence-exponent-overflow", "influence-singular",
              "influence-non-finite", "bias-approx-non-finite", "bias-approx-tail",
-             "influence-tail", "bias-approx-zero-first-order", "divergence-identity-overflow"],
+             "influence-tail", "bias-approx-zero-first-order", "divergence-identity-overflow",
+             "estimate-non-finite"],
     )
     def test_non_finite_result_is_one_error(self, runner, args, message):
         result = runner.invoke(main, args)
@@ -697,8 +701,8 @@ class TestOutputInvariant:
     none.  ``divergence``, ``influence`` and ``bias-approx`` take beta up to
     1e300 and |gamma| up to 1e308.  ``estimate`` and ``test`` stop at beta
     20 and |gamma| 1e3, since their fits still overflow outside it (ROADMAP
-    direction 2: ``estimate --gamma 1e308`` prints five numpy
-    RuntimeWarnings before its error line), and the sample means at 100,
+    direction 2: ``estimate --gamma 1e308`` ends in a non-finite result,
+    an error line), and the sample means at 100,
     below the windows' underflow near 140 (direction 3)."""
 
     @settings(max_examples=300, deadline=None, derandomize=True)

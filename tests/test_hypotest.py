@@ -399,6 +399,18 @@ class TestDivergenceBetweenFits:
                 divergence_between_fits(family, np.array([2.0, 80.0]), 1.0, p, Psi.IDENTITY)
             assert np.isfinite(divergence_between_fits(family, 2.0, 1.0, p, Psi.IDENTITY))
 
+    @pytest.mark.parametrize("tilt", [(1e9, 0.0), (1e12, 0.0), (0.4, 0.6), (2.0, -0.5)], ids=str)
+    def test_identity_link_stack_is_its_rows_at_any_beta(self, family, tilt):
+        # a padded cell weighs nothing: at 1 + beta above about 1.8e8,
+        # (1 + beta) log g there falls to -inf without a numpy warning, and
+        # each row of the stack equals the row taken alone
+        p, thetas = TiltParams(*tilt), np.array([2.0, 30.0, 3.5])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            stack = divergence_between_fits(family, thetas, 3.0, p, Psi.IDENTITY)
+            rows = [divergence_between_fits(family, t, 3.0, p, Psi.IDENTITY) for t in thetas]
+        np.testing.assert_allclose(stack, rows, rtol=1e-12, atol=0.0)
+
     @pytest.mark.parametrize("tilt", [(0.0, 0.0), (0.5, 1.0), (0.0, -1.0)], ids=str)
     def test_identity_link_undefined_at_zero_exponents(self, family, tilt):
         # B = 0 twice, then A = 0
