@@ -1,16 +1,18 @@
 """Minimum-divergence estimation for discrete models.
 
-The estimate minimizes theta -> LSD(r_n, f_theta) over a bracket around the
-sample mean.  A coarse scan picks the best point of a grid over the
-bracket: the objective is convex in log theta at B <= 0, but at B > 0 it
-can have several local minima (on the samples measured, at gamma <
-beta / (1 - beta), and at every gamma when beta = 1).  The estimating-
-equation residual is the objective's slope in log theta times
--A / ((1 + beta) theta), so where it falls from positive to negative across
-the scan cell around the best point, the minimizer is its root there,
-found by a safeguarded Newton method on the residual and its closed-form
-slope.  Otherwise (the best point at a bracket end, or a degenerate
-sample) the fit keeps the best grid point.
+The estimate minimizes theta -> LSD(r_n, f_theta) over the bracket
+(max(1e-3, x_min - 1), x_max + 1) of the sample's smallest and largest
+values, which holds every minimizer (see :class:`_SamplePart`).  A coarse
+scan picks the best point of a grid over the bracket: the objective is
+convex in log theta at B <= 0, but at B > 0 it can have several local
+minima (on the samples measured, at gamma < beta / (1 - beta), and at
+every gamma when beta = 1).  The estimating-equation residual is the
+objective's slope in log theta times -A / ((1 + beta) theta), so where it
+falls from positive to negative across the scan cell around the best
+point, the minimizer is its root there, found by a safeguarded Newton
+method on the residual and its closed-form slope.  Otherwise (the best
+point at the floor, or a degenerate sample) the fit keeps the best grid
+point.
 
 Every fit starts from a sample part (:class:`_SamplePart`): the tilt-free
 state of one or more samples as rows, built in a few array passes (each
@@ -226,13 +228,14 @@ def _scan_model_terms(
 ) -> np.ndarray:
     """The model term log sum f_theta^(1+beta) over the window [0, length) at
     each theta of the coarse grid of (lo, hi) (see :func:`_grids`), of f
-    scaled as :func:`_objective` scales it, as a read-only array.
+    scaled as :func:`_objective` scales it, at the reference theta_r =
+    (lo + hi) / 2, as a read-only array.
 
-    The bracket depends on the sample only through its mean, so fits of one
-    sample (or of samples with the same mean and window) at one beta share
-    an entry whatever their gamma.
+    The bracket depends on the sample only through its smallest and largest
+    values, so fits of one sample (or of samples with the same data range and
+    window) at one beta share an entry whatever their gamma.
     """
-    grid, ref = _grids(np.array([lo]), np.array([hi]))[0], _reference(lo, hi)
+    grid, ref = _grids(np.array([lo]), np.array([hi]))[0], 0.5 * (lo + hi)
     family._check(grid)
     x = _points(length)
     logf = x * np.log(grid / ref)[:, None]  # log f e^(theta - theta_r), see _objective
@@ -240,12 +243,6 @@ def _scan_model_terms(
     log_sf = _lse(one_beta * logf)
     log_sf.flags.writeable = False
     return log_sf
-
-
-def _reference(lo: float, hi: float) -> float:
-    """The reference theta_r of a bracket: the mean of its default (mean/5,
-    5 mean + 5), within it."""
-    return max(lo, (hi - 5.0) / 5.0)
 
 
 def _objective(log_sf, log_ratio, factors, log_sg, p: TiltParams):
@@ -276,12 +273,12 @@ class _SamplePart:
     """The tilt-free part of the fits of several data densities, as rows.
 
     Built once from each row's occupied cells ``x_pos`` on the window from
-    0, log g there (``logg``), their number ``cells``, the row's mean and
-    the end of its stored window: each row's bracket (lo, hi) (the
-    mean-based default of the one-sample fit, or ``bracket`` for every
-    row), its window [0, L) covering the data and the model tail at the
-    bracket ends and midpoint (``length``, from a process-wide memo; the
-    scan and the scalar fit sum over it), and, in one array pass over all
+    0, log g there (``logg``) and their number ``cells``: each row's bracket
+    (lo, hi) from its first and last occupied cells x_min and x_max (or
+    ``bracket`` for every row), its reference theta_r = (lo + hi) / 2
+    (``ref``), its window [0, L) covering the data and the model tail at
+    the bracket ends and midpoint (``length``, from a process-wide memo;
+    the scan and the scalar fit sum over it), and, in one array pass over all
     rows at first use each, its occupied cells as floats with log f at its
     reference theta there (``cell_terms``) and its coarse grid of
     ``_N_SCAN`` thetas (``grid``) with log(theta / theta_r) there
@@ -290,6 +287,14 @@ class _SamplePart:
     ``index`` maps the kept rows to the rows given.  The residual at theta
     reads only the window of the bracket (theta, theta) and the cell terms,
     so its part never builds a grid.
+
+    The bracket (max(1e-3, x_min - 1), x_max + 1) holds every minimizer at
+    A > 0: the residual is (E_e[x] - m(theta)) / theta, where E_e[x], a
+    weighted mean of the occupied cells, lies in [x_min, x_max], and m(theta)
+    = E_{f^(1+beta)}[x] rises in theta with m(theta) - theta in (-1, 0]
+    (checked on a dense grid of beta <= 20).  So the residual is positive at
+    x_min - 1 and negative at x_max + 1; only a sample with x_min = 0 can
+    have its infimum at the floor 1e-3.
 
     ``x_pos`` and ``logg`` hold each kept row's ``cells`` occupied cells in
     order, padded to the most any row has with cell 0 and log g =
@@ -302,29 +307,31 @@ class _SamplePart:
     """
 
     def __init__(
-        self, x_pos: np.ndarray, logg: np.ndarray, cells: np.ndarray, means, ends,
-        family: PoissonFamily, errors=None, bracket: tuple[float, float] | None = None,
+        self, x_pos: np.ndarray, logg: np.ndarray, cells: np.ndarray, family: PoissonFamily,
+        errors=None, bracket: tuple[float, float] | None = None,
     ):
         self.family = family
-        self.size = len(means)
+        self.size = len(cells)
         self._log_sg: dict[float, np.ndarray] = {}
         self._factors = None, None  # the last tilt and its data_factors
         self.errors: list = list(errors) if errors else [None] * self.size
         self.index, self.lo, self.hi, self.length, self.ref = [], [], [], [], []
-        for i, (mean, end) in enumerate(zip(means, ends)):
+        for i in range(self.size):
             if self.errors[i] is not None:
                 continue
-            lo, hi = bracket or (max(1e-3, mean / 5.0), 5.0 * mean + 5.0)
+            x_min, x_max = int(x_pos[i, 0]), int(x_pos[i, cells[i] - 1])
+            lo, hi = bracket or (max(1e-3, x_min - 1.0), x_max + 1.0)
+            ref = 0.5 * (lo + hi)
             try:
-                window_end = _model_window_end(family, (lo, 0.5 * (lo + hi), hi))
+                window_end = _model_window_end(family, (lo, ref, hi))
             except (ValueError, ArithmeticError) as exc:
                 self.errors[i] = exc
                 continue
             self.index.append(i)
             self.lo.append(lo)
             self.hi.append(hi)
-            self.length.append(max(end, window_end))
-            self.ref.append(_reference(lo, hi))
+            self.length.append(max(x_max + 1, window_end))
+            self.ref.append(ref)
         if not self.index:
             return
         if len(self.index) < self.size:
@@ -338,12 +345,11 @@ class _SamplePart:
         """The part of the empirical frequencies of each row of a (rows x n)
         matrix of nonnegative integer samples, tabulated in one bincount.
 
-        A row's masses, mean and window end are those of
-        :func:`empirical_frequencies` of that row, bit for bit.
+        A row's masses are those of :func:`empirical_frequencies` of that
+        row, bit for bit.
         """
         rows, n = samples.shape
-        ends = samples.max(axis=1) + 1
-        width = int(ends.max())
+        width = int(samples.max()) + 1
         flat = (samples + width * np.arange(rows)[:, None]).ravel()
         mass = np.bincount(flat, minlength=rows * width).reshape(rows, width) / n
         occupied = mass > 0
@@ -353,22 +359,14 @@ class _SamplePart:
         x_pos[kept] = occupied.nonzero()[1]
         logg = np.full(kept.shape, _PAD_LOGG)
         logg[kept] = np.log(mass[occupied])
-        # each row's mean as DiscreteDensity.mean sums it, on the row's own
-        # window: one dot product a row, taken for all rows of one window end
-        # at once, gives the same bits as a dot product of that row alone
-        means = np.empty(rows)
-        for end in set(ends.tolist()):
-            group = ends == end
-            window = mass[group, :end]
-            means[group] = np.vecdot(np.arange(end), window) / window.sum(axis=1)
-        return cls(x_pos, logg, cells, means.tolist(), ends.tolist(), family)
+        return cls(x_pos, logg, cells, family)
 
     @classmethod
     def from_densities(cls, densities, family: PoissonFamily, bracket=None):
         """The part of a list of data densities, each placed at its offset; a
         density below cell 0 or without positive mass keeps a ValueError.
-        ``bracket`` replaces every row's mean-based bracket."""
-        errors, occupied, ends, means = [], [], [], []
+        ``bracket`` replaces every row's bracket from its data."""
+        errors, occupied = [], []
         for r_n in densities:
             nz = r_n.mass.nonzero()[0]
             bad = r_n.offset < 0 or not nz.size
@@ -376,15 +374,13 @@ class _SamplePart:
                 "a data density must lie on cells >= 0 and have positive mass"
             ) if bad else None)
             occupied.append(nz[:0] if bad else nz)
-            ends.append(r_n.offset + r_n.mass.size)
-            means.append(np.nan if bad else r_n.mean())
         cells = np.array([nz.size for nz in occupied], dtype=int)
         x_pos = np.zeros((len(densities), max(map(len, occupied), default=0)), dtype=np.intp)
         logg = np.full(x_pos.shape, _PAD_LOGG)
         for k, (r_n, nz) in enumerate(zip(densities, occupied)):
             x_pos[k, : nz.size] = r_n.offset + nz
             logg[k, : nz.size] = np.log(r_n.mass[nz])
-        return cls(x_pos, logg, cells, means, ends, family, errors, bracket)
+        return cls(x_pos, logg, cells, family, errors, bracket)
 
     def log_sum_g(self, one_beta: float) -> np.ndarray:
         """Each kept row's log sum g^(1+beta), computed at the first call
@@ -512,8 +508,8 @@ class _SamplePart:
     @functools.cached_property
     def cell_terms(self):
         """Each kept row's occupied cells as floats and log f_theta_r there
-        (rows x cells), at its reference theta_r (``ref``, its mean within
-        its bracket)."""
+        (rows x cells), at its reference theta_r (``ref``, its bracket's
+        midpoint)."""
         x = self.x_pos.astype(float)
         return x, self.family._log_mass(np.array(self.ref)[:, None], x)
 

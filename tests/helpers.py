@@ -126,6 +126,15 @@ def golden_section_oracle(fun, lo: float, hi: float, tol: float = 1e-8) -> float
     return lo if f1 <= f2 else x2
 
 
+def search_bracket(r_n: DiscreteDensity) -> tuple[float, float]:
+    """The fit's search bracket of a data density, from its first and last
+    cells of positive mass x_min and x_max: (max(1e-3, x_min - 1), x_max +
+    1).  The residual is positive below x_min - 1 and negative above x_max +
+    1 (see ``TestSearchBracket``), so every minimizer lies inside."""
+    cells = [r_n.offset + k for k, m in enumerate(r_n.mass.tolist()) if m > 0.0]
+    return max(1e-3, cells[0] - 1.0), cells[-1] + 1.0
+
+
 def residual_oracle(theta: float, r_n: DiscreteDensity, p: TiltParams) -> float:
     """The estimating equation's residual E_e[u] - E_{f^(1+beta)}[u], one
     term at a time: log f_theta from ``scipy.stats.poisson.logpmf`` on a

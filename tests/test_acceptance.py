@@ -36,6 +36,7 @@ from helpers import (
     jones_alpha1_sandwich,
     random_density,
     random_density_with_zeros,
+    search_bracket,
     second_order_if_oracle,
 )
 
@@ -221,8 +222,7 @@ def test_criterion_9_oracle_equivalence_and_determinism(family):
         r_n = empirical_frequencies(sample)
         p = TiltParams(beta, gamma)
         fast = minimize_lsd(r_n, family, p).theta_hat
-        mean = r_n.mean()
-        lo, hi = max(1e-3, mean / 5.0), 5.0 * mean + 5.0
+        lo, hi = search_bracket(r_n)
         coarse = oracle_grid_minimize(r_n, family, p, lo, hi, 1e-2)
         refined = oracle_grid_minimize(
             r_n, family, p, max(lo, coarse - 2e-2), min(hi, coarse + 2e-2), 1e-4

@@ -29,6 +29,7 @@ from lsdiv import (
     oracle_grid_minimize,
 )
 from lsdiv.divergence import EXPONENT_BOUNDARY, _lse
+from lsdiv.families import moments_c_d
 from lsdiv.estimation import (
     _COARSE,
     _MAX_ITERATIONS,
@@ -63,6 +64,7 @@ from helpers import (
     golden_section_oracle,
     residual_oracle,
     scan_oracle,
+    search_bracket,
 )
 
 
@@ -226,11 +228,12 @@ class TestBatchedScan:
 
     @pytest.mark.parametrize(
         "theta,n,n_contam",
-        # the estimation table's, a wide window, and a mean of about 138, whose
-        # bracket top 696 nears the largest window the fit accepts: there x log
-        # theta reaches about 1 100 and log x! 730, so a data term factored on
-        # them rather than on log f at the row's reference would cancel most
-        [(4.0, 50, 5), (100.0, 200, 0), (138.0, 200, 0)],
+        # the estimation table's, a wide window, a mean of about 138, and one of
+        # about 600, whose bracket top near 680 nears the largest window the
+        # fit accepts: there x log theta reaches about 4 400 and log x! 3 750,
+        # so a data term factored on them rather than on log f at the row's
+        # reference would cancel most
+        [(4.0, 50, 5), (100.0, 200, 0), (138.0, 200, 0), (600.0, 200, 0)],
     )
     @pytest.mark.parametrize(
         "beta,gamma",
@@ -243,7 +246,7 @@ class TestBatchedScan:
         sample = rng.poisson(theta, n)
         sample[:n_contam] = 12
         r_n = empirical_frequencies(sample)
-        lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
+        lo, hi = search_bracket(r_n)
         part = _SamplePart.from_densities([r_n], family)
         p = TiltParams(beta, gamma)
         _scan_model_terms.cache_clear()
@@ -420,14 +423,18 @@ class TestCertifiedScan:
         assert np.isfinite(part.scan_objective(p)[0]).sum() > len(_COARSE) + 2 * 16
 
     def test_a_lone_kept_point_sums_its_cells_in_order(self, family):
-        # a bimodal chunk whose 32 rows keep one fine point between them at
-        # B = 0.1: numpy would add that one point's cells pairwise, as over
-        # a contiguous axis, unlike the full grid
+        # a bimodal row of 18 cells that keeps one fine point at B = 0.0025,
+        # and three all-zero rows, whose data term is linear in log theta, so
+        # that their chord bounds are their objectives and keep no fine
+        # point: numpy would add the lone point's cells pairwise, as over a
+        # contiguous axis, unlike the full grid
         contam = Contamination(0.3, 40.0, ContaminationScheme.REPLACE_FIXED_COUNT)
-        samples = _draw_chunk(50, 2.0, contam, _ChunkStreams(1, range(32)))
+        row = _draw_chunk(50, 2.0, contam, _ChunkStreams(1, range(4, 5)))
+        samples = np.concatenate([row, np.zeros((3, 50), dtype=row.dtype)])
         part = _SamplePart.from_samples(samples, family)
-        p = TiltParams(0.0, -0.1)
+        p = TiltParams(0.05, 0.05)
         values = part.scan_objective(p)
+        assert part.cells[0] == 18
         assert np.isfinite(values).sum() == len(samples) * len(_COARSE) + 1
         for k in range(len(samples)):
             one = _SamplePart.from_samples(samples[k : k + 1], family)
@@ -478,13 +485,20 @@ class TestScanMemo:
         )
 
     def test_same_mean_other_data_end_gets_own_entry(self, family):
-        # both means are 4 (bracket [0.8, 25]), but the outlier 102 lies
-        # beyond the model window at the bracket top (69 cells)
+        # the key holds the data range: the first two means are 4, but their
+        # brackets are (3, 5) and (1, 103), so each gets its own entry; the
+        # third sample, of mean 52, has the second's range and shares its entry
         p = TiltParams(0.5, 0.0)
         _scan_model_terms.cache_clear()
-        for sample, length in (([4] * 50, 69), ([2] * 49 + [102], 103)):
-            part = _SamplePart.from_densities([empirical_frequencies(np.array(sample))], family)
-            assert (part.lo, part.hi, part.length) == ([0.8], [25.0], [length])
+        for sample, bracket, length in (
+            ([4] * 50, (3.0, 5.0), 28),
+            ([2] * 49 + [102], (1.0, 103.0), 183),
+            ([2] * 25 + [102] * 25, (1.0, 103.0), 183),
+        ):
+            r_n = empirical_frequencies(np.array(sample))
+            part = _SamplePart.from_densities([r_n], family)
+            assert search_bracket(r_n) == bracket
+            assert (part.lo[0], part.hi[0], part.length) == (*bracket, [length])
             values = part.scan_objective(p)
             ctx = _FitWindow.row(part, 0, p)
             np.testing.assert_array_equal(values[0], [ctx.objective(t) for t in part.grid[0]])
@@ -595,8 +609,8 @@ class TestResidualRoot:
                 assert fit.iterations <= calls["residual"]
 
     # The fits of samples whose scan cell has no sign change: each keeps the
-    # scan's best grid point, a bracket end (the outlier sample's top at
-    # (0, 1), where golden section stopped 2.4e-9 below it).
+    # scan's best grid point, the bracket floor 1e-3, toward which the
+    # objective falls (both samples hold a 0, so the floor is not certified).
     FALLBACK = {
         ("zeros", 0.0, -0.5): (0.001, False),
         ("zeros", 0.0, 0.0): (0.001, False),
@@ -607,13 +621,13 @@ class TestResidualRoot:
         ("zeros", 1.0, -0.5): (0.001, False),
         ("zeros", 1.0, 0.0): (0.001, False),
         ("zeros", 1.0, 1.0): (0.001, False),
-        ("outlier", 0.0, -0.5): (0.12, False),
-        ("outlier", 0.0, 1.0): (8.0, False),
-        ("outlier", 0.5, -0.5): (0.12, False),
-        ("outlier", 0.5, 0.0): (0.12, False),
-        ("outlier", 1.0, -0.5): (0.12, False),
-        ("outlier", 1.0, 0.0): (0.12, False),
-        ("outlier", 1.0, 1.0): (0.12, False),
+        ("outlier", 0.0, -0.5): (0.001, False),
+        ("outlier", 0.5, -0.5): (0.001, False),
+        ("outlier", 0.5, 0.0): (0.001, False),
+        ("outlier", 1.0, -0.5): (0.001, False),
+        ("outlier", 1.0, 0.0): (0.001, False),
+        ("outlier", 1.0, 1.0): (0.001, False),
+        ("outlier", 1.0, 2.0): (0.001, False),
     }
 
     @pytest.mark.parametrize("key", sorted(FALLBACK))
@@ -821,11 +835,12 @@ class TestStackedFits:
         self.assert_rows_match(family, densities, TiltParams(beta, gamma), fits)
 
     def test_failing_row_raises_alone(self, family):
-        # the window at the bracket top of a mean-300 sample underflows
+        # the window at the bracket top 721 of a sample of 300s and one 720
+        # underflows
         densities = table_stacks()[0][:8]
         p = TiltParams(0.5, 0.5)
-        fits = minimize_lsd_many(densities[:4] + [empirical_frequencies(np.full(50, 300))]
-                                 + densities[4:], family, p)
+        large = empirical_frequencies(np.append(np.full(49, 300), 720))
+        fits = minimize_lsd_many(densities[:4] + [large] + densities[4:], family, p)
         assert isinstance(fits[4], FloatingPointError)
         assert fits[:4] + fits[5:] == minimize_lsd_many(densities, family, p)
 
@@ -1025,18 +1040,19 @@ class TestPartFitsRecord:
             self.assert_record_matches(family, densities, p)
 
     def test_interior_root_after_an_edge_scan_point_converges(self, family):
-        # the scan's best point is the bracket's low end, 2.47; the fit then
-        # finds a root inside the bracket, which converges, while an all-zero
-        # sample fits to the bracket floor 0.001 and does not
-        r_n = empirical_frequencies(np.array([1, 2, 2, 3, 4, 62]))
+        # the scan's best point is the bracket's low end, 3 (the grid's step
+        # is 2.7); the fit then finds a root inside the bracket, which
+        # converges, while an all-zero sample fits to the bracket floor 0.001
+        # and does not
+        r_n = empirical_frequencies(np.array([4] * 40 + [690] * 10))
         zeros = empirical_frequencies(np.zeros(50, dtype=int))
-        p = TiltParams(1.0, 1.0)
+        p = TiltParams(0.5, 0.0)
         part = _SamplePart.from_densities([r_n], family)
-        assert part.scan_objective(p).argmin() == 0 and part.lo[0] == r_n.mean() / 5.0
+        assert part.scan_objective(p).argmin() == 0 and part.lo[0] == search_bracket(r_n)[0] == 3.0
         fit, floor = minimize_lsd_many([r_n, zeros], family, p)
         assert abs(fit.residual) <= 1e-12 and fit.iterations > 0
         assert fit.bracket[0] <= fit.theta_hat <= fit.bracket[1]
-        assert abs(fit.theta_hat - 2.5373) < 1e-4 and fit.converged
+        assert abs(fit.theta_hat - 4.1736) < 1e-4 and fit.converged
         assert floor.theta_hat == 1e-3 and not floor.converged
         for densities in ([r_n], [zeros], table_stacks()[0][:4] + [r_n, zeros]):
             self.assert_record_matches(family, densities, p)
@@ -1053,8 +1069,11 @@ class TestPartFitsRecord:
                 self.assert_record_matches(family, densities, p)
 
     def test_unfittable_row(self, family):
-        # the window at the bracket top of a mean-300 sample underflows
-        large = empirical_frequencies(np.random.default_rng(3).poisson(300.0, 50))
+        # the window at the bracket top 721 of a mean-300 sample with one
+        # entry 720 underflows
+        sample = np.random.default_rng(3).poisson(300.0, 50)
+        sample[0] = 720
+        large = empirical_frequencies(sample)
         p = TiltParams(0.2, 0.5)
         small = table_stacks()[0]
         for densities in ([large], small[:2] + [large], small[:6] + [large]):
@@ -1106,16 +1125,16 @@ class TestFitInvariants:
     than the best point of the full grid, at B <= 0 (where the objective is
     convex in log theta) the estimate of a fine grid, the scalar and
     stacked paths (a one-row scan of every grid point, a certified one of
-    five copies) in agreement, and a fit that has not converged only at a
-    bracket end.  The means stop at 80 and beta at 20: fits at means above about 140
-    underflow (their windows start at 0), and the LSD of a huge beta
-    cancels in its last bits; each bound widens when ROADMAP's item on it
-    lands."""
+    five copies) in agreement, and a fit that has not converged only at the
+    bracket floor of a sample with a 0.  The means stop at 600, and the
+    entries at 700: the window from 0 of a bracket top past about 708
+    underflows; beta stops at 20: the LSD of a huge beta cancels in its last
+    bits.  Each bound widens when ROADMAP's item on it lands."""
 
     @settings(max_examples=400, deadline=None, derandomize=True)
     @given(
         n=st.sampled_from([1, 2, 5, 20, 50, 200]),
-        mean=st.sampled_from([0.05, 0.5, 3.0, 20.0, 80.0]),
+        mean=st.sampled_from([0.05, 0.5, 3.0, 20.0, 80.0, 250.0, 600.0]),
         contaminated=st.booleans(),
         beta=st.sampled_from([0.0, 0.05, 0.3, 1.0, 2.0, 5.0, 20.0]),
         gamma=st.sampled_from([-3.0, -1.0, -0.5, 0.0, 0.5, 2.0, 10.0, 50.0]),
@@ -1128,7 +1147,7 @@ class TestFitInvariants:
         sample = rng.poisson(mean, n)
         if contaminated:  # a tenth of the sample from far above the mean
             sample[: n // 10] = rng.poisson(4.0 * mean + 10.0, n // 10)
-        r_n = empirical_frequencies(sample)
+        r_n = empirical_frequencies(np.minimum(sample, 700))
         fit = minimize_lsd(r_n, family, p)
         assert np.isfinite([fit.theta_hat, fit.objective, fit.residual]).all()
         assert abs(fit.residual - residual_oracle(fit.theta_hat, r_n, p)) <= 1e-10 * max(
@@ -1137,12 +1156,12 @@ class TestFitInvariants:
         assert fit.objective >= -1e-10
         one = _SamplePart.from_densities([r_n], family)
         assert fit.objective <= full_scan_oracle(one, 0, p).min()
-        lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
+        lo, hi = search_bracket(r_n)
         if p.exp_b <= 0:
             pitch = (hi - lo) / 64
             assert abs(fit.theta_hat - oracle_grid_minimize(r_n, family, p, lo, hi, pitch)) <= pitch
         if not fit.converged:
-            assert min(fit.theta_hat - lo, hi - fit.theta_hat) <= _TOL_THETA
+            assert fit.theta_hat == lo == 1e-3 and r_n.mass[0] > 0.0
         for row in minimize_lsd_many([r_n] * 5, family, p):
             assert abs(row.theta_hat - fit.theta_hat) <= 1e-8
             assert row.converged == fit.converged and np.isfinite(row.residual)
@@ -1152,6 +1171,70 @@ class TestFitInvariants:
         # the objective at the cell ends, where the certified scan evaluated them
         for got, want in zip(copies[4:], one.scan(p)[4:]):
             assert ((got == want[0]) | (got == np.inf)).all()
+
+
+class TestSearchBracket:
+    """Each row's bracket (max(1e-3, x_min - 1), x_max + 1) comes from its
+    first and last occupied cells.  At A > 0 the residual is (E_e[x] -
+    m(theta)) / theta with E_e[x] in [x_min, x_max] and m(theta) = E_{f^(1+
+    beta)}[x], so the bracket holds every minimizer where m rises in theta
+    and m(theta) - theta lies in (-1, 0]; only a sample with a 0 can end at
+    the floor."""
+
+    def test_tilted_mean_lies_within_one_below_theta(self):
+        # m(theta) - theta = theta c_1 / c_0, at beta up to 20 and theta from
+        # 1e-3 to 700, with points just either side of integers, where a
+        # large beta puts f^(1+beta) on the mode (m - theta tends to
+        # -frac(theta)); m rises in theta, as the mean of an exponential
+        # family in x with natural parameter (1 + beta) log theta
+        near = [k + d for k in [*range(1, 31), *range(50, 701, 50)] for d in (-1e-3, 1e-3)]
+        thetas = np.unique(np.concatenate([np.geomspace(1e-3, 700.0, 200), near]))
+        for beta in (0.0, 0.05, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0):
+            moments = [moments_c_d(PoissonFamily(), t, beta)[0] for t in thetas.tolist()]
+            shift = np.array([t * c[1] / c[0] for t, c in zip(thetas, moments)])
+            assert (shift > -1.0).all() and (shift <= 0.0).all(), beta
+
+    @pytest.mark.parametrize("beta,gamma", [*SOLVER_TILTS, (5.0, 0.0), (20.0, -3.0)])
+    def test_only_a_sample_with_a_zero_stops_at_the_floor(self, family, beta, gamma):
+        # the estimation, wide and bimodal tables' chunks and the degenerate
+        # samples: a fit that has not converged sits at the floor 1e-3 of a
+        # sample with a 0
+        p = TiltParams(beta, gamma)
+        contam = Contamination(0.3, 40.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+        bimodal = _draw_chunk(50, 2.0, contam, _ChunkStreams(7, range(32)))
+        samples = [*chunk_samples(0), bimodal, *(np.array([d]) for d in DEGENERATE)]
+        for rows in samples:
+            part = _SamplePart.from_samples(rows, family)
+            fits = _fit_part(part, p)
+            assert not any(fits.errors)
+            for k in np.flatnonzero(~fits.converged):
+                assert fits.theta_hat[k] == part.lo[k] == 1e-3 and rows[k].min() == 0
+            if rows is bimodal and p.exp_b > 0:
+                assert fits.converged.all()
+
+    @pytest.mark.parametrize("beta,gamma", [(0.5, 0.0), (1.0, 0.0), (1.0, 3.0)])
+    def test_bimodal_rows_agree_with_a_wide_fine_grid(self, family, beta, gamma):
+        # CI's bimodal table (n = 50, theta = 2, 30% from Poisson(40), seed
+        # 7) at B > 0, where the mean-based bracket's floor (mean / 5, 2.632
+        # for row 0) sat above the minimizer (1.765 at (0.5, 0)): a grid of
+        # pitch 0.05 over (1e-3, 60), then of pitch 1e-3 around its best
+        p = TiltParams(beta, gamma)
+        contam = Contamination(0.3, 40.0, ContaminationScheme.REPLACE_FIXED_COUNT)
+        for sample in _draw_chunk(50, 2.0, contam, _ChunkStreams(7, range(4))):
+            r_n = empirical_frequencies(sample)
+            fit = minimize_lsd(r_n, family, p)
+            coarse = oracle_grid_minimize(r_n, family, p, 1e-3, 60.0, 0.05)
+            fine = oracle_grid_minimize(r_n, family, p, coarse - 0.1, coarse + 0.1, 1e-3)
+            assert fit.converged and abs(fit.theta_hat - fine) <= 1e-3
+
+    @pytest.mark.parametrize("mean", [150.0, 300.0, 600.0])
+    def test_large_means_converge(self, family, mean):
+        # the mean-based bracket's top 5 mean + 5 passed theta ~ 708, whose
+        # window underflows; the data's top x_max + 1 stays below it
+        r_n = empirical_frequencies(np.random.default_rng(0).poisson(mean, 50))
+        for beta, gamma in SOLVER_TILTS:
+            fit = minimize_lsd(r_n, family, TiltParams(beta, gamma))
+            assert fit.converged and abs(fit.theta_hat - mean) < 0.2 * mean
 
 
 def chunk_samples(seed):
@@ -1248,7 +1331,7 @@ class TestSamplePart:
         densities = [empirical_frequencies(sample) for sample in chunk_samples(0)[0][:6]]
         densities += [empirical_frequencies(np.array(d)) for d in DEGENERATE]
         densities += [DiscreteDensity(offset=3, mass=densities[0].mass)]
-        densities += [empirical_frequencies(np.full(50, 300))]  # no window at all
+        densities += [empirical_frequencies(np.full(50, 720))]  # no window at all
         fits = minimize_lsd_many(densities, family, TiltParams(0.0, -1.0))
         assert all(type(fit) is DivergenceInfiniteError for fit in fits)
         assert len({id(fit) for fit in fits}) == len(densities)
@@ -1292,7 +1375,7 @@ class TestSamplePart:
 
     def test_unfittable_row_keeps_its_error(self, family):
         samples = chunk_samples(0)[0][:6].copy()
-        samples[2] = 300  # the window at the bracket top underflows
+        samples[2, 0] = 720  # the window at the bracket top 721 underflows
         part = _SamplePart.from_samples(samples, family)
         assert isinstance(part.errors[2], FloatingPointError)
         assert part.index == [0, 1, 3, 4, 5]
@@ -1338,19 +1421,24 @@ class TestEstimatingEquationResidual:
 
     @pytest.mark.parametrize("beta,gamma", [*SOLVER_TILTS, (0.0, 1e4), (20.0, -3.0)])
     def test_matches_the_oracle_at_any_scale(self, family, beta, gamma):
-        # the one-point part reads f at theta_r = theta, a fit's row window
-        # f e^(theta - theta_r) at its sample's mean: both are the oracle's
-        # scale-free value, up to the mass their windows leave out (1e-12)
+        # the one-point part reads f at theta_r = theta, at any theta; a
+        # fit's row window reads f e^(theta - theta_r) at its bracket's
+        # midpoint, at the thetas inside the bracket, whose top's model tail
+        # the window holds: both are the oracle's scale-free value, up to
+        # the mass their windows leave out (1e-12)
         p = TiltParams(beta, gamma)
         for sample in ([3, 4, 5], [1, 2, 3, 3, 4], [0] * 49 + [30], [22]):
             r_n = empirical_frequencies(np.array(sample))
             part = _SamplePart.from_densities([r_n], family)
             window = _FitWindow.row(part, 0, p)
+            lo, hi = search_bracket(r_n)
             for theta in (0.5, r_n.mean(), 3.0 * r_n.mean()):
                 want = residual_oracle(theta, r_n, p)
-                for got in (estimating_equation_residual(theta, r_n, family, p),
-                            window.residual(theta)):
-                    assert abs(got - want) <= 1e-10 * max(1.0, abs(want))
+                got = [estimating_equation_residual(theta, r_n, family, p)]
+                if lo <= theta <= hi:
+                    got.append(window.residual(theta))
+                for value in got:
+                    assert abs(value - want) <= 1e-10 * max(1.0, abs(want))
 
     def test_nonpositive_exp_a_rejected(self, family):
         r_n = empirical_frequencies(np.array([1, 2]))
@@ -1417,10 +1505,7 @@ class TestOracleEquivalence:
             r_n = empirical_frequencies(sample)
             p = TiltParams(beta, gamma)
             fast = minimize_lsd(r_n, family, p)
-            mean = r_n.mean()
-            oracle = refined_grid_argmin(
-                r_n, family, p, max(1e-3, mean / 5.0), 5.0 * mean + 5.0
-            )
+            oracle = refined_grid_argmin(r_n, family, p, *search_bracket(r_n))
             assert fast.theta_hat == pytest.approx(oracle, abs=1e-4), (beta, gamma)
 
     @pytest.mark.parametrize(

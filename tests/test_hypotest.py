@@ -298,12 +298,12 @@ class TestTwoSample:
         assert result.weight == null_law(family, pooled, p)
 
     def test_first_failed_fit_raises(self, family):
-        # a sample of 300s cannot be fitted (its window at the bracket
-        # midpoint 782.5 underflows), nor can the pooled sample (at its
-        # bracket top 1310.65); the sample's error is raised, in either place
-        small, large, p = np.array([1, 2, 3]), np.full(20, 300), TiltParams(0.2, 0.5)
+        # a sample of 720s cannot be fitted (its window at the bracket
+        # floor 719 underflows), nor can the pooled sample (at its bracket
+        # top 721); the sample's error is raised, in either place
+        small, large, p = np.array([1, 2, 3]), np.full(20, 720), TiltParams(0.2, 0.5)
         for s1, s2 in ((small, large), (large, small)):
-            with pytest.raises(FloatingPointError, match=r"exp\(-782\.5\)"):
+            with pytest.raises(FloatingPointError, match=r"exp\(-719\.0\)"):
                 two_sample_statistic(s1, s2, family, p)
 
 

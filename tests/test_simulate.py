@@ -41,6 +41,7 @@ from helpers import (
     divergence_between_fits_oracle,
     exit_worker,
     pid_worker,
+    search_bracket,
 )
 from lsdiv.simulate import (
     ESTIMATION_BETA_GRID,
@@ -528,7 +529,7 @@ class TestRunners:
         for rep in range(reps):
             sample = contaminated_sample(config.n, 4.0, None, replication_rng(config.seed, rep))
             r_n = empirical_frequencies(sample)
-            lo, hi = max(1e-3, r_n.mean() / 5.0), 5.0 * r_n.mean() + 5.0
+            lo, hi = search_bracket(r_n)
             part = estimation._SamplePart.from_densities([r_n], PoissonFamily())
             keys.add((lo, hi, part.length[0]))
         info = memo.cache_info()
