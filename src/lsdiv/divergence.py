@@ -160,8 +160,8 @@ def _lse(a: np.ndarray) -> np.ndarray:
     """log sum exp(a) over the last axis: a float for an (L,) vector, a (k,)
     array for a (k, L) stack of rows, each summed pairwise as numpy sums a
     lone vector: the identity link, the closed forms and the fits' model
-    terms and log sum g^(1+beta).  The fit's data term takes its own passes,
-    which add a row's cells in order."""
+    terms.  The fit's data term takes its own passes, which add a row's
+    cells in order."""
     m = a.max(axis=-1, keepdims=True)
     e = np.subtract(a, m, order="C")  # rows contiguous whatever a's layout
     np.exp(e, out=e)
@@ -171,13 +171,6 @@ def _lse(a: np.ndarray) -> np.ndarray:
 # log g on a padded cell of a stack: finite, so that log g - log f is an exact
 # zero there and the cell weighs nothing in _lsd_from_logs or the fit's data term.
 _PAD_LOGG = -1e300
-
-
-def _s_combination(sf, sfg, sg, p: TiltParams):
-    """sf / A - (1+beta) / (A B) sfg + sg / B: the LSD from the log sums
-    log sum f^(1+beta), log sum f^B g^A and log sum g^(1+beta), or the
-    S-divergence from the sums themselves."""
-    return sf / p.exp_a - (1.0 + p.beta) / (p.exp_a * p.exp_b) * sfg + sg / p.exp_b
 
 
 def _peak_and_mass(logx, k: float):
@@ -211,8 +204,9 @@ def _lsd_from_logs(logf, logf_pos, logg, p: TiltParams, psi: Psi):
         # at any tilt, its (1 + beta) _PAD_LOGG falling to -inf at a large beta
         with np.errstate(over="ignore", invalid="ignore"):
             tilted = p.exp_b * (logf_pos - logg) + one_beta * logg
-            sums = np.exp([_lse(one_beta * logf), _lse(tilted), _lse(one_beta * logg)])
-            value = _s_combination(*sums, p)  # from the sums themselves, which can overflow
+            # from the sums themselves, which can overflow
+            sf, sfg, sg = np.exp([_lse(one_beta * logf), _lse(tilted), _lse(one_beta * logg)])
+            value = sf / p.exp_a - one_beta / (p.exp_a * p.exp_b) * sfg + sg / p.exp_b
         if not np.isfinite(value).all():
             raise OverflowError("the identity-link divergence overflows a double")
         return np.maximum(value, 0.0)  # the S-divergence is >= 0 but for rounding

@@ -18,19 +18,19 @@ Every fit starts from a sample part (:class:`_SamplePart`): the tilt-free
 state of one or more samples as rows, built in a few array passes (each
 row's bracket, coarse grid and log theta there, window, occupied cells with
 log f at a reference theta there, and log g there).  A fit at a tilt adds
-only the tilt's terms: the memoised model terms, log sum g^(1+beta) and the
-data term's factors.
+only the tilt's terms: the memoised model terms, the data's weights kept
+per beta and the data term's factors (one formula at every tilt).
 :func:`minimize_lsd` builds a one-row part; :func:`minimize_lsd_many`
 builds one part for all its densities, and the simulation harness one per
 chunk of drawn samples, which it fits at every cell of a table.  The scan
-of a part of four rows or more is certified at B != 0: it evaluates every
-16th grid point, then only the points where a bound (a chord at B > 0,
-convexity at B < 0) shows the grid's argmin can lie, gathered over the rows
-in one pass (:meth:`_SamplePart.scan_objective`); a smaller part, and any
-part at B = 0, evaluates the whole grid.  The residuals, roots and final
-objectives of a part of four rows or more run as (rows x window) array
-passes, and a smaller part's roots on floats; both evaluate one fit window
-(:class:`_FitWindow`), a stack's or a row's.
+of a part of four rows or more is certified: it evaluates every 16th grid
+point, then only the points where a bound (a chord at B > 0, convexity at
+B < 0) shows the grid's argmin can lie, in one pass over the rows
+(:meth:`_SamplePart.scan_objective`); a smaller part, and any part where
+the data term is linear (B = 0), evaluates the whole grid.  The residuals,
+roots and final objectives of a part of four rows or more run as (rows x
+window) array passes, and a smaller part's roots on floats; both evaluate
+one fit window (:class:`_FitWindow`), a stack's or a row's.
 The fits are one record of arrays over the rows (:class:`_PartFits`), from
 which only the public functions build :class:`EstimatorResult`s.
 """
@@ -52,7 +52,6 @@ from .divergence import (
     TiltParams,
     _PAD_LOGG,
     _lse,
-    _s_combination,
     lsd,
 )
 from .families import _MAX_WINDOW, PoissonFamily, _points, density_vector
@@ -92,11 +91,12 @@ _MEMO_SIZE = 1024
 _XTOL = 1e-12
 _RTOL = 4.0 * math.ulp(1.0)
 
-# A converged fit's largest estimating-equation residual and lowest
-# objective (the LSD is >= 0; a value below this is cancellation in its log
-# sums, as at beta ~ 1e10), and the root solver's step budget.
+# A converged fit's largest estimating-equation residual, the tolerance on
+# its objective (see _fit_part) and the root solver's step budget; the
+# objective drops phi / B at |B| below the least normal double.
 _TOL_EE = 1e-6
-_MIN_OBJECTIVE = -1e-10
+_TOL_OBJECTIVE = 1e-10
+_EPS, _LEAST_NORMAL = float(np.finfo(float).eps), float(np.finfo(float).tiny)
 _MAX_ITERATIONS = 200
 
 # The certified scan's coarse pass: every _COARSE_STEP-th grid point and the
@@ -137,10 +137,12 @@ class EstimatorResult:
     ``(theta_hat, theta_hat)`` on an exact zero, or the scan cell around
     a kept grid point.  ``converged`` is True when ``theta_hat`` is more
     than 1e-8 inside the search bracket, |residual| <= 1e-6 and the
-    objective is at least -1e-10 (the LSD is >= 0: a lower value is
-    cancellation in its log sums, as at beta ~ 1e10); a root's bracket is
-    then at most max(1e-8, 1e-10 max(1, theta_hat)) wide, which the
-    solver's stop rule gives.
+    objective is resolved: at least -1e-10 (the LSD is >= 0: a lower value
+    is cancellation in its log sums), with its terms' rounding, the double
+    epsilon times their size, at most 1e-10 max(1, |objective|) (at beta ~
+    1e6 and above the terms grow as beta and the value is rounding); a
+    root's bracket is then at most max(1e-8, 1e-10 max(1, theta_hat)) wide,
+    which the solver's stop rule gives.
     """
 
     theta_hat: float
@@ -160,9 +162,11 @@ def empirical_frequencies(sample) -> DiscreteDensity:
     vector would be as long as the entry.
     """
     sample = np.asarray(sample)
-    if sample.size == 0:
-        raise ValueError("sample must be non-empty")
-    if np.any(sample < 0) or not np.issubdtype(sample.dtype, np.integer):
+    if not np.issubdtype(sample.dtype, np.integer):
+        raise ValueError(f"sample entries must be integers, got dtype {sample.dtype}")
+    if sample.ndim != 1 or sample.size == 0:
+        raise ValueError(f"sample must be a non-empty 1-d array, got shape {sample.shape}")
+    if np.any(sample < 0):
         raise ValueError("sample entries must be nonnegative integers")
     if sample.max() >= _MAX_WINDOW:
         raise ValueError(
@@ -212,6 +216,14 @@ def _model_window_end(family: PoissonFamily, thetas: tuple) -> int:
     return max(family.support_window(t)[1] for t in thetas)
 
 
+@functools.lru_cache(maxsize=64)
+def _window_powers(end: int) -> np.ndarray:
+    """The powers [1, x, x^2] on a fit window [0, end), end x 3, read-only."""
+    powers = _points(end)[:, None] ** _POWERS
+    powers.flags.writeable = False
+    return powers
+
+
 def _grids(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Coarse grids, one row per bracket: row k is ``np.linspace(lo[k],
     hi[k], _N_SCAN)`` bit for bit (numpy's arange times the step, plus lo,
@@ -245,28 +257,40 @@ def _scan_model_terms(
     return log_sf
 
 
-def _objective(log_sf, log_ratio, factors, log_sg, p: TiltParams):
-    """The objective at theta from the model term ``log_sf``, log(theta /
-    theta_r) and the data term's factors: floats for a row, or arrays over
-    rows whose factors hold the cells on axis 1.  The LSD does not change
-    when f is scaled (its terms move by (1+beta)/A log c, -(1+beta)/A log c
-    and 0), so both terms take f_theta e^(theta - theta_r), whose log is
-    log f_theta_r + x log(theta / theta_r), smooth in theta.  At B != 0 the
-    data term is the log-sum-exp of (B x) log(theta / theta_r) + (A log g +
-    B log f_theta_r); at B = 0 the limit's sum w (log f - log g) is
-    log(theta / theta_r) sum w x + sum w (log f_theta_r - log g)."""
-    if abs(p.exp_b) < EXPONENT_BOUNDARY:  # factors: sum w x, sum w (log f_theta_r - log g)
-        return (log_sf - log_sg) / (1.0 + p.beta) - (log_ratio * factors[0] + factors[1])
-    bx, c = factors
-    rows = isinstance(log_ratio, np.ndarray)
-    tilted = bx * (log_ratio[:, None] if rows else log_ratio)
-    tilted += c
-    peak = tilted.max(axis=1, keepdims=True) if rows else tilted.max()
-    tilted -= peak
-    e = np.exp(tilted, out=tilted)
-    # a row's cells are added one after another, as a scan's sum over axis 1 adds them
-    log_sfg = (peak[:, 0] if rows else peak) + np.log(e.sum(axis=1) if rows else sum(e.tolist()))
-    return _s_combination(log_sf, log_sfg, log_sg, p)
+def _objective(log_sf, log_ratio, factors, p: TiltParams):
+    """The objective at r = log(theta / theta_r) from the model term
+    ``log_sf`` and the data term's factors (:meth:`_SamplePart.data_factors`):
+    floats for a row, or arrays over rows whose cell factors hold the cells
+    on axis 1.  Both terms take f_theta e^(theta - theta_r), whose log, log
+    f_theta_r + x r, is smooth in theta (the LSD is scale-free in f).  With
+    c = 1 + beta and the data's weights w = g^c / sum g^c,
+
+        O(r) = (log sum f^c - log sum g^c) / A - (c/A) (m0 + m1 r + phi(r) / B),
+        phi(r) = log sum w e^y,  y = B (x - m1) r + B (log f_theta_r - log g - m0),
+
+    m1 = E_w[x] and m0 = E_w[log f_theta_r - log g], so E_w[y] = 0 and phi /
+    B = O(B), dropped at B = 0 (and at a |B| below ``_LEAST_NORMAL``, where B
+    x underflows).  phi is log1p(sum w expm1(y)), whose error shrinks with
+    B, or where an e^y overflows, the log sum of e^(log w + y).  The cells
+    are added in order, so a row's value is its scan's bit for bit."""
+    log_sg, m1, m0, w, bx, be, log_e = factors
+    mean = m1 * log_ratio + m0
+    if abs(p.exp_b) >= _LEAST_NORMAL:
+        rows = isinstance(log_ratio, np.ndarray)
+        r = log_ratio[:, None] if rows else log_ratio
+        y = bx * r
+        y += be
+        with np.errstate(over="ignore", invalid="ignore"):  # an e^y past a double
+            e = np.multiply(np.expm1(y, out=y), w, out=y)
+            phi = np.log1p(e.sum(axis=1) if rows else sum(e.tolist()))
+        if not (phi.max() if rows else phi) < np.inf:  # the log sum less its largest term
+            y = bx * r + log_e
+            peak = y.max(axis=1, keepdims=True) if rows else y.max()
+            e = np.exp(y - peak)
+            peak, e = (peak[:, 0], e.sum(axis=1)) if rows else (peak, sum(e.tolist()))
+            phi = np.where(np.isfinite(phi), phi, peak + np.log(e))
+        mean += phi / p.exp_b
+    return (log_sf - log_sg) / p.exp_a - (1.0 + p.beta) / p.exp_a * mean
 
 
 class _SamplePart:
@@ -280,7 +304,7 @@ class _SamplePart:
     the bracket ends and midpoint (``length``, from a process-wide memo;
     the scan and the scalar fit sum over it), and, in one array pass over all
     rows at first use each, its occupied cells as floats with log f at its
-    reference theta there (``cell_terms``) and its coarse grid of
+    reference theta less log g there (``cell_terms``) and its coarse grid of
     ``_N_SCAN`` thetas (``grid``) with log(theta / theta_r) there
     (``scan_terms``).  A row given an error in ``errors``, or whose window
     cannot be computed, keeps that error and is left out of every array;
@@ -300,9 +324,9 @@ class _SamplePart:
     order, padded to the most any row has with cell 0 and log g =
     ``_PAD_LOGG``.  :meth:`scan` gives every row's coarse scan at a tilt as
     arrays over the rows, from the objective on every row's grid
-    (:meth:`scan_objective`), the log sum g^(1+beta) kept per beta
-    (:meth:`log_sum_g`) and the data term's factors kept for the last tilt
-    (:meth:`data_factors`), which the fit windows (:class:`_FitWindow`)
+    (:meth:`scan_objective`), the data's weights and their means kept per
+    beta (:meth:`log_sum_g`) and the data term's factors kept for the last
+    tilt (:meth:`data_factors`), which the fit windows (:class:`_FitWindow`)
     read too.
     """
 
@@ -312,7 +336,7 @@ class _SamplePart:
     ):
         self.family = family
         self.size = len(cells)
-        self._log_sg: dict[float, np.ndarray] = {}
+        self._weights: dict[float, tuple] = {}
         self._factors = None, None  # the last tilt and its data_factors
         self.errors: list = list(errors) if errors else [None] * self.size
         self.index, self.lo, self.hi, self.length, self.ref = [], [], [], [], []
@@ -382,41 +406,44 @@ class _SamplePart:
             logg[k, : nz.size] = np.log(r_n.mass[nz])
         return cls(x_pos, logg, cells, family, errors, bracket)
 
-    def log_sum_g(self, one_beta: float) -> np.ndarray:
-        """Each kept row's log sum g^(1+beta), computed at the first call
-        for each beta and kept, read-only, for the part's other cells at
-        that beta.  The rows of one cell count share one pass, which sums
-        each row as it sums the row alone (see :func:`_lse`)."""
-        if one_beta not in self._log_sg:
-            counts = set(self.cells.tolist())
-            if len(counts) == 1:
-                # every row as wide as the part, as in minimize_lsd's one-row
-                # part: no masks, which cost a third of such a call
-                log_sg = _lse(one_beta * self.logg)
-            else:
-                log_sg = np.empty(len(self.cells))
-                for m in counts:
-                    rows = self.cells == m
-                    log_sg[rows] = _lse(one_beta * self.logg[rows, :m])
-            log_sg.flags.writeable = False
-            self._log_sg[one_beta] = log_sg
-        return self._log_sg[one_beta]
+    def log_sum_g(self, one_beta: float) -> tuple:
+        """Each kept row's log sum g^(1+beta), m1 and m0 (see
+        :func:`_objective`) and, rows x cells, w, the centred cell terms
+        x - m1 and log f_theta_r - log g - m0 (0 on padded cells) and log w,
+        computed at the first call for each beta and kept, read-only, for
+        the part's other cells at that beta.  With e = (g / max g)^(1+beta),
+        one cumsum's last entries add each row's e, e x and e (log f_theta_r
+        - log g) in order (numpy's sum adds a lone row pairwise, along either
+        axis), so padded cells (e = 0) leave a row's bits alone."""
+        if one_beta not in self._weights:
+            block = np.empty((4, *self.logg.shape))
+            log_w, w, terms = block[0], block[1], block[2:]
+            np.multiply(one_beta, self.logg, out=log_w)
+            peak = log_w.max(axis=1, keepdims=True)
+            log_w -= peak
+            np.multiply(np.exp(log_w, out=w), self.cell_terms, out=terms)
+            total, *sums = block[1:].cumsum(axis=2)[..., -1:]
+            means, log_total = np.divide(sums, total), np.log(total)
+            w /= total
+            log_w -= log_total
+            np.subtract(self.cell_terms, means, out=terms)
+            if self.cells.min() < self.logg.shape[1]:  # padded cells: 0
+                terms *= self.logg > _PAD_LOGG
+            log_sg = np.add(peak, log_total, out=peak)[:, 0]
+            block.flags.writeable = means.flags.writeable = peak.flags.writeable = False
+            self._weights[one_beta] = log_sg, *means[..., 0], w, *terms, log_w
+        return self._weights[one_beta]
 
     def data_factors(self, p: TiltParams):
-        """Every kept row's theta-free factors of the data term at tilt p
-        (see :func:`_objective`), kept for the last tilt asked, which the
-        scan and then the fit windows read: at B != 0, B x and A log g +
-        B log f_theta_r, (rows x cells) arrays; at B = 0, sum w x and sum w
-        (log f_theta_r - log g) per row, each added one cell after another,
-        so that padded cells (w = 0) leave a row's bits alone."""
+        """Every kept row's data-term factors at tilt p (see :func:`_objective`),
+        kept for the last tilt asked, which the scan and the fit windows read:
+        log sum g^(1+beta), m1 and m0, and, rows x cells, w, B (x - m1), B (log
+        f_theta_r - log g - m0) and log e = log w + y at theta_r.  A padded
+        cell has w = 0, y = 0 and log e (1+beta) ``_PAD_LOGG`` or less."""
         if self._factors[0] is not p:
-            x, logf_ref = self.cell_terms
-            if abs(p.exp_b) < EXPONENT_BOUNDARY:
-                log_w = (1.0 + p.beta) * self.logg - self.log_sum_g(1.0 + p.beta)[:, None]
-                terms = np.exp(log_w) * [x, logf_ref - self.logg]
-                self._factors = p, np.cumsum(terms, axis=-1)[..., -1]
-            else:
-                self._factors = p, (p.exp_b * x, p.exp_a * self.logg + p.exp_b * logf_ref)
+            log_sg, m1, m0, w, dx, de, log_w = self.log_sum_g(1.0 + p.beta)
+            be = p.exp_b * de
+            self._factors = p, (log_sg, m1, m0, w, p.exp_b * dx, be, log_w + be)
         return self._factors[1]
 
     def scan_objective(self, p: TiltParams) -> np.ndarray:
@@ -430,18 +457,19 @@ class _SamplePart:
         at the end, so an evaluated value equals the row's
         :class:`_FitWindow` objective at that theta bit for bit, in any part.
 
-        At B = 0, and in a part of fewer than ``_MIN_STACK`` rows (such as
-        minimize_lsd's one-row part, where the extra passes cost more than
-        they save), every point is evaluated.  Otherwise the scan is
-        certified: it evaluates the coarse points ``_COARSE``, then, in one
-        pass gathered over the rows, only the fine points where the grid's
-        argmin can lie, so that the argmin (the first on ties) and the value
-        there are the full grid's.  In r = log(theta / theta_r) the model
-        term and the data term's log sum K(r) = log sum exp(c + B x r) are
-        convex (log-sum-exps of terms linear in r), and:
+        In a part of fewer than ``_MIN_STACK`` rows (such as minimize_lsd's
+        one-row part, where the extra passes cost more than they save), and
+        where the objective drops phi / B (the data term is linear and the
+        Newton start gets both cell ends), every point is evaluated.
+        Otherwise the scan is certified: it evaluates the coarse points
+        ``_COARSE``, then only the fine points where the grid's argmin can
+        lie, each row's in the first slots of a pass laid out as the coarse
+        one, so that the argmin (the first on ties) and the value there are
+        the full grid's.  In r = log(theta / theta_r) the model term and
+        phi(r) are log-sum-exps of terms linear in r, and the objective less
+        its model term is linear plus -(1+beta)/(AB) phi:
 
-        - at B > 0 the objective less its model term, -(1+beta)/(AB) K plus
-          a constant, is concave, so its chord between two coarse points
+        - at B > 0 that is concave, so its chord between two coarse points
           plus the model term bounds the objective from below between them;
           a fine point is kept where that bound is within the margin of the
           coarse best;
@@ -450,23 +478,21 @@ class _SamplePart:
           best; both intervals around each such point are kept.
         """
         one_beta = 1.0 + p.beta
-        log_sg = self.log_sum_g(one_beta)
         model = np.array([
             _scan_model_terms(self.family, lo, hi, one_beta, length)
             for lo, hi, length in zip(self.lo, self.hi, self.length)
         ])
         factors = self.data_factors(p)
-        columns = [f[..., None] for f in factors]  # rows x cells x 1
-        if self.size < _MIN_STACK or abs(p.exp_b) < EXPONENT_BOUNDARY:
-            return _objective(model, self.scan_terms, columns, log_sg[:, None], p)
+        columns = [f[..., None] for f in factors]  # rows x 1, or rows x cells x 1
+        if self.size < _MIN_STACK or abs(p.exp_b) < _LEAST_NORMAL:
+            return _objective(model, self.scan_terms, columns, p)
         r = self.scan_terms
-        coarse = _objective(model[:, _COARSE], r[:, _COARSE], columns, log_sg[:, None], p)
-        # the objective's terms: log sum f^(1+beta) / A (model_term), the
-        # data term and log sum g^(1+beta) / B (g_term); the margin scales
-        # with their sizes
-        model_term, g_term = model / p.exp_a, (log_sg / p.exp_b)[:, None]
+        coarse = _objective(model[:, _COARSE], r[:, _COARSE], columns, p)
+        # the margin scales with the sizes of the objective's terms: log sum
+        # f^(1+beta) / A, log sum g^(1+beta) / A and the rest of the data term
+        model_term, g_term = model / p.exp_a, (factors[0] / p.exp_a)[:, None]
         rest = coarse - model_term[:, _COARSE]
-        size = np.abs(model_term).max(axis=1) + np.abs(rest - g_term).max(axis=1)
+        size = np.abs(model_term).max(axis=1) + np.abs(rest + g_term).max(axis=1)
         limit = coarse.min(axis=1) + _SCAN_MARGIN * (1.0 + size + np.abs(g_term[:, 0]))
         if p.exp_b > 0:
             ends = r[:, _COARSE]
@@ -478,14 +504,15 @@ class _SamplePart:
             kept = (near[:, :-1] | near[:, 1:])[:, _INTERVAL]
         values = np.full(model.shape, np.inf)
         values[:, _COARSE] = coarse
-        rows, points = (kept & _FINE).nonzero()
-        if len(rows) == 1:  # numpy sums a lone point's cells pairwise, as a contiguous axis
-            rows, points = rows.repeat(2), points.repeat(2)
-        # the kept points as the points of one row, each with its row's cells
-        gathered = [f.T.take(rows, axis=1)[None] for f in factors]
-        values[rows, points] = _objective(
-            model[rows, points][None], r[rows, points][None], gathered, log_sg[rows][None], p
-        )[0]
+        kept &= _FINE
+        rows, points = kept.nonzero()
+        # each row's kept points in its first slots of the coarse layout; two
+        # at least, as numpy sums a lone point's cells pairwise (contiguous)
+        counts = kept.sum(axis=1)
+        slot = np.arange(len(rows)) - (np.cumsum(counts) - counts)[rows]
+        fine_model, fine_r = np.zeros((2, len(model), max(2, counts.max())))
+        fine_model[rows, slot], fine_r[rows, slot] = model[rows, points], r[rows, points]
+        values[rows, points] = _objective(fine_model, fine_r, columns, p)[rows, slot]
         return values
 
     def scan(self, p: TiltParams):
@@ -506,12 +533,16 @@ class _SamplePart:
         return _grids(np.array(self.lo), np.array(self.hi))
 
     @functools.cached_property
-    def cell_terms(self):
-        """Each kept row's occupied cells as floats and log f_theta_r there
-        (rows x cells), at its reference theta_r (``ref``, its bracket's
-        midpoint)."""
-        x = self.x_pos.astype(float)
-        return x, self.family._log_mass(np.array(self.ref)[:, None], x)
+    def cell_terms(self) -> np.ndarray:
+        """Each kept row's occupied cells as floats and log f_theta_r - log g
+        there (2 x rows x cells), at its reference theta_r (``ref``), log f
+        read from the rows' window from 0, a view of the log x! table."""
+        terms = np.empty((2, *self.x_pos.shape))
+        terms[0] = self.x_pos
+        window = _points(int(self.x_pos.max()) + 1)
+        logf = self.family._log_mass(np.array(self.ref)[:, None], window)
+        np.subtract(logf[np.arange(len(logf))[:, None], self.x_pos], self.logg, out=terms[1])
+        return terms
 
     @functools.cached_property
     def cell_columns(self) -> np.ndarray:
@@ -531,22 +562,19 @@ class _FitWindow:
     one tilt, summed over one window [0, end): one row's at a float theta
     (:meth:`row`), or every row's at (rows, k) thetas (:meth:`stack`).
 
-    Both read log f e^(theta - theta_r) = log f_theta_r + x log(theta /
-    theta_r) on the window, and the part's data-term factors and log sum
-    g^(1+beta) at the tilt; ``cells`` indexes the rows and cells of the
-    part's arrays (a stack's with a middle axis for the thetas).  The
-    objective is :func:`lsd`'s (:func:`_objective`): a row's equals its
-    scan at a grid point bit for bit, and a stack sums each row's cells
-    pairwise.  The residual is :func:`estimating_equation_residual`'s
-    (E_e[x] - E_{f^(1+beta)}[x]) / theta, whose means take max-shifted exps
-    of the objective's own terms: (1+beta) log f on the window, and the data
-    term's (B x) log(theta / theta_r) + (A log g + B log f_theta_r) on the
-    occupied cells (at B = 0, its factor sum w x is the data mean).  So it
-    neither overflows nor changes when f is scaled.  A row's values in a
-    stack differ from its own window's in the last bits, depending on the
-    rows that share the stack.
-    The independent oracles for this path are the closed forms :func:`lpd`,
-    :func:`ldpd`, :func:`ld` and :func:`oracle_grid_minimize`.
+    Both read log f_theta_r + x log(theta / theta_r) on the window and the
+    part's data-term factors at the tilt; ``cells`` indexes the rows and
+    cells of the part's arrays (a stack's with a middle axis for the
+    thetas).  The objective (:func:`_objective`) is :func:`lsd` on the
+    window: a row's equals its scan at a grid point bit for bit, and a
+    stack sums each row's cells pairwise.  The residual is
+    :func:`estimating_equation_residual`'s (E_e[x] - E_{f^(1+beta)}[x]) /
+    theta, whose means take max-shifted exps of the objective's own terms,
+    (1+beta) log f on the window and log e on the occupied cells (at B = 0,
+    e is w), so it neither overflows nor changes when f is scaled.  A row's
+    values in a stack differ from its own window's in the last bits.  The
+    closed forms :func:`lpd`, :func:`ldpd` and :func:`ld` and
+    :func:`oracle_grid_minimize` are independent oracles for this path.
     """
 
     def __init__(self, part: _SamplePart, p: TiltParams, cells, ref, end: int):
@@ -554,10 +582,9 @@ class _FitWindow:
         # the window from the log x! table, and log f_theta_r there
         self.x = _points(end)
         self.logf_ref = part.family._log_mass(ref, self.x)
-        self.log_sg = part.log_sum_g(1.0 + p.beta)[cells[0]]
         self.factors = [f[cells[: f.ndim]] for f in part.data_factors(p)]
         # the powers [1, x, x^2] on the window and the occupied cells
-        self.columns, self.cell_columns = self.x[:, None] ** _POWERS, part.cell_columns[cells]
+        self.columns, self.cell_columns = _window_powers(end), part.cell_columns[cells]
 
     @classmethod
     def row(cls, part: _SamplePart, k: int, p: TiltParams):
@@ -576,7 +603,6 @@ class _FitWindow:
         end one cell past this one."""
         end = max(int(part.x_pos.max()) + 1, _model_window_end(part.family, (top,)))
         window = cls(part, p, (slice(None),), np.array(part.ref)[:, None, None], end)
-        window.log_sg = window.log_sg[:, None]
         window.factors = [f[:, None] for f in window.factors]
         return window
 
@@ -592,17 +618,16 @@ class _FitWindow:
 
     def objective(self, theta):
         ratio, logf = self._log_f(theta)
-        log_sf, factors, log_sg = _lse((1.0 + self.p.beta) * logf), self.factors, self.log_sg
+        log_sf, factors = _lse((1.0 + self.p.beta) * logf), self.factors
         if isinstance(theta, np.ndarray):  # a stack's (rows, 1) thetas, as the scan's rows
-            log_sf, ratio, log_sg = log_sf[:, 0], ratio[:, 0, 0], log_sg[:, 0]
+            log_sf, ratio = log_sf[:, 0], ratio[:, 0, 0]
             factors = [f[:, 0] for f in factors]
-        return _objective(log_sf, ratio, factors, log_sg, self.p)
+        return _objective(log_sf, ratio, factors, self.p)
 
     def residual_slope(self, theta):
         """The residual R and its slope in theta from one pass: as
         d log f / d theta = x / theta - 1, the slope is
-        (B Var_e[x] - (1+beta) Var_{f^(1+beta)}[x]) / theta^2 - R / theta
-        (e does not move at B = 0)."""
+        (B Var_e[x] - (1+beta) Var_{f^(1+beta)}[x]) / theta^2 - R / theta."""
         ratio, logf = self._log_f(theta)
         stack = isinstance(theta, np.ndarray)
         # log f less its largest value, a row's at the mode floor(theta)
@@ -610,14 +635,10 @@ class _FitWindow:
         one_beta = 1.0 + self.p.beta
         logf *= one_beta
         mean_f, var_f = _moments(np.exp(logf, out=logf), self.columns)
-        if abs(self.p.exp_b) < EXPONENT_BOUNDARY:
-            mean_e, var_e = self.factors[0], 0.0
-        else:
-            bx, c = self.factors
-            log_e = bx * ratio
-            log_e += c
-            log_e -= log_e.max(axis=-1, keepdims=True)
-            mean_e, var_e = _moments(np.exp(log_e, out=log_e), self.cell_columns)
+        *_, bx, _, log_e = self.factors
+        log_e = bx * ratio + log_e
+        log_e -= log_e.max(axis=-1, keepdims=True)
+        mean_e, var_e = _moments(np.exp(log_e, out=log_e), self.cell_columns)
         residual = (mean_e - mean_f) / theta
         slope = (self.p.exp_b * var_e - one_beta * var_f) / (theta * theta) - residual / theta
         return residual, slope
@@ -777,7 +798,10 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
     best point it falls unless the objective is flat there or has two
     minima in the cell.  A fit has converged when its estimate is more than
     ``_TOL_THETA`` inside the search bracket, the residual is small and the
-    objective is not below ``_MIN_OBJECTIVE``.  A root's bracket is not
+    objective is resolved: not below -``_TOL_OBJECTIVE``, and the rounding
+    of its terms (see :func:`_objective`), the double epsilon times (|log
+    sum g^(1+beta)| + (1+beta)(|m0| + |m1 r|)) / A, within
+    ``_TOL_OBJECTIVE`` max(1, |objective|).  A root's bracket is not
     tested: the root solvers narrow it below ``_RTOL * |root| + _XTOL`` (or
     to a point on an exact zero) well within their step budget.  Overflow
     at extreme tilts ends as non-finite values, without numpy warnings.
@@ -788,11 +812,12 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
         errors, index = [DivergenceInfiniteError(message) for _ in errors], []
     # the kept rows' theta_hat, objective, residual and bracket ends
     table = np.empty((5, len(index)))
-    iterations = np.zeros(len(index), dtype=int)
+    iterations, terms = np.zeros(len(index), dtype=int), ([], [], [])  # log sum g^(1+beta), m1, m0
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         if index:
             scan = part.scan(p)
             best, table[1], g_lo, g_hi = scan[:4]
+            terms = [f.tolist() for f in part.data_factors(p)[:3]]
             if part.size >= _MIN_STACK:
                 stack = _FitWindow.stack(part, p, g_hi.max())
                 start = _newton_start(*scan)
@@ -811,16 +836,22 @@ def _fit_part(part: _SamplePart, p: TiltParams) -> _PartFits:
                     else:
                         root, table[2, k], (table[3, k], table[4, k]), iterations[k] = fit
                         table[0, k], table[1, k] = root, ctx.objective(root)
-    # on floats, which cost a one-row part less than four array passes
-    ends = zip(table[0].tolist(), part.lo, part.hi)
-    inside = np.array([min(t - lo, hi - t) > _TOL_THETA for t, lo, hi in ends], dtype=bool)
+    # on floats, which cost a one-row part less than array passes: inside
+    # the bracket, with the objective's rounding within its tolerance
+    one_beta, tol = 1.0 + p.beta, _TOL_OBJECTIVE / _EPS * p.exp_a
+    ends = zip(table[0].tolist(), table[1].tolist(), part.lo, part.hi, part.ref, *terms)
+    inside = np.array([
+        min(t - lo, hi - t) > _TOL_THETA
+        and abs(log_sg) + one_beta * (abs(m0) + abs(m1 * math.log(t / ref))) <= tol * max(1.0, abs(v))
+        for t, v, lo, hi, ref, log_sg, m1, m0 in ends
+    ], dtype=bool)
     if len(index) < part.size:  # a failed row: NaN, 0 iterations, not inside
         full = np.full((5, part.size), np.nan), np.zeros(part.size, int), np.zeros(part.size, bool)
         for whole, kept in zip(full, (table, iterations, inside)):
             whole[..., index] = kept
         table, iterations, inside = full
     theta_hat, objective, residual = table[:3]
-    converged = inside & (np.abs(residual) <= _TOL_EE) & (objective >= _MIN_OBJECTIVE)
+    converged = inside & (np.abs(residual) <= _TOL_EE) & (objective >= -_TOL_OBJECTIVE)
     return _PartFits(theta_hat, objective, residual, iterations, converged, table[3:].T, errors)
 
 

@@ -200,31 +200,36 @@ def converged_oracle(
     )
 
 
+def in_order(terms) -> float:
+    """The sum of ``terms`` added one after another in a Python loop."""
+    total = terms[0]
+    for term in terms[1:]:
+        total += term
+    return total
+
+
 def scan_oracle(part, k: int, p: TiltParams) -> np.ndarray:
     """Kept row k's coarse scan at tilt p, one grid point at a time.
 
     The LSD does not change when f is scaled by a constant, so the scan
     takes f_theta e^(theta - theta_r) at the row's reference theta_r
-    (``part.ref[k]``), whose log is log f_theta_r + x log(theta / theta_r).
-    At each theta of the row's grid: that log f on the row's window [0,
-    length), the model term log sum f^(1+beta) and the row's log sum
-    g^(1+beta) as the objective forms them (numpy's sum of a lone vector),
-    and the data term on the row's occupied cells x, with every sum over
-    those cells added one cell after another in a Python loop.  At B != 0
-    each cell's term is (B x) log(theta / theta_r) + (A log g + B log
-    f_theta_r); at B = 0 the continuity limit's sum w (log f - log g), with
-    w = g^(1+beta) / sum g^(1+beta), is log(theta / theta_r) sum w x + sum w
-    (log f_theta_r - log g).
+    (``part.ref[k]``), whose log is log f_theta_r + x r with r = log(theta /
+    theta_r).  At each theta of the row's grid: that log f on the row's
+    window [0, length) and the model term log sum f^c, c = 1 + beta (numpy's
+    sum of a lone vector), and the data term on the row's occupied cells x,
+    with every sum over those cells added one cell after another in a
+    Python loop.  The data term is centred on the data's weights w = e /
+    sum e, e = (g / max g)^c, with m1 = sum e x / sum e and m0 = sum e (log
+    f_theta_r - log g) / sum e:
+
+        (log sum f^c - log sum g^c) / A - (c/A) (m0 + m1 r + phi / B),
+
+    phi = log sum w e^y with y = B (x - m1) r + B (log f_theta_r - log g -
+    m0), taken as log1p(sum w expm1(y)), or where that overflows as the log
+    sum of e^t, t = log w + y, less its largest term; phi / B is dropped at
+    B = 0 and at |B| below the least normal double.
     """
     from scipy.special import gammaln
-
-    from lsdiv.divergence import EXPONENT_BOUNDARY
-
-    def in_order(terms):
-        total = terms[0]
-        for term in terms[1:]:
-            total += term
-        return total
 
     def lse(v):
         peak = v.max()
@@ -237,20 +242,26 @@ def scan_oracle(part, k: int, p: TiltParams) -> np.ndarray:
     x = part.x_pos[k, :m].astype(float)
     logf_ref = window_ref[part.x_pos[k, :m]]
     a, b, one_beta = p.exp_a, p.exp_b, 1.0 + p.beta
-    log_sg = lse(one_beta * logg)
-    w = np.exp(one_beta * logg - log_sg)
-    sums = [in_order(w * x), in_order(w * (logf_ref - logg))]
+    scaled = one_beta * logg
+    peak = scaled.max()
+    e = np.exp(scaled - peak)
+    total = in_order(e)
+    log_sg, log_w, w = peak + np.log(total), scaled - peak - np.log(total), e / total
+    m1, m0 = in_order(e * x) / total, in_order(e * (logf_ref - logg)) / total
     values = []
     for theta in part.grid[k]:
         log_ratio = np.log(theta / ref)
         log_sf = lse(one_beta * (window * log_ratio + window_ref))
-        if abs(b) < EXPONENT_BOUNDARY:
-            values.append((log_sf - log_sg) / one_beta - (log_ratio * sums[0] + sums[1]))
-            continue
-        tilted = (b * x) * log_ratio + (a * logg + b * logf_ref)
-        peak = tilted.max()
-        log_sfg = peak + np.log(in_order(np.exp(tilted - peak)))
-        values.append(log_sf / a - one_beta / (a * b) * log_sfg + log_sg / b)
+        mean = m1 * log_ratio + m0
+        if abs(b) >= np.finfo(float).tiny:
+            y = (b * (x - m1)) * log_ratio + b * (logf_ref - logg - m0)
+            with np.errstate(over="ignore", invalid="ignore"):
+                phi = np.log1p(in_order(w * np.expm1(y)))
+            if not np.isfinite(phi):
+                t = (b * (x - m1)) * log_ratio + (log_w + b * (logf_ref - logg - m0))
+                phi = t.max() + np.log(in_order(np.exp(t - t.max())))
+            mean += phi / b
+        values.append((log_sf - log_sg) / a - one_beta / a * mean)
     return np.array(values)
 
 

@@ -141,14 +141,25 @@ class TestEstimateCommand:
         assert payload["converged"] is True
 
     def test_negative_objective_not_converged(self, runner):
-        # at beta = 1e300 the LSD's log sums cancel to a hugely negative
-        # objective; the LSD is >= 0, so such a fit has not converged
+        # at beta = 1e300 the objective's log sums near 1e300 cancel, so its
+        # value and its sign are their rounding: a fit whose objective is not
+        # resolved has not converged
         result = run_ok(
             runner, ["estimate", "--beta", "1e300", "--gamma", "0", "--data", "1,2,3"]
         )
         payload = json.loads(result.output)
-        assert payload["objective"] < -1e-10
         assert payload["converged"] is False
+
+    @pytest.mark.parametrize("beta", ["1e6", "1e10"])
+    def test_unresolved_objective_not_converged(self, runner, beta):
+        # the objective's terms grow as beta: their rounding, eps times about
+        # 3 beta here, passes 1e-10 at beta = 1e6 (the value 1.1e-6 at a root
+        # of an exactly-zero residual, where 60-digit mpmath gives the LSD
+        # 4.05e-7 at theta = 2 and 3) and swamps it at 1e10
+        result = run_ok(
+            runner, ["estimate", "--beta", beta, "--gamma", "0", "--data", "1,2,3"]
+        )
+        assert json.loads(result.output)["converged"] is False
 
     def test_underflowing_bracket_error(self, runner):
         # the bracket reaches theta ~ 1e4, where the Poisson masses underflow

@@ -28,7 +28,7 @@ from lsdiv import (
     minimize_lsd_many,
     oracle_grid_minimize,
 )
-from lsdiv.divergence import EXPONENT_BOUNDARY, _lse
+from lsdiv.divergence import _lse
 from lsdiv.families import moments_c_d
 from lsdiv.estimation import (
     _COARSE,
@@ -62,6 +62,7 @@ from helpers import (
     converged_oracle,
     full_scan_oracle,
     golden_section_oracle,
+    in_order,
     residual_oracle,
     scan_oracle,
     search_bracket,
@@ -98,6 +99,17 @@ class TestEmpiricalFrequencies:
             empirical_frequencies(np.array([1, -2]))
         with pytest.raises(ValueError):
             empirical_frequencies(np.array([1.5, 2.0]))
+
+    def test_rejects_a_string_sample(self):
+        # the dtype is checked before any comparison: sample < 0 on strings
+        # raised numpy's UFuncTypeError, a TypeError
+        with pytest.raises(ValueError, match="must be integers, got dtype <U1"):
+            empirical_frequencies(np.array(["1", "2"]))
+
+    def test_rejects_a_2d_sample(self):
+        # bincount raised "object too deep for desired array"
+        with pytest.raises(ValueError, match=r"must be a non-empty 1-d array, got shape \(2, 2\)"):
+            empirical_frequencies(np.array([[1, 2], [3, 4]]))
 
     @pytest.mark.parametrize("entry", [100_000, 2**40])
     def test_rejects_entries_past_the_longest_window(self, entry):
@@ -261,7 +273,8 @@ class TestBatchedScan:
             assert values[0].argmin() == pointwise.argmin()
         assert _scan_model_terms.cache_info().hits == 1
 
-    @pytest.mark.parametrize("beta,gamma", SCAN_TILTS)
+    # at (0.5, 1000), B = -499.5, e^y overflows and phi is a log-sum-exp
+    @pytest.mark.parametrize("beta,gamma", [*SCAN_TILTS, (0.5, 1000.0)])
     def test_scan_equals_in_order_oracle(self, family, beta, gamma):
         # the first rows of an estimation-table chunk (about 15 cells) and
         # of a wide one (about 47), each padded to its chunk's widest row
@@ -269,7 +282,7 @@ class TestBatchedScan:
         for samples in chunk_samples(0):
             part = _SamplePart.from_samples(samples, family)
             values = part.scan_objective(p)
-            assert np.isfinite(values).all() == (abs(p.exp_b) < EXPONENT_BOUNDARY)
+            assert np.isfinite(values).all() == (abs(p.exp_b) < np.finfo(float).tiny)
             for k in range(8):
                 assert_scan_of(values[k], scan_oracle(part, k, p))
 
@@ -313,22 +326,48 @@ class TestBatchedScan:
                 assert_scan_of(values[k], one.scan_objective(p)[0])
 
 
+class TestObjectiveIsTheDivergence:
+    """The fit's objective is one formula at every tilt, centred on the
+    data's weights: a row's value at theta is :func:`lsd` of its data and
+    the model on the row's window, also where phi / B is dropped (B = 0),
+    where B = -1.1e-16 and 5e-9 (dropping phi / B there would err by about
+    B Var_w / 2) and where phi / B is a millionth of phi (B = 8e-7)."""
+
+    @pytest.mark.parametrize(
+        "beta,gamma", [*SCAN_TILTS, (0.6, 1.5), (0.2, 0.249999), (0.2, 0.24999999375)]
+    )
+    def test_row_objective_is_lsd(self, family, beta, gamma):
+        p = TiltParams(beta, gamma)
+        for samples in chunk_samples(0):
+            part = _SamplePart.from_samples(samples, family)
+            for k in range(0, len(samples), 3):
+                row = _FitWindow.row(part, k, p)
+                g, x = empirical_frequencies(samples[k]), np.arange(part.length[k])
+                for theta in np.linspace(part.lo[k], part.hi[k], 7)[1:-1]:
+                    want = lsd(g, DiscreteDensity(offset=0, mass=family.density(theta, x)), p)
+                    assert abs(row.objective(theta) - want) <= 1e-12 * (1.0 + abs(want))
+
+
 class TestCertifiedScan:
-    """A part of ``_MIN_STACK`` rows or more evaluates, at B != 0, its
-    coarse points and then only the fine points where a bound shows the
-    grid's argmin can lie: the chord bound at B > 0, the convex bracket at
-    B < 0.  On rows built to stress both, the scan must keep the full
-    grid's argmin (the first on ties), the value there and the scan cell,
-    and every value it evaluates must equal the row's objective bit for
-    bit.  At B > 0 the bound itself must hold at every grid point within
-    the margin."""
+    """A part of ``_MIN_STACK`` rows or more evaluates, where the objective
+    keeps phi / B, its coarse points and then only the fine points where a
+    bound shows the grid's argmin can lie: the chord bound at B > 0, the
+    convex bracket at B < 0.  On rows built to stress both, the scan must
+    keep the full grid's argmin (the first on ties), the value there and
+    the scan cell, and every value it evaluates must equal the row's
+    objective bit for bit.  At B >= 0 the chord bound itself must hold at
+    every grid point within the margin (at B = 0 the objective less its
+    model term is linear)."""
 
     BRACKET = (1.0, 52.0)  # a grid step of 0.2
-    # B > 0 and B < 0, each up to beta = 20, and B = 8e-7, where the
-    # objective's terms are a million times its value
+    # B > 0 and B < 0, each up to beta = 20, B = 8e-7, where phi / B is a
+    # millionth of phi, B = 0, where the objective drops phi / B and the
+    # scan keeps the whole grid, and B = -1.1e-16, which a convex bracket
+    # certifies
     TILTS = [
         (1.0, 0.0), (0.5, 0.0), (0.2, -0.5), (20.0, 0.0),
         (0.0, 0.5), (0.4, 2.0), (5.0, -3.0), (20.0, -3.0), (0.2, 0.249999),
+        (0.0, 0.0), (0.5, 1.0), (0.6, 1.5),
     ]
 
     @staticmethod
@@ -403,7 +442,7 @@ class TestCertifiedScan:
                 grid = part.grid[k]
                 assert (best[k], value[k]) == (grid[j], full[j])
                 assert (g_lo[k], g_hi[k]) == (grid[max(j - 1, 0)], grid[min(j + 1, _N_SCAN - 1)])
-                if p.exp_b > 1e-3:
+                if p.exp_b >= 0:
                     assert chord_bound(part, k, p, full).max() <= _SCAN_MARGIN * (1.0 + abs(full[j]))
 
     def test_the_stress_rows_stress_the_scan(self, family):
@@ -462,7 +501,7 @@ class TestCertifiedScan:
 
 
 def chord_bound(part, k, p, full):
-    """LB_j - value_j at every grid point of kept row k at tilt p (B > 0),
+    """LB_j - value_j at every grid point of kept row k at tilt p (B >= 0),
     from its objective ``full`` there: LB is the model term log sum
     f^(1+beta) / A plus the chord, in r = log(theta / theta_r), of the rest
     of the objective between the coarse points around the point."""
@@ -1283,27 +1322,40 @@ class TestSamplePart:
                     np.testing.assert_array_equal(got[k, :m], want[0])
                 for beta, gamma in SOLVER_TILTS[:3]:
                     p = TiltParams(beta, gamma)
-                    assert part.log_sum_g(1.0 + beta)[k] == one.log_sum_g(1.0 + beta)[0]
+                    # log sum g^(1+beta), m1 and m0, then the cell arrays
+                    for got, want in zip(part.log_sum_g(1.0 + beta), one.log_sum_g(1.0 + beta)):
+                        np.testing.assert_array_equal(got[k, :m] if got.ndim == 2 else got[k], want[0])
                     assert_scan_of(part.scan_objective(p)[k], one.scan_objective(p)[0])
 
     def test_log_sum_g_kept_per_beta(self, family):
-        # each row's log sum g^(1+beta) is computed once per beta, as each
-        # scan computed it for itself, and read by the fit windows at every
-        # gamma
+        # each row's log sum g^(1+beta), weights w = e / sum e and weighted
+        # means m1 = sum e x / sum e and m0 = sum e (log f_theta_r - log g) /
+        # sum e, e = (g / max g)^(1+beta), are computed once per beta, adding
+        # the row's cells one after another, and read by the fit windows at
+        # every gamma
         for samples in chunk_samples(0):
             part = _SamplePart.from_samples(samples, family)
+            x, spread = part.cell_terms
             for beta in (0.0, 0.4, 1.0):
                 kept = part.log_sum_g(1.0 + beta)
-                rows = zip(part.logg, part.cells)
-                np.testing.assert_array_equal(
-                    kept, [_lse((1.0 + beta) * logg[:m]) for logg, m in rows]
-                )
+                for k, m in enumerate(part.cells):
+                    scaled = (1.0 + beta) * part.logg[k, :m]
+                    e = np.exp(scaled - scaled.max())
+                    total = in_order(e)
+                    assert (kept[0][k], kept[1][k], kept[2][k]) == (
+                        scaled.max() + np.log(total),
+                        in_order(e * x[k, :m]) / total,
+                        in_order(e * spread[k, :m]) / total,
+                    )
+                    np.testing.assert_array_equal(kept[3][k, :m], e / total)
+                    # padded cells weigh nothing and hold centred terms of 0
+                    assert not kept[3][k, m:].any() and not kept[4][k, m:].any() and not kept[5][k, m:].any()
                 for gamma in (-0.5, 0.0, 1.0):
                     p = TiltParams(beta, gamma)
                     part.scan(p)
                     stack = _FitWindow.stack(part, p, part.hi[0])
-                    np.testing.assert_array_equal(stack.log_sg[:, 0], kept)
-                    assert _FitWindow.row(part, 3, p).log_sg == kept[3]
+                    np.testing.assert_array_equal(stack.factors[0][:, 0], kept[0])
+                    assert _FitWindow.row(part, 3, p).factors[0] == kept[0][3]
                 assert part.log_sum_g(1.0 + beta) is kept
 
     @pytest.mark.parametrize("seed", [0, 1])
